@@ -139,11 +139,57 @@ struct ServerRecord {
 /// configured semantics to hold across recovery (e.g. Unique Execution's
 /// duplicate tables) register themselves here; Atomic Execution includes
 /// them in every checkpoint.
+///
+/// Atomic Execution stores a chain: a base record holding every
+/// participant's full state (encode_state) followed by delta records
+/// holding only what changed since the previous record (encode_delta).
+/// Recovery decodes the base and applies each delta in order.  The default
+/// delta is the full state, which suits small state (FIFO Order); tables
+/// that only grow journal their inserts instead (CheckpointJournal).
 class CheckpointParticipant {
  public:
   virtual ~CheckpointParticipant() = default;
+  /// Full state: the participant's part of a base record.
   virtual void encode_state(Writer& w) const = 0;
   virtual void decode_state(Reader& r) = 0;
+  /// What changed since the last committed record; apply_delta runs on top
+  /// of the state that record restores.
+  virtual void encode_delta(Writer& w) const { encode_state(w); }
+  virtual void apply_delta(Reader& r) { decode_state(r); }
+  /// Journal position reached by the entries encoded so far.  Atomic
+  /// Execution hands it back to forget_journal() once the record holding
+  /// those entries is committed -- never earlier, so a record lost to a
+  /// crash or a killed writer costs no entry.
+  [[nodiscard]] virtual std::uint64_t journal_end() const { return 0; }
+  virtual void forget_journal(std::uint64_t /*end*/) {}
+};
+
+/// The inserts into an append-only table since Atomic Execution's last
+/// committed checkpoint record.  Positions are absolute (they count every
+/// entry ever added), so an end taken at encode time still names the same
+/// entries after later inserts.
+template <typename T>
+class CheckpointJournal {
+ public:
+  void add(const T& entry) { entries_.push_back(entry); }
+  [[nodiscard]] const std::vector<T>& entries() const { return entries_; }
+  [[nodiscard]] std::uint64_t end() const { return forgotten_ + entries_.size(); }
+  /// Drops the entries before absolute position `end`.
+  void forget(std::uint64_t end) {
+    if (end <= forgotten_) return;
+    const auto n = static_cast<std::ptrdiff_t>(end - forgotten_);
+    entries_.erase(entries_.begin(), entries_.begin() + n);
+    forgotten_ = end;
+  }
+  /// Restored state is exactly what storage holds: nothing is pending.
+  void clear() {
+    forgotten_ = end();
+    entries_.clear();
+  }
+
+ private:
+  std::vector<T> entries_;
+  std::uint64_t forgotten_ = 0;
 };
 
 class UserProtocol;  // defined in user_protocol.h
@@ -189,6 +235,10 @@ struct GrpcState {
 
   /// Checkpoint participants (see above).
   std::vector<CheckpointParticipant*> checkpoint_participants;
+  /// Set by Atomic Execution: participants journal their inserts for the
+  /// next delta record.  Off otherwise, so nothing accumulates when no one
+  /// checkpoints.
+  bool journal_checkpoints = false;
 
   /// RPC Main's exported forward_up procedure (set in RpcMain::start); the
   /// ordering micro-protocols call it to release held calls.

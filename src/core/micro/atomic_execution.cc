@@ -1,5 +1,7 @@
 #include "core/micro/atomic_execution.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "core/priorities.h"
 #include "core/user_protocol.h"
@@ -7,6 +9,7 @@
 namespace ugrpc::core {
 
 void AtomicExecution::start(runtime::Framework& fw) {
+  state_.journal_checkpoints = true;
   fw.register_handler(kReplyFromServer, "AtomicExec.handle_reply", kPrioReplyAtomic,
                       [this](runtime::EventContext& ctx) { return handle_reply(ctx); });
   fw.register_handler(kRecovery, "AtomicExec.handle_recovery",
@@ -20,61 +23,148 @@ void AtomicExecution::ensure_baseline() {
   // non-atomic; see DESIGN.md.)  On recovery the variable already exists
   // and the stored checkpoint remains authoritative.
   if (!store_.var(kCurrentVar).has_value()) {
-    const storage::StableAddress addr = store_.store_checkpoint(build_snapshot());
-    store_.set_var(kCurrentVar, addr.value());
+    Buffer record = build_record({});
+    const std::size_t bytes = record.size();
+    commit(store_.store_checkpoint(std::move(record)), true, bytes, journal_ends());
   }
 }
 
-Buffer AtomicExecution::build_snapshot() const {
-  Buffer snapshot;
-  Writer w(snapshot);
+Buffer AtomicExecution::build_record(std::optional<storage::StableAddress> prev) const {
+  Buffer record;
+  Writer w(record);
+  w.u64(prev.has_value() ? prev->value() : 0);  // addresses start at 1
   const Buffer user_state = state_.user != nullptr ? state_.user->snapshot_state() : Buffer{};
   w.raw(user_state.bytes());
   w.u32(static_cast<std::uint32_t>(state_.checkpoint_participants.size()));
   for (const CheckpointParticipant* p : state_.checkpoint_participants) {
     Buffer part;
     Writer pw(part);
-    p->encode_state(pw);
+    if (prev.has_value()) {
+      p->encode_delta(pw);
+    } else {
+      p->encode_state(pw);
+    }
     w.raw(part.bytes());
   }
-  return snapshot;
+  return record;
 }
 
-void AtomicExecution::restore_snapshot(const Buffer& snapshot) {
-  Reader r(snapshot);
-  const Buffer user_state = r.raw();
-  if (state_.user != nullptr) state_.user->restore_state(user_state);
-  const std::uint32_t n = r.u32();
-  // Participant order is the configuration order, which is identical across
-  // a crash (the stack factory rebuilds the same configuration).
-  UGRPC_ASSERT(n == state_.checkpoint_participants.size());
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Buffer part = r.raw();
-    Reader pr(part);
-    state_.checkpoint_participants[i]->decode_state(pr);
+std::vector<std::uint64_t> AtomicExecution::journal_ends() const {
+  std::vector<std::uint64_t> ends;
+  ends.reserve(state_.checkpoint_participants.size());
+  for (const CheckpointParticipant* p : state_.checkpoint_participants) {
+    ends.push_back(p->journal_end());
   }
+  return ends;
+}
+
+void AtomicExecution::commit(storage::StableAddress addr, bool base, std::size_t bytes,
+                             const std::vector<std::uint64_t>& ends) {
+  // Atomic switch-over: the stable variable either points at the old
+  // checkpoint or the new one, never at a torn state.
+  store_.set_var(kCurrentVar, addr.value());
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    state_.checkpoint_participants[i]->forget_journal(ends[i]);
+  }
+  if (base) {
+    for (storage::StableAddress old : chain_) store_.release_checkpoint(old);
+    chain_.clear();
+    base_bytes_ = bytes;
+    delta_bytes_ = 0;
+  } else {
+    delta_bytes_ += bytes;
+  }
+  chain_.push_back(addr);
 }
 
 sim::Task<> AtomicExecution::handle_reply(runtime::EventContext&) {
-  const storage::StableAddress addr = co_await store_.store_checkpoint_async(build_snapshot());
-  // Atomic switch-over: the stable variable either points at the old
-  // checkpoint or the new one, never at a torn state.
-  const auto previous = store_.var(kCurrentVar);
-  store_.set_var(kCurrentVar, addr.value());
-  if (previous.has_value()) store_.release_checkpoint(storage::StableAddress{*previous});
+  // Compaction rule: a new base once the deltas since the last one add up
+  // to its size.  This bounds stored bytes by about two full snapshots and
+  // makes each call pay amortised O(1), with no knob.
+  const bool base = chain_.empty() || delta_bytes_ >= base_bytes_;
+  const std::optional<storage::StableAddress> prev =
+      base ? std::nullopt : std::optional(chain_.back());
+  Buffer record = build_record(prev);
+  // Journal entries inserted while the record is being written are not in
+  // it: they belong to the next one.
+  const std::vector<std::uint64_t> ends = journal_ends();
+  const std::size_t bytes = record.size();
+  const auto head = store_.var(kCurrentVar);
+  const storage::StableAddress addr = co_await store_.store_checkpoint_async(std::move(record));
+  // Serial Execution holds its token across this write, so no other record
+  // can have become current meanwhile.  (A writer killed or crashed during
+  // the write stores nothing, and its journal entries stay for the next.)
+  UGRPC_ASSERT(store_.var(kCurrentVar) == head && "checkpoint records are written one at a time");
+  commit(addr, base, bytes, ends);
   ++checkpoints_taken_;
   state_.note(obs::Kind::kCheckpoint, 0, addr.value());
+}
+
+std::vector<AtomicExecution::ChainRecord> AtomicExecution::load_chain(
+    const storage::StableStore& store, storage::StableAddress newest) {
+  std::vector<ChainRecord> chain;
+  std::optional<storage::StableAddress> at = newest;
+  try {
+    while (at.has_value()) {
+      const std::optional<Buffer> stored = store.load_checkpoint(*at);
+      UGRPC_ASSERT(stored.has_value() && "checkpoint chain: record missing");
+      Reader r(*stored);
+      ChainRecord rec{*at, stored->size(), {}, {}};
+      const std::uint64_t prev = r.u64();
+      // Addresses grow with every write, so a predecessor is always older;
+      // this also rules out cycles.
+      UGRPC_ASSERT(prev < rec.addr.value() && "checkpoint chain: corrupt prev");
+      at.reset();
+      if (prev != 0) at = storage::StableAddress{prev};
+      rec.user_state = r.raw();
+      const std::uint32_t n = r.u32();
+      for (std::uint32_t i = 0; i < n; ++i) rec.parts.push_back(r.raw());
+      UGRPC_ASSERT(r.at_end() && "checkpoint chain: trailing bytes");
+      chain.push_back(std::move(rec));
+    }
+  } catch (const CodecError&) {
+    UGRPC_ASSERT(false && "checkpoint chain: truncated record");
+  }
+  std::reverse(chain.begin(), chain.end());
+  return chain;
+}
+
+void AtomicExecution::restore_chain(const std::vector<ChainRecord>& chain) {
+  // Every record carries the user state whole: the newest one is current.
+  if (state_.user != nullptr) state_.user->restore_state(chain.back().user_state);
+  const auto& participants = state_.checkpoint_participants;
+  chain_.clear();
+  base_bytes_ = chain.front().bytes;
+  delta_bytes_ = 0;
+  try {
+    for (const ChainRecord& rec : chain) {
+      // Participant order is the configuration order, which is identical
+      // across a crash (the stack factory rebuilds the same configuration).
+      UGRPC_ASSERT(rec.parts.size() == participants.size());
+      const bool base = chain_.empty();
+      for (std::size_t i = 0; i < participants.size(); ++i) {
+        Reader pr(rec.parts[i]);
+        if (base) {
+          participants[i]->decode_state(pr);
+        } else {
+          participants[i]->apply_delta(pr);
+        }
+      }
+      if (!base) delta_bytes_ += rec.bytes;
+      chain_.push_back(rec.addr);
+    }
+  } catch (const CodecError&) {
+    UGRPC_ASSERT(false && "checkpoint chain: corrupt participant state");
+  }
 }
 
 sim::Task<> AtomicExecution::handle_recovery(runtime::EventContext&) {
   const auto current = store_.var(kCurrentVar);
   if (!current.has_value()) co_return;  // never checkpointed: initial state is correct
-  const auto snapshot = store_.load_checkpoint(storage::StableAddress{*current});
-  UGRPC_ASSERT(snapshot.has_value() && "stable variable points at a missing checkpoint");
-  restore_snapshot(*snapshot);
+  restore_chain(load_chain(store_, storage::StableAddress{*current}));
   state_.note(obs::Kind::kStateRestored, 0, *current);
-  UGRPC_LOG(kDebug, "atomic@%u: restored checkpoint %llu", state_.my_id.value(),
-            static_cast<unsigned long long>(*current));
+  UGRPC_LOG(kDebug, "atomic@%u: restored checkpoint chain of %zu records ending at %llu",
+            state_.my_id.value(), chain_.size(), static_cast<unsigned long long>(*current));
 }
 
 }  // namespace ugrpc::core

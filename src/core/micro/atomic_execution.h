@@ -14,9 +14,26 @@
 // paper's `old`/`new` stable addresses: a crash during checkpoint write
 // leaves the previous checkpoint in effect.
 //
+// Incremental checkpoints: the duplicate and order tables grow with every
+// call served, so re-encoding them per call would make a call's cost grow
+// with the server's age.  The checkpoint is therefore a chain of records in
+// stable storage: one base record (full state) followed by delta records,
+// each holding only what changed since its predecessor (participants
+// journal their inserts; small mutable parts and the user state travel
+// whole).  The stable variable names the newest record; recovery walks back
+// to the base, decodes it and applies the deltas in order.  Once the deltas
+// since the base add up to the base's size, the next record is a new base
+// and the old chain is freed: stored bytes stay below about two full
+// snapshots and each call pays amortised O(1).  Record layout:
+//
+//   prev:u64 (0 for a base) user:raw n:u32 part:raw*n
+//
 // Requires Serial Execution (calls processed one at a time); the
 // configurator enforces this dependency (paper Figure 4).
 #pragma once
+
+#include <optional>
+#include <vector>
 
 #include "core/events.h"
 #include "core/grpc_state.h"
@@ -42,18 +59,46 @@ class AtomicExecution : public runtime::MicroProtocol {
   void ensure_baseline();
 
   [[nodiscard]] std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
+  /// Records in the live chain: the base plus the deltas written on it.
+  [[nodiscard]] std::size_t chain_length() const { return chain_.size(); }
+  /// Size of a base record of the current state (one full snapshot).
+  [[nodiscard]] std::size_t full_snapshot_bytes() const { return build_record({}).size(); }
+
+  /// One record of a stored chain, as recovery reads it.
+  struct ChainRecord {
+    storage::StableAddress addr;
+    std::size_t bytes = 0;  ///< stored size, header included
+    Buffer user_state;
+    std::vector<Buffer> parts;  ///< one per checkpoint participant
+  };
+  /// Reads the chain whose newest record is `newest`, base first.  A broken
+  /// chain -- a missing record, a truncated or corrupt one, a `prev` that
+  /// is not older than its successor -- is a storage fault no recovery can
+  /// mask, and fails an assertion rather than reading out of bounds.
+  [[nodiscard]] static std::vector<ChainRecord> load_chain(const storage::StableStore& store,
+                                                           storage::StableAddress newest);
 
  private:
   [[nodiscard]] sim::Task<> handle_reply(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> handle_recovery(runtime::EventContext& ctx);
-  [[nodiscard]] Buffer build_snapshot() const;
-  void restore_snapshot(const Buffer& snapshot);
+  /// A base record when `prev` is empty, else a delta on top of `prev`.
+  [[nodiscard]] Buffer build_record(std::optional<storage::StableAddress> prev) const;
+  [[nodiscard]] std::vector<std::uint64_t> journal_ends() const;
+  /// Makes the stored record at `addr` current, then lets participants drop
+  /// the journal entries it holds (up to `ends`) and, for a base, frees the
+  /// chain it replaces.
+  void commit(storage::StableAddress addr, bool base, std::size_t bytes,
+              const std::vector<std::uint64_t>& ends);
+  void restore_chain(const std::vector<ChainRecord>& chain);
 
   static constexpr const char* kCurrentVar = "atomic.current";
 
   GrpcState& state_;
   storage::StableStore& store_;
   std::uint64_t checkpoints_taken_ = 0;
+  std::vector<storage::StableAddress> chain_;  ///< live chain, base first
+  std::size_t base_bytes_ = 0;                 ///< size of chain_.front()
+  std::size_t delta_bytes_ = 0;                ///< sum over the deltas in chain_
 };
 
 }  // namespace ugrpc::core

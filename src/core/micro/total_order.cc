@@ -50,8 +50,7 @@ sim::Task<> TotalOrder::assign_order(runtime::EventContext& ctx) {
     if (auto it = old_orders_.find(msg.id); it != old_orders_.end()) {
       order = it->second;  // re-announce an existing assignment
     } else if (!reconciling_) {
-      order = next_order_++;
-      old_orders_.emplace(msg.id, order);
+      order = remember_order(msg.id, next_order_++);
     } else {
       // Mid-reconciliation: do not assign.  The call parks in waiting_set
       // (msg_from_net) and the client's retransmission re-triggers
@@ -84,8 +83,7 @@ sim::Task<> TotalOrder::note_order(CallId id, std::uint64_t order) {
   // Followers track the leader's counter so a successor continues the
   // numbering after a failover.
   if (next_order_ < order + 1) next_order_ = order + 1;
-  auto [it, inserted] = old_orders_.emplace(id, order);
-  const std::uint64_t my_order = it->second;  // first assignment wins
+  const std::uint64_t my_order = remember_order(id, order);
   if (waiting_set_.erase(id) > 0) {
     if (my_order == next_entry_) {
       co_await state_.forward_up(id, kHoldTotal);
@@ -93,6 +91,12 @@ sim::Task<> TotalOrder::note_order(CallId id, std::uint64_t order) {
       ready_list_[my_order] = id;
     }
   }
+}
+
+std::uint64_t TotalOrder::remember_order(CallId id, std::uint64_t order) {
+  const auto [it, inserted] = old_orders_.emplace(id, order);
+  if (inserted && state_.journal_checkpoints) journal_.add({id, order});
+  return it->second;
 }
 
 sim::Task<> TotalOrder::msg_from_net(runtime::EventContext& ctx) {
@@ -235,15 +239,30 @@ void TotalOrder::encode_state(Writer& w) const {
 }
 
 void TotalOrder::decode_state(Reader& r) {
-  next_order_ = r.u64();
-  next_entry_ = r.u64();
   old_orders_.clear();
   waiting_set_.clear();
   ready_list_.clear();
+  journal_.clear();
+  apply_delta(r);
+}
+
+void TotalOrder::encode_delta(Writer& w) const {
+  w.u64(next_order_);
+  w.u64(next_entry_);
+  w.u32(static_cast<std::uint32_t>(journal_.entries().size()));
+  for (const auto& [id, order] : journal_.entries()) {
+    w.u64(id.value());
+    w.u64(order);
+  }
+}
+
+void TotalOrder::apply_delta(Reader& r) {
+  next_order_ = r.u64();
+  next_entry_ = r.u64();
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     const CallId id{r.u64()};
-    old_orders_[id] = r.u64();
+    old_orders_.emplace(id, r.u64());
   }
 }
 
@@ -258,8 +277,7 @@ void TotalOrder::finish_reconciliation() {
   std::vector<std::pair<CallId, std::uint64_t>> fresh;
   for (CallId id : waiting_set_) {
     if (old_orders_.contains(id)) continue;
-    const std::uint64_t order = next_order_++;
-    old_orders_.emplace(id, order);
+    const std::uint64_t order = remember_order(id, next_order_++);
     fresh.emplace_back(id, order);
   }
   // Re-announce the merged tail (plus the fresh assignments) so every

@@ -67,6 +67,12 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   // call left it instead of restarting from order 1.
   void encode_state(Writer& w) const override;
   void decode_state(Reader& r) override;
+  // A delta carries the assignments journaled since the last committed
+  // record plus both counters.
+  void encode_delta(Writer& w) const override;
+  void apply_delta(Reader& r) override;
+  [[nodiscard]] std::uint64_t journal_end() const override { return journal_.end(); }
+  void forget_journal(std::uint64_t end) override { journal_.forget(end); }
 
   /// The group leader from this member's viewpoint: the largest-id live
   /// member of `group`.
@@ -74,6 +80,8 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
 
   [[nodiscard]] std::uint64_t orders_assigned() const { return next_order_ - 1; }
   [[nodiscard]] std::uint64_t next_entry() const { return next_entry_; }
+  /// Calls whose order this member knows (assigned or learned).
+  [[nodiscard]] std::size_t old_orders() const { return old_orders_.size(); }
   [[nodiscard]] bool reconciling() const { return reconciling_; }
   [[nodiscard]] std::uint64_t reconciliations() const { return reconciliations_; }
 
@@ -86,6 +94,9 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   /// Records an assignment learned from an Order/OrderInfo message and, if
   /// the call is waiting, moves it toward execution.
   [[nodiscard]] sim::Task<> note_order(CallId id, std::uint64_t order);
+  /// Records `id -> order` unless `id` already has one (first assignment
+  /// wins); returns the call's order.
+  std::uint64_t remember_order(CallId id, std::uint64_t order);
 
   void begin_reconciliation();
   void finish_reconciliation();
@@ -98,6 +109,8 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   std::map<std::uint64_t, CallId> ready_list_;       ///< order -> call, not yet executable
   std::set<CallId> waiting_set_;                     ///< calls seen but unordered
   std::unordered_map<CallId, std::uint64_t> old_orders_;  ///< call -> assigned order
+  /// old_orders_ inserts for the next delta checkpoint record.
+  CheckpointJournal<std::pair<CallId, std::uint64_t>> journal_;
   std::uint64_t next_order_ = 1;  ///< leader: next order number to assign
   std::uint64_t next_entry_ = 1;  ///< next order number allowed to execute
 

@@ -83,6 +83,7 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
         ctx.cancel();
       } else {
         old_calls_.insert(msg.id);
+        if (state_.journal_checkpoints) journal_.add(msg.id);
       }
       break;
     }
@@ -109,6 +110,30 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
 void UniqueExecution::encode_state(Writer& w) const {
   w.u32(static_cast<std::uint32_t>(old_calls_.size()));
   for (CallId id : old_calls_) w.u64(id.value());
+  encode_results(w);
+}
+
+void UniqueExecution::decode_state(Reader& r) {
+  old_calls_.clear();
+  journal_.clear();
+  const std::uint32_t n_calls = r.u32();
+  for (std::uint32_t i = 0; i < n_calls; ++i) old_calls_.insert(CallId{r.u64()});
+  decode_results(r);
+}
+
+void UniqueExecution::encode_delta(Writer& w) const {
+  w.u32(static_cast<std::uint32_t>(journal_.entries().size()));
+  for (CallId id : journal_.entries()) w.u64(id.value());
+  encode_results(w);
+}
+
+void UniqueExecution::apply_delta(Reader& r) {
+  const std::uint32_t n_calls = r.u32();
+  for (std::uint32_t i = 0; i < n_calls; ++i) old_calls_.insert(CallId{r.u64()});
+  decode_results(r);
+}
+
+void UniqueExecution::encode_results(Writer& w) const {
   w.u32(static_cast<std::uint32_t>(old_results_.size()));
   for (const auto& [id, args] : old_results_) {
     w.u64(id.value());
@@ -116,11 +141,8 @@ void UniqueExecution::encode_state(Writer& w) const {
   }
 }
 
-void UniqueExecution::decode_state(Reader& r) {
-  old_calls_.clear();
+void UniqueExecution::decode_results(Reader& r) {
   old_results_.clear();
-  const std::uint32_t n_calls = r.u32();
-  for (std::uint32_t i = 0; i < n_calls; ++i) old_calls_.insert(CallId{r.u64()});
   const std::uint32_t n_results = r.u32();
   for (std::uint32_t i = 0; i < n_results; ++i) {
     const CallId id{r.u64()};

@@ -40,9 +40,19 @@ class UniqueExecution : public runtime::MicroProtocol, public CheckpointParticip
   // server state that Atomic Execution rolls back on recovery.
   void encode_state(Writer& w) const override;
   void decode_state(Reader& r) override;
+  // A delta carries the OldCalls inserts journaled since the last committed
+  // record plus OldResults whole (entries leave it on every ACK, so it holds
+  // only results not yet acknowledged).
+  void encode_delta(Writer& w) const override;
+  void apply_delta(Reader& r) override;
+  [[nodiscard]] std::uint64_t journal_end() const override { return journal_.end(); }
+  void forget_journal(std::uint64_t end) override { journal_.forget(end); }
 
   [[nodiscard]] std::size_t old_calls() const { return old_calls_.size(); }
   [[nodiscard]] std::size_t stored_results() const { return old_results_.size(); }
+  /// OldCalls inserts not yet held by a committed checkpoint record (always
+  /// 0 without Atomic Execution).
+  [[nodiscard]] std::size_t journaled() const { return journal_.entries().size(); }
   [[nodiscard]] std::uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
   /// ACK messages actually sent vs. acknowledgements delivered: the gap is
   /// what batching and piggybacking saved (observability for tests/benches).
@@ -53,6 +63,8 @@ class UniqueExecution : public runtime::MicroProtocol, public CheckpointParticip
   [[nodiscard]] sim::Task<> msg_from_net(runtime::EventContext& ctx);
   void queue_ack(ProcessId dest, std::uint64_t id);
   void flush_acks();
+  void encode_results(Writer& w) const;
+  void decode_results(Reader& r);
 
   GrpcState& state_;
   runtime::Framework* fw_ = nullptr;
@@ -60,6 +72,7 @@ class UniqueExecution : public runtime::MicroProtocol, public CheckpointParticip
   bool flush_armed_ = false;
   std::set<CallId> old_calls_;
   std::map<CallId, Buffer> old_results_;
+  CheckpointJournal<CallId> journal_;  ///< OldCalls inserts for the next delta
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t ack_messages_sent_ = 0;
   std::uint64_t acks_queued_ = 0;

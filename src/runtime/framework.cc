@@ -131,7 +131,9 @@ TimerId Framework::register_timeout(std::string name, sim::Duration delay, Timeo
   // The id is assigned by the scheduler; the callback fires exactly once and
   // spawns a fresh fiber so the timeout handler may block (e.g. Bounded
   // Termination takes the pRPC mutex).
-  auto shared_fn = std::make_shared<TimeoutHandler>(std::move(fn));
+  // The armed record also carries the timer id, filled in below, so the
+  // fire callback can drop it from live_timeouts_.
+  auto armed = std::make_shared<Armed>(Armed{std::move(fn), TimerId{}});
   // The wrapper coroutine keeps the handler object alive for as long as the
   // handler body runs: coroutine parameters are copied into the frame,
   // whereas the closure that a std::function invocation runs on is not.
@@ -141,16 +143,16 @@ TimerId Framework::register_timeout(std::string name, sim::Duration delay, Timeo
   // The wrapper captures the transport and the site trace rather than the
   // framework: both outlive any fiber of this domain, the framework may not.
   static constexpr auto invoke = [](net::Transport* tp, obs::SiteTrace* st,
-                                    std::shared_ptr<TimeoutHandler> f, obs::SpanCtx armed,
+                                    std::shared_ptr<Armed> a, obs::SpanCtx armed_ctx,
                                     std::uint32_t name_id) -> sim::Task<> {
     std::uint64_t span = 0;
     std::uint64_t fiber = 0;
     if (st != nullptr) {
       fiber = tp->executor().current_fiber().value();
-      span = st->span_open(tp->now(), obs::SpanKind::kTimer, name_id, armed);
+      span = st->span_open(tp->now(), obs::SpanKind::kTimer, name_id, armed_ctx);
       if (span != 0) st->set_current(fiber, st->ctx_of(span));
     }
-    co_await (*f)();
+    co_await a->fn();
     if (st != nullptr) {
       st->clear_current(fiber);
       st->span_close(span, tp->now());
@@ -163,18 +165,18 @@ TimerId Framework::register_timeout(std::string name, sim::Duration delay, Timeo
   }
   const TimerId id = transport_.schedule_after(
       delay,
-      [this, shared_fn, name = std::move(name), name_id, armed_ctx]() {
+      [this, armed, name_id, armed_ctx]() {
+        // A fired timer is no longer live: cancelling it later is a no-op.
+        live_timeouts_.erase(armed->id);
         if (site_trace_) {
-          // The fired timer id is unknown inside the callback (schedule_after
-          // assigns it after capture); the name identifies the timer class.
+          // The name identifies the timer class.
           site_trace_->record(transport_.now(), obs::Kind::kTimerFired, 0, 0, 0, name_id);
         }
-        transport_.spawn(invoke(&transport_, site_trace_, shared_fn, armed_ctx, name_id),
-                         domain_);
+        transport_.spawn(invoke(&transport_, site_trace_, armed, armed_ctx, name_id), domain_);
       },
       domain_);
-  // Fired timers linger in this set until cancel/destruction; cancelling an
-  // already-fired timer is a harmless no-op and ids are never reused.
+  // Neither transport fires a timer before schedule_after returns.
+  armed->id = id;
   live_timeouts_.insert(id);
   if (site_trace_) {
     site_trace_->record(transport_.now(), obs::Kind::kTimerArmed, 0, id.value(),

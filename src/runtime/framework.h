@@ -97,6 +97,8 @@ class Framework {
   /// cancel_timeout().
   TimerId register_timeout(std::string name, sim::Duration delay, TimeoutHandler fn);
   void cancel_timeout(TimerId id);
+  /// Timeouts armed and neither fired nor cancelled yet.
+  [[nodiscard]] std::size_t live_timeouts() const { return live_timeouts_.size(); }
 
   [[nodiscard]] net::Transport& transport() { return transport_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return transport_.executor(); }
@@ -158,6 +160,12 @@ class Framework {
   };
 
   [[nodiscard]] const std::shared_ptr<const Chain>& chain_for(EventId event);
+
+  /// A registered timeout: its handler and the id the transport gave it.
+  struct Armed {
+    TimeoutHandler fn;
+    TimerId id;
+  };
 
   net::Transport& transport_;
   DomainId domain_;

@@ -71,6 +71,12 @@ class StableStore {
   }
   void release_checkpoint(StableAddress addr) { checkpoints_.erase(addr); }
   [[nodiscard]] std::size_t checkpoint_count() const { return checkpoints_.size(); }
+  /// Bytes held by all stored checkpoints.
+  [[nodiscard]] std::size_t checkpoint_bytes() const {
+    std::size_t total = 0;
+    for (const auto& [addr, snapshot] : checkpoints_) total += snapshot.size();
+    return total;
+  }
 
   // ---- stable variables (atomic assignment, paper section 4.4.5) ----
   void set_var(const std::string& name, std::uint64_t value) { vars_[name] = value; }

@@ -8,8 +8,12 @@
 // rolls back to the last checkpoint, so every call is all-or-nothing.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "core/micro/acceptance.h"
 #include "core/micro/atomic_execution.h"
+#include "core/micro/total_order.h"
 #include "core/micro/unique_execution.h"
 #include "core/scenario.h"
 
@@ -159,12 +163,230 @@ TEST(CrashRecovery, WithoutAtomicTablesAreLostAndCallReExecutes) {
 
 TEST(CrashRecovery, CheckpointsAreTakenPerCall) {
   Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  AtomicExecution* atomic = s.server(0).grpc().atomic();
+  storage::StableStore& store = s.server(0).stable();
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     for (int i = 0; i < 4; ++i) (void)co_await c.call(s.group(), kIncrementBoth, num_buf(0));
   });
-  EXPECT_EQ(s.server(0).grpc().atomic()->checkpoints_taken(), 4u);
-  // Old checkpoints are released: only the latest remains.
-  EXPECT_EQ(s.server(0).stable().checkpoint_count(), 1u);
+  EXPECT_EQ(atomic->checkpoints_taken(), 4u);
+  // Only the live chain (a base and the deltas on it) is stored.
+  EXPECT_EQ(store.checkpoint_count(), atomic->chain_length());
+
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    for (int i = 4; i < 1000; ++i) (void)co_await c.call(s.group(), kIncrementBoth, num_buf(0));
+  });
+  EXPECT_EQ(atomic->checkpoints_taken(), 1000u);
+  EXPECT_EQ(store.checkpoint_count(), atomic->chain_length());
+  // Compaction bounds the chain: the deltas since the base add up to less
+  // than the base plus the newest record, and replaced chains are freed.
+  const auto newest = store.load_checkpoint(storage::StableAddress{*store.var("atomic.current")});
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_LE(store.checkpoint_bytes(), 2 * atomic->full_snapshot_bytes() + newest->size());
+}
+
+/// Same registers as crash_params, plus Total Order (whose position is
+/// checkpointed too; it rules out Bounded Termination).
+ScenarioParams ordered_crash_params() {
+  ScenarioParams p = crash_params(ExecutionMode::kSerialAtomic);
+  p.config.ordering = Ordering::kTotal;
+  p.config.termination_bound.reset();
+  p.seed = 11;
+  return p;
+}
+
+/// Re-sends the Call message of an already completed call from the client,
+/// as a late network duplicate would arrive.
+void resend_call(Scenario& s, CallId id) {
+  net::NetMessage msg;
+  msg.type = net::MsgType::kCall;
+  msg.id = id;
+  msg.op = kIncrementBoth;
+  msg.args = num_buf(0);
+  msg.server = s.group();
+  msg.sender = s.client_id(0);
+  msg.inc = s.client_site(0).incarnation();
+  s.client_site(0).grpc().state().net_push(Scenario::server_id(0), msg);
+}
+
+struct ServerImage {
+  std::size_t old_calls = 0;
+  std::size_t stored_results = 0;
+  std::uint64_t next_entry = 0;
+  std::size_t old_orders = 0;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  bool operator==(const ServerImage&) const = default;
+};
+
+ServerImage image_of(Site& server) {
+  GrpcComposite& g = server.grpc();
+  return ServerImage{g.unique()->old_calls(), g.unique()->stored_results(),
+                     g.total()->next_entry(), g.total()->old_orders(),
+                     read_var(server.stable(), "a"), read_var(server.stable(), "b")};
+}
+
+/// Calls until `stop(atomic)` holds right after a call's checkpoint, crashes
+/// the server at that instant and recovers it; the volatile tables, the
+/// order position and the registers must come back exactly, and a late
+/// duplicate of a completed call must still be suppressed.
+void crash_where(const std::function<bool(const AtomicExecution&)>& stop) {
+  Scenario s(ordered_crash_params());
+  Site& server = s.server(0);
+  CallId first;
+  bool stopped = false;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    for (int i = 0; i < 500 && !stopped; ++i) {
+      const CallResult r = co_await c.call(s.group(), kIncrementBoth, num_buf(0));
+      EXPECT_EQ(r.status, Status::kOk);
+      if (i == 0) first = r.id;
+      stopped = stop(*server.grpc().atomic());
+    }
+  });
+  ASSERT_TRUE(stopped);
+  // No message reaches the server between the client's return and the
+  // crash, so its volatile state is exactly the last committed record.  Cut
+  // the client's link so the acknowledgement already on its way cannot
+  // change the recovered tables before they are compared.
+  const ServerImage before = image_of(server);
+  EXPECT_GT(before.old_calls, 0u);
+  EXPECT_GT(before.stored_results, 0u);
+  s.network().link(s.client_id(0), Scenario::server_id(0)).partitioned = true;
+  server.crash();
+  server.recover();
+  s.run_for(sim::msec(1));
+  EXPECT_EQ(image_of(server), before);
+  s.network().link(s.client_id(0), Scenario::server_id(0)).partitioned = false;
+
+  const std::uint64_t executions = server.total_executions();
+  const std::uint64_t suppressed = server.grpc().unique()->duplicates_suppressed();
+  resend_call(s, first);
+  s.run_for(sim::msec(100));
+  EXPECT_EQ(server.grpc().unique()->duplicates_suppressed(), suppressed + 1);
+  EXPECT_EQ(server.total_executions(), executions) << "a completed call must not re-execute";
+  EXPECT_EQ(read_var(server.stable(), "b"), before.b);
+}
+
+TEST(CrashRecovery, CrashMidChainRestoresBasePlusDeltas) {
+  crash_where([](const AtomicExecution& a) { return a.chain_length() >= 4; });
+}
+
+TEST(CrashRecovery, CrashRightAfterNewBaseRestoresIt) {
+  // chain_length() == 1 after a call means that call's record was a base.
+  crash_where([](const AtomicExecution& a) {
+    return a.checkpoints_taken() > 8 && a.chain_length() == 1;
+  });
+}
+
+TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
+  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  Site& server = s.server(0);
+  server.stable().set_write_latency(sim::msec(20));
+  // Crash while the 6th call's checkpoint record is being written: its
+  // procedure has finished (b == 6) but the record is not yet current.
+  bool crashed = false;
+  auto watch = [&]() -> sim::Task<> {
+    while (read_var(server.stable(), "b") < 6) co_await s.scheduler().sleep_for(sim::msec(1));
+    EXPECT_EQ(server.grpc().atomic()->checkpoints_taken(), 5u);
+    EXPECT_EQ(server.grpc().unique()->journaled(), 1u)
+        << "the 6th call's OldCalls entry waits for its record to be committed";
+    server.crash();
+    crashed = true;
+    s.scheduler().schedule_after(sim::msec(50), [&] { server.recover(); });
+  };
+  s.scheduler().spawn(watch());
+  std::vector<std::uint64_t> results;
+  CallId sixth;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    for (int i = 0; i < 10; ++i) {
+      const CallResult r = co_await c.call(s.group(), kIncrementBoth, num_buf(0));
+      EXPECT_EQ(r.status, Status::kOk);
+      if (i == 5) sixth = r.id;
+      results.push_back(Reader(r.result).u64());
+    }
+  });
+  ASSERT_TRUE(crashed);
+  // The half-checkpointed call was rolled back and re-executed once: every
+  // call took effect exactly once, in order.
+  EXPECT_EQ(results, std::vector<std::uint64_t>({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(read_var(server.stable(), "a"), 10u);
+  EXPECT_EQ(read_var(server.stable(), "b"), 10u);
+
+  // The lost record's entry came back with the retransmission and went
+  // into a later record: after a second crash all ten calls are known.
+  s.run_for(sim::msec(100));
+  EXPECT_EQ(server.grpc().unique()->journaled(), 0u);
+  server.crash();
+  server.recover();
+  s.run_for(sim::msec(1));
+  EXPECT_EQ(server.grpc().unique()->old_calls(), 10u);
+  const std::uint64_t executions = server.total_executions();
+  resend_call(s, sixth);
+  s.run_for(sim::msec(100));
+  EXPECT_EQ(server.total_executions(), executions);
+  EXPECT_EQ(read_var(server.stable(), "b"), 10u);
+}
+
+TEST(CrashRecovery, NoJournalWithoutAtomicExecution) {
+  ScenarioParams p;
+  p.config = ConfigBuilder::exactly_once().build();
+  Scenario s(std::move(p));
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    for (int i = 0; i < 1000; ++i) (void)co_await c.call(s.group(), OpId{1}, num_buf(i));
+  });
+  for (int i = 0; i < s.num_servers(); ++i) {
+    GrpcComposite& g = s.server(i).grpc();
+    ASSERT_EQ(g.atomic(), nullptr);
+    EXPECT_EQ(g.unique()->old_calls(), 1000u);
+    EXPECT_EQ(g.unique()->journaled(), 0u) << "nothing checkpoints, so nothing may pile up";
+  }
+}
+
+/// A server with a chain of a base and at least two deltas, crashed.
+void crashed_with_chain(Scenario& s) {
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    while (s.server(0).grpc().atomic()->chain_length() < 3) {
+      (void)co_await c.call(s.group(), kIncrementBoth, num_buf(0));
+    }
+  });
+  s.server(0).crash();
+}
+
+TEST(CrashRecoveryDeathTest, ChainWithReleasedBaseIsRejected) {
+  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  crashed_with_chain(s);
+  storage::StableStore& store = s.server(0).stable();
+  const storage::StableAddress newest{*store.var("atomic.current")};
+  const auto chain = AtomicExecution::load_chain(store, newest);
+  ASSERT_GE(chain.size(), 3u);
+  store.release_checkpoint(chain.front().addr);
+  EXPECT_DEATH((void)AtomicExecution::load_chain(store, newest), "record missing");
+  EXPECT_DEATH(
+      {
+        s.server(0).recover();
+        s.run_for(sim::msec(1));
+      },
+      "record missing");
+}
+
+TEST(CrashRecoveryDeathTest, TruncatedDeltaIsRejected) {
+  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  crashed_with_chain(s);
+  storage::StableStore& store = s.server(0).stable();
+  const storage::StableAddress newest{*store.var("atomic.current")};
+  const Buffer record = *store.load_checkpoint(newest);
+  for (std::size_t keep : {record.size() - 1, std::size_t{5}, std::size_t{0}}) {
+    Buffer cut;
+    cut.append(record.bytes().subspan(0, keep));
+    const storage::StableAddress addr = store.store_checkpoint(cut);
+    store.set_var("atomic.current", addr.value());
+    EXPECT_DEATH((void)AtomicExecution::load_chain(store, addr), "truncated record");
+  }
+  EXPECT_DEATH(
+      {
+        s.server(0).recover();
+        s.run_for(sim::msec(1));
+      },
+      "truncated record");
 }
 
 TEST(CrashRecovery, ServerGroupMasksSingleCrash) {

@@ -246,6 +246,34 @@ TEST(Framework, CancelledTimeoutNeverFires) {
   EXPECT_EQ(fired, 0);
 }
 
+TEST(Framework, FiredTimeoutsAreForgotten) {
+  // Every call arms timers (retransmission, ack flush); a site that kept the
+  // ids of fired ones would grow by one set entry per timer for its life.
+  Fixture f;
+  int fired = 0;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 10'000; ++i) {
+    ids.push_back(f.fw.register_timeout("tick", sim::usec(1 + i % 97), [&]() -> sim::Task<> {
+      ++fired;
+      co_return;
+    }));
+  }
+  TimerId cancelled = f.fw.register_timeout("never", sim::msec(5), [&]() -> sim::Task<> {
+    ++fired;
+    co_return;
+  });
+  EXPECT_EQ(f.fw.live_timeouts(), 10'001u);
+  f.fw.cancel_timeout(cancelled);
+  EXPECT_EQ(f.fw.live_timeouts(), 10'000u);
+  f.sched.run();
+  EXPECT_EQ(fired, 10'000);
+  EXPECT_EQ(f.fw.live_timeouts(), 0u);
+  // Cancelling a timer that already fired stays a no-op.
+  for (TimerId id : ids) f.fw.cancel_timeout(id);
+  f.fw.cancel_timeout(cancelled);
+  EXPECT_EQ(f.fw.live_timeouts(), 0u);
+}
+
 TEST(Framework, DestructionCancelsPendingTimeouts) {
   sim::Scheduler sched;
   net::Network net{sched};

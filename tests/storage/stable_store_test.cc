@@ -54,6 +54,7 @@ TEST(StableStore, CheckpointStoreAndLoad) {
   EXPECT_EQ(*store.load_checkpoint(a1), make_buf(10));
   EXPECT_EQ(*store.load_checkpoint(a2), make_buf(20));
   EXPECT_EQ(store.checkpoint_count(), 2u);
+  EXPECT_EQ(store.checkpoint_bytes(), make_buf(10).size() + make_buf(20).size());
 }
 
 TEST(StableStore, ReleaseCheckpointFrees) {
@@ -63,6 +64,7 @@ TEST(StableStore, ReleaseCheckpointFrees) {
   store.release_checkpoint(a);
   EXPECT_FALSE(store.load_checkpoint(a).has_value());
   EXPECT_EQ(store.checkpoint_count(), 0u);
+  EXPECT_EQ(store.checkpoint_bytes(), 0u);
 }
 
 TEST(StableStore, StableVariables) {
