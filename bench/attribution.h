@@ -29,12 +29,14 @@ namespace ugrpc::bench {
 
 /// Runs `calls` sequential group calls under `config` with span tracing
 /// enabled and folds every site's span tree into the returned Profile.
-/// `dropped` (optional) reports spans lost to the per-site budget -- a
-/// non-zero value means the numbers under-count and the budget needs raising.
+/// `dropped` (optional) reports records the per-site rings overwrote -- a
+/// non-zero value means the oldest calls' spans are missing from the numbers
+/// and the capacity needs raising.
 inline obs::Profile profile_config(core::Config config, int calls, std::uint64_t seed,
                                    int num_servers = 3, std::uint64_t* dropped = nullptr) {
-  // Budget sized for the workload: a fully loaded exactly-once call opens a
-  // few dozen spans per site; 1<<18 leaves an order of magnitude of slack.
+  // Capacity sized for the workload: a fully loaded exactly-once call makes
+  // a few dozen span records per site; 1<<18 leaves ample slack for the
+  // default call counts.
   obs::Tracer tracer(std::size_t{1} << 18);
   core::ScenarioParams p;
   p.num_servers = num_servers;
@@ -48,7 +50,7 @@ inline obs::Profile profile_config(core::Config config, int calls, std::uint64_t
       (void)r;
     });
   }
-  if (dropped != nullptr) *dropped = tracer.total_spans_dropped();
+  if (dropped != nullptr) *dropped = tracer.total_dropped();
   obs::Profile prof;
   prof.add(tracer);
   return prof;

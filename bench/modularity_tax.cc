@@ -103,8 +103,9 @@ int run_attribution(const std::string& out_path, std::uint64_t seed, int calls) 
     const obs::Profile prof =
         bench::profile_config(std::move(preset.config), calls, seed, /*num_servers=*/3, &dropped);
     if (dropped != 0) {
-      std::fprintf(stderr, "modularity_tax: %llu spans dropped under %s -- attribution "
-                           "under-counts; raise the tracer budget in bench/attribution.h\n",
+      std::fprintf(stderr,
+                   "modularity_tax: %llu trace records overwritten under %s -- attribution "
+                   "under-counts; raise the tracer capacity in bench/attribution.h\n",
                    static_cast<unsigned long long>(dropped), preset.name);
     }
     std::printf("attribution[%s]: per-component self-time p50/p99 (ns)\n", preset.name);

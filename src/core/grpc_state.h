@@ -108,9 +108,10 @@ struct ClientRecord {
   int nres = 0;        ///< responses still required (Acceptance)
   std::map<ProcessId, PendingServer> pending;  ///< servers yet to respond
   Status status = Status::kWaiting;
-  /// Root span of this call's trace (obs layer), opened at issue and closed
-  /// at completion; 0 when tracing is off.  Retransmission timers re-enter
-  /// the context {id, span} so late sends stay on the original trace.
+  /// Root span of this call's trace (obs layer), opened by the kCallIssued
+  /// record and closed by kCallCompleted; 0 when tracing is off.
+  /// Retransmission timers re-enter the context {id, span} so late sends
+  /// stay on the original trace.
   std::uint64_t span = 0;
   /// Transport time the call was issued; the live-telemetry introspection
   /// reports pending ages from it and the stall watchdog compares it against
@@ -259,19 +260,29 @@ struct GrpcState {
   /// single pointer check when disabled.
   obs::live::SiteStats* live = nullptr;
 
-  void note(obs::Kind kind, std::uint64_t call = 0, std::uint64_t a = 0, std::uint64_t b = 0) {
-    if (trace) trace->record(transport.now(), kind, call, a, b);
+  /// Records `kind` on this site's ring.  A non-zero `closes` makes the
+  /// record the close of that span (kCallCompleted, kExecCommitted).
+  void note(obs::Kind kind, std::uint64_t call = 0, std::uint64_t a = 0, std::uint64_t b = 0,
+            std::uint64_t closes = 0) {
+    if (trace) {
+      if (closes != 0) {
+        trace->close(transport.now(), closes, kind, call, a, b);
+      } else {
+        trace->record(transport.now(), kind, call, a, b);
+      }
+    }
+  }
+  /// Records `kind` as the opening record of a span under `parent` and makes
+  /// the span the running fiber's ambient context, so the work it causes
+  /// hangs beneath it.  Returns the span id (0 when tracing is off).
+  std::uint64_t note_open(obs::Kind kind, const obs::SpanCtx& parent, std::uint64_t call,
+                          std::uint64_t a, std::uint64_t b) {
+    if (!trace) return 0;
+    const obs::SpanCtx ctx = trace->open(transport.now(), kind, parent, call, a, b);
+    trace->set_current(sched.current_fiber().value(), ctx);
+    return ctx.parent;
   }
 
-  // ---- span helpers (all single-null-check when tracing is off) ----
-
-  [[nodiscard]] std::uint64_t span_open(obs::SpanKind kind, const obs::SpanCtx& ctx,
-                                        std::uint64_t a = 0) {
-    return trace ? trace->span_open(transport.now(), kind, 0, ctx, a) : 0;
-  }
-  void span_close(std::uint64_t id) {
-    if (trace) trace->span_close(id, transport.now());
-  }
   /// The running fiber's current trace context ({0,0} when tracing is off).
   [[nodiscard]] obs::SpanCtx ambient() const {
     return trace ? trace->current(sched.current_fiber().value()) : obs::SpanCtx{};

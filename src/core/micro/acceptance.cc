@@ -37,9 +37,9 @@ void Acceptance::complete(ClientRecord& rec) {
   if (rec.status == Status::kWaiting) {
     rec.status = Status::kOk;
     if (state_.live) ++state_.live->calls_completed;
+    // Closes the root span of the call's trace.
     state_.note(obs::Kind::kCallCompleted, rec.id.value(),
-                static_cast<std::uint64_t>(Status::kOk));
-    state_.span_close(rec.span);  // root span of the call's trace
+                static_cast<std::uint64_t>(Status::kOk), 0, rec.span);
     rec.sem.release();
   }
 }

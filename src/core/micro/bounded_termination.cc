@@ -42,9 +42,9 @@ sim::Task<> BoundedTermination::drain_expired() {
       ++timeouts_fired_;
       if (state_.live) ++state_.live->calls_failed;
       state_.note(obs::Kind::kDeadlineExpired, id.value());
+      // The root span closes on timeout, too.
       state_.note(obs::Kind::kCallCompleted, id.value(),
-                  static_cast<std::uint64_t>(Status::kTimeout));
-      state_.span_close(rec->span);  // root span closes on timeout, too
+                  static_cast<std::uint64_t>(Status::kTimeout), 0, rec->span);
       rec->sem.release();
     }
   }

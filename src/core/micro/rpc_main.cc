@@ -52,12 +52,12 @@ sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
   // acquisition lives here; see priorities.h note 2), then execute.
   for (const auto& guard : state_.before_execute) co_await guard(id);
   UGRPC_ASSERT(state_.user != nullptr && "server site has no user protocol");
-  state_.note(obs::Kind::kExecStarted, id.value(), rec->client.value(), rec->client_inc);
-  // The kExec span covers user-procedure execution through sending the
-  // reply, so the reply's send span hangs beneath it on the call's trace.
+  // The exec span (kExecStarted .. kExecCommitted) covers user-procedure
+  // execution through sending the reply, so the reply's send span hangs
+  // beneath it on the call's trace.
   const obs::SpanCtx saved_ctx = state_.ambient();
-  const std::uint64_t exec_span = state_.span_open(obs::SpanKind::kExec, saved_ctx, id.value());
-  if (exec_span != 0) state_.set_ambient(state_.trace->ctx_of(exec_span));
+  const std::uint64_t exec_span = state_.note_open(obs::Kind::kExecStarted, saved_ctx, id.value(),
+                                                   rec->client.value(), rec->client_inc);
   co_await state_.user->pop(rec->op, rec->args);
 
   CallEvent done{id};
@@ -77,11 +77,8 @@ sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
   auto it = state_.sRPC.find(id);
   if (it != state_.sRPC.end() && it->second == rec) state_.sRPC.erase(it);
   state_.net_push(client, reply);
-  state_.note(obs::Kind::kExecCommitted, id.value(), client.value(), rec->client_inc);
-  if (exec_span != 0) {
-    state_.span_close(exec_span);
-    state_.set_ambient(saved_ctx);
-  }
+  state_.note(obs::Kind::kExecCommitted, id.value(), client.value(), rec->client_inc, exec_span);
+  if (exec_span != 0) state_.set_ambient(saved_ctx);
 }
 
 sim::Task<> RpcMain::msg_from_user(runtime::EventContext& ctx) {
@@ -99,20 +96,14 @@ sim::Task<> RpcMain::msg_from_user(runtime::EventContext& ctx) {
     state_.pRPC[id] = rec;
   }
   if (state_.live) ++state_.live->calls_started;
-  state_.note(obs::Kind::kCallIssued, rec->id.value(), umsg.server.value(), state_.inc_number);
-  // Root of the call's distributed trace: the trace id IS the call id
-  // (globally unique), so spans recorded by other processes join without any
-  // id-allocation protocol.  The span parents to whatever the submitting
-  // fiber was doing and becomes its ambient context, so the multicast below
-  // and everything downstream of it hang beneath the call.
-  if (state_.trace) {
-    const obs::SpanCtx amb = state_.ambient();
-    rec->span = state_.trace->span_open(state_.transport.now(), obs::SpanKind::kCall,
-                                        state_.trace->intern("call"),
-                                        obs::SpanCtx{rec->id.value(), amb.parent},
-                                        rec->id.value());
-    if (rec->span != 0) state_.set_ambient(state_.trace->ctx_of(rec->span));
-  }
+  // kCallIssued opens the root of the call's distributed trace: the trace id
+  // IS the call id (globally unique), so spans recorded by other processes
+  // join without any id-allocation protocol.  The span parents to whatever
+  // the submitting fiber was doing and becomes its ambient context, so the
+  // multicast below and everything downstream of it hang beneath the call.
+  rec->span = state_.note_open(obs::Kind::kCallIssued,
+                               obs::SpanCtx{rec->id.value(), state_.ambient().parent},
+                               rec->id.value(), umsg.server.value(), state_.inc_number);
   CallEvent created{rec->id};
   co_await fw_->trigger(kNewRpcCall, runtime::EventArg::ref(created));
   umsg.id = rec->id;

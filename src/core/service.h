@@ -8,8 +8,7 @@
 //                     available (requires CallSemantics::kAsynchronous).
 //
 // Both are thin wrappers over GrpcComposite::submit with the paper's
-// User_Msgtype messages.  The older begin()/result() pair survives as
-// deprecated shims over call_async(); new code should not use it.
+// User_Msgtype messages.
 #pragma once
 
 #include <utility>
@@ -108,29 +107,6 @@ class Client {
     umsg.server = server;
     co_await site_.grpc().submit(umsg);
     co_return CallHandle{site_, server, umsg.id};
-  }
-
-  /// Asynchronous issue: returns the call id as soon as the call is sent.
-  [[deprecated("use call_async(), which returns a CallHandle")]]
-  [[nodiscard]] sim::Task<CallId> begin(GroupId server, OpId op, Buffer args) {
-    UserMessage umsg;
-    umsg.type = UserOp::kCall;
-    umsg.op = op;
-    umsg.args = std::move(args);
-    umsg.server = server;
-    co_await site_.grpc().submit(umsg);
-    co_return umsg.id;
-  }
-
-  /// Asynchronous retrieve: blocks until the result of `id` is available.
-  [[deprecated("use CallHandle::get() from call_async()")]]
-  [[nodiscard]] sim::Task<CallResult> result(GroupId server, CallId id) {
-    UserMessage umsg;
-    umsg.type = UserOp::kRequest;
-    umsg.id = id;
-    umsg.server = server;
-    co_await site_.grpc().submit(umsg);
-    co_return CallResult{umsg.status, std::move(umsg.args), umsg.id};
   }
 
   [[nodiscard]] Site& site() { return site_; }

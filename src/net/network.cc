@@ -98,37 +98,28 @@ void Network::transmit(ProcessId from, ProcessId to, ProtocolId proto, const Buf
   stats_.bytes_sent += payload.size();
   link.bytes_sent += payload.size();
   // The send span parents to whatever the sending fiber is doing (the
-  // ambient per-fiber context); its own id travels on the packet and becomes
-  // the delivery span's parent at the destination.
+  // ambient per-fiber context); its id travels on the packet and becomes the
+  // delivery span's parent at the destination.  kMsgSent opens it, or
+  // kMsgDropped (flagged) when the link loses the packet.
   obs::SiteTrace* st = nullptr;
-  obs::SpanCtx out_ctx;
-  std::uint64_t send_span = 0;
+  obs::SpanCtx ambient;
   if (obs_) {
     st = &obs_->site(from);
-    const obs::SpanCtx ambient = st->current(sched_.current_fiber().value());
-    send_span = st->span_open(sched_.now(), obs::SpanKind::kSend, 0, ambient, to.value());
-    out_ctx = send_span != 0 ? st->ctx_of(send_span) : ambient;
+    ambient = st->current(sched_.current_fiber().value());
   }
   if (!process_up(from)) {
     ++stats_.dropped;
     ++link.dropped;
-    if (st != nullptr) {
-      st->span_flag(send_span);
-      st->span_close(send_span, sched_.now());
-    }
     return;  // crashed senders produce nothing
   }
   const FaultSpec& spec = faults_for(from, to);
   if (spec.partitioned || rng_.bernoulli(spec.drop_prob)) {
     ++stats_.dropped;
     ++link.dropped;
-    if (tracer_) tracer_(Packet{from, to, proto, payload, {}, false}, PacketFate::kDropped);
-    if (obs_) {
-      obs_->site(from).record(sched_.now(), obs::Kind::kMsgDropped, 0, to.value(), proto.value());
-    }
     if (st != nullptr) {
-      st->span_flag(send_span);
-      st->span_close(send_span, sched_.now());
+      const obs::SpanCtx dropped = st->open(sched_.now(), obs::Kind::kMsgDropped, ambient, 0,
+                                            to.value(), proto.value(), 0, /*flagged=*/true);
+      st->close(sched_.now(), dropped.parent);
     }
     UGRPC_LOG(kTrace, "net: drop %u->%u proto=%u", from.value(), to.value(), proto.value());
     return;
@@ -138,25 +129,23 @@ void Network::transmit(ProcessId from, ProcessId to, ProtocolId proto, const Buf
                ? spec.min_delay
                : sim::Duration{rng_.uniform_int(spec.min_delay, spec.max_delay)};
   };
-  if (tracer_) tracer_(Packet{from, to, proto, payload, {}, false}, PacketFate::kDelivered);
-  if (obs_) {
-    obs_->site(from).record(sched_.now(), obs::Kind::kMsgSent, 0, to.value(), proto.value());
+  obs::SpanCtx out_ctx;
+  if (st != nullptr) {
+    out_ctx = st->open(sched_.now(), obs::Kind::kMsgSent, ambient, 0, to.value(), proto.value());
   }
   schedule_delivery(Packet{from, to, proto, payload, out_ctx, false}, draw_delay());
   if (rng_.bernoulli(spec.dup_prob)) {
     ++stats_.duplicated;
     ++link.duplicated;
-    if (tracer_) tracer_(Packet{from, to, proto, payload, {}, false}, PacketFate::kDuplicated);
-    if (obs_) {
-      obs_->site(from).record(sched_.now(), obs::Kind::kMsgDuplicated, 0, to.value(),
-                              proto.value());
+    if (st != nullptr) {
+      st->record(sched_.now(), obs::Kind::kMsgDuplicated, 0, to.value(), proto.value());
     }
     // The manufactured copy stays on the original trace but is marked, so
     // the span tree shows the duplicate delivery for what it is.
     schedule_delivery(Packet{from, to, proto, payload, out_ctx, /*duplicate=*/true},
                       draw_delay());
   }
-  if (st != nullptr) st->span_close(send_span, sched_.now());
+  if (st != nullptr) st->close(sched_.now(), out_ctx.parent);
 }
 
 void Network::multicast_from(ProcessId from, GroupId group, ProtocolId proto,
@@ -211,42 +200,38 @@ void Network::schedule_delivery(Packet packet, sim::Duration delay) {
       return;
     }
     ++stats_.delivered;
-    if (obs_) {
-      obs_->site(packet.dst).record(sched_.now(), obs::Kind::kMsgDelivered, 0,
-                                    packet.src.value(), packet.proto.value());
-    }
     LinkStats& link = link_stats_[{packet.src, packet.dst}];
     ++link.delivered;
     stats_.bytes_delivered += packet.payload.size();
     link.bytes_delivered += packet.payload.size();
-    // The delivery span parents to the *send* span carried on the packet,
-    // stitching the sender's tree to the receiver's.  It stays open for the
-    // whole handler fiber and is the fiber's ambient context, so everything
-    // the handler does (nested sends, handler spans) hangs beneath it.
-    std::uint64_t deliver_span = 0;
+    // kMsgDelivered opens the delivery span, parented to the *send* span
+    // carried on the packet, stitching the sender's tree to the receiver's.
+    // It stays open for the whole handler fiber and is the fiber's ambient
+    // context, so everything the handler does (nested sends, handler spans)
+    // hangs beneath it.
+    obs::SpanCtx deliver_ctx;
     if (obs_) {
-      obs::SiteTrace& st = obs_->site(packet.dst);
-      deliver_span = st.span_open(sched_.now(), obs::SpanKind::kDeliver, 0, packet.ctx,
-                                  packet.src.value());
-      if (packet.duplicate) st.span_flag(deliver_span);
+      deliver_ctx = obs_->site(packet.dst).open(sched_.now(), obs::Kind::kMsgDelivered, packet.ctx,
+                                                0, packet.src.value(), packet.proto.value(), 0,
+                                                packet.duplicate);
     }
     // Each delivery runs in its own fiber in the destination's domain, so a
     // site crash kills in-progress message processing.  The wrapper keeps
     // the handler object alive for the fiber's lifetime (the coroutine frame
     // references the closure it was created from).
     static constexpr auto invoke = [](Network* net, std::shared_ptr<PacketHandler> h, Packet p,
-                                      std::uint64_t span) -> sim::Task<> {
+                                      obs::SpanCtx ctx) -> sim::Task<> {
       const ProcessId dst = p.dst;
       obs::SiteTrace* st = net->obs_ != nullptr ? &net->obs_->site(dst) : nullptr;
       const std::uint64_t fiber = net->sched_.current_fiber().value();
-      if (st != nullptr && span != 0) st->set_current(fiber, st->ctx_of(span));
+      if (st != nullptr) st->set_current(fiber, ctx);
       co_await (*h)(std::move(p));
       if (st != nullptr) {
         st->clear_current(fiber);
-        st->span_close(span, net->sched_.now());
+        st->close(net->sched_.now(), ctx.parent);
       }
     };
-    sched_.spawn(invoke(this, std::move(handler), std::move(packet), deliver_span), ep.domain());
+    sched_.spawn(invoke(this, std::move(handler), std::move(packet), deliver_ctx), ep.domain());
   });
 }
 

@@ -75,17 +75,11 @@ class Network {
 
   // ---- observability ----
 
-  enum class PacketFate : unsigned char { kDelivered, kDropped, kDuplicated };
-  /// Called once per transmission outcome decision (before delivery delay
-  /// elapses for kDelivered/kDuplicated).  One tracer per fabric; nullptr
-  /// removes it.  For debugging and tests; must not re-enter the Network.
-  using PacketTracer = std::function<void(const Packet&, PacketFate)>;
-  void set_packet_tracer(PacketTracer tracer) { tracer_ = std::move(tracer); }
-
   /// Attaches the fabric to a trace collector: transmissions record
   /// kMsgSent/kMsgDropped/kMsgDuplicated/kMsgUnroutable on the sender's ring
   /// and deliveries record kMsgDelivered (or kMsgDropped for in-flight
-  /// losses) on the receiver's.  nullptr (default) disables recording.
+  /// losses) on the receiver's, each with the peer and protocol id.  nullptr
+  /// (default) disables recording.
   void set_tracer(obs::Tracer* tracer) { obs_ = tracer; }
 
   // ---- counters (for benches and tests) ----
@@ -147,7 +141,6 @@ class Network {
   std::unordered_map<GroupId, std::vector<ProcessId>> groups_;
   Stats stats_;
   std::map<std::pair<ProcessId, ProcessId>, LinkStats> link_stats_;
-  PacketTracer tracer_;
   obs::Tracer* obs_ = nullptr;
 
   /// Unroutable-destination warnings rate-limited per key (link or

@@ -77,12 +77,12 @@ void TimerWheel::advance(sim::Time now) {
       // here), so the fiber-0 ambient slot carries the context to any sends
       // the callback performs directly.
       obs::SiteTrace& st = obs_->site(ProcessId{entry.domain.value()});
-      const std::uint64_t span =
-          st.span_open(now, obs::SpanKind::kWheelFire, 0, entry.ctx, entry.id.value());
-      st.set_current(0, st.ctx_of(span));
+      const obs::SpanCtx fire =
+          st.open(now, obs::Kind::kWheelFired, entry.ctx, 0, entry.id.value());
+      st.set_current(0, fire);
       entry.fn();
       st.clear_current(0);
-      st.span_close(span, now);
+      st.close(now, fire.parent);
     } else {
       entry.fn();
     }

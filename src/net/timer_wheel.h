@@ -43,7 +43,7 @@ class TimerWheel {
   /// Arms `fn` to fire at absolute time `deadline` (clamped to now or later
   /// by the next advance()).  `domain` ties the timer to a crashable site.
   /// `ctx` is the trace context captured at arming: when a tracer is
-  /// attached, the fire opens a kWheelFire span parented to it (so, e.g., a
+  /// attached, the fire records a kWheelFired span parented to it (so, e.g., a
   /// retransmission timer's work hangs beneath the call that armed it).
   TimerId add(sim::Time deadline, std::function<void()> fn, DomainId domain,
               obs::SpanCtx ctx = {});
@@ -66,7 +66,7 @@ class TimerWheel {
   [[nodiscard]] std::size_t size() const { return handles_.size(); }
 
   /// Attaches a span collector: each fire with an active context records a
-  /// kWheelFire span on the site the timer's domain maps to.  nullptr
+  /// kWheelFired span on the site the timer's domain maps to.  nullptr
   /// (default) disables -- the fire path gains a single null check.
   void set_tracer(obs::Tracer* tracer) { obs_ = tracer; }
 

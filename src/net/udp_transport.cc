@@ -166,23 +166,18 @@ void UdpTransport::send_from(ProcessId src, ProcessId dst, ProtocolId proto, Buf
   }
   ++stats_.sent;
   stats_.bytes_sent += payload.size();
-  if (obs_) obs_->site(src).record(now(), obs::Kind::kMsgSent, 0, dst.value(), proto.value());
-  // The send span's id travels in the frame (wire v2) and parents the
-  // receiving process's delivery span -- the cross-process tree edge.
+  // kMsgSent opens the send span; its id travels in the frame (wire v2) and
+  // parents the receiving process's delivery span -- the cross-process tree
+  // edge.  A send that fails below is flagged at the close.
   obs::SiteTrace* st = nullptr;
   obs::SpanCtx out_ctx;
-  std::uint64_t send_span = 0;
   if (obs_) {
     st = &obs_->site(src);
-    const obs::SpanCtx ambient = st->current(exec_.current_fiber().value());
-    send_span = st->span_open(now(), obs::SpanKind::kSend, 0, ambient, dst.value());
-    out_ctx = send_span != 0 ? st->ctx_of(send_span) : ambient;
+    out_ctx = st->open(now(), obs::Kind::kMsgSent, st->current(exec_.current_fiber().value()), 0,
+                       dst.value(), proto.value());
   }
   const auto close_send = [&](bool faulted) {
-    if (st != nullptr) {
-      if (faulted) st->span_flag(send_span);
-      st->span_close(send_span, now());
-    }
+    if (st != nullptr) st->close(now(), out_ctx.parent, obs::Kind::kSpanEnd, 0, 0, 0, faulted);
   };
   if (!src_it->second.up) {
     ++stats_.dropped;
@@ -193,7 +188,7 @@ void UdpTransport::send_from(ProcessId src, ProcessId dst, ProtocolId proto, Buf
     // Deterministic loss injected by a test/example (real UDP on loopback
     // almost never drops, so forcing a retransmission needs a hook).
     ++stats_.dropped;
-    if (obs_) obs_->site(src).record(now(), obs::Kind::kMsgDropped, 0, dst.value(), proto.value());
+    if (st != nullptr) st->record(now(), obs::Kind::kMsgDropped, 0, dst.value(), proto.value());
     close_send(true);
     return;
   }
@@ -270,35 +265,31 @@ void UdpTransport::dispatch_datagram(Attachment& att, std::span<const std::byte>
   }
   ++stats_.delivered;
   stats_.bytes_delivered += frame->payload.size();
-  if (obs_) {
-    obs_->site(frame->dst).record(now(), obs::Kind::kMsgDelivered, 0, frame->src.value(),
-                                  frame->proto.value());
-  }
-  // The delivery span parents to the sender's send span (carried in the
-  // frame) and stays open for the handler fiber, whose ambient context it
-  // becomes -- same contract as the simulated fabric.
+  // kMsgDelivered opens the delivery span, parented to the sender's send
+  // span (carried in the frame); it stays open for the handler fiber, whose
+  // ambient context it becomes -- same contract as the simulated fabric.
   const obs::SpanCtx wire_ctx{frame->trace, frame->span};
-  std::uint64_t deliver_span = 0;
+  obs::SpanCtx deliver_ctx;
   if (obs_) {
-    deliver_span = obs_->site(frame->dst)
-                       .span_open(now(), obs::SpanKind::kDeliver, 0, wire_ctx, frame->src.value());
+    deliver_ctx = obs_->site(frame->dst).open(now(), obs::Kind::kMsgDelivered, wire_ctx, 0,
+                                              frame->src.value(), frame->proto.value());
   }
   // x-kernel demux: each delivery runs in a fresh fiber in the destination's
   // domain; the wrapper keeps the handler alive for the fiber's lifetime.
   static constexpr auto invoke = [](UdpTransport* tp, std::shared_ptr<PacketHandler> h, Packet p,
-                                    std::uint64_t span) -> sim::Task<> {
+                                    obs::SpanCtx ctx) -> sim::Task<> {
     const ProcessId dst = p.dst;
     obs::SiteTrace* st = tp->obs_ != nullptr ? &tp->obs_->site(dst) : nullptr;
     const std::uint64_t fiber = tp->exec_.current_fiber().value();
-    if (st != nullptr && span != 0) st->set_current(fiber, st->ctx_of(span));
+    if (st != nullptr) st->set_current(fiber, ctx);
     co_await (*h)(std::move(p));
     if (st != nullptr) {
       st->clear_current(fiber);
-      st->span_close(span, tp->now());
+      st->close(tp->now(), ctx.parent);
     }
   };
   Packet packet{frame->src, frame->dst, frame->proto, std::move(frame->payload), wire_ctx};
-  exec_.spawn(invoke(this, std::move(handler), std::move(packet), deliver_span),
+  exec_.spawn(invoke(this, std::move(handler), std::move(packet), deliver_ctx),
               att.endpoint->domain());
 }
 

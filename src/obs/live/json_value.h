@@ -47,14 +47,18 @@ class JsonValue {
     return is_number() ? number_ : fallback;
   }
   /// Exact unsigned value when the token was a non-negative integer that
-  /// fits; otherwise a best-effort cast of the double.
+  /// fits; otherwise a best-effort cast of the double, or `fallback` when
+  /// the double is out of range (casting it would be undefined).
   [[nodiscard]] std::uint64_t as_u64(std::uint64_t fallback = 0) const {
     if (!is_number()) return fallback;
-    return exact_u64_.value_or(static_cast<std::uint64_t>(number_));
+    if (exact_u64_.has_value()) return *exact_u64_;
+    return number_ >= 0 && number_ < 0x1p64 ? static_cast<std::uint64_t>(number_) : fallback;
   }
   [[nodiscard]] std::int64_t as_i64(std::int64_t fallback = 0) const {
     if (!is_number()) return fallback;
-    return exact_i64_.value_or(static_cast<std::int64_t>(number_));
+    if (exact_i64_.has_value()) return *exact_i64_;
+    return number_ >= -0x1p63 && number_ < 0x1p63 ? static_cast<std::int64_t>(number_)
+                                                  : fallback;
   }
   [[nodiscard]] const std::string& as_string() const { return string_; }
   [[nodiscard]] const Array& as_array() const { return array_; }

@@ -29,7 +29,6 @@ void SiteStats::attach_tracer(const Tracer& t) {
   bind_kind("execs.committed", Kind::kExecCommitted);
   bind_kind("execs.duplicates_suppressed", Kind::kDupSuppressed);
   registry_.gauge("trace.events_dropped", [&t] { return t.total_dropped(); });
-  registry_.gauge("trace.spans_dropped", [&t] { return t.total_spans_dropped(); });
 }
 
 }  // namespace ugrpc::obs::live

@@ -47,7 +47,7 @@ class SiteStats {
   [[nodiscard]] const Registry& registry() const { return registry_; }
 
   /// Binds gauges over `t`'s exact per-kind counters (timer fires, message
-  /// sent/delivered/dropped, ring/span drops).  `t` must outlive this.
+  /// sent/delivered/dropped) and its ring overwrites.  `t` must outlive this.
   void attach_tracer(const Tracer& t);
 
   /// Pass-through gauge binding for externally owned values (the owner binds

@@ -39,6 +39,12 @@ std::optional<LoadedTrace> load_trace_json(std::string_view text, std::string* e
     e.call = item["call"].as_u64();
     e.a = item["a"].as_u64();
     e.b = item["b"].as_u64();
+    // Span fields (absent in dumps that predate spans-as-records: 0).
+    e.trace = item["trace"].as_u64();
+    e.link = item["link"].as_u64();
+    e.ns = item["ns"].as_u64();
+    e.flags = static_cast<std::uint8_t>(item["flags"].as_u64() &
+                                        (kSpanOpen | kSpanClose | kSpanFlagged));
     out.events.push_back(e);
   }
 

@@ -6,7 +6,10 @@
 // post-mortem script -- this inverts dump_json(): kinds are matched by their
 // stable kind_name() strings (kind_from_name), operands by field name.
 // Events with an unknown kind are skipped and counted, not fatal: a newer
-// build must be able to read an older build's dump.
+// build must be able to read an older build's dump.  Span fields (trace,
+// link, ns, flags) are optional, so a dump written before spans became
+// records loads as a span-less history; spans_of() re-derives the spans of
+// a newer one.
 //
 // The `name` field of loaded events is 0: dump_json() stores the interned
 // string inline per event, and the checker never reads names -- they exist

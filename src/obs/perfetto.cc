@@ -21,11 +21,11 @@ std::string ts_us(std::uint64_t ns) {
 
 /// Track id within a process: one track per trace so concurrent calls do not
 /// stack into a false nesting; untraced background work goes to track 0.
-std::uint64_t tid_of(const SpanRecord& s) { return s.trace == 0 ? 0 : 1 + s.trace % 997; }
+std::uint64_t tid_of(const Span& s) { return s.trace == 0 ? 0 : 1 + s.trace % 997; }
 
 }  // namespace
 
-std::string export_perfetto_fragment(const Tracer& t, const PerfettoOptions& opts) {
+std::string export_perfetto_fragment(const Tracer& t) {
   std::string out;
   bool first = true;
   const auto emit = [&](const std::string& obj) {
@@ -34,38 +34,37 @@ std::string export_perfetto_fragment(const Tracer& t, const PerfettoOptions& opt
     out += obj;
   };
   std::set<std::uint64_t> named_sites;
-  for (const SpanRecord& s : t.merged_spans()) {
+  for (const Span& s : t.spans()) {
     if (s.open()) continue;  // still running at export time; nothing to draw
     const std::uint64_t pid = s.site.value();
     if (named_sites.insert(pid).second) {
       emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
            ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":" +
-           json_str(opts.process_prefix + " " + std::to_string(pid)) + "}}");
+           json_str("site " + std::to_string(pid)) + "}}");
     }
     const std::string& raw = t.name(s.name);
     const std::string name = raw.empty() ? std::string(span_kind_name(s.kind)) : raw;
     std::string obj = "{\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
                       ",\"tid\":" + std::to_string(tid_of(s)) + ",\"ts\":" + ts_us(s.ns_begin) +
                       ",\"dur\":" + ts_us(s.wall_ns()) + ",\"name\":" + json_str(name) +
-                      ",\"cat\":" + json_str(span_kind_name(s.kind));
-    if (opts.emit_args) {
-      obj += ",\"args\":{\"span\":" + std::to_string(s.id) +
-             ",\"parent\":" + std::to_string(s.parent) + ",\"trace\":" + std::to_string(s.trace);
-      if (s.a != 0) obj += ",\"a\":" + std::to_string(s.a);
-      if (s.flagged) obj += ",\"flagged\":true";
-      obj += "}";
-    }
-    obj += "}";
+                      ",\"cat\":" + json_str(span_kind_name(s.kind)) +
+                      ",\"args\":{\"span\":" + std::to_string(s.id) +
+                      ",\"parent\":" + std::to_string(s.parent) +
+                      ",\"trace\":" + std::to_string(s.trace);
+    if (s.call != 0) obj += ",\"call\":" + std::to_string(s.call);
+    if (s.a != 0) obj += ",\"a\":" + std::to_string(s.a);
+    if (s.flagged) obj += ",\"flagged\":true";
+    obj += "}}";
     emit(obj);
     // Cross-process edges: the send-span id travels in the wire frame and
     // becomes the deliver span's parent on the far side, so a flow step "s"
     // at every send matched by a finish "f" at every deliver joins the two
     // fragments without either side knowing about the other.
-    if (s.kind == SpanKind::kSend) {
+    if (s.kind == Kind::kMsgSent || s.kind == Kind::kMsgDropped) {
       emit("{\"ph\":\"s\",\"id\":" + std::to_string(s.id) + ",\"pid\":" + std::to_string(pid) +
            ",\"tid\":" + std::to_string(tid_of(s)) + ",\"ts\":" + ts_us(s.ns_begin) +
            ",\"name\":\"msg\",\"cat\":\"flow\"}");
-    } else if (s.kind == SpanKind::kDeliver && s.parent != 0) {
+    } else if (s.kind == Kind::kMsgDelivered && s.parent != 0) {
       emit("{\"ph\":\"f\",\"bp\":\"e\",\"id\":" + std::to_string(s.parent) +
            ",\"pid\":" + std::to_string(pid) + ",\"tid\":" + std::to_string(tid_of(s)) +
            ",\"ts\":" + ts_us(s.ns_begin) + ",\"name\":\"msg\",\"cat\":\"flow\"}");
@@ -74,8 +73,8 @@ std::string export_perfetto_fragment(const Tracer& t, const PerfettoOptions& opt
   return out;
 }
 
-std::string export_perfetto(const Tracer& t, const PerfettoOptions& opts) {
-  return merge_perfetto_fragments({export_perfetto_fragment(t, opts)});
+std::string export_perfetto(const Tracer& t) {
+  return merge_perfetto_fragments({export_perfetto_fragment(t)});
 }
 
 std::string merge_perfetto_fragments(const std::vector<std::string>& fragments) {

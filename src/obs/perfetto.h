@@ -19,21 +19,13 @@ namespace ugrpc::obs {
 
 class Tracer;
 
-struct PerfettoOptions {
-  /// Label prefix for process tracks ("site" -> "site 3").
-  std::string process_prefix = "site";
-  /// Also emit flagged spans' "flagged":true arg (duplicate deliveries).
-  bool emit_args = true;
-};
-
 /// One process's events as a comma-separated JSON fragment (no enclosing
 /// brackets); "" when there are no closed spans.
-[[nodiscard]] std::string export_perfetto_fragment(const Tracer& t,
-                                                   const PerfettoOptions& opts = {});
+[[nodiscard]] std::string export_perfetto_fragment(const Tracer& t);
 
 /// A complete standalone trace document for `t`:
 /// {"traceEvents":[...],"displayTimeUnit":"ms"}.
-[[nodiscard]] std::string export_perfetto(const Tracer& t, const PerfettoOptions& opts = {});
+[[nodiscard]] std::string export_perfetto(const Tracer& t);
 
 /// Wraps per-process fragments (from export_perfetto_fragment, possibly
 /// written by forked children) into one loadable document.

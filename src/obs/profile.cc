@@ -5,7 +5,6 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace ugrpc::obs {
 
@@ -26,26 +25,26 @@ std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, double q) {
 
 }  // namespace
 
-void Profile::add(const Tracer& t) { add_spans(t.merged_spans(), t); }
+void Profile::add(const Tracer& t) { add_spans(t.spans(), t); }
 
-void Profile::add_spans(const std::vector<SpanRecord>& spans, const Tracer& names) {
+void Profile::add_spans(const std::vector<Span>& spans, const Tracer& names) {
   // Self time = wall minus the wall of direct children, clamped at zero.
   // (Children of an open span still accrue to it if it closes later in a
   // subsequent add() -- callers should add() after quiescing, which every
   // bench does.)
   std::unordered_map<std::uint64_t, std::uint64_t> children_ns;
   children_ns.reserve(spans.size());
-  for (const SpanRecord& s : spans) {
+  for (const Span& s : spans) {
     if (s.open() || s.parent == 0) continue;
     children_ns[s.parent] += s.wall_ns();
   }
-  for (const SpanRecord& s : spans) {
+  for (const Span& s : spans) {
     if (s.open()) continue;
     const std::uint64_t wall = s.wall_ns();
     const auto it = children_ns.find(s.id);
     const std::uint64_t child = it != children_ns.end() ? it->second : 0;
     const std::uint64_t self = wall > child ? wall - child : 0;
-    if (s.kind == SpanKind::kHandler || s.kind == SpanKind::kTimer) {
+    if (s.kind == Kind::kEventHandled || s.kind == Kind::kTimerFired) {
       const std::string& name = names.name(s.name);
       Samples& comp = component_[component_of(name)];
       comp.wall.push_back(wall);

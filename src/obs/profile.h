@@ -1,5 +1,5 @@
-// Span aggregation: rolls the per-call span trees collected by a Tracer into
-// per-micro-protocol latency attribution (tentpole part 3 of ISSUE 4).
+// Span aggregation: rolls the per-call span trees derived from a Tracer into
+// per-micro-protocol latency attribution.
 //
 // The question the paper leaves qualitative -- what does each micro-protocol
 // *cost*? -- becomes a table: for every component (the prefix of a handler
@@ -22,11 +22,10 @@
 #include <string>
 #include <vector>
 
-#include "obs/span.h"
+#include "obs/trace.h"
 
 namespace ugrpc::obs {
 
-class Tracer;
 class Registry;
 
 class Profile {
@@ -45,8 +44,8 @@ class Profile {
   /// Folds all closed spans of `t` in (may be called repeatedly, e.g. once
   /// per bench iteration before Tracer::clear()).  Open spans are skipped.
   void add(const Tracer& t);
-  /// Same, for an externally merged span set; `names` resolves name ids.
-  void add_spans(const std::vector<SpanRecord>& spans, const Tracer& names);
+  /// Same, for an externally derived span set; `names` resolves name ids.
+  void add_spans(const std::vector<Span>& spans, const Tracer& names);
 
   /// Per-micro-protocol rollup: handler and timer spans grouped by the
   /// component prefix of their name (before the first '.').

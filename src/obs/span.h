@@ -1,7 +1,7 @@
-// Per-call distributed spans (tentpole of ISSUE 4).
+// Per-call distributed spans.
 //
-// The Tracer's Event ring answers "did the configuration keep its semantic
-// promises?"; spans answer "where did the time go?".  A Span is an interval
+// The Tracer's record ring answers "did the configuration keep its semantic
+// promises?"; spans answer "where did the time go?".  A span is an interval
 // with a parent link, following the Dapper-style trace-context model:
 //
 //   * trace  -- which end-to-end activity this work belongs to.  Group RPC
@@ -15,25 +15,27 @@
 //               parents to its event-chain span, a timer-fire span to the
 //               span that armed the timer.
 //
+// A span is not stored on its own: it is the record that opens it plus the
+// record that closes it, both in the site's one trace ring (trace.h).  Its
+// id is derived from the opening record, (site << 32) | (seq & 0xFFFFFFFF),
+// and Tracer::spans() pairs the two.  There is no separate span budget: the
+// ring's capacity bounds spans and events alike, and a wrapping ring keeps
+// the newest of both.
+//
 // Spans carry two clocks: the transport clock (virtual time under
 // SimTransport, microseconds of real time under UdpTransport) for ordering
-// against the Event ring, and a raw steady-clock nanosecond stamp for cost
+// against the other records, and a raw steady-clock nanosecond stamp for cost
 // attribution -- in the simulator, virtual handler time is always zero, so
 // only the real clock can say what a micro-protocol costs.  The steady clock
 // is system-wide (CLOCK_MONOTONIC), so spans exported from different OS
 // processes on one host share a timebase.
 //
-// Storage and the open/close API live on SiteTrace (trace.h); this header
-// defines only the plain-data types so net/ can carry a SpanCtx in Packet
-// metadata without pulling in the collector.
+// This header defines only the context type and the clock, so net/ can carry
+// a SpanCtx in Packet metadata without pulling in the collector.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <string_view>
-
-#include "common/ids.h"
-#include "sim/time.h"
 
 namespace ugrpc::obs {
 
@@ -45,45 +47,6 @@ struct SpanCtx {
 
   [[nodiscard]] bool active() const { return trace != 0 || parent != 0; }
   friend bool operator==(const SpanCtx&, const SpanCtx&) = default;
-};
-
-/// What kind of work a span covers (Perfetto category / profile grouping).
-enum class SpanKind : std::uint8_t {
-  kEventChain,  ///< one Framework::trigger invocation (all handlers)
-  kHandler,     ///< one handler of a chain (name = handler name)
-  kTimer,       ///< a fired TIMEOUT handler (name = timer name)
-  kWheelFire,   ///< a TimerWheel callback (transport-level timer)
-  kSend,        ///< transport send/transmit of one packet
-  kDeliver,     ///< transport delivery fiber (decode + demux + handler)
-  kCall,        ///< client-side call lifetime (issue -> completion)
-  kExec,        ///< server-side user-procedure execution
-  kSpanKindCount,
-};
-
-inline constexpr std::size_t kSpanKindCount = static_cast<std::size_t>(SpanKind::kSpanKindCount);
-
-[[nodiscard]] std::string_view span_kind_name(SpanKind k);
-
-/// One completed (or still-open) span.  Plain data.
-struct SpanRecord {
-  std::uint64_t id = 0;      ///< (site << 32 | seq): unique across processes
-  std::uint64_t trace = 0;   ///< 0 = untraced background work
-  std::uint64_t parent = 0;  ///< parent span id, 0 = root
-  sim::Time begin = 0;       ///< transport clock at open
-  sim::Time end = -1;        ///< transport clock at close; -1 = still open
-  std::uint64_t ns_begin = 0;  ///< steady clock (ns) at open
-  std::uint64_t ns_end = 0;    ///< steady clock (ns) at close; 0 = still open
-  ProcessId site;
-  SpanKind kind = SpanKind::kSpanKindCount;
-  std::uint32_t name = 0;  ///< interned string id, 0 = none
-  std::uint64_t a = 0;     ///< kind-specific (peer, call id, timer id, ...)
-  bool flagged = false;    ///< e.g. delivery of a duplicated packet
-
-  [[nodiscard]] bool open() const { return ns_end == 0; }
-  /// Cost in steady-clock nanoseconds (0 while open).
-  [[nodiscard]] std::uint64_t wall_ns() const {
-    return ns_end > ns_begin ? ns_end - ns_begin : 0;
-  }
 };
 
 /// Steady-clock nanoseconds since an arbitrary (boot-stable, system-wide)

@@ -37,6 +37,8 @@ std::string_view kind_name(Kind k) {
     case Kind::kDeadlineExpired: return "deadline_expired";
     case Kind::kSiteCrashed: return "site_crashed";
     case Kind::kSiteRecovered: return "site_recovered";
+    case Kind::kWheelFired: return "wheel_fired";
+    case Kind::kSpanEnd: return "span_end";
     case Kind::kKindCount: break;
   }
   return "<invalid>";
@@ -50,69 +52,45 @@ Kind kind_from_name(std::string_view name) {
   return Kind::kKindCount;
 }
 
-std::string_view span_kind_name(SpanKind k) {
+std::string_view span_kind_name(Kind k) {
   switch (k) {
-    case SpanKind::kEventChain: return "chain";
-    case SpanKind::kHandler: return "handler";
-    case SpanKind::kTimer: return "timer";
-    case SpanKind::kWheelFire: return "wheel_fire";
-    case SpanKind::kSend: return "send";
-    case SpanKind::kDeliver: return "deliver";
-    case SpanKind::kCall: return "call";
-    case SpanKind::kExec: return "exec";
-    case SpanKind::kSpanKindCount: break;
+    case Kind::kEventTriggered: return "chain";
+    case Kind::kEventHandled: return "handler";
+    case Kind::kTimerFired: return "timer";
+    case Kind::kWheelFired: return "wheel_fire";
+    case Kind::kMsgSent:
+    case Kind::kMsgDropped: return "send";
+    case Kind::kMsgDelivered: return "deliver";
+    case Kind::kCallIssued: return "call";
+    case Kind::kExecStarted: return "exec";
+    default: return kind_name(k);
   }
-  return "<invalid>";
 }
 
-std::uint64_t SiteTrace::span_open(sim::Time t, SpanKind kind, std::uint32_t name,
-                                   const SpanCtx& ctx, std::uint64_t a) {
-  if (spans_.size() >= span_capacity_) {
-    ++spans_dropped_;
-    return 0;
+std::vector<Span> spans_of(const std::vector<Event>& history) {
+  std::vector<Span> out;
+  std::unordered_map<std::uint64_t, std::size_t> open;  // span id -> index in out
+  for (const Event& e : history) {
+    if ((e.flags & kSpanOpen) != 0) {
+      const std::uint64_t id = span_id(e.site, e.seq);
+      open[id] = out.size();
+      out.push_back(Span{.id = id, .trace = e.trace, .parent = e.link, .begin = e.time,
+                         .ns_begin = e.ns, .site = e.site, .kind = e.kind, .name = e.name,
+                         .call = e.call, .a = e.a, .b = e.b,
+                         .flagged = (e.flags & kSpanFlagged) != 0});
+    }
+    if ((e.flags & kSpanClose) != 0) {
+      auto it = open.find(e.link);
+      if (it == open.end()) continue;  // opened before the retained window
+      Span& s = out[it->second];
+      s.end = e.time;
+      // open() is keyed on ns_end == 0, so a close is never zero-width.
+      s.ns_end = e.ns > s.ns_begin ? e.ns : s.ns_begin + 1;
+      s.flagged = s.flagged || (e.flags & kSpanFlagged) != 0;
+      open.erase(it);
+    }
   }
-  // (site << 32 | tracer-global seq): unique across every site of this tracer
-  // AND across OS processes (sites are disjoint between forked processes), so
-  // multi-process Perfetto fragments merge without id collisions.
-  const std::uint64_t id = (static_cast<std::uint64_t>(site_.value()) << 32) |
-                           (tracer_.next_span_seq_++ & 0xFFFFFFFFu);
-  SpanRecord rec;
-  rec.id = id;
-  rec.trace = ctx.trace;
-  rec.parent = ctx.parent;
-  rec.begin = t;
-  rec.ns_begin = steady_ns();
-  rec.site = site_;
-  rec.kind = kind;
-  rec.name = name;
-  rec.a = a;
-  open_.emplace(id, spans_.size());
-  spans_.push_back(rec);
-  return id;
-}
-
-void SiteTrace::span_close(std::uint64_t id, sim::Time t) {
-  if (id == 0) return;
-  auto it = open_.find(id);
-  if (it == open_.end()) return;
-  SpanRecord& rec = spans_[it->second];
-  rec.end = t;
-  rec.ns_end = steady_ns();
-  if (rec.ns_end == rec.ns_begin) rec.ns_end = rec.ns_begin + 1;  // open() sentinel is 0-width
-  open_.erase(it);
-}
-
-void SiteTrace::span_flag(std::uint64_t id) {
-  if (id == 0) return;
-  auto it = open_.find(id);
-  if (it == open_.end()) return;
-  spans_[it->second].flagged = true;
-}
-
-SpanCtx SiteTrace::ctx_of(std::uint64_t id) const {
-  auto it = open_.find(id);
-  if (it != open_.end()) return SpanCtx{spans_[it->second].trace, id};
-  return SpanCtx{0, id};
+  return out;
 }
 
 Tracer::Tracer(std::size_t per_site_capacity) : capacity_(per_site_capacity) {
@@ -146,13 +124,10 @@ const std::string& Tracer::name(std::uint32_t id) const {
 }
 
 std::vector<Event> SiteTrace::events() const {
-  std::vector<Event> out;
-  out.reserve(count_);
-  // Oldest-first: when full, the oldest entry sits at head_ (next overwrite).
-  const std::size_t start = count_ == ring_.size() ? head_ : 0;
-  for (std::size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
+  // Oldest-first: once the ring wrapped, the oldest entry sits at head_ (the
+  // next overwrite); before that head_ is 0.
+  std::vector<Event> out(ring_.begin() + static_cast<std::ptrdiff_t>(head_), ring_.end());
+  out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_));
   return out;
 }
 
@@ -172,23 +147,6 @@ std::uint64_t Tracer::total_dropped() const {
   return total;
 }
 
-std::vector<SpanRecord> Tracer::merged_spans() const {
-  std::vector<SpanRecord> out;
-  for (const auto& [id, site] : sites_) {
-    out.insert(out.end(), site->spans().begin(), site->spans().end());
-  }
-  std::sort(out.begin(), out.end(), [](const SpanRecord& x, const SpanRecord& y) {
-    return (x.id & 0xFFFFFFFFu) < (y.id & 0xFFFFFFFFu);
-  });
-  return out;
-}
-
-std::uint64_t Tracer::total_spans_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, site] : sites_) total += site->spans_dropped();
-  return total;
-}
-
 std::string Tracer::dump_json() const {
   std::string out = "[";
   bool first = true;
@@ -202,6 +160,10 @@ std::string Tracer::dump_json() const {
     if (e.a != 0) out += ",\"a\":" + std::to_string(e.a);
     if (e.b != 0) out += ",\"b\":" + std::to_string(e.b);
     if (e.name != 0) out += ",\"name\":" + json_str(name(e.name));
+    if (e.trace != 0) out += ",\"trace\":" + std::to_string(e.trace);
+    if (e.link != 0) out += ",\"link\":" + std::to_string(e.link);
+    if (e.ns != 0) out += ",\"ns\":" + std::to_string(e.ns);
+    if (e.flags != 0) out += ",\"flags\":" + std::to_string(e.flags);
     out += "}";
   }
   out += "\n]";
@@ -212,16 +174,12 @@ void Tracer::clear() {
   // Reset the rings in place: components hold raw SiteTrace pointers, and
   // site() promises stable references for the tracer's lifetime.
   for (auto& [id, site] : sites_) {
+    site->ring_.clear();
     site->head_ = 0;
-    site->count_ = 0;
     site->dropped_ = 0;
-    site->spans_.clear();
-    site->open_.clear();
-    site->spans_dropped_ = 0;
     site->fiber_ctx_.clear();
   }
   next_seq_ = 1;
-  next_span_seq_ = 1;
   for (auto& c : counts_) c = 0;
 }
 

@@ -20,6 +20,13 @@ Framework::~Framework() {
 
 void Framework::define_event(EventId event, std::string name) {
   event_names_[event] = std::move(name);
+  if (auto it = events_.find(event); it != events_.end()) it->second.cache.reset();
+}
+
+void Framework::set_site_trace(obs::SiteTrace* trace) {
+  site_trace_ = trace;
+  // Snapshots hold name ids interned in the previous trace's tracer.
+  for (auto& [event, table] : events_) table.cache.reset();
 }
 
 HandlerId Framework::register_handler(EventId event, std::string handler_name, int priority,
@@ -65,7 +72,16 @@ void Framework::deregister(EventId event, const std::string& handler_name) {
 const std::shared_ptr<const Framework::Chain>& Framework::chain_for(EventId event) {
   EventTable& table = events_[event];
   if (table.cache == nullptr || table.cache_generation != table.generation) {
-    table.cache = std::make_shared<const Chain>(table.regs);
+    auto chain = std::make_shared<Chain>();
+    chain->regs = table.regs;
+    chain->event_name = event_name(event);
+    if (site_trace_ != nullptr) {
+      chain->event_name_id = site_trace_->intern(chain->event_name);
+      for (const RegistrationPtr& reg : chain->regs) {
+        chain->handler_name_ids.push_back(site_trace_->intern(reg->name));
+      }
+    }
+    table.cache = std::move(chain);
     table.cache_generation = table.generation;
   }
   return table.cache;
@@ -76,49 +92,45 @@ sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
   // *during* this trigger do not run in it (they land in a new snapshot),
   // and deregistered ones are skipped via the liveness check below.
   std::shared_ptr<const Chain> chain = chain_for(event);
-  // Span bookkeeping: one kEventChain span for the whole invocation, one
-  // kHandler span per handler, threaded through the running fiber's ambient
-  // context so sends and nested triggers parent correctly.  The ambient is
-  // saved/restored because triggers re-enter on the same fiber (a handler
-  // that triggers another event) and the caller's context must survive.
+  // Spans: the kEventTriggered record opens the chain span and each
+  // kEventHandled record a handler span beneath it; each is the running
+  // fiber's ambient context while it is open, so sends and nested triggers
+  // parent correctly.  The ambient is saved/restored because triggers
+  // re-enter on the same fiber (a handler that triggers another event) and
+  // the caller's context must survive.
   obs::SiteTrace* const st = site_trace_;
   std::uint64_t fiber = 0;
-  std::uint64_t chain_span = 0;
   obs::SpanCtx saved;
   obs::SpanCtx chain_ctx;
   if (st) {
-    st->record(transport_.now(), obs::Kind::kEventTriggered, 0, event.value(), 0,
-               st->intern(event_name(event)));
     fiber = transport_.executor().current_fiber().value();
     saved = st->current(fiber);
-    chain_span = st->span_open(transport_.now(), obs::SpanKind::kEventChain,
-                               st->intern(event_name(event)), saved, event.value());
-    chain_ctx = chain_span != 0 ? st->ctx_of(chain_span) : saved;
+    chain_ctx = st->open(transport_.now(), obs::Kind::kEventTriggered, saved, 0, event.value(),
+                         0, chain->event_name_id);
     st->set_current(fiber, chain_ctx);
   }
   const auto finish = [&](bool completed) {
     if (st) {
-      st->span_close(chain_span, transport_.now());
+      st->close(transport_.now(), chain_ctx.parent);
       st->set_current(fiber, saved);
     }
     return completed;
   };
   EventContext ctx(arg);
-  for (const RegistrationPtr& reg : *chain) {
-    if (!by_id_.contains(reg->id)) continue;  // deregistered mid-event
-    if (trace_) trace_(transport_.now(), event_name(event), reg->name);
-    std::uint64_t handler_span = 0;
+  for (std::size_t i = 0; i < chain->regs.size(); ++i) {
+    const Registration& reg = *chain->regs[i];
+    if (!by_id_.contains(reg.id)) continue;  // deregistered mid-event
+    if (trace_) trace_(transport_.now(), chain->event_name, reg.name);
+    obs::SpanCtx handler_ctx;
     if (st) {
-      st->record(transport_.now(), obs::Kind::kEventHandled, 0, event.value(),
-                 static_cast<std::uint64_t>(reg->priority), st->intern(reg->name));
-      handler_span = st->span_open(transport_.now(), obs::SpanKind::kHandler,
-                                   st->intern(reg->name), chain_ctx,
-                                   static_cast<std::uint64_t>(reg->priority));
-      if (handler_span != 0) st->set_current(fiber, st->ctx_of(handler_span));
+      handler_ctx = st->open(transport_.now(), obs::Kind::kEventHandled, chain_ctx, 0,
+                             event.value(), static_cast<std::uint64_t>(reg.priority),
+                             chain->handler_name_ids[i]);
+      st->set_current(fiber, handler_ctx);
     }
-    co_await reg->fn(ctx);
+    co_await reg.fn(ctx);
     if (st) {
-      st->span_close(handler_span, transport_.now());
+      st->close(transport_.now(), handler_ctx.parent);
       st->set_current(fiber, chain_ctx);
     }
     if (ctx.cancelled()) co_return finish(false);
@@ -137,25 +149,23 @@ TimerId Framework::register_timeout(std::string name, sim::Duration delay, Timeo
   // The wrapper coroutine keeps the handler object alive for as long as the
   // handler body runs: coroutine parameters are copied into the frame,
   // whereas the closure that a std::function invocation runs on is not.
-  // It also opens the timer's kTimer span, parented to the context that
-  // *armed* it (captured below), and makes it the handler fiber's ambient
-  // context -- so a retransmission timer's sends stay on the call's trace.
+  // It also makes the timer's span (opened by the kTimerFired record,
+  // parented to the context that *armed* the timer) the handler fiber's
+  // ambient context -- so a retransmission timer's sends stay on the call's
+  // trace -- and closes the span when the handler returns.
   // The wrapper captures the transport and the site trace rather than the
   // framework: both outlive any fiber of this domain, the framework may not.
   static constexpr auto invoke = [](net::Transport* tp, obs::SiteTrace* st,
-                                    std::shared_ptr<Armed> a, obs::SpanCtx armed_ctx,
-                                    std::uint32_t name_id) -> sim::Task<> {
-    std::uint64_t span = 0;
+                                    std::shared_ptr<Armed> a, obs::SpanCtx ctx) -> sim::Task<> {
     std::uint64_t fiber = 0;
     if (st != nullptr) {
       fiber = tp->executor().current_fiber().value();
-      span = st->span_open(tp->now(), obs::SpanKind::kTimer, name_id, armed_ctx);
-      if (span != 0) st->set_current(fiber, st->ctx_of(span));
+      st->set_current(fiber, ctx);
     }
     co_await a->fn();
     if (st != nullptr) {
       st->clear_current(fiber);
-      st->span_close(span, tp->now());
+      st->close(tp->now(), ctx.parent);
     }
   };
   const std::uint32_t name_id = site_trace_ ? site_trace_->intern(name) : 0;
@@ -168,11 +178,13 @@ TimerId Framework::register_timeout(std::string name, sim::Duration delay, Timeo
       [this, armed, name_id, armed_ctx]() {
         // A fired timer is no longer live: cancelling it later is a no-op.
         live_timeouts_.erase(armed->id);
+        obs::SpanCtx ctx;
         if (site_trace_) {
           // The name identifies the timer class.
-          site_trace_->record(transport_.now(), obs::Kind::kTimerFired, 0, 0, 0, name_id);
+          ctx = site_trace_->open(transport_.now(), obs::Kind::kTimerFired, armed_ctx, 0, 0, 0,
+                                  name_id);
         }
-        transport_.spawn(invoke(&transport_, site_trace_, armed, armed_ctx, name_id), domain_);
+        transport_.spawn(invoke(&transport_, site_trace_, armed, ctx), domain_);
       },
       domain_);
   // Neither transport fires a timer before schedule_after returns.

@@ -118,7 +118,7 @@ class Framework {
   /// records kEventTriggered/kEventHandled and the TIMEOUT machinery records
   /// kTimerArmed/kTimerFired/kTimerCancelled.  nullptr (the default) turns
   /// recording off; every record site is behind a single pointer check.
-  void set_site_trace(obs::SiteTrace* trace) { site_trace_ = trace; }
+  void set_site_trace(obs::SiteTrace* trace);
   [[nodiscard]] obs::SiteTrace* site_trace() const { return site_trace_; }
 
   // ---- introspection (Figure 3 reproduction, debugging) ----
@@ -150,10 +150,21 @@ class Framework {
     Handler fn;
   };
   using RegistrationPtr = std::shared_ptr<const Registration>;
-  using Chain = std::vector<RegistrationPtr>;
+
+  /// Dispatch snapshot of one event: its registrations in invocation order
+  /// plus the names trigger() reports, resolved once per snapshot so that a
+  /// dispatch does no string work.
+  struct Chain {
+    std::vector<RegistrationPtr> regs;
+    std::string event_name;  ///< for the trace observer
+    /// Names interned in the site trace the snapshot was built under:
+    /// the event's, then one per entry of `regs` (empty when tracing is off).
+    std::uint32_t event_name_id = 0;
+    std::vector<std::uint32_t> handler_name_ids;
+  };
 
   struct EventTable {
-    Chain regs;  ///< sorted by (priority, seq); insertion keeps the order
+    std::vector<RegistrationPtr> regs;  ///< sorted by (priority, seq); insertion keeps the order
     std::shared_ptr<const Chain> cache;  ///< dispatch snapshot, lazily rebuilt
     std::uint64_t generation = 0;        ///< bumped on every regs mutation
     std::uint64_t cache_generation = 0;  ///< generation `cache` was built at

@@ -1,6 +1,4 @@
 // Edge cases of the asynchronous call semantics and the CallHandle facade.
-// (The deprecated begin()/result() shims are pinned separately in
-// deprecated_api_test.cc.)
 #include <gtest/gtest.h>
 
 #include <utility>

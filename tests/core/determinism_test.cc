@@ -1,7 +1,8 @@
 // Determinism: two runs with the same seed must produce bit-for-bit
 // identical behaviour -- the property that makes every failure in this
 // repository reproducible.  We compare full event traces (every handler
-// invocation with its virtual timestamp) and packet fates across runs.
+// invocation with its virtual timestamp) and, from the obs trace, every
+// packet's source, destination and fate across runs.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -9,6 +10,7 @@
 
 #include "core/micro/acceptance.h"
 #include "core/scenario.h"
+#include "obs/trace.h"
 
 namespace ugrpc::core {
 namespace {
@@ -27,6 +29,8 @@ std::string run_traced(std::uint64_t seed) {
   p.faults.drop_prob = 0.2;
   p.faults.dup_prob = 0.1;
   p.seed = seed;
+  obs::Tracer tracer;
+  p.tracer = &tracer;
   Scenario s(std::move(p));
   for (int i = 0; i < 3; ++i) {
     s.server(i).grpc().framework().set_trace_observer(
@@ -34,9 +38,6 @@ std::string run_traced(std::uint64_t seed) {
           trace << "s" << i << " " << t << " " << event << "/" << handler << "\n";
         });
   }
-  s.network().set_packet_tracer([&trace](const net::Packet& pkt, net::Network::PacketFate fate) {
-    trace << "pkt " << pkt.src << "->" << pkt.dst << " " << static_cast<int>(fate) << "\n";
-  });
   s.scheduler().schedule_after(sim::msec(120), [&] { s.server(1).crash(); });
   s.scheduler().schedule_after(sim::msec(240), [&] { s.server(1).recover(); });
   auto burst = [&s](Client& c) -> sim::Task<> {
@@ -49,6 +50,21 @@ std::string run_traced(std::uint64_t seed) {
   s.scheduler().spawn(burst(s.client(0)), s.client_site(0).domain());
   s.scheduler().spawn(burst(s.client(1)), s.client_site(1).domain());
   s.run_for(sim::seconds(10));
+  EXPECT_EQ(tracer.total_dropped(), 0u);
+  // Packet fates, in the sequence the fabric decided them: the sender's
+  // sent/dropped/duplicated and the receiver's delivered/dropped records.
+  for (const obs::Event& e : tracer.merged()) {
+    switch (e.kind) {
+      case obs::Kind::kMsgSent:
+      case obs::Kind::kMsgDropped:
+      case obs::Kind::kMsgDuplicated:
+      case obs::Kind::kMsgDelivered:
+        trace << "pkt " << e.time << " site " << e.site << " peer " << e.a << " "
+              << obs::kind_name(e.kind) << "\n";
+        break;
+      default: break;
+    }
+  }
   return trace.str();
 }
 

@@ -1,6 +1,7 @@
 // Tests for the trace/observability hooks: the framework's per-handler
-// trace observer and the network's packet tracer, exercised through a full
-// call so the recorded sequences reflect real protocol behaviour.
+// trace observer and the message records an attached obs::Tracer collects
+// from the simulated network, exercised through a full call so the recorded
+// sequences reflect real protocol behaviour.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,6 +9,8 @@
 
 #include "core/micro/acceptance.h"
 #include "core/scenario.h"
+#include "membership/membership.h"
+#include "obs/trace.h"
 
 namespace ugrpc::core {
 namespace {
@@ -83,22 +86,16 @@ TEST(PacketTracer, ObservesDeliveriesAndDrops) {
   p.config.retrans_timeout = sim::msec(20);
   p.faults.drop_prob = 0.5;
   p.seed = 8;
+  obs::Tracer tracer;
+  p.tracer = &tracer;
   Scenario s(std::move(p));
-  int delivered = 0;
-  int dropped = 0;
-  s.network().set_packet_tracer([&](const net::Packet&, net::Network::PacketFate fate) {
-    if (fate == net::Network::PacketFate::kDropped) {
-      ++dropped;
-    } else if (fate == net::Network::PacketFate::kDelivered) {
-      ++delivered;
-    }
-  });
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     for (int i = 0; i < 10; ++i) (void)co_await c.call(s.group(), kOp, Buffer{});
   });
-  EXPECT_GT(delivered, 0);
-  EXPECT_GT(dropped, 0);
-  EXPECT_EQ(static_cast<std::uint64_t>(dropped), s.network().stats().dropped);
+  EXPECT_GT(tracer.count(obs::Kind::kMsgSent), 0u);
+  EXPECT_GT(tracer.count(obs::Kind::kMsgDelivered), 0u);
+  EXPECT_GT(tracer.count(obs::Kind::kMsgDropped), 0u);
+  EXPECT_EQ(tracer.count(obs::Kind::kMsgDropped), s.network().stats().dropped);
 }
 
 TEST(PacketTracer, SeesProtocolDemuxKeys) {
@@ -106,18 +103,23 @@ TEST(PacketTracer, SeesProtocolDemuxKeys) {
   p.num_servers = 1;
   p.config.acceptance_limit = 1;
   p.config.use_membership = true;
+  obs::Tracer tracer;
+  p.tracer = &tracer;
   Scenario s(std::move(p));
-  bool saw_grpc = false;
-  bool saw_membership = false;
-  s.network().set_packet_tracer([&](const net::Packet& pkt, net::Network::PacketFate) {
-    if (pkt.proto == kGrpcProto) saw_grpc = true;
-    if (pkt.proto == membership::kMembershipProto) saw_membership = true;
-  });
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call(s.group(), kOp, Buffer{});
   }, sim::msec(500));
   // Heartbeats repeat every interval; give a few periods beyond the call.
   s.run_for(sim::msec(200));
+  // Message records carry the protocol id (the demux key) in `b`.
+  bool saw_grpc = false;
+  bool saw_membership = false;
+  for (const obs::Event& e : tracer.merged()) {
+    if (e.kind != obs::Kind::kMsgSent && e.kind != obs::Kind::kMsgDelivered) continue;
+    if (e.b == kGrpcProto.value()) saw_grpc = true;
+    if (e.b == membership::kMembershipProto.value()) saw_membership = true;
+  }
+  EXPECT_EQ(tracer.total_dropped(), 0u);
   EXPECT_TRUE(saw_grpc);
   EXPECT_TRUE(saw_membership);
 }

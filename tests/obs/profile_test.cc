@@ -14,9 +14,9 @@
 namespace ugrpc::obs {
 namespace {
 
-SpanRecord make_span(std::uint64_t id, std::uint64_t parent, std::uint64_t ns_begin,
-                     std::uint64_t ns_end, SpanKind kind, std::uint32_t name = 0) {
-  SpanRecord s;
+Span make_span(std::uint64_t id, std::uint64_t parent, std::uint64_t ns_begin,
+               std::uint64_t ns_end, Kind kind, std::uint32_t name = 0) {
+  Span s;
   s.id = id;
   s.trace = 1;
   s.parent = parent;
@@ -31,12 +31,12 @@ SpanRecord make_span(std::uint64_t id, std::uint64_t parent, std::uint64_t ns_be
 TEST(Profile, SelfTimeExcludesDirectChildren) {
   Tracer names;
   const std::uint32_t handler = names.site(ProcessId{1}).intern("Comp.handler");
-  std::vector<SpanRecord> spans;
+  std::vector<Span> spans;
   // Parent [0, 1000] with two direct children [100, 400] and [500, 600]:
   // wall 1000, children 400, self 600.
-  spans.push_back(make_span(10, 0, 0, 1000, SpanKind::kHandler, handler));
-  spans.push_back(make_span(11, 10, 100, 400, SpanKind::kSend));
-  spans.push_back(make_span(12, 10, 500, 600, SpanKind::kSend));
+  spans.push_back(make_span(10, 0, 0, 1000, Kind::kEventHandled, handler));
+  spans.push_back(make_span(11, 10, 100, 400, Kind::kMsgSent));
+  spans.push_back(make_span(12, 10, 500, 600, Kind::kMsgSent));
   Profile prof;
   prof.add_spans(spans, names);
 
@@ -62,10 +62,10 @@ TEST(Profile, SelfTimeClampsAtZeroWhenChildrenOverlap) {
   // wrap around.
   Tracer names;
   const std::uint32_t handler = names.site(ProcessId{1}).intern("Comp.h");
-  std::vector<SpanRecord> spans;
-  spans.push_back(make_span(10, 0, 0, 100, SpanKind::kHandler, handler));
-  spans.push_back(make_span(11, 10, 0, 100, SpanKind::kSend));
-  spans.push_back(make_span(12, 10, 0, 100, SpanKind::kSend));
+  std::vector<Span> spans;
+  spans.push_back(make_span(10, 0, 0, 100, Kind::kEventHandled, handler));
+  spans.push_back(make_span(11, 10, 0, 100, Kind::kMsgSent));
+  spans.push_back(make_span(12, 10, 0, 100, Kind::kMsgSent));
   Profile prof;
   prof.add_spans(spans, names);
   EXPECT_EQ(prof.by_component().at("Comp").self_total, 0u);
@@ -74,8 +74,8 @@ TEST(Profile, SelfTimeClampsAtZeroWhenChildrenOverlap) {
 TEST(Profile, OpenSpansAreSkipped) {
   Tracer names;
   const std::uint32_t handler = names.site(ProcessId{1}).intern("Comp.h");
-  std::vector<SpanRecord> spans;
-  spans.push_back(make_span(10, 0, 0, 0, SpanKind::kHandler, handler));  // still open
+  std::vector<Span> spans;
+  spans.push_back(make_span(10, 0, 0, 0, Kind::kEventHandled, handler));  // still open
   Profile prof;
   prof.add_spans(spans, names);
   EXPECT_TRUE(prof.empty());
@@ -85,9 +85,9 @@ TEST(Profile, OpenSpansAreSkipped) {
 TEST(Profile, PercentilesAreExactOnKnownSamples) {
   Tracer names;
   const std::uint32_t handler = names.site(ProcessId{1}).intern("C.h");
-  std::vector<SpanRecord> spans;
+  std::vector<Span> spans;
   for (std::uint64_t i = 1; i <= 100; ++i) {
-    spans.push_back(make_span(100 + i, 0, 0, i, SpanKind::kHandler, handler));
+    spans.push_back(make_span(100 + i, 0, 0, i, Kind::kEventHandled, handler));
   }
   Profile prof;
   prof.add_spans(spans, names);
@@ -104,11 +104,11 @@ TEST(Profile, PercentilesAreExactOnKnownSamples) {
 TEST(Profile, ComponentIsPrefixBeforeFirstDot) {
   Tracer names;
   SiteTrace& st = names.site(ProcessId{1});
-  std::vector<SpanRecord> spans;
-  spans.push_back(make_span(1, 0, 0, 10, SpanKind::kHandler, st.intern("Acceptance.msg")));
-  spans.push_back(make_span(2, 0, 0, 20, SpanKind::kHandler, st.intern("Acceptance.new_call")));
-  spans.push_back(make_span(3, 0, 0, 30, SpanKind::kTimer, st.intern("ReliableComm.timeout")));
-  spans.push_back(make_span(4, 0, 0, 40, SpanKind::kHandler, st.intern("nodot")));
+  std::vector<Span> spans;
+  spans.push_back(make_span(1, 0, 0, 10, Kind::kEventHandled, st.intern("Acceptance.msg")));
+  spans.push_back(make_span(2, 0, 0, 20, Kind::kEventHandled, st.intern("Acceptance.new_call")));
+  spans.push_back(make_span(3, 0, 0, 30, Kind::kTimerFired, st.intern("ReliableComm.timeout")));
+  spans.push_back(make_span(4, 0, 0, 40, Kind::kEventHandled, st.intern("nodot")));
   Profile prof;
   prof.add_spans(spans, names);
   const auto comp = prof.by_component();
@@ -122,8 +122,8 @@ TEST(Profile, ComponentIsPrefixBeforeFirstDot) {
 TEST(Profile, ToJsonEscapesKeysAndContainsEveryField) {
   Tracer names;
   const std::uint32_t evil = names.site(ProcessId{1}).intern("Evil\"Comp.h");
-  std::vector<SpanRecord> spans;
-  spans.push_back(make_span(1, 0, 0, 10, SpanKind::kHandler, evil));
+  std::vector<Span> spans;
+  spans.push_back(make_span(1, 0, 0, 10, Kind::kEventHandled, evil));
   Profile prof;
   prof.add_spans(spans, names);
   const std::string json = prof.to_json();
@@ -141,9 +141,9 @@ TEST(Profile, ToJsonEscapesKeysAndContainsEveryField) {
 TEST(Profile, ExportToRegistryAddsHistograms) {
   Tracer names;
   const std::uint32_t handler = names.site(ProcessId{1}).intern("Comp.h");
-  std::vector<SpanRecord> spans;
-  spans.push_back(make_span(1, 0, 0, 100, SpanKind::kHandler, handler));
-  spans.push_back(make_span(2, 1, 0, 40, SpanKind::kSend));
+  std::vector<Span> spans;
+  spans.push_back(make_span(1, 0, 0, 100, Kind::kEventHandled, handler));
+  spans.push_back(make_span(2, 1, 0, 40, Kind::kMsgSent));
   Profile prof;
   prof.add_spans(spans, names);
   Registry reg;
@@ -156,9 +156,9 @@ TEST(Profile, ExportToRegistryAddsHistograms) {
 TEST(Profile, AddFoldsTracerSpansDirectly) {
   Tracer tracer;
   SiteTrace& st = tracer.site(ProcessId{3});
-  const std::uint64_t id =
-      st.span_open(sim::Time{1}, SpanKind::kHandler, st.intern("X.h"), SpanCtx{1, 0});
-  st.span_close(id, sim::Time{2});
+  const SpanCtx h =
+      st.open(sim::Time{1}, Kind::kEventHandled, SpanCtx{1, 0}, 0, 0, 0, st.intern("X.h"));
+  st.close(sim::Time{2}, h.parent);
   Profile prof;
   prof.add(tracer);
   EXPECT_EQ(prof.by_component().at("X").count, 1u);

@@ -1,11 +1,19 @@
-// Span correctness (ISSUE 4): nesting and parenting under re-entrant event
-// dispatch, cross-process context propagation over UdpTransport (including
-// dropped-then-retransmitted and duplicated packets), budget exhaustion,
-// clear() reset, the disabled path, and Perfetto-export escaping.
+// Span correctness: nesting and parenting under re-entrant event dispatch,
+// cross-process context propagation over UdpTransport (including
+// dropped-then-retransmitted and duplicated packets), ring wrap (spans share
+// the site ring with every other record), clear() reset, the disabled path,
+// and Perfetto-export escaping.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +21,9 @@
 #include "core/scenario.h"
 #include "net/sim_transport.h"
 #include "net/udp_transport.h"
+#include "obs/live/json_value.h"
+#include "obs/live/telemetry.h"
+#include "obs/live/trace_load.h"
 #include "obs/perfetto.h"
 #include "obs/trace.h"
 #include "runtime/framework.h"
@@ -21,13 +32,13 @@ namespace ugrpc {
 namespace {
 
 using obs::SpanCtx;
-using obs::SpanKind;
-using obs::SpanRecord;
+using obs::Kind;
+using obs::Span;
 
 // ---- helpers ----
 
-std::vector<SpanRecord> run_traced_call(obs::Tracer& tracer, core::Config config,
-                                        net::FaultSpec faults = {}) {
+std::vector<Span> run_traced_call(obs::Tracer& tracer, core::Config config,
+                                  net::FaultSpec faults = {}) {
   core::ScenarioParams p;
   p.num_servers = 3;
   p.config = std::move(config);
@@ -41,19 +52,19 @@ std::vector<SpanRecord> run_traced_call(obs::Tracer& tracer, core::Config config
   // Drain in-flight traffic (e.g. a duplicated reply whose original is still
   // in transit when the call completes) so the span set is complete.
   s.run_until_quiescent();
-  return tracer.merged_spans();
+  return tracer.spans();
 }
 
-const SpanRecord* find_by_id(const std::vector<SpanRecord>& spans, std::uint64_t id) {
-  for (const SpanRecord& s : spans) {
+const Span* find_by_id(const std::vector<Span>& spans, std::uint64_t id) {
+  for (const Span& s : spans) {
     if (s.id == id) return &s;
   }
   return nullptr;
 }
 
-std::vector<const SpanRecord*> of_kind(const std::vector<SpanRecord>& spans, SpanKind kind) {
-  std::vector<const SpanRecord*> out;
-  for (const SpanRecord& s : spans) {
+std::vector<const Span*> of_kind(const std::vector<Span>& spans, Kind kind) {
+  std::vector<const Span*> out;
+  for (const Span& s : spans) {
     if (s.kind == kind) out.push_back(&s);
   }
   return out;
@@ -64,10 +75,10 @@ std::vector<const SpanRecord*> of_kind(const std::vector<SpanRecord>& spans, Spa
 TEST(Span, CallSpanRootsItsOwnTrace) {
   obs::Tracer tracer;
   const auto spans = run_traced_call(tracer, core::ConfigBuilder::exactly_once().build());
-  const auto calls = of_kind(spans, SpanKind::kCall);
+  const auto calls = of_kind(spans, Kind::kCallIssued);
   ASSERT_EQ(calls.size(), 1u);
-  const SpanRecord& call = *calls.front();
-  EXPECT_EQ(call.trace, call.a) << "trace id must be the call id";
+  const Span& call = *calls.front();
+  EXPECT_EQ(call.trace, call.call) << "trace id must be the call id";
   EXPECT_NE(call.trace, 0u);
   EXPECT_FALSE(call.open()) << "completion must close the root span";
   EXPECT_GE(call.wall_ns(), 1u);
@@ -76,13 +87,13 @@ TEST(Span, CallSpanRootsItsOwnTrace) {
 TEST(Span, HandlerSpansParentToTheirEventChain) {
   obs::Tracer tracer;
   const auto spans = run_traced_call(tracer, core::ConfigBuilder::exactly_once().build());
-  const auto handlers = of_kind(spans, SpanKind::kHandler);
+  const auto handlers = of_kind(spans, Kind::kEventHandled);
   ASSERT_FALSE(handlers.empty());
-  for (const SpanRecord* h : handlers) {
+  for (const Span* h : handlers) {
     ASSERT_NE(h->parent, 0u);
-    const SpanRecord* parent = find_by_id(spans, h->parent);
+    const Span* parent = find_by_id(spans, h->parent);
     ASSERT_NE(parent, nullptr) << "handler parent must be recorded";
-    EXPECT_EQ(parent->kind, SpanKind::kEventChain);
+    EXPECT_EQ(parent->kind, Kind::kEventTriggered);
     EXPECT_EQ(parent->site, h->site) << "a handler runs on its chain's site";
     EXPECT_EQ(parent->trace, h->trace);
   }
@@ -91,14 +102,14 @@ TEST(Span, HandlerSpansParentToTheirEventChain) {
 TEST(Span, DeliverSpansParentToSendSpansAcrossSites) {
   obs::Tracer tracer;
   const auto spans = run_traced_call(tracer, core::ConfigBuilder::exactly_once().build());
-  const auto delivers = of_kind(spans, SpanKind::kDeliver);
+  const auto delivers = of_kind(spans, Kind::kMsgDelivered);
   ASSERT_FALSE(delivers.empty());
   int cross_site = 0;
-  for (const SpanRecord* d : delivers) {
+  for (const Span* d : delivers) {
     if (d->parent == 0) continue;  // untraced background traffic
-    const SpanRecord* parent = find_by_id(spans, d->parent);
+    const Span* parent = find_by_id(spans, d->parent);
     ASSERT_NE(parent, nullptr) << "deliver parent (the send span) must be recorded";
-    EXPECT_EQ(parent->kind, SpanKind::kSend);
+    EXPECT_EQ(parent->kind, Kind::kMsgSent);
     EXPECT_EQ(parent->trace, d->trace) << "the send's context travels with the packet";
     if (parent->site != d->site) ++cross_site;
   }
@@ -110,9 +121,9 @@ TEST(Span, EveryParentLinkResolvesAndNests) {
   const auto spans = run_traced_call(tracer, core::ConfigBuilder::at_most_once().build());
   ASSERT_FALSE(spans.empty());
   int resolved = 0;
-  for (const SpanRecord& s : spans) {
+  for (const Span& s : spans) {
     if (s.parent == 0) continue;
-    const SpanRecord* parent = find_by_id(spans, s.parent);
+    const Span* parent = find_by_id(spans, s.parent);
     ASSERT_NE(parent, nullptr) << "dangling parent id " << s.parent;
     EXPECT_NE(parent->id, s.id);
     EXPECT_LE(parent->ns_begin, s.ns_begin) << "a child cannot begin before its parent";
@@ -145,17 +156,17 @@ TEST(Span, ReentrantTriggerNestsInnerChainUnderOuterHandler) {
   }(fw, arg));
   sched.run();
 
-  const auto spans = tracer.merged_spans();
-  const SpanRecord* outer_chain = nullptr;
-  const SpanRecord* inner_chain = nullptr;
-  const SpanRecord* outer_handler = nullptr;
-  const SpanRecord* inner_handler = nullptr;
-  for (const SpanRecord& s : spans) {
+  const auto spans = tracer.spans();
+  const Span* outer_chain = nullptr;
+  const Span* inner_chain = nullptr;
+  const Span* outer_handler = nullptr;
+  const Span* inner_handler = nullptr;
+  for (const Span& s : spans) {
     const std::string& name = tracer.name(s.name);
-    if (s.kind == SpanKind::kEventChain && name == "OUTER") outer_chain = &s;
-    if (s.kind == SpanKind::kEventChain && name == "INNER") inner_chain = &s;
-    if (s.kind == SpanKind::kHandler && name == "Outer.h") outer_handler = &s;
-    if (s.kind == SpanKind::kHandler && name == "Inner.h") inner_handler = &s;
+    if (s.kind == Kind::kEventTriggered && name == "OUTER") outer_chain = &s;
+    if (s.kind == Kind::kEventTriggered && name == "INNER") inner_chain = &s;
+    if (s.kind == Kind::kEventHandled && name == "Outer.h") outer_handler = &s;
+    if (s.kind == Kind::kEventHandled && name == "Inner.h") inner_handler = &s;
   }
   ASSERT_NE(outer_chain, nullptr);
   ASSERT_NE(inner_chain, nullptr);
@@ -176,23 +187,23 @@ TEST(Span, DuplicatedPacketsAreFlaggedAndKeepTheOriginalContext) {
   net::FaultSpec faults;
   faults.dup_prob = 1.0;  // every delivery happens twice
   const auto spans = run_traced_call(tracer, core::ConfigBuilder::exactly_once().build(), faults);
-  const auto delivers = of_kind(spans, SpanKind::kDeliver);
-  std::vector<const SpanRecord*> flagged;
-  for (const SpanRecord* d : delivers) {
+  const auto delivers = of_kind(spans, Kind::kMsgDelivered);
+  std::vector<const Span*> flagged;
+  for (const Span* d : delivers) {
     if (d->flagged) flagged.push_back(d);
   }
   ASSERT_FALSE(flagged.empty()) << "dup_prob=1 must flag duplicate deliveries";
-  for (const SpanRecord* dup : flagged) {
+  for (const Span* dup : flagged) {
     // The duplicate carries the same wire context as the original delivery:
     // same trace, same send-span parent -- and the original is not flagged.
-    const auto twin = std::find_if(delivers.begin(), delivers.end(), [&](const SpanRecord* d) {
+    const auto twin = std::find_if(delivers.begin(), delivers.end(), [&](const Span* d) {
       return !d->flagged && d->parent == dup->parent && d->site == dup->site;
     });
     if (twin == delivers.end()) {
       std::string diag = "dup id=" + std::to_string(dup->id) + " parent=" +
                          std::to_string(dup->parent) + " site=" + std::to_string(dup->site.value()) +
                          " trace=" + std::to_string(dup->trace) + "\nall delivers:\n";
-      for (const SpanRecord* d : delivers) {
+      for (const Span* d : delivers) {
         diag += "  id=" + std::to_string(d->id) + " parent=" + std::to_string(d->parent) +
                 " site=" + std::to_string(d->site.value()) + " trace=" + std::to_string(d->trace) +
                 " flagged=" + std::to_string(d->flagged) + " open=" + std::to_string(d->open()) +
@@ -214,20 +225,20 @@ TEST(Span, RetransmissionsJoinTheOriginalCallTrace) {
   faults.min_delay = sim::msec(60);
   faults.max_delay = sim::msec(60);
   const auto spans = run_traced_call(tracer, core::ConfigBuilder::exactly_once().build(), faults);
-  const auto calls = of_kind(spans, SpanKind::kCall);
+  const auto calls = of_kind(spans, Kind::kCallIssued);
   ASSERT_EQ(calls.size(), 1u);
-  const SpanRecord& call = *calls.front();
+  const Span& call = *calls.front();
   // Retransmitted datagrams re-enter the call's context from the timer
   // fiber, so like the initial multicast they parent directly to the root
   // call span.  The initial multicast accounts for exactly 3 such sends
   // (one per server); anything beyond that is a retransmission.
   int call_rooted_sends = 0;
-  for (const SpanRecord* s : of_kind(spans, SpanKind::kSend)) {
+  for (const Span* s : of_kind(spans, Kind::kMsgSent)) {
     if (s->parent == call.id && s->trace == call.trace) ++call_rooted_sends;
   }
   EXPECT_GT(call_rooted_sends, 3) << "delay > retrans timeout must force a retransmission";
   // And a timer span fired on the client on some trace-carrying context.
-  EXPECT_FALSE(of_kind(spans, SpanKind::kTimer).empty());
+  EXPECT_FALSE(of_kind(spans, Kind::kTimerFired).empty());
 }
 
 // ---- UDP propagation ----
@@ -278,15 +289,15 @@ TEST(Span, UdpCarriesContextAcrossTheWire) {
 
   // The receiver's packet metadata carries {trace, send-span} -- not the
   // sender's own parent: the wire context is re-rooted at the send span.
-  const auto spans = pair.tracer.merged_spans();
-  const auto sends = of_kind(spans, SpanKind::kSend);
+  const auto spans = pair.tracer.spans();
+  const auto sends = of_kind(spans, Kind::kMsgSent);
   ASSERT_EQ(sends.size(), 1u);
   EXPECT_EQ(sends[0]->trace, 77u);
   EXPECT_EQ(sends[0]->parent, 5u);
   EXPECT_EQ(pair.received.at(0).ctx.trace, 77u);
   EXPECT_EQ(pair.received.at(0).ctx.parent, sends[0]->id);
 
-  const auto delivers = of_kind(spans, SpanKind::kDeliver);
+  const auto delivers = of_kind(spans, Kind::kMsgDelivered);
   ASSERT_EQ(delivers.size(), 1u);
   EXPECT_EQ(delivers[0]->trace, 77u);
   EXPECT_EQ(delivers[0]->parent, sends[0]->id);
@@ -307,57 +318,159 @@ TEST(Span, UdpDroppedSendIsFlaggedAndRetransmitJoinsTrace) {
   ASSERT_TRUE(pair.drive_until_received(1));
   EXPECT_EQ(pair.ta.stats().dropped, 1u);
 
-  const auto spans = pair.tracer.merged_spans();
-  const auto sends = of_kind(spans, SpanKind::kSend);
+  const auto spans = pair.tracer.spans();
+  const auto sends = of_kind(spans, Kind::kMsgSent);
   ASSERT_EQ(sends.size(), 2u);
-  const SpanRecord* dropped = sends[0]->flagged ? sends[0] : sends[1];
-  const SpanRecord* resent = sends[0]->flagged ? sends[1] : sends[0];
+  const Span* dropped = sends[0]->flagged ? sends[0] : sends[1];
+  const Span* resent = sends[0]->flagged ? sends[1] : sends[0];
   EXPECT_TRUE(dropped->flagged) << "the swallowed datagram's send span must be flagged";
   EXPECT_FALSE(resent->flagged);
   EXPECT_EQ(dropped->trace, 99u);
   EXPECT_EQ(resent->trace, 99u) << "the retransmission stays on the original trace";
-  const auto delivers = of_kind(spans, SpanKind::kDeliver);
+  const auto delivers = of_kind(spans, Kind::kMsgDelivered);
   ASSERT_EQ(delivers.size(), 1u);
   EXPECT_EQ(delivers[0]->trace, 99u);
   EXPECT_EQ(delivers[0]->parent, resent->id);
 }
 
-// ---- lifecycle: budget, clear, disabled path ----
+// ---- lifecycle: ring wrap, clear, disabled path ----
 
-TEST(Span, BudgetExhaustionDropsNewSpansGracefully) {
-  obs::Tracer tracer(/*per_site_capacity=*/4);
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Runs tools/check_perfetto.py on `json`; its exit status.
+int check_perfetto(const std::string& json, const std::string& flags) {
+  const std::filesystem::path file =
+      std::filesystem::path(testing::TempDir()) / "ugrpc_span_test_perfetto.json";
+  std::ofstream(file) << json;
+  const std::string cmd = "python3 " UGRPC_SOURCE_DIR "/tools/check_perfetto.py " +
+                          file.string() + " " + flags + " > /dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  std::filesystem::remove(file);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Span, RingWrapDropsSpansWhoseOpenWasOverwritten) {
+  obs::Tracer tracer(/*per_site_capacity=*/6);
   obs::SiteTrace& st = tracer.site(ProcessId{9});
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 4; ++i) {
-    const std::uint64_t id = st.span_open(sim::Time{i}, SpanKind::kHandler, 0, SpanCtx{1, 0});
-    EXPECT_NE(id, 0u);
-    ids.push_back(id);
+  const SpanCtx root = st.open(sim::Time{1}, Kind::kEventTriggered, SpanCtx{1, 0});  // seq 1
+  const SpanCtx first = st.open(sim::Time{2}, Kind::kEventHandled, root);           // seq 2
+  st.close(sim::Time{3}, first.parent);                                             // seq 3
+  const SpanCtx second = st.open(sim::Time{4}, Kind::kEventHandled, root);          // seq 4
+  st.close(sim::Time{5}, second.parent);                                            // seq 5
+  const SpanCtx unclosed = st.open(sim::Time{6}, Kind::kMsgSent, second);           // seq 6
+  st.close(sim::Time{7}, root.parent);  // overwrites seq 1, the root's open
+  st.record(sim::Time{8}, Kind::kRetransmit);  // overwrites seq 2, the first handler's open
+  EXPECT_EQ(st.dropped(), 2u);
+
+  // The root and the first handler lost their opens: their closes (seq 3
+  // and 7, both still retained) must not resurrect them.
+  const auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].id, second.parent);
+  EXPECT_EQ(spans[0].parent, root.parent) << "the parent link survives, dangling";
+  EXPECT_FALSE(spans[0].open());
+  EXPECT_EQ(spans[1].id, unclosed.parent);
+  EXPECT_TRUE(spans[1].open()) << "an open without a close is reported open";
+  EXPECT_EQ(spans[1].parent, second.parent);
+
+  // The export of a wrapped ring is a partial tree: valid under --partial
+  // (a mid-run flight dump), rejected by the strict check.
+  if (std::system("python3 --version > /dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "python3 not available to run check_perfetto.py";
   }
-  const std::uint64_t overflow = st.span_open(sim::Time{5}, SpanKind::kHandler, 0, SpanCtx{1, 0});
-  EXPECT_EQ(overflow, 0u);
-  EXPECT_EQ(st.spans_dropped(), 1u);
-  st.span_close(0, sim::Time{6});  // no-op by contract: callers never branch
-  st.span_flag(0);
-  for (const std::uint64_t id : ids) st.span_close(id, sim::Time{7});
-  EXPECT_EQ(st.spans().size(), 4u);
-  for (const SpanRecord& s : st.spans()) EXPECT_FALSE(s.open());
+  const std::string json = obs::export_perfetto(tracer);
+  EXPECT_EQ(check_perfetto(json, "--partial"), 0) << json;
+  EXPECT_EQ(check_perfetto(json, ""), 1) << "the dangling root parent must be visible";
+}
+
+TEST(Span, LongRunningSiteKeepsItsNewestSpans) {
+  // Regression: spans used to live in a second store that stopped accepting
+  // spans once full, so a long-running site's span view froze at its first
+  // calls while the record ring moved on.  Run far more calls than the rings
+  // hold: the newest spans must belong to the newest calls, and a flight
+  // dump's spans.json must cover the same window as its trace.json.
+  obs::Tracer tracer(/*per_site_capacity=*/2048);
+  core::ScenarioParams p;
+  p.num_servers = 3;
+  p.config = core::ConfigBuilder::exactly_once().build();
+  p.tracer = &tracer;
+  core::Scenario s(std::move(p));
+  std::vector<std::uint64_t> calls;
+  s.run_client(0, [&](core::Client& c) -> sim::Task<> {
+    for (int i = 0; i < 300; ++i) {
+      const core::CallResult r = co_await c.call(s.group(), OpId{1}, Buffer{});
+      EXPECT_TRUE(r.ok());
+      calls.push_back(r.id.value());
+    }
+  });
+  s.run_until_quiescent();
+  ASSERT_GT(tracer.total_dropped(), 0u) << "the run must wrap the rings";
+
+  const auto spans = tracer.spans();
+  const auto call_spans = of_kind(spans, Kind::kCallIssued);
+  ASSERT_FALSE(call_spans.empty());
+  EXPECT_EQ(call_spans.back()->call, calls.back()) << "the newest call span is the last call's";
+  EXPECT_FALSE(call_spans.back()->open());
+
+  obs::live::TelemetryHub hub;
+  hub.set_tracer(&tracer);
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "ugrpc_span_wrap_flight";
+  std::filesystem::remove_all(dir);
+  hub.set_flight_dir(dir.string());
+  std::string error;
+  const auto dump = hub.trip("ring-wrap", &error);
+  ASSERT_TRUE(dump.has_value()) << error;
+
+  // Every exported span's opening record is in trace.json, and the newest
+  // one is among trace.json's newest records.
+  const auto trace = obs::live::load_trace_json(slurp(std::filesystem::path(*dump) / "trace.json"),
+                                                &error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  std::set<std::uint64_t> opens;
+  for (const obs::Event& e : trace->events) {
+    if ((e.flags & obs::kSpanOpen) != 0) opens.insert(obs::span_id(e.site, e.seq));
+  }
+  const auto doc =
+      obs::live::json_parse(slurp(std::filesystem::path(*dump) / "spans.json"), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  std::uint64_t exported = 0;
+  std::uint64_t newest_seq = 0;
+  for (const obs::live::JsonValue& ev : (*doc)["traceEvents"].as_array()) {
+    if (ev["ph"].as_string() != "X") continue;
+    const std::uint64_t id = ev["args"]["span"].as_u64();
+    EXPECT_TRUE(opens.contains(id)) << "span " << id << " is outside trace.json's window";
+    newest_seq = std::max(newest_seq, id & 0xFFFFFFFFu);
+    ++exported;
+  }
+  EXPECT_GT(exported, 0u);
+  ASSERT_FALSE(trace->events.empty());
+  EXPECT_GT(newest_seq, trace->events[trace->events.size() / 2].seq)
+      << "spans.json must reach the newest half of trace.json";
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Span, ClearResetsSpansAndAmbientContexts) {
   obs::Tracer tracer;
   (void)run_traced_call(tracer, core::ConfigBuilder::at_least_once().build());
-  ASSERT_FALSE(tracer.merged_spans().empty());
+  ASSERT_FALSE(tracer.spans().empty());
   obs::SiteTrace& client = tracer.site(ProcessId{4});
   client.set_current(123, SpanCtx{1, 2});
   tracer.clear();
-  EXPECT_TRUE(tracer.merged_spans().empty());
-  EXPECT_EQ(tracer.total_spans_dropped(), 0u);
+  EXPECT_TRUE(tracer.spans().empty());
+  EXPECT_EQ(tracer.total_dropped(), 0u);
   EXPECT_FALSE(client.current(123).active()) << "clear() must wipe fiber contexts";
   // The collector is reusable after clear(): ids restart from a fresh seq.
-  const std::uint64_t id = client.span_open(sim::Time{1}, SpanKind::kSend, 0, SpanCtx{1, 0});
-  EXPECT_NE(id, 0u);
-  client.span_close(id, sim::Time{2});
-  EXPECT_EQ(client.spans().size(), 1u);
+  const SpanCtx sent = client.open(sim::Time{1}, Kind::kMsgSent, SpanCtx{1, 0});
+  EXPECT_EQ(sent.parent, obs::span_id(ProcessId{4}, 1));
+  client.close(sim::Time{2}, sent.parent);
+  ASSERT_EQ(tracer.spans().size(), 1u);
+  EXPECT_FALSE(tracer.spans().front().open());
 }
 
 TEST(Span, DisabledPathRecordsNothingAndPreservesBehaviour) {
@@ -384,7 +497,7 @@ TEST(Span, DisabledPathRecordsNothingAndPreservesBehaviour) {
   EXPECT_TRUE(r1.ok());
   EXPECT_TRUE(r2.ok());
   EXPECT_EQ(r1.status, r2.status);
-  EXPECT_FALSE(tracer.merged_spans().empty());
+  EXPECT_FALSE(tracer.spans().empty());
 }
 
 // ---- export escaping ----
@@ -393,8 +506,8 @@ TEST(Span, PerfettoExportEscapesHostileNames) {
   obs::Tracer tracer;
   obs::SiteTrace& st = tracer.site(ProcessId{1});
   const std::uint32_t evil = st.intern("evil\"name\\with\nnewline");
-  const std::uint64_t id = st.span_open(sim::Time{1}, SpanKind::kHandler, evil, SpanCtx{1, 0});
-  st.span_close(id, sim::Time{2});
+  const SpanCtx h = st.open(sim::Time{1}, Kind::kEventHandled, SpanCtx{1, 0}, 0, 0, 0, evil);
+  st.close(sim::Time{2}, h.parent);
   const std::string json = obs::export_perfetto(tracer);
   EXPECT_NE(json.find("evil\\\"name\\\\with\\nnewline"), std::string::npos)
       << "quotes, backslashes and control characters must be escaped";

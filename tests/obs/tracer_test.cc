@@ -1,6 +1,7 @@
 // Unit tests for the obs::Tracer / obs::SiteTrace ring recorder: ring-wrap
 // retention, global sequence ordering across sites, string interning,
-// exact per-kind counters, and the JSON dump shape.
+// exact per-kind counters, span open/close records and the spans derived
+// from them, and the JSON dump shape.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -106,6 +107,94 @@ TEST(Tracer, DumpJsonNamesKindsAndFields) {
   EXPECT_NE(json.find("\"call\":3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"name\":\"two_step\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"site\":1"), std::string::npos) << json;
+}
+
+TEST(SiteTrace, SpansAreRecordsInTheOneRing) {
+  Tracer tracer;
+  SiteTrace& a = tracer.site(kSiteA);
+  SiteTrace& b = tracer.site(kSiteB);
+  a.record(sim::usec(1), Kind::kCheckpoint);                             // seq 1
+  const SpanCtx chain = a.open(sim::usec(2), Kind::kEventTriggered, SpanCtx{7, 0});  // seq 2
+  b.record(sim::usec(3), Kind::kRetransmit);                             // seq 3
+  a.close(sim::usec(4), chain.parent);                                   // seq 4
+  // One store and one sequence: the opening record's seq names the span.
+  EXPECT_EQ(chain.trace, 7u);
+  EXPECT_EQ(chain.parent, span_id(kSiteA, 2));
+  EXPECT_EQ(chain.parent, (std::uint64_t{1} << 32) | 2u);
+  EXPECT_EQ(a.size(), 3u);
+  EXPECT_EQ(tracer.count(Kind::kEventTriggered), 1u);
+  EXPECT_EQ(tracer.count(Kind::kSpanEnd), 1u);
+  const auto events = a.events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[1].flags, kSpanOpen);
+  EXPECT_EQ(events[1].trace, 7u);
+  EXPECT_NE(events[1].ns, 0u);
+  EXPECT_EQ(events[2].kind, Kind::kSpanEnd);
+  EXPECT_EQ(events[2].flags, kSpanClose);
+  EXPECT_EQ(events[2].link, chain.parent);
+  EXPECT_EQ(events[0].flags, 0u) << "a plain record carries no span fields";
+  EXPECT_EQ(events[0].ns, 0u);
+}
+
+TEST(Tracer, SpansPairOpensWithTheirCloses) {
+  Tracer tracer;
+  SiteTrace& s = tracer.site(kSiteA);
+  const SpanCtx call = s.open(sim::usec(1), Kind::kCallIssued, SpanCtx{42, 0}, /*call=*/42,
+                              /*a=*/3, /*b=*/1);
+  const SpanCtx send = s.open(sim::usec(2), Kind::kMsgSent, call, 0, /*a=*/2, /*b=*/1);
+  s.close(sim::usec(3), send.parent, Kind::kSpanEnd, 0, 0, 0, /*flagged=*/true);
+  const SpanCtx dup = s.open(sim::usec(4), Kind::kMsgDelivered, send, 0, 2, 1, 0,
+                             /*flagged=*/true);
+  // A fact that ends an interval closes its span itself.
+  s.close(sim::usec(5), call.parent, Kind::kCallCompleted, /*call=*/42);
+  s.close(sim::usec(6), span_id(kSiteA, 999));  // unknown span: ignored
+
+  const auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].id, call.parent);
+  EXPECT_EQ(spans[0].kind, Kind::kCallIssued);
+  EXPECT_EQ(span_kind_name(spans[0].kind), "call");
+  EXPECT_EQ(spans[0].trace, 42u);
+  EXPECT_EQ(spans[0].parent, 0u);
+  EXPECT_EQ(spans[0].call, 42u);
+  EXPECT_EQ(spans[0].a, 3u);
+  EXPECT_EQ(spans[0].begin, sim::usec(1));
+  EXPECT_EQ(spans[0].end, sim::usec(5));
+  EXPECT_FALSE(spans[0].open());
+  EXPECT_GE(spans[0].wall_ns(), 1u);
+  EXPECT_FALSE(spans[0].flagged);
+  EXPECT_EQ(spans[1].parent, call.parent);
+  EXPECT_TRUE(spans[1].flagged) << "a flag on the close marks the span";
+  EXPECT_EQ(spans[2].parent, send.parent);
+  EXPECT_EQ(spans[2].id, dup.parent);
+  EXPECT_TRUE(spans[2].flagged) << "a flag on the open marks the span";
+  EXPECT_TRUE(spans[2].open());
+  EXPECT_EQ(spans[2].end, -1);
+}
+
+TEST(Tracer, SpanKindNamesNameTheInterval) {
+  EXPECT_EQ(span_kind_name(Kind::kEventTriggered), "chain");
+  EXPECT_EQ(span_kind_name(Kind::kEventHandled), "handler");
+  EXPECT_EQ(span_kind_name(Kind::kTimerFired), "timer");
+  EXPECT_EQ(span_kind_name(Kind::kWheelFired), "wheel_fire");
+  EXPECT_EQ(span_kind_name(Kind::kMsgSent), "send");
+  EXPECT_EQ(span_kind_name(Kind::kMsgDropped), "send");
+  EXPECT_EQ(span_kind_name(Kind::kMsgDelivered), "deliver");
+  EXPECT_EQ(span_kind_name(Kind::kCallIssued), "call");
+  EXPECT_EQ(span_kind_name(Kind::kExecStarted), "exec");
+}
+
+TEST(Tracer, DumpJsonCarriesSpanFields) {
+  Tracer tracer;
+  SiteTrace& s = tracer.site(kSiteA);
+  const SpanCtx h = s.open(sim::usec(1), Kind::kEventHandled, SpanCtx{5, 9});
+  s.close(sim::usec(2), h.parent, Kind::kSpanEnd, 0, 0, 0, /*flagged=*/true);
+  const std::string json = tracer.dump_json();
+  EXPECT_NE(json.find("\"trace\":5,\"link\":9,\"ns\":"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"flags\":1}"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"link\":" + std::to_string(h.parent) + ",\"ns\":"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"flags\":6}"), std::string::npos) << json;
 }
 
 TEST(Tracer, KindNamesCoverEveryKind) {
