@@ -36,6 +36,21 @@ void Writer::raw(std::span<const std::byte> data) {
   out_.append(data);
 }
 
+std::size_t Writer::begin_raw() {
+  const std::size_t at = out_.size();
+  u32(0);
+  return at;
+}
+
+void Writer::end_raw(std::size_t prefix_at) {
+  const std::size_t len = out_.size() - prefix_at - 4;
+  std::array<std::byte, 4> prefix;
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    prefix[i] = static_cast<std::byte>((len >> (8 * i)) & 0xffu);
+  }
+  out_.overwrite(prefix_at, prefix);
+}
+
 void Reader::require(std::size_t n) const {
   if (remaining() < n) throw CodecError("ugrpc codec: truncated input");
 }

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -54,6 +55,10 @@ class Buffer {
   }
   void push_back(std::byte b) { mut().push_back(b); }
   void reserve(std::size_t n) { mut().reserve(n); }
+  /// Replaces the bytes at [offset, offset + data.size()), which must exist.
+  void overwrite(std::size_t offset, std::span<const std::byte> data) {
+    std::copy(data.begin(), data.end(), mut().begin() + static_cast<std::ptrdiff_t>(offset));
+  }
   void clear() {
     // Shared storage is simply released (other handles keep their bytes);
     // exclusive storage is reused to keep its capacity.
@@ -65,9 +70,12 @@ class Buffer {
   }
 
   friend bool operator==(const Buffer& a, const Buffer& b) {
+    // memcmp, not std::equal: over std::byte the latter compiles to a byte
+    // loop.  An empty span's data() may be null, which memcmp must not see.
     const auto sa = a.bytes();
     const auto sb = b.bytes();
-    return std::equal(sa.begin(), sa.end(), sb.begin(), sb.end());
+    return sa.size() == sb.size() &&
+           (sa.empty() || std::memcmp(sa.data(), sb.data(), sa.size()) == 0);
   }
 
   /// True when this handle shares its storage with another (test/bench
@@ -109,6 +117,12 @@ class Writer {
   void str(std::string_view s);
   /// Length-prefixed raw bytes (e.g. a nested Buffer).
   void raw(std::span<const std::byte> data);
+  /// The same bytes as raw(), written in place: begin_raw() reserves the
+  /// length prefix and returns its position, the caller writes the payload
+  /// through this Writer, and end_raw() fills the prefix in.  Saves
+  /// encoding a nested part into a buffer of its own first.
+  [[nodiscard]] std::size_t begin_raw();
+  void end_raw(std::size_t prefix_at);
 
  private:
   void uint_le(std::uint64_t v, int width);

@@ -45,7 +45,13 @@ GrpcComposite::GrpcComposite(net::Transport& transport, net::Endpoint& endpoint,
   // UPI "demux from below": decode and run the MSG_FROM_NETWORK chain.  The
   // network spawns one fiber per delivered packet in this site's domain.
   endpoint_.set_handler(kGrpcProto, [this](net::Packet pkt) -> sim::Task<> {
-    net::NetMessage msg = net::NetMessage::decode(pkt.payload);
+    net::NetMessage msg;
+    try {
+      msg = net::NetMessage::decode(pkt.payload);
+    } catch (const CodecError& e) {
+      state_.drop_malformed(pkt.src, e);
+      co_return;
+    }
     co_await framework().trigger(kMsgFromNetwork, runtime::EventArg::ref(msg));
   });
 }

@@ -145,8 +145,10 @@ struct ServerRecord {
 /// participant's full state (encode_state) followed by delta records
 /// holding only what changed since the previous record (encode_delta).
 /// Recovery decodes the base and applies each delta in order.  The default
-/// delta is the full state, which suits small state (FIFO Order); tables
-/// that only grow journal their inserts instead (CheckpointJournal).
+/// delta is the full state, which suits small state (FIFO Order); large
+/// tables journal their changes instead (CheckpointJournal): Total Order
+/// its order inserts, Unique Execution its OldCalls inserts and its
+/// OldResults stores and frees.
 class CheckpointParticipant {
  public:
   virtual ~CheckpointParticipant() = default;
@@ -165,10 +167,10 @@ class CheckpointParticipant {
   virtual void forget_journal(std::uint64_t /*end*/) {}
 };
 
-/// The inserts into an append-only table since Atomic Execution's last
-/// committed checkpoint record.  Positions are absolute (they count every
-/// entry ever added), so an end taken at encode time still names the same
-/// entries after later inserts.
+/// The changes to a participant's tables since Atomic Execution's last
+/// committed checkpoint record, in the order they happened.  Positions are
+/// absolute (they count every entry ever added), so an end taken at encode
+/// time still names the same entries after later changes.
 template <typename T>
 class CheckpointJournal {
  public:
@@ -236,7 +238,7 @@ struct GrpcState {
 
   /// Checkpoint participants (see above).
   std::vector<CheckpointParticipant*> checkpoint_participants;
-  /// Set by Atomic Execution: participants journal their inserts for the
+  /// Set by Atomic Execution: participants journal their changes for the
   /// next delta record.  Off otherwise, so nothing accumulates when no one
   /// checkpoints.
   bool journal_checkpoints = false;
@@ -259,6 +261,14 @@ struct GrpcState {
   /// keeps accumulating.  Same cost model as note(): every record site is a
   /// single pointer check when disabled.
   obs::live::SiteStats* live = nullptr;
+
+  /// gRPC messages dropped because their bytes did not decode: the demux
+  /// below the framework and Total Order's OrderInfo args.
+  net::MalformedDrops malformed;
+  void drop_malformed(ProcessId from, const CodecError& e) {
+    malformed.note("grpc", from, transport.now(), e.what());
+    if (live) ++live->msgs_malformed;
+  }
 
   /// Records `kind` on this site's ring.  A non-zero `closes` makes the
   /// record the close of that span (kCallCompleted, kExecCommitted).

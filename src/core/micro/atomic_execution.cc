@@ -30,21 +30,31 @@ void AtomicExecution::ensure_baseline() {
 }
 
 Buffer AtomicExecution::build_record(std::optional<storage::StableAddress> prev) const {
+  // One pass into one buffer, each participant's part written in place.
+  // The reservation comes from the sizes already tracked: a new base holds
+  // at most the old base plus every change since, a delta about the mean
+  // delta of the live chain.  A first delta gets none: no record of its
+  // kind to go by, and stored records keep their capacity.
+  const std::size_t deltas = chain_.empty() ? 0 : chain_.size() - 1;
   Buffer record;
+  if (!prev.has_value()) {
+    record.reserve(base_bytes_ + delta_bytes_);
+  } else if (deltas > 0) {
+    record.reserve(delta_bytes_ / deltas);
+  }
   Writer w(record);
   w.u64(prev.has_value() ? prev->value() : 0);  // addresses start at 1
   const Buffer user_state = state_.user != nullptr ? state_.user->snapshot_state() : Buffer{};
   w.raw(user_state.bytes());
   w.u32(static_cast<std::uint32_t>(state_.checkpoint_participants.size()));
   for (const CheckpointParticipant* p : state_.checkpoint_participants) {
-    Buffer part;
-    Writer pw(part);
+    const std::size_t part = w.begin_raw();
     if (prev.has_value()) {
-      p->encode_delta(pw);
+      p->encode_delta(w);
     } else {
-      p->encode_state(pw);
+      p->encode_state(w);
     }
-    w.raw(part.bytes());
+    w.end_raw(part);
   }
   return record;
 }

@@ -19,7 +19,7 @@
 // with the server's age.  The checkpoint is therefore a chain of records in
 // stable storage: one base record (full state) followed by delta records,
 // each holding only what changed since its predecessor (participants
-// journal their inserts; small mutable parts and the user state travel
+// journal their changes; small mutable parts and the user state travel
 // whole).  The stable variable names the newest record; recovery walks back
 // to the base, decodes it and applies the deltas in order.  Once the deltas
 // since the base add up to the base's size, the next record is a new base
@@ -27,6 +27,9 @@
 // snapshots and each call pays amortised O(1).  Record layout:
 //
 //   prev:u64 (0 for a base) user:raw n:u32 part:raw*n
+//
+// where part i is participant i's encode_state (base) or encode_delta
+// (delta), written in place in one pass over one buffer.
 //
 // Requires Serial Execution (calls processed one at a time); the
 // configurator enforces this dependency (paper Figure 4).

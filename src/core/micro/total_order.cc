@@ -140,13 +140,16 @@ sim::Task<> TotalOrder::msg_from_net(runtime::EventContext& ctx) {
     }
     case net::MsgType::kOrderInfo: {
       if (!reconciling_) co_return;  // stale answer from an earlier round
-      Reader r(msg.args);
-      const std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const CallId id{r.u64()};
-        const std::uint64_t order = r.u64();
-        co_await note_order(id, order);
+      // Decode the whole answer before applying any of it: a malformed one
+      // is dropped and counted, and the round's timeout covers its sender.
+      std::vector<std::pair<CallId, std::uint64_t>> orders;
+      try {
+        orders = decode_order_info(msg.args);
+      } catch (const CodecError& e) {
+        state_.drop_malformed(msg.sender, e);
+        co_return;
       }
+      for (const auto& [id, order] : orders) co_await note_order(id, order);
       awaiting_info_.erase(msg.sender);
       if (awaiting_info_.empty()) finish_reconciliation();
       break;
@@ -194,6 +197,18 @@ Buffer TotalOrder::encode_order_info(std::uint64_t floor) const {
     w.u64(order);
   }
   return out;
+}
+
+std::vector<std::pair<CallId, std::uint64_t>> TotalOrder::decode_order_info(const Buffer& args) {
+  Reader r(args);
+  const std::uint32_t n = r.u32();
+  std::vector<std::pair<CallId, std::uint64_t>> orders;
+  orders.reserve(std::min<std::size_t>(n, r.remaining() / 16));  // n comes off the wire
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const CallId id{r.u64()};
+    orders.emplace_back(id, r.u64());
+  }
+  return orders;
 }
 
 void TotalOrder::begin_reconciliation() {

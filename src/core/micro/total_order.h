@@ -39,6 +39,8 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/events.h"
 #include "core/grpc_state.h"
@@ -101,6 +103,9 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   void begin_reconciliation();
   void finish_reconciliation();
   [[nodiscard]] Buffer encode_order_info(std::uint64_t floor) const;
+  /// Throws CodecError on malformed args.
+  [[nodiscard]] static std::vector<std::pair<CallId, std::uint64_t>> decode_order_info(
+      const Buffer& args);
 
   GrpcState& state_;
   GroupId group_;

@@ -14,9 +14,18 @@ void UniqueExecution::start(runtime::Framework& fw) {
                         const CallId id = ctx.arg_as<CallEvent>().id;
                         if (auto rec = state_.find_server(id)) {
                           old_results_[id] = rec->args;
+                          journal(Change::kResultStored, id, rec->args);
                         }
                         co_return;
                       });
+}
+
+void UniqueExecution::journal(Change op, CallId id, Buffer result) {
+  if (state_.journal_checkpoints) journal_.add({op, id, std::move(result)});
+}
+
+void UniqueExecution::free_result(CallId id) {
+  if (old_results_.erase(id) != 0) journal(Change::kResultFreed, id);
 }
 
 void UniqueExecution::queue_ack(ProcessId dest, std::uint64_t id) {
@@ -61,7 +70,7 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
     case net::MsgType::kCall: {
       // A retransmitted Call may piggyback one acknowledgement in its
       // otherwise-unused ackid field (see Reliable Communication).
-      if (msg.ackid != 0) old_results_.erase(CallId{msg.ackid});
+      if (msg.ackid != 0) free_result(CallId{msg.ackid});
       if (auto it = old_results_.find(msg.id); it != old_results_.end()) {
         // Completed before: answer from the stored result, do not re-execute.
         ++duplicates_suppressed_;
@@ -83,7 +92,7 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
         ctx.cancel();
       } else {
         old_calls_.insert(msg.id);
-        if (state_.journal_checkpoints) journal_.add(msg.id);
+        journal(Change::kCallSeen, msg.id);
       }
       break;
     }
@@ -94,10 +103,8 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
       break;
     }
     case net::MsgType::kAck:
-      old_results_.erase(CallId{msg.ackid});
-      for (std::uint64_t id : net::decode_ack_batch(msg.args)) {
-        old_results_.erase(CallId{id});
-      }
+      free_result(CallId{msg.ackid});
+      for (std::uint64_t id : net::decode_ack_batch(msg.args)) free_result(CallId{id});
       break;
     case net::MsgType::kOrder:
     case net::MsgType::kOrderQuery:
@@ -110,30 +117,6 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
 void UniqueExecution::encode_state(Writer& w) const {
   w.u32(static_cast<std::uint32_t>(old_calls_.size()));
   for (CallId id : old_calls_) w.u64(id.value());
-  encode_results(w);
-}
-
-void UniqueExecution::decode_state(Reader& r) {
-  old_calls_.clear();
-  journal_.clear();
-  const std::uint32_t n_calls = r.u32();
-  for (std::uint32_t i = 0; i < n_calls; ++i) old_calls_.insert(CallId{r.u64()});
-  decode_results(r);
-}
-
-void UniqueExecution::encode_delta(Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(journal_.entries().size()));
-  for (CallId id : journal_.entries()) w.u64(id.value());
-  encode_results(w);
-}
-
-void UniqueExecution::apply_delta(Reader& r) {
-  const std::uint32_t n_calls = r.u32();
-  for (std::uint32_t i = 0; i < n_calls; ++i) old_calls_.insert(CallId{r.u64()});
-  decode_results(r);
-}
-
-void UniqueExecution::encode_results(Writer& w) const {
   w.u32(static_cast<std::uint32_t>(old_results_.size()));
   for (const auto& [id, args] : old_results_) {
     w.u64(id.value());
@@ -141,12 +124,41 @@ void UniqueExecution::encode_results(Writer& w) const {
   }
 }
 
-void UniqueExecution::decode_results(Reader& r) {
+void UniqueExecution::decode_state(Reader& r) {
+  old_calls_.clear();
   old_results_.clear();
+  journal_.clear();
+  const std::uint32_t n_calls = r.u32();
+  for (std::uint32_t i = 0; i < n_calls; ++i) old_calls_.insert(CallId{r.u64()});
   const std::uint32_t n_results = r.u32();
   for (std::uint32_t i = 0; i < n_results; ++i) {
     const CallId id{r.u64()};
     old_results_[id] = r.raw();
+  }
+}
+
+void UniqueExecution::encode_delta(Writer& w) const {
+  w.u32(static_cast<std::uint32_t>(journal_.entries().size()));
+  for (const JournalEntry& e : journal_.entries()) {
+    w.u8(static_cast<std::uint8_t>(e.op));
+    w.u64(e.id.value());
+    if (e.op == Change::kResultStored) w.raw(e.result.bytes());
+  }
+}
+
+void UniqueExecution::apply_delta(Reader& r) {
+  // Replayed in journal order: a result stored and freed within one chain
+  // ends up absent, exactly as on the live server.
+  const std::uint32_t n = r.u32();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto op = static_cast<Change>(r.u8());  // any u8 fits the enum
+    const CallId id{r.u64()};
+    switch (op) {
+      case Change::kCallSeen: old_calls_.insert(id); break;
+      case Change::kResultStored: old_results_[id] = r.raw(); break;
+      case Change::kResultFreed: old_results_.erase(id); break;
+      default: throw CodecError("Unique Execution: bad checkpoint journal op");
+    }
   }
 }
 

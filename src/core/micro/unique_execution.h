@@ -17,7 +17,9 @@
 // "at least once" to "exactly once" (paper Figure 1).  The duplicate tables
 // are volatile; to preserve uniqueness across a server crash, configure
 // Atomic Execution, which includes this micro-protocol's tables in its
-// checkpoints (CheckpointParticipant).
+// checkpoints (CheckpointParticipant).  With it, every change to the tables
+// -- a call seen, a result stored, a result freed by an ACK -- is journaled,
+// and each checkpoint delta carries just those changes.
 #pragma once
 
 #include <map>
@@ -40,9 +42,9 @@ class UniqueExecution : public runtime::MicroProtocol, public CheckpointParticip
   // server state that Atomic Execution rolls back on recovery.
   void encode_state(Writer& w) const override;
   void decode_state(Reader& r) override;
-  // A delta carries the OldCalls inserts journaled since the last committed
-  // record plus OldResults whole (entries leave it on every ACK, so it holds
-  // only results not yet acknowledged).
+  // A delta carries every change journaled since the last committed record,
+  // in order: OldCalls inserts, stored results and freed results.  Layout:
+  //   n:u32 (op:u8 id:u64 [result:raw if op is kResultStored])*n
   void encode_delta(Writer& w) const override;
   void apply_delta(Reader& r) override;
   [[nodiscard]] std::uint64_t journal_end() const override { return journal_.end(); }
@@ -50,8 +52,11 @@ class UniqueExecution : public runtime::MicroProtocol, public CheckpointParticip
 
   [[nodiscard]] std::size_t old_calls() const { return old_calls_.size(); }
   [[nodiscard]] std::size_t stored_results() const { return old_results_.size(); }
-  /// OldCalls inserts not yet held by a committed checkpoint record (always
-  /// 0 without Atomic Execution).
+  /// OldResults: the stored result of each call not yet acknowledged.
+  [[nodiscard]] const std::map<CallId, Buffer>& results() const { return old_results_; }
+  /// Table changes (OldCalls inserts, OldResults stores and frees) not yet
+  /// held by a committed checkpoint record (always 0 without Atomic
+  /// Execution).
   [[nodiscard]] std::size_t journaled() const { return journal_.entries().size(); }
   [[nodiscard]] std::uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
   /// ACK messages actually sent vs. acknowledgements delivered: the gap is
@@ -63,8 +68,16 @@ class UniqueExecution : public runtime::MicroProtocol, public CheckpointParticip
   [[nodiscard]] sim::Task<> msg_from_net(runtime::EventContext& ctx);
   void queue_ack(ProcessId dest, std::uint64_t id);
   void flush_acks();
-  void encode_results(Writer& w) const;
-  void decode_results(Reader& r);
+  /// One change to the checkpointed tables; the values are stored bytes.
+  enum class Change : std::uint8_t { kCallSeen = 0, kResultStored = 1, kResultFreed = 2 };
+  struct JournalEntry {
+    Change op;
+    CallId id;
+    Buffer result;  ///< kResultStored only; an O(1) copy-on-write share
+  };
+  void journal(Change op, CallId id, Buffer result = {});
+  /// Erases a stored result once its ACK arrives (journaled only if present).
+  void free_result(CallId id);
 
   GrpcState& state_;
   runtime::Framework* fw_ = nullptr;
@@ -72,7 +85,7 @@ class UniqueExecution : public runtime::MicroProtocol, public CheckpointParticip
   bool flush_armed_ = false;
   std::set<CallId> old_calls_;
   std::map<CallId, Buffer> old_results_;
-  CheckpointJournal<CallId> journal_;  ///< OldCalls inserts for the next delta
+  CheckpointJournal<JournalEntry> journal_;  ///< table changes for the next delta
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t ack_messages_sent_ = 0;
   std::uint64_t acks_queued_ = 0;

@@ -50,7 +50,13 @@ sim::Task<CallResult> P2pRpc::call(ProcessId server, OpId op, Buffer args) {
 }
 
 sim::Task<> P2pRpc::on_packet(net::Packet pkt) {
-  net::NetMessage msg = net::NetMessage::decode(pkt.payload);
+  net::NetMessage msg;
+  try {
+    msg = net::NetMessage::decode(pkt.payload);
+  } catch (const CodecError& e) {
+    malformed_.note("p2p", pkt.src, transport_.now(), e.what());
+    co_return;
+  }
   switch (msg.type) {
     case net::MsgType::kCall:
       co_await serve_call(std::move(msg));

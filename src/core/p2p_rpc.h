@@ -50,6 +50,8 @@ class P2pRpc {
   [[nodiscard]] sim::Task<CallResult> call(ProcessId server, OpId op, Buffer args);
 
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
+  /// Packets dropped because they did not decode.
+  [[nodiscard]] std::uint64_t malformed_dropped() const { return malformed_.count(); }
 
  private:
   struct Pending {
@@ -84,6 +86,7 @@ class P2pRpc {
   TimerId retrans_timer_{};
   bool timer_armed_ = false;
   std::uint64_t retransmissions_ = 0;
+  net::MalformedDrops malformed_;
 };
 
 }  // namespace ugrpc::core

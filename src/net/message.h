@@ -13,12 +13,16 @@
 // marshalling.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "common/buffer.h"
 #include "common/ids.h"
+#include "common/log.h"
+#include "common/rate_limited_log.h"
 
 namespace ugrpc::net {
 
@@ -58,7 +62,8 @@ struct NetMessage {
   std::uint64_t ackid = 0;  ///< acked call id (kAck) or assigned order (kOrder)
 
   [[nodiscard]] Buffer encode() const;
-  /// Throws CodecError on malformed input.
+  /// Throws CodecError on malformed input, including a kAck whose batch
+  /// (see encode_ack_batch) does not hold the ids its count announces.
   [[nodiscard]] static NetMessage decode(const Buffer& buf);
 
   friend bool operator==(const NetMessage&, const NetMessage&) = default;
@@ -98,18 +103,45 @@ inline Buffer NetMessage::encode() const {
 
 /// Extra acked ids carried in a kAck's args; tolerant of malformed payloads
 /// (returns the ids decoded before the error -- acks are best-effort GC).
+/// NetMessage::decode already rejects a kAck whose batch is malformed.
 [[nodiscard]] inline std::vector<std::uint64_t> decode_ack_batch(const Buffer& args) {
   std::vector<std::uint64_t> ids;
   if (args.empty()) return ids;
   try {
     Reader r(args);
     const std::uint32_t count = r.u32();
-    ids.reserve(count);
+    // The count comes off the wire: reserve no more ids than the bytes hold.
+    ids.reserve(std::min<std::size_t>(count, r.remaining() / 8));
     for (std::uint32_t i = 0; i < count; ++i) ids.push_back(r.u64());
   } catch (const CodecError&) {
   }
   return ids;
 }
+
+/// Messages dropped because their bytes did not decode.  A peer's bug or a
+/// corrupted datagram costs that one message, never the receiving site: the
+/// drop is counted exactly and logged at most once a second per sender, with
+/// the number suppressed since the last line (RateLimitedLog).
+class MalformedDrops {
+ public:
+  void note(std::string_view where, ProcessId from, std::int64_t now, const char* what) {
+    ++count_;
+    if (const std::uint64_t n = log_.occurrences_to_log(from.value(), now); n == 1) {
+      UGRPC_LOG(kWarn, "%.*s: dropped malformed message from %u: %s",
+                static_cast<int>(where.size()), where.data(), from.value(), what);
+    } else if (n > 1) {
+      UGRPC_LOG(kWarn, "%.*s: dropped %llu malformed messages from %u since last report",
+                static_cast<int>(where.size()), where.data(), static_cast<unsigned long long>(n),
+                from.value());
+    }
+  }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+
+ private:
+  static constexpr std::int64_t kLogPeriodUs = 1'000'000;
+  std::uint64_t count_ = 0;
+  RateLimitedLog log_{kLogPeriodUs};
+};
 
 inline NetMessage NetMessage::decode(const Buffer& buf) {
   Reader r(buf);
@@ -126,6 +158,12 @@ inline NetMessage NetMessage::decode(const Buffer& buf) {
   m.sender = ProcessId{r.u32()};
   m.inc = r.u32();
   m.ackid = r.u64();
+  if (m.type == MsgType::kAck && !m.args.empty()) {
+    // A batch must hold exactly the ids its count announces.
+    Reader batch(m.args);
+    const std::uint32_t count = batch.u32();
+    if (batch.remaining() != std::size_t{count} * 8) throw CodecError("NetMessage: bad ack batch");
+  }
   return m;
 }
 

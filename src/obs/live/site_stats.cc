@@ -13,7 +13,8 @@ SiteStats::SiteStats()
       watchdog_stalled(registry_.counter("watchdog.stalled_calls")),
       watchdog_orphaned(registry_.counter("watchdog.orphaned_entries")),
       watchdog_trips(registry_.counter("watchdog.trips")),
-      flight_dumps(registry_.counter("flight.dumps")) {}
+      flight_dumps(registry_.counter("flight.dumps")),
+      msgs_malformed(registry_.counter("msgs.malformed")) {}
 
 void SiteStats::attach_tracer(const Tracer& t) {
   const auto bind_kind = [&](const std::string& name, Kind k) {

@@ -67,6 +67,7 @@ class SiteStats {
   Counter& watchdog_orphaned;    ///< sRPC entries newly flagged as orphaned
   Counter& watchdog_trips;       ///< watchdog trips (first stall of a sweep)
   Counter& flight_dumps;         ///< flight-recorder dumps written
+  Counter& msgs_malformed;       ///< gRPC messages dropped as undecodable
 };
 
 }  // namespace ugrpc::obs::live

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
 #include <string>
 
@@ -82,6 +83,33 @@ TEST(Codec, RoundTripsNestedRawBuffer) {
   EXPECT_EQ(decoded, inner);
   Reader ri(decoded);
   EXPECT_EQ(ri.u32(), 77u);
+}
+
+TEST(Codec, InPlaceRawMatchesRaw) {
+  Buffer payload;
+  Writer(payload).str("nested part");
+  Buffer expected;
+  Writer we(expected);
+  we.u8(1);
+  we.raw(payload.bytes());
+  we.raw({});
+  Buffer in_place;
+  Writer w(in_place);
+  w.u8(1);
+  const std::size_t part = w.begin_raw();
+  w.str("nested part");
+  w.end_raw(part);
+  w.end_raw(w.begin_raw());
+  EXPECT_EQ(in_place, expected);
+}
+
+TEST(Buffer, OverwriteDetachesSharedStorage) {
+  Buffer a;
+  Writer(a).u32(0x01020304);
+  const Buffer b = a;
+  a.overwrite(1, std::array{std::byte{0xff}});
+  EXPECT_EQ(Reader(a).u32(), 0x0102ff04u);
+  EXPECT_EQ(Reader(b).u32(), 0x01020304u);
 }
 
 TEST(Codec, ReaderThrowsOnTruncatedInteger) {

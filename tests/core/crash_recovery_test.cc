@@ -8,7 +8,9 @@
 // rolls back to the last checkpoint, so every call is all-or-nothing.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "core/micro/acceptance.h"
@@ -287,8 +289,11 @@ TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
   auto watch = [&]() -> sim::Task<> {
     while (read_var(server.stable(), "b") < 6) co_await s.scheduler().sleep_for(sim::msec(1));
     EXPECT_EQ(server.grpc().atomic()->checkpoints_taken(), 5u);
-    EXPECT_EQ(server.grpc().unique()->journaled(), 1u)
-        << "the 6th call's OldCalls entry waits for its record to be committed";
+    // Three changes wait for the 6th call's record to be committed: its
+    // OldCalls insert, its stored result, and the free of the 5th call's
+    // result (that ACK arrived after the 5th record was committed).
+    EXPECT_EQ(server.grpc().unique()->journaled(), 3u)
+        << "the 6th call's changes wait for its record to be committed";
     server.crash();
     crashed = true;
     s.scheduler().schedule_after(sim::msec(50), [&] { server.recover(); });
@@ -314,7 +319,9 @@ TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
   // The lost record's entry came back with the retransmission and went
   // into a later record: after a second crash all ten calls are known.
   s.run_for(sim::msec(100));
-  EXPECT_EQ(server.grpc().unique()->journaled(), 0u);
+  // Only the free from the 10th call's ACK is left: no later call wrote a
+  // record to hold it.
+  EXPECT_EQ(server.grpc().unique()->journaled(), 1u);
   server.crash();
   server.recover();
   s.run_for(sim::msec(1));
@@ -324,6 +331,71 @@ TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
   s.run_for(sim::msec(100));
   EXPECT_EQ(server.total_executions(), executions);
   EXPECT_EQ(read_var(server.stable(), "b"), 10u);
+}
+
+/// Keeps the client's queued acknowledgements from leaving, so the server
+/// keeps every result.  The ACK flush is a timer, and timers fire only after
+/// the fiber that just received its Reply has yielded.
+void withhold_acks(Scenario& s) { s.client_site(0).grpc().state().pending_acks.clear(); }
+
+TEST(CrashRecovery, DeltaSizeDoesNotGrowWithStoredResults) {
+  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  Site& server = s.server(0);
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    while (server.grpc().unique()->stored_results() < 60 ||
+           server.grpc().atomic()->chain_length() < 2) {
+      (void)co_await c.call(s.group(), kIncrementBoth, num_buf(0));
+      withhold_acks(s);
+    }
+  });
+  storage::StableStore& store = server.stable();
+  const auto newest = store.load_checkpoint(storage::StableAddress{*store.var("atomic.current")});
+  ASSERT_TRUE(newest.has_value());
+  // The newest record is a delta holding one call: its OldCalls insert and
+  // its 8-byte result.  Record header, user state and the journal entries
+  // take under 100 bytes; the 60 stored results alone would take 1,200.
+  EXPECT_LT(newest->size(), 100u) << "a delta must not carry the stored results whole";
+}
+
+TEST(CrashRecovery, ChainReplaysStoredAndFreedResults) {
+  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  Site& server = s.server(0);
+  AtomicExecution& atomic = *server.grpc().atomic();
+  // Call pairs until both records of a pair land as deltas on one chain:
+  // `freed` is stored by the first record and freed by the second (its ACK
+  // arrives while the second call executes); `live` is stored by the second
+  // and stays, its ACK withheld.
+  CallId freed;
+  CallId live;
+  bool ready = false;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    for (int i = 0; i < 200 && !ready; ++i) {
+      freed = (co_await c.call(s.group(), kIncrementBoth, num_buf(0))).id;
+      const std::size_t chain_after_freed = atomic.chain_length();
+      live = (co_await c.call(s.group(), kIncrementBoth, num_buf(0))).id;
+      withhold_acks(s);
+      ready = chain_after_freed >= 2 && atomic.chain_length() == chain_after_freed + 1;
+    }
+  });
+  ASSERT_TRUE(ready);
+  const std::map<CallId, Buffer> before = server.grpc().unique()->results();
+  ASSERT_FALSE(before.contains(freed));
+  ASSERT_TRUE(before.contains(live));
+
+  server.crash();
+  server.recover();
+  s.run_for(sim::msec(1));
+  EXPECT_EQ(server.grpc().unique()->results(), before);
+
+  // A duplicate of the live call is answered from its stored result: the
+  // client acknowledges that answer, which frees the result again.
+  const std::uint64_t executions = server.total_executions();
+  const std::uint64_t suppressed = server.grpc().unique()->duplicates_suppressed();
+  resend_call(s, live);
+  s.run_for(sim::msec(100));
+  EXPECT_EQ(server.total_executions(), executions) << "a completed call must not re-execute";
+  EXPECT_EQ(server.grpc().unique()->duplicates_suppressed(), suppressed + 1);
+  EXPECT_FALSE(server.grpc().unique()->results().contains(live));
 }
 
 TEST(CrashRecovery, NoJournalWithoutAtomicExecution) {
@@ -387,6 +459,34 @@ TEST(CrashRecoveryDeathTest, TruncatedDeltaIsRejected) {
         s.run_for(sim::msec(1));
       },
       "truncated record");
+}
+
+TEST(CrashRecoveryDeathTest, CorruptJournalOpIsRejected) {
+  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  crashed_with_chain(s);
+  storage::StableStore& store = s.server(0).stable();
+  const auto chain =
+      AtomicExecution::load_chain(store, storage::StableAddress{*store.var("atomic.current")});
+  // Rewrite the newest delta with its first Unique Execution journal entry's
+  // op byte (after the entry count) set to an op that does not exist.
+  const AtomicExecution::ChainRecord& newest = chain.back();
+  ASSERT_EQ(newest.parts.size(), 1u);
+  Buffer part = newest.parts.front();
+  ASSERT_GT(Reader(part).u32(), 0u);
+  part.overwrite(4, std::array{std::byte{0x7f}});
+  Buffer record;
+  Writer w(record);
+  w.u64(chain[chain.size() - 2].addr.value());
+  w.raw(newest.user_state.bytes());
+  w.u32(1);
+  w.raw(part.bytes());
+  store.set_var("atomic.current", store.store_checkpoint(record).value());
+  EXPECT_DEATH(
+      {
+        s.server(0).recover();
+        s.run_for(sim::msec(1));
+      },
+      "corrupt participant state");
 }
 
 TEST(CrashRecovery, ServerGroupMasksSingleCrash) {

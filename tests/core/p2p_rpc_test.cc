@@ -52,6 +52,18 @@ TEST(P2pRpc, EchoRoundTrip) {
   EXPECT_EQ(f.server_user.executions(), 1u);
 }
 
+TEST(P2pRpc, MalformedPacketIsDroppedAndCounted) {
+  P2pFixture f;
+  Buffer junk;
+  for (int v : {9, 1, 2}) junk.push_back(static_cast<std::byte>(v));
+  f.client_ep.send(ProcessId{2}, kP2pProto, junk);
+  f.sched.run_for(sim::msec(10));
+  EXPECT_EQ(f.server->malformed_dropped(), 1u);
+  const CallResult r = f.run_one_call(42);
+  EXPECT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(Reader(r.result).u64(), 42u);
+}
+
 TEST(P2pRpc, SurvivesLossWithRetransmission) {
   P2pRpc::Options opt;
   opt.retrans_timeout = sim::msec(20);

@@ -18,6 +18,51 @@ Buffer num_buf(std::uint64_t v) {
   return b;
 }
 
+Buffer bytes_of(std::initializer_list<int> values) {
+  Buffer b;
+  for (int v : values) b.push_back(static_cast<std::byte>(v));
+  return b;
+}
+
+// Bytes from the network never crash a site: a gRPC payload that does not
+// decode, or an ACK whose batch count runs past its bytes, is dropped and
+// counted, and the site goes on serving calls.
+TEST(Regression, MalformedGrpcMessagesAreDroppedAndCounted) {
+  ScenarioParams p;
+  p.num_servers = 1;
+  p.config.acceptance_limit = 1;
+  p.config.reliable_communication = true;
+  p.config.unique_execution = true;
+  Scenario s(std::move(p));
+  const ProcessId server = Scenario::server_id(0);
+
+  net::NetMessage call;
+  call.type = net::MsgType::kCall;
+  call.id = CallId{1};
+  call.args = num_buf(1);
+  Buffer truncated;
+  truncated.append(call.encode().bytes().subspan(0, 10));
+  net::NetMessage ack;
+  ack.type = net::MsgType::kAck;
+  ack.sender = s.client_id(0);
+  ack.ackid = 1;
+  Writer(ack.args).u32(0xFFFFFFF0u);  // a batch of ~4 billion ids, none present
+
+  net::Endpoint& from = s.client_site(0).grpc().state().endpoint;
+  for (const Buffer& payload : {bytes_of({9, 1, 2}), Buffer{}, truncated, ack.encode()}) {
+    from.send(server, kGrpcProto, payload);
+  }
+  s.run_for(sim::msec(10));
+  EXPECT_EQ(s.server(0).grpc().state().malformed.count(), 4u);
+
+  CallResult result;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    result = co_await c.call(s.group(), kOp, num_buf(42));
+  });
+  EXPECT_EQ(result.status, Status::kOk);
+  EXPECT_EQ(Reader(result.result).u64(), 42u);
+}
+
 // Hazard 1: Total Order's early duplicate-cancel used to run before Unique
 // Execution could resend a stored result.  A client whose Reply is lost
 // must recover via retransmission even for a call the server has already

@@ -126,6 +126,39 @@ TEST(TotalOrderAgreement, BootReconciliationDoesNotBlockFreshGroup) {
   EXPECT_LT(elapsed, sim::msec(150)) << "boot reconciliation must not stall early calls";
 }
 
+TEST(TotalOrderAgreement, MalformedOrderInfoIsDroppedAndCounted) {
+  Logs logs;
+  ScenarioParams p = agreement_params(logs, true);
+  p.num_clients = 1;
+  Scenario s(std::move(p));
+  GrpcComposite& leader = s.server(2).grpc();
+  // Hold the members' real answers back so the leader's boot round is
+  // still open when the garbage arrives.
+  for (int i = 0; i < 2; ++i) {
+    s.network().link(Scenario::server_id(i), Scenario::server_id(2)).partitioned = true;
+  }
+  net::NetMessage info;
+  info.type = net::MsgType::kOrderInfo;
+  info.server = s.group();
+  info.sender = Scenario::server_id(0);
+  Writer(info.args).u32(1'000'000);  // announces a million pairs, carries none
+  s.client_site(0).grpc().state().net_push(Scenario::server_id(2), info);
+  s.run_for(sim::msec(5));
+  EXPECT_TRUE(leader.total()->reconciling());
+  EXPECT_EQ(leader.state().malformed.count(), 1u);
+
+  for (int i = 0; i < 2; ++i) {
+    s.network().link(Scenario::server_id(i), Scenario::server_id(2)).partitioned = false;
+  }
+  CallResult result;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    CallHandle h = co_await c.call_async(s.group(), kOp, num_buf(1));
+    result = co_await h.get();
+  }, sim::seconds(30));
+  EXPECT_EQ(result.status, Status::kOk);
+  EXPECT_FALSE(leader.total()->reconciling());
+}
+
 TEST(TotalOrderAgreement, WithoutAgreementHazardCanDiverge) {
   // Ablation: reproduce the paper's omission.  Under the same hazardous
   // schedule the survivors may execute different sequences (divergence or

@@ -72,5 +72,25 @@ TEST(DecodeFuzz, BitflipSweepOfValidMessage) {
   SUCCEED();
 }
 
+TEST(DecodeFuzz, AckBatchCountPastItsBytes) {
+  Buffer args;
+  Writer w(args);
+  w.u32(0xFFFFFFF0u);
+  w.u64(7);
+  // The count off the wire must not size the reservation: 0xFFFFFFF0 ids
+  // would be 32 GiB, asked for before a single id is read.
+  EXPECT_EQ(decode_ack_batch(args), std::vector<std::uint64_t>({7}));
+
+  NetMessage ack;
+  ack.type = MsgType::kAck;
+  ack.ackid = 5;
+  ack.args = args;
+  EXPECT_THROW((void)NetMessage::decode(ack.encode()), CodecError);
+  const std::vector<std::uint64_t> extra{8, 9};
+  ack.args = encode_ack_batch(extra);
+  EXPECT_EQ(NetMessage::decode(ack.encode()), ack);
+  EXPECT_EQ(decode_ack_batch(ack.args), extra);
+}
+
 }  // namespace
 }  // namespace ugrpc::net
