@@ -41,6 +41,9 @@ struct Config {
   ExecutionMode execution = ExecutionMode::kPlain;
   bool unique_execution = false;
   bool reliable_communication = false;
+  /// Reliable Communication's retransmission timeout before a server's
+  /// first round-trip sample, and the ceiling of its RTT-derived, backed-off
+  /// timeout afterwards.
   sim::Duration retrans_timeout = sim::msec(50);
   /// Bounded Termination is configured iff this holds a time bound.
   std::optional<sim::Duration> termination_bound;

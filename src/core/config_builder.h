@@ -70,7 +70,8 @@ class ConfigBuilder {
     config_.unique_execution = on;
     return *this;
   }
-  /// Enables retransmission with the given period.
+  /// Enables retransmission; `retrans_timeout` is the initial timeout and
+  /// its ceiling (see Config::retrans_timeout).
   ConfigBuilder& reliable_communication(sim::Duration retrans_timeout = sim::msec(50)) {
     config_.reliable_communication = true;
     config_.retrans_timeout = retrans_timeout;

@@ -88,6 +88,11 @@ using HoldArray = std::array<bool, kHoldCount>;
 struct PendingServer {
   bool acked = false;  ///< Reliable Communication: call receipt acknowledged
   bool done = false;   ///< Acceptance: response received (or server failed)
+  /// Reliable Communication: when the Call last went to this server, and how
+  /// often it was retransmitted (the timeout doubles per retry; a Reply
+  /// yields a round-trip sample only while this is 0, Karn's rule).
+  sim::Time sent_at = 0;
+  int retries = 0;
 };
 
 struct ClientRecord {

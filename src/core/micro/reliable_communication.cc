@@ -1,105 +1,182 @@
 #include "core/micro/reliable_communication.h"
 
+#include <algorithm>
+#include <cstdlib>
+#include <limits>
+
 #include "core/priorities.h"
 
 namespace ugrpc::core {
+
+namespace {
+/// No deadline: nothing to arm for.
+constexpr sim::Time kNever = std::numeric_limits<sim::Time>::max();
+}  // namespace
 
 void ReliableCommunication::start(runtime::Framework& fw) {
   fw_ = &fw;
   fw.register_handler(kNewRpcCall, "ReliableComm.handle_new_call", kPrioNewReliable,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         auto rec = state_.find_client(ctx.arg_as<CallEvent>().id);
-                        if (rec != nullptr) {
-                          for (auto& [p, ps] : rec->pending) ps.acked = false;
+                        if (rec == nullptr) co_return;
+                        // RPC Main multicasts the Call right after this
+                        // event's chain, at the same transport time.
+                        const sim::Time now = state_.transport.now();
+                        for (auto& [p, ps] : rec->pending) {
+                          ps.acked = false;
+                          ps.sent_at = now;
+                          ps.retries = 0;
                         }
-                        arm_timer(*fw_);
+                        if (armed_ && !state_.pRPC.contains(armed_for_)) {
+                          // The timer waits for a call that has completed
+                          // and left the table; rather than let it fire for
+                          // nothing, move it to the earliest live deadline.
+                          fw_->cancel_timeout(timer_);
+                          armed_ = false;
+                          arm_earliest();
+                        } else {
+                          arm_timer(first_deadline(*rec), rec->id);
+                        }
                         co_return;
                       });
   fw.register_handler(kMsgFromNetwork, "ReliableComm.msg_from_net", kPrioNetReliable,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         const auto& msg = ctx.arg_as<net::NetMessage>();
+                        const auto ack = [&](CallId id) -> PendingServer* {
+                          auto rec = state_.find_client(id);
+                          if (rec == nullptr) return nullptr;
+                          auto it = rec->pending.find(msg.sender);
+                          if (it == rec->pending.end() || it->second.acked) return nullptr;
+                          it->second.acked = true;
+                          return &it->second;
+                        };
                         if (msg.type == net::MsgType::kReply) {
-                          if (auto rec = state_.find_client(msg.id)) {
-                            auto it = rec->pending.find(msg.sender);
-                            if (it != rec->pending.end()) it->second.acked = true;
+                          PendingServer* ps = ack(msg.id);
+                          if (ps != nullptr && ps->retries == 0) {
+                            sample_rtt(msg.sender, state_.transport.now() - ps->sent_at);
                           }
                         } else if (msg.type == net::MsgType::kAck) {
-                          if (auto rec = state_.find_client(CallId{msg.ackid})) {
-                            auto it = rec->pending.find(msg.sender);
-                            if (it != rec->pending.end()) it->second.acked = true;
-                          }
+                          (void)ack(CallId{msg.ackid});
                           // A batched ACK may acknowledge receipt of several
                           // calls at once (see net/message.h).
                           for (std::uint64_t extra : net::decode_ack_batch(msg.args)) {
-                            if (auto rec = state_.find_client(CallId{extra})) {
-                              auto it = rec->pending.find(msg.sender);
-                              if (it != rec->pending.end()) it->second.acked = true;
-                            }
+                            (void)ack(CallId{extra});
                           }
                         }
                         co_return;
                       });
 }
 
-void ReliableCommunication::arm_timer(runtime::Framework& fw) {
-  // The paper's handler re-registers itself for TIMEOUT at the end of each
-  // run, making it periodic.  Optimization over the paper: the timer is
-  // armed only while calls are pending, so an idle client (and hence the
-  // whole simulation) can quiesce.
-  if (armed_) return;
-  armed_ = true;
-  fw.register_timeout("ReliableComm.handle_timeout", retrans_timeout_,
-                      [this, &fw]() -> sim::Task<> {
-                        armed_ = false;
-                        co_await handle_timeout();
-                        if (!state_.pRPC.empty()) arm_timer(fw);
-                      });
+std::optional<ReliableCommunication::RttEstimate> ReliableCommunication::rtt(
+    ProcessId peer) const {
+  auto it = peers_.find(peer);
+  if (it == peers_.end()) return std::nullopt;
+  return it->second;
 }
 
-sim::Task<> ReliableCommunication::handle_timeout() {
-  // Snapshot the record set into reused scratch storage: retransmission
-  // sends may interleave with table mutations from other fibers, but the
-  // snapshot itself costs no allocation in steady state.
-  scratch_.clear();
-  scratch_.reserve(state_.pRPC.size());
+sim::Duration ReliableCommunication::rto(ProcessId peer) const {
+  auto it = peers_.find(peer);
+  if (it == peers_.end()) return retrans_timeout_;
+  const RttEstimate& e = it->second;
+  return std::min(retrans_timeout_, e.srtt + std::max(kClockGranularity, 4 * e.rttvar));
+}
+
+void ReliableCommunication::sample_rtt(ProcessId peer, sim::Duration r) {
+  // RFC 6298 section 2, in integer microseconds (alpha = 1/8, beta = 1/4).
+  RttEstimate& e = peers_[peer];
+  if (e.samples++ == 0) {
+    e.srtt = r;
+    e.rttvar = r / 2;
+  } else {
+    e.rttvar = (3 * e.rttvar + std::abs(e.srtt - r)) / 4;
+    e.srtt = (7 * e.srtt + r) / 8;
+  }
+}
+
+sim::Time ReliableCommunication::deadline(ProcessId peer, const PendingServer& ps) const {
+  sim::Duration timeout = rto(peer);
+  for (int i = 0; i < ps.retries && timeout < retrans_timeout_; ++i) timeout *= 2;
+  return ps.sent_at + std::min(timeout, retrans_timeout_);
+}
+
+sim::Time ReliableCommunication::first_deadline(const ClientRecord& rec) const {
+  sim::Time first = kNever;
+  for (const auto& [p, ps] : rec.pending) {
+    if (!ps.acked) first = std::min(first, deadline(p, ps));
+  }
+  return first;
+}
+
+void ReliableCommunication::arm_timer(sim::Time at, CallId call) {
+  // The paper's handler re-registers itself for TIMEOUT at the end of each
+  // run, making it periodic.  Here the one armed timeout tracks the earliest
+  // deadline instead, and nothing is armed while no call is pending, so an
+  // idle client (and hence the whole simulation) can quiesce.
+  if (at == kNever) return;
+  if (armed_) {
+    if (armed_at_ <= at) return;
+    fw_->cancel_timeout(timer_);
+  }
+  armed_ = true;
+  armed_at_ = at;
+  armed_for_ = call;
+  timer_ = fw_->register_timeout("ReliableComm.handle_timeout",
+                                 std::max<sim::Duration>(0, at - state_.transport.now()),
+                                 [this]() -> sim::Task<> {
+                                   armed_ = false;
+                                   resend_due();
+                                   co_return;
+                                 });
+}
+
+void ReliableCommunication::arm_earliest() {
+  sim::Time at = kNever;
+  CallId call{};
   for (const auto& [id, rec] : state_.pRPC) {
-    for (const auto& [p, ps] : rec->pending) {
-      if (!ps.acked) {
-        scratch_.push_back(rec);
-        break;
-      }
+    const sim::Time first = first_deadline(*rec);
+    if (first < at) {
+      at = first;
+      call = id;
     }
   }
+  arm_timer(at, call);
+}
+
+void ReliableCommunication::resend_due() {
+  // Sends never run protocol code in place, so nothing mutates pRPC while
+  // this walks it.
+  const sim::Time now = state_.transport.now();
   const obs::SpanCtx saved_ctx = state_.ambient();
-  for (const auto& rec : scratch_) {
-    net::NetMessage msg;
-    msg.type = net::MsgType::kCall;
-    msg.id = rec->id;
-    msg.op = rec->op;
-    msg.args = rec->request_args;  // shared, not deep-copied (COW Buffer)
-    msg.server = rec->server;
-    msg.sender = state_.my_id;
-    msg.inc = state_.inc_number;
-    // Re-enter the call's own trace context: the timer fiber's ambient is
-    // the timer span, but each retransmitted datagram belongs to the call it
-    // retries, so the span tree shows the retry under the original call.
-    state_.set_ambient(obs::SpanCtx{rec->id.value(), rec->span});
+  for (const auto& [id, rec] : state_.pRPC) {
     for (auto& [p, ps] : rec->pending) {
-      if (ps.acked) continue;
+      if (ps.acked || deadline(p, ps) > now) continue;
+      net::NetMessage msg;
+      msg.type = net::MsgType::kCall;
+      msg.id = rec->id;
+      msg.op = rec->op;
+      msg.args = rec->request_args;  // shared, not deep-copied (COW Buffer)
+      msg.server = rec->server;
+      msg.sender = state_.my_id;
+      msg.inc = state_.inc_number;
       // Piggyback one queued reply acknowledgement on the retransmission
       // (the kCall ackid field is otherwise unused) so the server can free
       // a stored result without waiting for the explicit batched ACK.
       msg.ackid = state_.take_piggyback_ack(p);
       if (msg.ackid != 0) ++piggybacked_acks_;
+      // Re-enter the call's own trace context: the timer fiber's ambient is
+      // the timer span, but each retransmitted datagram belongs to the call
+      // it retries, so the span tree shows the retry under the original call.
+      state_.set_ambient(obs::SpanCtx{rec->id.value(), rec->span});
       state_.net_push(p, msg);
+      ps.sent_at = now;
+      ++ps.retries;
       ++retransmissions_;
       if (state_.live) ++state_.live->retransmissions;
       state_.note(obs::Kind::kRetransmit, rec->id.value(), p.value());
     }
   }
   state_.set_ambient(saved_ctx);
-  scratch_.clear();
-  co_return;
+  arm_earliest();
 }
 
 }  // namespace ugrpc::core

@@ -1,19 +1,35 @@
 // Reliable Communication micro-protocol (paper section 4.4.3).
 //
 // Implements the standard retransmit-until-acknowledged scheme on the client
-// side: every `retrans_timeout` the call is retransmitted to each group
-// member that has neither replied nor acknowledged it.  A Reply counts as an
+// side: a call is retransmitted to each group member that has neither
+// replied nor acknowledged it once the call's copy to that member is older
+// than the member's retransmission timeout.  A Reply counts as an
 // acknowledgement; explicit ACK messages (possibly batched, see
 // net/message.h) also count.  Combined with RPC Main this gives unbounded
 // termination: "the client side keeps on trying until it gets a response".
 //
-// Timer coalescing: one periodic timer covers every in-flight call (armed
-// only while calls are pending, so an idle client quiesces).  Each
-// retransmitted Call additionally piggybacks one queued reply
-// acknowledgement in its unused ackid field, saving explicit ACK messages.
+// Adaptive timeout (Jacobson/Karels, RFC 6298): each peer has a smoothed
+// round trip SRTT and its variation RTTVAR, sampled from the Reply to a call
+// sent to that peer only once (Karn's rule: a reply to a retransmitted call
+// could answer any of its copies).  RTO = SRTT + max(G, 4 * RTTVAR), where G
+// is the real-time timer wheel's granularity (net/timer_wheel.h).  Each
+// pending copy records its last send time and retry count (PendingServer),
+// and its timeout is RTO doubled per retry.  `retrans_timeout` is both the
+// RTO before a peer's first sample and the ceiling of every timeout, so loss
+// recovery is never slower than a fixed `retrans_timeout` timer.
+//
+// Timer: one timeout stays armed, at the earliest deadline of any pending
+// copy (armed only while calls are pending, so an idle client quiesces).  A
+// new call re-arms it only if its deadline comes earlier, or if the call the
+// timer waits for has completed meanwhile (so a client whose calls finish
+// within the RTO does not pay a timer fire per call).  When the timer fires
+// it resends just the copies whose deadline has passed.  Each retransmitted
+// Call additionally piggybacks one queued reply acknowledgement in its
+// unused ackid field, saving explicit ACK messages.
 #pragma once
 
-#include <vector>
+#include <map>
+#include <optional>
 
 #include "core/events.h"
 #include "core/grpc_state.h"
@@ -24,6 +40,17 @@ namespace ugrpc::core {
 
 class ReliableCommunication : public runtime::MicroProtocol {
  public:
+  /// G in the RTO formula: the UDP timer wheel's tick, below which a shorter
+  /// timeout cannot be honoured anyway.
+  static constexpr sim::Duration kClockGranularity = sim::msec(1);
+
+  /// A peer's round-trip estimate (RFC 6298 state).
+  struct RttEstimate {
+    sim::Duration srtt = 0;
+    sim::Duration rttvar = 0;
+    std::uint64_t samples = 0;
+  };
+
   ReliableCommunication(GrpcState& state, sim::Duration retrans_timeout)
       : MicroProtocol("Reliable Communication"), state_(state),
         retrans_timeout_(retrans_timeout) {}
@@ -34,19 +61,35 @@ class ReliableCommunication : public runtime::MicroProtocol {
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
   /// Acks piggybacked onto retransmitted Calls (observability).
   [[nodiscard]] std::uint64_t piggybacked_acks() const { return piggybacked_acks_; }
+  /// `peer`'s round-trip estimate; nullopt before its first sample.
+  [[nodiscard]] std::optional<RttEstimate> rtt(ProcessId peer) const;
+  /// Timeout of a first transmission to `peer`.
+  [[nodiscard]] sim::Duration rto(ProcessId peer) const;
 
  private:
-  [[nodiscard]] sim::Task<> handle_timeout();
-  void arm_timer(runtime::Framework& fw);
+  void sample_rtt(ProcessId peer, sim::Duration r);
+  /// When the copy `ps` sent to `peer` is due for retransmission.
+  [[nodiscard]] sim::Time deadline(ProcessId peer, const PendingServer& ps) const;
+  /// The earliest deadline of `rec`'s unacknowledged copies.
+  [[nodiscard]] sim::Time first_deadline(const ClientRecord& rec) const;
+  /// Arms the timer at `call`'s deadline `at` unless it is already armed no
+  /// later.
+  void arm_timer(sim::Time at, CallId call);
+  /// Arms the timer at the earliest deadline of any pending call.
+  void arm_earliest();
+  /// Resends every copy whose deadline has passed, then re-arms.
+  void resend_due();
 
   GrpcState& state_;
   runtime::Framework* fw_ = nullptr;
   sim::Duration retrans_timeout_;
+  std::map<ProcessId, RttEstimate> peers_;
   bool armed_ = false;
+  sim::Time armed_at_ = 0;
+  CallId armed_for_{};  ///< the call whose deadline the timer is armed at
+  TimerId timer_{};
   std::uint64_t retransmissions_ = 0;
   std::uint64_t piggybacked_acks_ = 0;
-  /// Reused snapshot storage for handle_timeout (no per-tick allocation).
-  std::vector<std::shared_ptr<ClientRecord>> scratch_;
 };
 
 }  // namespace ugrpc::core

@@ -405,6 +405,9 @@ TEST(CrashRecovery, NoJournalWithoutAtomicExecution) {
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     for (int i = 0; i < 1000; ++i) (void)co_await c.call(s.group(), OpId{1}, num_buf(i));
   });
+  // The client returns once its acceptance is met; the last Call to a slower
+  // server may still be in flight, so let it land before counting.
+  s.run_for(sim::msec(100));
   for (int i = 0; i < s.num_servers(); ++i) {
     GrpcComposite& g = s.server(i).grpc();
     ASSERT_EQ(g.atomic(), nullptr);
