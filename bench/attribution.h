@@ -56,7 +56,7 @@ inline obs::Profile profile_config(core::Config config, int calls, std::uint64_t
   return prof;
 }
 
-/// Writes a BENCH_attribution-style artifact: one named Profile JSON object
+/// Writes an attribution artifact: one named Profile JSON object
 /// per section (e.g. one per Fig. 1 preset), plus the measured environment.
 /// Returns false (with a stderr diagnostic) when the file cannot be written.
 inline bool write_attribution_json(const std::string& path, const char* bench_name,

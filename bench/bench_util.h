@@ -36,7 +36,7 @@ struct Args {
 
 // ---- environment stamping ----
 //
-// Every BENCH_*.json emitter records the environment it actually ran in.
+// Every bench JSON emitter records the environment it actually ran in.
 // These are measured, not guessed: an early artifact shipped with
 // `"host_cpus": 1, "library_build_type": "debug"` because the fields were
 // filled in by hand, which is precisely the kind of number that poisons

@@ -20,7 +20,7 @@
 // With `--out PATH` the binary additionally runs the fully loaded
 // configuration under span tracing and emits a per-handler cost breakdown
 // (obs::Profile) -- the framework-level companion to modularity_tax's
-// per-preset BENCH_attribution.json.
+// per-preset attribution JSON.
 //
 //   usage: framework_overhead [--seed N] [--calls N] [--out PATH]
 //                             [google-benchmark flags...]
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
   if (!ugrpc::bench::write_attribution_json(
           out, "framework_overhead attribution",
           "Per-handler cost breakdown of the fully loaded configuration (3 servers, sequential "
-          "simulated calls) from span tracing; companion to BENCH_attribution.json.",
+          "simulated calls) from span tracing; companion to modularity_tax's attribution.",
           seed, calls, sections, "configs")) {
     return 1;
   }

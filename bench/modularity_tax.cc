@@ -16,12 +16,13 @@
 //
 // Beyond the end-to-end gap, the span profiler decomposes it: the binary
 // also runs the three Fig. 1 presets with span tracing enabled and emits
-// per-micro-protocol self-time percentiles into BENCH_attribution.json
-// (which micro-protocol a microsecond went to, not just that it went).
+// per-micro-protocol self-time percentiles into the JSON file named by
+// --out (which micro-protocol a microsecond went to, not just that it
+// went).
 //
 //   usage: modularity_tax [--seed N] [--calls N] [--out PATH]
 //                         [google-benchmark flags...]
-//   --out ""  skips the attribution pass (timing benches only).
+//   Without --out the attribution pass is skipped (timing benches only).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -80,7 +81,7 @@ void BM_P2pFastPath_Call(benchmark::State& state) {
 }
 BENCHMARK(BM_P2pFastPath_Call);
 
-// ---- attribution pass (emits BENCH_attribution.json) ----
+// ---- attribution pass (emits the --out JSON) ----
 
 /// The failure-semantics rows of paper Figure 1.
 struct Preset {
@@ -135,7 +136,7 @@ int main(int argc, char** argv) {
   // Peel off our flags, hand the rest to google-benchmark.
   std::uint64_t seed = 21;
   int calls = 400;
-  std::string out = "BENCH_attribution.json";
+  std::string out;  // no attribution artifact unless asked
   std::vector<char*> rest;
   rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {

@@ -11,7 +11,7 @@ void Acceptance::start(runtime::Framework& fw) {
                       [this](runtime::EventContext& ctx) { return handle_new_call(ctx); });
   fw.register_handler(kMsgFromNetwork, "Acceptance.msg_from_net", kPrioNetAcceptance,
                       [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
-  fw.register_handler(kMembershipChange, "Acceptance.server_failure",
+  fw.register_handler(kMembershipChange, "Acceptance.server_failure", kPrioMemberAcceptance,
                       [this](runtime::EventContext& ctx) { return server_failure(ctx); });
 }
 

@@ -12,7 +12,7 @@ void AtomicExecution::start(runtime::Framework& fw) {
   state_.journal_checkpoints = true;
   fw.register_handler(kReplyFromServer, "AtomicExec.handle_reply", kPrioReplyAtomic,
                       [this](runtime::EventContext& ctx) { return handle_reply(ctx); });
-  fw.register_handler(kRecovery, "AtomicExec.handle_recovery",
+  fw.register_handler(kRecovery, "AtomicExec.handle_recovery", kPrioRecoveryAtomic,
                       [this](runtime::EventContext& ctx) { return handle_recovery(ctx); });
 }
 

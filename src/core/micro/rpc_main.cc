@@ -16,7 +16,7 @@ void RpcMain::start(runtime::Framework& fw) {
                       [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
   fw.register_handler(kCallFromUser, "RPCMain.msg_from_user", kPrioUserMain,
                       [this](runtime::EventContext& ctx) { return msg_from_user(ctx); });
-  fw.register_handler(kRecovery, "RPCMain.handle_recovery",
+  fw.register_handler(kRecovery, "RPCMain.handle_recovery", kPrioRecoveryMain,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         state_.inc_number = ctx.arg_as<RecoveryEvent>().inc;
                         co_return;

@@ -22,7 +22,7 @@ void TerminateOrphan::start(runtime::Framework& fw) {
                       [this](runtime::EventContext& ctx) { return handle_reply(ctx); });
   // Probing-based detection (paper's second approach): the membership
   // service heartbeats clients; a client declared failed has only orphans.
-  fw.register_handler(kMembershipChange, "TermOrphan.client_failure",
+  fw.register_handler(kMembershipChange, "TermOrphan.client_failure", kPrioMemberOrphan,
                       [this](runtime::EventContext& ctx) { return client_failure(ctx); });
 }
 

@@ -20,7 +20,7 @@ void TotalOrder::start(runtime::Framework& fw) {
                       });
   fw.register_handler(kReplyFromServer, "TotalOrder.handle_reply", kPrioReplyOrder,
                       [this](runtime::EventContext& ctx) { return handle_reply(ctx); });
-  fw.register_handler(kMembershipChange, "TotalOrder.membership_change",
+  fw.register_handler(kMembershipChange, "TotalOrder.membership_change", kPrioMemberOrder,
                       [this](runtime::EventContext& ctx) { return membership_change(ctx); });
   // A member that boots (or recovers) into the leader role must not assign
   // orders from a fresh counter: reconcile with the group first.

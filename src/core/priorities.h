@@ -4,7 +4,10 @@
 // (paper: "executed in priority order"; omitted priority runs last).  The
 // paper's example priorities contain collisions and two ordering hazards, so
 // we renumber on a single scale while preserving every ordering the paper's
-// correctness depends on.  Deviations (documented in DESIGN.md):
+// correctness depends on.  No two handlers of one event share a priority in
+// any valid configuration (composite_test checks all 198), so the order of
+// every chain comes from this file, never from assembly order.  Deviations
+// (documented in DESIGN.md):
 //
 //  1. Collation runs BEFORE Acceptance on a Reply (paper: after).  With the
 //     paper's order the accepting V() can wake the client before the final
@@ -38,7 +41,7 @@ inline constexpr int kPrioNetOrphan = 25;       ///< Interference Avoidance / Te
 inline constexpr int kPrioNetUnique = 30;       ///< Unique Execution: dup suppression / ACK
 inline constexpr int kPrioNetCollation = 45;    ///< Collation: fold reply (see note 1)
 inline constexpr int kPrioNetMain = 50;         ///< RPC Main: record + forward_up
-inline constexpr int kPrioNetAcceptance = 50;   ///< Acceptance: count replies (client side)
+inline constexpr int kPrioNetAcceptance = 55;   ///< Acceptance: count replies (client side)
 inline constexpr int kPrioNetOrderDeliver = 60; ///< FIFO/Total: ordering bookkeeping + deliver
 
 // ---- CALL_FROM_USER ----
@@ -65,5 +68,14 @@ inline constexpr int kPrioReplyOrderMark = 25;   ///< FIFO/Total: advance positi
 inline constexpr int kPrioReplyAtomic = 30;      ///< checkpoint (post-position, pre-next-call)
 inline constexpr int kPrioReplySerial = 40;      ///< release serial token (see note 2)
 inline constexpr int kPrioReplyOrder = 50;       ///< FIFO/Total: chain to the next held call
+
+// ---- RECOVERY ----
+inline constexpr int kPrioRecoveryMain = 10;     ///< RPC Main: adopt the new incarnation
+inline constexpr int kPrioRecoveryAtomic = 20;   ///< Atomic Execution: restore the checkpoint
+
+// ---- MEMBERSHIP_CHANGE ----
+inline constexpr int kPrioMemberOrphan = 10;     ///< Terminate Orphan: a client failed
+inline constexpr int kPrioMemberAcceptance = 20; ///< Acceptance: a server failed
+inline constexpr int kPrioMemberOrder = 30;      ///< Total Order: leader change
 
 }  // namespace ugrpc::core

@@ -1,7 +1,7 @@
 #include "runtime/framework.h"
 
 #include <algorithm>
-#include <map>
+#include <memory>
 #include <utility>
 
 #include "common/assert.h"
@@ -18,80 +18,64 @@ Framework::~Framework() {
   for (TimerId id : live_timeouts_) transport_.cancel_timer(id);
 }
 
+Framework::Chain& Framework::mutable_chain(EventId event) {
+  UGRPC_ASSERT(!frozen_ && "the handler table is frozen at the first trigger");
+  UGRPC_ASSERT(event.value() < 1024 && "event ids are small dense indices");
+  while (chains_.size() <= event.value()) {
+    Chain& chain = chains_.emplace_back();
+    chain.event_name = "event#" + std::to_string(chains_.size() - 1);
+    chain.event_name_id = intern(chain.event_name);
+  }
+  return chains_[event.value()];
+}
+
+std::uint32_t Framework::intern(const std::string& name) const {
+  return site_trace_ != nullptr ? site_trace_->intern(name) : 0;
+}
+
 void Framework::define_event(EventId event, std::string name) {
-  event_names_[event] = std::move(name);
-  if (auto it = events_.find(event); it != events_.end()) it->second.cache.reset();
+  Chain& chain = mutable_chain(event);
+  chain.event_name = std::move(name);
+  chain.event_name_id = intern(chain.event_name);
 }
 
 void Framework::set_site_trace(obs::SiteTrace* trace) {
   site_trace_ = trace;
-  // Snapshots hold name ids interned in the previous trace's tracer.
-  for (auto& [event, table] : events_) table.cache.reset();
+  // Name ids index the attached trace's intern table, so they are redone
+  // here even after the freeze.  Only the ids change; no chain or handler
+  // moves, so a trigger in flight keeps valid references.
+  for (Chain& chain : chains_) {
+    chain.event_name_id = intern(chain.event_name);
+    for (Registration& reg : chain.handlers) reg.name_id = intern(reg.name);
+  }
 }
 
-HandlerId Framework::register_handler(EventId event, std::string handler_name, int priority,
-                                      Handler fn) {
+void Framework::register_handler(EventId event, std::string handler_name, int priority,
+                                 Handler fn) {
   UGRPC_ASSERT(fn != nullptr);
   UGRPC_ASSERT(priority >= 0 && "priorities are non-negative");
-  const HandlerId id{next_handler_++};
-  auto reg = std::make_shared<const Registration>(
-      Registration{id, event, std::move(handler_name), priority, next_seq_++, std::move(fn)});
-  EventTable& table = events_[event];
-  // Insertion keeps (priority, seq) order; seq is monotonic, so among equal
-  // priorities the new entry goes after every existing one.
+  std::vector<Registration>& handlers = mutable_chain(event).handlers;
+  // Insertion keeps (priority, registration) order: among equal priorities
+  // the new entry goes after every existing one.
   const auto pos = std::upper_bound(
-      table.regs.begin(), table.regs.end(), priority,
-      [](int prio, const RegistrationPtr& r) { return prio < r->priority; });
-  table.regs.insert(pos, std::move(reg));
-  ++table.generation;
-  by_id_.emplace(id, event);
-  return id;
-}
-
-void Framework::deregister(HandlerId id) {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) return;
-  EventTable& table = events_[it->second];
-  std::erase_if(table.regs, [id](const RegistrationPtr& r) { return r->id == id; });
-  ++table.generation;
-  by_id_.erase(it);
+      handlers.begin(), handlers.end(), priority,
+      [](int prio, const Registration& r) { return prio < r.priority; });
+  const std::uint32_t name_id = intern(handler_name);
+  handlers.insert(pos, Registration{std::move(handler_name), priority, std::move(fn), name_id});
 }
 
 void Framework::deregister(EventId event, const std::string& handler_name) {
-  auto ev = events_.find(event);
-  if (ev == events_.end()) return;
-  EventTable& table = ev->second;
-  const auto removed = std::erase_if(table.regs, [&](const RegistrationPtr& r) {
-    if (r->name != handler_name) return false;
-    by_id_.erase(r->id);
-    return true;
-  });
-  if (removed > 0) ++table.generation;
-}
-
-const std::shared_ptr<const Framework::Chain>& Framework::chain_for(EventId event) {
-  EventTable& table = events_[event];
-  if (table.cache == nullptr || table.cache_generation != table.generation) {
-    auto chain = std::make_shared<Chain>();
-    chain->regs = table.regs;
-    chain->event_name = event_name(event);
-    if (site_trace_ != nullptr) {
-      chain->event_name_id = site_trace_->intern(chain->event_name);
-      for (const RegistrationPtr& reg : chain->regs) {
-        chain->handler_name_ids.push_back(site_trace_->intern(reg->name));
-      }
-    }
-    table.cache = std::move(chain);
-    table.cache_generation = table.generation;
-  }
-  return table.cache;
+  std::erase_if(mutable_chain(event).handlers,
+                [&](const Registration& r) { return r.name == handler_name; });
 }
 
 sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
-  // Take a reference to the immutable chain snapshot: handlers registered
-  // *during* this trigger do not run in it (they land in a new snapshot),
-  // and deregistered ones are skipped via the liveness check below.
-  std::shared_ptr<const Chain> chain = chain_for(event);
+  frozen_ = true;
+  // An event nobody registered for or named still runs (and records) an
+  // empty chain.
+  static const Chain kUnregistered;
+  const bool known = event.value() < chains_.size();
+  const Chain& chain = known ? chains_[event.value()] : kUnregistered;
   // Spans: the kEventTriggered record opens the chain span and each
   // kEventHandled record a handler span beneath it; each is the running
   // fiber's ambient context while it is open, so sends and nested triggers
@@ -105,8 +89,9 @@ sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
   if (st) {
     fiber = transport_.executor().current_fiber().value();
     saved = st->current(fiber);
+    const std::uint32_t name_id = known ? chain.event_name_id : intern(event_name(event));
     chain_ctx = st->open(transport_.now(), obs::Kind::kEventTriggered, saved, 0, event.value(),
-                         0, chain->event_name_id);
+                         0, name_id);
     st->set_current(fiber, chain_ctx);
   }
   const auto finish = [&](bool completed) {
@@ -117,15 +102,13 @@ sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
     return completed;
   };
   EventContext ctx(arg);
-  for (std::size_t i = 0; i < chain->regs.size(); ++i) {
-    const Registration& reg = *chain->regs[i];
-    if (!by_id_.contains(reg.id)) continue;  // deregistered mid-event
-    if (trace_) trace_(transport_.now(), chain->event_name, reg.name);
+  for (const Registration& reg : chain.handlers) {
+    if (trace_) trace_(transport_.now(), chain.event_name, reg.name);
     obs::SpanCtx handler_ctx;
     if (st) {
       handler_ctx = st->open(transport_.now(), obs::Kind::kEventHandled, chain_ctx, 0,
                              event.value(), static_cast<std::uint64_t>(reg.priority),
-                             chain->handler_name_ids[i]);
+                             reg.name_id);
       st->set_current(fiber, handler_ctx);
     }
     co_await reg.fn(ctx);
@@ -205,37 +188,22 @@ void Framework::cancel_timeout(TimerId id) {
 }
 
 std::vector<Framework::RegistrationInfo> Framework::registrations() const {
-  // Grouped by event in event-id order (events_ is unordered).
-  std::map<EventId, const EventTable*> ordered;
-  std::size_t total = 0;
-  for (const auto& [event, table] : events_) {
-    ordered.emplace(event, &table);
-    total += table.regs.size();
-  }
   std::vector<RegistrationInfo> out;
-  out.reserve(total);
-  for (const auto& [event, table] : ordered) {
-    for (const RegistrationPtr& reg : table->regs) {
-      out.push_back(RegistrationInfo{event_name(event), reg->name, reg->priority});
+  for (const Chain& chain : chains_) {
+    for (const Registration& reg : chain.handlers) {
+      out.push_back(RegistrationInfo{chain.event_name, reg.name, reg.priority});
     }
   }
   return out;
 }
 
 std::string Framework::event_name(EventId event) const {
-  auto it = event_names_.find(event);
-  if (it != event_names_.end()) return it->second;
+  if (event.value() < chains_.size()) return chains_[event.value()].event_name;
   return "event#" + std::to_string(event.value());
 }
 
 std::size_t Framework::handler_count(EventId event) const {
-  auto it = events_.find(event);
-  return it != events_.end() ? it->second.regs.size() : 0;
-}
-
-std::uint64_t Framework::generation(EventId event) const {
-  auto it = events_.find(event);
-  return it != events_.end() ? it->second.generation : 0;
+  return event.value() < chains_.size() ? chains_[event.value()].handlers.size() : 0;
 }
 
 }  // namespace ugrpc::runtime

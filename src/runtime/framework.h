@@ -22,22 +22,28 @@
 //    period has expired").  Cancelled automatically if the framework is
 //    destroyed first (site crash).
 //
-// Dispatch hot path: each event keeps its registrations pre-sorted by
-// (priority, registration sequence) and caches an immutable, shared snapshot
-// of the invocation chain.  register_handler/deregister bump the event's
-// generation, invalidating the snapshot; trigger() rebuilds it at most once
-// per generation and otherwise only takes a reference -- no per-trigger
-// allocation, copying or sorting.  Handlers deregistered while their event
-// is in flight are skipped via a liveness check against the registry.
+// The handler table is frozen at the first trigger().  The paper's
+// configurations are fixed before a composite runs: every micro-protocol
+// binds its handlers in start(), before any event is raised.  So the table
+// is built once and then only read.  It is one chain per event, indexed by
+// the event id (ids are small and dense).  Each chain holds its handlers by
+// value in (priority, registration) order, plus the names trigger()
+// reports.  After the first trigger, register_handler, deregister and
+// define_event are checked errors, and trigger() walks a chain that can
+// never change under it: no lookup, no snapshot, no liveness check.
+//
+// Ownership: handler closures live in the framework, and a running handler
+// refers to its closure.  So the framework must outlive every fiber that is
+// running one of its handlers.  A site guarantees this by killing its
+// domain's fibers before it destroys its composite (Site::teardown_stack
+// calls kill_domain before grpc_.reset()).
 //
 // The framework also records event names and registrations for
 // introspection (reproduces paper Figure 3's picture of a live composite).
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -52,9 +58,6 @@ namespace ugrpc::runtime {
 
 /// Handlers registered without an explicit priority run last.
 inline constexpr int kDefaultPriority = 1'000'000;
-
-struct HandlerIdTag {};
-using HandlerId = ugrpc::detail::TaggedId<HandlerIdTag, std::uint64_t>;
 
 using Handler = std::function<sim::Task<>(EventContext&)>;
 /// Timeout handlers take no event argument (paper's TIMEOUT handlers).
@@ -72,25 +75,24 @@ class Framework {
   Framework(const Framework&) = delete;
   Framework& operator=(const Framework&) = delete;
 
-  /// Associates a human-readable name with an event id (introspection only).
+  /// Associates a human-readable name with an event id (introspection and
+  /// trace records).  Not allowed once the table is frozen.
   void define_event(EventId event, std::string name);
 
-  /// Registers `fn` for `event`.  Returns an id usable with deregister().
-  HandlerId register_handler(EventId event, std::string handler_name, int priority, Handler fn);
-  HandlerId register_handler(EventId event, std::string handler_name, Handler fn) {
-    return register_handler(event, std::move(handler_name), kDefaultPriority, std::move(fn));
+  /// Registers `fn` for `event`.  Not allowed once the table is frozen.
+  void register_handler(EventId event, std::string handler_name, int priority, Handler fn);
+  void register_handler(EventId event, std::string handler_name, Handler fn) {
+    register_handler(event, std::move(handler_name), kDefaultPriority, std::move(fn));
   }
 
-  /// Removes a registration.  Safe to call for an already-removed id.  A
-  /// handler deregistered while its event is being triggered no longer runs
-  /// in that invocation (if it has not started yet).
-  void deregister(HandlerId id);
-  /// Paper-style deregistration by (event, handler name).
+  /// Paper-style deregistration by (event, handler name); a no-op when no
+  /// handler matches.  Not allowed once the table is frozen.
   void deregister(EventId event, const std::string& handler_name);
 
   /// Invokes every handler registered for `event`, in priority order,
   /// sequentially, awaiting each (blocking sequential invocation).  Returns
   /// true if the chain ran to completion, false if a handler cancelled it.
+  /// The first call freezes the handler table.
   sim::Task<bool> trigger(EventId event, EventArg arg = {});
 
   /// One-shot timeout (see file comment).  Returns the timer id; cancel with
@@ -118,6 +120,8 @@ class Framework {
   /// records kEventTriggered/kEventHandled and the TIMEOUT machinery records
   /// kTimerArmed/kTimerFired/kTimerCancelled.  nullptr (the default) turns
   /// recording off; every record site is behind a single pointer check.
+  /// Re-interns every event and handler name in the new trace, so it may be
+  /// called before or after the table is frozen.
   void set_site_trace(obs::SiteTrace* trace);
   [[nodiscard]] obs::SiteTrace* site_trace() const { return site_trace_; }
 
@@ -132,45 +136,27 @@ class Framework {
   [[nodiscard]] std::string event_name(EventId event) const;
   [[nodiscard]] std::size_t handler_count(EventId event) const;
 
-  /// Mutation counter of `event`'s handler set: bumped by every
-  /// register_handler/deregister touching the event.  The cached dispatch
-  /// chain is tagged with the generation it was built from and rebuilt only
-  /// when the two diverge (regression tests pin this).
-  [[nodiscard]] std::uint64_t generation(EventId event) const;
-
  private:
-  // Immutable once registered; the chain snapshot and the sorted per-event
-  // vector share ownership so in-flight triggers survive deregistration.
   struct Registration {
-    HandlerId id;
-    EventId event;
     std::string name;
     int priority;
-    std::uint64_t seq;
     Handler fn;
+    std::uint32_t name_id;  ///< `name` interned in the attached site trace
   };
-  using RegistrationPtr = std::shared_ptr<const Registration>;
 
-  /// Dispatch snapshot of one event: its registrations in invocation order
-  /// plus the names trigger() reports, resolved once per snapshot so that a
-  /// dispatch does no string work.
+  /// One event's handlers in invocation order, plus the names trigger()
+  /// reports, resolved up front so that a dispatch does no string work.
   struct Chain {
-    std::vector<RegistrationPtr> regs;
-    std::string event_name;  ///< for the trace observer
-    /// Names interned in the site trace the snapshot was built under:
-    /// the event's, then one per entry of `regs` (empty when tracing is off).
+    std::string event_name;  ///< "event#<id>" until define_event names it
     std::uint32_t event_name_id = 0;
-    std::vector<std::uint32_t> handler_name_ids;
+    std::vector<Registration> handlers;  ///< (priority, registration) order
   };
 
-  struct EventTable {
-    std::vector<RegistrationPtr> regs;  ///< sorted by (priority, seq); insertion keeps the order
-    std::shared_ptr<const Chain> cache;  ///< dispatch snapshot, lazily rebuilt
-    std::uint64_t generation = 0;        ///< bumped on every regs mutation
-    std::uint64_t cache_generation = 0;  ///< generation `cache` was built at
-  };
-
-  [[nodiscard]] const std::shared_ptr<const Chain>& chain_for(EventId event);
+  /// The chain of `event`, created on first use; asserts the table is not
+  /// frozen yet.
+  Chain& mutable_chain(EventId event);
+  /// `name` interned in the attached site trace, 0 when tracing is off.
+  [[nodiscard]] std::uint32_t intern(const std::string& name) const;
 
   /// A registered timeout: its handler and the id the transport gave it.
   struct Armed {
@@ -180,14 +166,11 @@ class Framework {
 
   net::Transport& transport_;
   DomainId domain_;
-  std::unordered_map<EventId, EventTable> events_;
-  std::unordered_map<HandlerId, EventId> by_id_;
-  std::unordered_map<EventId, std::string> event_names_;
+  std::vector<Chain> chains_;  ///< indexed by EventId value
+  bool frozen_ = false;        ///< set by the first trigger()
   std::unordered_set<TimerId> live_timeouts_;
   TraceObserver trace_;
   obs::SiteTrace* site_trace_ = nullptr;
-  std::uint64_t next_handler_ = 1;
-  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace ugrpc::runtime

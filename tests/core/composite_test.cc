@@ -38,6 +38,27 @@ TEST(Composite, MinimalConfigHasBaselineMicroProtocols) {
   EXPECT_EQ(comp.terminator(), nullptr);
 }
 
+TEST(Composite, EveryConfigurationOrdersEachEventByPriorityAlone) {
+  // The handler table freezes in (priority, registration) order.  Strictly
+  // increasing priorities per event mean the order of every chain is the
+  // one priorities.h encodes, never an accident of assembly order.
+  const auto configs = enumerate_valid_configs();
+  ASSERT_EQ(configs.size(), 198u);
+  for (const Config& c : configs) {
+    ScenarioParams p;
+    p.num_servers = 1;
+    p.config = c;
+    Scenario s(std::move(p));
+    const auto regs = s.server(0).grpc().framework().registrations();
+    for (std::size_t i = 1; i < regs.size(); ++i) {
+      if (regs[i].event != regs[i - 1].event) continue;
+      EXPECT_LT(regs[i - 1].priority, regs[i].priority)
+          << c.describe() << ": " << regs[i].event << " runs " << regs[i - 1].handler
+          << " and " << regs[i].handler << " at the same priority";
+    }
+  }
+}
+
 TEST(Composite, FullyLoadedConfigInstantiatesEverything) {
   ScenarioParams p;
   p.config.call = CallSemantics::kAsynchronous;

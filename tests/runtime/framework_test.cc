@@ -1,14 +1,17 @@
 // Unit tests for the event framework: registration, priority order,
-// blocking sequential invocation, cancel_event, deregistration, timeouts.
+// blocking sequential invocation, cancel_event, deregistration, the table
+// freeze at the first trigger, teardown order, timeouts.
 #include "runtime/framework.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "net/network.h"
 #include "net/sim_transport.h"
+#include "obs/trace.h"
 #include "runtime/composite.h"
 #include "runtime/micro_protocol.h"
 #include "sim/sync.h"
@@ -36,6 +39,12 @@ Handler appender(std::vector<int>& out, int tag) {
 sim::Task<> run_trigger(Framework& fw, EventId ev, EventArg arg, bool* completed = nullptr) {
   const bool ok = co_await fw.trigger(ev, arg);
   if (completed != nullptr) *completed = ok;
+}
+
+/// Runs one trigger of `ev`, which freezes the handler table.
+void freeze(Fixture& f, EventId ev) {
+  f.sched.spawn(run_trigger(f.fw, ev, {}));
+  f.sched.run();
 }
 
 TEST(Framework, HandlersRunInAscendingPriorityOrder) {
@@ -151,17 +160,6 @@ TEST(Framework, BlockingHandlerBlocksTheChain) {
   EXPECT_EQ(out, std::vector<int>({1, 2, 3}));
 }
 
-TEST(Framework, DeregisterById) {
-  Fixture f;
-  std::vector<int> out;
-  HandlerId id = f.fw.register_handler(kPing, "a", 1, appender(out, 1));
-  f.fw.register_handler(kPing, "b", 2, appender(out, 2));
-  f.fw.deregister(id);
-  f.sched.spawn(run_trigger(f.fw, kPing, {}));
-  f.sched.run();
-  EXPECT_EQ(out, std::vector<int>({2}));
-}
-
 TEST(Framework, DeregisterByName) {
   Fixture f;
   std::vector<int> out;
@@ -173,38 +171,92 @@ TEST(Framework, DeregisterByName) {
   EXPECT_EQ(out, std::vector<int>({2}));
 }
 
-TEST(Framework, DeregisterDuringEventSkipsNotYetRunHandler) {
+TEST(Framework, ReentrantTriggerOfTheSameEventRunsTheFullChain) {
   Fixture f;
   std::vector<int> out;
-  HandlerId later{};
-  f.fw.register_handler(kPing, "remover", 1, [&](EventContext&) -> sim::Task<> {
-    f.fw.deregister(later);
+  bool nested = false;
+  f.fw.register_handler(kPing, "a", 1, [&](EventContext&) -> sim::Task<> {
     out.push_back(1);
-    co_return;
+    if (!nested) {
+      nested = true;
+      co_await f.fw.trigger(kPing, {});
+    }
   });
-  later = f.fw.register_handler(kPing, "removed", 2, appender(out, 2));
+  f.fw.register_handler(kPing, "b", 2, appender(out, 2));
   f.sched.spawn(run_trigger(f.fw, kPing, {}));
   f.sched.run();
-  EXPECT_EQ(out, std::vector<int>({1}));
+  EXPECT_EQ(out, std::vector<int>({1, 1, 2, 2}));
 }
 
-TEST(Framework, RegistrationDuringEventDoesNotRunInSameInvocation) {
+TEST(FrameworkDeathTest, RegisterAfterFirstTriggerAborts) {
   Fixture f;
   std::vector<int> out;
-  f.fw.register_handler(kPing, "adder", 1, [&](EventContext&) -> sim::Task<> {
-    out.push_back(1);
-    f.fw.register_handler(kPing, "added", 2, appender(out, 2));
-    co_return;
-  });
-  f.sched.spawn(run_trigger(f.fw, kPing, {}));
-  f.sched.run();
-  EXPECT_EQ(out, std::vector<int>({1}));
-  // ...but it does run in the next invocation (handlers stay registered).
-  // "adder" runs again and registers a second copy of "added"; only the copy
-  // that existed when the second trigger snapshotted its chain runs now.
-  f.sched.spawn(run_trigger(f.fw, kPing, {}));
-  f.sched.run();
-  EXPECT_EQ(out, std::vector<int>({1, 1, 2}));
+  f.fw.register_handler(kPing, "a", 1, appender(out, 1));
+  freeze(f, kPing);
+  EXPECT_DEATH(f.fw.register_handler(kOther, "late", 1, appender(out, 2)), "frozen");
+}
+
+TEST(FrameworkDeathTest, DeregisterAfterFirstTriggerAborts) {
+  Fixture f;
+  std::vector<int> out;
+  f.fw.register_handler(kPing, "a", 1, appender(out, 1));
+  freeze(f, kPing);
+  EXPECT_DEATH(f.fw.deregister(kPing, "a"), "frozen");
+}
+
+TEST(FrameworkDeathTest, DefineEventAfterFirstTriggerAborts) {
+  Fixture f;
+  freeze(f, kPing);
+  EXPECT_DEATH(f.fw.define_event(kPing, "PING"), "frozen");
+}
+
+TEST(Framework, SiteTraceAttachedAfterFreezeGetsItsOwnNames) {
+  // Name ids index one tracer's intern table; a trace attached to a frozen
+  // framework must see records named from its own table.
+  Fixture f;
+  obs::Tracer first;
+  obs::Tracer second;
+  (void)second.intern("shifts every id the second tracer hands out");
+  f.fw.set_site_trace(&first.site(ProcessId{1}));
+  f.fw.define_event(kPing, "PING");
+  f.fw.register_handler(kPing, "Ping.h", 1, [](EventContext&) -> sim::Task<> { co_return; });
+  freeze(f, kPing);
+  f.fw.set_site_trace(&second.site(ProcessId{1}));
+  freeze(f, kPing);
+  std::vector<std::string> names;
+  for (const obs::Event& e : second.site(ProcessId{1}).events()) {
+    if (e.kind == obs::Kind::kEventTriggered || e.kind == obs::Kind::kEventHandled) {
+      names.push_back(second.name(e.name));
+    }
+  }
+  EXPECT_EQ(names, std::vector<std::string>({"PING", "Ping.h"}));
+}
+
+TEST(Framework, KilledDomainLetsTheFrameworkGoWhileAHandlerIsBlocked) {
+  // Handlers run on closures the framework owns.  A site tears down by
+  // killing its domain's fibers first and destroying the framework second;
+  // under ASan this pins that the order leaves nothing dangling.
+  sim::Scheduler sched;
+  net::Network net{sched};
+  net::SimTransport transport{net};
+  constexpr DomainId kSite{7};
+  sim::Semaphore gate(sched, 0);
+  auto fw = std::make_unique<Framework>(transport, kSite);
+  bool resumed = false;
+  fw->register_handler(kPing, "blocker", 1,
+                       [&gate, &resumed, tag = std::string(64, 'x')](EventContext&) -> sim::Task<> {
+                         co_await gate.acquire();
+                         resumed = !tag.empty();
+                       });
+  transport.spawn(run_trigger(*fw, kPing, {}), kSite);
+  sched.run();
+  ASSERT_TRUE(gate.has_waiters()) << "the handler must be blocked mid-chain";
+  transport.kill_domain(kSite);
+  EXPECT_FALSE(gate.has_waiters());
+  fw.reset();
+  gate.release();
+  sched.run();
+  EXPECT_FALSE(resumed);
 }
 
 TEST(Framework, TimeoutFiresOnceAfterDelay) {
@@ -302,38 +354,6 @@ TEST(Framework, IntrospectionListsRegistrationsInOrder) {
   EXPECT_EQ(regs[1].handler, "second");
   EXPECT_EQ(f.fw.handler_count(kPing), 2u);
   EXPECT_EQ(f.fw.event_name(kOther), "event#2");
-}
-
-TEST(Framework, HandlerCacheRebuildsOnlyOnMutation) {
-  // Regression for the dispatch cache: repeated triggers must reuse the
-  // same generation, and any register/deregister must advance it while
-  // keeping the priority order intact.
-  Fixture f;
-  std::vector<int> out;
-  f.fw.register_handler(kPing, "c", 30, appender(out, 3));
-  f.fw.register_handler(kPing, "a", 10, appender(out, 1));
-  const std::uint64_t g0 = f.fw.generation(kPing);
-  f.sched.spawn(run_trigger(f.fw, kPing, {}));
-  f.sched.spawn(run_trigger(f.fw, kPing, {}));
-  f.sched.run();
-  EXPECT_EQ(f.fw.generation(kPing), g0) << "triggering must not invalidate the cache";
-  EXPECT_EQ(out, std::vector<int>({1, 3, 1, 3}));
-
-  out.clear();
-  const HandlerId mid = f.fw.register_handler(kPing, "b", 20, appender(out, 2));
-  EXPECT_GT(f.fw.generation(kPing), g0) << "registration must bump the generation";
-  f.sched.spawn(run_trigger(f.fw, kPing, {}));
-  f.sched.run();
-  EXPECT_EQ(out, std::vector<int>({1, 2, 3})) << "rebuilt chain must be priority-sorted";
-
-  out.clear();
-  const std::uint64_t g1 = f.fw.generation(kPing);
-  f.fw.deregister(mid);
-  EXPECT_GT(f.fw.generation(kPing), g1) << "deregistration must bump the generation";
-  f.sched.spawn(run_trigger(f.fw, kPing, {}));
-  f.sched.run();
-  EXPECT_EQ(out, std::vector<int>({1, 3}));
-  EXPECT_EQ(f.fw.generation(kOther), 0u) << "untouched events keep generation 0";
 }
 
 class CountingMp : public MicroProtocol {
