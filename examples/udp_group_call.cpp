@@ -269,12 +269,11 @@ int main(int argc, char** argv) {
     site.set_tracer(&tracer);
   }
 
-  // Live telemetry plane for the client site (constructed before boot() so
-  // the hot-path counter pointer is wired into the stack).
-  obs::live::TelemetryHub hub;
+  // Live telemetry plane for the client site: its counters are the
+  // tracer's tallies.
+  obs::live::TelemetryHub hub(tracer);
   std::unique_ptr<core::SiteTelemetry> telemetry;
   if (cli.telemetry_on()) {
-    hub.set_tracer(&tracer);
     core::SiteTelemetry::Options wopts;
     if (cli.stall_bound_us > 0) {
       wopts.bound_override = sim::usec(cli.stall_bound_us);
@@ -282,10 +281,6 @@ int main(int argc, char** argv) {
       wopts.scan_period = sim::msec(5);  // sweep fast enough to catch the stall
     }
     telemetry = std::make_unique<core::SiteTelemetry>(hub, site, wopts);
-    if (!cli.flight_dir.empty()) {
-      hub.set_flight_dir(cli.flight_dir);
-      obs::live::install_crash_handler(&hub);
-    }
     if (cli.telemetry_port >= 0) {
       std::string err;
       const std::uint16_t port = transport.serve_telemetry(
@@ -300,6 +295,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "udp_group_call: cannot write %s\n", cli.port_file.c_str());
         return 1;
       }
+    }
+    if (!cli.flight_dir.empty()) {
+      hub.set_flight_dir(cli.flight_dir);
+      obs::live::install_crash_handler(&hub);  // disarmed before `hub` leaves scope
     }
   }
   if (cli.force_retransmit) {
@@ -410,6 +409,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.bytes_delivered));
   if (!finished) std::fprintf(stderr, "udp_group_call: client did not finish before timeout\n");
   if (!children_ok) std::fprintf(stderr, "udp_group_call: a server process exited abnormally\n");
+  obs::live::install_crash_handler(nullptr);
   return (finished && ok == cli.calls && bad_payload == 0 && children_ok && trace_ok && stats_ok)
              ? 0
              : 1;

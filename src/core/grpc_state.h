@@ -29,7 +29,6 @@
 #include "common/status.h"
 #include "net/message.h"
 #include "net/transport.h"
-#include "obs/live/site_stats.h"
 #include "obs/trace.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
@@ -260,19 +259,13 @@ struct GrpcState {
   /// single pointer check.
   obs::SiteTrace* trace = nullptr;
 
-  /// Long-lived operational counters of the live telemetry plane
-  /// (obs/live/site_stats.h); nullptr = telemetry off.  Unlike `trace`, this
-  /// outlives the stack: crash/recover rebuilds GrpcState but the SiteStats
-  /// keeps accumulating.  Same cost model as note(): every record site is a
-  /// single pointer check when disabled.
-  obs::live::SiteStats* live = nullptr;
-
   /// gRPC messages dropped because their bytes did not decode: the demux
-  /// below the framework and Total Order's OrderInfo args.
+  /// below the framework and Total Order's OrderInfo args.  The trace
+  /// record is the count; `malformed` keeps the rate-limited log.
   net::MalformedDrops malformed;
   void drop_malformed(ProcessId from, const CodecError& e) {
     malformed.note("grpc", from, transport.now(), e.what());
-    if (live) ++live->msgs_malformed;
+    note(obs::Kind::kMsgMalformed, 0, from.value());
   }
 
   /// Records `kind` on this site's ring.  A non-zero `closes` makes the

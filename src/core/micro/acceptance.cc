@@ -36,7 +36,6 @@ void Acceptance::complete(ClientRecord& rec) {
   // (deviation from the paper's unconditional V; see DESIGN.md).
   if (rec.status == Status::kWaiting) {
     rec.status = Status::kOk;
-    if (state_.live) ++state_.live->calls_completed;
     // Closes the root span of the call's trace.
     state_.note(obs::Kind::kCallCompleted, rec.id.value(),
                 static_cast<std::uint64_t>(Status::kOk), 0, rec.span);

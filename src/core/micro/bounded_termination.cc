@@ -40,7 +40,6 @@ sim::Task<> BoundedTermination::drain_expired() {
     if (rec != nullptr && rec->status == Status::kWaiting) {
       rec->status = Status::kTimeout;
       ++timeouts_fired_;
-      if (state_.live) ++state_.live->calls_failed;
       state_.note(obs::Kind::kDeadlineExpired, id.value());
       // The root span closes on timeout, too.
       state_.note(obs::Kind::kCallCompleted, id.value(),

@@ -171,7 +171,6 @@ void ReliableCommunication::resend_due() {
       ps.sent_at = now;
       ++ps.retries;
       ++retransmissions_;
-      if (state_.live) ++state_.live->retransmissions;
       state_.note(obs::Kind::kRetransmit, rec->id.value(), p.value());
     }
   }

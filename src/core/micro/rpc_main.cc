@@ -95,7 +95,6 @@ sim::Task<> RpcMain::msg_from_user(runtime::EventContext& ctx) {
     }
     state_.pRPC[id] = rec;
   }
-  if (state_.live) ++state_.live->calls_started;
   // kCallIssued opens the root of the call's distributed trace: the trace id
   // IS the call id (globally unique), so spans recorded by other processes
   // join without any id-allocation protocol.  The span parents to whatever

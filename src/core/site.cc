@@ -32,7 +32,6 @@ void Site::build_stack() {
                                           known_, trace);
   grpc_->state().inc_number = inc_;
   grpc_->state().next_seq = first_seq_of_incarnation(inc_);
-  grpc_->state().live = live_stats_;  // survives the stack; re-wired each build
   if (config_.use_membership && !watch_.empty()) {
     monitor_ = std::make_unique<membership::MembershipMonitor>(
         transport_, *endpoint_, watch_, config_.membership_params, /*beat=*/true);

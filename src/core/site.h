@@ -52,17 +52,6 @@ class Site {
   /// builds, so traces span incarnations.  nullptr = tracing off.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Attaches the live telemetry plane's long-lived counters: every stack
-  /// this site builds -- across crash/recover cycles -- bumps them through
-  /// GrpcState::live.  Takes effect immediately on a booted site and is
-  /// re-wired into every later stack.  nullptr = telemetry off.
-  /// core::SiteTelemetry (core/telemetry.h) calls this; applications usually
-  /// go through it rather than wiring a bare SiteStats.
-  void set_live_stats(obs::live::SiteStats* stats) {
-    live_stats_ = stats;
-    if (grpc_ != nullptr) grpc_->state().live = stats;
-  }
-
   /// Builds the stack and brings the site up.  Call once, after set_app.
   void boot();
 
@@ -105,7 +94,6 @@ class Site {
   storage::StableStore stable_;
   AppSetup app_setup_;
   obs::Tracer* tracer_ = nullptr;
-  obs::live::SiteStats* live_stats_ = nullptr;
 
   net::Endpoint* endpoint_ = nullptr;
   std::unique_ptr<UserProtocol> user_;

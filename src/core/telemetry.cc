@@ -30,24 +30,35 @@ SiteTelemetry::SiteTelemetry(obs::live::TelemetryHub& hub, Site& site)
     : SiteTelemetry(hub, site, Options{}) {}
 
 SiteTelemetry::SiteTelemetry(obs::live::TelemetryHub& hub, Site& site, Options options)
-    : hub_(hub), site_(site), options_(options), warn_log_(options.warn_period) {
-  site_.set_live_stats(&hub_.stats());
+    : hub_(hub),
+      site_(site),
+      options_(options),
+      scans_(hub.registry().counter("watchdog.scans")),
+      stalled_(hub.registry().counter("watchdog.stalled_calls")),
+      orphaned_(hub.registry().counter("watchdog.orphaned_entries")),
+      trips_(hub.registry().counter("watchdog.trips")),
+      warn_log_(options.warn_period) {
   hub_.set_introspection([this] { return introspection_json(); });
   hub_.set_manifest_extra([this] { return manifest_extra_json(); });
-  // Transport byte/drop counters as gauges (obs cannot name net::Stats).
-  // Re-binding on a shared registry just overwrites with an equivalent read.
-  net::Transport& transport = site_.transport();
-  hub_.stats().gauge("net.sent", [&transport] { return transport.stats().sent; });
-  hub_.stats().gauge("net.delivered", [&transport] { return transport.stats().delivered; });
-  hub_.stats().gauge("net.dropped", [&transport] { return transport.stats().dropped; });
-  hub_.stats().gauge("net.duplicated", [&transport] { return transport.stats().duplicated; });
-  hub_.stats().gauge("net.unroutable", [&transport] { return transport.stats().unroutable; });
-  hub_.stats().gauge("net.bytes_sent", [&transport] { return transport.stats().bytes_sent; });
-  hub_.stats().gauge("net.bytes_delivered",
-                     [&transport] { return transport.stats().bytes_delivered; });
+  // Transport byte/drop counts (obs cannot name net::Stats).  Re-binding on
+  // a shared registry just overwrites with an equivalent read.
+  obs::Registry& reg = hub_.registry();
+  const net::Transport& transport = site_.transport();
+  reg.counter("net.sent", [&transport] { return transport.stats().sent; });
+  reg.counter("net.delivered", [&transport] { return transport.stats().delivered; });
+  reg.counter("net.dropped", [&transport] { return transport.stats().dropped; });
+  reg.counter("net.duplicated", [&transport] { return transport.stats().duplicated; });
+  reg.counter("net.unroutable", [&transport] { return transport.stats().unroutable; });
+  reg.counter("net.bytes_sent", [&transport] { return transport.stats().bytes_sent; });
+  reg.counter("net.bytes_delivered", [&transport] { return transport.stats().bytes_delivered; });
 }
 
-SiteTelemetry::~SiteTelemetry() { stop_watchdog(); }
+SiteTelemetry::~SiteTelemetry() {
+  stop_watchdog();
+  // The providers capture `this`; a hub scraped later must not call them.
+  hub_.set_introspection(nullptr);
+  hub_.set_manifest_extra(nullptr);
+}
 
 // ---- stall watchdog ----
 
@@ -76,7 +87,7 @@ void SiteTelemetry::arm_timer() {
 
 SiteTelemetry::Sweep SiteTelemetry::scan_now() {
   Sweep sweep;
-  ++hub_.stats().watchdog_scans;
+  ++scans_;
   if (!site_.up()) return sweep;  // nothing pending on a crashed site
 
   const sim::Time now = site_.transport().now();
@@ -97,7 +108,7 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
     if (rec->status != Status::kWaiting || now - rec->issued_at <= threshold) continue;
     if (!flagged_calls_.insert(id.value()).second) continue;
     ++sweep.stalled;
-    ++hub_.stats().watchdog_stalled;
+    ++stalled_;
     if (const std::uint64_t n = warn_log_.occurrences_to_log(kWarnStalled, now); n == 1) {
       UGRPC_LOG(kWarn, "telemetry: site %u call %llu stalled (age %lld us > %lld us)",
                 site_.id().value(), static_cast<unsigned long long>(id.value()),
@@ -112,7 +123,7 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
     if (now - rec->arrived_at <= threshold) continue;
     if (!flagged_entries_.insert(id.value()).second) continue;
     ++sweep.orphaned;
-    ++hub_.stats().watchdog_orphaned;
+    ++orphaned_;
     if (const std::uint64_t n = warn_log_.occurrences_to_log(kWarnOrphaned, now); n == 1) {
       UGRPC_LOG(kWarn,
                 "telemetry: site %u sRPC entry %llu orphaned (client %u, age %lld us > %lld us)",
@@ -126,7 +137,7 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
   }
 
   if (sweep.stalled + sweep.orphaned > 0) {
-    ++hub_.stats().watchdog_trips;
+    ++trips_;
     if (options_.trip_on_stall) {
       std::string reason = "watchdog: " + std::to_string(sweep.stalled) + " stalled call(s), " +
                            std::to_string(sweep.orphaned) + " orphaned entr(ies)";

@@ -1,10 +1,10 @@
 // SiteTelemetry: binds one core::Site to the live telemetry plane
 // (tentpole of ISSUE 5).
 //
-// The obs layer owns the mechanisms -- SiteStats counters, Prometheus
-// rendering, the TCP listener, the flight recorder -- but cannot name core
-// types, so everything that requires walking live composite state lives
-// here:
+// The obs layer owns the mechanisms -- the hub's registry of counters read
+// from the trace tallies, Prometheus rendering, the TCP listener, the
+// flight recorder -- but cannot name core types, so everything that
+// requires walking live composite state lives here:
 //
 //   * introspection -- a channelz-style JSON snapshot of the running stack:
 //     configured micro-protocol set, registered handlers with priorities,
@@ -15,21 +15,25 @@
 //   * stall watchdog -- a periodic sweep (timer on the global domain, so it
 //     survives site crashes) flagging calls pending past a configurable
 //     multiple of the termination bound and sRPC entries stuck past the same
-//     threshold.  Each newly flagged record bumps a SiteStats counter and
-//     emits a rate-limited warning (common/rate_limited_log.h); a sweep that
-//     flags anything counts as a watchdog trip and -- when a flight
-//     directory is configured -- trips the flight recorder.
+//     threshold.  Each newly flagged record bumps a `watchdog.*` counter in
+//     the hub's registry and emits a rate-limited warning
+//     (common/rate_limited_log.h); a sweep that flags anything counts as a
+//     watchdog trip and -- when a flight directory is configured -- trips
+//     the flight recorder.
 //   * flight manifest -- installs a manifest provider adding the site's
 //     config line and the checker Expect derived from it
 //     (core::expectations_from), so a flight dump is checkable standalone.
-//   * transport gauges -- binds net::Stats byte/drop counters into the
-//     SiteStats registry.
+//   * transport counters -- binds net::Stats byte/drop counts into the
+//     hub's registry as read-at-scrape counters (`net.*`); the site's
+//     transport must outlive the hub's scrapes.
 //
-// Construct AFTER the Site and BEFORE boot() (the live-counter pointer is
-// wired into every stack the site builds).  The watchdog reads the pending
-// tables without locks: it runs from a plain timer callback, which the
-// cooperative executor schedules between fibers, so the tables are never
-// mid-mutation when scanned.
+// Construct after the Site, before or after boot(): the stack itself holds
+// no telemetry state, since every call count is a trace record.  The
+// destructor uninstalls the providers, so a hub outliving its SiteTelemetry
+// answers "{}" to introspection.  The watchdog reads the pending tables
+// without locks: it runs from a plain timer callback, which the cooperative
+// executor schedules between fibers, so the tables are never mid-mutation
+// when scanned.
 #pragma once
 
 #include <cstdint>
@@ -102,6 +106,11 @@ class SiteTelemetry {
   obs::live::TelemetryHub& hub_;
   Site& site_;
   Options options_;
+  // Shared by name with every SiteTelemetry on the same hub.
+  obs::Counter& scans_;
+  obs::Counter& stalled_;
+  obs::Counter& orphaned_;
+  obs::Counter& trips_;
   std::optional<TimerId> timer_;
   RateLimitedLog warn_log_;
   /// Records already counted as stalled/orphaned (a record is flagged once;

@@ -89,15 +89,9 @@ std::optional<std::string> dump_flight(const TelemetryHub& hub, std::string_view
   if (!extra.empty()) manifest += ",\n  " + extra;
   manifest += "\n}\n";
 
-  const Tracer* tracer = hub.tracer();
-  const std::string trace_json = tracer != nullptr ? tracer->dump_json() : std::string("[]");
-  const std::string spans_json = tracer != nullptr
-                                     ? export_perfetto(*tracer)
-                                     : std::string("{\"traceEvents\":[]}");
-
   if (!write_file(tmp / "MANIFEST.json", manifest, error) ||
-      !write_file(tmp / "trace.json", trace_json, error) ||
-      !write_file(tmp / "spans.json", spans_json, error) ||
+      !write_file(tmp / "trace.json", hub.tracer().dump_json(), error) ||
+      !write_file(tmp / "spans.json", export_perfetto(hub.tracer()), error) ||
       !write_file(tmp / "metrics.json", hub.metrics_json(), error) ||
       !write_file(tmp / "metrics.prom", hub.metrics_text(), error) ||
       !write_file(tmp / "introspect.json", hub.introspection_json(), error)) {

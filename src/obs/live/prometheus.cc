@@ -81,17 +81,9 @@ std::string render_prometheus(const Registry& reg, const PromOptions& opts) {
   std::string out;
   out.reserve(1024);
 
-  reg.for_each_counter([&](const std::string& name, const Counter& c) {
+  reg.for_each_counter([&](const std::string& name, std::uint64_t value) {
     const RenderedName rn = rendered_name(opts, name);
     out += "# TYPE " + rn.metric + " counter\n";
-    out += rn.metric + rn.labels + " ";
-    append_u64(out, c.value());
-    out += "\n";
-  });
-
-  reg.for_each_gauge([&](const std::string& name, std::uint64_t value) {
-    const RenderedName rn = rendered_name(opts, name);
-    out += "# TYPE " + rn.metric + " gauge\n";
     out += rn.metric + rn.labels + " ";
     append_u64(out, value);
     out += "\n";

@@ -10,7 +10,8 @@
 // quote, newline), so hostile names stay queryable instead of colliding
 // silently.
 //
-// Counters and gauges render as single samples with a # TYPE header.
+// Counters -- owned or read at scrape time -- render as single samples with
+// a # TYPE header.
 // Histograms render as native Prometheus histograms: cumulative `_bucket`
 // samples over obs::Histogram's power-of-two bucket bounds (only buckets up
 // to the one containing the max are emitted, then le="+Inf"), plus `_sum`

@@ -6,13 +6,12 @@
 // (obs/live/http.h) serving curl/Prometheus/ugrpcstat, the SimTransport
 // snapshot path used by tests, and the flight recorder:
 //
-//   * metrics_text()       -- Prometheus exposition of the site's long-lived
-//                             SiteStats registry, plus per-micro-protocol
-//                             self-time attribution folded fresh from the
-//                             attached Tracer's spans on every scrape (the
-//                             Tracer is never cleared -- its rings feed the
-//                             flight recorder -- so folding into a persistent
-//                             registry would double-count);
+//   * metrics_text()       -- Prometheus exposition of the hub's registry,
+//                             plus per-micro-protocol self-time attribution
+//                             folded fresh from the tracer's spans on every
+//                             scrape (the Tracer is never cleared -- its
+//                             rings feed the flight recorder -- so folding
+//                             into a persistent registry would double-count);
 //   * introspection_json() -- channelz-style live-state snapshot, produced
 //                             by a provider the owner installs (core's
 //                             SiteTelemetry walks composite state; obs
@@ -21,9 +20,16 @@
 //                             metrics + introspection into a fresh
 //                             timestamped directory (flight_recorder.h).
 //
-// Layering: the hub lives in obs and knows only obs types.  Core wires it:
-// GrpcState::live points at hub->stats() for hot-path counters, and
-// core/telemetry.h installs the introspection/manifest providers.
+// The counters are the tracer's own tallies: every call, retransmission,
+// malformed drop, timer and message count in the registry is read from
+// Tracer::count() at scrape time, so the stack records each fact once, as a
+// trace record.  A hub therefore reports what its tracer saw -- with one
+// site per process (UDP) that is the site; with a simulator tracer shared
+// by several sites it is all of them.  The hub owns only `flight.dumps`;
+// core/telemetry.h adds the watchdog counters and the net::Stats reads.
+//
+// Layering: the hub lives in obs and knows only obs types.  Core installs
+// the introspection/manifest providers (core/telemetry.h).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +39,7 @@
 #include <string_view>
 
 #include "obs/live/prometheus.h"
-#include "obs/live/site_stats.h"
+#include "obs/metrics.h"
 
 namespace ugrpc::obs {
 class Tracer;
@@ -43,29 +49,31 @@ namespace ugrpc::obs::live {
 
 class TelemetryHub {
  public:
-  TelemetryHub() = default;
+  /// Binds the registry's counters to `tracer`'s per-kind tallies.  `tracer`
+  /// must outlive the hub and is never cleared while the hub serves (the
+  /// counters would go backwards).
+  explicit TelemetryHub(const Tracer& tracer);
 
   TelemetryHub(const TelemetryHub&) = delete;
   TelemetryHub& operator=(const TelemetryHub&) = delete;
 
-  [[nodiscard]] SiteStats& stats() { return stats_; }
-  [[nodiscard]] const SiteStats& stats() const { return stats_; }
+  [[nodiscard]] Registry& registry() { return registry_; }
+  [[nodiscard]] const Registry& registry() const { return registry_; }
 
-  /// Attaches the tracer whose rings/spans back scrapes and flight dumps
-  /// (also binds its exact per-kind counters as gauges).  May be null to
-  /// detach.  `t` must outlive the hub or the next set_tracer call.
-  void set_tracer(const Tracer* t);
-  [[nodiscard]] const Tracer* tracer() const { return tracer_; }
+  /// The tracer whose rings/spans back scrapes and flight dumps.
+  [[nodiscard]] const Tracer& tracer() const { return tracer_; }
 
   /// Installs the introspection snapshot provider (must return a complete
-  /// JSON document).  Without one, introspection_json() returns "{}".
+  /// JSON document).  Without one -- or after installing an empty one --
+  /// introspection_json() returns "{}".
   void set_introspection(std::function<std::string()> provider) {
     introspection_ = std::move(provider);
   }
 
   /// Installs a provider of extra MANIFEST.json fields for flight dumps --
   /// comma-joined `"key":value` fragments without enclosing braces (e.g. the
-  /// checker expectations derived from the site's Config).
+  /// checker expectations derived from the site's Config).  An empty
+  /// provider uninstalls it.
   void set_manifest_extra(std::function<std::string()> provider) {
     manifest_extra_ = std::move(provider);
   }
@@ -74,8 +82,8 @@ class TelemetryHub {
 
   // ---- snapshot endpoints ----
 
-  /// Prometheus text exposition: SiteStats registry + a fresh span-profile
-  /// fold (when a tracer with closed spans is attached).
+  /// Prometheus text exposition: the registry + a fresh span-profile fold
+  /// (when the tracer holds closed spans).
   [[nodiscard]] std::string metrics_text() const;
   /// Same data as one JSON object: {"site":{...},"spans":{...}}.
   [[nodiscard]] std::string metrics_json() const;
@@ -94,7 +102,7 @@ class TelemetryHub {
 
   /// Writes one flight dump (flight_recorder.h) tagged with `reason`.
   /// Returns the dump directory, or nullopt when disabled or on I/O failure
-  /// (diagnostic in `error` when non-null).  Bumps stats().flight_dumps on
+  /// (diagnostic in `error` when non-null).  Bumps `flight.dumps` on
   /// success.  Callers: watchdog trips, checker violations, crash handler.
   std::optional<std::string> trip(std::string_view reason, std::string* error = nullptr);
 
@@ -103,8 +111,10 @@ class TelemetryHub {
   [[nodiscard]] std::uint64_t dump_seq() const { return dump_seq_; }
 
  private:
-  SiteStats stats_;
-  const Tracer* tracer_ = nullptr;
+  const Tracer& tracer_;
+  // Declared before flight_dumps_, which binds into it.
+  Registry registry_;
+  Counter& flight_dumps_;
   std::function<std::string()> introspection_;
   std::function<std::string()> manifest_extra_;
   PromOptions prom_;

@@ -24,20 +24,28 @@ std::uint64_t Histogram::quantile(double q) const {
 }
 
 Counter& Registry::counter(const std::string& name) {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) it = counters_.emplace(name, std::make_unique<Counter>()).first;
-  return *it->second;
+  const auto [it, fresh] = owned_.try_emplace(name);
+  if (fresh) {
+    const bool unbound = counters_.emplace(name, [&c = it->second] { return c.value(); }).second;
+    UGRPC_ASSERT(unbound && "name is already a bound counter");
+  }
+  return it->second;
+}
+
+void Registry::counter(const std::string& name, std::function<std::uint64_t()> read) {
+  UGRPC_ASSERT(read != nullptr && !owned_.contains(name));
+  counters_[name] = std::move(read);
+}
+
+std::uint64_t Registry::value(const std::string& name) const {
+  const auto it = counters_.find(name);
+  return it != counters_.end() ? it->second() : 0;
 }
 
 Histogram& Registry::histogram(const std::string& name) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) it = histograms_.emplace(name, std::make_unique<Histogram>()).first;
   return *it->second;
-}
-
-void Registry::gauge(const std::string& name, std::function<std::uint64_t()> read) {
-  UGRPC_ASSERT(read != nullptr);
-  gauges_[name] = std::move(read);
 }
 
 std::string Registry::to_json() const {
@@ -48,11 +56,7 @@ std::string Registry::to_json() const {
     first = false;
     out += "\n  " + json_str(name) + ": ";
   };
-  for (const auto& [name, c] : counters_) {
-    emit_key(name);
-    out += std::to_string(c->value());
-  }
-  for (const auto& [name, read] : gauges_) {
+  for (const auto& [name, read] : counters_) {
     emit_key(name);
     out += std::to_string(read());
   }

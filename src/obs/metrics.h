@@ -1,12 +1,12 @@
-// Named counters / histograms / gauges, dumpable as JSON.
+// Named counters / histograms, dumpable as JSON.
 //
 // Replaces ad-hoc per-component stats plumbing as the way benches and tests
 // export numbers: components either own obs::Counter/obs::Histogram objects
-// registered here, or bind existing fields as gauges (read-at-dump), so
-// legacy structs like net::Stats surface in the same JSON artifact without
-// hot-path changes.  A Registry is experiment-scoped (no globals): each
-// bench builds one, lets components export into it, and dumps it alongside
-// its results.
+// registered here, or bind a count they already keep as a read-at-scrape
+// counter, so tallies like net::Stats or the Tracer's per-kind counts
+// surface in the same JSON artifact without hot-path changes.  A Registry
+// is experiment-scoped (no globals): each bench builds one, lets components
+// export into it, and dumps it alongside its results.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +89,8 @@ class Histogram {
 
 /// Experiment-scoped registry of named metrics.  Names are dotted paths
 /// ("net.sent", "call.latency_us"); references returned by counter() /
-/// histogram() are stable for the registry's lifetime.
+/// histogram() are stable for the registry's lifetime.  Every counter is
+/// monotonic, whether the registry owns it or reads it at scrape time.
 class Registry {
  public:
   Registry() = default;
@@ -97,23 +98,24 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   [[nodiscard]] Counter& counter(const std::string& name);
+  /// Binds a count kept elsewhere; `read` is evaluated at dump time and must
+  /// never decrease.  Re-binding a name replaces the previous read.
+  void counter(const std::string& name, std::function<std::uint64_t()> read);
   [[nodiscard]] Histogram& histogram(const std::string& name);
-  /// Binds an externally owned value; `read` is evaluated at dump time.
-  void gauge(const std::string& name, std::function<std::uint64_t()> read);
+
+  /// Current value of counter `name`, owned or bound; 0 when absent.
+  [[nodiscard]] std::uint64_t value(const std::string& name) const;
 
   /// All metrics as one JSON object.  Histograms dump as
   /// {"count":..,"sum":..,"min":..,"max":..,"mean":..,"p50":..,"p99":..}.
   [[nodiscard]] std::string to_json() const;
 
   // ---- read-only iteration (exposition renderers; obs/live/prometheus.h) ----
-  // Name order follows the underlying maps (lexicographic).  Gauge reads are
-  // evaluated at visit time.
+  // Name order follows the underlying maps (lexicographic).  Bound counters
+  // are read at visit time.
 
-  void for_each_counter(const std::function<void(const std::string&, const Counter&)>& fn) const {
-    for (const auto& [name, c] : counters_) fn(name, *c);
-  }
-  void for_each_gauge(const std::function<void(const std::string&, std::uint64_t)>& fn) const {
-    for (const auto& [name, read] : gauges_) fn(name, read());
+  void for_each_counter(const std::function<void(const std::string&, std::uint64_t)>& fn) const {
+    for (const auto& [name, read] : counters_) fn(name, read());
   }
   void for_each_histogram(
       const std::function<void(const std::string&, const Histogram&)>& fn) const {
@@ -121,10 +123,12 @@ class Registry {
   }
 
  private:
-  // node-based maps keep references stable across insertion
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  // Node-based maps keep references stable across insertion.  counters_
+  // holds a read for every counter name; an owned counter's read points
+  // into owned_.
+  std::map<std::string, Counter> owned_;
+  std::map<std::string, std::function<std::uint64_t()>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::function<std::uint64_t()>> gauges_;
 };
 
 }  // namespace ugrpc::obs

@@ -18,6 +18,7 @@ std::string_view kind_name(Kind k) {
     case Kind::kMsgDropped: return "msg_dropped";
     case Kind::kMsgDuplicated: return "msg_duplicated";
     case Kind::kMsgUnroutable: return "msg_unroutable";
+    case Kind::kMsgMalformed: return "msg_malformed";
     case Kind::kTimerArmed: return "timer_armed";
     case Kind::kTimerFired: return "timer_fired";
     case Kind::kTimerCancelled: return "timer_cancelled";

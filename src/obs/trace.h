@@ -68,6 +68,7 @@ enum class Kind : std::uint8_t {
   kMsgDropped,     ///< a=peer, b=protocol id; opens a flagged "send" at the sender
   kMsgDuplicated,  ///< a=peer (dst), b=protocol id
   kMsgUnroutable,  ///< a=peer or group, b=protocol id
+  kMsgMalformed,   ///< a=sender (a gRPC message dropped because it did not decode)
   // Timers (framework TIMEOUT registrations).
   kTimerArmed,      ///< a=timer id, b=delay, name=timer name
   kTimerFired,      ///< name=timer name; opens "timer"

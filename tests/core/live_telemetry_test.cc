@@ -1,8 +1,8 @@
 // Integration tests for the live telemetry plane on simulated sites
-// (core/telemetry.h + obs/live/*): SiteStats counters driven by a real
-// workload, the stall watchdog flagging pending pRPC/sRPC records, the
-// introspection snapshot, and a flight dump loadable by trace_load + the
-// checker.
+// (core/telemetry.h + obs/live/*): the hub's counters, read from the trace
+// tallies of a real workload, the stall watchdog flagging pending pRPC/sRPC
+// records, the introspection snapshot, and a flight dump loadable by
+// trace_load + the checker.
 #include "core/telemetry.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/observe.h"
 #include "core/scenario.h"
@@ -47,44 +48,111 @@ void stuck_app(UserProtocol& user, Site& site) {
 }
 
 TEST(LiveTelemetry, CountersTrackCompletedCalls) {
-  Scenario s(ScenarioParams{});
-  obs::live::TelemetryHub hub;
+  // kStuck never returns, so Bounded Termination expires that one call.
+  constexpr OpId kStuck{2};
+  obs::Tracer tracer;
+  ScenarioParams p;
+  p.config = ConfigBuilder().termination_bound(sim::msec(100)).build();
+  p.server_app = [](UserProtocol& user, Site& site) {
+    user.set_procedure([&site](OpId op, Buffer&) -> sim::Task<> {
+      if (op == kStuck) co_await site.scheduler().sleep_for(sim::seconds(1000));
+    });
+  };
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
+  obs::live::TelemetryHub hub(tracer);
   SiteTelemetry telemetry(hub, s.client_site(0));
+  std::vector<Status> statuses;
   s.run_client(0, [&](Client& c) -> sim::Task<> {
-    for (int i = 0; i < 3; ++i) (void)co_await c.call_async(s.group(), kOp, Buffer{});
+    for (int i = 0; i < 3; ++i) {
+      statuses.push_back((co_await c.call(s.group(), kOp, Buffer{})).status);
+    }
+    statuses.push_back((co_await c.call(s.group(), kStuck, Buffer{})).status);
   });
-  EXPECT_EQ(hub.stats().calls_started.value(), 3u);
-  EXPECT_EQ(hub.stats().calls_completed.value(), 3u);
-  EXPECT_EQ(hub.stats().calls_failed.value(), 0u);
+  EXPECT_EQ(statuses, (std::vector<Status>{Status::kOk, Status::kOk, Status::kOk,
+                                           Status::kTimeout}));
+  const obs::Registry& reg = hub.registry();
+  EXPECT_EQ(reg.value("calls.started"), 4u);
+  EXPECT_EQ(reg.value("calls.completed"), 3u) << "the expired call is not a completion";
+  EXPECT_EQ(reg.value("calls.failed"), 1u);
 }
 
-TEST(LiveTelemetry, DisabledPathLeavesLivePointerNull) {
-  Scenario s(ScenarioParams{});
-  EXPECT_EQ(s.server(0).grpc().state().live, nullptr);
+TEST(LiveTelemetry, CountersAccumulateAcrossCrashRecover) {
+  obs::Tracer tracer;
+  ScenarioParams p;
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
+  obs::live::TelemetryHub hub(tracer);
+  SiteTelemetry telemetry(hub, s.client_site(0));
+  const auto issue = [&](int n) {
+    s.run_client(0, [&s, n](Client& c) -> sim::Task<> {
+      for (int i = 0; i < n; ++i) (void)co_await c.call_async(s.group(), kOp, Buffer{});
+    });
+  };
+  issue(2);
+  s.client_site(0).crash();
+  s.client_site(0).recover();
+  ASSERT_EQ(s.client_site(0).incarnation(), 2u);
+  issue(3);
+  EXPECT_EQ(hub.registry().value("calls.started"), 5u) << "both incarnations' calls count";
+  EXPECT_EQ(hub.registry().value("calls.completed"), 5u);
+  EXPECT_EQ(hub.registry().value("calls.failed"), 0u);
+}
+
+TEST(LiveTelemetry, ScrapeTypesEveryCountAsCounter) {
+  obs::Tracer tracer;
+  ScenarioParams p;
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
+  obs::live::TelemetryHub hub(tracer);
+  SiteTelemetry telemetry(hub, s.client_site(0));
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   });
+  const std::string out = hub.metrics_text();
+  for (const char* line : {"# TYPE ugrpc_calls_started counter",
+                           "# TYPE ugrpc_timers_fired counter", "# TYPE ugrpc_net_sent counter"}) {
+    EXPECT_NE(out.find(std::string(line) + "\n"), std::string::npos) << line << "\n" << out;
+  }
+  EXPECT_EQ(out.find(" gauge\n"), std::string::npos) << out;
 }
 
-TEST(LiveTelemetry, LiveStatsRewiredAcrossCrashRecover) {
-  Scenario s(ScenarioParams{});
-  obs::live::TelemetryHub hub;
-  SiteTelemetry telemetry(hub, s.server(0));
-  EXPECT_EQ(s.server(0).grpc().state().live, &hub.stats());
-  s.server(0).crash();
-  s.server(0).recover();
-  EXPECT_EQ(s.server(0).grpc().state().live, &hub.stats())
-      << "the rebuilt stack must re-wire the long-lived counters";
+TEST(LiveTelemetry, HubOutlivesSiteTelemetry) {
+  obs::Tracer tracer;
+  ScenarioParams p;
+  p.num_servers = 1;
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
+  obs::live::TelemetryHub hub(tracer);
+  {
+    SiteTelemetry telemetry(hub, s.client_site(0));
+    telemetry.start_watchdog();
+    EXPECT_NE(hub.introspection_json(), "{}");
+  }
+  EXPECT_EQ(hub.introspection_json(), "{}") << "the providers must leave with their owner";
+  EXPECT_EQ(hub.manifest_extra(), "");
+
+  const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_orphan_hub";
+  fs::remove_all(dir);
+  hub.set_flight_dir(dir.string());
+  std::string error;
+  const auto dump = hub.trip("after-site-telemetry", &error);
+  ASSERT_TRUE(dump.has_value()) << error;
+  EXPECT_TRUE(fs::exists(fs::path(*dump) / "introspect.json"));
+  EXPECT_EQ(hub.registry().value("flight.dumps"), 1u);
+  fs::remove_all(dir);
 }
 
 TEST(LiveTelemetry, WatchdogFlagsStalledCallOnce) {
+  obs::Tracer tracer;
   ScenarioParams p;
+  p.tracer = &tracer;
   p.num_servers = 1;
   p.config = ConfigBuilder().asynchronous().build();
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub hub;
+  obs::live::TelemetryHub hub(tracer);
   SiteTelemetry telemetry(hub, s.client_site(0), tight_options());
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
@@ -93,23 +161,25 @@ TEST(LiveTelemetry, WatchdogFlagsStalledCallOnce) {
 
   SiteTelemetry::Sweep sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.stalled, 1u);
-  EXPECT_EQ(hub.stats().watchdog_stalled.value(), 1u);
-  EXPECT_EQ(hub.stats().watchdog_trips.value(), 1u);
+  EXPECT_EQ(hub.registry().value("watchdog.stalled_calls"), 1u);
+  EXPECT_EQ(hub.registry().value("watchdog.trips"), 1u);
 
   sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.stalled, 0u) << "a record is flagged once, not per sweep";
-  EXPECT_EQ(hub.stats().watchdog_stalled.value(), 1u);
-  EXPECT_EQ(hub.stats().watchdog_scans.value(), 2u);
+  EXPECT_EQ(hub.registry().value("watchdog.stalled_calls"), 1u);
+  EXPECT_EQ(hub.registry().value("watchdog.scans"), 2u);
 }
 
 TEST(LiveTelemetry, WatchdogFlagsOrphanedServerEntry) {
+  obs::Tracer tracer;
   ScenarioParams p;
+  p.tracer = &tracer;
   p.num_servers = 1;
   p.config = ConfigBuilder().asynchronous().build();
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub hub;
+  obs::live::TelemetryHub hub(tracer);
   SiteTelemetry telemetry(hub, s.server(0), tight_options());
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
@@ -118,17 +188,19 @@ TEST(LiveTelemetry, WatchdogFlagsOrphanedServerEntry) {
 
   const SiteTelemetry::Sweep sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.orphaned, 1u);
-  EXPECT_EQ(hub.stats().watchdog_orphaned.value(), 1u);
+  EXPECT_EQ(hub.registry().value("watchdog.orphaned_entries"), 1u);
 }
 
 TEST(LiveTelemetry, WatchdogTimerSweepsPeriodically) {
+  obs::Tracer tracer;
   ScenarioParams p;
+  p.tracer = &tracer;
   p.num_servers = 1;
   p.config = ConfigBuilder().asynchronous().build();
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub hub;
+  obs::live::TelemetryHub hub(tracer);
   SiteTelemetry::Options options = tight_options();
   options.scan_period = sim::msec(5);
   SiteTelemetry telemetry(hub, s.client_site(0), options);
@@ -139,25 +211,27 @@ TEST(LiveTelemetry, WatchdogTimerSweepsPeriodically) {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
   s.run_for(sim::msec(50));
-  EXPECT_GE(hub.stats().watchdog_scans.value(), 5u);
-  EXPECT_EQ(hub.stats().watchdog_stalled.value(), 1u);
+  EXPECT_GE(hub.registry().value("watchdog.scans"), 5u);
+  EXPECT_EQ(hub.registry().value("watchdog.stalled_calls"), 1u);
 
   telemetry.stop_watchdog();
   EXPECT_FALSE(telemetry.watchdog_running());
-  const std::uint64_t scans = hub.stats().watchdog_scans.value();
+  const std::uint64_t scans = hub.registry().value("watchdog.scans");
   s.run_for(sim::msec(50));
-  EXPECT_EQ(hub.stats().watchdog_scans.value(), scans) << "stopped watchdog must not sweep";
+  EXPECT_EQ(hub.registry().value("watchdog.scans"), scans) << "stopped watchdog must not sweep";
 }
 
 TEST(LiveTelemetry, IntrospectionListsPendingCalls) {
+  obs::Tracer tracer;
   ScenarioParams p;
+  p.tracer = &tracer;
   p.num_servers = 1;
   p.config = ConfigBuilder().asynchronous().build();
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub client_hub;
-  obs::live::TelemetryHub server_hub;
+  obs::live::TelemetryHub client_hub(tracer);
+  obs::live::TelemetryHub server_hub(tracer);
   SiteTelemetry client_tel(client_hub, s.client_site(0));
   SiteTelemetry server_tel(server_hub, s.server(0));
   s.run_client(0, [&](Client& c) -> sim::Task<> {
@@ -200,8 +274,7 @@ TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
   const Config config = p.config;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub hub;
-  hub.set_tracer(&tracer);
+  obs::live::TelemetryHub hub(tracer);
   SiteTelemetry telemetry(hub, s.client_site(0));
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     for (int i = 0; i < 3; ++i) (void)co_await c.call_async(s.group(), kOp, Buffer{});
@@ -213,7 +286,7 @@ TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
   std::string error;
   const auto dump = hub.trip("test-reason", &error);
   ASSERT_TRUE(dump.has_value()) << error;
-  EXPECT_EQ(hub.stats().flight_dumps.value(), 1u);
+  EXPECT_EQ(hub.registry().value("flight.dumps"), 1u);
 
   const auto slurp = [](const fs::path& path) {
     std::ifstream in(path);
@@ -248,13 +321,15 @@ TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
 }
 
 TEST(LiveTelemetry, WatchdogTripWritesFlightDump) {
+  obs::Tracer tracer;
   ScenarioParams p;
+  p.tracer = &tracer;
   p.num_servers = 1;
   p.config = ConfigBuilder().asynchronous().build();
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub hub;
+  obs::live::TelemetryHub hub(tracer);
   SiteTelemetry::Options options = tight_options();
   options.trip_on_stall = true;
   SiteTelemetry telemetry(hub, s.client_site(0), options);
@@ -271,7 +346,7 @@ TEST(LiveTelemetry, WatchdogTripWritesFlightDump) {
   EXPECT_EQ(sweep.stalled, 1u);
   ASSERT_TRUE(sweep.flight_dir.has_value());
   EXPECT_TRUE(fs::exists(fs::path(*sweep.flight_dir) / "MANIFEST.json"));
-  EXPECT_EQ(hub.stats().flight_dumps.value(), 1u);
+  EXPECT_EQ(hub.registry().value("flight.dumps"), 1u);
 
   std::string error;
   const auto manifest =

@@ -6,6 +6,8 @@
 #include "core/micro/acceptance.h"
 #include "core/micro/unique_execution.h"
 #include "core/scenario.h"
+#include "obs/live/telemetry.h"
+#include "obs/trace.h"
 
 namespace ugrpc::core {
 namespace {
@@ -26,14 +28,18 @@ Buffer bytes_of(std::initializer_list<int> values) {
 
 // Bytes from the network never crash a site: a gRPC payload that does not
 // decode, or an ACK whose batch count runs past its bytes, is dropped and
-// counted, and the site goes on serving calls.
+// counted -- as a kMsgMalformed trace record, which the telemetry hub's
+// msgs.malformed reads -- and the site goes on serving calls.
 TEST(Regression, MalformedGrpcMessagesAreDroppedAndCounted) {
+  obs::Tracer tracer;
   ScenarioParams p;
   p.num_servers = 1;
   p.config.acceptance_limit = 1;
   p.config.reliable_communication = true;
   p.config.unique_execution = true;
+  p.tracer = &tracer;
   Scenario s(std::move(p));
+  const obs::live::TelemetryHub hub(tracer);
   const ProcessId server = Scenario::server_id(0);
 
   net::NetMessage call;
@@ -54,6 +60,15 @@ TEST(Regression, MalformedGrpcMessagesAreDroppedAndCounted) {
   }
   s.run_for(sim::msec(10));
   EXPECT_EQ(s.server(0).grpc().state().malformed.count(), 4u);
+  std::uint64_t records = 0;
+  for (const obs::Event& e : tracer.merged()) {
+    if (e.kind != obs::Kind::kMsgMalformed) continue;
+    ++records;
+    EXPECT_EQ(e.site, server);
+    EXPECT_EQ(e.a, s.client_id(0).value()) << "a = the sender";
+  }
+  EXPECT_EQ(records, 4u);
+  EXPECT_EQ(hub.registry().value("msgs.malformed"), 4u);
 
   CallResult result;
   s.run_client(0, [&](Client& c) -> sim::Task<> {

@@ -25,6 +25,7 @@
 
 #include "obs/live/http.h"
 #include "obs/live/telemetry.h"
+#include "obs/trace.h"
 
 namespace ugrpc::obs::live {
 namespace {
@@ -142,7 +143,8 @@ class HttpFuzz : public ::testing::Test {
     ASSERT_TRUE(server_.listen("127.0.0.1", 0, &error)) << error;
   }
 
-  TelemetryHub hub_;
+  Tracer tracer_;
+  TelemetryHub hub_{tracer_};
   TelemetryServer server_{hub_};
 };
 

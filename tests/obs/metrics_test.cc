@@ -46,7 +46,7 @@ TEST(Registry, StableReferencesAndJson) {
   Counter& sent = reg.counter("net.sent");
   Histogram& lat = reg.histogram("call.latency_us");
   std::uint64_t external = 7;
-  reg.gauge("net.unroutable", [&external] { return external; });
+  reg.counter("net.unroutable", [&external] { return external; });
   sent.add(3);
   lat.add(100);
   lat.add(200);
@@ -55,10 +55,15 @@ TEST(Registry, StableReferencesAndJson) {
   EXPECT_EQ(&sent, &reg.counter("net.sent"));
   sent.add(1);
   EXPECT_EQ(reg.counter("net.sent").value(), 4u);
+  EXPECT_EQ(reg.value("net.sent"), 4u);
+  EXPECT_EQ(reg.value("net.unroutable"), 7u) << "a bound counter is read when asked";
+  external = 9;
+  EXPECT_EQ(reg.value("net.unroutable"), 9u);
+  EXPECT_EQ(reg.value("absent"), 0u);
 
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"net.sent\": 4"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"net.unroutable\": 7"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"net.unroutable\": 9"), std::string::npos) << json;
   EXPECT_NE(json.find("\"call.latency_us\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"count\":2"), std::string::npos) << json;
 }

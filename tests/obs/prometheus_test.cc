@@ -60,12 +60,14 @@ TEST(PromEscape, EscapesBackslashQuoteNewline) {
 TEST(PromRender, CounterAndGaugeWithPrefix) {
   Registry reg;
   reg.counter("calls.started").add(7);
-  reg.gauge("queue.depth", [] { return std::uint64_t{3}; });
+  // A count kept elsewhere, read at scrape time, is a counter too.
+  reg.counter("msgs.sent", [] { return std::uint64_t{3}; });
   const std::string out = render_prometheus(reg);
   EXPECT_TRUE(has_line(out, "# TYPE ugrpc_calls_started counter")) << out;
   EXPECT_TRUE(has_line(out, "ugrpc_calls_started 7")) << out;
-  EXPECT_TRUE(has_line(out, "# TYPE ugrpc_queue_depth gauge")) << out;
-  EXPECT_TRUE(has_line(out, "ugrpc_queue_depth 3")) << out;
+  EXPECT_TRUE(has_line(out, "# TYPE ugrpc_msgs_sent counter")) << out;
+  EXPECT_TRUE(has_line(out, "ugrpc_msgs_sent 3")) << out;
+  EXPECT_EQ(out.find("gauge"), std::string::npos) << out;
 }
 
 TEST(PromRender, ConstLabelsAttachToEverySample) {

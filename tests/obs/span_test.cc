@@ -417,8 +417,7 @@ TEST(Span, LongRunningSiteKeepsItsNewestSpans) {
   EXPECT_EQ(call_spans.back()->call, calls.back()) << "the newest call span is the last call's";
   EXPECT_FALSE(call_spans.back()->open());
 
-  obs::live::TelemetryHub hub;
-  hub.set_tracer(&tracer);
+  obs::live::TelemetryHub hub(tracer);
   const std::filesystem::path dir =
       std::filesystem::path(testing::TempDir()) / "ugrpc_span_wrap_flight";
   std::filesystem::remove_all(dir);

@@ -199,8 +199,12 @@ TEST(Tracer, DumpJsonCarriesSpanFields) {
 
 TEST(Tracer, KindNamesCoverEveryKind) {
   for (std::size_t k = 0; k < kKindCount; ++k) {
-    EXPECT_FALSE(kind_name(static_cast<Kind>(k)).empty()) << "kind " << k;
+    const Kind kind = static_cast<Kind>(k);
+    EXPECT_FALSE(kind_name(kind).empty()) << "kind " << k;
+    EXPECT_EQ(kind_from_name(kind_name(kind)), kind) << "kind " << k;
   }
+  EXPECT_EQ(kind_name(Kind::kMsgMalformed), "msg_malformed");
+  EXPECT_EQ(kind_from_name("msg_malformed"), Kind::kMsgMalformed);
 }
 
 }  // namespace

@@ -21,7 +21,8 @@ Validates the output of obs::live::render_prometheus / a /metrics scrape
   * no duplicate sample (same name + label set)
 
 ``--require NAME`` (repeatable) asserts a family is present -- the CI smoke
-job requires the SiteStats counters it knows the run must have produced.
+job requires the counters it knows the run must have produced (e.g.
+``ugrpc_calls_retransmissions`` after a forced retransmission).
 ``--require-prefix P`` asserts every sample name starts with P.
 
 Exits 0 when the exposition passes, 1 on violations, 2 on usage/file errors.
