@@ -22,10 +22,10 @@
 // reaches the socket, so the trace demonstrably covers a retransmission
 // (loopback UDP never drops on its own).
 //
-// Live telemetry plane (ISSUE 5): --telemetry-port serves the client site's
-// TelemetryHub over HTTP from the transport's poll loop (0 = ephemeral; the
-// chosen port is printed and, with --port-file, written for scripts --
-// scrape /metrics with curl or watch live with tools/ugrpcstat).
+// Live telemetry plane: --telemetry-port serves the client site's
+// SiteTelemetry over HTTP from a timer on the transport's loop (0 =
+// ephemeral; the chosen port is printed and, with --port-file, written for
+// scripts -- scrape /metrics with curl or watch live with tools/ugrpcstat).
 // --serve-sec keeps the client serving that many seconds after the calls
 // finish.  --stats-out writes the final metrics JSON.  --flight-dir arms
 // the flight recorder (watchdog trips and crash signals dump there);
@@ -47,16 +47,12 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "core/config_builder.h"
 #include "core/grpc_state.h"
 #include "core/service.h"
 #include "core/site.h"
 #include "core/telemetry.h"
 #include "net/udp_transport.h"
-#include "obs/live/flight_recorder.h"
-#include "obs/live/telemetry.h"
 #include "obs/perfetto.h"
 #include "obs/trace.h"
 
@@ -82,7 +78,7 @@ struct Cli {
   std::string flight_dir;         ///< arm the flight recorder
   long stall_bound_us = 0;        ///< 0 = config-derived watchdog bound
 
-  /// Any flag that needs the client's TelemetryHub?
+  /// Any flag that needs the client's SiteTelemetry?
   [[nodiscard]] bool telemetry_on() const {
     return telemetry_port >= 0 || !stats_out.empty() || !flight_dir.empty();
   }
@@ -263,28 +259,25 @@ int main(int argc, char** argv) {
   core::Site site(transport, client_id, core::ConfigBuilder::exactly_once().build(), known);
   obs::Tracer tracer;
   if (!cli.trace_out.empty() || cli.telemetry_on()) {
-    // Telemetry implies tracing: the hub's span attribution and flight-dump
-    // rings come from the same tracer the spans land in.
+    // Telemetry implies tracing: its counters, span attribution and
+    // flight-dump rings come from the same tracer the spans land in.
     transport.set_tracer(&tracer);
     site.set_tracer(&tracer);
   }
 
   // Live telemetry plane for the client site: its counters are the
   // tracer's tallies.
-  obs::live::TelemetryHub hub(tracer);
-  std::unique_ptr<core::SiteTelemetry> telemetry;
+  core::SiteTelemetry::Options wopts;
+  if (cli.stall_bound_us > 0) {
+    wopts.stall_after = sim::usec(cli.stall_bound_us);
+    wopts.scan_period = sim::msec(5);  // sweep fast enough to catch the stall
+  }
+  core::SiteTelemetry telemetry(site, tracer, wopts);
   if (cli.telemetry_on()) {
-    core::SiteTelemetry::Options wopts;
-    if (cli.stall_bound_us > 0) {
-      wopts.bound_override = sim::usec(cli.stall_bound_us);
-      wopts.stall_multiplier = 1.0;
-      wopts.scan_period = sim::msec(5);  // sweep fast enough to catch the stall
-    }
-    telemetry = std::make_unique<core::SiteTelemetry>(hub, site, wopts);
     if (cli.telemetry_port >= 0) {
       std::string err;
-      const std::uint16_t port = transport.serve_telemetry(
-          hub, static_cast<std::uint16_t>(cli.telemetry_port), "127.0.0.1", &err);
+      const std::uint16_t port =
+          telemetry.serve(static_cast<std::uint16_t>(cli.telemetry_port), "127.0.0.1", &err);
       if (port == 0) {
         std::fprintf(stderr, "udp_group_call: telemetry listener failed: %s\n", err.c_str());
         return 1;
@@ -297,8 +290,8 @@ int main(int argc, char** argv) {
       }
     }
     if (!cli.flight_dir.empty()) {
-      hub.set_flight_dir(cli.flight_dir);
-      obs::live::install_crash_handler(&hub);  // disarmed before `hub` leaves scope
+      telemetry.set_flight_dir(cli.flight_dir);
+      core::install_crash_handler(telemetry);  // ~SiteTelemetry disarms it
     }
   }
   if (cli.force_retransmit) {
@@ -330,7 +323,7 @@ int main(int argc, char** argv) {
   }
 
   site.boot();
-  if (telemetry != nullptr) telemetry->start_watchdog();
+  if (cli.telemetry_on()) telemetry.start_watchdog();
   core::Client client(site);
 
   int ok = 0;
@@ -356,7 +349,7 @@ int main(int argc, char** argv) {
 
   bool stats_ok = true;
   if (!cli.stats_out.empty()) {
-    stats_ok = write_file(cli.stats_out, hub.metrics_json());
+    stats_ok = write_file(cli.stats_out, telemetry.metrics_json());
     if (!stats_ok) std::fprintf(stderr, "udp_group_call: cannot write %s\n", cli.stats_out.c_str());
   }
 
@@ -409,7 +402,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.bytes_delivered));
   if (!finished) std::fprintf(stderr, "udp_group_call: client did not finish before timeout\n");
   if (!children_ok) std::fprintf(stderr, "udp_group_call: a server process exited abnormally\n");
-  obs::live::install_crash_handler(nullptr);
   return (finished && ok == cli.calls && bad_payload == 0 && children_ok && trace_ok && stats_ok)
              ? 0
              : 1;

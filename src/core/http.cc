@@ -1,4 +1,4 @@
-#include "obs/live/http.h"
+#include "core/http.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -10,9 +10,9 @@
 #include <cstring>
 #include <vector>
 
-#include "obs/live/telemetry.h"
+#include "core/telemetry.h"
 
-namespace ugrpc::obs::live {
+namespace ugrpc::core {
 
 namespace {
 
@@ -82,13 +82,13 @@ std::string TelemetryServer::route(const std::string& method, const std::string&
   }
   if (path == "/metrics") {
     return http_response(200, "OK", "text/plain; version=0.0.4; charset=utf-8",
-                         hub_.metrics_text());
+                         telemetry_.metrics_text());
   }
   if (path == "/metrics.json") {
-    return http_response(200, "OK", "application/json", hub_.metrics_json());
+    return http_response(200, "OK", "application/json", telemetry_.metrics_json());
   }
   if (path == "/introspect") {
-    return http_response(200, "OK", "application/json", hub_.introspection_json());
+    return http_response(200, "OK", "application/json", telemetry_.introspection_json());
   }
   if (path == "/healthz") return http_response(200, "OK", "text/plain", "ok\n");
   if (path == "/") {
@@ -185,4 +185,4 @@ void TelemetryServer::poll_once() {
   }
 }
 
-}  // namespace ugrpc::obs::live
+}  // namespace ugrpc::core

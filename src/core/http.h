@@ -1,18 +1,18 @@
-// TelemetryServer: a tiny non-blocking HTTP/1.0 listener over a TelemetryHub
-// (tentpole of ISSUE 5).
+// TelemetryServer: a tiny non-blocking HTTP/1.0 listener over a
+// SiteTelemetry.
 //
 // Serves the live plane to off-the-shelf consumers -- `curl`, a Prometheus
-// scraper, tools/ugrpcstat -- without threads: the owner (UdpTransport's
-// poll loop) calls poll_once() every loop iteration, which accepts pending
-// connections, progresses partial reads/writes with zero-timeout poll(2),
-// and closes finished responses.  Because poll_once() runs *between* fibers
-// of the cooperative executor, every response is a consistent point-in-time
-// snapshot of the site -- no locks, no torn reads.
+// scraper, tools/ugrpcstat -- without threads: the owner
+// (SiteTelemetry::serve's periodic timer) calls poll_once(), which accepts
+// pending connections, progresses partial reads/writes with zero-timeout
+// poll(2), and closes finished responses.  Because poll_once() runs
+// *between* fibers of the cooperative executor, every response is a
+// consistent point-in-time snapshot of the site -- no locks, no torn reads.
 //
 // Routes (GET only; one request per connection, Connection: close):
-//   /metrics        Prometheus text exposition        (hub.metrics_text())
-//   /metrics.json   same data as JSON                 (hub.metrics_json())
-//   /introspect     channelz-style live-state JSON    (hub.introspection_json())
+//   /metrics        Prometheus text exposition        (metrics_text())
+//   /metrics.json   same data as JSON                 (metrics_json())
+//   /introspect     channelz-style live-state JSON    (introspection_json())
 //   /healthz        "ok"
 //   /               plain-text index of the above
 //
@@ -27,13 +27,13 @@
 #include <list>
 #include <string>
 
-namespace ugrpc::obs::live {
+namespace ugrpc::core {
 
-class TelemetryHub;
+class SiteTelemetry;
 
 class TelemetryServer {
  public:
-  explicit TelemetryServer(TelemetryHub& hub) : hub_(hub) {}
+  explicit TelemetryServer(SiteTelemetry& telemetry) : telemetry_(telemetry) {}
   ~TelemetryServer();
 
   TelemetryServer(const TelemetryServer&) = delete;
@@ -45,13 +45,9 @@ class TelemetryServer {
 
   /// The bound port (after listen()), 0 otherwise.
   [[nodiscard]] std::uint16_t port() const { return port_; }
-  /// The listening socket, for inclusion in an external poll set (-1 when
-  /// not listening).  Readability means a connection is waiting.
-  [[nodiscard]] int listen_fd() const { return listen_fd_; }
-
-  /// Accepts and progresses all connections without blocking.  Call from
-  /// the event loop on every iteration (cheap when idle: one poll(2) with
-  /// timeout 0 over the open fds).
+  /// Accepts and progresses all connections without blocking.  Call
+  /// periodically from the event loop (cheap when idle: one accept(2) that
+  /// finds nothing).
   void poll_once();
 
   /// Closes the listener and every open connection.
@@ -73,11 +69,11 @@ class TelemetryServer {
   void handle_request(Conn& conn);
   [[nodiscard]] std::string route(const std::string& method, const std::string& path);
 
-  TelemetryHub& hub_;
+  SiteTelemetry& telemetry_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::list<Conn> conns_;
   std::uint64_t served_ = 0;
 };
 
-}  // namespace ugrpc::obs::live
+}  // namespace ugrpc::core

@@ -1,18 +1,38 @@
 #include "core/telemetry.h"
 
 #include <algorithm>
+#include <csignal>
+#include <ctime>
+#include <filesystem>
+#include <fstream>
+#include <system_error>
 
 #include "common/log.h"
+#include "core/http.h"
 #include "core/observe.h"
 #include "obs/json.h"
+#include "obs/live/prometheus.h"
+#include "obs/perfetto.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 
 namespace ugrpc::core {
 
 namespace {
 
+namespace fs = std::filesystem;
+
 /// Rate-limiter keys: one line budget per finding category.
 constexpr std::uint64_t kWarnStalled = 0;
 constexpr std::uint64_t kWarnOrphaned = 1;
+/// Stall/orphan warnings are rate-limited to one line per category per this
+/// period (suppressed counts stay exact).
+constexpr sim::Duration kWarnPeriod = sim::seconds(10);
+/// Default stall threshold: twice the termination bound, or twice this when
+/// the config sets none.
+constexpr sim::Duration kFallbackBound = sim::seconds(5);
+/// How often serve() accepts and progresses scrape connections.
+constexpr sim::Duration kServePoll = sim::msec(5);
 
 void append_hold(std::string& out, const HoldArray& hold) {
   out += "{\"main\":";
@@ -24,66 +44,146 @@ void append_hold(std::string& out, const HoldArray& hold) {
   out += "}";
 }
 
+bool write_file(const fs::path& path, std::string_view contents, std::string* error) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    if (error != nullptr) *error = "cannot open " + path.string();
+    return false;
+  }
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  out.flush();
+  if (!out) {
+    if (error != nullptr) *error = "short write to " + path.string();
+    return false;
+  }
+  return true;
+}
+
+std::string stamp_utc() {
+  const std::time_t now = std::time(nullptr);
+  std::tm tm{};
+  gmtime_r(&now, &tm);
+  char buf[32];
+  std::strftime(buf, sizeof(buf), "%Y%m%d-%H%M%S", &tm);
+  return buf;
+}
+
+SiteTelemetry* g_crash_telemetry = nullptr;
+
+constexpr int kCrashSignals[] = {SIGSEGV, SIGBUS, SIGFPE, SIGABRT};
+
+void crash_handler(int sig) {
+  SiteTelemetry* telemetry = g_crash_telemetry;
+  g_crash_telemetry = nullptr;  // one attempt only, even if the dump itself faults
+  if (telemetry != nullptr) {
+    const char* name = "signal";
+    switch (sig) {
+      case SIGSEGV: name = "signal:SIGSEGV"; break;
+      case SIGBUS: name = "signal:SIGBUS"; break;
+      case SIGFPE: name = "signal:SIGFPE"; break;
+      case SIGABRT: name = "signal:SIGABRT"; break;
+      default: break;
+    }
+    (void)telemetry->trip(name);
+  }
+  std::signal(sig, SIG_DFL);
+  std::raise(sig);
+}
+
+void set_crash_handler(SiteTelemetry* telemetry) {
+  g_crash_telemetry = telemetry;
+  for (const int sig : kCrashSignals) {
+    std::signal(sig, telemetry != nullptr ? crash_handler : SIG_DFL);
+  }
+}
+
 }  // namespace
 
-SiteTelemetry::SiteTelemetry(obs::live::TelemetryHub& hub, Site& site)
-    : SiteTelemetry(hub, site, Options{}) {}
+void install_crash_handler(SiteTelemetry& telemetry) { set_crash_handler(&telemetry); }
 
-SiteTelemetry::SiteTelemetry(obs::live::TelemetryHub& hub, Site& site, Options options)
-    : hub_(hub),
-      site_(site),
+SiteTelemetry::SiteTelemetry(Site& site, const obs::Tracer& tracer)
+    : SiteTelemetry(site, tracer, Options{}) {}
+
+SiteTelemetry::SiteTelemetry(Site& site, const obs::Tracer& tracer, Options options)
+    : site_(site),
+      tracer_(tracer),
       options_(options),
-      scans_(hub.registry().counter("watchdog.scans")),
-      stalled_(hub.registry().counter("watchdog.stalled_calls")),
-      orphaned_(hub.registry().counter("watchdog.orphaned_entries")),
-      trips_(hub.registry().counter("watchdog.trips")),
-      warn_log_(options.warn_period) {
-  hub_.set_introspection([this] { return introspection_json(); });
-  hub_.set_manifest_extra([this] { return manifest_extra_json(); });
-  // Transport byte/drop counts (obs cannot name net::Stats).  Re-binding on
-  // a shared registry just overwrites with an equivalent read.
-  obs::Registry& reg = hub_.registry();
+      scans_(registry_.counter("watchdog.scans")),
+      stalled_(registry_.counter("watchdog.stalled_calls")),
+      orphaned_(registry_.counter("watchdog.orphaned_entries")),
+      trips_(registry_.counter("watchdog.trips")),
+      flight_dumps_(registry_.counter("flight.dumps")),
+      warn_log_(kWarnPeriod) {
+  using obs::Kind;
+  const auto bind_kind = [&](const std::string& name, Kind k) {
+    registry_.counter(name, [&tracer, k] { return tracer.count(k); });
+  };
+  bind_kind("calls.started", Kind::kCallIssued);
+  bind_kind("calls.failed", Kind::kDeadlineExpired);
+  bind_kind("calls.retransmissions", Kind::kRetransmit);
+  bind_kind("msgs.malformed", Kind::kMsgMalformed);
+  bind_kind("timers.fired", Kind::kTimerFired);
+  bind_kind("timers.cancelled", Kind::kTimerCancelled);
+  bind_kind("msgs.sent", Kind::kMsgSent);
+  bind_kind("msgs.delivered", Kind::kMsgDelivered);
+  bind_kind("msgs.dropped", Kind::kMsgDropped);
+  bind_kind("msgs.unroutable", Kind::kMsgUnroutable);
+  bind_kind("execs.started", Kind::kExecStarted);
+  bind_kind("execs.committed", Kind::kExecCommitted);
+  bind_kind("execs.duplicates_suppressed", Kind::kDupSuppressed);
+  // kCallCompleted closes every call, a timed-out one too, and Bounded
+  // Termination records the call's kDeadlineExpired right before it with no
+  // suspension point between: the difference never goes backwards.
+  registry_.counter("calls.completed", [&tracer] {
+    return tracer.count(Kind::kCallCompleted) - tracer.count(Kind::kDeadlineExpired);
+  });
+  registry_.counter("trace.events_dropped", [&tracer] { return tracer.total_dropped(); });
   const net::Transport& transport = site_.transport();
-  reg.counter("net.sent", [&transport] { return transport.stats().sent; });
-  reg.counter("net.delivered", [&transport] { return transport.stats().delivered; });
-  reg.counter("net.dropped", [&transport] { return transport.stats().dropped; });
-  reg.counter("net.duplicated", [&transport] { return transport.stats().duplicated; });
-  reg.counter("net.unroutable", [&transport] { return transport.stats().unroutable; });
-  reg.counter("net.bytes_sent", [&transport] { return transport.stats().bytes_sent; });
-  reg.counter("net.bytes_delivered", [&transport] { return transport.stats().bytes_delivered; });
+  registry_.counter("net.sent", [&transport] { return transport.stats().sent; });
+  registry_.counter("net.delivered", [&transport] { return transport.stats().delivered; });
+  registry_.counter("net.dropped", [&transport] { return transport.stats().dropped; });
+  registry_.counter("net.duplicated", [&transport] { return transport.stats().duplicated; });
+  registry_.counter("net.unroutable", [&transport] { return transport.stats().unroutable; });
+  registry_.counter("net.bytes_sent", [&transport] { return transport.stats().bytes_sent; });
+  registry_.counter("net.bytes_delivered",
+                    [&transport] { return transport.stats().bytes_delivered; });
 }
 
 SiteTelemetry::~SiteTelemetry() {
-  stop_watchdog();
-  // The providers capture `this`; a hub scraped later must not call them.
-  hub_.set_introspection(nullptr);
-  hub_.set_manifest_extra(nullptr);
+  stop(watchdog_timer_);
+  stop(serve_timer_);
+  if (g_crash_telemetry == this) set_crash_handler(nullptr);
+}
+
+void SiteTelemetry::every(std::optional<TimerId>& timer, sim::Duration period,
+                          void (SiteTelemetry::*tick)()) {
+  // Global domain: the timer must outlive site crashes (a crashed site's
+  // domain timers are cancelled wholesale by kill_domain).
+  timer = site_.transport().schedule_after(
+      period,
+      [this, &timer, period, tick] {
+        (this->*tick)();
+        if (timer.has_value()) every(timer, period, tick);  // cleared by stop()
+      },
+      sim::kGlobalDomain);
+}
+
+void SiteTelemetry::stop(std::optional<TimerId>& timer) {
+  if (timer.has_value()) {
+    site_.transport().cancel_timer(*timer);
+    timer.reset();
+  }
 }
 
 // ---- stall watchdog ----
 
 void SiteTelemetry::start_watchdog() {
-  if (!timer_.has_value()) arm_timer();
-}
-
-void SiteTelemetry::stop_watchdog() {
-  if (timer_.has_value()) {
-    site_.transport().cancel_timer(*timer_);
-    timer_.reset();
+  if (!watchdog_timer_.has_value()) {
+    every(watchdog_timer_, options_.scan_period, &SiteTelemetry::sweep_tick);
   }
 }
 
-void SiteTelemetry::arm_timer() {
-  // Global domain: the sweep must outlive site crashes (a crashed site's
-  // domain timers are cancelled wholesale by kill_domain).
-  timer_ = site_.transport().schedule_after(
-      options_.scan_period,
-      [this] {
-        scan_now();
-        if (timer_.has_value()) arm_timer();  // cleared by stop_watchdog
-      },
-      sim::kGlobalDomain);
-}
+void SiteTelemetry::stop_watchdog() { stop(watchdog_timer_); }
 
 SiteTelemetry::Sweep SiteTelemetry::scan_now() {
   Sweep sweep;
@@ -91,10 +191,8 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
   if (!site_.up()) return sweep;  // nothing pending on a crashed site
 
   const sim::Time now = site_.transport().now();
-  const sim::Duration bound = options_.bound_override.value_or(
-      site_.config().termination_bound.value_or(options_.fallback_bound));
-  const auto threshold =
-      static_cast<sim::Duration>(static_cast<double>(bound) * options_.stall_multiplier);
+  const sim::Duration threshold = options_.stall_after.value_or(
+      2 * site_.config().termination_bound.value_or(kFallbackBound));
   GrpcState& state = site_.grpc().state();
 
   // Prune flags of records that have since completed/retired, so a reused
@@ -138,16 +236,38 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
 
   if (sweep.stalled + sweep.orphaned > 0) {
     ++trips_;
-    if (options_.trip_on_stall) {
-      std::string reason = "watchdog: " + std::to_string(sweep.stalled) + " stalled call(s), " +
-                           std::to_string(sweep.orphaned) + " orphaned entr(ies)";
-      sweep.flight_dir = hub_.trip(reason);
-    }
+    sweep.flight_dir = trip("watchdog: " + std::to_string(sweep.stalled) + " stalled call(s), " +
+                            std::to_string(sweep.orphaned) + " orphaned entr(ies)");
   }
   return sweep;
 }
 
-// ---- snapshot producers ----
+// ---- snapshot endpoints ----
+
+std::string SiteTelemetry::metrics_text() const {
+  std::string out = obs::live::render_prometheus(registry_);
+  // Fold spans into a throwaway registry per scrape: the tracer is long-
+  // lived (its rings feed the flight recorder, so it is never cleared) and
+  // Profile::add re-reads every closed span -- accumulating into a
+  // persistent registry would double-count monotonically.
+  obs::Profile profile;
+  profile.add(tracer_);
+  if (!profile.empty()) {
+    obs::Registry span_reg;
+    profile.export_to(span_reg);
+    out += obs::live::render_prometheus(span_reg);
+  }
+  return out;
+}
+
+std::string SiteTelemetry::metrics_json() const {
+  std::string out = "{\"site\":" + registry_.to_json();
+  obs::Profile profile;
+  profile.add(tracer_);
+  if (!profile.empty()) out += ",\"spans\":" + profile.to_json();
+  out += "}";
+  return out;
+}
 
 std::string SiteTelemetry::introspection_json() const {
   const sim::Time now = site_.transport().now();
@@ -234,7 +354,7 @@ std::string SiteTelemetry::introspection_json() const {
   out += "]";
 
   out += ",\"watchdog\":{\"running\":";
-  out += timer_.has_value() ? "true" : "false";
+  out += watchdog_timer_.has_value() ? "true" : "false";
   out += ",\"flagged_calls\":" + std::to_string(flagged_calls_.size()) +
          ",\"flagged_entries\":" + std::to_string(flagged_entries_.size()) + "}";
 
@@ -242,25 +362,85 @@ std::string SiteTelemetry::introspection_json() const {
   return out;
 }
 
-std::string SiteTelemetry::manifest_extra_json() const {
+// ---- flight recorder ----
+
+std::optional<std::string> SiteTelemetry::trip(std::string_view reason, std::string* error) {
+  if (flight_dir_.empty()) {
+    if (error != nullptr) *error = "flight recorder disabled (no directory configured)";
+    return std::nullopt;
+  }
+  const std::uint64_t seq = ++dump_seq_;
+  const std::string name = "flight-" + stamp_utc() + "-site" + std::to_string(site_.id().value()) +
+                           "-" + std::to_string(seq);
+  const fs::path tmp = fs::path(flight_dir_) / (".tmp-" + name);
+  const fs::path final_dir = fs::path(flight_dir_) / name;
+
+  std::error_code ec;
+  fs::create_directories(tmp, ec);
+  if (ec) {
+    if (error != nullptr) *error = "cannot create " + tmp.string() + ": " + ec.message();
+    return std::nullopt;
+  }
+
   const obs::Expect expect = expectations_from(site_.config());
-  std::string out = "\"config\": " + obs::json_str(site_.config().describe()) + ",\n  ";
-  out += "\"expect\": {\"unique_execution\":";
-  out += expect.unique_execution ? "true" : "false";
-  out += ",\"atomic_execution\":";
-  out += expect.atomic_execution ? "true" : "false";
-  out += ",\"termination_bound_us\":";
-  out += expect.termination_bound.has_value() ? std::to_string(*expect.termination_bound)
-                                              : std::string("null");
-  out += ",\"termination_slack_us\":" + std::to_string(expect.termination_slack);
-  out += ",\"fifo_order\":";
-  out += expect.fifo_order ? "true" : "false";
-  out += ",\"total_order\":";
-  out += expect.total_order ? "true" : "false";
-  out += ",\"terminate_orphans\":";
-  out += expect.terminate_orphans ? "true" : "false";
-  out += "}";
-  return out;
+  std::string manifest = "{\n  \"reason\": " + obs::json_str(reason) +
+                         ",\n  \"stamp_utc\": " + obs::json_str(stamp_utc()) +
+                         ",\n  \"seq\": " + std::to_string(seq) +
+                         ",\n  \"files\": [\"trace.json\", \"spans.json\", \"metrics.json\", "
+                         "\"metrics.prom\", \"introspect.json\"]";
+  manifest += ",\n  \"config\": " + obs::json_str(site_.config().describe()) + ",\n  ";
+  manifest += "\"expect\": {\"unique_execution\":";
+  manifest += expect.unique_execution ? "true" : "false";
+  manifest += ",\"atomic_execution\":";
+  manifest += expect.atomic_execution ? "true" : "false";
+  manifest += ",\"termination_bound_us\":";
+  manifest += expect.termination_bound.has_value() ? std::to_string(*expect.termination_bound)
+                                                   : std::string("null");
+  manifest += ",\"termination_slack_us\":" + std::to_string(expect.termination_slack);
+  manifest += ",\"fifo_order\":";
+  manifest += expect.fifo_order ? "true" : "false";
+  manifest += ",\"total_order\":";
+  manifest += expect.total_order ? "true" : "false";
+  manifest += ",\"terminate_orphans\":";
+  manifest += expect.terminate_orphans ? "true" : "false";
+  manifest += "}\n}\n";
+
+  if (!write_file(tmp / "MANIFEST.json", manifest, error) ||
+      !write_file(tmp / "trace.json", tracer_.dump_json(), error) ||
+      !write_file(tmp / "spans.json", obs::export_perfetto(tracer_), error) ||
+      !write_file(tmp / "metrics.json", metrics_json(), error) ||
+      !write_file(tmp / "metrics.prom", metrics_text(), error) ||
+      !write_file(tmp / "introspect.json", introspection_json(), error)) {
+    fs::remove_all(tmp, ec);
+    return std::nullopt;
+  }
+
+  fs::rename(tmp, final_dir, ec);
+  if (ec) {
+    if (error != nullptr) *error = "cannot rename to " + final_dir.string() + ": " + ec.message();
+    fs::remove_all(tmp, ec);
+    return std::nullopt;
+  }
+  ++flight_dumps_;
+  return final_dir.string();
 }
+
+// ---- serving ----
+
+std::uint16_t SiteTelemetry::serve(std::uint16_t port, const std::string& host,
+                                   std::string* error) {
+  stop(serve_timer_);
+  server_ = std::make_unique<TelemetryServer>(*this);
+  if (!server_->listen(host, port, error)) {
+    server_.reset();
+    return 0;
+  }
+  every(serve_timer_, kServePoll, &SiteTelemetry::serve_tick);
+  UGRPC_LOG(kDebug, "telemetry: site %u listening on %s:%u", site_.id().value(), host.c_str(),
+            server_->port());
+  return server_->port();
+}
+
+void SiteTelemetry::serve_tick() { server_->poll_once(); }
 
 }  // namespace ugrpc::core

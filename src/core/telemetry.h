@@ -1,71 +1,99 @@
-// SiteTelemetry: binds one core::Site to the live telemetry plane
-// (tentpole of ISSUE 5).
+// SiteTelemetry: the one object that exposes a core::Site to the live
+// telemetry plane.
 //
-// The obs layer owns the mechanisms -- the hub's registry of counters read
-// from the trace tallies, Prometheus rendering, the TCP listener, the
-// flight recorder -- but cannot name core types, so everything that
-// requires walking live composite state lives here:
+// It answers everything a frontend can ask for:
 //
+//   * counters -- one Registry whose call, retransmission, malformed-drop,
+//     timer and message counts are read from Tracer::count() at scrape time,
+//     so the stack records each fact once, as a trace record.  The object
+//     therefore reports what its tracer saw -- with one site per process
+//     (UDP) that is the site; with a simulator tracer shared by several
+//     sites it is all of them.  It adds reads of net::Stats (`net.*`; the
+//     site's transport must outlive the scrapes) and owns the `watchdog.*`
+//     and `flight.dumps` counters.
+//   * metrics_text() / metrics_json() -- Prometheus exposition (and JSON) of
+//     the registry, plus per-micro-protocol self-time attribution folded
+//     fresh from the tracer's spans on every scrape (the Tracer is never
+//     cleared -- its rings feed the flight recorder -- so folding into a
+//     persistent registry would double-count).
 //   * introspection -- a channelz-style JSON snapshot of the running stack:
 //     configured micro-protocol set, registered handlers with priorities,
 //     pending pRPC entries with age/status/outstanding responses, sRPC
 //     entries with age and HOLD readiness, the live-member set and
-//     incarnation.  Installed as the hub's introspection provider, so
-//     /introspect and ugrpcstat serve it.
+//     incarnation.  /introspect and ugrpcstat serve it.
 //   * stall watchdog -- a periodic sweep (timer on the global domain, so it
-//     survives site crashes) flagging calls pending past a configurable
-//     multiple of the termination bound and sRPC entries stuck past the same
-//     threshold.  Each newly flagged record bumps a `watchdog.*` counter in
-//     the hub's registry and emits a rate-limited warning
+//     survives site crashes) flagging calls pending past `stall_after` and
+//     sRPC entries stuck past the same threshold.  Each newly flagged record
+//     bumps a `watchdog.*` counter and emits a rate-limited warning
 //     (common/rate_limited_log.h); a sweep that flags anything counts as a
-//     watchdog trip and -- when a flight directory is configured -- trips
-//     the flight recorder.
-//   * flight manifest -- installs a manifest provider adding the site's
-//     config line and the checker Expect derived from it
-//     (core::expectations_from), so a flight dump is checkable standalone.
-//   * transport counters -- binds net::Stats byte/drop counts into the
-//     hub's registry as read-at-scrape counters (`net.*`); the site's
-//     transport must outlive the hub's scrapes.
+//     watchdog trip and trips the flight recorder.
+//   * flight recorder -- trip() persists the in-memory evidence into one
+//     fresh directory `<flight_dir>/flight-<UTCstamp>-site<id>-<seq>`:
+//
+//       MANIFEST.json   reason, wall-clock stamp, seq, file list, the site's
+//                       config line and the checker Expect derived from it
+//                       (core::expectations_from), so the dump is checkable
+//                       standalone
+//       trace.json      Tracer::dump_json()       (reload: obs/live/trace_load.h)
+//       spans.json      export_perfetto()         (loadable by ui.perfetto.dev
+//                                                  and tools/check_perfetto.py)
+//       metrics.json    metrics_json()
+//       metrics.prom    metrics_text()
+//       introspect.json introspection_json()
+//
+//     Everything is written into a ".tmp-" sibling and rename(2)d into
+//     place, so a consumer polling the directory never observes a partial
+//     dump.  The site id in the name keeps two sites tripping into one
+//     directory within the same second apart.
+//   * serve() -- a TCP listener (core/http.h) polled from a periodic timer
+//     on the global domain, so curl, Prometheus and ugrpcstat can scrape
+//     the site while the transport's loop runs.
+//
+// install_crash_handler() arms SIGSEGV/SIGBUS/SIGFPE/SIGABRT to attempt one
+// best-effort trip() before re-raising with default disposition.  The
+// handler allocates and does buffered I/O -- NOT async-signal-safe in the
+// strict sense -- which is the standard flight-recorder trade-off: the
+// process is dying anyway, and a truncated dump (the tmp directory, never
+// renamed) cannot be mistaken for a complete one.
 //
 // Construct after the Site, before or after boot(): the stack itself holds
 // no telemetry state, since every call count is a trace record.  The
-// destructor uninstalls the providers, so a hub outliving its SiteTelemetry
-// answers "{}" to introspection.  The watchdog reads the pending tables
-// without locks: it runs from a plain timer callback, which the cooperative
-// executor schedules between fibers, so the tables are never mid-mutation
-// when scanned.
+// watchdog, the listener and scrapes read the pending tables without locks:
+// they run from plain timer callbacks, which the cooperative executor
+// schedules between fibers, so the tables are never mid-mutation when read
+// and every response is a consistent point-in-time snapshot.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "common/rate_limited_log.h"
 #include "core/site.h"
-#include "obs/live/telemetry.h"
+#include "obs/metrics.h"
 #include "sim/time.h"
 
+namespace ugrpc::obs {
+class Tracer;
+}
+
 namespace ugrpc::core {
+
+class TelemetryServer;
 
 class SiteTelemetry {
  public:
   struct Options {
-    /// A call is stalled when pending longer than `stall_multiplier` times
-    /// the configured termination bound (fallback_bound when none is set).
-    double stall_multiplier = 2.0;
-    sim::Duration fallback_bound = sim::seconds(5);
-    /// When set, replaces the config-derived bound entirely -- tools force a
-    /// tight stall threshold without rebuilding the site's Config (the CI
-    /// smoke job trips the watchdog this way).
-    std::optional<sim::Duration> bound_override;
+    /// A call (or sRPC entry) is stalled when pending longer than this.
+    /// Unset: twice the configured termination bound, or 10 s when the
+    /// config sets none.  Tools force a tight threshold without rebuilding
+    /// the site's Config (the CI smoke job trips the watchdog this way).
+    std::optional<sim::Duration> stall_after;
     /// Watchdog sweep period; the timer is armed by start_watchdog().
     sim::Duration scan_period = sim::seconds(1);
-    /// Stall/orphan warnings are rate-limited to one line per category per
-    /// this period (suppressed counts stay exact).
-    sim::Duration warn_period = sim::seconds(10);
-    /// Trip the flight recorder on a sweep that flags new records.
-    bool trip_on_stall = true;
   };
 
   /// One sweep's findings (returned by scan_now for tests/tools).
@@ -75,48 +103,94 @@ class SiteTelemetry {
     std::optional<std::string> flight_dir;  ///< dump written by this sweep
   };
 
-  SiteTelemetry(obs::live::TelemetryHub& hub, Site& site);
-  SiteTelemetry(obs::live::TelemetryHub& hub, Site& site, Options options);
+  /// Binds the registry's counters to `tracer`'s per-kind tallies.  `site`
+  /// and `tracer` must outlive this object, and `tracer` is never cleared
+  /// while it serves (the counters would go backwards).
+  SiteTelemetry(Site& site, const obs::Tracer& tracer);
+  SiteTelemetry(Site& site, const obs::Tracer& tracer, Options options);
+  /// Stops the watchdog and the listener, and disarms the crash handler if
+  /// it is armed with this object.
   ~SiteTelemetry();
 
   SiteTelemetry(const SiteTelemetry&) = delete;
   SiteTelemetry& operator=(const SiteTelemetry&) = delete;
 
-  [[nodiscard]] obs::live::TelemetryHub& hub() { return hub_; }
-  [[nodiscard]] Site& site() { return site_; }
+  [[nodiscard]] const obs::Registry& registry() const { return registry_; }
 
   // ---- stall watchdog ----
 
   /// Arms the periodic sweep (idempotent).
   void start_watchdog();
   void stop_watchdog();
-  [[nodiscard]] bool watchdog_running() const { return timer_.has_value(); }
+  [[nodiscard]] bool watchdog_running() const { return watchdog_timer_.has_value(); }
 
   /// Runs one sweep immediately (also what the timer does).
   Sweep scan_now();
 
-  // ---- snapshot producers (installed into the hub; callable directly) ----
+  // ---- snapshot endpoints ----
 
+  /// Prometheus text exposition: the registry + a fresh span-profile fold
+  /// (when the tracer holds closed spans).
+  [[nodiscard]] std::string metrics_text() const;
+  /// Same data as one JSON object: {"site":{...},"spans":{...}}.
+  [[nodiscard]] std::string metrics_json() const;
   [[nodiscard]] std::string introspection_json() const;
-  [[nodiscard]] std::string manifest_extra_json() const;
+
+  // ---- flight recorder ----
+
+  /// Directory flight dumps are written under; empty disables trip().
+  void set_flight_dir(std::string dir) { flight_dir_ = std::move(dir); }
+
+  /// Writes one flight dump tagged with `reason`.  Returns the dump
+  /// directory, or nullopt when disabled or on I/O failure (diagnostic in
+  /// `error` when non-null).  Bumps `flight.dumps` on success.  Callers:
+  /// watchdog trips, checker violations, the crash handler.
+  std::optional<std::string> trip(std::string_view reason, std::string* error = nullptr);
+
+  // ---- serving ----
+
+  /// Serves the endpoints over a TCP listener bound to `host`:`port`
+  /// (port 0 = ephemeral), polled every few milliseconds from a timer on
+  /// the global domain.  Returns the bound port, or 0 on failure
+  /// (diagnostic in `error` when non-null).  Serving stops with this object.
+  std::uint16_t serve(std::uint16_t port = 0, const std::string& host = "127.0.0.1",
+                      std::string* error = nullptr);
 
  private:
-  void arm_timer();
+  /// Keeps `timer` armed every `period` on the global domain, running
+  /// `tick` at each fire, until `timer` is reset.
+  void every(std::optional<TimerId>& timer, sim::Duration period, void (SiteTelemetry::*tick)());
+  void stop(std::optional<TimerId>& timer);
+  void sweep_tick() { (void)scan_now(); }
+  void serve_tick();
 
-  obs::live::TelemetryHub& hub_;
   Site& site_;
+  const obs::Tracer& tracer_;
   Options options_;
-  // Shared by name with every SiteTelemetry on the same hub.
+  // Declared before the counters that bind into it.
+  obs::Registry registry_;
   obs::Counter& scans_;
   obs::Counter& stalled_;
   obs::Counter& orphaned_;
   obs::Counter& trips_;
-  std::optional<TimerId> timer_;
+  obs::Counter& flight_dumps_;
+  std::optional<TimerId> watchdog_timer_;
   RateLimitedLog warn_log_;
   /// Records already counted as stalled/orphaned (a record is flagged once;
   /// pruned against the live tables each sweep so the sets stay bounded).
   std::set<std::uint64_t> flagged_calls_;
   std::set<std::uint64_t> flagged_entries_;
+  std::string flight_dir_;
+  /// Dumps attempted so far (suffix for unique directory names within one
+  /// clock tick).
+  std::uint64_t dump_seq_ = 0;
+  std::unique_ptr<TelemetryServer> server_;
+  std::optional<TimerId> serve_timer_;
 };
+
+/// Arms fatal-signal handlers that trip `telemetry` once (reason
+/// "signal:<name>") and re-raise.  Only one object can be armed per
+/// process; ~SiteTelemetry disarms its own.
+void install_crash_handler(SiteTelemetry& telemetry);
 
 }  // namespace ugrpc::core

@@ -315,15 +315,10 @@ void UdpTransport::poll_once(sim::Duration max_wait) {
 
   std::vector<pollfd> fds;
   std::vector<ProcessId> owners;
-  fds.reserve(attachments_.size() + 1);
+  fds.reserve(attachments_.size());
   for (auto& [process, att] : attachments_) {
     fds.push_back(pollfd{att.fd, POLLIN, 0});
     owners.push_back(process);
-  }
-  // The telemetry listener rides the same poll set so a scrape wakes the
-  // loop immediately; its connections progress in the poll_once() below.
-  if (telemetry_ != nullptr && telemetry_->listen_fd() >= 0) {
-    fds.push_back(pollfd{telemetry_->listen_fd(), POLLIN, 0});
   }
   const sim::Duration wait = poll_wait(max_wait);
   const int timeout_ms = static_cast<int>(std::min<sim::Duration>((wait + 999) / 1000, 1000));
@@ -342,20 +337,7 @@ void UdpTransport::poll_once(sim::Duration max_wait) {
     }
   }
 
-  // Scrapes are answered here, between executor runs: the fibers are all
-  // suspended, so the hub renders a consistent point-in-time snapshot.
-  if (telemetry_ != nullptr) telemetry_->poll_once();
-
   sync_executor();
-}
-
-std::uint16_t UdpTransport::serve_telemetry(obs::live::TelemetryHub& hub, std::uint16_t port,
-                                            const std::string& host, std::string* error) {
-  auto server = std::make_unique<obs::live::TelemetryServer>(hub);
-  if (!server->listen(host, port, error)) return 0;
-  telemetry_ = std::move(server);
-  UGRPC_LOG(kDebug, "udp: telemetry listening on %s:%u", host.c_str(), telemetry_->port());
-  return telemetry_->port();
 }
 
 void UdpTransport::run_for(sim::Duration d) {

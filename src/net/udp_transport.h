@@ -38,7 +38,6 @@
 #include "common/rate_limited_log.h"
 #include "net/timer_wheel.h"
 #include "net/transport.h"
-#include "obs/live/http.h"
 #include "obs/trace.h"
 
 namespace ugrpc::net {
@@ -119,19 +118,6 @@ class UdpTransport final : public Transport {
     wheel_.set_tracer(tracer);
   }
 
-  /// Serves `hub` over a telemetry listener (obs/live/http.h) bound to
-  /// `host`:`port` (port 0 = ephemeral), driven from this transport's poll
-  /// loop: the listening socket joins the pollfd set (instant wakeup for new
-  /// scrapes) and connections progress once per poll_once, between fibers,
-  /// so every response is a consistent snapshot.  Returns the bound port, or
-  /// 0 on failure (diagnostic in `error` when non-null).  Serving stops when
-  /// the transport is destroyed or stop_telemetry() is called.
-  std::uint16_t serve_telemetry(obs::live::TelemetryHub& hub, std::uint16_t port = 0,
-                                const std::string& host = "127.0.0.1",
-                                std::string* error = nullptr);
-  void stop_telemetry() { telemetry_.reset(); }
-  [[nodiscard]] obs::live::TelemetryServer* telemetry_server() { return telemetry_.get(); }
-
   /// Deterministic loss injection: when set, each outgoing datagram is
   /// offered to `fault` (src, dst, proto) and dropped before sendto() on
   /// true.  Loopback UDP essentially never loses datagrams, so tests and the
@@ -187,7 +173,6 @@ class UdpTransport final : public Transport {
   std::unordered_map<ProcessId, std::uint32_t> attach_counts_;
   Stats stats_;
   obs::Tracer* obs_ = nullptr;
-  std::unique_ptr<obs::live::TelemetryServer> telemetry_;
   SendFault send_fault_;
   /// Unroutable-send warnings rate-limited per (src, dst) / (src, group)
   /// with exact suppressed counts (common/rate_limited_log.h); the

@@ -15,10 +15,10 @@ bool name_char_ok(char c, bool first) {
 
 struct RenderedName {
   std::string metric;  ///< sanitized, prefixed
-  std::string labels;  ///< "{...}" or "" -- raw label + const labels
+  std::string labels;  ///< "{raw=...}" or ""
 };
 
-RenderedName rendered_name(const PromOptions& opts, const std::string& name) {
+RenderedName rendered_name(const std::string& name) {
   RenderedName out;
   out.metric = prom_metric_name(name);
   bool lossy = false;
@@ -28,14 +28,8 @@ RenderedName rendered_name(const PromOptions& opts, const std::string& name) {
       break;
     }
   }
-  if (!opts.prefix.empty()) out.metric = opts.prefix + "_" + out.metric;
-  std::string labels;
-  if (lossy) labels = "raw=\"" + prom_escape_label(name) + "\"";
-  if (!opts.const_labels.empty()) {
-    if (!labels.empty()) labels += ",";
-    labels += opts.const_labels;
-  }
-  if (!labels.empty()) out.labels = "{" + labels + "}";
+  out.metric = "ugrpc_" + out.metric;
+  if (lossy) out.labels = "{raw=\"" + prom_escape_label(name) + "\"}";
   return out;
 }
 
@@ -77,12 +71,12 @@ std::string prom_metric_name(std::string_view s) {
   return out;
 }
 
-std::string render_prometheus(const Registry& reg, const PromOptions& opts) {
+std::string render_prometheus(const Registry& reg) {
   std::string out;
   out.reserve(1024);
 
   reg.for_each_counter([&](const std::string& name, std::uint64_t value) {
-    const RenderedName rn = rendered_name(opts, name);
+    const RenderedName rn = rendered_name(name);
     out += "# TYPE " + rn.metric + " counter\n";
     out += rn.metric + rn.labels + " ";
     append_u64(out, value);
@@ -90,9 +84,9 @@ std::string render_prometheus(const Registry& reg, const PromOptions& opts) {
   });
 
   reg.for_each_histogram([&](const std::string& name, const Histogram& h) {
-    const RenderedName rn = rendered_name(opts, name);
+    const RenderedName rn = rendered_name(name);
     // Bucket lines carry `le` plus whatever labels the base name has; the
-    // raw/const labels must precede le to keep one canonical order.
+    // raw label must precede le to keep one canonical order.
     std::string base_labels = rn.labels;
     if (!base_labels.empty()) {
       base_labels.pop_back();  // drop '}'

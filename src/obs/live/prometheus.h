@@ -33,14 +33,6 @@ class Registry;
 
 namespace ugrpc::obs::live {
 
-struct PromOptions {
-  /// Prepended to every metric name ("ugrpc" -> "ugrpc_calls_started").
-  std::string prefix = "ugrpc";
-  /// Extra labels attached to every sample, pre-rendered ("site=\"3\"");
-  /// empty = none.
-  std::string const_labels;
-};
-
 /// `s` escaped for a Prometheus label value (backslash, quote, newline).
 [[nodiscard]] std::string prom_escape_label(std::string_view s);
 
@@ -48,7 +40,8 @@ struct PromOptions {
 [[nodiscard]] std::string prom_metric_name(std::string_view s);
 
 /// The whole registry in Prometheus text exposition format (version 0.0.4),
+/// every name prefixed `ugrpc_` ("calls.started" -> "ugrpc_calls_started"),
 /// terminated by a trailing newline.
-[[nodiscard]] std::string render_prometheus(const Registry& reg, const PromOptions& opts = {});
+[[nodiscard]] std::string render_prometheus(const Registry& reg);
 
 }  // namespace ugrpc::obs::live

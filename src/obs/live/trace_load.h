@@ -1,6 +1,6 @@
 // Re-hydrates a Tracer::dump_json() document into checker-ready events.
 //
-// The flight recorder (flight_recorder.h) persists trace rings as JSON so a
+// The flight recorder (core/telemetry.h) persists trace rings as JSON so a
 // crash dump is self-describing and diffable.  To make the dump *loadable*
 // -- runnable back through obs::check() / obs::summarize() by ugrpcstat or a
 // post-mortem script -- this inverts dump_json(): kinds are matched by their

@@ -1,24 +1,37 @@
-// Integration tests for the live telemetry plane on simulated sites
-// (core/telemetry.h + obs/live/*): the hub's counters, read from the trace
-// tallies of a real workload, the stall watchdog flagging pending pRPC/sRPC
-// records, the introspection snapshot, and a flight dump loadable by
-// trace_load + the checker.
+// Integration tests for the live telemetry plane (core/telemetry.h): the
+// counters, read from the trace tallies of a real workload, the stall
+// watchdog flagging pending pRPC/sRPC records, the introspection snapshot,
+// flight dumps loadable by trace_load + the checker, the crash handler, and
+// a UDP site serving scrapes over real TCP.
 #include "core/telemetry.h"
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <csignal>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/observe.h"
 #include "core/scenario.h"
+#include "core/service.h"
+#include "net/udp_transport.h"
 #include "obs/checker.h"
 #include "obs/live/json_value.h"
-#include "obs/live/telemetry.h"
 #include "obs/live/trace_load.h"
 #include "obs/trace.h"
 
@@ -33,10 +46,25 @@ constexpr OpId kOp{1};
 
 SiteTelemetry::Options tight_options() {
   SiteTelemetry::Options options;
-  options.bound_override = sim::msec(10);
-  options.stall_multiplier = 1.0;
-  options.trip_on_stall = false;  // no flight dir in most tests
+  options.stall_after = sim::msec(10);
   return options;
+}
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// The flight-* directories under `dir` (none when `dir` is missing).
+std::vector<fs::path> flight_dumps(const fs::path& dir) {
+  std::vector<fs::path> out;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.path().filename().string().starts_with("flight-")) out.push_back(entry.path());
+  }
+  return out;
 }
 
 /// A server application whose procedure never returns, leaving the client's
@@ -60,8 +88,7 @@ TEST(LiveTelemetry, CountersTrackCompletedCalls) {
   };
   p.tracer = &tracer;
   Scenario s(std::move(p));
-  obs::live::TelemetryHub hub(tracer);
-  SiteTelemetry telemetry(hub, s.client_site(0));
+  SiteTelemetry telemetry(s.client_site(0), tracer);
   std::vector<Status> statuses;
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     for (int i = 0; i < 3; ++i) {
@@ -71,7 +98,7 @@ TEST(LiveTelemetry, CountersTrackCompletedCalls) {
   });
   EXPECT_EQ(statuses, (std::vector<Status>{Status::kOk, Status::kOk, Status::kOk,
                                            Status::kTimeout}));
-  const obs::Registry& reg = hub.registry();
+  const obs::Registry& reg = telemetry.registry();
   EXPECT_EQ(reg.value("calls.started"), 4u);
   EXPECT_EQ(reg.value("calls.completed"), 3u) << "the expired call is not a completion";
   EXPECT_EQ(reg.value("calls.failed"), 1u);
@@ -82,8 +109,7 @@ TEST(LiveTelemetry, CountersAccumulateAcrossCrashRecover) {
   ScenarioParams p;
   p.tracer = &tracer;
   Scenario s(std::move(p));
-  obs::live::TelemetryHub hub(tracer);
-  SiteTelemetry telemetry(hub, s.client_site(0));
+  SiteTelemetry telemetry(s.client_site(0), tracer);
   const auto issue = [&](int n) {
     s.run_client(0, [&s, n](Client& c) -> sim::Task<> {
       for (int i = 0; i < n; ++i) (void)co_await c.call_async(s.group(), kOp, Buffer{});
@@ -94,9 +120,9 @@ TEST(LiveTelemetry, CountersAccumulateAcrossCrashRecover) {
   s.client_site(0).recover();
   ASSERT_EQ(s.client_site(0).incarnation(), 2u);
   issue(3);
-  EXPECT_EQ(hub.registry().value("calls.started"), 5u) << "both incarnations' calls count";
-  EXPECT_EQ(hub.registry().value("calls.completed"), 5u);
-  EXPECT_EQ(hub.registry().value("calls.failed"), 0u);
+  EXPECT_EQ(telemetry.registry().value("calls.started"), 5u) << "both incarnations' calls count";
+  EXPECT_EQ(telemetry.registry().value("calls.completed"), 5u);
+  EXPECT_EQ(telemetry.registry().value("calls.failed"), 0u);
 }
 
 TEST(LiveTelemetry, ScrapeTypesEveryCountAsCounter) {
@@ -104,43 +130,16 @@ TEST(LiveTelemetry, ScrapeTypesEveryCountAsCounter) {
   ScenarioParams p;
   p.tracer = &tracer;
   Scenario s(std::move(p));
-  obs::live::TelemetryHub hub(tracer);
-  SiteTelemetry telemetry(hub, s.client_site(0));
+  SiteTelemetry telemetry(s.client_site(0), tracer);
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   });
-  const std::string out = hub.metrics_text();
+  const std::string out = telemetry.metrics_text();
   for (const char* line : {"# TYPE ugrpc_calls_started counter",
                            "# TYPE ugrpc_timers_fired counter", "# TYPE ugrpc_net_sent counter"}) {
     EXPECT_NE(out.find(std::string(line) + "\n"), std::string::npos) << line << "\n" << out;
   }
   EXPECT_EQ(out.find(" gauge\n"), std::string::npos) << out;
-}
-
-TEST(LiveTelemetry, HubOutlivesSiteTelemetry) {
-  obs::Tracer tracer;
-  ScenarioParams p;
-  p.num_servers = 1;
-  p.tracer = &tracer;
-  Scenario s(std::move(p));
-  obs::live::TelemetryHub hub(tracer);
-  {
-    SiteTelemetry telemetry(hub, s.client_site(0));
-    telemetry.start_watchdog();
-    EXPECT_NE(hub.introspection_json(), "{}");
-  }
-  EXPECT_EQ(hub.introspection_json(), "{}") << "the providers must leave with their owner";
-  EXPECT_EQ(hub.manifest_extra(), "");
-
-  const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_orphan_hub";
-  fs::remove_all(dir);
-  hub.set_flight_dir(dir.string());
-  std::string error;
-  const auto dump = hub.trip("after-site-telemetry", &error);
-  ASSERT_TRUE(dump.has_value()) << error;
-  EXPECT_TRUE(fs::exists(fs::path(*dump) / "introspect.json"));
-  EXPECT_EQ(hub.registry().value("flight.dumps"), 1u);
-  fs::remove_all(dir);
 }
 
 TEST(LiveTelemetry, WatchdogFlagsStalledCallOnce) {
@@ -152,8 +151,7 @@ TEST(LiveTelemetry, WatchdogFlagsStalledCallOnce) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub hub(tracer);
-  SiteTelemetry telemetry(hub, s.client_site(0), tight_options());
+  SiteTelemetry telemetry(s.client_site(0), tracer, tight_options());
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
@@ -161,13 +159,13 @@ TEST(LiveTelemetry, WatchdogFlagsStalledCallOnce) {
 
   SiteTelemetry::Sweep sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.stalled, 1u);
-  EXPECT_EQ(hub.registry().value("watchdog.stalled_calls"), 1u);
-  EXPECT_EQ(hub.registry().value("watchdog.trips"), 1u);
+  EXPECT_EQ(telemetry.registry().value("watchdog.stalled_calls"), 1u);
+  EXPECT_EQ(telemetry.registry().value("watchdog.trips"), 1u);
 
   sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.stalled, 0u) << "a record is flagged once, not per sweep";
-  EXPECT_EQ(hub.registry().value("watchdog.stalled_calls"), 1u);
-  EXPECT_EQ(hub.registry().value("watchdog.scans"), 2u);
+  EXPECT_EQ(telemetry.registry().value("watchdog.stalled_calls"), 1u);
+  EXPECT_EQ(telemetry.registry().value("watchdog.scans"), 2u);
 }
 
 TEST(LiveTelemetry, WatchdogFlagsOrphanedServerEntry) {
@@ -179,8 +177,7 @@ TEST(LiveTelemetry, WatchdogFlagsOrphanedServerEntry) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub hub(tracer);
-  SiteTelemetry telemetry(hub, s.server(0), tight_options());
+  SiteTelemetry telemetry(s.server(0), tracer, tight_options());
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
@@ -188,7 +185,7 @@ TEST(LiveTelemetry, WatchdogFlagsOrphanedServerEntry) {
 
   const SiteTelemetry::Sweep sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.orphaned, 1u);
-  EXPECT_EQ(hub.registry().value("watchdog.orphaned_entries"), 1u);
+  EXPECT_EQ(telemetry.registry().value("watchdog.orphaned_entries"), 1u);
 }
 
 TEST(LiveTelemetry, WatchdogTimerSweepsPeriodically) {
@@ -200,10 +197,9 @@ TEST(LiveTelemetry, WatchdogTimerSweepsPeriodically) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub hub(tracer);
   SiteTelemetry::Options options = tight_options();
   options.scan_period = sim::msec(5);
-  SiteTelemetry telemetry(hub, s.client_site(0), options);
+  SiteTelemetry telemetry(s.client_site(0), tracer, options);
   telemetry.start_watchdog();
   EXPECT_TRUE(telemetry.watchdog_running());
 
@@ -211,14 +207,15 @@ TEST(LiveTelemetry, WatchdogTimerSweepsPeriodically) {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
   s.run_for(sim::msec(50));
-  EXPECT_GE(hub.registry().value("watchdog.scans"), 5u);
-  EXPECT_EQ(hub.registry().value("watchdog.stalled_calls"), 1u);
+  EXPECT_GE(telemetry.registry().value("watchdog.scans"), 5u);
+  EXPECT_EQ(telemetry.registry().value("watchdog.stalled_calls"), 1u);
 
   telemetry.stop_watchdog();
   EXPECT_FALSE(telemetry.watchdog_running());
-  const std::uint64_t scans = hub.registry().value("watchdog.scans");
+  const std::uint64_t scans = telemetry.registry().value("watchdog.scans");
   s.run_for(sim::msec(50));
-  EXPECT_EQ(hub.registry().value("watchdog.scans"), scans) << "stopped watchdog must not sweep";
+  EXPECT_EQ(telemetry.registry().value("watchdog.scans"), scans)
+      << "stopped watchdog must not sweep";
 }
 
 TEST(LiveTelemetry, IntrospectionListsPendingCalls) {
@@ -230,17 +227,15 @@ TEST(LiveTelemetry, IntrospectionListsPendingCalls) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub client_hub(tracer);
-  obs::live::TelemetryHub server_hub(tracer);
-  SiteTelemetry client_tel(client_hub, s.client_site(0));
-  SiteTelemetry server_tel(server_hub, s.server(0));
+  SiteTelemetry client_tel(s.client_site(0), tracer);
+  SiteTelemetry server_tel(s.server(0), tracer);
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
   s.run_for(sim::msec(20));
 
   std::string error;
-  const auto client_doc = json_parse(client_hub.introspection_json(), &error);
+  const auto client_doc = json_parse(client_tel.introspection_json(), &error);
   ASSERT_TRUE(client_doc.has_value()) << error;
   const JsonValue& cv = *client_doc;
   EXPECT_TRUE(cv["up"].as_bool());
@@ -253,14 +248,14 @@ TEST(LiveTelemetry, IntrospectionListsPendingCalls) {
   EXPECT_EQ(call["status"].as_string(), "WAITING");
   EXPECT_GT(call["age_us"].as_u64(), 0u);
 
-  const auto server_doc = json_parse(server_hub.introspection_json(), &error);
+  const auto server_doc = json_parse(server_tel.introspection_json(), &error);
   ASSERT_TRUE(server_doc.has_value()) << error;
   ASSERT_EQ((*server_doc)["sRPC"].as_array().size(), 1u);
   EXPECT_EQ((*server_doc)["sRPC"].as_array()[0]["client"].as_u64(), s.client_id(0).value());
 
   // A crashed site reports a minimal document instead of walking dead state.
   s.server(0).crash();
-  const auto down_doc = json_parse(server_hub.introspection_json(), &error);
+  const auto down_doc = json_parse(server_tel.introspection_json(), &error);
   ASSERT_TRUE(down_doc.has_value()) << error;
   EXPECT_FALSE((*down_doc)["up"].as_bool());
   EXPECT_TRUE((*down_doc)["sRPC"].is_null());
@@ -274,26 +269,18 @@ TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
   const Config config = p.config;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub hub(tracer);
-  SiteTelemetry telemetry(hub, s.client_site(0));
+  SiteTelemetry telemetry(s.client_site(0), tracer);
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     for (int i = 0; i < 3; ++i) (void)co_await c.call_async(s.group(), kOp, Buffer{});
   });
 
   const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_test";
   fs::remove_all(dir);
-  hub.set_flight_dir(dir.string());
+  telemetry.set_flight_dir(dir.string());
   std::string error;
-  const auto dump = hub.trip("test-reason", &error);
+  const auto dump = telemetry.trip("test-reason", &error);
   ASSERT_TRUE(dump.has_value()) << error;
-  EXPECT_EQ(hub.registry().value("flight.dumps"), 1u);
-
-  const auto slurp = [](const fs::path& path) {
-    std::ifstream in(path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
+  EXPECT_EQ(telemetry.registry().value("flight.dumps"), 1u);
 
   // MANIFEST.json carries the reason plus the site's checker expectations.
   const auto manifest = json_parse(slurp(fs::path(*dump) / "MANIFEST.json"), &error);
@@ -329,13 +316,10 @@ TEST(LiveTelemetry, WatchdogTripWritesFlightDump) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  obs::live::TelemetryHub hub(tracer);
-  SiteTelemetry::Options options = tight_options();
-  options.trip_on_stall = true;
-  SiteTelemetry telemetry(hub, s.client_site(0), options);
+  SiteTelemetry telemetry(s.client_site(0), tracer, tight_options());
   const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_trip";
   fs::remove_all(dir);
-  hub.set_flight_dir(dir.string());
+  telemetry.set_flight_dir(dir.string());
 
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
@@ -346,19 +330,160 @@ TEST(LiveTelemetry, WatchdogTripWritesFlightDump) {
   EXPECT_EQ(sweep.stalled, 1u);
   ASSERT_TRUE(sweep.flight_dir.has_value());
   EXPECT_TRUE(fs::exists(fs::path(*sweep.flight_dir) / "MANIFEST.json"));
-  EXPECT_EQ(hub.registry().value("flight.dumps"), 1u);
+  EXPECT_EQ(telemetry.registry().value("flight.dumps"), 1u);
 
   std::string error;
-  const auto manifest =
-      json_parse([&] {
-        std::ifstream in(fs::path(*sweep.flight_dir) / "MANIFEST.json");
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        return ss.str();
-      }(), &error);
+  const auto manifest = json_parse(slurp(fs::path(*sweep.flight_dir) / "MANIFEST.json"), &error);
   ASSERT_TRUE(manifest.has_value()) << error;
   EXPECT_NE((*manifest)["reason"].as_string().find("watchdog"), std::string::npos);
   fs::remove_all(dir);
+}
+
+TEST(LiveTelemetry, TwoSitesTripIntoOneDirectoryWithinASecond) {
+  obs::Tracer tracer;
+  ScenarioParams p;
+  p.num_servers = 1;
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
+  SiteTelemetry client_tel(s.client_site(0), tracer);
+  SiteTelemetry server_tel(s.server(0), tracer);
+  const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_two_sites";
+  fs::remove_all(dir);
+  client_tel.set_flight_dir(dir.string());
+  server_tel.set_flight_dir(dir.string());
+
+  std::string error;
+  const auto client_dump = client_tel.trip("client", &error);
+  ASSERT_TRUE(client_dump.has_value()) << error;
+  const auto server_dump = server_tel.trip("server", &error);
+  ASSERT_TRUE(server_dump.has_value()) << error;
+  EXPECT_NE(*client_dump, *server_dump);
+  EXPECT_EQ(flight_dumps(dir).size(), 2u);
+  for (const auto& [dump, reason] : {std::pair{*client_dump, "client"}, {*server_dump, "server"}}) {
+    const auto manifest = json_parse(slurp(fs::path(dump) / "MANIFEST.json"), &error);
+    ASSERT_TRUE(manifest.has_value()) << error;
+    EXPECT_EQ((*manifest)["reason"].as_string(), reason);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(LiveTelemetryDeathTest, CrashHandlerDumpsOnAbortUntilDestroyed) {
+  obs::Tracer tracer;
+  ScenarioParams p;
+  p.num_servers = 1;
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
+  const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_crash";
+  fs::remove_all(dir);
+  {
+    SiteTelemetry telemetry(s.client_site(0), tracer);
+    telemetry.set_flight_dir(dir.string());
+    install_crash_handler(telemetry);
+    EXPECT_DEATH(std::abort(), "");
+  }
+  const std::vector<fs::path> dumps = flight_dumps(dir);
+  ASSERT_EQ(dumps.size(), 1u);
+  std::string error;
+  const auto manifest = json_parse(slurp(dumps[0] / "MANIFEST.json"), &error);
+  ASSERT_TRUE(manifest.has_value()) << error;
+  EXPECT_EQ((*manifest)["reason"].as_string(), "signal:SIGABRT");
+
+  // The destructor disarmed the handler: default disposition again, and a
+  // second abort leaves no dump.
+  struct sigaction action {};
+  ASSERT_EQ(::sigaction(SIGABRT, nullptr, &action), 0);
+  EXPECT_EQ(action.sa_handler, SIG_DFL);
+  fs::remove_all(dir);
+  EXPECT_DEATH(std::abort(), "");
+  EXPECT_TRUE(flight_dumps(dir).empty());
+}
+
+/// One blocking HTTP GET against 127.0.0.1:`port`; the response body, or ""
+/// on any failure.  A receive timeout bounds a wedged server.
+std::string http_get(std::uint16_t port, const std::string& path) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  std::string response;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0) {
+    const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+    if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+        static_cast<ssize_t>(request.size())) {
+      char buf[4096];
+      ssize_t n = 0;
+      while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+        response.append(buf, static_cast<std::size_t>(n));
+      }
+    }
+  }
+  ::close(fd);
+  const std::size_t body = response.find("\r\n\r\n");
+  return response.starts_with("HTTP/1.0 200") && body != std::string::npos
+             ? response.substr(body + 4)
+             : "";
+}
+
+TEST(LiveTelemetry, UdpSiteServesScrapesWhileRunForDrivesTheLoop) {
+  constexpr ProcessId kServer{1};
+  constexpr ProcessId kClient{2};
+  constexpr GroupId kGroup{1};
+  net::UdpTransport transport;
+  obs::Tracer tracer;
+  transport.set_tracer(&tracer);
+  const std::set<ProcessId> known{kServer, kClient};
+  Site server(transport, kServer, Config{}, known);
+  Site client(transport, kClient, Config{}, known);
+  server.set_tracer(&tracer);
+  client.set_tracer(&tracer);
+  transport.define_group(kGroup, {kServer});
+  server.set_app([](UserProtocol& user, Site&) {
+    user.set_procedure([](OpId, Buffer&) -> sim::Task<> { co_return; });
+  });
+  server.boot();
+  client.boot();
+
+  SiteTelemetry telemetry(client, tracer);
+  std::string error;
+  const std::uint16_t port = telemetry.serve(0, "127.0.0.1", &error);
+  ASSERT_NE(port, 0) << error;
+
+  Client c(client);
+  int ok = 0;
+  const FiberId fiber = transport.spawn(
+      [](Client& c, int& ok) -> sim::Task<> {
+        for (int i = 0; i < 3; ++i) ok += (co_await c.call(kGroup, kOp, Buffer{})).ok() ? 1 : 0;
+      }(c, ok),
+      client.domain());
+  ASSERT_TRUE(transport.run_until_fiber_done(fiber, sim::seconds(10)));
+  ASSERT_EQ(ok, 3);
+
+  // The scraper blocks on real TCP in its own thread; this thread only runs
+  // the transport's loop, which must answer from the serve() timer.
+  std::string metrics;
+  std::string introspect;
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    metrics = http_get(port, "/metrics");
+    introspect = http_get(port, "/introspect");
+    done = true;
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  while (!done && std::chrono::steady_clock::now() < deadline) transport.run_for(sim::msec(10));
+  scraper.join();
+
+  EXPECT_NE(metrics.find("\nugrpc_calls_started 3\n"), std::string::npos) << metrics;
+  const std::size_t sent = metrics.find("\nugrpc_net_sent ");
+  ASSERT_NE(sent, std::string::npos) << metrics;
+  EXPECT_GT(std::strtoull(metrics.c_str() + sent + 16, nullptr, 10), 0u) << metrics;
+  const auto doc = json_parse(introspect, &error);
+  ASSERT_TRUE(doc.has_value()) << error << "\n" << introspect;
+  EXPECT_EQ((*doc)["site"].as_u64(), kClient.value());
+  EXPECT_TRUE((*doc)["up"].as_bool());
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #include "core/micro/acceptance.h"
 #include "core/micro/unique_execution.h"
 #include "core/scenario.h"
-#include "obs/live/telemetry.h"
+#include "core/telemetry.h"
 #include "obs/trace.h"
 
 namespace ugrpc::core {
@@ -28,7 +28,7 @@ Buffer bytes_of(std::initializer_list<int> values) {
 
 // Bytes from the network never crash a site: a gRPC payload that does not
 // decode, or an ACK whose batch count runs past its bytes, is dropped and
-// counted -- as a kMsgMalformed trace record, which the telemetry hub's
+// counted -- as a kMsgMalformed trace record, which SiteTelemetry's
 // msgs.malformed reads -- and the site goes on serving calls.
 TEST(Regression, MalformedGrpcMessagesAreDroppedAndCounted) {
   obs::Tracer tracer;
@@ -39,7 +39,7 @@ TEST(Regression, MalformedGrpcMessagesAreDroppedAndCounted) {
   p.config.unique_execution = true;
   p.tracer = &tracer;
   Scenario s(std::move(p));
-  const obs::live::TelemetryHub hub(tracer);
+  const SiteTelemetry telemetry(s.server(0), tracer);
   const ProcessId server = Scenario::server_id(0);
 
   net::NetMessage call;
@@ -68,7 +68,7 @@ TEST(Regression, MalformedGrpcMessagesAreDroppedAndCounted) {
     EXPECT_EQ(e.a, s.client_id(0).value()) << "a = the sender";
   }
   EXPECT_EQ(records, 4u);
-  EXPECT_EQ(hub.registry().value("msgs.malformed"), 4u);
+  EXPECT_EQ(telemetry.registry().value("msgs.malformed"), 4u);
 
   CallResult result;
   s.run_client(0, [&](Client& c) -> sim::Task<> {

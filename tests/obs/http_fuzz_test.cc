@@ -1,10 +1,10 @@
 // Seeded mutation test for the live-telemetry HTTP request parser
-// (obs/live/http.cc).  A request is bytes from the network: whatever a
+// (core/http.cc).  A request is bytes from the network: whatever a
 // truncated, oversized, binary or malformed GET looks like, the server must
 // answer it or close the connection -- never crash, under ASan/UBSan in CI --
 // and every connection must be gone once its client has left.  The server
-// and the clients share this thread over 127.0.0.1, exactly as the UDP
-// transport's poll loop drives the server.
+// and the clients share this thread over 127.0.0.1, exactly as
+// SiteTelemetry::serve's timer drives the server from the transport's loop.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -23,11 +23,12 @@
 #include <string>
 #include <vector>
 
-#include "obs/live/http.h"
-#include "obs/live/telemetry.h"
+#include "core/http.h"
+#include "core/scenario.h"
+#include "core/telemetry.h"
 #include "obs/trace.h"
 
-namespace ugrpc::obs::live {
+namespace ugrpc::core {
 namespace {
 
 /// A non-blocking TCP client connected to the server under test.
@@ -143,9 +144,15 @@ class HttpFuzz : public ::testing::Test {
     ASSERT_TRUE(server_.listen("127.0.0.1", 0, &error)) << error;
   }
 
-  Tracer tracer_;
-  TelemetryHub hub_{tracer_};
-  TelemetryServer server_{hub_};
+  obs::Tracer tracer_;
+  Scenario scenario_{[this] {
+    ScenarioParams p;
+    p.num_servers = 1;
+    p.tracer = &tracer_;
+    return p;
+  }()};
+  SiteTelemetry telemetry_{scenario_.client_site(0), tracer_};
+  TelemetryServer server_{telemetry_};
 };
 
 TEST_F(HttpFuzz, WellFormedRequestsAreAnswered) {
@@ -275,4 +282,4 @@ TEST_F(HttpFuzz, AbandonedConnectionsAreAllReleased) {
 }
 
 }  // namespace
-}  // namespace ugrpc::obs::live
+}  // namespace ugrpc::core

@@ -70,14 +70,6 @@ TEST(PromRender, CounterAndGaugeWithPrefix) {
   EXPECT_EQ(out.find("gauge"), std::string::npos) << out;
 }
 
-TEST(PromRender, ConstLabelsAttachToEverySample) {
-  Registry reg;
-  reg.counter("c").add(1);
-  PromOptions opts;
-  opts.const_labels = "site=\"3\"";
-  EXPECT_TRUE(has_line(render_prometheus(reg, opts), "ugrpc_c{site=\"3\"} 1"));
-}
-
 TEST(PromRender, LossyNameKeepsOriginalInRawLabel) {
   Registry reg;
   // A group label with quote, backslash and newline -- the worst a

@@ -19,10 +19,10 @@
 
 #include "core/config_builder.h"
 #include "core/scenario.h"
+#include "core/telemetry.h"
 #include "net/sim_transport.h"
 #include "net/udp_transport.h"
 #include "obs/live/json_value.h"
-#include "obs/live/telemetry.h"
 #include "obs/live/trace_load.h"
 #include "obs/perfetto.h"
 #include "obs/trace.h"
@@ -417,13 +417,13 @@ TEST(Span, LongRunningSiteKeepsItsNewestSpans) {
   EXPECT_EQ(call_spans.back()->call, calls.back()) << "the newest call span is the last call's";
   EXPECT_FALSE(call_spans.back()->open());
 
-  obs::live::TelemetryHub hub(tracer);
+  core::SiteTelemetry telemetry(s.client_site(0), tracer);
   const std::filesystem::path dir =
       std::filesystem::path(testing::TempDir()) / "ugrpc_span_wrap_flight";
   std::filesystem::remove_all(dir);
-  hub.set_flight_dir(dir.string());
+  telemetry.set_flight_dir(dir.string());
   std::string error;
-  const auto dump = hub.trip("ring-wrap", &error);
+  const auto dump = telemetry.trip("ring-wrap", &error);
   ASSERT_TRUE(dump.has_value()) << error;
 
   // Every exported span's opening record is in trace.json, and the newest

@@ -1,6 +1,6 @@
 // ugrpcstat: command-line client for the live telemetry plane (ISSUE 5).
 //
-// Talks to a serving site's telemetry listener (UdpTransport::serve_telemetry)
+// Talks to a serving site's telemetry listener (core::SiteTelemetry::serve)
 // and to flight-recorder dumps on disk:
 //
 //   ugrpcstat --port P                  pretty-print one introspection snapshot
