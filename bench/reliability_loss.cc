@@ -17,7 +17,10 @@
 // A second table shows the fabric byte counters and the client->server0
 // link for the 'reliable' runs: the gap between bytes_sent and
 // bytes_delivered is the traffic loss ate, and the retransmission
-// micro-protocol's job is to keep completion at 100% despite it.
+// micro-protocol's job is to keep completion at 100% despite it.  The
+// per-link column is read off the run's trace: a copy lost on the link is a
+// flagged span opened by kMsgDropped at the sender, a copy that dies on
+// arrival is a plain kMsgDropped record at the receiver.
 //
 //   usage: reliability_loss [--seed N]
 #include <cstdio>
@@ -25,9 +28,10 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/assert.h"
 #include "core/micro/acceptance.h"
 #include "core/scenario.h"
-#include "net/network.h"
+#include "obs/trace.h"
 
 namespace {
 
@@ -37,11 +41,39 @@ using namespace ugrpc::core;
 constexpr OpId kOp{1};
 constexpr int kCalls = 60;
 
+/// One link's traffic: transmissions, deliveries and losses.
+struct LinkCounts {
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+};
+
+/// The from->to link's counts from the trace records of both ends.
+LinkCounts link_counts(const obs::Tracer& tracer, ProcessId from, ProcessId to) {
+  UGRPC_ASSERT(tracer.total_dropped() == 0 && "trace ring wrapped: size it for the run");
+  LinkCounts c;
+  for (const obs::Event& e : tracer.merged()) {
+    const bool outbound = e.site == from && e.a == to.value();
+    const bool inbound = e.site == to && e.a == from.value();
+    if (outbound && e.kind == obs::Kind::kMsgSent) {
+      ++c.sent;
+    } else if (outbound && e.kind == obs::Kind::kMsgDropped && (e.flags & obs::kSpanOpen) != 0) {
+      ++c.sent;  // lost on the link
+      ++c.dropped;
+    } else if (inbound && e.kind == obs::Kind::kMsgDropped && (e.flags & obs::kSpanOpen) == 0) {
+      ++c.dropped;  // died on arrival
+    } else if (inbound && e.kind == obs::Kind::kMsgDelivered) {
+      ++c.delivered;
+    }
+  }
+  return c;
+}
+
 struct Outcome {
   double ok_fraction = 0;
   double mean_ms = 0;
-  net::Stats fabric;              // whole-fabric counters after the run
-  net::Network::LinkStats c2s;    // client -> first server
+  net::Stats fabric;  // whole-fabric counters after the run
+  LinkCounts c2s;     // client -> first server
 };
 
 Outcome run(double drop, bool reliable, bool bounded, std::uint64_t seed) {
@@ -53,6 +85,8 @@ Outcome run(double drop, bool reliable, bool bounded, std::uint64_t seed) {
   if (bounded) p.config.termination_bound = sim::msec(250);
   p.faults.drop_prob = drop;
   p.seed = seed;
+  obs::Tracer tracer;
+  p.tracer = &tracer;
   Scenario s(std::move(p));
   int ok = 0;
   double total_ms = 0;
@@ -75,7 +109,7 @@ Outcome run(double drop, bool reliable, bool bounded, std::uint64_t seed) {
   out.ok_fraction = static_cast<double>(ok) / kCalls;
   out.mean_ms = ok > 0 ? total_ms / ok : 0;
   out.fabric = s.network().stats();
-  out.c2s = s.network().link_stats(s.client_id(0), Scenario::server_id(0));
+  out.c2s = link_counts(tracer, s.client_id(0), Scenario::server_id(0));
   return out;
 }
 

@@ -3,8 +3,8 @@
 // A retransmission loop aimed at a dead destination, or a watchdog scanning
 // a stalled table, can hit the same condition thousands of times per second;
 // one log line per occurrence drowns everything else.  The policy shared by
-// every user (originally hand-rolled for unroutable-send warnings in
-// net/network.cc, pinned by tests/net/network_test.cc):
+// every user (first written for unroutable-send warnings, now in
+// net/fabric.cc, pinned by tests/net/network_test.cc):
 //
 //   * the FIRST occurrence for a key is reported immediately and in full;
 //   * afterwards, at most one summary line per `period`, carrying the EXACT
@@ -50,7 +50,7 @@ class RateLimitedLog {
     return it != states_.end() ? it->second.unlogged : 0;
   }
 
-  /// Forgets all keys (tests, stats resets).
+  /// Forgets all keys.
   void clear() { states_.clear(); }
 
  private:

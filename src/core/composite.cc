@@ -97,13 +97,9 @@ void GrpcComposite::assemble() {
   switch (config_.ordering) {
     case Ordering::kNone: break;
     case Ordering::kFifo: fifo_ = &emplace<FifoOrder>(state_); break;
-    case Ordering::kTotal: {
-      TotalOrderOptions options;
-      options.agreement = config_.total_order_agreement;
-      options.agreement_timeout = config_.total_order_agreement_timeout;
-      total_ = &emplace<TotalOrder>(state_, config_.group, options);
+    case Ordering::kTotal:
+      total_ = &emplace<TotalOrder>(state_, config_.group, config_.total_order_agreement);
       break;
-    }
   }
 }
 

@@ -66,7 +66,6 @@ struct Config {
   /// Run Total Order's leader-change agreement round (extension; the paper
   /// omits the phase).  Disable to reproduce the paper's divergence window.
   bool total_order_agreement = true;
-  sim::Duration total_order_agreement_timeout = sim::msec(100);
   /// EXPERIMENTS ONLY: build the composite even when validate() rejects the
   /// configuration.  Exists so the Figure 2 harness can demonstrate
   /// *empirically* what breaks when a dependency edge is violated; never

@@ -5,6 +5,14 @@
 
 namespace ugrpc::core {
 
+namespace {
+
+/// How long a new leader waits for OrderInfo answers before closing the
+/// reconciliation round with whatever arrived.
+constexpr sim::Duration kAgreementTimeout = sim::msec(100);
+
+}  // namespace
+
 void TotalOrder::start(runtime::Framework& fw) {
   fw_ = &fw;
   state_.HOLD[kHoldTotal] = true;
@@ -24,7 +32,7 @@ void TotalOrder::start(runtime::Framework& fw) {
                       [this](runtime::EventContext& ctx) { return membership_change(ctx); });
   // A member that boots (or recovers) into the leader role must not assign
   // orders from a fresh counter: reconcile with the group first.
-  if (options_.agreement && state_.my_id == leader(group_)) {
+  if (agreement_ && state_.my_id == leader(group_)) {
     bool has_peers = false;
     for (ProcessId p : state_.transport.group_members(group_)) {
       if (p != state_.my_id && state_.members.contains(p)) has_peers = true;
@@ -172,7 +180,7 @@ sim::Task<> TotalOrder::handle_reply(runtime::EventContext&) {
 }
 
 sim::Task<> TotalOrder::membership_change(runtime::EventContext& ctx) {
-  if (!options_.agreement) co_return;
+  if (!agreement_) co_return;
   const auto& ev = ctx.arg_as<MembershipEvent>();
   // Leadership falls to this member when a higher-id member fails while we
   // are (now) the maximum live id.
@@ -234,7 +242,7 @@ void TotalOrder::begin_reconciliation() {
   // Lost answers must not wedge the group: close the round after a timeout
   // with whatever arrived.
   reconcile_timer_ = fw_->register_timeout("TotalOrder.reconcile_timeout",
-                                           options_.agreement_timeout, [this]() -> sim::Task<> {
+                                           kAgreementTimeout, [this]() -> sim::Task<> {
                                              if (reconciling_) finish_reconciliation();
                                              co_return;
                                            });

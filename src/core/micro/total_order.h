@@ -48,18 +48,11 @@
 
 namespace ugrpc::core {
 
-struct TotalOrderOptions {
-  /// Run the leader-change agreement round (see file comment).
-  bool agreement = true;
-  /// How long the new leader waits for OrderInfo answers before closing the
-  /// reconciliation round with whatever arrived.
-  sim::Duration agreement_timeout = sim::msec(100);
-};
-
 class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
  public:
-  TotalOrder(GrpcState& state, GroupId group, TotalOrderOptions options)
-      : MicroProtocol("Total Order"), state_(state), group_(group), options_(options) {}
+  /// `agreement` runs the leader-change agreement round (see file comment).
+  TotalOrder(GrpcState& state, GroupId group, bool agreement)
+      : MicroProtocol("Total Order"), state_(state), group_(group), agreement_(agreement) {}
 
   void start(runtime::Framework& fw) override;
 
@@ -109,7 +102,7 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
 
   GrpcState& state_;
   GroupId group_;
-  TotalOrderOptions options_;
+  bool agreement_;
   runtime::Framework* fw_ = nullptr;
   std::map<std::uint64_t, CallId> ready_list_;       ///< order -> call, not yet executable
   std::set<CallId> waiting_set_;                     ///< calls seen but unordered

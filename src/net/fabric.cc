@@ -1,0 +1,148 @@
+#include "net/fabric.h"
+
+#include <utility>
+
+#include "common/assert.h"
+#include "common/log.h"
+
+namespace ugrpc::net {
+
+Fabric::Fabric(sim::Scheduler& exec) : exec_(exec), unroutable_log_(sim::seconds(1)) {}
+
+Endpoint& Fabric::add_endpoint(ProcessId process, DomainId domain) {
+  // In-place construction: the Endpoint's address escapes to the layers
+  // above, so it is neither copied nor moved while attached.
+  auto [it, inserted] = endpoints_.try_emplace(process, *this, process, domain);
+  UGRPC_ASSERT(inserted && "process already attached");
+  return it->second;
+}
+
+void Fabric::define_group(GroupId group, std::vector<ProcessId> members) {
+  groups_[group] = std::move(members);
+}
+
+const std::vector<ProcessId>& Fabric::group_members(GroupId group) const {
+  auto it = groups_.find(group);
+  UGRPC_ASSERT(it != groups_.end() && "unknown group");
+  return it->second;
+}
+
+void Fabric::set_process_up(ProcessId process, bool up) {
+  auto it = endpoints_.find(process);
+  UGRPC_ASSERT(it != endpoints_.end() && "only an attached process can go up or down");
+  it->second.up_ = up;
+}
+
+bool Fabric::process_up(ProcessId process) const {
+  auto it = endpoints_.find(process);
+  return it != endpoints_.end() && it->second.up_;
+}
+
+void Fabric::send(const Endpoint& from, ProcessId to, ProtocolId proto, const Buffer& payload) {
+  if (!routable(to)) {
+    unroutable(from.process(), to.value(), proto, /*group=*/false);
+    return;
+  }
+  ++stats_.sent;
+  stats_.bytes_sent += payload.size();
+  if (!from.up_) {
+    ++stats_.dropped;
+    return;  // crashed senders produce nothing
+  }
+  // The send span parents to whatever the sending fiber is doing (the
+  // ambient per-fiber context); the wire carries its id to the destination,
+  // where it becomes the delivery span's parent.
+  obs::SiteTrace* trace = nullptr;
+  obs::SpanCtx parent;
+  if (obs_ != nullptr) {
+    trace = &obs_->site(from.process());
+    parent = trace->current(exec_.current_fiber().value());
+  }
+  transmit(from, to, proto, payload, trace, parent);
+}
+
+void Fabric::multicast(const Endpoint& from, GroupId group, ProtocolId proto,
+                       const Buffer& payload) {
+  auto it = groups_.find(group);
+  if (it == groups_.end()) {
+    unroutable(from.process(), group.value(), proto, /*group=*/true);
+    return;
+  }
+  for (ProcessId member : it->second) send(from, member, proto, payload);
+}
+
+void Fabric::unroutable(ProcessId from, std::uint64_t target, ProtocolId proto, bool group) {
+  ++stats_.unroutable;
+  if (obs_ != nullptr) {
+    obs_->site(from).record(now(), obs::Kind::kMsgUnroutable, 0, target, proto.value());
+  }
+  // Rate-limiter keys: one space for links, one for (sender, group).
+  const std::uint64_t key =
+      group ? (std::uint64_t{1} << 63) | (static_cast<std::uint64_t>(from.value()) << 16) | target
+            : (static_cast<std::uint64_t>(from.value()) << 32) | target;
+  const char* kind = group ? "group " : "";
+  const auto id = static_cast<unsigned long long>(target);
+  if (const std::uint64_t n = unroutable_log_.occurrences_to_log(key, now()); n == 1) {
+    UGRPC_LOG(kWarn, "net: unroutable %u->%s%llu proto=%u (%s)", from.value(), kind, id,
+              proto.value(),
+              group ? "undefined group" : "destination not attached, no peer address");
+  } else if (n > 1) {
+    UGRPC_LOG(kWarn, "net: unroutable %u->%s%llu: %llu more since last report (latest proto=%u)",
+              from.value(), kind, id, static_cast<unsigned long long>(n), proto.value());
+  }
+}
+
+void Fabric::drop(const Packet& packet) {
+  ++stats_.dropped;
+  if (obs_ != nullptr) {
+    obs_->site(packet.dst).record(now(), obs::Kind::kMsgDropped, 0, packet.src.value(),
+                                  packet.proto.value());
+  }
+}
+
+void Fabric::deliver(Packet packet) {
+  auto it = endpoints_.find(packet.dst);
+  if (it == endpoints_.end() || !it->second.up_) {
+    drop(packet);  // the destination crashed or detached while the packet was in flight
+    return;
+  }
+  const Endpoint& ep = it->second;
+  std::shared_ptr<PacketHandler> handler = ep.handler(packet.proto);
+  if (handler == nullptr) {
+    UGRPC_LOG(kDebug, "net: no handler for proto=%u at %u", packet.proto.value(),
+              packet.dst.value());
+    drop(packet);
+    return;
+  }
+  ++stats_.delivered;
+  stats_.bytes_delivered += packet.payload.size();
+  // kMsgDelivered opens the delivery span, parented to the *send* span
+  // carried on the packet, stitching the sender's tree to the receiver's.
+  // It stays open for the whole handler fiber and is the fiber's ambient
+  // context, so everything the handler does (nested sends, handler spans)
+  // hangs beneath it.
+  obs::SpanCtx ctx;
+  if (obs_ != nullptr) {
+    ctx = obs_->site(packet.dst).open(now(), obs::Kind::kMsgDelivered, packet.ctx, 0,
+                                      packet.src.value(), packet.proto.value(), 0,
+                                      packet.duplicate);
+  }
+  // Each delivery runs in its own fiber in the destination's domain, so a
+  // site crash kills in-progress message processing.  The wrapper keeps
+  // the handler object alive for the fiber's lifetime (the coroutine frame
+  // references the closure it was created from).
+  static constexpr auto invoke = [](Fabric* f, std::shared_ptr<PacketHandler> h, Packet p,
+                                    obs::SpanCtx ctx) -> sim::Task<> {
+    obs::SiteTrace* st = f->obs_ != nullptr ? &f->obs_->site(p.dst) : nullptr;
+    const std::uint64_t fiber = f->exec_.current_fiber().value();
+    if (st != nullptr) st->set_current(fiber, ctx);
+    co_await (*h)(std::move(p));
+    if (st != nullptr) {
+      st->clear_current(fiber);
+      st->close(f->now(), ctx.parent);
+    }
+  };
+  exec_.spawn(invoke(this, std::move(handler), std::move(packet), ctx), ep.domain());
+}
+
+}  // namespace ugrpc::net

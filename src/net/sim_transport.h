@@ -1,14 +1,14 @@
 // Transport backend over the deterministic simulated fabric.
 //
-// A thin forwarding layer: traffic goes to net::Network (fault injection,
-// demux, per-packet delivery fibers) and clock/timers/fibers go to the
-// Network's sim::Scheduler.  Every forward is a single direct call in the
-// same order the pre-Transport code made it, so schedules, RNG draws and
-// timer ids are bit-identical to driving Network/Scheduler directly --
-// the existing tests, benches and fault-injection experiments run unchanged.
+// A thin forwarding layer: attachment, groups, process control and Stats go
+// to net::Network (the shared Fabric over the simulated wire), and
+// clock/timers/fibers go to the Network's sim::Scheduler.  Every forward is
+// a single direct call, so schedules, RNG draws and timer ids are
+// bit-identical to driving Network/Scheduler directly.
 //
 // SimTransport holds references only; several SimTransports over one fabric
 // behave identically (all state lives in the Network and the Scheduler).
+// Fault injection is set on the Network itself.
 #pragma once
 
 #include "net/network.h"
@@ -33,10 +33,8 @@ class SimTransport final : public Transport {
   [[nodiscard]] const std::vector<ProcessId>& group_members(GroupId group) const override {
     return net_.group_members(group);
   }
-  [[nodiscard]] bool has_group(GroupId group) const override { return net_.has_group(group); }
 
   // ---- process-up control ----
-  [[nodiscard]] bool supports_process_control() const override { return true; }
   void set_process_up(ProcessId process, bool up) override { net_.set_process_up(process, up); }
   [[nodiscard]] bool process_up(ProcessId process) const override {
     return net_.process_up(process);
@@ -59,12 +57,6 @@ class SimTransport final : public Transport {
 
   // ---- observability ----
   [[nodiscard]] const Stats& stats() const override { return net_.stats(); }
-  void reset_stats() override { net_.reset_stats(); }
-
-  /// The wrapped fabric, for sim-only knobs: fault injection, packet
-  /// tracing, per-link stats.  Experiment harnesses may use this; protocol
-  /// layers must not.
-  [[nodiscard]] Network& network() { return net_; }
 
  private:
   Network& net_;

@@ -8,16 +8,19 @@
 //   * attach/detach       -- bind a process to the fabric, yielding an
 //                            Endpoint for traffic and demux registration;
 //   * groups              -- named member lists for sender-side multicast;
-//   * process-up control  -- crash modelling, where the backend supports it;
+//   * process-up control  -- crash modelling of attached processes;
 //   * clock + timers      -- now()/schedule_after()/cancel_timer(), the only
 //                            way protocol layers may arm timers;
 //   * threads of control  -- spawn()/kill_domain(), one fiber per delivered
 //                            packet or timeout, killable per crashing site.
 //
-// Two implementations exist: SimTransport (sim_transport.h) wraps the
-// deterministic simulated fabric so tests, benches and fault-injection
-// experiments run unchanged, and UdpTransport (udp_transport.h) runs the
-// same stack over real non-blocking UDP sockets between OS processes.
+// Two implementations exist: SimTransport (sim_transport.h) over the
+// deterministic simulated fabric, and UdpTransport (udp_transport.h) over
+// real non-blocking UDP sockets between OS processes.  Both put the same
+// net::Fabric (fabric.h) behind push and pop -- demux, groups, unroutable
+// accounting, delivery and Stats -- so a packet's life above the wire, and
+// what the trace and the counters say about it, is identical on both; only
+// the wire differs.
 //
 // Both backends execute protocol code on a single-threaded cooperative
 // sim::Scheduler; executor() exposes it for the synchronization primitives
@@ -27,102 +30,16 @@
 // clock is slaved to the host's monotonic clock.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "common/buffer.h"
 #include "common/ids.h"
-#include "obs/span.h"
+#include "net/fabric.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
 namespace ugrpc::net {
-
-/// A packet in flight: source, destination, demux key, opaque payload.
-struct Packet {
-  ProcessId src;
-  ProcessId dst;
-  ProtocolId proto;
-  Buffer payload;
-  /// Trace context propagated with the packet: {trace id, send-span id}.
-  /// Carried as metadata under SimTransport and in the wire frame (wire.h
-  /// v2) under UdpTransport; {0,0} when tracing is off.
-  obs::SpanCtx ctx;
-  /// This copy was manufactured by fault injection (duplicate delivery);
-  /// its delivery span is flagged so the trace distinguishes it.
-  bool duplicate = false;
-};
-
-/// Invoked (in a fresh fiber, in the destination's domain) for each
-/// delivered packet of the registered protocol.
-using PacketHandler = std::function<sim::Task<>(Packet)>;
-
-/// Fabric-wide counters, common to every backend.  Byte counts measure
-/// payload bytes (what the protocol layers handed to the transport), so sim
-/// and UDP numbers are directly comparable regardless of frame overhead.
-struct Stats {
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_delivered = 0;
-  /// Transmissions with no possible route: sends to a ProcessId that was
-  /// never attached (sim) / has no address-book entry (UDP), and multicasts
-  /// to an undefined GroupId.  These used to vanish silently; now they are
-  /// counted here and logged at warn level.
-  std::uint64_t unroutable = 0;
-};
-
-/// A process's attachment point on a Transport.  Owns the x-kernel demux
-/// table: handlers are volatile (a crashing site clears them and
-/// re-registers on recovery); send/multicast are backend-specific.
-class Endpoint {
- public:
-  virtual ~Endpoint() = default;
-
-  Endpoint(const Endpoint&) = delete;
-  Endpoint& operator=(const Endpoint&) = delete;
-
-  /// Registers the upcall for packets demuxed to `proto` (replacing any
-  /// previous handler).  Replacement takes effect for deliveries dispatched
-  /// afterwards; a handler already running keeps executing to completion.
-  void set_handler(ProtocolId proto, PacketHandler handler) {
-    handlers_[proto] = std::make_shared<PacketHandler>(std::move(handler));
-  }
-  void clear_handler(ProtocolId proto) { handlers_.erase(proto); }
-  void clear_all_handlers() { handlers_.clear(); }
-
-  /// The handler currently registered for `proto`, or nullptr.  Backends
-  /// dispatch through the returned shared_ptr so an in-flight delivery fiber
-  /// keeps the handler object (and thus the coroutine's implicit *this)
-  /// alive even if the handler is replaced or cleared mid-flight.
-  [[nodiscard]] std::shared_ptr<PacketHandler> handler(ProtocolId proto) const {
-    auto it = handlers_.find(proto);
-    return it != handlers_.end() ? it->second : nullptr;
-  }
-
-  virtual void send(ProcessId dst, ProtocolId proto, Buffer payload) = 0;
-  /// Sends one copy to every member of `group` (including the sender if it
-  /// is a member): sender-side fan-out on every backend, each copy
-  /// independently subject to link faults / datagram loss.
-  virtual void multicast(GroupId group, ProtocolId proto, Buffer payload) = 0;
-
-  [[nodiscard]] ProcessId process() const { return process_; }
-  [[nodiscard]] DomainId domain() const { return domain_; }
-
- protected:
-  Endpoint(ProcessId process, DomainId domain) : process_(process), domain_(domain) {}
-
- private:
-  std::unordered_map<ProtocolId, std::shared_ptr<PacketHandler>> handlers_;
-  ProcessId process_;
-  DomainId domain_;
-};
 
 class Transport {
  public:
@@ -149,18 +66,16 @@ class Transport {
   // ---- groups (sender-side multicast fan-out) ----
 
   virtual void define_group(GroupId group, std::vector<ProcessId> members) = 0;
-  /// Members of a defined group; fatal on an undefined one (use has_group).
+  /// Members of a defined group; fatal on an undefined one.
   [[nodiscard]] virtual const std::vector<ProcessId>& group_members(GroupId group) const = 0;
-  [[nodiscard]] virtual bool has_group(GroupId group) const = 0;
 
-  // ---- process-up control (crash modelling, where supported) ----
+  // ---- process-up control (crash modelling of attached processes) ----
 
-  /// True when the backend can take any process up/down fabric-wide (the
-  /// simulator).  UdpTransport controls only locally-attached processes;
-  /// remote processes crash for real.
-  [[nodiscard]] virtual bool supports_process_control() const = 0;
-  /// Marks a process up/down.  Down processes neither send nor receive.
+  /// Marks an attached process up/down.  Down processes neither send nor
+  /// receive.  Processes elsewhere (other OS processes over UDP) crash for
+  /// real.
   virtual void set_process_up(ProcessId process, bool up) = 0;
+  /// True when `process` is attached here and up.
   [[nodiscard]] virtual bool process_up(ProcessId process) const = 0;
 
   // ---- clock + timers ----
@@ -194,7 +109,6 @@ class Transport {
   // ---- observability ----
 
   [[nodiscard]] virtual const Stats& stats() const = 0;
-  virtual void reset_stats() = 0;
 };
 
 }  // namespace ugrpc::net

@@ -51,7 +51,6 @@ TEST(CrashEdge, InFlightPacketDroppedWhenDestinationGoesDown) {
   EXPECT_EQ(f.net.stats().sent, 1u);
   EXPECT_EQ(f.net.stats().delivered, 0u);
   EXPECT_EQ(f.net.stats().dropped, 1u);
-  EXPECT_EQ(f.net.link_stats(kA, kB).dropped, 1u);
 }
 
 TEST(CrashEdge, RecoveredDestinationReceivesPacketsSentAfterRecovery) {
@@ -175,15 +174,6 @@ TEST(CrashEdge, ByteAndLinkCountersTrackTraffic) {
   f.sched.run();
   EXPECT_EQ(f.net.stats().bytes_sent, 2 * payload.size());
   EXPECT_EQ(f.net.stats().bytes_delivered, 2 * payload.size());
-  const Network::LinkStats ab = f.net.link_stats(kA, kB);
-  EXPECT_EQ(ab.sent, 2u);
-  EXPECT_EQ(ab.delivered, 2u);
-  EXPECT_EQ(ab.bytes_sent, 2 * payload.size());
-  EXPECT_EQ(ab.bytes_delivered, 2 * payload.size());
-  // The reverse link was never used.
-  const Network::LinkStats ba = f.net.link_stats(kB, kA);
-  EXPECT_EQ(ba.sent, 0u);
-  EXPECT_EQ(ba.bytes_sent, 0u);
 }
 
 // The same crash edges hold when the fabric is reached through the
@@ -200,7 +190,6 @@ TEST(CrashEdge, SimTransportExposesIdenticalCrashSemantics) {
   f.sched.run();
   EXPECT_TRUE(received.empty());
   EXPECT_EQ(t.stats().dropped, 1u);
-  EXPECT_TRUE(t.supports_process_control());
 }
 
 }  // namespace

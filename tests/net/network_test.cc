@@ -341,17 +341,5 @@ TEST(Network, UndefinedGroupMulticastIsRateLimitedSeparately) {
   EXPECT_EQ(f.net.stats().unroutable, 10u);
 }
 
-TEST(Network, ResetStatsClearsRateLimiterState) {
-  Fixture f;
-  Endpoint& a = f.net.attach(ProcessId{1}, DomainId{1});
-  LogCapture capture;
-  a.send(ProcessId{2}, kProto, make_payload(1));
-  f.net.reset_stats();
-  // A fresh epoch: the next occurrence is a "first" again.
-  a.send(ProcessId{2}, kProto, make_payload(1));
-  EXPECT_EQ(unroutable_lines(), 2u);
-  EXPECT_NE(captured_warnings().back().find("destination not attached"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ugrpc::net
