@@ -18,9 +18,10 @@
 // writes a Perfetto fragment next to PATH, and the parent merges them with
 // its own into PATH -- a single Chrome/Perfetto-loadable JSON whose span
 // tree crosses the real process boundary (see README "Profiling a call").
-// --force-retransmit drops the first call datagram to server 1 before it
-// reaches the socket, so the trace demonstrably covers a retransmission
-// (loopback UDP never drops on its own).
+// --force-retransmit drops the first call datagram to every server before
+// it reaches the socket, so the first call completes only after a
+// retransmission, whatever the number of servers, and the trace
+// demonstrably covers one (loopback UDP never drops on its own).
 //
 // Live telemetry plane: --telemetry-port serves the client site's
 // SiteTelemetry over HTTP from a timer on the transport's loop (0 =
@@ -70,7 +71,7 @@ struct Cli {
   int calls = 20;
   int timeout_sec = 30;
   std::string trace_out;          ///< empty = tracing off
-  bool force_retransmit = false;  ///< drop the first call datagram to server 1
+  bool force_retransmit = false;  ///< drop the first call datagram to each server
   int telemetry_port = -1;        ///< -1 = off, 0 = ephemeral
   std::string port_file;          ///< write the bound telemetry port here
   std::string stats_out;          ///< write final metrics JSON here
@@ -295,15 +296,14 @@ int main(int argc, char** argv) {
     }
   }
   if (cli.force_retransmit) {
-    // Drop the first call datagram to server 1 before it reaches the socket:
-    // Reliable Communication's 50 ms timer then retransmits it, and with the
-    // exactly-once preset's acceptance=ALL the call cannot complete without
-    // that retransmission -- so a trace of the run provably contains one.
+    // Drop the first call datagram to each server before it reaches the
+    // socket: no server hears the first call until Reliable Communication's
+    // retransmission timer resends it, so the call cannot complete without
+    // that retransmission, whatever the acceptance limit -- a trace of the
+    // run provably contains one.
     transport.set_send_fault(
-        [dropped = false](ProcessId, ProcessId to, ProtocolId proto) mutable -> bool {
-          if (dropped || to != server_id(0) || proto != core::kGrpcProto) return false;
-          dropped = true;
-          return true;
+        [dropped = std::set<ProcessId>{}](ProcessId, ProcessId to, ProtocolId proto) mutable {
+          return proto == core::kGrpcProto && dropped.insert(to).second;
         });
   }
   const std::uint16_t client_port = transport.local_port(client_id);

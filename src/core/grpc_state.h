@@ -287,16 +287,8 @@ struct GrpcState {
                           std::uint64_t a, std::uint64_t b) {
     if (!trace) return 0;
     const obs::SpanCtx ctx = trace->open(transport.now(), kind, parent, call, a, b);
-    trace->set_current(sched.current_fiber().value(), ctx);
+    sched.set_ambient(ctx);
     return ctx.parent;
-  }
-
-  /// The running fiber's current trace context ({0,0} when tracing is off).
-  [[nodiscard]] obs::SpanCtx ambient() const {
-    return trace ? trace->current(sched.current_fiber().value()) : obs::SpanCtx{};
-  }
-  void set_ambient(const obs::SpanCtx& ctx) {
-    if (trace) trace->set_current(sched.current_fiber().value(), ctx);
   }
 
   /// Reply acknowledgements queued per destination instead of sent

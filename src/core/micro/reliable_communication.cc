@@ -146,7 +146,8 @@ void ReliableCommunication::resend_due() {
   // Sends never run protocol code in place, so nothing mutates pRPC while
   // this walks it.
   const sim::Time now = state_.transport.now();
-  const obs::SpanCtx saved_ctx = state_.ambient();
+  const bool traced = state_.trace != nullptr;
+  const obs::SpanCtx saved_ctx = traced ? state_.sched.ambient() : obs::SpanCtx{};
   for (const auto& [id, rec] : state_.pRPC) {
     for (auto& [p, ps] : rec->pending) {
       if (ps.acked || deadline(p, ps) > now) continue;
@@ -166,7 +167,7 @@ void ReliableCommunication::resend_due() {
       // Re-enter the call's own trace context: the timer fiber's ambient is
       // the timer span, but each retransmitted datagram belongs to the call
       // it retries, so the span tree shows the retry under the original call.
-      state_.set_ambient(obs::SpanCtx{rec->id.value(), rec->span});
+      if (traced) state_.sched.set_ambient(obs::SpanCtx{rec->id.value(), rec->span});
       state_.net_push(p, msg);
       ps.sent_at = now;
       ++ps.retries;
@@ -174,7 +175,7 @@ void ReliableCommunication::resend_due() {
       state_.note(obs::Kind::kRetransmit, rec->id.value(), p.value());
     }
   }
-  state_.set_ambient(saved_ctx);
+  if (traced) state_.sched.set_ambient(saved_ctx);
   arm_earliest();
 }
 

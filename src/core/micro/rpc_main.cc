@@ -55,7 +55,7 @@ sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
   // The exec span (kExecStarted .. kExecCommitted) covers user-procedure
   // execution through sending the reply, so the reply's send span hangs
   // beneath it on the call's trace.
-  const obs::SpanCtx saved_ctx = state_.ambient();
+  const obs::SpanCtx saved_ctx = state_.trace ? state_.sched.ambient() : obs::SpanCtx{};
   const std::uint64_t exec_span = state_.note_open(obs::Kind::kExecStarted, saved_ctx, id.value(),
                                                    rec->client.value(), rec->client_inc);
   co_await state_.user->pop(rec->op, rec->args);
@@ -78,7 +78,7 @@ sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
   if (it != state_.sRPC.end() && it->second == rec) state_.sRPC.erase(it);
   state_.net_push(client, reply);
   state_.note(obs::Kind::kExecCommitted, id.value(), client.value(), rec->client_inc, exec_span);
-  if (exec_span != 0) state_.set_ambient(saved_ctx);
+  if (exec_span != 0) state_.sched.set_ambient(saved_ctx);
 }
 
 sim::Task<> RpcMain::msg_from_user(runtime::EventContext& ctx) {
@@ -100,9 +100,11 @@ sim::Task<> RpcMain::msg_from_user(runtime::EventContext& ctx) {
   // join without any id-allocation protocol.  The span parents to whatever
   // the submitting fiber was doing and becomes its ambient context, so the
   // multicast below and everything downstream of it hang beneath the call.
-  rec->span = state_.note_open(obs::Kind::kCallIssued,
-                               obs::SpanCtx{rec->id.value(), state_.ambient().parent},
-                               rec->id.value(), umsg.server.value(), state_.inc_number);
+  if (state_.trace) {
+    rec->span = state_.note_open(obs::Kind::kCallIssued,
+                                 obs::SpanCtx{rec->id.value(), state_.sched.ambient().parent},
+                                 rec->id.value(), umsg.server.value(), state_.inc_number);
+  }
   CallEvent created{rec->id};
   co_await fw_->trigger(kNewRpcCall, runtime::EventArg::ref(created));
   umsg.id = rec->id;

@@ -49,14 +49,14 @@ void Fabric::send(const Endpoint& from, ProcessId to, ProtocolId proto, const Bu
     ++stats_.dropped;
     return;  // crashed senders produce nothing
   }
-  // The send span parents to whatever the sending fiber is doing (the
-  // ambient per-fiber context); the wire carries its id to the destination,
-  // where it becomes the delivery span's parent.
+  // The send span parents to whatever the sending fiber is doing (its
+  // ambient context; none outside a fiber); the wire carries its id to the
+  // destination, where it becomes the delivery span's parent.
   obs::SiteTrace* trace = nullptr;
   obs::SpanCtx parent;
   if (obs_ != nullptr) {
     trace = &obs_->site(from.process());
-    parent = trace->current(exec_.current_fiber().value());
+    parent = exec_.ambient();
   }
   transmit(from, to, proto, payload, trace, parent);
 }
@@ -134,13 +134,9 @@ void Fabric::deliver(Packet packet) {
   static constexpr auto invoke = [](Fabric* f, std::shared_ptr<PacketHandler> h, Packet p,
                                     obs::SpanCtx ctx) -> sim::Task<> {
     obs::SiteTrace* st = f->obs_ != nullptr ? &f->obs_->site(p.dst) : nullptr;
-    const std::uint64_t fiber = f->exec_.current_fiber().value();
-    if (st != nullptr) st->set_current(fiber, ctx);
+    if (st != nullptr) f->exec_.set_ambient(ctx);
     co_await (*h)(std::move(p));
-    if (st != nullptr) {
-      st->clear_current(fiber);
-      st->close(f->now(), ctx.parent);
-    }
+    if (st != nullptr) st->close(f->now(), ctx.parent);
   };
   exec_.spawn(invoke(this, std::move(handler), std::move(packet), ctx), ep.domain());
 }

@@ -1,6 +1,7 @@
 #include "net/timer_wheel.h"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -12,15 +13,14 @@ TimerWheel::TimerWheel(sim::Duration granularity) : granularity_(granularity) {
   UGRPC_ASSERT(granularity_ > 0);
 }
 
-TimerId TimerWheel::add(sim::Time deadline, std::function<void()> fn, DomainId domain,
-                        obs::SpanCtx ctx) {
+TimerId TimerWheel::add(sim::Time deadline, std::function<void()> fn, DomainId domain) {
   UGRPC_ASSERT(fn != nullptr);
   // A deadline already in the past still fires, on the next advance(): clamp
   // it so its bucket lies in the walk range [last tick, current tick].
   deadline = std::max(deadline, last_advance_);
   const TimerId id{next_timer_++};
   const std::size_t slot = slot_of(deadline);
-  slots_[slot].push_back(Entry{id, deadline, next_seq_++, domain, ctx, std::move(fn)});
+  slots_[slot].push_back(Entry{id, deadline, next_seq_++, domain, std::move(fn)});
   handles_.emplace(id, Handle{slot, std::prev(slots_[slot].end())});
   return id;
 }
@@ -72,20 +72,7 @@ void TimerWheel::advance(sim::Time now) {
   for (Entry& entry : due) {
     // Skip entries cancelled by an earlier callback of this same batch.
     if (firing_.erase(entry.id) == 0) continue;
-    if (obs_ != nullptr && entry.ctx.active()) {
-      // Callbacks run inline (no fiber; the executor's "current fiber" is 0
-      // here), so the fiber-0 ambient slot carries the context to any sends
-      // the callback performs directly.
-      obs::SiteTrace& st = obs_->site(ProcessId{entry.domain.value()});
-      const obs::SpanCtx fire =
-          st.open(now, obs::Kind::kWheelFired, entry.ctx, 0, entry.id.value());
-      st.set_current(0, fire);
-      entry.fn();
-      st.clear_current(0);
-      st.close(now, fire.parent);
-    } else {
-      entry.fn();
-    }
+    entry.fn();
   }
   firing_.clear();
 }

@@ -14,6 +14,11 @@
 // Timer ids are drawn from the same TimerId space the scheduler uses but the
 // two sets never meet: ids issued by the wheel are cancelled on the wheel,
 // ids issued by the executor on the executor.
+//
+// The wheel records no trace: a callback runs outside any fiber, so it has
+// no ambient context, just as a simulator timer callback has none.  The
+// record of a fire is the framework's kTimerFired span, the same on both
+// backends.
 #pragma once
 
 #include <array>
@@ -24,7 +29,6 @@
 #include <unordered_map>
 
 #include "common/ids.h"
-#include "obs/trace.h"
 #include "sim/time.h"
 
 namespace ugrpc::net {
@@ -42,11 +46,7 @@ class TimerWheel {
 
   /// Arms `fn` to fire at absolute time `deadline` (clamped to now or later
   /// by the next advance()).  `domain` ties the timer to a crashable site.
-  /// `ctx` is the trace context captured at arming: when a tracer is
-  /// attached, the fire records a kWheelFired span parented to it (so, e.g., a
-  /// retransmission timer's work hangs beneath the call that armed it).
-  TimerId add(sim::Time deadline, std::function<void()> fn, DomainId domain,
-              obs::SpanCtx ctx = {});
+  TimerId add(sim::Time deadline, std::function<void()> fn, DomainId domain);
 
   /// No-op if the timer already fired or was cancelled.  A timer may cancel
   /// itself or any other timer from inside its own callback.
@@ -65,18 +65,12 @@ class TimerWheel {
 
   [[nodiscard]] std::size_t size() const { return handles_.size(); }
 
-  /// Attaches a span collector: each fire with an active context records a
-  /// kWheelFired span on the site the timer's domain maps to.  nullptr
-  /// (default) disables -- the fire path gains a single null check.
-  void set_tracer(obs::Tracer* tracer) { obs_ = tracer; }
-
  private:
   struct Entry {
     TimerId id;
     sim::Time deadline;
     std::uint64_t seq;
     DomainId domain;
-    obs::SpanCtx ctx;  ///< trace context captured at arming
     std::function<void()> fn;
   };
   using Slot = std::list<Entry>;
@@ -99,7 +93,6 @@ class TimerWheel {
   std::uint64_t next_timer_ = 1;
   std::uint64_t next_seq_ = 1;
   sim::Time last_advance_ = 0;
-  obs::Tracer* obs_ = nullptr;
 };
 
 }  // namespace ugrpc::net

@@ -81,13 +81,7 @@ void UdpTransport::detach(ProcessId process) {
 
 TimerId UdpTransport::schedule_after(sim::Duration delay, std::function<void()> fn,
                                      DomainId domain) {
-  // Capture the arming fiber's trace context so the wheel can parent the
-  // fire's span to the activity that armed the timer.
-  obs::SpanCtx ctx;
-  if (tracer() != nullptr && domain != sim::kGlobalDomain) {
-    ctx = tracer()->site(ProcessId{domain.value()}).current(exec_.current_fiber().value());
-  }
-  return wheel_.add(now() + std::max<sim::Duration>(delay, 0), std::move(fn), domain, ctx);
+  return wheel_.add(now() + std::max<sim::Duration>(delay, 0), std::move(fn), domain);
 }
 
 void UdpTransport::cancel_timer(TimerId id) { wheel_.cancel(id); }

@@ -7,15 +7,19 @@
 // clock (run_until(elapsed)), so semaphores, sleeps and fibers behave
 // identically -- one microsecond of virtual time is one microsecond of real
 // time.  Transport-level timers (retransmission, heartbeats, termination
-// bounds) live on a hashed TimerWheel rather than the executor's heap.
+// bounds) live on a hashed TimerWheel rather than the executor's heap; the
+// wheel records nothing, so a timer leaves the same trace as in the
+// simulator.
 //
 // Everything above the wire -- demux, groups and fan-out, unroutable
-// accounting, delivery fibers, Stats -- is the shared net::Fabric
-// (fabric.h), exactly as under the simulator.  This file is the wire:
-// framing (wire.h), the injectable send fault, the datagram size cap,
-// sendto(), and on the receive side recv(), decode and two filters --
-// frames addressed to another process, and frames from a superseded
-// incarnation of their sender, are counted as dropped without a record.
+// accounting, delivery fibers, Stats, the tracer (Fabric::set_tracer) -- is
+// the shared net::Fabric (fabric.h), exactly as under the simulator.  This
+// file is the wire: framing (wire.h, which carries the trace context), the
+// injectable send fault, the datagram size cap, sendto() (a send that fails
+// there closes its kMsgSent span flagged), and on the receive side recv(),
+// decode and two filters -- frames addressed to another process, and frames
+// from a superseded incarnation of their sender, are counted as dropped
+// without a record.
 //
 // Topology is explicit: each locally attached process binds its own
 // ephemeral-port socket (no fixed ports, so parallel CI runs cannot
@@ -112,14 +116,6 @@ class UdpTransport final : public Transport, public Fabric {
   /// Drives the loop until `fiber` finishes or `timeout` elapses; true on
   /// fiber completion.
   bool run_until_fiber_done(FiberId fiber, sim::Duration timeout);
-
-  /// Fabric::set_tracer, plus wheel-fire spans; trace context travels in
-  /// the wire frames (wire.h v2).  A send that fails on the wire closes its
-  /// kMsgSent span flagged.  nullptr disables.
-  void set_tracer(obs::Tracer* tracer) {
-    Fabric::set_tracer(tracer);
-    wheel_.set_tracer(tracer);
-  }
 
   /// Deterministic loss injection: when set, each outgoing datagram is
   /// offered to `fault` (src, dst, proto) and dropped before sendto() on

@@ -30,8 +30,10 @@
 // is system-wide (CLOCK_MONOTONIC), so spans exported from different OS
 // processes on one host share a timebase.
 //
-// This header defines only the context type and the clock, so net/ can carry
-// a SpanCtx in Packet metadata without pulling in the collector.
+// This header defines only the context type and the clock and depends on
+// nothing else, so sim/ can keep each fiber's ambient SpanCtx
+// (Scheduler::ambient) and net/ can carry one in Packet metadata without
+// pulling in the collector.
 #pragma once
 
 #include <chrono>
@@ -39,8 +41,9 @@
 
 namespace ugrpc::obs {
 
-/// Compact trace context: propagated in wire frames / packet metadata and as
-/// the per-fiber ambient context inside a site.  {0, 0} means "untraced".
+/// Compact trace context: propagated in wire frames / packet metadata and
+/// kept as each fiber's ambient context (sim::Scheduler::ambient).  {0, 0}
+/// means "untraced".
 struct SpanCtx {
   std::uint64_t trace = 0;   ///< trace id (CallId for call traces), 0 = none
   std::uint64_t parent = 0;  ///< causing span id, 0 = root

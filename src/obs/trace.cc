@@ -38,7 +38,6 @@ std::string_view kind_name(Kind k) {
     case Kind::kDeadlineExpired: return "deadline_expired";
     case Kind::kSiteCrashed: return "site_crashed";
     case Kind::kSiteRecovered: return "site_recovered";
-    case Kind::kWheelFired: return "wheel_fired";
     case Kind::kSpanEnd: return "span_end";
     case Kind::kKindCount: break;
   }
@@ -58,7 +57,6 @@ std::string_view span_kind_name(Kind k) {
     case Kind::kEventTriggered: return "chain";
     case Kind::kEventHandled: return "handler";
     case Kind::kTimerFired: return "timer";
-    case Kind::kWheelFired: return "wheel_fire";
     case Kind::kMsgSent:
     case Kind::kMsgDropped: return "send";
     case Kind::kMsgDelivered: return "deliver";
@@ -178,7 +176,6 @@ void Tracer::clear() {
     site->ring_.clear();
     site->head_ = 0;
     site->dropped_ = 0;
-    site->fiber_ctx_.clear();
   }
   next_seq_ = 1;
   for (auto& c : counts_) c = 0;

@@ -15,14 +15,16 @@
 //     by sequence yields a faithful global history.
 //   * Spans (span.h) live in the same ring.  The record that marks the start
 //     of an interval -- kEventTriggered, kEventHandled, kMsgSent,
-//     kMsgDelivered, kCallIssued, kExecStarted, kTimerFired, kWheelFired --
-//     opens it (SiteTrace::open); the span's id is derived from that record,
+//     kMsgDelivered, kCallIssued, kExecStarted, kTimerFired -- opens it
+//     (SiteTrace::open); the span's id is derived from that record,
 //     (site << 32) | (seq & 0xFFFFFFFF).  A later record closes it: the fact
 //     that ends the interval where there is one (kCallCompleted,
 //     kExecCommitted), else a kSpanEnd.  Tracer::spans() pairs opens with
 //     closes; nothing else stores spans.  A ring that wraps therefore loses
 //     its oldest spans and events together, and a long-running site keeps
-//     its newest ones.
+//     its newest ones.  Which span the code running in a fiber works under
+//     (the parent of the spans it opens) is that fiber's ambient context,
+//     kept by the scheduler (sim::Scheduler::ambient), not here.
 //   * obs::check (checker.h) replays a merged trace against the invariants
 //     the selected micro-protocol set promises.
 //
@@ -92,7 +94,6 @@ enum class Kind : std::uint8_t {
   kSiteCrashed,    ///< a=incarnation that died
   kSiteRecovered,  ///< a=new incarnation
   // Spans without a fact of their own at one end.
-  kWheelFired,     ///< a=timer id (transport TimerWheel callback); opens "wheel_fire"
   kSpanEnd,        ///< closes the span in `link`
   kKindCount,      ///< sentinel, not a real kind
 };
@@ -107,8 +108,8 @@ inline constexpr std::size_t kKindCount = static_cast<std::size_t>(Kind::kKindCo
 [[nodiscard]] Kind kind_from_name(std::string_view name);
 
 /// The interval an opening record of kind `k` names ("chain", "handler",
-/// "timer", "wheel_fire", "send", "deliver", "call", "exec"); Perfetto
-/// category and Profile row key.
+/// "timer", "send", "deliver", "call", "exec"); Perfetto category and
+/// Profile row key.
 [[nodiscard]] std::string_view span_kind_name(Kind k);
 
 /// Event::flags bits.
@@ -213,23 +214,6 @@ class SiteTrace {
   [[nodiscard]] std::size_t size() const { return ring_.size(); }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
-  // ---- ambient per-fiber context ----
-  //
-  // Which trace the code currently running in a fiber belongs to.  The
-  // framework saves/sets/restores this around handler invocations, the
-  // transports read it at send time to stamp outgoing frames, and delivery /
-  // timer wrappers seed it for fresh fibers.  Keyed per fiber because the
-  // cooperative scheduler interleaves fibers at suspension points -- one
-  // site-global "current" would be clobbered by whichever fiber ran last.
-
-  [[nodiscard]] SpanCtx current(std::uint64_t fiber) const {
-    auto it = fiber_ctx_.find(fiber);
-    return it != fiber_ctx_.end() ? it->second : SpanCtx{};
-  }
-  void set_current(std::uint64_t fiber, const SpanCtx& ctx) { fiber_ctx_[fiber] = ctx; }
-  /// Reclaims a finished fiber's entry (delivery/timer wrappers call this).
-  void clear_current(std::uint64_t fiber) { fiber_ctx_.erase(fiber); }
-
  private:
   friend class Tracer;
   SiteTrace(Tracer& tracer, ProcessId site, std::size_t capacity)
@@ -247,7 +231,6 @@ class SiteTrace {
   std::vector<Event> ring_;  ///< grows to capacity_, then wraps
   std::size_t head_ = 0;     ///< next overwrite position once full
   std::uint64_t dropped_ = 0;
-  std::unordered_map<std::uint64_t, SpanCtx> fiber_ctx_;
 };
 
 /// The per-experiment trace collector: a registry of per-site rings, a

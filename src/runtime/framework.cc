@@ -77,27 +77,25 @@ sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
   const bool known = event.value() < chains_.size();
   const Chain& chain = known ? chains_[event.value()] : kUnregistered;
   // Spans: the kEventTriggered record opens the chain span and each
-  // kEventHandled record a handler span beneath it; each is the running
-  // fiber's ambient context while it is open, so sends and nested triggers
-  // parent correctly.  The ambient is saved/restored because triggers
-  // re-enter on the same fiber (a handler that triggers another event) and
-  // the caller's context must survive.
+  // kEventHandled record a handler span beneath it.  A handler runs with its
+  // span as the fiber's ambient context, so its sends and nested triggers
+  // parent correctly; between handlers only this loop runs, so nothing reads
+  // the chain span there.  The caller's ambient is restored at the end
+  // because triggers re-enter on the same fiber (a handler that triggers
+  // another event) and the caller's context must survive.
   obs::SiteTrace* const st = site_trace_;
-  std::uint64_t fiber = 0;
   obs::SpanCtx saved;
   obs::SpanCtx chain_ctx;
   if (st) {
-    fiber = transport_.executor().current_fiber().value();
-    saved = st->current(fiber);
+    saved = transport_.executor().ambient();
     const std::uint32_t name_id = known ? chain.event_name_id : intern(event_name(event));
     chain_ctx = st->open(transport_.now(), obs::Kind::kEventTriggered, saved, 0, event.value(),
                          0, name_id);
-    st->set_current(fiber, chain_ctx);
   }
   const auto finish = [&](bool completed) {
     if (st) {
       st->close(transport_.now(), chain_ctx.parent);
-      st->set_current(fiber, saved);
+      transport_.executor().set_ambient(saved);
     }
     return completed;
   };
@@ -109,13 +107,10 @@ sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
       handler_ctx = st->open(transport_.now(), obs::Kind::kEventHandled, chain_ctx, 0,
                              event.value(), static_cast<std::uint64_t>(reg.priority),
                              reg.name_id);
-      st->set_current(fiber, handler_ctx);
+      transport_.executor().set_ambient(handler_ctx);
     }
     co_await reg.fn(ctx);
-    if (st) {
-      st->close(transport_.now(), handler_ctx.parent);
-      st->set_current(fiber, chain_ctx);
-    }
+    if (st) st->close(transport_.now(), handler_ctx.parent);
     if (ctx.cancelled()) co_return finish(false);
   }
   co_return finish(true);
@@ -140,22 +135,13 @@ TimerId Framework::register_timeout(std::string name, sim::Duration delay, Timeo
   // framework: both outlive any fiber of this domain, the framework may not.
   static constexpr auto invoke = [](net::Transport* tp, obs::SiteTrace* st,
                                     std::shared_ptr<Armed> a, obs::SpanCtx ctx) -> sim::Task<> {
-    std::uint64_t fiber = 0;
-    if (st != nullptr) {
-      fiber = tp->executor().current_fiber().value();
-      st->set_current(fiber, ctx);
-    }
+    if (st != nullptr) tp->executor().set_ambient(ctx);
     co_await a->fn();
-    if (st != nullptr) {
-      st->clear_current(fiber);
-      st->close(tp->now(), ctx.parent);
-    }
+    if (st != nullptr) st->close(tp->now(), ctx.parent);
   };
   const std::uint32_t name_id = site_trace_ ? site_trace_->intern(name) : 0;
   obs::SpanCtx armed_ctx;
-  if (site_trace_) {
-    armed_ctx = site_trace_->current(transport_.executor().current_fiber().value());
-  }
+  if (site_trace_) armed_ctx = transport_.executor().ambient();
   const TimerId id = transport_.schedule_after(
       delay,
       [this, armed, name_id, armed_ctx]() {

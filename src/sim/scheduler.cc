@@ -58,6 +58,17 @@ DomainId Scheduler::current_domain() const {
   return it != fibers_.end() ? it->second.domain : kGlobalDomain;
 }
 
+obs::SpanCtx Scheduler::ambient() const {
+  auto it = fibers_.find(current_fiber_);
+  return it != fibers_.end() ? it->second.ambient : obs::SpanCtx{};
+}
+
+void Scheduler::set_ambient(const obs::SpanCtx& ctx) {
+  auto it = fibers_.find(current_fiber_);
+  UGRPC_ASSERT(it != fibers_.end() && "set_ambient outside a fiber");
+  it->second.ambient = ctx;
+}
+
 TimerId Scheduler::schedule_after(Duration delay, std::function<void()> fn, DomainId domain) {
   UGRPC_ASSERT(delay >= 0);
   const TimerId id{next_timer_++};

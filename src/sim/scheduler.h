@@ -12,6 +12,13 @@
 // with a DomainId (one domain per simulated site), `kill` destroys a fiber's
 // entire coroutine chain, and `kill_domain` does so for every fiber of a
 // crashing site, also cancelling the site's timers.
+//
+// Each fiber also carries one ambient trace context (obs::SpanCtx): which
+// trace the code it runs belongs to.  It is per fiber because fibers
+// interleave at every suspension point, so one value per site would be
+// clobbered by whichever fiber ran last.  The tracing layers read and write
+// it through ambient()/set_ambient(); the scheduler only stores it, and the
+// slot dies with its fiber.
 #pragma once
 
 #include <coroutine>
@@ -24,6 +31,7 @@
 
 #include "common/assert.h"
 #include "common/ids.h"
+#include "obs/span.h"
 #include "sim/intrusive_list.h"
 #include "sim/rng.h"
 #include "sim/task.h"
@@ -75,6 +83,13 @@ class Scheduler {
   [[nodiscard]] DomainId current_domain() const;
   [[nodiscard]] bool fiber_alive(FiberId fiber) const { return fibers_.contains(fiber); }
   [[nodiscard]] std::size_t live_fiber_count() const { return fibers_.size(); }
+
+  /// The running fiber's ambient trace context; {} when no fiber runs (a
+  /// timer callback, the thread driving the scheduler) and in a fiber that
+  /// never set one.
+  [[nodiscard]] obs::SpanCtx ambient() const;
+  /// Sets the running fiber's ambient trace context.  Fatal outside a fiber.
+  void set_ambient(const obs::SpanCtx& ctx);
 
   // ---- timers ----
 
@@ -130,6 +145,7 @@ class Scheduler {
     Task<> task;
     DomainId domain;
     ScheduleNode start_node;  // used once, to schedule the initial resume
+    obs::SpanCtx ambient;     // ambient()/set_ambient()
   };
 
   struct TimerEntry {

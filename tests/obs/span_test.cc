@@ -278,13 +278,22 @@ struct UdpPair {
   }
 };
 
+/// Sends `payload` from A to B `copies` times, from a fiber on A's executor
+/// whose ambient context is `ctx`.  The fiber runs on A's next poll.
+void send_from_fiber(UdpPair& pair, SpanCtx ctx, const Buffer& payload, int copies = 1) {
+  static constexpr auto body = [](UdpPair* p, SpanCtx c, Buffer b, int n) -> sim::Task<> {
+    p->ta.executor().set_ambient(c);
+    for (int i = 0; i < n; ++i) p->a.send(UdpPair::kB, UdpPair::kProto, b);
+    co_return;
+  };
+  pair.ta.spawn(body(&pair, ctx, payload, copies), DomainId{1});
+}
+
 TEST(Span, UdpCarriesContextAcrossTheWire) {
   UdpPair pair;
-  // The sending "fiber" (the test thread, fiber 0) works on trace 77.
-  pair.tracer.site(UdpPair::kA).set_current(0, SpanCtx{77, 5});
   Buffer payload;
   Writer(payload).u32(0xabcd);
-  pair.a.send(UdpPair::kB, UdpPair::kProto, payload);
+  send_from_fiber(pair, SpanCtx{77, 5}, payload);  // the sender works on trace 77
   ASSERT_TRUE(pair.drive_until_received(1));
 
   // The receiver's packet metadata carries {trace, send-span} -- not the
@@ -310,11 +319,10 @@ TEST(Span, UdpDroppedSendIsFlaggedAndRetransmitJoinsTrace) {
   pair.ta.set_send_fault([&drops_left](ProcessId, ProcessId, ProtocolId) {
     return drops_left-- > 0;  // swallow exactly the first datagram
   });
-  pair.tracer.site(UdpPair::kA).set_current(0, SpanCtx{99, 0});
   Buffer payload;
   Writer(payload).u32(1);
-  pair.a.send(UdpPair::kB, UdpPair::kProto, payload);  // dropped
-  pair.a.send(UdpPair::kB, UdpPair::kProto, payload);  // "retransmission"
+  // The first copy is dropped, the second is the "retransmission".
+  send_from_fiber(pair, SpanCtx{99, 0}, payload, 2);
   ASSERT_TRUE(pair.drive_until_received(1));
   EXPECT_EQ(pair.ta.stats().dropped, 1u);
 
@@ -454,16 +462,14 @@ TEST(Span, LongRunningSiteKeepsItsNewestSpans) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(Span, ClearResetsSpansAndAmbientContexts) {
+TEST(Span, ClearResetsSpans) {
   obs::Tracer tracer;
   (void)run_traced_call(tracer, core::ConfigBuilder::at_least_once().build());
   ASSERT_FALSE(tracer.spans().empty());
   obs::SiteTrace& client = tracer.site(ProcessId{4});
-  client.set_current(123, SpanCtx{1, 2});
   tracer.clear();
   EXPECT_TRUE(tracer.spans().empty());
   EXPECT_EQ(tracer.total_dropped(), 0u);
-  EXPECT_FALSE(client.current(123).active()) << "clear() must wipe fiber contexts";
   // The collector is reusable after clear(): ids restart from a fresh seq.
   const SpanCtx sent = client.open(sim::Time{1}, Kind::kMsgSent, SpanCtx{1, 0});
   EXPECT_EQ(sent.parent, obs::span_id(ProcessId{4}, 1));

@@ -176,7 +176,6 @@ TEST(Tracer, SpanKindNamesNameTheInterval) {
   EXPECT_EQ(span_kind_name(Kind::kEventTriggered), "chain");
   EXPECT_EQ(span_kind_name(Kind::kEventHandled), "handler");
   EXPECT_EQ(span_kind_name(Kind::kTimerFired), "timer");
-  EXPECT_EQ(span_kind_name(Kind::kWheelFired), "wheel_fire");
   EXPECT_EQ(span_kind_name(Kind::kMsgSent), "send");
   EXPECT_EQ(span_kind_name(Kind::kMsgDropped), "send");
   EXPECT_EQ(span_kind_name(Kind::kMsgDelivered), "deliver");

@@ -1,5 +1,6 @@
 // Unit tests for the discrete-event scheduler: fiber lifecycle, virtual
-// time, timers, kill semantics, and determinism.
+// time, timers, kill semantics, determinism, and the per-fiber ambient
+// trace context.
 #include "sim/scheduler.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/config_builder.h"
+#include "core/scenario.h"
+#include "obs/trace.h"
 #include "sim/sync.h"
 
 namespace ugrpc::sim {
@@ -259,6 +263,79 @@ TEST(Scheduler, LiveFiberCountTracksCompletion) {
   EXPECT_EQ(sched.live_fiber_count(), 1u);
   sched.run();
   EXPECT_EQ(sched.live_fiber_count(), 0u);
+}
+
+// ---- the ambient trace context ----
+
+Task<> ambient_owner(Scheduler& sched, obs::SpanCtx ctx, std::vector<obs::SpanCtx>& seen) {
+  seen.push_back(sched.ambient());
+  sched.set_ambient(ctx);
+  co_await sched.sleep_for(msec(2));
+  seen.push_back(sched.ambient());
+}
+
+Task<> ambient_reader(Scheduler& sched, std::vector<obs::SpanCtx>& seen) {
+  co_await sched.sleep_for(msec(1));
+  seen.push_back(sched.ambient());
+}
+
+TEST(Scheduler, AmbientContextStaysWithItsFiber) {
+  Scheduler sched;
+  std::vector<obs::SpanCtx> owner, other, timer, fresh;
+  sched.spawn(ambient_owner(sched, obs::SpanCtx{7, 3}, owner));
+  // Both read at 1 ms, while the owner sleeps with its context set.
+  sched.spawn(ambient_reader(sched, other));
+  sched.schedule_after(msec(1), [&] { timer.push_back(sched.ambient()); });
+  sched.run();
+  const obs::SpanCtx none;
+  EXPECT_EQ(owner, (std::vector<obs::SpanCtx>{none, obs::SpanCtx{7, 3}}))
+      << "a new fiber starts at {}, and its context survives a suspension";
+  EXPECT_EQ(other, std::vector<obs::SpanCtx>{none}) << "invisible to another fiber";
+  EXPECT_EQ(timer, std::vector<obs::SpanCtx>{none}) << "invisible to a timer callback";
+  EXPECT_EQ(sched.ambient(), none) << "and outside any fiber";
+  sched.spawn(ambient_reader(sched, fresh));
+  sched.run();
+  EXPECT_EQ(fresh, std::vector<obs::SpanCtx>{none});
+}
+
+TEST(SchedulerDeathTest, SetAmbientOutsideAFiberIsFatal) {
+  Scheduler sched;
+  EXPECT_DEATH(sched.set_ambient(obs::SpanCtx{1, 1}), "set_ambient outside a fiber");
+}
+
+TEST(Scheduler, TracedCallFibersAndCrashCyclesLeaveNoFiberState) {
+  // One client fiber per call, with server 1 crashed and recovered every
+  // 50 calls: every fiber's state, its ambient context included, must go
+  // with the fiber, whether it finishes or is killed.
+  obs::Tracer tracer;
+  core::ScenarioParams p;
+  p.num_servers = 3;
+  p.config = core::ConfigBuilder::at_most_once().total_order().build();
+  p.tracer = &tracer;
+  core::Scenario s(std::move(p));
+  Scheduler& sched = s.scheduler();
+  const std::size_t baseline = sched.live_fiber_count();
+  constexpr int kCalls = 4000;
+  int ok = 0;
+  for (int i = 1; i <= kCalls; ++i) {
+    s.run_client(0, [&](core::Client& c) -> Task<> {
+      const core::CallResult r = co_await c.call(s.group(), OpId{1}, Buffer{});
+      if (r.ok()) ++ok;
+    });
+    if (i % 50 == 0) {
+      s.server(0).crash();
+      s.server(0).recover();
+    }
+  }
+  s.run_until_quiescent();
+  EXPECT_EQ(ok, kCalls);
+  EXPECT_EQ(tracer.count(obs::Kind::kCallIssued), static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(tracer.count(obs::Kind::kSiteCrashed), 80u);
+  EXPECT_EQ(sched.live_fiber_count(), baseline);
+  std::vector<obs::SpanCtx> fresh;
+  sched.spawn(ambient_reader(sched, fresh));
+  sched.run();
+  EXPECT_EQ(fresh, std::vector<obs::SpanCtx>{obs::SpanCtx{}});
 }
 
 }  // namespace
