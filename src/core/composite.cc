@@ -98,7 +98,7 @@ void GrpcComposite::assemble() {
     case Ordering::kNone: break;
     case Ordering::kFifo: fifo_ = &emplace<FifoOrder>(state_); break;
     case Ordering::kTotal:
-      total_ = &emplace<TotalOrder>(state_, config_.group, config_.total_order_agreement);
+      total_ = &emplace<TotalOrder>(state_, config_.group);
       break;
   }
 }

@@ -63,9 +63,6 @@ struct Config {
   /// The server group this configuration serves (Total Order's leader logic
   /// is anchored to it; Scenario uses group 1).
   GroupId group{1};
-  /// Run Total Order's leader-change agreement round (extension; the paper
-  /// omits the phase).  Disable to reproduce the paper's divergence window.
-  bool total_order_agreement = true;
   /// EXPERIMENTS ONLY: build the composite even when validate() rejects the
   /// configuration.  Exists so the Figure 2 harness can demonstrate
   /// *empirically* what breaks when a dependency edge is violated; never

@@ -202,10 +202,16 @@ class CheckpointJournal {
 class UserProtocol;  // defined in user_protocol.h
 
 /// The shared data structure hosted by the gRPC framework.
+///
+/// The paper guards pRPC and sRPC with P/V on two table mutexes; there are
+/// none here.  A site's code runs on a single-threaded cooperative executor
+/// that switches fibers only at a co_await, so the one condition those
+/// locks stood for is: code that reads and then writes pRPC or sRPC must
+/// not co_await in between.  Such code then runs atomically.
 struct GrpcState {
   GrpcState(net::Transport& transport_, net::Endpoint& endpoint_, ProcessId my_id_)
       : transport(transport_), sched(transport_.executor()), endpoint(endpoint_), my_id(my_id_),
-        pRPC_mutex(sched), sRPC_mutex(sched), serial(sched, 1) {}
+        serial(sched, 1) {}
 
   net::Transport& transport;
   /// The transport's cooperative executor, for synchronization primitives
@@ -218,11 +224,9 @@ struct GrpcState {
 
   // Client side.
   std::map<CallId, std::shared_ptr<ClientRecord>> pRPC;
-  sim::Mutex pRPC_mutex;
 
   // Server side.
   std::map<CallId, std::shared_ptr<ServerRecord>> sRPC;
-  sim::Mutex sRPC_mutex;
   HoldArray HOLD{};
 
   /// Live members, maintained by the composite from MEMBERSHIP_CHANGE

@@ -25,13 +25,13 @@ void BoundedTermination::arm_timer() {
   fw_->register_timeout("BoundedTerm.handle_timeout", delay > 0 ? delay : 0,
                         [this]() -> sim::Task<> {
                           armed_ = false;
-                          co_await drain_expired();
+                          drain_expired();
                           arm_timer();
+                          co_return;
                         });
 }
 
-sim::Task<> BoundedTermination::drain_expired() {
-  auto guard = co_await state_.pRPC_mutex.lock();
+void BoundedTermination::drain_expired() {
   const sim::Time now = state_.sched.now();
   while (!deadlines_.empty() && deadlines_.front().first <= now) {
     const CallId id = deadlines_.front().second;

@@ -33,7 +33,7 @@ class BoundedTermination : public runtime::MicroProtocol {
   [[nodiscard]] std::uint64_t timeouts_fired() const { return timeouts_fired_; }
 
  private:
-  [[nodiscard]] sim::Task<> drain_expired();
+  void drain_expired();
   void arm_timer();
 
   GrpcState& state_;

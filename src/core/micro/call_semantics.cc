@@ -12,7 +12,6 @@ sim::Task<> await_completion(GrpcState& state, UserMessage& umsg) {
   co_await rec->sem.acquire();
   umsg.args = rec->args;
   umsg.status = rec->status;
-  auto guard = co_await state.pRPC_mutex.lock();
   auto it = state.pRPC.find(umsg.id);
   if (it != state.pRPC.end() && it->second == rec) state.pRPC.erase(it);
 }

@@ -22,7 +22,6 @@ void Collation::start(runtime::Framework& fw) {
                         // Fold only first responses from known group members
                         // (Acceptance marks them `done` right after us).
                         if (it == rec->pending.end() || it->second.done) co_return;
-                        auto guard = co_await state_.pRPC_mutex.lock();
                         rec->args = fn_(rec->args, msg.args);
                       });
 }

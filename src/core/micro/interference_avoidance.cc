@@ -14,7 +14,6 @@ void InterferenceAvoidance::start(runtime::Framework& fw) {
 sim::Task<> InterferenceAvoidance::msg_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   if (msg.type != net::MsgType::kCall) co_return;
-  auto guard = co_await cmutex_.lock();
   auto [it, inserted] = cinfo_.try_emplace(msg.sender, ClientInfo{msg.inc, 0, msg.inc});
   ClientInfo& info = it->second;
   if (info.inc != kBlocked && info.inc > msg.inc) {
@@ -45,7 +44,6 @@ sim::Task<> InterferenceAvoidance::handle_reply(runtime::EventContext& ctx) {
   const CallId id = ctx.arg_as<CallEvent>().id;
   auto rec = state_.find_server(id);
   if (rec == nullptr) co_return;
-  auto guard = co_await cmutex_.lock();
   auto it = cinfo_.find(rec->client);
   if (it == cinfo_.end()) co_return;
   ClientInfo& info = it->second;

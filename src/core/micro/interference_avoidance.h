@@ -44,7 +44,6 @@ class InterferenceAvoidance : public runtime::MicroProtocol {
 
   GrpcState& state_;
   std::unordered_map<ProcessId, ClientInfo> cinfo_;
-  sim::Mutex cmutex_{state_.sched};
   std::uint64_t deferred_ = 0;
 };
 

@@ -84,17 +84,13 @@ sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
 sim::Task<> RpcMain::msg_from_user(runtime::EventContext& ctx) {
   auto& umsg = ctx.arg_as<UserMessage>();
   if (umsg.type != UserOp::kCall) co_return;
-  std::shared_ptr<ClientRecord> rec;
-  {
-    auto guard = co_await state_.pRPC_mutex.lock();
-    const CallId id = make_call_id(state_.my_id, state_.next_seq++);
-    rec = std::make_shared<ClientRecord>(state_.sched, id, umsg.op, umsg.args, umsg.server);
-    rec->issued_at = state_.transport.now();
-    for (ProcessId p : state_.transport.group_members(umsg.server)) {
-      rec->pending.emplace(p, PendingServer{});
-    }
-    state_.pRPC[id] = rec;
+  const CallId id = make_call_id(state_.my_id, state_.next_seq++);
+  auto rec = std::make_shared<ClientRecord>(state_.sched, id, umsg.op, umsg.args, umsg.server);
+  rec->issued_at = state_.transport.now();
+  for (ProcessId p : state_.transport.group_members(umsg.server)) {
+    rec->pending.emplace(p, PendingServer{});
   }
+  state_.pRPC[id] = rec;
   // kCallIssued opens the root of the call's distributed trace: the trace id
   // IS the call id (globally unique), so spans recorded by other processes
   // join without any id-allocation protocol.  The span parents to whatever

@@ -32,7 +32,7 @@ void TotalOrder::start(runtime::Framework& fw) {
                       [this](runtime::EventContext& ctx) { return membership_change(ctx); });
   // A member that boots (or recovers) into the leader role must not assign
   // orders from a fresh counter: reconcile with the group first.
-  if (agreement_ && state_.my_id == leader(group_)) {
+  if (state_.my_id == leader(group_)) {
     bool has_peers = false;
     for (ProcessId p : state_.transport.group_members(group_)) {
       if (p != state_.my_id && state_.members.contains(p)) has_peers = true;
@@ -180,7 +180,6 @@ sim::Task<> TotalOrder::handle_reply(runtime::EventContext&) {
 }
 
 sim::Task<> TotalOrder::membership_change(runtime::EventContext& ctx) {
-  if (!agreement_) co_return;
   const auto& ev = ctx.arg_as<MembershipEvent>();
   // Leadership falls to this member when a higher-id member fails while we
   // are (now) the maximum live id.

@@ -17,10 +17,9 @@
 // the counter is not enough.  If the failed leader's last Order messages
 // reached only a subset of the group -- in particular, not the successor --
 // the new leader would reassign those order numbers to different calls and
-// the members would execute divergent sequences.  When enabled
-// (Config::total_order_agreement, the default), a member that observes the
-// leadership falling to it runs a reconciliation round before assigning any
-// further orders: it multicasts an OrderQuery carrying its next_entry;
+// the members would execute divergent sequences.  So a member that observes
+// the leadership falling to it runs a reconciliation round before assigning
+// any further orders: it multicasts an OrderQuery carrying its next_entry;
 // every member answers with an OrderInfo listing its (call, order) pairs at
 // or above that floor; the new leader merges the union (assignments are
 // consistent by construction -- they all came from one old leader),
@@ -28,8 +27,6 @@
 // ordinary Order messages, and only then resumes assignment.  If some
 // members' answers are lost, a timeout closes the round with the answers at
 // hand; reconciliation is idempotent and re-runs on later failures.
-// Disabling the knob reproduces the paper's omission (the ablation bench
-// and tests show the resulting divergence window).
 //
 // Dependencies (paper Figure 4): Reliable Communication and Unique Execution
 // (a server must see each request effectively once past the dedup stage);
@@ -50,9 +47,8 @@ namespace ugrpc::core {
 
 class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
  public:
-  /// `agreement` runs the leader-change agreement round (see file comment).
-  TotalOrder(GrpcState& state, GroupId group, bool agreement)
-      : MicroProtocol("Total Order"), state_(state), group_(group), agreement_(agreement) {}
+  TotalOrder(GrpcState& state, GroupId group)
+      : MicroProtocol("Total Order"), state_(state), group_(group) {}
 
   void start(runtime::Framework& fw) override;
 
@@ -102,7 +98,6 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
 
   GrpcState& state_;
   GroupId group_;
-  bool agreement_;
   runtime::Framework* fw_ = nullptr;
   std::map<std::uint64_t, CallId> ready_list_;       ///< order -> call, not yet executable
   std::set<CallId> waiting_set_;                     ///< calls seen but unordered

@@ -33,12 +33,12 @@ void UniqueExecution::queue_ack(ProcessId dest, std::uint64_t id) {
   ++acks_queued_;
   if (flush_armed_) return;
   flush_armed_ = true;
-  // One coalesced timer for every destination: all acknowledgements that
-  // accumulate within the window leave in one message per server.  The
-  // default window of 0 still batches -- timers fire only after the ready
-  // fibers of the current instant have drained, so a burst of same-time
-  // Replies is acknowledged as one batch.
-  fw_->register_timeout("UniqueExec.flush_acks", ack_delay_, [this]() -> sim::Task<> {
+  // One coalesced timer for every destination: all acknowledgements queued
+  // before it fires leave in one message per server.  Its delay of 0 still
+  // batches -- timers fire only after the ready fibers of the current
+  // instant have drained, so a burst of same-time Replies is acknowledged
+  // as one batch.
+  fw_->register_timeout("UniqueExec.flush_acks", 0, [this]() -> sim::Task<> {
     flush_armed_ = false;
     flush_acks();
     co_return;

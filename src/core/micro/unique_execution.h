@@ -33,8 +33,8 @@ namespace ugrpc::core {
 
 class UniqueExecution : public runtime::MicroProtocol, public CheckpointParticipant {
  public:
-  explicit UniqueExecution(GrpcState& state, sim::Duration ack_delay = {})
-      : MicroProtocol("Unique Execution"), state_(state), ack_delay_(ack_delay) {}
+  explicit UniqueExecution(GrpcState& state)
+      : MicroProtocol("Unique Execution"), state_(state) {}
 
   void start(runtime::Framework& fw) override;
 
@@ -81,7 +81,6 @@ class UniqueExecution : public runtime::MicroProtocol, public CheckpointParticip
 
   GrpcState& state_;
   runtime::Framework* fw_ = nullptr;
-  sim::Duration ack_delay_;
   bool flush_armed_ = false;
   std::set<CallId> old_calls_;
   std::map<CallId, Buffer> old_results_;

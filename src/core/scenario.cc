@@ -30,23 +30,25 @@ Scenario::Scenario(ScenarioParams params) : params_(std::move(params)), sched_(p
   }
   net_->define_group(kGroup, group_members);
 
+  // Construct (attach) every site before booting any: a booting site may
+  // send at once (membership heartbeats), and every peer must be reachable.
   const Site::AppSetup app = params_.server_app ? params_.server_app : echo_app;
   for (int i = 0; i < params_.num_servers; ++i) {
     auto site = std::make_unique<Site>(*transport_, server_id(i), params_.config, known,
                                        all_procs);
     site->set_app(app);
     site->set_tracer(params_.tracer);
-    site->boot();
     servers_.push_back(std::move(site));
   }
   for (int i = 0; i < params_.num_clients; ++i) {
     auto site = std::make_unique<Site>(*transport_, client_id(i), params_.config, known,
                                        all_procs);
     site->set_tracer(params_.tracer);
-    site->boot();
     clients_.push_back(std::move(site));
     client_handles_.push_back(std::make_unique<Client>(*clients_.back()));
   }
+  for (auto& site : servers_) site->boot();
+  for (auto& site : clients_) site->boot();
 }
 
 void Scenario::run_client(int i, std::function<sim::Task<>(Client&)> fn, sim::Duration deadline) {

@@ -34,7 +34,7 @@ void Site::build_stack() {
   grpc_->state().next_seq = first_seq_of_incarnation(inc_);
   if (config_.use_membership && !watch_.empty()) {
     monitor_ = std::make_unique<membership::MembershipMonitor>(
-        transport_, *endpoint_, watch_, config_.membership_params, /*beat=*/true);
+        transport_, *endpoint_, watch_, config_.membership_params);
     monitor_->set_listener([this](ProcessId who, membership::Change change) {
       // Run the MEMBERSHIP_CHANGE chain in its own fiber: handlers may block.
       transport_.spawn(grpc_->notify_membership(who, change), domain());

@@ -21,9 +21,8 @@ DomainId domain_of(ProcessId p) { return DomainId{p.value()}; }
 }  // namespace
 
 MembershipMonitor::MembershipMonitor(net::Transport& transport, net::Endpoint& endpoint,
-                                     std::vector<ProcessId> watch, Params params, bool beat)
-    : transport_(transport), endpoint_(endpoint), watch_(std::move(watch)), params_(params),
-      beat_(beat) {
+                                     std::vector<ProcessId> watch, Params params)
+    : transport_(transport), endpoint_(endpoint), watch_(std::move(watch)), params_(params) {
   UGRPC_ASSERT(params_.failure_timeout > params_.heartbeat_interval);
 }
 
@@ -53,10 +52,8 @@ void MembershipMonitor::start() {
     }
     co_return;
   });
-  if (beat_) {
-    send_heartbeat();
-    arm_heartbeat_timer();
-  }
+  send_heartbeat();
+  arm_heartbeat_timer();
   arm_check_timer();
 }
 

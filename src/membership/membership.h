@@ -48,12 +48,11 @@ class MembershipMonitor {
   using Listener = std::function<void(ProcessId who, Change change)>;
 
   /// `endpoint` is the observing site's transport attachment; `watch` is the
-  /// set of processes to monitor (typically the server group); `beat` says
-  /// whether this site itself emits heartbeats (servers do; a pure client
-  /// that only observes does not need to).  Heartbeat and check timers are
-  /// armed through the transport's timer hooks.
+  /// set of processes to monitor (typically the server group), and this site
+  /// also heartbeats to each of them.  Heartbeat and check timers are armed
+  /// through the transport's timer hooks.
   MembershipMonitor(net::Transport& transport, net::Endpoint& endpoint,
-                    std::vector<ProcessId> watch, Params params, bool beat);
+                    std::vector<ProcessId> watch, Params params);
   ~MembershipMonitor();
 
   MembershipMonitor(const MembershipMonitor&) = delete;
@@ -79,7 +78,6 @@ class MembershipMonitor {
   net::Endpoint& endpoint_;
   std::vector<ProcessId> watch_;
   Params params_;
-  bool beat_;
   Listener listener_;
   struct PeerState {
     sim::Time last_heard = 0;

@@ -23,11 +23,11 @@
 // the wire differs.
 //
 // Both backends execute protocol code on a single-threaded cooperative
-// sim::Scheduler; executor() exposes it for the synchronization primitives
-// (sim::Semaphore, sim::Mutex) and fiber-level control (current_fiber, kill)
-// that are executor concerns rather than transport concerns.  Under
-// SimTransport the executor runs in virtual time; under UdpTransport its
-// clock is slaved to the host's monotonic clock.
+// sim::Scheduler; executor() exposes it for the semaphore (sim::Semaphore)
+// and fiber-level control (current_fiber, kill) that are executor concerns
+// rather than transport concerns.  Under SimTransport the executor runs in
+// virtual time; under UdpTransport its clock is slaved to the host's
+// monotonic clock.
 #pragma once
 
 #include <functional>
@@ -100,8 +100,8 @@ class Transport {
   /// the executor's and the transport's).  Models a site crash.
   virtual void kill_domain(DomainId domain) = 0;
 
-  /// The cooperative executor protocol code runs on.  For synchronization
-  /// primitives (sim::Semaphore, sim::Mutex) and fiber-level introspection
+  /// The cooperative executor protocol code runs on.  For the semaphore
+  /// (sim::Semaphore) and fiber-level introspection
   /// (current_fiber, kill); traffic and timers must go through the
   /// Transport interface, never through the executor directly.
   [[nodiscard]] virtual sim::Scheduler& executor() = 0;

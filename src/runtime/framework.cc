@@ -119,8 +119,8 @@ sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
 TimerId Framework::register_timeout(std::string name, sim::Duration delay, TimeoutHandler fn) {
   UGRPC_ASSERT(fn != nullptr);
   // The id is assigned by the scheduler; the callback fires exactly once and
-  // spawns a fresh fiber so the timeout handler may block (e.g. Bounded
-  // Termination takes the pRPC mutex).
+  // spawns a fresh fiber, so a timeout handler is a thread of control of its
+  // own and may block like any event handler.
   // The armed record also carries the timer id, filled in below, so the
   // fire callback can drop it from live_timeouts_.
   auto armed = std::make_shared<Armed>(Armed{std::move(fn), TimerId{}});

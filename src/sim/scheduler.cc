@@ -1,5 +1,6 @@
 #include "sim/scheduler.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/log.h"
@@ -81,34 +82,32 @@ void Scheduler::cancel_timer(TimerId id) {
   timers_.erase(id);  // heap entry is skipped lazily when popped
 }
 
-std::optional<Time> Scheduler::next_timer_deadline() {
+Scheduler::TimerMap::iterator Scheduler::earliest_live_timer() {
   while (!timer_heap_.empty()) {
-    const TimerEntry& entry = timer_heap_.top();
-    if (timers_.contains(entry.id)) return entry.deadline;
+    auto it = timers_.find(timer_heap_.top().id);
+    if (it != timers_.end()) return it;
     timer_heap_.pop();  // cancelled
   }
-  return std::nullopt;
+  return timers_.end();
 }
 
-bool Scheduler::fire_due_timer() {
-  while (!timer_heap_.empty()) {
-    const TimerEntry entry = timer_heap_.top();
-    auto it = timers_.find(entry.id);
-    if (it == timers_.end()) {
-      timer_heap_.pop();  // cancelled
-      continue;
-    }
-    UGRPC_ASSERT(entry.deadline >= now_);
-    now_ = entry.deadline;
-    timer_heap_.pop();
-    // Move the callback out before erasing so the callback may itself
-    // register or cancel timers.
-    std::function<void()> fn = std::move(it->second.fn);
-    timers_.erase(it);
-    fn();
-    return true;
-  }
-  return false;
+std::optional<Time> Scheduler::next_timer_deadline() {
+  if (earliest_live_timer() == timers_.end()) return std::nullopt;
+  return timer_heap_.top().deadline;
+}
+
+bool Scheduler::fire_due_timer(Time limit) {
+  auto it = earliest_live_timer();
+  if (it == timers_.end() || timer_heap_.top().deadline > limit) return false;
+  UGRPC_ASSERT(timer_heap_.top().deadline >= now_);
+  now_ = timer_heap_.top().deadline;
+  timer_heap_.pop();
+  // Move the callback out before erasing so the callback may itself
+  // register or cancel timers.
+  std::function<void()> fn = std::move(it->second.fn);
+  timers_.erase(it);
+  fn();
+  return true;
 }
 
 bool Scheduler::step() {
@@ -123,7 +122,7 @@ bool Scheduler::step() {
     }
     return true;
   }
-  return fire_due_timer();
+  return fire_due_timer(std::numeric_limits<Time>::max());
 }
 
 void Scheduler::run() {
@@ -137,21 +136,7 @@ void Scheduler::run_until(Time deadline) {
       (void)step();
       continue;
     }
-    // Peek the next live timer without firing it.
-    bool fired = false;
-    while (!timer_heap_.empty()) {
-      const TimerEntry& entry = timer_heap_.top();
-      if (!timers_.contains(entry.id)) {
-        timer_heap_.pop();
-        continue;
-      }
-      if (entry.deadline > deadline) break;
-      (void)fire_due_timer();
-      fired = true;
-      break;
-    }
-    if (fired) continue;
-    break;  // quiescent until `deadline`
+    if (!fire_due_timer(deadline)) break;  // quiescent until `deadline`
   }
   if (now_ < deadline) now_ = deadline;
 }

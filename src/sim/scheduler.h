@@ -165,14 +165,21 @@ class Scheduler {
     DomainId domain;
   };
 
+  using TimerMap = std::unordered_map<TimerId, TimerRecord>;
+
   void fiber_finished(FiberId fiber);
-  bool fire_due_timer();
+  /// Discards cancelled entries from the top of the timer heap.  Returns the
+  /// record of the earliest live timer, whose entry is then the heap's top,
+  /// or timers_.end() when no timer is pending.
+  TimerMap::iterator earliest_live_timer();
+  /// Fires the earliest live timer if its deadline is at most `limit`.
+  bool fire_due_timer(Time limit);
 
   Time now_ = kTimeZero;
   Rng rng_;
   IntrusiveList<ScheduleNode> ready_;
   std::priority_queue<TimerEntry, std::vector<TimerEntry>, TimerLater> timer_heap_;
-  std::unordered_map<TimerId, TimerRecord> timers_;
+  TimerMap timers_;
   std::unordered_map<FiberId, FiberState> fibers_;
   FiberId current_fiber_{0};
   std::uint64_t next_fiber_ = 1;

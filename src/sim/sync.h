@@ -1,15 +1,16 @@
-// Synchronization primitives for simulated threads.
+// The counting semaphore of simulated threads.
 //
 // Semaphore gives the paper's P/V: `co_await sem.acquire()` is P, `release()`
 // is V.  release() uses direct handoff -- if a waiter is parked, it receives
 // the token and is moved to the scheduler's ready list (it runs later, not
 // inline), matching the paper's model where V makes a blocked thread
-// runnable.  Mutex is a binary semaphore with an RAII guard for scoped
-// critical sections.
+// runnable.
+//
+// There is no mutex: on the single-threaded cooperative executor, code that
+// does not co_await runs atomically (see GrpcState).
 #pragma once
 
 #include <coroutine>
-#include <utility>
 
 #include "common/assert.h"
 #include "sim/intrusive_list.h"
@@ -48,15 +49,6 @@ class Semaphore {
     return Awaiter{*this, {}};
   }
 
-  /// Non-blocking P: returns true and decrements if the count is positive.
-  bool try_acquire() {
-    if (count_ > 0) {
-      --count_;
-      return true;
-    }
-    return false;
-  }
-
   /// V operation: wakes the oldest waiter (direct handoff) or increments.
   void release() {
     if (ScheduleNode* waiter = waiters_.pop_front()) {
@@ -73,52 +65,6 @@ class Semaphore {
   Scheduler& sched_;
   int count_;
   IntrusiveList<ScheduleNode> waiters_;
-};
-
-/// Binary mutual exclusion with RAII unlock.
-///
-/// Usage:  auto guard = co_await mutex.lock();
-///
-/// With cooperative scheduling a critical section only needs a mutex if it
-/// spans a suspension point; the paper's pRPC/sRPC table mutexes do (e.g.
-/// Serial Execution blocks mid-event), so we keep them, faithfully.
-class Mutex {
- public:
-  explicit Mutex(Scheduler& sched) : sem_(sched, 1) {}
-
-  class [[nodiscard]] Guard {
-   public:
-    explicit Guard(Mutex* m) : mutex_(m) {}
-    Guard(Guard&& other) noexcept : mutex_(std::exchange(other.mutex_, nullptr)) {}
-    Guard& operator=(Guard&& other) noexcept {
-      if (this != &other) {
-        reset();
-        mutex_ = std::exchange(other.mutex_, nullptr);
-      }
-      return *this;
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-    ~Guard() { reset(); }
-
-    void reset() {
-      if (mutex_ != nullptr) std::exchange(mutex_, nullptr)->unlock();
-    }
-
-   private:
-    Mutex* mutex_;
-  };
-
-  /// Acquires the mutex; the returned Guard releases it when destroyed.
-  [[nodiscard]] Task<Guard> lock() {
-    co_await sem_.acquire();
-    co_return Guard(this);
-  }
-
-  void unlock() { sem_.release(); }
-
- private:
-  Semaphore sem_;
 };
 
 }  // namespace ugrpc::sim

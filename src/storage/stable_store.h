@@ -5,9 +5,9 @@
 // "stable variables" whose assignment is atomic.  StableStore models exactly
 // that: one instance per site, owned by the Site object *outside* the
 // volatile protocol stack, so Site::crash() destroys the stack but leaves the
-// store intact.  An optional per-write latency charges virtual time for
-// checkpointing, which the benchmarks use to show the cost of atomic
-// execution.
+// store intact.  An optional per-write latency (set_write_latency, 0 by
+// default) charges virtual time for checkpointing, which the benchmarks use
+// to show the cost of atomic execution.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,7 @@ using StableAddress = ugrpc::detail::TaggedId<StableAddressTag, std::uint64_t>;
 
 class StableStore {
  public:
-  explicit StableStore(sim::Scheduler& sched, sim::Duration write_latency = 0)
-      : sched_(sched), write_latency_(write_latency) {}
+  explicit StableStore(sim::Scheduler& sched) : sched_(sched) {}
 
   StableStore(const StableStore&) = delete;
   StableStore& operator=(const StableStore&) = delete;
@@ -92,7 +91,7 @@ class StableStore {
 
  private:
   sim::Scheduler& sched_;
-  sim::Duration write_latency_;
+  sim::Duration write_latency_ = 0;
   std::unordered_map<std::string, Buffer> kv_;
   std::unordered_map<StableAddress, Buffer> checkpoints_;
   std::unordered_map<std::string, std::uint64_t> vars_;

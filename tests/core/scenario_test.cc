@@ -43,6 +43,19 @@ TEST(Scenario, AllSitesBootUp) {
   }
 }
 
+TEST(Scenario, MembershipHeartbeatsFromBootReachEveryPeer) {
+  // Every site is attached before any boots, so the heartbeats each monitor
+  // sends at start have a destination.
+  ScenarioParams p;
+  p.num_servers = 3;
+  p.num_clients = 1;
+  p.config = ConfigBuilder().membership().build();
+  Scenario s(std::move(p));
+  EXPECT_EQ(s.network().stats().unroutable, 0u);
+  s.run_for(sim::seconds(1));
+  EXPECT_EQ(s.network().stats().unroutable, 0u);
+}
+
 TEST(Scenario, DefaultAppEchoesArguments) {
   ScenarioParams p;
   p.config.acceptance_limit = kAll;

@@ -25,7 +25,7 @@ Buffer num_buf(std::uint64_t v) {
 
 using Logs = std::map<std::uint32_t, std::vector<std::uint64_t>>;
 
-ScenarioParams agreement_params(Logs& logs, bool agreement) {
+ScenarioParams agreement_params(Logs& logs) {
   ScenarioParams p;
   p.num_servers = 3;  // leader = server 3
   p.num_clients = 2;
@@ -35,7 +35,6 @@ ScenarioParams agreement_params(Logs& logs, bool agreement) {
   p.config.unique_execution = true;
   p.config.retrans_timeout = sim::msec(40);
   p.config.ordering = Ordering::kTotal;
-  p.config.total_order_agreement = agreement;
   p.config.use_membership = true;
   p.config.membership_params = {sim::msec(10), sim::msec(80)};
   p.seed = 61;
@@ -71,7 +70,7 @@ void run_hazard(Scenario& s) {
 
 TEST(TotalOrderAgreement, SurvivorsConvergeAcrossHazardousFailover) {
   Logs logs;
-  Scenario s(agreement_params(logs, /*agreement=*/true));
+  Scenario s(agreement_params(logs));
   run_hazard(s);
   const auto& log1 = logs[Scenario::server_id(0).value()];
   const auto& log2 = logs[Scenario::server_id(1).value()];
@@ -86,7 +85,7 @@ TEST(TotalOrderAgreement, ReconciliationAdoptsOrdersTheNewLeaderMissed) {
   // leader dies.  The new leader (server 2) must adopt server 1's
   // assignment rather than reusing the number.
   Logs logs;
-  Scenario s(agreement_params(logs, /*agreement=*/true));
+  Scenario s(agreement_params(logs));
   const ProcessId old_leader = Scenario::server_id(2);
   const ProcessId successor = Scenario::server_id(1);
   // Cut leader->successor from the start: successor never sees any Order
@@ -111,7 +110,7 @@ TEST(TotalOrderAgreement, BootReconciliationDoesNotBlockFreshGroup) {
   // At first boot every member's table is empty; the leader's initial
   // reconciliation round must close quickly and not delay the first calls.
   Logs logs;
-  ScenarioParams p = agreement_params(logs, true);
+  ScenarioParams p = agreement_params(logs);
   p.num_clients = 1;
   Scenario s(std::move(p));
   CallResult result;
@@ -128,7 +127,7 @@ TEST(TotalOrderAgreement, BootReconciliationDoesNotBlockFreshGroup) {
 
 TEST(TotalOrderAgreement, MalformedOrderInfoIsDroppedAndCounted) {
   Logs logs;
-  ScenarioParams p = agreement_params(logs, true);
+  ScenarioParams p = agreement_params(logs);
   p.num_clients = 1;
   Scenario s(std::move(p));
   GrpcComposite& leader = s.server(2).grpc();
@@ -157,24 +156,6 @@ TEST(TotalOrderAgreement, MalformedOrderInfoIsDroppedAndCounted) {
   }, sim::seconds(30));
   EXPECT_EQ(result.status, Status::kOk);
   EXPECT_FALSE(leader.total()->reconciling());
-}
-
-TEST(TotalOrderAgreement, WithoutAgreementHazardCanDiverge) {
-  // Ablation: reproduce the paper's omission.  Under the same hazardous
-  // schedule the survivors may execute different sequences (divergence or
-  // a permanently shorter log at one member).  We assert only that the
-  // strong guarantee of the agreement variant is NOT established, to keep
-  // the test robust across schedules: either the logs differ or one
-  // survivor is missing calls.
-  Logs logs;
-  Scenario s(agreement_params(logs, /*agreement=*/false));
-  run_hazard(s);
-  const auto& log1 = logs[Scenario::server_id(0).value()];
-  const auto& log2 = logs[Scenario::server_id(1).value()];
-  const bool converged = (log1 == log2) && log1.size() == 30u;
-  EXPECT_FALSE(converged)
-      << "without the agreement phase this hazardous failover should not fully converge "
-         "(if this ever flakes green, the schedule no longer exercises the window)";
 }
 
 }  // namespace

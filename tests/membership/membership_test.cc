@@ -30,7 +30,7 @@ struct Cluster {
     for (ProcessId pid : procs) {
       endpoints.push_back(&net.attach(pid, DomainId{pid.value()}));
       monitors.push_back(
-          std::make_unique<MembershipMonitor>(transport, *endpoints.back(), procs, params, true));
+          std::make_unique<MembershipMonitor>(transport, *endpoints.back(), procs, params));
     }
     for (auto& m : monitors) m->start();
   }
@@ -48,7 +48,7 @@ struct Cluster {
     net.set_process_up(pid, true);
     auto& slot = monitors[static_cast<std::size_t>(index)];
     slot = std::make_unique<MembershipMonitor>(
-        transport, *endpoints[static_cast<std::size_t>(index)], procs, params, true);
+        transport, *endpoints[static_cast<std::size_t>(index)], procs, params);
     slot->start();
   }
 };
@@ -125,23 +125,6 @@ TEST(Membership, NoFalsePositivesOnModeratelyLossyNetwork) {
   }
   c.sched.run_until(sim::seconds(5));
   EXPECT_EQ(failures, 0) << "20% loss with 15x timeout margin must not trigger false failures";
-}
-
-TEST(Membership, MonitorWithoutBeatingStillObserves) {
-  sim::Scheduler sched{7};
-  net::Network net{sched};
-  net::SimTransport transport{net};
-  std::vector<ProcessId> procs{ProcessId{1}, ProcessId{2}};
-  net::Endpoint& observer_ep = net.attach(ProcessId{1}, DomainId{1});
-  net::Endpoint& server_ep = net.attach(ProcessId{2}, DomainId{2});
-  MembershipMonitor observer(transport, observer_ep, procs, {}, /*beat=*/false);
-  MembershipMonitor server(transport, server_ep, procs, {}, /*beat=*/true);
-  observer.start();
-  server.start();
-  sched.run_until(sim::msec(300));
-  EXPECT_TRUE(observer.is_live(ProcessId{2}));
-  // The observer never beats, so the server cannot see it...
-  EXPECT_FALSE(server.is_live(ProcessId{1}));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests for Semaphore and Mutex under cooperative scheduling.
+// Unit tests for Semaphore under cooperative scheduling.
 #include "sim/sync.h"
 
 #include <gtest/gtest.h>
@@ -48,9 +48,6 @@ TEST(Semaphore, ReleaseWithoutWaitersIncrementsCount) {
   sem.release();
   sem.release();
   EXPECT_EQ(sem.count(), 2);
-  EXPECT_TRUE(sem.try_acquire());
-  EXPECT_TRUE(sem.try_acquire());
-  EXPECT_FALSE(sem.try_acquire());
 }
 
 Task<> producer(Scheduler& sched, Semaphore& items, int n) {
@@ -76,45 +73,6 @@ TEST(Semaphore, ProducerConsumerCompletes) {
   sched.run();
   EXPECT_EQ(consumed, 10);
   EXPECT_EQ(sched.now(), msec(10));
-}
-
-Task<> critical_section(Scheduler& sched, Mutex& mu, std::vector<int>& out, int tag) {
-  auto guard = co_await mu.lock();
-  out.push_back(tag);
-  co_await sched.sleep_for(msec(1));  // hold across a suspension point
-  out.push_back(tag);
-}
-
-TEST(Mutex, CriticalSectionsDoNotInterleave) {
-  Scheduler sched;
-  Mutex mu(sched);
-  std::vector<int> out;
-  sched.spawn(critical_section(sched, mu, out, 1));
-  sched.spawn(critical_section(sched, mu, out, 2));
-  sched.spawn(critical_section(sched, mu, out, 3));
-  sched.run();
-  EXPECT_EQ(out, std::vector<int>({1, 1, 2, 2, 3, 3}));
-}
-
-Task<> guard_early_reset(Mutex& mu, bool& entered) {
-  auto guard = co_await mu.lock();
-  guard.reset();  // explicit early unlock
-  entered = true;
-  co_return;
-}
-
-TEST(Mutex, GuardResetUnlocksEarly) {
-  Scheduler sched;
-  Mutex mu(sched);
-  bool entered = false;
-  std::vector<int> out;
-  sched.spawn(guard_early_reset(mu, entered));
-  sched.run();
-  EXPECT_TRUE(entered);
-  // The mutex must be free again.
-  sched.spawn(critical_section(sched, mu, out, 9));
-  sched.run();
-  EXPECT_EQ(out, std::vector<int>({9, 9}));
 }
 
 Task<> abandoned_waiter(Semaphore& sem) { co_await sem.acquire(); }

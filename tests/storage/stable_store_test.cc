@@ -83,7 +83,8 @@ sim::Task<> do_async_put(StableStore& store) {
 
 TEST(StableStore, AsyncPutChargesWriteLatency) {
   sim::Scheduler sched;
-  StableStore store(sched, sim::msec(3));
+  StableStore store(sched);
+  store.set_write_latency(sim::msec(3));
   sched.spawn(do_async_put(store));
   sched.run();
   EXPECT_EQ(sched.now(), sim::msec(3));
@@ -96,7 +97,8 @@ sim::Task<> do_async_checkpoint(StableStore& store, std::optional<StableAddress>
 
 TEST(StableStore, AsyncCheckpointChargesWriteLatency) {
   sim::Scheduler sched;
-  StableStore store(sched, sim::msec(5));
+  StableStore store(sched);
+  store.set_write_latency(sim::msec(5));
   std::optional<StableAddress> addr;
   sched.spawn(do_async_checkpoint(store, addr));
   sched.run();
