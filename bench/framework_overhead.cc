@@ -36,7 +36,7 @@
 #include "core/micro/acceptance.h"
 #include "core/scenario.h"
 #include "net/message.h"
-#include "net/sim_transport.h"
+#include "net/network.h"
 #include "obs/trace.h"
 #include "runtime/framework.h"
 
@@ -49,8 +49,7 @@ constexpr runtime::EventId kEvent{1};
 void BM_EventDispatch(benchmark::State& state) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
-  runtime::Framework fw(transport, DomainId{1});
+  runtime::Framework fw(net, DomainId{1});
   const int handlers = static_cast<int>(state.range(0));
   for (int i = 0; i < handlers; ++i) {
     fw.register_handler(kEvent, "h" + std::to_string(i), i,
@@ -75,9 +74,8 @@ BENCHMARK(BM_EventDispatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 void BM_EventDispatch_Spans(benchmark::State& state) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
   obs::Tracer tracer(std::size_t{1} << 16);
-  runtime::Framework fw(transport, DomainId{1});
+  runtime::Framework fw(net, DomainId{1});
   fw.set_site_trace(&tracer.site(ProcessId{1}));
   const int handlers = static_cast<int>(state.range(0));
   for (int i = 0; i < handlers; ++i) {
@@ -98,8 +96,7 @@ BENCHMARK(BM_EventDispatch_Spans)->Arg(1)->Arg(4)->Arg(16);
 void BM_TimeoutRegistration(benchmark::State& state) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
-  runtime::Framework fw(transport, DomainId{1});
+  runtime::Framework fw(net, DomainId{1});
   for (auto _ : state) {
     TimerId id = fw.register_timeout("t", sim::seconds(10), []() -> sim::Task<> { co_return; });
     fw.cancel_timeout(id);

@@ -36,7 +36,7 @@
 #include "core/micro/acceptance.h"
 #include "core/p2p_rpc.h"
 #include "core/scenario.h"
-#include "net/sim_transport.h"
+#include "net/network.h"
 
 namespace {
 
@@ -62,14 +62,13 @@ BENCHMARK(BM_Composite_SingleServerCall);
 void BM_P2pFastPath_Call(benchmark::State& state) {
   sim::Scheduler sched{3};
   net::Network net{sched};
-  net::SimTransport transport{net};
   net::Endpoint& client_ep = net.attach(ProcessId{1}, DomainId{1});
   net::Endpoint& server_ep = net.attach(ProcessId{2}, DomainId{2});
   core::UserProtocol client_user;
   core::UserProtocol server_user;
   server_user.set_procedure([](OpId, Buffer&) -> sim::Task<> { co_return; });
-  core::P2pRpc client(transport, client_ep, ProcessId{1}, client_user, {});
-  core::P2pRpc server(transport, server_ep, ProcessId{2}, server_user, {});
+  core::P2pRpc client(net, client_ep, ProcessId{1}, client_user, {});
+  core::P2pRpc server(net, server_ep, ProcessId{2}, server_user, {});
   for (auto _ : state) {
     core::CallResult result;
     sched.spawn([](core::P2pRpc& c, core::CallResult& out) -> sim::Task<> {

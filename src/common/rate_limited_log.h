@@ -4,7 +4,7 @@
 // a stalled table, can hit the same condition thousands of times per second;
 // one log line per occurrence drowns everything else.  The policy shared by
 // every user (first written for unroutable-send warnings, now in
-// net/fabric.cc, pinned by tests/net/network_test.cc):
+// net/transport.cc, pinned by tests/net/network_test.cc):
 //
 //   * the FIRST occurrence for a key is reported immediately and in full;
 //   * afterwards, at most one summary line per `period`, carrying the EXACT

@@ -32,7 +32,7 @@ void TotalOrder::start(runtime::Framework& fw) {
                       [this](runtime::EventContext& ctx) { return membership_change(ctx); });
   // A member that boots (or recovers) into the leader role must not assign
   // orders from a fresh counter: reconcile with the group first.
-  if (state_.my_id == leader(group_)) {
+  if (state_.my_id == leader()) {
     bool has_peers = false;
     for (ProcessId p : state_.transport.group_members(group_)) {
       if (p != state_.my_id && state_.members.contains(p)) has_peers = true;
@@ -41,9 +41,9 @@ void TotalOrder::start(runtime::Framework& fw) {
   }
 }
 
-ProcessId TotalOrder::leader(GroupId group) const {
+ProcessId TotalOrder::leader() const {
   ProcessId best{0};
-  for (ProcessId p : state_.transport.group_members(group)) {
+  for (ProcessId p : state_.transport.group_members(group_)) {
     if (state_.members.contains(p) && p.value() > best.value()) best = p;
   }
   return best;
@@ -52,7 +52,14 @@ ProcessId TotalOrder::leader(GroupId group) const {
 sim::Task<> TotalOrder::assign_order(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   if (msg.type != net::MsgType::kCall) co_return;
-  const ProcessId who_leads = leader(msg.server);
+  if (msg.server != group_) {
+    // This member orders the calls of the one group it serves; a Call
+    // naming any other group (possibly an undefined one) has no leader here.
+    state_.drop_malformed(msg.sender, CodecError("Call names a group Total Order does not serve"));
+    ctx.cancel();
+    co_return;
+  }
+  const ProcessId who_leads = leader();
   if (state_.my_id == who_leads) {
     std::uint64_t order = 0;
     if (auto it = old_orders_.find(msg.id); it != old_orders_.end()) {
@@ -68,11 +75,11 @@ sim::Task<> TotalOrder::assign_order(runtime::EventContext& ctx) {
     net::NetMessage order_msg;
     order_msg.type = net::MsgType::kOrder;
     order_msg.id = msg.id;
-    order_msg.server = msg.server;
+    order_msg.server = group_;
     order_msg.sender = state_.my_id;
     order_msg.inc = state_.inc_number;
     order_msg.ackid = order;
-    state_.net_multicast(msg.server, order_msg);
+    state_.net_multicast(group_, order_msg);
   } else if (waiting_set_.contains(msg.id)) {
     // A retransmission of a call we still cannot order: nudge the (possibly
     // new) leader, which may never have received the original.
@@ -184,7 +191,7 @@ sim::Task<> TotalOrder::membership_change(runtime::EventContext& ctx) {
   // Leadership falls to this member when a higher-id member fails while we
   // are (now) the maximum live id.
   if (ev.change == membership::Change::kFailure && ev.who.value() > state_.my_id.value() &&
-      state_.my_id == leader(group_) && !reconciling_) {
+      state_.my_id == leader() && !reconciling_) {
     begin_reconciliation();
   }
   co_return;

@@ -66,8 +66,9 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   void forget_journal(std::uint64_t end) override { journal_.forget(end); }
 
   /// The group leader from this member's viewpoint: the largest-id live
-  /// member of `group`.
-  [[nodiscard]] ProcessId leader(GroupId group) const;
+  /// member of the group this member serves (Config::group).  A Call naming
+  /// any other group is dropped as malformed.
+  [[nodiscard]] ProcessId leader() const;
 
   [[nodiscard]] std::uint64_t orders_assigned() const { return next_order_ - 1; }
   [[nodiscard]] std::uint64_t next_entry() const { return next_entry_; }

@@ -6,11 +6,10 @@ void echo_app(UserProtocol& user, Site&) {
   user.set_procedure([](OpId, Buffer&) -> sim::Task<> { co_return; });
 }
 
-Scenario::Scenario(ScenarioParams params) : params_(std::move(params)), sched_(params_.seed) {
-  net_ = std::make_unique<net::Network>(sched_);
-  net_->set_default_faults(params_.faults);
-  net_->set_tracer(params_.tracer);
-  transport_ = std::make_unique<net::SimTransport>(*net_);
+Scenario::Scenario(ScenarioParams params)
+    : params_(std::move(params)), sched_(params_.seed), net_(sched_) {
+  net_.set_default_faults(params_.faults);
+  net_.set_tracer(params_.tracer);
 
   // client_id() depends on servers_.size(); during construction compute the
   // ids from the params instead.
@@ -28,21 +27,19 @@ Scenario::Scenario(ScenarioParams params) : params_(std::move(params)), sched_(p
     known.insert(planned_client_id(i));
     all_procs.push_back(planned_client_id(i));
   }
-  net_->define_group(kGroup, group_members);
+  net_.define_group(kGroup, group_members);
 
   // Construct (attach) every site before booting any: a booting site may
   // send at once (membership heartbeats), and every peer must be reachable.
   const Site::AppSetup app = params_.server_app ? params_.server_app : echo_app;
   for (int i = 0; i < params_.num_servers; ++i) {
-    auto site = std::make_unique<Site>(*transport_, server_id(i), params_.config, known,
-                                       all_procs);
+    auto site = std::make_unique<Site>(net_, server_id(i), params_.config, known, all_procs);
     site->set_app(app);
     site->set_tracer(params_.tracer);
     servers_.push_back(std::move(site));
   }
   for (int i = 0; i < params_.num_clients; ++i) {
-    auto site = std::make_unique<Site>(*transport_, client_id(i), params_.config, known,
-                                       all_procs);
+    auto site = std::make_unique<Site>(net_, client_id(i), params_.config, known, all_procs);
     site->set_tracer(params_.tracer);
     clients_.push_back(std::move(site));
     client_handles_.push_back(std::make_unique<Client>(*clients_.back()));

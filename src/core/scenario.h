@@ -16,7 +16,6 @@
 #include "core/service.h"
 #include "core/site.h"
 #include "net/network.h"
-#include "net/sim_transport.h"
 #include "sim/scheduler.h"
 
 namespace ugrpc::core {
@@ -43,8 +42,8 @@ class Scenario {
   [[nodiscard]] GroupId group() const { return kGroup; }
 
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
-  [[nodiscard]] net::Network& network() { return *net_; }
-  [[nodiscard]] net::Transport& transport() { return *transport_; }
+  [[nodiscard]] net::Network& network() { return net_; }
+  [[nodiscard]] net::Transport& transport() { return net_; }
   [[nodiscard]] Site& server(int i) { return *servers_.at(static_cast<std::size_t>(i)); }
   [[nodiscard]] Site& client_site(int i) { return *clients_.at(static_cast<std::size_t>(i)); }
   [[nodiscard]] Client& client(int i = 0) { return *client_handles_.at(static_cast<std::size_t>(i)); }
@@ -76,8 +75,7 @@ class Scenario {
 
   ScenarioParams params_;
   sim::Scheduler sched_;
-  std::unique_ptr<net::Network> net_;
-  std::unique_ptr<net::SimTransport> transport_;
+  net::Network net_;
   std::vector<std::unique_ptr<Site>> servers_;
   std::vector<std::unique_ptr<Site>> clients_;
   std::vector<std::unique_ptr<Client>> client_handles_;

@@ -9,9 +9,10 @@
 // after every recovery, mirroring how a real server re-initializes from
 // stable storage.
 //
-// A Site programs exclusively against net::Transport: over SimTransport it
-// is one simulated machine in a deterministic experiment; over UdpTransport
-// it boots on an actual host and serves group calls from other OS processes.
+// A Site programs exclusively against net::Transport: over the simulated
+// net::Network it is one simulated machine in a deterministic experiment;
+// over UdpTransport it boots on an actual host and serves group calls from
+// other OS processes.
 #pragma once
 
 #include <functional>

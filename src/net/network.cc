@@ -6,7 +6,7 @@
 
 namespace ugrpc::net {
 
-Network::Network(sim::Scheduler& sched) : Fabric(sched), sched_(sched), rng_(sched.rng().fork()) {}
+Network::Network(sim::Scheduler& sched) : Transport(sched), rng_(sched.rng().fork()) {}
 
 FaultSpec& Network::link(ProcessId from, ProcessId to) {
   auto [it, inserted] = link_faults_.try_emplace({from, to}, default_faults_);
@@ -56,8 +56,8 @@ void Network::transmit(const Endpoint& from, ProcessId to, ProtocolId proto,
 }
 
 void Network::schedule_delivery(Packet packet, sim::Duration delay) {
-  sched_.schedule_after(delay,
-                        [this, packet = std::move(packet)]() mutable { deliver(std::move(packet)); });
+  executor().schedule_after(
+      delay, [this, packet = std::move(packet)]() mutable { deliver(std::move(packet)); });
 }
 
 }  // namespace ugrpc::net

@@ -1,14 +1,15 @@
-// The simulator's wire, under the shared net::Fabric.
+// The simulator's wire: the net::Transport of a deterministic experiment.
 //
-// Processes attach to the Network and receive an Endpoint.  Fabric (fabric.h)
-// does everything above the wire: routing, group fan-out, demux at arrival,
-// the delivery fiber, Stats and the trace records.  What is simulated here
-// is only the wire itself: each copy of a send draws its fate from the
-// link's FaultSpec -- dropped, or delivered after a random delay, possibly
-// twice -- and arrives as a scheduled event.  A destination is routable
-// when it is attached.
+// Processes attach to the Network and receive an Endpoint.  Transport
+// (transport.h) does everything above the wire: routing, group fan-out,
+// demux at arrival, the delivery fiber, Stats and the trace records; its
+// clock, timers and fibers are the sim::Scheduler's, in virtual time.  What
+// is simulated here is only the wire itself: each copy of a send draws its
+// fate from the link's FaultSpec -- dropped, or delivered after a random
+// delay, possibly twice -- and arrives as a scheduled event.  A destination
+// is routable when it is attached.
 //
-// Crash modelling: `set_process_up(p, false)` makes the fabric drop all
+// Crash modelling: `set_process_up(p, false)` makes the transport drop all
 // traffic to and from p (a crashed site neither sends nor receives); the
 // Site layer additionally kills p's fibers and discards its volatile state.
 //
@@ -25,43 +26,30 @@
 // opens a flagged one when the link loses the copy; kMsgDuplicated marks a
 // manufactured second copy, whose delivery span is flagged.
 //
-// This fabric is normally driven through net::SimTransport; protocol layers
-// program against net::Transport and never name Network directly.
+// Fault injection is set on the Network itself; protocol layers take it as
+// a net::Transport& and never name Network directly.
 #pragma once
 
 #include <map>
 #include <utility>
 
 #include "common/ids.h"
-#include "net/fabric.h"
 #include "net/fault.h"
+#include "net/transport.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 
 namespace ugrpc::net {
 
-class Network final : public Fabric {
+class Network final : public Transport {
  public:
   explicit Network(sim::Scheduler& sched);
-
-  /// Attaches a process; `domain` is the scheduler domain its delivery
-  /// fibers run in (killed when the site crashes).  The returned reference
-  /// stays valid until the process is detached (never, for the common case
-  /// of sites that crash via set_process_up but stay attached).
-  Endpoint& attach(ProcessId process, DomainId domain) { return add_endpoint(process, domain); }
-
-  /// Removes an attachment; in-flight packets to the process are dropped at
-  /// delivery time.  No-op for a process that is not attached.
-  void detach(ProcessId process) { remove_endpoint(process); }
 
   /// Faults applied to links without a per-link override.
   void set_default_faults(const FaultSpec& spec) { default_faults_ = spec; }
   /// Per-link override; creates the override (copied from the default) on
   /// first use.  Mutations apply to packets sent afterwards.
   FaultSpec& link(ProcessId from, ProcessId to);
-
-  [[nodiscard]] sim::Time now() const override { return sched_.now(); }
-  [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
 
  private:
   [[nodiscard]] bool routable(ProcessId to) const override { return attached(to); }
@@ -70,7 +58,6 @@ class Network final : public Fabric {
   void schedule_delivery(Packet packet, sim::Duration delay);
   [[nodiscard]] const FaultSpec& faults_for(ProcessId from, ProcessId to) const;
 
-  sim::Scheduler& sched_;
   sim::Rng rng_;
   FaultSpec default_faults_;
   std::map<std::pair<ProcessId, ProcessId>, FaultSpec> link_faults_;

@@ -1,4 +1,4 @@
-#include "net/fabric.h"
+#include "net/transport.h"
 
 #include <utility>
 
@@ -7,9 +7,9 @@
 
 namespace ugrpc::net {
 
-Fabric::Fabric(sim::Scheduler& exec) : exec_(exec), unroutable_log_(sim::seconds(1)) {}
+Transport::Transport(sim::Scheduler& exec) : exec_(exec), unroutable_log_(sim::seconds(1)) {}
 
-Endpoint& Fabric::add_endpoint(ProcessId process, DomainId domain) {
+Endpoint& Transport::attach(ProcessId process, DomainId domain) {
   // In-place construction: the Endpoint's address escapes to the layers
   // above, so it is neither copied nor moved while attached.
   auto [it, inserted] = endpoints_.try_emplace(process, *this, process, domain);
@@ -17,28 +17,28 @@ Endpoint& Fabric::add_endpoint(ProcessId process, DomainId domain) {
   return it->second;
 }
 
-void Fabric::define_group(GroupId group, std::vector<ProcessId> members) {
+void Transport::define_group(GroupId group, std::vector<ProcessId> members) {
   groups_[group] = std::move(members);
 }
 
-const std::vector<ProcessId>& Fabric::group_members(GroupId group) const {
+const std::vector<ProcessId>& Transport::group_members(GroupId group) const {
   auto it = groups_.find(group);
   UGRPC_ASSERT(it != groups_.end() && "unknown group");
   return it->second;
 }
 
-void Fabric::set_process_up(ProcessId process, bool up) {
+void Transport::set_process_up(ProcessId process, bool up) {
   auto it = endpoints_.find(process);
   UGRPC_ASSERT(it != endpoints_.end() && "only an attached process can go up or down");
   it->second.up_ = up;
 }
 
-bool Fabric::process_up(ProcessId process) const {
+bool Transport::process_up(ProcessId process) const {
   auto it = endpoints_.find(process);
   return it != endpoints_.end() && it->second.up_;
 }
 
-void Fabric::send(const Endpoint& from, ProcessId to, ProtocolId proto, const Buffer& payload) {
+void Transport::send(const Endpoint& from, ProcessId to, ProtocolId proto, const Buffer& payload) {
   if (!routable(to)) {
     unroutable(from.process(), to.value(), proto, /*group=*/false);
     return;
@@ -61,7 +61,7 @@ void Fabric::send(const Endpoint& from, ProcessId to, ProtocolId proto, const Bu
   transmit(from, to, proto, payload, trace, parent);
 }
 
-void Fabric::multicast(const Endpoint& from, GroupId group, ProtocolId proto,
+void Transport::multicast(const Endpoint& from, GroupId group, ProtocolId proto,
                        const Buffer& payload) {
   auto it = groups_.find(group);
   if (it == groups_.end()) {
@@ -71,7 +71,7 @@ void Fabric::multicast(const Endpoint& from, GroupId group, ProtocolId proto,
   for (ProcessId member : it->second) send(from, member, proto, payload);
 }
 
-void Fabric::unroutable(ProcessId from, std::uint64_t target, ProtocolId proto, bool group) {
+void Transport::unroutable(ProcessId from, std::uint64_t target, ProtocolId proto, bool group) {
   ++stats_.unroutable;
   if (obs_ != nullptr) {
     obs_->site(from).record(now(), obs::Kind::kMsgUnroutable, 0, target, proto.value());
@@ -92,7 +92,7 @@ void Fabric::unroutable(ProcessId from, std::uint64_t target, ProtocolId proto, 
   }
 }
 
-void Fabric::drop(const Packet& packet) {
+void Transport::drop(const Packet& packet) {
   ++stats_.dropped;
   if (obs_ != nullptr) {
     obs_->site(packet.dst).record(now(), obs::Kind::kMsgDropped, 0, packet.src.value(),
@@ -100,7 +100,7 @@ void Fabric::drop(const Packet& packet) {
   }
 }
 
-void Fabric::deliver(Packet packet) {
+void Transport::deliver(Packet packet) {
   auto it = endpoints_.find(packet.dst);
   if (it == endpoints_.end() || !it->second.up_) {
     drop(packet);  // the destination crashed or detached while the packet was in flight
@@ -131,12 +131,12 @@ void Fabric::deliver(Packet packet) {
   // site crash kills in-progress message processing.  The wrapper keeps
   // the handler object alive for the fiber's lifetime (the coroutine frame
   // references the closure it was created from).
-  static constexpr auto invoke = [](Fabric* f, std::shared_ptr<PacketHandler> h, Packet p,
+  static constexpr auto invoke = [](Transport* t, std::shared_ptr<PacketHandler> h, Packet p,
                                     obs::SpanCtx ctx) -> sim::Task<> {
-    obs::SiteTrace* st = f->obs_ != nullptr ? &f->obs_->site(p.dst) : nullptr;
-    if (st != nullptr) f->exec_.set_ambient(ctx);
+    obs::SiteTrace* st = t->obs_ != nullptr ? &t->obs_->site(p.dst) : nullptr;
+    if (st != nullptr) t->exec_.set_ambient(ctx);
     co_await (*h)(std::move(p));
-    if (st != nullptr) st->close(f->now(), ctx.parent);
+    if (st != nullptr) st->close(t->now(), ctx.parent);
   };
   exec_.spawn(invoke(this, std::move(handler), std::move(packet), ctx), ep.domain());
 }

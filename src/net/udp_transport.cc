@@ -36,7 +36,7 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
 UdpTransport::UdpTransport() : UdpTransport(Options{}) {}
 
 UdpTransport::UdpTransport(Options options)
-    : Fabric(exec_), options_(std::move(options)), exec_(options_.seed),
+    : Transport(exec_), options_(std::move(options)), exec_(options_.seed),
       start_(std::chrono::steady_clock::now()) {}
 
 UdpTransport::~UdpTransport() {
@@ -50,7 +50,7 @@ sim::Time UdpTransport::now() const {
 }
 
 Endpoint& UdpTransport::attach(ProcessId process, DomainId domain) {
-  Endpoint& endpoint = add_endpoint(process, domain);
+  Endpoint& endpoint = Transport::attach(process, domain);
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   UGRPC_ASSERT(fd >= 0 && "socket() failed");
   // Ephemeral port: parallel runs on one host cannot collide, and the
@@ -76,7 +76,7 @@ void UdpTransport::detach(ProcessId process) {
   ::close(it->second.fd);
   peers_.erase(process);
   sockets_.erase(it);
-  remove_endpoint(process);
+  Transport::detach(process);
 }
 
 TimerId UdpTransport::schedule_after(sim::Duration delay, std::function<void()> fn,
@@ -86,12 +86,8 @@ TimerId UdpTransport::schedule_after(sim::Duration delay, std::function<void()> 
 
 void UdpTransport::cancel_timer(TimerId id) { wheel_.cancel(id); }
 
-FiberId UdpTransport::spawn(sim::Task<> task, DomainId domain) {
-  return exec_.spawn(std::move(task), domain);
-}
-
 void UdpTransport::kill_domain(DomainId domain) {
-  exec_.kill_domain(domain);
+  Transport::kill_domain(domain);
   wheel_.cancel_domain(domain);
 }
 

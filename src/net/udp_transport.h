@@ -1,6 +1,6 @@
 // Real-network Transport backend: non-blocking UDP sockets on one host.
 //
-// The same protocol stack that runs deterministically over SimTransport runs
+// The same protocol stack that runs deterministically over net::Network runs
 // here over actual datagrams between OS processes.  The trick is that the
 // stack's threads of control stay on the cooperative sim::Scheduler: the
 // transport slaves the executor's virtual clock to the host's monotonic
@@ -9,11 +9,12 @@
 // time.  Transport-level timers (retransmission, heartbeats, termination
 // bounds) live on a hashed TimerWheel rather than the executor's heap; the
 // wheel records nothing, so a timer leaves the same trace as in the
-// simulator.
+// simulator.  Hence this backend overrides the base class's clock, timers
+// and kill_domain (which also cancels the domain's wheel timers).
 //
 // Everything above the wire -- demux, groups and fan-out, unroutable
-// accounting, delivery fibers, Stats, the tracer (Fabric::set_tracer) -- is
-// the shared net::Fabric (fabric.h), exactly as under the simulator.  This
+// accounting, delivery fibers, Stats, the tracer (set_tracer) -- is the
+// net::Transport base (transport.h), exactly as under the simulator.  This
 // file is the wire: framing (wire.h, which carries the trace context), the
 // injectable send fault, the datagram size cap, sendto() (a send that fails
 // there closes its kMsgSent span flagged), and on the receive side recv(),
@@ -52,7 +53,7 @@
 
 namespace ugrpc::net {
 
-class UdpTransport final : public Transport, public Fabric {
+class UdpTransport final : public Transport {
  public:
   struct Options {
     /// Seed of the executor's RNG (protocol-visible randomness).
@@ -65,33 +66,17 @@ class UdpTransport final : public Transport, public Fabric {
   explicit UdpTransport(Options options);
   ~UdpTransport() override;
 
-  // ---- Transport interface ----
+  // ---- Transport overrides ----
 
   Endpoint& attach(ProcessId process, DomainId domain) override;
   void detach(ProcessId process) override;
 
-  void define_group(GroupId group, std::vector<ProcessId> members) override {
-    Fabric::define_group(group, std::move(members));
-  }
-  [[nodiscard]] const std::vector<ProcessId>& group_members(GroupId group) const override {
-    return Fabric::group_members(group);
-  }
-  void set_process_up(ProcessId process, bool up) override { Fabric::set_process_up(process, up); }
-  [[nodiscard]] bool process_up(ProcessId process) const override {
-    return Fabric::process_up(process);
-  }
-
-  /// Microseconds of real time since construction; also the Fabric's clock.
+  /// Microseconds of real time since construction.
   [[nodiscard]] sim::Time now() const override;
   TimerId schedule_after(sim::Duration delay, std::function<void()> fn,
                          DomainId domain = sim::kGlobalDomain) override;
   void cancel_timer(TimerId id) override;
-
-  FiberId spawn(sim::Task<> task, DomainId domain = sim::kGlobalDomain) override;
   void kill_domain(DomainId domain) override;
-  [[nodiscard]] sim::Scheduler& executor() override { return exec_; }
-
-  [[nodiscard]] const Stats& stats() const override { return Fabric::stats(); }
 
   // ---- UDP-specific surface ----
 
@@ -126,7 +111,7 @@ class UdpTransport final : public Transport, public Fabric {
   void set_send_fault(SendFault fault) { send_fault_ = std::move(fault); }
 
  private:
-  /// A local attachment's socket; its Endpoint lives in the Fabric.
+  /// A local attachment's socket; its Endpoint lives in the Transport base.
   struct Socket {
     int fd = -1;
     std::uint16_t port = 0;

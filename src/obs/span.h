@@ -22,13 +22,13 @@
 // ring's capacity bounds spans and events alike, and a wrapping ring keeps
 // the newest of both.
 //
-// Spans carry two clocks: the transport clock (virtual time under
-// SimTransport, microseconds of real time under UdpTransport) for ordering
-// against the other records, and a raw steady-clock nanosecond stamp for cost
-// attribution -- in the simulator, virtual handler time is always zero, so
-// only the real clock can say what a micro-protocol costs.  The steady clock
-// is system-wide (CLOCK_MONOTONIC), so spans exported from different OS
-// processes on one host share a timebase.
+// Spans carry two clocks: the transport clock (virtual time over the
+// simulated Network, microseconds of real time under UdpTransport) for
+// ordering against the other records, and a raw steady-clock nanosecond
+// stamp for cost attribution -- in the simulator, virtual handler time is
+// always zero, so only the real clock can say what a micro-protocol costs.
+// The steady clock is system-wide (CLOCK_MONOTONIC), so spans exported from
+// different OS processes on one host share a timebase.
 //
 // This header defines only the context type and the clock and depends on
 // nothing else, so sim/ can keep each fiber's ambient SpanCtx

@@ -119,7 +119,7 @@ TEST(MembershipIntegration, TotalOrderLeaderFailover) {
   };
   Scenario s(std::move(p));
   TotalOrder* view = s.server(0).grpc().total();
-  ASSERT_EQ(view->leader(s.group()), Scenario::server_id(2));
+  ASSERT_EQ(view->leader(), Scenario::server_id(2));
   s.scheduler().schedule_after(sim::msec(500), [&] { s.server(2).crash(); });
   int ok = 0;
   s.run_client(0, [&](Client& c) -> sim::Task<> {
@@ -130,7 +130,7 @@ TEST(MembershipIntegration, TotalOrderLeaderFailover) {
     }
   }, sim::seconds(60));
   EXPECT_EQ(ok, 20) << "calls must keep completing across the failover";
-  EXPECT_EQ(view->leader(s.group()), Scenario::server_id(1)) << "next-largest id leads";
+  EXPECT_EQ(view->leader(), Scenario::server_id(1)) << "next-largest id leads";
   // The two survivors agree on the execution order.
   const auto& log0 = logs[Scenario::server_id(0).value()];
   const auto& log1 = logs[Scenario::server_id(1).value()];

@@ -237,7 +237,7 @@ TEST(TotalOrder, LeaderIsLargestLiveMember) {
   Scenario s(std::move(p));
   TotalOrder* to = s.server(0).grpc().total();
   ASSERT_NE(to, nullptr);
-  EXPECT_EQ(to->leader(s.group()), Scenario::server_id(2)) << "largest id leads";
+  EXPECT_EQ(to->leader(), Scenario::server_id(2)) << "largest id leads";
 }
 
 TEST(TotalOrder, SurvivesLossyNetwork) {

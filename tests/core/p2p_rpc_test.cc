@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "net/network.h"
-#include "net/sim_transport.h"
 
 namespace ugrpc::core {
 namespace {
@@ -20,7 +19,6 @@ Buffer num_buf(std::uint64_t v) {
 struct P2pFixture {
   sim::Scheduler sched{3};
   net::Network net{sched};
-  net::SimTransport transport{net};
   net::Endpoint& client_ep{net.attach(ProcessId{1}, DomainId{1})};
   net::Endpoint& server_ep{net.attach(ProcessId{2}, DomainId{2})};
   UserProtocol client_user;
@@ -30,8 +28,8 @@ struct P2pFixture {
 
   explicit P2pFixture(P2pRpc::Options options = {}) {
     server_user.set_procedure([](OpId, Buffer&) -> sim::Task<> { co_return; });
-    client = std::make_unique<P2pRpc>(transport, client_ep, ProcessId{1}, client_user, options);
-    server = std::make_unique<P2pRpc>(transport, server_ep, ProcessId{2}, server_user, options);
+    client = std::make_unique<P2pRpc>(net, client_ep, ProcessId{1}, client_user, options);
+    server = std::make_unique<P2pRpc>(net, server_ep, ProcessId{2}, server_user, options);
   }
 
   CallResult run_one_call(std::uint64_t arg) {

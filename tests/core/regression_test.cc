@@ -111,6 +111,43 @@ TEST(Regression, TotalOrderDoesNotSuppressStoredResultResend) {
   EXPECT_EQ(s.total_server_executions(), 2u) << "the resend must not re-execute";
 }
 
+// A Total Order member orders the calls of the one group it serves.  A Call
+// naming an undefined group used to reach the leader lookup and abort the
+// site ("unknown group"); it is dropped and counted as malformed instead,
+// and the site goes on serving calls.
+TEST(Regression, TotalOrderDropsCallForAnotherGroup) {
+  obs::Tracer tracer;
+  ScenarioParams p;
+  p.num_servers = 1;
+  p.config.acceptance_limit = 1;
+  p.config.reliable_communication = true;
+  p.config.unique_execution = true;
+  p.config.ordering = Ordering::kTotal;
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
+  const ProcessId server = Scenario::server_id(0);
+
+  net::NetMessage call;
+  call.type = net::MsgType::kCall;
+  call.id = CallId{0xBAD};
+  call.server = GroupId{99};  // never defined
+  call.sender = s.client_id(0);
+  call.args = num_buf(7);
+  s.client_site(0).grpc().state().endpoint.send(server, kGrpcProto, call.encode());
+  s.run_for(sim::msec(10));
+  EXPECT_EQ(s.server(0).grpc().state().malformed.count(), 1u);
+  EXPECT_EQ(tracer.count(obs::Kind::kMsgMalformed), 1u);
+  EXPECT_EQ(s.total_server_executions(), 0u);
+
+  CallResult result;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    result = co_await c.call(s.group(), kOp, num_buf(42));
+  });
+  EXPECT_EQ(result.status, Status::kOk);
+  EXPECT_EQ(Reader(result.result).u64(), 42u);
+  EXPECT_EQ(s.total_server_executions(), 1u);
+}
+
 // Hazard 2: Interference Avoidance's deferral relies on retransmissions
 // re-delivering the new incarnation's call.  If Unique Execution saw the
 // call first it would eat every retransmission as a duplicate.  (Fixed by

@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "net/sim_transport.h"
+#include "net/network.h"
 
 namespace ugrpc::membership {
 namespace {
@@ -19,7 +19,6 @@ struct ChangeEvent {
 struct Cluster {
   sim::Scheduler sched{7};
   net::Network net{sched};
-  net::SimTransport transport{net};
   std::vector<ProcessId> procs;
   std::vector<net::Endpoint*> endpoints;
   std::vector<std::unique_ptr<MembershipMonitor>> monitors;
@@ -30,7 +29,7 @@ struct Cluster {
     for (ProcessId pid : procs) {
       endpoints.push_back(&net.attach(pid, DomainId{pid.value()}));
       monitors.push_back(
-          std::make_unique<MembershipMonitor>(transport, *endpoints.back(), procs, params));
+          std::make_unique<MembershipMonitor>(net, *endpoints.back(), procs, params));
     }
     for (auto& m : monitors) m->start();
   }
@@ -48,7 +47,7 @@ struct Cluster {
     net.set_process_up(pid, true);
     auto& slot = monitors[static_cast<std::size_t>(index)];
     slot = std::make_unique<MembershipMonitor>(
-        transport, *endpoints[static_cast<std::size_t>(index)], procs, params);
+        net, *endpoints[static_cast<std::size_t>(index)], procs, params);
     slot->start();
   }
 };

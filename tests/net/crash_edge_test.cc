@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "net/network.h"
-#include "net/sim_transport.h"
 
 namespace ugrpc::net {
 namespace {
@@ -176,11 +175,11 @@ TEST(CrashEdge, ByteAndLinkCountersTrackTraffic) {
   EXPECT_EQ(f.net.stats().bytes_delivered, 2 * payload.size());
 }
 
-// The same crash edges hold when the fabric is reached through the
+// The same crash edges hold when the Network is reached through the
 // Transport seam the protocol stack actually uses.
-TEST(CrashEdge, SimTransportExposesIdenticalCrashSemantics) {
+TEST(CrashEdge, TransportSeamExposesIdenticalCrashSemantics) {
   Fixture f;
-  SimTransport t(f.net);
+  Transport& t = f.net;
   Endpoint& a = t.attach(kA, DomainId{1});
   Endpoint& b = t.attach(kB, DomainId{2});
   std::vector<Packet> received;

@@ -1,8 +1,9 @@
-// Both transports put the same net::Fabric above their wire, so the same
-// facts leave the same counters and the same trace records on either one:
-// a send with no route, a multicast to an undefined group, a packet for a
-// process without a handler, a packet for a down process, and one that is
-// delivered.  A framework timeout leaves the same spans on either one too.
+// Both backends derive from the one net::Transport, which owns everything
+// above the wire, so the same facts leave the same counters and the same
+// trace records on either one: a send with no route, a multicast to an
+// undefined group, a packet for a process without a handler, a packet for a
+// down process, and one that is delivered.  A framework timeout leaves the
+// same spans on either one too.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "net/network.h"
-#include "net/sim_transport.h"
 #include "net/udp_transport.h"
 #include "obs/trace.h"
 #include "runtime/framework.h"
@@ -79,8 +79,7 @@ TEST(PacketPath, SimulatorRecordsEveryFactOnce) {
   sim::Scheduler sched{42};
   Network net{sched};
   net.set_tracer(&tracer);
-  SimTransport t(net);
-  check_every_fact_once(t, tracer, [&](const std::function<bool()>&) { sched.run(); });
+  check_every_fact_once(net, tracer, [&](const std::function<bool()>&) { sched.run(); });
 }
 
 TEST(PacketPath, UdpRecordsEveryFactOnce) {
@@ -151,8 +150,7 @@ TEST(PacketPath, SimulatorTimerFireRecordsOneTimerSpan) {
   sim::Scheduler sched{42};
   Network net{sched};
   net.set_tracer(&tracer);
-  SimTransport t(net);
-  check_one_timer_path(t, tracer, [&](const std::function<bool()>&) { sched.run(); });
+  check_one_timer_path(net, tracer, [&](const std::function<bool()>&) { sched.run(); });
 }
 
 TEST(PacketPath, UdpTimerFireRecordsOneTimerSpan) {

@@ -164,6 +164,42 @@ TEST(UdpTransport, TimersFireOnTheWheel) {
   EXPECT_EQ(fired, 1);
 }
 
+// A site crash over UDP: kill_domain cancels the crashed domain's wheel
+// timers and kills its fibers; global-domain timers and another domain's
+// timers and fibers live on.
+TEST(UdpTransport, KillDomainCancelsOnlyThatDomainsTimersAndFibers) {
+  constexpr DomainId kCrashed{1};
+  constexpr DomainId kOther{2};
+  UdpTransport t;
+  int crashed_fired = 0;
+  int other_fired = 0;
+  int global_fired = 0;
+  t.schedule_after(sim::msec(40), [&] { ++crashed_fired; }, kCrashed);
+  t.schedule_after(sim::msec(40), [&] { ++other_fired; }, kOther);
+  t.schedule_after(sim::msec(40), [&] { ++global_fired; });
+  const auto park = [](sim::Scheduler& exec, bool& woke) -> sim::Task<> {
+    co_await exec.sleep_for(sim::msec(40));
+    woke = true;
+  };
+  bool crashed_woke = false;
+  bool other_woke = false;
+  const FiberId crashed_fiber = t.spawn(park(t.executor(), crashed_woke), kCrashed);
+  const FiberId other_fiber = t.spawn(park(t.executor(), other_woke), kOther);
+  t.poll_once(0);  // both fibers start and park on the executor's clock
+  ASSERT_TRUE(t.executor().fiber_alive(crashed_fiber));
+  ASSERT_TRUE(t.executor().fiber_alive(other_fiber));
+
+  t.kill_domain(kCrashed);
+  EXPECT_FALSE(t.executor().fiber_alive(crashed_fiber));
+  EXPECT_TRUE(t.executor().fiber_alive(other_fiber));
+  t.run_for(sim::msec(150));
+  EXPECT_EQ(crashed_fired, 0);
+  EXPECT_EQ(other_fired, 1);
+  EXPECT_EQ(global_fired, 1);
+  EXPECT_FALSE(crashed_woke);
+  EXPECT_TRUE(other_woke);
+}
+
 TEST(UdpTransport, RunUntilFiberDoneHonoursTimeout) {
   UdpTransport t;
   t.attach(kA, DomainId{1});

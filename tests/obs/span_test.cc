@@ -20,7 +20,7 @@
 #include "core/config_builder.h"
 #include "core/scenario.h"
 #include "core/telemetry.h"
-#include "net/sim_transport.h"
+#include "net/network.h"
 #include "net/udp_transport.h"
 #include "obs/live/json_value.h"
 #include "obs/live/trace_load.h"
@@ -137,8 +137,7 @@ TEST(Span, EveryParentLinkResolvesAndNests) {
 TEST(Span, ReentrantTriggerNestsInnerChainUnderOuterHandler) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
-  runtime::Framework fw{transport, DomainId{1}};
+  runtime::Framework fw{net, DomainId{1}};
   obs::Tracer tracer;
   fw.set_site_trace(&tracer.site(ProcessId{1}));
   constexpr runtime::EventId kOuter{1};

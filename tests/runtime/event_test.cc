@@ -7,7 +7,6 @@
 #include <string>
 
 #include "net/network.h"
-#include "net/sim_transport.h"
 #include "runtime/framework.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
@@ -54,8 +53,7 @@ constexpr EventId kEv{9};
 TEST(Framework, TriggerWithNoHandlersCompletes) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
-  Framework fw(transport, DomainId{1});
+  Framework fw(net, DomainId{1});
   bool completed = false;
   sched.spawn([](Framework& f, bool& done) -> sim::Task<> {
     done = co_await f.trigger(kEv, {});
@@ -67,8 +65,7 @@ TEST(Framework, TriggerWithNoHandlersCompletes) {
 TEST(Framework, DeregisterByNameOnlyRemovesMatchingEvent) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
-  Framework fw(transport, DomainId{1});
+  Framework fw(net, DomainId{1});
   constexpr EventId kOther{10};
   fw.register_handler(kEv, "shared-name", 1, [](EventContext&) -> sim::Task<> { co_return; });
   fw.register_handler(kOther, "shared-name", 1, [](EventContext&) -> sim::Task<> { co_return; });
@@ -80,8 +77,7 @@ TEST(Framework, DeregisterByNameOnlyRemovesMatchingEvent) {
 TEST(Framework, DeregisterUnknownIdIsNoOp) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
-  Framework fw(transport, DomainId{1});
+  Framework fw(net, DomainId{1});
   fw.deregister(kEv, "no-such-handler");
   SUCCEED();
 }
@@ -89,8 +85,7 @@ TEST(Framework, DeregisterUnknownIdIsNoOp) {
 TEST(Framework, ManyTimeoutsFireInDelayOrder) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
-  Framework fw(transport, DomainId{1});
+  Framework fw(net, DomainId{1});
   std::string order;
   fw.register_timeout("c", sim::msec(30), [&]() -> sim::Task<> {
     order += 'c';
@@ -111,8 +106,7 @@ TEST(Framework, ManyTimeoutsFireInDelayOrder) {
 TEST(Framework, TimeoutHandlerMayBlock) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
-  Framework fw(transport, DomainId{1});
+  Framework fw(net, DomainId{1});
   sim::Semaphore gate(sched, 0);
   bool finished = false;
   fw.register_timeout("blocking", sim::msec(1), [&]() -> sim::Task<> {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "net/network.h"
-#include "net/sim_transport.h"
 #include "obs/trace.h"
 #include "runtime/composite.h"
 #include "runtime/micro_protocol.h"
@@ -25,8 +24,7 @@ constexpr EventId kOther{2};
 struct Fixture {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
-  Framework fw{transport, DomainId{1}};
+  Framework fw{net, DomainId{1}};
 };
 
 Handler appender(std::vector<int>& out, int tag) {
@@ -238,20 +236,19 @@ TEST(Framework, KilledDomainLetsTheFrameworkGoWhileAHandlerIsBlocked) {
   // under ASan this pins that the order leaves nothing dangling.
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
   constexpr DomainId kSite{7};
   sim::Semaphore gate(sched, 0);
-  auto fw = std::make_unique<Framework>(transport, kSite);
+  auto fw = std::make_unique<Framework>(net, kSite);
   bool resumed = false;
   fw->register_handler(kPing, "blocker", 1,
                        [&gate, &resumed, tag = std::string(64, 'x')](EventContext&) -> sim::Task<> {
                          co_await gate.acquire();
                          resumed = !tag.empty();
                        });
-  transport.spawn(run_trigger(*fw, kPing, {}), kSite);
+  net.spawn(run_trigger(*fw, kPing, {}), kSite);
   sched.run();
   ASSERT_TRUE(gate.has_waiters()) << "the handler must be blocked mid-chain";
-  transport.kill_domain(kSite);
+  net.kill_domain(kSite);
   EXPECT_FALSE(gate.has_waiters());
   fw.reset();
   gate.release();
@@ -329,10 +326,9 @@ TEST(Framework, FiredTimeoutsAreForgotten) {
 TEST(Framework, DestructionCancelsPendingTimeouts) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
   int fired = 0;
   {
-    Framework fw(transport, DomainId{1});
+    Framework fw(net, DomainId{1});
     fw.register_timeout("tick", sim::msec(10), [&]() -> sim::Task<> {
       ++fired;
       co_return;
@@ -368,8 +364,7 @@ class CountingMp : public MicroProtocol {
 TEST(CompositeProtocol, StartStartsAllMicroProtocolsInOrder) {
   sim::Scheduler sched;
   net::Network net{sched};
-  net::SimTransport transport{net};
-  CompositeProtocol comp(transport, DomainId{1});
+  CompositeProtocol comp(net, DomainId{1});
   std::vector<std::string> started;
   comp.emplace<CountingMp>(started);
   comp.emplace<CountingMp>(started);
