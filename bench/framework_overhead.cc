@@ -75,8 +75,7 @@ void BM_EventDispatch_Spans(benchmark::State& state) {
   sim::Scheduler sched;
   net::Network net{sched};
   obs::Tracer tracer(std::size_t{1} << 16);
-  runtime::Framework fw(net, DomainId{1});
-  fw.set_site_trace(&tracer.site(ProcessId{1}));
+  runtime::Framework fw(net, DomainId{1}, &tracer.site(ProcessId{1}));
   const int handlers = static_cast<int>(state.range(0));
   for (int i = 0; i < handlers; ++i) {
     fw.register_handler(kEvent, "h" + std::to_string(i), i,

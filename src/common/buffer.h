@@ -78,10 +78,6 @@ class Buffer {
            (sa.empty() || std::memcmp(sa.data(), sb.data(), sa.size()) == 0);
   }
 
-  /// True when this handle shares its storage with another (test/bench
-  /// observability for the copy-on-write behaviour).
-  [[nodiscard]] bool shares_storage() const { return data_ != nullptr && data_.use_count() > 1; }
-
  private:
   /// Mutable access: allocates on first write, detaches shared storage.
   std::vector<std::byte>& mut() {

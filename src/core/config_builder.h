@@ -83,10 +83,6 @@ class ConfigBuilder {
     config_.termination_bound = bound;
     return *this;
   }
-  ConfigBuilder& unbounded_termination() {
-    config_.termination_bound.reset();
-    return *this;
-  }
 
   ConfigBuilder& ordering(Ordering v) { config_.ordering = v; return *this; }
   ConfigBuilder& fifo_order() { return ordering(Ordering::kFifo); }

@@ -85,7 +85,7 @@ using HoldArray = std::array<bool, kHoldCount>;
 
 /// Per-server response bookkeeping (`waiting_list` in the paper).
 struct PendingServer {
-  bool acked = false;  ///< Reliable Communication: call receipt acknowledged
+  bool acked = false;  ///< Reliable Communication: the server replied
   bool done = false;   ///< Acceptance: response received (or server failed)
   /// Reliable Communication: when the Call last went to this server, and how
   /// often it was retransmitted (the timeout doubles per retry; a Reply
@@ -323,6 +323,19 @@ struct GrpcState {
   [[nodiscard]] std::shared_ptr<ServerRecord> find_server(CallId id) const {
     auto it = sRPC.find(id);
     return it != sRPC.end() ? it->second : nullptr;
+  }
+
+  /// Ends a call still WAITING with `status`: closes the root span of its
+  /// trace and releases the blocked client thread.  A call that has already
+  /// ended is left alone, so a late reply or deadline cannot V the
+  /// semaphore twice (deviation from the paper's unconditional V; see
+  /// DESIGN.md).
+  void complete(ClientRecord& rec, Status status) {
+    if (rec.status != Status::kWaiting) return;
+    rec.status = status;
+    note(obs::Kind::kCallCompleted, rec.id.value(), static_cast<std::uint64_t>(status), 0,
+         rec.span);
+    rec.sem.release();
   }
 
   /// Sends a gRPC message point-to-point (Net.push in the paper).

@@ -31,18 +31,6 @@ sim::Task<> Acceptance::handle_new_call(runtime::EventContext& ctx) {
   co_return;
 }
 
-void Acceptance::complete(ClientRecord& rec) {
-  // Guarded on WAITING so late extra replies cannot V the semaphore twice
-  // (deviation from the paper's unconditional V; see DESIGN.md).
-  if (rec.status == Status::kWaiting) {
-    rec.status = Status::kOk;
-    // Closes the root span of the call's trace.
-    state_.note(obs::Kind::kCallCompleted, rec.id.value(),
-                static_cast<std::uint64_t>(Status::kOk), 0, rec.span);
-    rec.sem.release();
-  }
-}
-
 sim::Task<> Acceptance::msg_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   if (msg.type != net::MsgType::kReply) co_return;
@@ -52,7 +40,7 @@ sim::Task<> Acceptance::msg_from_net(runtime::EventContext& ctx) {
   if (it == rec->pending.end()) co_return;  // reply from a non-member: ignore
   if (!it->second.done) {
     it->second.done = true;
-    if (--rec->nres <= 0) complete(*rec);
+    if (--rec->nres <= 0) state_.complete(*rec, Status::kOk);
   } else {
     ctx.cancel();  // duplicate reply: nothing further should process it
   }
@@ -79,7 +67,7 @@ sim::Task<> Acceptance::server_failure(runtime::EventContext& ctx) {
       if (!ps.done) ++remaining;
     }
     rec->nres = std::min(rec->nres, remaining);
-    if (rec->nres <= 0) complete(*rec);
+    if (rec->nres <= 0) state_.complete(*rec, Status::kOk);
   }
   co_return;
 }

@@ -35,8 +35,6 @@ class Acceptance : public runtime::MicroProtocol {
   [[nodiscard]] sim::Task<> msg_from_net(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> server_failure(runtime::EventContext& ctx);
 
-  void complete(ClientRecord& rec);
-
   GrpcState& state_;
   int limit_;
 };

@@ -9,7 +9,7 @@ void BoundedTermination::start(runtime::Framework& fw) {
   fw.register_handler(kNewRpcCall, "BoundedTerm.handle_new_call", kPrioNewBounded,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         const CallId id = ctx.arg_as<CallEvent>().id;
-                        deadlines_.emplace_back(state_.sched.now() + timebound_, id);
+                        deadlines_.emplace_back(state_.transport.now() + timebound_, id);
                         arm_timer();
                         co_return;
                       });
@@ -21,7 +21,7 @@ void BoundedTermination::arm_timer() {
   // to be shortened.
   if (armed_ || deadlines_.empty()) return;
   armed_ = true;
-  const sim::Duration delay = deadlines_.front().first - state_.sched.now();
+  const sim::Duration delay = deadlines_.front().first - state_.transport.now();
   fw_->register_timeout("BoundedTerm.handle_timeout", delay > 0 ? delay : 0,
                         [this]() -> sim::Task<> {
                           armed_ = false;
@@ -32,19 +32,17 @@ void BoundedTermination::arm_timer() {
 }
 
 void BoundedTermination::drain_expired() {
-  const sim::Time now = state_.sched.now();
+  const sim::Time now = state_.transport.now();
   while (!deadlines_.empty() && deadlines_.front().first <= now) {
     const CallId id = deadlines_.front().second;
     deadlines_.pop_front();
     auto rec = state_.find_client(id);
     if (rec != nullptr && rec->status == Status::kWaiting) {
-      rec->status = Status::kTimeout;
       ++timeouts_fired_;
+      // Recorded right before the call's kCallCompleted, which telemetry's
+      // calls.completed relies on.
       state_.note(obs::Kind::kDeadlineExpired, id.value());
-      // The root span closes on timeout, too.
-      state_.note(obs::Kind::kCallCompleted, id.value(),
-                  static_cast<std::uint64_t>(Status::kTimeout), 0, rec->span);
-      rec->sem.release();
+      state_.complete(*rec, Status::kTimeout);
     }
   }
 }

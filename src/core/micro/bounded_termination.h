@@ -11,6 +11,11 @@
 // outstanding call.  Because the bound is uniform, deadlines expire in call
 // order, so a FIFO queue of (deadline, id) drained by a single armed timer is
 // equivalent and keeps the timer population O(1) instead of O(calls).
+//
+// Deadlines are read from the transport's clock, the one the timer runs on.
+// Over UDP the executor's clock lags it: a fiber the timer wheel makes ready
+// runs before the executor catches up with real time, so a deadline read
+// from the executor would find nothing expired and fire a second time.
 #pragma once
 
 #include <deque>

@@ -41,27 +41,19 @@ void ReliableCommunication::start(runtime::Framework& fw) {
                       });
   fw.register_handler(kMsgFromNetwork, "ReliableComm.msg_from_net", kPrioNetReliable,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
+                        // Only a Reply acknowledges a call: servers send no
+                        // call-receipt ACKs, so the one kAck a site could
+                        // match to its own call is one it sent itself.
                         const auto& msg = ctx.arg_as<net::NetMessage>();
-                        const auto ack = [&](CallId id) -> PendingServer* {
-                          auto rec = state_.find_client(id);
-                          if (rec == nullptr) return nullptr;
-                          auto it = rec->pending.find(msg.sender);
-                          if (it == rec->pending.end() || it->second.acked) return nullptr;
-                          it->second.acked = true;
-                          return &it->second;
-                        };
-                        if (msg.type == net::MsgType::kReply) {
-                          PendingServer* ps = ack(msg.id);
-                          if (ps != nullptr && ps->retries == 0) {
-                            sample_rtt(msg.sender, state_.transport.now() - ps->sent_at);
-                          }
-                        } else if (msg.type == net::MsgType::kAck) {
-                          (void)ack(CallId{msg.ackid});
-                          // A batched ACK may acknowledge receipt of several
-                          // calls at once (see net/message.h).
-                          for (std::uint64_t extra : net::decode_ack_batch(msg.args)) {
-                            (void)ack(CallId{extra});
-                          }
+                        if (msg.type != net::MsgType::kReply) co_return;
+                        auto rec = state_.find_client(msg.id);
+                        if (rec == nullptr) co_return;
+                        auto it = rec->pending.find(msg.sender);
+                        if (it == rec->pending.end() || it->second.acked) co_return;
+                        PendingServer& ps = it->second;
+                        ps.acked = true;
+                        if (ps.retries == 0) {
+                          sample_rtt(msg.sender, state_.transport.now() - ps.sent_at);
                         }
                         co_return;
                       });

@@ -3,9 +3,10 @@
 // Implements the standard retransmit-until-acknowledged scheme on the client
 // side: a call is retransmitted to each group member that has neither
 // replied nor acknowledged it once the call's copy to that member is older
-// than the member's retransmission timeout.  A Reply counts as an
-// acknowledgement; explicit ACK messages (possibly batched, see
-// net/message.h) also count.  Combined with RPC Main this gives unbounded
+// than the member's retransmission timeout.  Only a Reply counts as an
+// acknowledgement: servers send no call-receipt ACKs, and the ACKs of
+// net/message.h flow the other way (client to server, releasing a stored
+// result).  Combined with RPC Main this gives unbounded
 // termination: "the client side keeps on trying until it gets a response".
 //
 // Adaptive timeout (Jacobson/Karels, RFC 6298): each peer has a smoothed

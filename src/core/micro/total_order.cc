@@ -72,14 +72,7 @@ sim::Task<> TotalOrder::assign_order(runtime::EventContext& ctx) {
       // assignment once the round closes.
       co_return;
     }
-    net::NetMessage order_msg;
-    order_msg.type = net::MsgType::kOrder;
-    order_msg.id = msg.id;
-    order_msg.server = group_;
-    order_msg.sender = state_.my_id;
-    order_msg.inc = state_.inc_number;
-    order_msg.ackid = order;
-    state_.net_multicast(group_, order_msg);
+    announce(msg.id, order);
   } else if (waiting_set_.contains(msg.id)) {
     // A retransmission of a call we still cannot order: nudge the (possibly
     // new) leader, which may never have received the original.
@@ -92,6 +85,17 @@ sim::Task<> TotalOrder::assign_order(runtime::EventContext& ctx) {
   // Since Total Order requires Unique Execution (Figure 4), which both
   // cancels duplicates and re-answers completed calls, the early cancel is
   // redundant and we omit it (see DESIGN.md).
+}
+
+void TotalOrder::announce(CallId id, std::uint64_t order) {
+  net::NetMessage order_msg;
+  order_msg.type = net::MsgType::kOrder;
+  order_msg.id = id;
+  order_msg.server = group_;
+  order_msg.sender = state_.my_id;
+  order_msg.inc = state_.inc_number;
+  order_msg.ackid = order;
+  state_.net_multicast(group_, order_msg);
 }
 
 sim::Task<> TotalOrder::note_order(CallId id, std::uint64_t order) {
@@ -313,15 +317,7 @@ void TotalOrder::finish_reconciliation() {
   // member converges on one assignment even if the old leader's Orders
   // reached only a subset.
   for (const auto& [id, order] : old_orders_) {
-    if (order < next_entry_) continue;
-    net::NetMessage order_msg;
-    order_msg.type = net::MsgType::kOrder;
-    order_msg.id = id;
-    order_msg.server = group_;
-    order_msg.sender = state_.my_id;
-    order_msg.inc = state_.inc_number;
-    order_msg.ackid = order;
-    state_.net_multicast(group_, order_msg);
+    if (order >= next_entry_) announce(id, order);
   }
   // Deliver the fresh assignments locally without relying on the multicast
   // self-loop (which is subject to faults): note_order may execute calls,

@@ -83,6 +83,8 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   [[nodiscard]] sim::Task<> handle_reply(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> membership_change(runtime::EventContext& ctx);
 
+  /// Multicasts the Order message assigning `order` to call `id`.
+  void announce(CallId id, std::uint64_t order);
   /// Records an assignment learned from an Order/OrderInfo message and, if
   /// the call is waiting, moves it toward execution.
   [[nodiscard]] sim::Task<> note_order(CallId id, std::uint64_t order);

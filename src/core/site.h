@@ -73,7 +73,6 @@ class Site {
   [[nodiscard]] GrpcComposite& grpc();
   [[nodiscard]] UserProtocol& user();
   [[nodiscard]] storage::StableStore& stable() { return stable_; }
-  [[nodiscard]] membership::MembershipMonitor* monitor() { return monitor_.get(); }
   [[nodiscard]] net::Transport& transport() { return transport_; }
   /// The transport's executor; convenience for tests and experiment drivers.
   [[nodiscard]] sim::Scheduler& scheduler() { return transport_.executor(); }

@@ -108,13 +108,16 @@ SiteTelemetry::SiteTelemetry(Site& site, const obs::Tracer& tracer, Options opti
     : site_(site),
       tracer_(tracer),
       options_(options),
-      scans_(registry_.counter("watchdog.scans")),
-      stalled_(registry_.counter("watchdog.stalled_calls")),
-      orphaned_(registry_.counter("watchdog.orphaned_entries")),
-      trips_(registry_.counter("watchdog.trips")),
-      flight_dumps_(registry_.counter("flight.dumps")),
       warn_log_(kWarnPeriod) {
   using obs::Kind;
+  const auto bind_field = [&](const std::string& name, const std::uint64_t& field) {
+    registry_.counter(name, [&field] { return field; });
+  };
+  bind_field("watchdog.scans", scans_);
+  bind_field("watchdog.stalled_calls", stalled_);
+  bind_field("watchdog.orphaned_entries", orphaned_);
+  bind_field("watchdog.trips", trips_);
+  bind_field("flight.dumps", flight_dumps_);
   const auto bind_kind = [&](const std::string& name, Kind k) {
     registry_.counter(name, [&tracer, k] { return tracer.count(k); });
   };

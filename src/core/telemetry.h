@@ -167,13 +167,13 @@ class SiteTelemetry {
   Site& site_;
   const obs::Tracer& tracer_;
   Options options_;
-  // Declared before the counters that bind into it.
   obs::Registry registry_;
-  obs::Counter& scans_;
-  obs::Counter& stalled_;
-  obs::Counter& orphaned_;
-  obs::Counter& trips_;
-  obs::Counter& flight_dumps_;
+  // Watchdog and flight tallies, bound into registry_ by name.
+  std::uint64_t scans_ = 0;
+  std::uint64_t stalled_ = 0;
+  std::uint64_t orphaned_ = 0;
+  std::uint64_t trips_ = 0;
+  std::uint64_t flight_dumps_ = 0;
   std::optional<TimerId> watchdog_timer_;
   RateLimitedLog warn_log_;
   /// Records already counted as stalled/orphaned (a record is flagged once;

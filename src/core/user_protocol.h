@@ -43,9 +43,6 @@ class UserProtocol {
     if (procedure_) co_await procedure_(op, args);
   }
 
-  [[nodiscard]] bool has_state_hooks() const {
-    return snapshot_ != nullptr && restore_ != nullptr;
-  }
   [[nodiscard]] Buffer snapshot_state() const { return snapshot_ ? snapshot_() : Buffer{}; }
   void restore_state(const Buffer& state) const {
     if (restore_) restore_(state);

@@ -9,9 +9,12 @@
 //   u16  proto        demux key
 //   u32  incarnation  sender attachment incarnation; receivers drop frames
 //                     from an incarnation older than the newest they have
-//                     seen, so a restarted sender's stale datagrams (still
-//                     queued in kernel buffers) cannot be delivered as if
-//                     from the new incarnation
+//                     seen.  The count lives in the sending UdpTransport
+//                     object, so it only separates a detach and re-attach
+//                     within one transport: a restarted OS process attaches
+//                     as incarnation 1 again, like the process it replaces,
+//                     and its predecessor's stale datagrams are not told
+//                     apart (persisting the incarnation is ROADMAP item 6)
 //   u64  trace        trace-context id (v2; 0 = untraced).  Group RPC calls
 //                     use the raw CallId, so one trace follows a call across
 //                     client, servers and retransmissions

@@ -23,17 +23,8 @@ std::uint64_t Histogram::quantile(double q) const {
   return max_;
 }
 
-Counter& Registry::counter(const std::string& name) {
-  const auto [it, fresh] = owned_.try_emplace(name);
-  if (fresh) {
-    const bool unbound = counters_.emplace(name, [&c = it->second] { return c.value(); }).second;
-    UGRPC_ASSERT(unbound && "name is already a bound counter");
-  }
-  return it->second;
-}
-
 void Registry::counter(const std::string& name, std::function<std::uint64_t()> read) {
-  UGRPC_ASSERT(read != nullptr && !owned_.contains(name));
+  UGRPC_ASSERT(read != nullptr);
   counters_[name] = std::move(read);
 }
 

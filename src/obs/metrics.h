@@ -1,10 +1,10 @@
 // Named counters / histograms, dumpable as JSON.
 //
 // Replaces ad-hoc per-component stats plumbing as the way benches and tests
-// export numbers: components either own obs::Counter/obs::Histogram objects
-// registered here, or bind a count they already keep as a read-at-scrape
-// counter, so tallies like net::Stats or the Tracer's per-kind counts
-// surface in the same JSON artifact without hot-path changes.  A Registry
+// export numbers: components bind a count they already keep as a
+// read-at-scrape counter, so tallies like net::Stats or the Tracer's
+// per-kind counts surface in the same JSON artifact without hot-path
+// changes, and own obs::Histogram objects registered here.  A Registry
 // is experiment-scoped (no globals): each bench builds one, lets components
 // export into it, and dumps it alongside its results.
 #pragma once
@@ -18,20 +18,6 @@
 #include "common/assert.h"
 
 namespace ugrpc::obs {
-
-/// A monotonically increasing named count.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  Counter& operator++() {
-    ++value_;
-    return *this;
-  }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 /// Fixed-footprint value distribution: power-of-two buckets plus exact
 /// count/sum/min/max.  Good enough for latency shapes without per-sample
@@ -88,22 +74,21 @@ class Histogram {
 };
 
 /// Experiment-scoped registry of named metrics.  Names are dotted paths
-/// ("net.sent", "call.latency_us"); references returned by counter() /
-/// histogram() are stable for the registry's lifetime.  Every counter is
-/// monotonic, whether the registry owns it or reads it at scrape time.
+/// ("net.sent", "call.latency_us"); references returned by histogram() are
+/// stable for the registry's lifetime.  A counter is a count kept
+/// elsewhere, read at scrape time; every counter is monotonic.
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  [[nodiscard]] Counter& counter(const std::string& name);
   /// Binds a count kept elsewhere; `read` is evaluated at dump time and must
   /// never decrease.  Re-binding a name replaces the previous read.
   void counter(const std::string& name, std::function<std::uint64_t()> read);
   [[nodiscard]] Histogram& histogram(const std::string& name);
 
-  /// Current value of counter `name`, owned or bound; 0 when absent.
+  /// Current value of counter `name`; 0 when absent.
   [[nodiscard]] std::uint64_t value(const std::string& name) const;
 
   /// All metrics as one JSON object.  Histograms dump as
@@ -111,8 +96,8 @@ class Registry {
   [[nodiscard]] std::string to_json() const;
 
   // ---- read-only iteration (exposition renderers; obs/live/prometheus.h) ----
-  // Name order follows the underlying maps (lexicographic).  Bound counters
-  // are read at visit time.
+  // Name order follows the underlying maps (lexicographic).  Counters are
+  // read at visit time.
 
   void for_each_counter(const std::function<void(const std::string&, std::uint64_t)>& fn) const {
     for (const auto& [name, read] : counters_) fn(name, read());
@@ -123,10 +108,7 @@ class Registry {
   }
 
  private:
-  // Node-based maps keep references stable across insertion.  counters_
-  // holds a read for every counter name; an owned counter's read points
-  // into owned_.
-  std::map<std::string, Counter> owned_;
+  // Node-based maps keep histogram references stable across insertion.
   std::map<std::string, std::function<std::uint64_t()>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };

@@ -41,8 +41,7 @@ class Profile {
     [[nodiscard]] std::uint64_t children_total() const { return wall_total - self_total; }
   };
 
-  /// Folds all closed spans of `t` in (may be called repeatedly, e.g. once
-  /// per bench iteration before Tracer::clear()).  Open spans are skipped.
+  /// Folds all closed spans of `t` in.  Open spans are skipped.
   void add(const Tracer& t);
   /// Same, for an externally derived span set; `names` resolves name ids.
   void add_spans(const std::vector<Span>& spans, const Tracer& names);

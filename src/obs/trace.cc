@@ -169,16 +169,4 @@ std::string Tracer::dump_json() const {
   return out;
 }
 
-void Tracer::clear() {
-  // Reset the rings in place: components hold raw SiteTrace pointers, and
-  // site() promises stable references for the tracer's lifetime.
-  for (auto& [id, site] : sites_) {
-    site->ring_.clear();
-    site->head_ = 0;
-    site->dropped_ = 0;
-  }
-  next_seq_ = 1;
-  for (auto& c : counts_) c = 0;
-}
-
 }  // namespace ugrpc::obs

@@ -167,8 +167,7 @@ struct Span {
 
 /// Pairs the opening and closing records of a sequence-ordered history into
 /// spans, in open order.  A close whose open is absent (overwritten by a
-/// ring wrap, or recorded before clear()) is dropped; an open without a
-/// close is reported open.
+/// ring wrap) is dropped; an open without a close is reported open.
 [[nodiscard]] std::vector<Span> spans_of(const std::vector<Event>& history);
 
 class Tracer;
@@ -257,8 +256,8 @@ class Tracer {
   /// spans_of(merged()): every span whose opening record is retained.
   [[nodiscard]] std::vector<Span> spans() const { return spans_of(merged()); }
 
-  /// Records made per kind since construction/clear (not capped by ring
-  /// capacity -- these are exact counters).
+  /// Records made per kind since construction (not capped by ring capacity
+  /// -- these are exact counters).
   [[nodiscard]] std::uint64_t count(Kind k) const {
     return counts_[static_cast<std::size_t>(k)];
   }
@@ -269,8 +268,6 @@ class Tracer {
 
   /// Serializes the merged trace as a JSON array (one object per record).
   [[nodiscard]] std::string dump_json() const;
-
-  void clear();
 
  private:
   friend class SiteTrace;

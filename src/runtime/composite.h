@@ -22,7 +22,9 @@ namespace ugrpc::runtime {
 
 class CompositeProtocol {
  public:
-  CompositeProtocol(net::Transport& transport, DomainId domain) : framework_(transport, domain) {}
+  /// `trace` is passed to the framework (see Framework's constructor).
+  CompositeProtocol(net::Transport& transport, DomainId domain, obs::SiteTrace* trace = nullptr)
+      : framework_(transport, domain, trace) {}
   virtual ~CompositeProtocol() = default;
 
   CompositeProtocol(const CompositeProtocol&) = delete;

@@ -9,8 +9,8 @@
 
 namespace ugrpc::runtime {
 
-Framework::Framework(net::Transport& transport, DomainId domain)
-    : transport_(transport), domain_(domain) {}
+Framework::Framework(net::Transport& transport, DomainId domain, obs::SiteTrace* trace)
+    : transport_(transport), domain_(domain), site_trace_(trace) {}
 
 Framework::~Framework() {
   // A destroyed framework (crashed site) must not leave timers behind: their
@@ -37,17 +37,6 @@ void Framework::define_event(EventId event, std::string name) {
   Chain& chain = mutable_chain(event);
   chain.event_name = std::move(name);
   chain.event_name_id = intern(chain.event_name);
-}
-
-void Framework::set_site_trace(obs::SiteTrace* trace) {
-  site_trace_ = trace;
-  // Name ids index the attached trace's intern table, so they are redone
-  // here even after the freeze.  Only the ids change; no chain or handler
-  // moves, so a trigger in flight keeps valid references.
-  for (Chain& chain : chains_) {
-    chain.event_name_id = intern(chain.event_name);
-    for (Registration& reg : chain.handlers) reg.name_id = intern(reg.name);
-  }
 }
 
 void Framework::register_handler(EventId event, std::string handler_name, int priority,

@@ -69,7 +69,15 @@ class Framework {
   /// fibers they run in come from `transport`'s clock/timer/spawn hooks, so
   /// one framework implementation serves both the simulated and the real
   /// (UDP) backend.
-  Framework(net::Transport& transport, DomainId domain);
+  ///
+  /// `trace` is the per-site trace ring (obs layer) this framework records
+  /// into: trigger() records kEventTriggered/kEventHandled and the TIMEOUT
+  /// machinery records kTimerArmed/kTimerFired/kTimerCancelled.  nullptr
+  /// (the default) turns recording off; every record site is behind a
+  /// single pointer check.  The trace is fixed for the framework's lifetime,
+  /// like its configuration, so each name is interned once, when its event
+  /// is defined or its handler registered.
+  Framework(net::Transport& transport, DomainId domain, obs::SiteTrace* trace = nullptr);
   ~Framework();
 
   Framework(const Framework&) = delete;
@@ -116,15 +124,6 @@ class Framework {
                                            const std::string& handler)>;
   void set_trace_observer(TraceObserver observer) { trace_ = std::move(observer); }
 
-  /// Attaches this framework to a per-site trace ring (obs layer): trigger()
-  /// records kEventTriggered/kEventHandled and the TIMEOUT machinery records
-  /// kTimerArmed/kTimerFired/kTimerCancelled.  nullptr (the default) turns
-  /// recording off; every record site is behind a single pointer check.
-  /// Re-interns every event and handler name in the new trace, so it may be
-  /// called before or after the table is frozen.
-  void set_site_trace(obs::SiteTrace* trace);
-  [[nodiscard]] obs::SiteTrace* site_trace() const { return site_trace_; }
-
   // ---- introspection (Figure 3 reproduction, debugging) ----
   struct RegistrationInfo {
     std::string event;
@@ -141,7 +140,7 @@ class Framework {
     std::string name;
     int priority;
     Handler fn;
-    std::uint32_t name_id;  ///< `name` interned in the attached site trace
+    std::uint32_t name_id;  ///< `name` interned in the site trace
   };
 
   /// One event's handlers in invocation order, plus the names trigger()
@@ -155,7 +154,7 @@ class Framework {
   /// The chain of `event`, created on first use; asserts the table is not
   /// frozen yet.
   Chain& mutable_chain(EventId event);
-  /// `name` interned in the attached site trace, 0 when tracing is off.
+  /// `name` interned in the site trace, 0 when tracing is off.
   [[nodiscard]] std::uint32_t intern(const std::string& name) const;
 
   /// A registered timeout: its handler and the id the transport gave it.
@@ -170,7 +169,7 @@ class Framework {
   bool frozen_ = false;        ///< set by the first trigger()
   std::unordered_set<TimerId> live_timeouts_;
   TraceObserver trace_;
-  obs::SiteTrace* site_trace_ = nullptr;
+  obs::SiteTrace* const site_trace_;
 };
 
 }  // namespace ugrpc::runtime

@@ -7,7 +7,6 @@
 // identical across standard library implementations.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 #include "common/assert.h"
@@ -55,12 +54,6 @@ class Rng {
 
   /// True with probability p.
   bool bernoulli(double p) { return uniform() < p; }
-
-  /// Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean) {
-    UGRPC_ASSERT(mean > 0);
-    return -mean * std::log1p(-uniform());
-  }
 
   /// Derives an independent child generator; used to give each subsystem its
   /// own stream so adding draws in one place does not shift another.

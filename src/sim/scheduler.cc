@@ -141,12 +141,6 @@ void Scheduler::run_until(Time deadline) {
   if (now_ < deadline) now_ = deadline;
 }
 
-void Scheduler::park_ready(ScheduleNode& node, std::coroutine_handle<> h) {
-  node.handle = h;
-  node.fiber = current_fiber_;
-  ready_.push_back(node);
-}
-
 void Scheduler::fiber_finished(FiberId fiber) {
   auto it = fibers_.find(fiber);
   UGRPC_ASSERT(it != fibers_.end());

@@ -128,13 +128,8 @@ class Scheduler {
   /// co_await sched.sleep_for(d): suspends the caller for d of virtual time.
   [[nodiscard]] auto sleep_for(Duration d);
 
-  /// co_await sched.yield(): re-queues the caller behind other ready fibers.
-  [[nodiscard]] auto yield();
-
   // ---- internal (used by awaiters and sync primitives) ----
 
-  /// Parks `node` on the ready list, stamping it with the current fiber.
-  void park_ready(ScheduleNode& node, std::coroutine_handle<> h);
   /// Makes an already-stamped node (from a wait queue) ready to run.
   void make_ready(ScheduleNode& node) { ready_.push_back(node); }
 
@@ -213,17 +208,6 @@ inline auto Scheduler::sleep_for(Duration d) {
     }
   };
   return SleepAwaiter{*this, d, {}, {}, false};
-}
-
-inline auto Scheduler::yield() {
-  struct YieldAwaiter {
-    Scheduler& sched;
-    ScheduleNode node;
-    [[nodiscard]] bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { sched.park_ready(node, h); }
-    void await_resume() const noexcept {}
-  };
-  return YieldAwaiter{*this, {}};
 }
 
 }  // namespace ugrpc::sim

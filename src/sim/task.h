@@ -20,6 +20,7 @@
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.h"
@@ -53,21 +54,32 @@ struct PromiseBase {
   void unhandled_exception() { exception = std::current_exception(); }
 };
 
+/// The part of Task<T>'s promise that depends on T: the returned value.
+template <typename T>
+struct PromiseResult : PromiseBase {
+  std::optional<T> value;
+
+  template <typename U>
+  void return_value(U&& v) {
+    value.emplace(std::forward<U>(v));
+  }
+};
+
+/// A Task<void> returns nothing, so its promise holds no value.
+template <>
+struct PromiseResult<void> : PromiseBase {
+  void return_void() const noexcept {}
+};
+
 }  // namespace detail
 
 /// A lazily-started coroutine producing a value of type T (or void).
 template <typename T = void>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-
+  struct promise_type : detail::PromiseResult<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    template <typename U>
-    void return_value(U&& v) {
-      value.emplace(std::forward<U>(v));
     }
   };
 
@@ -102,63 +114,7 @@ class [[nodiscard]] Task {
       }
       T await_resume() {
         if (child.promise().exception) std::rethrow_exception(child.promise().exception);
-        return std::move(*child.promise().value);
-      }
-    };
-    return Awaiter{handle_};
-  }
-
- private:
-  void destroy() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = {};
-    }
-  }
-
-  handle_type handle_;
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() const noexcept {}
-  };
-
-  using handle_type = std::coroutine_handle<promise_type>;
-
-  Task() noexcept = default;
-  explicit Task(handle_type h) noexcept : handle_(h) {}
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      handle_ = std::exchange(other.handle_, {});
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { destroy(); }
-
-  [[nodiscard]] bool valid() const { return static_cast<bool>(handle_); }
-  [[nodiscard]] handle_type handle() const { return handle_; }
-  handle_type release() { return std::exchange(handle_, {}); }
-
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      handle_type child;
-      [[nodiscard]] bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) noexcept {
-        child.promise().continuation = parent;
-        return child;
-      }
-      void await_resume() {
-        if (child.promise().exception) std::rethrow_exception(child.promise().exception);
+        if constexpr (!std::is_void_v<T>) return std::move(*child.promise().value);
       }
     };
     return Awaiter{handle_};

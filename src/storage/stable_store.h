@@ -40,15 +40,6 @@ class StableStore {
     if (it == kv_.end()) return std::nullopt;
     return it->second;
   }
-  void erase(const std::string& key) { kv_.erase(key); }
-  [[nodiscard]] bool contains(const std::string& key) const { return kv_.contains(key); }
-  [[nodiscard]] std::size_t key_count() const { return kv_.size(); }
-
-  /// put() that charges the configured write latency to the calling fiber.
-  [[nodiscard]] sim::Task<> put_async(std::string key, Buffer value) {
-    co_await sched_.sleep_for(write_latency_);
-    put(key, std::move(value));
-  }
 
   // ---- checkpoint area (Atomic Execution) ----
 
@@ -84,9 +75,6 @@ class StableStore {
     if (it == vars_.end()) return std::nullopt;
     return it->second;
   }
-  void clear_var(const std::string& name) { vars_.erase(name); }
-
-  [[nodiscard]] sim::Duration write_latency() const { return write_latency_; }
   void set_write_latency(sim::Duration d) { write_latency_ = d; }
 
  private:

@@ -53,16 +53,9 @@ class Dispatcher {
     co_await it->second(args);
   }
 
-  /// Installs the dispatch procedure on the user protocol.  The Dispatcher
-  /// must outlive the UserProtocol (typically both are owned per-site and
-  /// rebuilt together on recovery).
-  void install(core::UserProtocol& user) {
-    user.set_procedure([this](OpId op, Buffer& args) { return dispatch(op, args); });
-  }
-
-  /// As install(), but the user protocol's procedure closure co-owns the
-  /// dispatcher -- convenient when the dispatcher is built inside an
-  /// AppSetup callback with no other home.
+  /// Installs the dispatch procedure on the user protocol.  The procedure's
+  /// closure co-owns the dispatcher, so a dispatcher built inside an
+  /// AppSetup callback needs no other home.
   static void install_owned(std::shared_ptr<Dispatcher> self, core::UserProtocol& user) {
     UGRPC_ASSERT(self != nullptr);
     Dispatcher& ref = *self;

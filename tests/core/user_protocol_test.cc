@@ -51,7 +51,6 @@ TEST(UserProtocol, ExecutionsCountEveryInvocation) {
 
 TEST(UserProtocol, StateHooksDefaultToEmpty) {
   UserProtocol user;
-  EXPECT_FALSE(user.has_state_hooks());
   EXPECT_TRUE(user.snapshot_state().empty());
   user.restore_state(Buffer{});  // no hook: must be a safe no-op
 }
@@ -66,7 +65,6 @@ TEST(UserProtocol, StateHooksRoundTrip) {
         return b;
       },
       [&state](const Buffer& b) { state = Reader(b).u64(); });
-  EXPECT_TRUE(user.has_state_hooks());
   const Buffer snap = user.snapshot_state();
   state = 99;
   user.restore_state(snap);

@@ -107,8 +107,7 @@ void check_one_timer_path(Transport& t, obs::Tracer& tracer,
     co_return;
   });
   obs::SiteTrace& st = tracer.site(kSender);
-  runtime::Framework fw(t, DomainId{1});
-  fw.set_site_trace(&st);
+  runtime::Framework fw(t, DomainId{1}, &st);
   static constexpr auto arm = [](Transport* tp, obs::SiteTrace* st, runtime::Framework* fw,
                                  Endpoint* ep, obs::SpanCtx* arming) -> sim::Task<> {
     *arming = st->open(tp->now(), obs::Kind::kCallIssued, obs::SpanCtx{42, 0}, 42);

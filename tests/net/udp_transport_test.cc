@@ -10,10 +10,15 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <set>
 #include <vector>
 
+#include "core/config_builder.h"
+#include "core/service.h"
+#include "core/site.h"
 #include "net/udp_transport.h"
 #include "net/wire.h"
+#include "obs/trace.h"
 
 namespace ugrpc::net {
 namespace {
@@ -210,6 +215,51 @@ TEST(UdpTransport, RunUntilFiberDoneHonoursTimeout) {
   }(ran), DomainId{1});
   EXPECT_TRUE(t.run_until_fiber_done(fiber, sim::seconds(2)));
   EXPECT_TRUE(ran);
+}
+
+// Bounded Termination over UDP: the deadline is taken from the transport's
+// clock, the one its timer runs on.  A fiber the wheel timer makes ready
+// runs before the executor's clock catches up with real time, so a deadline
+// read from the executor would find nothing expired, re-arm and fire late.
+TEST(UdpTransport, BoundedTerminationTimesOutOnTheTransportClock) {
+  constexpr ProcessId kServer{1};
+  constexpr ProcessId kClient{2};
+  constexpr GroupId kGroup{1};
+  UdpTransport t;
+  obs::Tracer tracer;
+  const core::Config config =
+      core::ConfigBuilder().termination_bound(sim::msec(100)).unreliable().build();
+  const std::set<ProcessId> known{kServer, kClient};
+  core::Site server(t, kServer, config, known);
+  core::Site client(t, kClient, config, known);
+  client.set_tracer(&tracer);
+  t.define_group(kGroup, {kServer});
+  server.set_app([](core::UserProtocol& user, core::Site& site) {
+    user.set_procedure([&site](OpId, Buffer&) -> sim::Task<> {
+      co_await site.scheduler().sleep_for(sim::seconds(1000));  // never returns
+    });
+  });
+  server.boot();
+  client.boot();
+
+  core::Client c(client);
+  Status status = Status::kWaiting;
+  const FiberId fiber = t.spawn(
+      [](core::Client& c, Status& status) -> sim::Task<> {
+        status = (co_await c.call(kGroup, OpId{1}, Buffer{})).status;
+      }(c, status),
+      client.domain());
+  const auto start = std::chrono::steady_clock::now();
+  const auto give_up = start + std::chrono::seconds(2);
+  while (t.executor().fiber_alive(fiber) && std::chrono::steady_clock::now() < give_up) {
+    t.poll_once(sim::msec(200));
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_EQ(status, Status::kTimeout);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(150));
+  EXPECT_EQ(tracer.count(obs::Kind::kTimerFired), 1u)
+      << "the deadline timer fires once";
 }
 
 /// Sends a raw pre-encoded frame at the given port from a throwaway socket

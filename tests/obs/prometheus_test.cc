@@ -59,9 +59,10 @@ TEST(PromEscape, EscapesBackslashQuoteNewline) {
 
 TEST(PromRender, CounterAndGaugeWithPrefix) {
   Registry reg;
-  reg.counter("calls.started").add(7);
-  // A count kept elsewhere, read at scrape time, is a counter too.
+  std::uint64_t started = 6;
+  reg.counter("calls.started", [&started] { return started; });
   reg.counter("msgs.sent", [] { return std::uint64_t{3}; });
+  ++started;  // read at scrape time
   const std::string out = render_prometheus(reg);
   EXPECT_TRUE(has_line(out, "# TYPE ugrpc_calls_started counter")) << out;
   EXPECT_TRUE(has_line(out, "ugrpc_calls_started 7")) << out;
@@ -74,7 +75,7 @@ TEST(PromRender, LossyNameKeepsOriginalInRawLabel) {
   Registry reg;
   // A group label with quote, backslash and newline -- the worst a
   // user-provided name can carry.
-  reg.counter("calls[\"evil\\name\n\"]").add(2);
+  reg.counter("calls[\"evil\\name\n\"]", [] { return std::uint64_t{2}; });
   const std::string out = render_prometheus(reg);
   EXPECT_TRUE(has_line(out, "ugrpc_calls__evil_name___{raw=\"calls[\\\"evil\\\\name\\n\\\"]\"} 2"))
       << out;
@@ -82,7 +83,7 @@ TEST(PromRender, LossyNameKeepsOriginalInRawLabel) {
 
 TEST(PromRender, LosslessNameGetsNoRawLabel) {
   Registry reg;
-  reg.counter("net.sent").add(1);
+  reg.counter("net.sent", [] { return std::uint64_t{1}; });
   const std::string out = render_prometheus(reg);
   EXPECT_EQ(out.find("raw="), std::string::npos) << out;
 }
@@ -125,10 +126,12 @@ TEST(PromRender, ScrapeBetweenFibersIsConsistentSnapshot) {
   // makes the live telemetry plane lock-free.
   sim::Scheduler sched;
   Registry reg;
-  Counter& a = reg.counter("a");
-  Counter& b = reg.counter("b");
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  reg.counter("a", [&a] { return a; });
+  reg.counter("b", [&b] { return b; });
 
-  sched.spawn([](sim::Scheduler& s, Counter& a, Counter& b) -> sim::Task<> {
+  sched.spawn([](sim::Scheduler& s, std::uint64_t& a, std::uint64_t& b) -> sim::Task<> {
     for (int i = 0; i < 200; ++i) {
       ++a;
       ++b;
@@ -150,7 +153,7 @@ TEST(PromRender, ScrapeBetweenFibersIsConsistentSnapshot) {
 
   sched.run_for(sim::msec(1));
   EXPECT_GT(scrapes, 50);
-  EXPECT_EQ(a.value(), 143u) << "1 ms / 7 us per iteration, first increment at t=0";
+  EXPECT_EQ(a, 143u) << "1 ms / 7 us per iteration, first increment at t=0";
 }
 
 }  // namespace

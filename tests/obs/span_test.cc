@@ -137,9 +137,8 @@ TEST(Span, EveryParentLinkResolvesAndNests) {
 TEST(Span, ReentrantTriggerNestsInnerChainUnderOuterHandler) {
   sim::Scheduler sched;
   net::Network net{sched};
-  runtime::Framework fw{net, DomainId{1}};
   obs::Tracer tracer;
-  fw.set_site_trace(&tracer.site(ProcessId{1}));
+  runtime::Framework fw{net, DomainId{1}, &tracer.site(ProcessId{1})};
   constexpr runtime::EventId kOuter{1};
   constexpr runtime::EventId kInner{2};
   fw.define_event(kOuter, "OUTER");
@@ -459,22 +458,6 @@ TEST(Span, LongRunningSiteKeepsItsNewestSpans) {
   EXPECT_GT(newest_seq, trace->events[trace->events.size() / 2].seq)
       << "spans.json must reach the newest half of trace.json";
   std::filesystem::remove_all(dir);
-}
-
-TEST(Span, ClearResetsSpans) {
-  obs::Tracer tracer;
-  (void)run_traced_call(tracer, core::ConfigBuilder::at_least_once().build());
-  ASSERT_FALSE(tracer.spans().empty());
-  obs::SiteTrace& client = tracer.site(ProcessId{4});
-  tracer.clear();
-  EXPECT_TRUE(tracer.spans().empty());
-  EXPECT_EQ(tracer.total_dropped(), 0u);
-  // The collector is reusable after clear(): ids restart from a fresh seq.
-  const SpanCtx sent = client.open(sim::Time{1}, Kind::kMsgSent, SpanCtx{1, 0});
-  EXPECT_EQ(sent.parent, obs::span_id(ProcessId{4}, 1));
-  client.close(sim::Time{2}, sent.parent);
-  ASSERT_EQ(tracer.spans().size(), 1u);
-  EXPECT_FALSE(tracer.spans().front().open());
 }
 
 TEST(Span, DisabledPathRecordsNothingAndPreservesBehaviour) {

@@ -84,19 +84,6 @@ TEST(Tracer, InternDeduplicatesAndResolves) {
   EXPECT_EQ(tracer.site(kSiteA).intern("RPCMain.msg_from_user"), a);
 }
 
-TEST(Tracer, ClearResetsEverything) {
-  Tracer tracer(/*per_site_capacity=*/2);
-  SiteTrace& s = tracer.site(kSiteA);
-  for (int i = 0; i < 5; ++i) s.record(0, Kind::kCallIssued);
-  tracer.clear();
-  EXPECT_EQ(tracer.merged().size(), 0u);
-  EXPECT_EQ(tracer.count(Kind::kCallIssued), 0u);
-  EXPECT_EQ(tracer.total_dropped(), 0u);
-  // The ring reference stays usable after clear.
-  s.record(0, Kind::kCallIssued);
-  EXPECT_EQ(tracer.merged().size(), 1u);
-}
-
 TEST(Tracer, DumpJsonNamesKindsAndFields) {
   Tracer tracer;
   SiteTrace& s = tracer.site(kSiteA);

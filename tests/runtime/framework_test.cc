@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "net/network.h"
-#include "obs/trace.h"
 #include "runtime/composite.h"
 #include "runtime/micro_protocol.h"
 #include "sim/sync.h"
@@ -206,28 +205,6 @@ TEST(FrameworkDeathTest, DefineEventAfterFirstTriggerAborts) {
   Fixture f;
   freeze(f, kPing);
   EXPECT_DEATH(f.fw.define_event(kPing, "PING"), "frozen");
-}
-
-TEST(Framework, SiteTraceAttachedAfterFreezeGetsItsOwnNames) {
-  // Name ids index one tracer's intern table; a trace attached to a frozen
-  // framework must see records named from its own table.
-  Fixture f;
-  obs::Tracer first;
-  obs::Tracer second;
-  (void)second.intern("shifts every id the second tracer hands out");
-  f.fw.set_site_trace(&first.site(ProcessId{1}));
-  f.fw.define_event(kPing, "PING");
-  f.fw.register_handler(kPing, "Ping.h", 1, [](EventContext&) -> sim::Task<> { co_return; });
-  freeze(f, kPing);
-  f.fw.set_site_trace(&second.site(ProcessId{1}));
-  freeze(f, kPing);
-  std::vector<std::string> names;
-  for (const obs::Event& e : second.site(ProcessId{1}).events()) {
-    if (e.kind == obs::Kind::kEventTriggered || e.kind == obs::Kind::kEventHandled) {
-      names.push_back(second.name(e.name));
-    }
-  }
-  EXPECT_EQ(names, std::vector<std::string>({"PING", "Ping.h"}));
 }
 
 TEST(Framework, KilledDomainLetsTheFrameworkGoWhileAHandlerIsBlocked) {

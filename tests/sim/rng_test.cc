@@ -59,14 +59,6 @@ TEST(Rng, BernoulliFrequencyRoughlyMatchesP) {
   EXPECT_NEAR(freq, 0.3, 0.01);
 }
 
-TEST(Rng, ExponentialMeanRoughlyMatches) {
-  Rng rng(5);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / n, 4.0, 0.1);
-}
-
 TEST(Rng, ForkProducesIndependentStream) {
   Rng parent(42);
   Rng child = parent.fork();

@@ -240,10 +240,23 @@ TEST(Scheduler, SpawnFromInsideFiber) {
   EXPECT_EQ(out, std::vector<int>({1, 2}));
 }
 
+/// Re-queues the awaiting fiber at the back of the ready list.
+struct Requeue {
+  Scheduler& sched;
+  ScheduleNode node;
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    node.handle = h;
+    node.fiber = sched.current_fiber();
+    sched.make_ready(node);
+  }
+  void await_resume() const noexcept {}
+};
+
 Task<> yielder(Scheduler& sched, std::vector<int>& out, int tag, int rounds) {
   for (int i = 0; i < rounds; ++i) {
     out.push_back(tag);
-    co_await sched.yield();
+    co_await Requeue{sched, {}};
   }
 }
 
