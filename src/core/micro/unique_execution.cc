@@ -46,12 +46,11 @@ void UniqueExecution::queue_ack(ProcessId dest, std::uint64_t id) {
 }
 
 void UniqueExecution::flush_acks() {
-  // Take the queue wholesale: retransmission piggybacking may have already
-  // consumed some ids (take_piggyback_ack), which is why the queue lives in
-  // the shared state rather than here.
-  auto pending = std::move(state_.pending_acks);
-  state_.pending_acks.clear();
-  for (auto& [dest, ids] : pending) {
+  // Drain every destination's queue in place.  The queue lives in the shared
+  // state because retransmission piggybacking may already have consumed some
+  // ids (take_piggyback_ack).  Clearing a drained queue rather than erasing
+  // it keeps the map node and the vector's capacity for the next batch.
+  for (auto& [dest, ids] : state_.pending_acks) {
     if (ids.empty()) continue;
     net::NetMessage ack;
     ack.type = net::MsgType::kAck;
@@ -60,6 +59,7 @@ void UniqueExecution::flush_acks() {
     ack.ackid = ids.front();
     ack.args = net::encode_ack_batch(std::span(ids).subspan(1));
     state_.net_push(dest, ack);
+    ids.clear();
     ++ack_messages_sent_;
   }
 }

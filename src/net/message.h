@@ -70,7 +70,12 @@ struct NetMessage {
 };
 
 inline Buffer NetMessage::encode() const {
+  // The exact encoded size up front: 33 B of fixed fields, the args' 4 B
+  // length prefix and the args.  Growing the buffer field by field would
+  // reallocate (and re-copy the args) several times per message.
+  constexpr std::size_t kFixedBytes = 1 + 8 + 4 + 4 + 4 + 4 + 4 + 8;
   Buffer out;
+  out.reserve(kFixedBytes + args.size());
   Writer w(out);
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(id.value());

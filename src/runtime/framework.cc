@@ -29,7 +29,7 @@ Framework::Chain& Framework::mutable_chain(EventId event) {
   return chains_[event.value()];
 }
 
-std::uint32_t Framework::intern(const std::string& name) const {
+std::uint32_t Framework::intern(std::string_view name) const {
   return site_trace_ != nullptr ? site_trace_->intern(name) : 0;
 }
 
@@ -105,7 +105,8 @@ sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
   co_return finish(true);
 }
 
-TimerId Framework::register_timeout(std::string name, sim::Duration delay, TimeoutHandler fn) {
+TimerId Framework::register_timeout(std::string_view name, sim::Duration delay,
+                                    TimeoutHandler fn) {
   UGRPC_ASSERT(fn != nullptr);
   // The id is assigned by the scheduler; the callback fires exactly once and
   // spawns a fresh fiber, so a timeout handler is a thread of control of its
@@ -128,7 +129,7 @@ TimerId Framework::register_timeout(std::string name, sim::Duration delay, Timeo
     co_await a->fn();
     if (st != nullptr) st->close(tp->now(), ctx.parent);
   };
-  const std::uint32_t name_id = site_trace_ ? site_trace_->intern(name) : 0;
+  const std::uint32_t name_id = intern(name);
   obs::SpanCtx armed_ctx;
   if (site_trace_) armed_ctx = transport_.executor().ambient();
   const TimerId id = transport_.schedule_after(

@@ -44,6 +44,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -105,7 +106,9 @@ class Framework {
 
   /// One-shot timeout (see file comment).  Returns the timer id; cancel with
   /// cancel_timeout().
-  TimerId register_timeout(std::string name, sim::Duration delay, TimeoutHandler fn);
+  /// `name` labels the timer in the site trace; it is read only when
+  /// tracing is on, and not kept.
+  TimerId register_timeout(std::string_view name, sim::Duration delay, TimeoutHandler fn);
   void cancel_timeout(TimerId id);
   /// Timeouts armed and neither fired nor cancelled yet.
   [[nodiscard]] std::size_t live_timeouts() const { return live_timeouts_.size(); }
@@ -155,7 +158,7 @@ class Framework {
   /// frozen yet.
   Chain& mutable_chain(EventId event);
   /// `name` interned in the site trace, 0 when tracing is off.
-  [[nodiscard]] std::uint32_t intern(const std::string& name) const;
+  [[nodiscard]] std::uint32_t intern(std::string_view name) const;
 
   /// A registered timeout: its handler and the id the transport gave it.
   struct Armed {

@@ -15,10 +15,18 @@
 //  * Awaiters that park in wait queues unlink themselves on destruction
 //    (see intrusive_list.h), so destroying a suspended chain never leaves a
 //    dangling queue entry.
+//  * A destroyed frame's memory goes back to the frame pool (FramePool
+//    below), a per-thread free list per size class, and the next frame of
+//    that class reuses it.  The pool owns only free blocks, never a live
+//    frame, so none of the rules above depend on it.  Under
+//    AddressSanitizer it is compiled out: every frame is freed to ASan, whose
+//    quarantine turns a use of a destroyed frame into a report.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -32,7 +40,91 @@ class Scheduler;
 
 namespace detail {
 
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kFramePoolEnabled = false;
+#else
+inline constexpr bool kFramePoolEnabled = true;
+#endif
+
+/// Recycles coroutine frames.  A frame of up to kMaxPooled bytes is rounded
+/// up to a multiple of kGranule, its size class, and when it is destroyed
+/// its block goes onto the calling thread's free list for that class; the
+/// next frame of the class takes it from there.  Larger frames go straight
+/// to global new and delete.  A thread's lists are only ever touched by that
+/// thread, so they need no lock.  Blocks carry no owner, which makes
+/// cross-thread frees safe by construction: a frame destroyed on another
+/// thread than the one that made it joins the destroying thread's lists, or
+/// goes to global delete if that thread never made a frame.  When a thread
+/// exits its lists are freed; a frame destroyed after that, by a later
+/// thread-exit or static destructor, goes straight to global delete.
+class FramePool {
+ public:
+  static constexpr std::size_t kGranule = 64;
+  static constexpr std::size_t kMaxPooled = 2048;
+
+  [[nodiscard]] static void* allocate(std::size_t n) {
+    if (n > kMaxPooled) return ::operator new(n);
+    const std::size_t c = size_class(n);
+    if (Block* b = lists_.head[c]) {
+      lists_.head[c] = b->next;
+      return b;
+    }
+    if (lists_.state == State::kUnused) adopt_thread();
+    return ::operator new(class_bytes(c));
+  }
+
+  static void deallocate(void* p, std::size_t n) noexcept {
+    if (n > kMaxPooled) {
+      ::operator delete(p, n);
+      return;
+    }
+    const std::size_t c = size_class(n);
+    if (lists_.state != State::kLive) {
+      ::operator delete(p, class_bytes(c));
+      return;
+    }
+    lists_.head[c] = ::new (p) Block{lists_.head[c]};
+  }
+
+  /// Blocks on the calling thread's free lists.
+  [[nodiscard]] static std::size_t cached() noexcept;
+
+ private:
+  static constexpr std::size_t kClasses = kMaxPooled / kGranule;
+
+  struct Block {
+    Block* next;
+  };
+  /// kUnused until the thread's first pooled allocation, kGone once the
+  /// thread's exit has freed its lists.
+  enum class State : unsigned char { kUnused, kLive, kGone };
+  struct Lists {
+    Block* head[kClasses];
+    State state;
+  };
+
+  [[nodiscard]] static constexpr std::size_t size_class(std::size_t n) {
+    return (n - 1) / kGranule;
+  }
+  [[nodiscard]] static constexpr std::size_t class_bytes(std::size_t c) {
+    return (c + 1) * kGranule;
+  }
+  /// Arms the thread-exit hook that frees this thread's lists.
+  static void adopt_thread();
+  static void release_thread() noexcept;
+
+  // Constant-initialised and trivially destructible, so it is usable from
+  // the first allocation to the last destructor of the thread.
+  static inline constinit thread_local Lists lists_{};
+};
+
 struct PromiseBase {
+#if !defined(__SANITIZE_ADDRESS__)
+  // Every Task's frame comes from, and returns to, the frame pool.
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept { FramePool::deallocate(p, n); }
+#endif
+
   /// Coroutine to resume when this one finishes (the awaiting parent).
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;

@@ -1,10 +1,15 @@
-// Unit tests for Task<T> value/exception propagation and move semantics.
+// Unit tests for Task<T> value/exception propagation and move semantics,
+// and for the coroutine frame pool.
 #include "sim/task.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "sim/scheduler.h"
 #include "sim/sync.h"
@@ -150,6 +155,127 @@ TEST(Task, KillUnwindsNestedFrames) {
   EXPECT_EQ(unwound, 3) << "all three frames' locals must be destroyed";
   sem.release();
   sched.run();  // must not resume destroyed frames
+}
+
+// ---- coroutine frame pool ----
+
+using detail::FramePool;
+
+/// A coroutine whose frame holds N bytes of locals, so N picks its size
+/// class.  Only its address matters: it is created, never run.
+template <std::size_t N>
+Task<> padded() {
+  std::array<std::byte, N> pad{};
+  co_await std::suspend_always{};
+  static_cast<void>(*static_cast<volatile std::byte*>(&pad[N - 1]));
+}
+
+class TaskFramePool : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!detail::kFramePoolEnabled) {
+      GTEST_SKIP() << "AddressSanitizer build: the frame pool is compiled out "
+                      "(Task.FramePoolIsOffUnderAddressSanitizer covers it)";
+    }
+  }
+};
+
+TEST_F(TaskFramePool, DestroyedFrameIsReusedBySameSizeClass) {
+  void* first = nullptr;
+  {
+    const Task<> t = padded<16>();
+    first = t.handle().address();
+  }
+  const Task<> again = padded<16>();
+  EXPECT_EQ(again.handle().address(), first);
+}
+
+TEST_F(TaskFramePool, SizeClassesKeepSeparateLists) {
+  void* small = nullptr;
+  {
+    const Task<> t = padded<16>();
+    small = t.handle().address();
+  }
+  // A frame of another class must not take the small frame's block...
+  const Task<> large = padded<1024>();
+  EXPECT_NE(large.handle().address(), small);
+  // ...which stays on its own list for the next small frame.
+  const Task<> small_again = padded<16>();
+  EXPECT_EQ(small_again.handle().address(), small);
+}
+
+TEST_F(TaskFramePool, FrameAboveLargestClassBypassesPool) {
+  { const Task<> warm = padded<16>(); }
+  const std::size_t before = FramePool::cached();
+  {
+    const Task<> huge = padded<2 * FramePool::kMaxPooled>();
+    EXPECT_EQ(FramePool::cached(), before) << "a huge frame must not come from a list";
+  }
+  EXPECT_EQ(FramePool::cached(), before) << "a huge frame must not be kept on a list";
+}
+
+// Killing a domain destroys every fiber's whole await chain; each frame of
+// each chain must come back to the pool.
+TEST_F(TaskFramePool, KillDomainReturnsEveryFrame) {
+  constexpr DomainId kDomain{7};
+  constexpr int kFibers = 4;
+  Scheduler sched;
+  Semaphore sem(sched, 0);
+  int unwound = 0;
+  const auto spawn_chains = [&] {
+    for (int i = 0; i < kFibers; ++i) sched.spawn(root(sem, &unwound), kDomain);
+    sched.run();
+  };
+  // The first round may find the lists short and allocate; after its kill
+  // the lists hold every frame the round needs.
+  spawn_chains();
+  sched.kill_domain(kDomain);
+  const std::size_t cached = FramePool::cached();
+  spawn_chains();
+  EXPECT_EQ(FramePool::cached(), cached - 3 * kFibers) << "root, mid and leaf of every fiber";
+  sched.kill_domain(kDomain);
+  EXPECT_EQ(FramePool::cached(), cached);
+  EXPECT_EQ(unwound, 2 * 3 * kFibers);
+}
+
+// A frame destroyed after its thread's pool was freed (by a thread_local
+// destructor that runs after the pool's) goes to global delete: no crash,
+// and no block left on a list that nothing will free.
+TEST(Task, FrameFreedAfterThreadPoolIsGoneIsSafe) {
+  std::atomic<std::size_t> cached_after_exit{~std::size_t{0}};
+  std::thread([&cached_after_exit] {
+    struct Holder {
+      Task<> task;
+      std::atomic<std::size_t>* out = nullptr;
+      ~Holder() {
+        task = Task<>();
+        if (out != nullptr) *out = FramePool::cached();
+      }
+    };
+    // Constructed before this thread's first frame arms the pool's exit
+    // hook, so destroyed after the hook has freed the lists.
+    static thread_local Holder holder;
+    holder.out = &cached_after_exit;
+    { const Task<> first = padded<16>(); }
+    holder.task = padded<16>();
+  }).join();
+  EXPECT_EQ(cached_after_exit.load(), 0u);
+}
+
+TEST(Task, FramePoolIsOffUnderAddressSanitizer) {
+  if (detail::kFramePoolEnabled) {
+    GTEST_SKIP() << "frame pool build: this check runs in the AddressSanitizer build";
+  }
+  // ASan's quarantine holds a freed frame back, so a recycled-size frame
+  // gets a fresh address -- unless a pool handed the freed block back.
+  void* first = nullptr;
+  {
+    const Task<> t = padded<16>();
+    first = t.handle().address();
+  }
+  const Task<> again = padded<16>();
+  EXPECT_NE(again.handle().address(), first);
+  EXPECT_EQ(FramePool::cached(), 0u);
 }
 
 }  // namespace
