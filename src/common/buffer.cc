@@ -86,8 +86,8 @@ std::string Reader::str() {
 Buffer Reader::raw() {
   const std::uint32_t len = u32();
   require(len);
-  Buffer b;
-  b.append(data_.subspan(pos_, len));
+  Buffer b = source_ != nullptr ? source_->slice(pos_, len)
+                                : Buffer::copy_of(data_.subspan(pos_, len));
   pos_ += len;
   return b;
 }

@@ -113,25 +113,27 @@ sim::Task<> AtomicExecution::handle_reply(runtime::EventContext&) {
 std::vector<AtomicExecution::ChainRecord> AtomicExecution::load_chain(
     const storage::StableStore& store, storage::StableAddress newest) {
   std::vector<ChainRecord> chain;
-  std::optional<storage::StableAddress> at = newest;
+  // Addresses start at 1; a base record's prev of 0 ends the chain.
+  storage::StableAddress at = newest;
   try {
-    while (at.has_value()) {
-      const std::optional<Buffer> stored = store.load_checkpoint(*at);
+    do {
+      const std::optional<Buffer> stored = store.load_checkpoint(at);
       UGRPC_ASSERT(stored.has_value() && "checkpoint chain: record missing");
       Reader r(*stored);
-      ChainRecord rec{*at, stored->size(), {}, {}};
+      ChainRecord rec{at, stored->size(), {}, {}};
       const std::uint64_t prev = r.u64();
       // Addresses grow with every write, so a predecessor is always older;
       // this also rules out cycles.
       UGRPC_ASSERT(prev < rec.addr.value() && "checkpoint chain: corrupt prev");
-      at.reset();
-      if (prev != 0) at = storage::StableAddress{prev};
-      rec.user_state = r.raw();
+      at = storage::StableAddress{prev};
+      // The application's restore hook may keep the state it is given; a
+      // copy does not pin the whole record.  The parts are read and dropped.
+      rec.user_state = Buffer::copy_of(r.raw().bytes());
       const std::uint32_t n = r.u32();
       for (std::uint32_t i = 0; i < n; ++i) rec.parts.push_back(r.raw());
       UGRPC_ASSERT(r.at_end() && "checkpoint chain: trailing bytes");
       chain.push_back(std::move(rec));
-    }
+    } while (at.value() != 0);
   } catch (const CodecError&) {
     UGRPC_ASSERT(false && "checkpoint chain: truncated record");
   }

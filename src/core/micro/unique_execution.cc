@@ -133,7 +133,9 @@ void UniqueExecution::decode_state(Reader& r) {
   const std::uint32_t n_results = r.u32();
   for (std::uint32_t i = 0; i < n_results; ++i) {
     const CallId id{r.u64()};
-    old_results_[id] = r.raw();
+    // A copy, not a slice: a slice would keep the whole checkpoint part
+    // alive for as long as any one result stays in the table.
+    old_results_[id] = Buffer::copy_of(r.raw().bytes());
   }
 }
 
@@ -155,7 +157,7 @@ void UniqueExecution::apply_delta(Reader& r) {
     const CallId id{r.u64()};
     switch (op) {
       case Change::kCallSeen: old_calls_.insert(id); break;
-      case Change::kResultStored: old_results_[id] = r.raw(); break;
+      case Change::kResultStored: old_results_[id] = Buffer::copy_of(r.raw().bytes()); break;
       case Change::kResultFreed: old_results_.erase(id); break;
       default: throw CodecError("Unique Execution: bad checkpoint journal op");
     }

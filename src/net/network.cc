@@ -56,8 +56,13 @@ void Network::transmit(const Endpoint& from, ProcessId to, ProtocolId proto,
 }
 
 void Network::schedule_delivery(Packet packet, sim::Duration delay) {
-  executor().schedule_after(
-      delay, [this, packet = std::move(packet)]() mutable { deliver(std::move(packet)); });
+  const auto [id, slot] = in_flight_.insert();
+  slot = std::move(packet);
+  executor().schedule_after(delay, [this, id] {
+    Packet arrived = std::move(*in_flight_.find(id));
+    in_flight_.erase(id);
+    deliver(std::move(arrived));
+  });
 }
 
 }  // namespace ugrpc::net

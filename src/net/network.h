@@ -28,12 +28,18 @@
 //
 // Fault injection is set on the Network itself; protocol layers take it as
 // a net::Transport& and never name Network directly.
+//
+// A packet in flight waits in a slot of the Network (common/slot_table.h),
+// and its delivery timer's callback names only the Network and the slot,
+// so it fits std::function's local buffer: sending a copy allocates
+// nothing once the slots have grown to the peak number in flight.
 #pragma once
 
 #include <map>
 #include <utility>
 
 #include "common/ids.h"
+#include "common/slot_table.h"
 #include "net/fault.h"
 #include "net/transport.h"
 #include "sim/rng.h"
@@ -51,6 +57,9 @@ class Network final : public Transport {
   /// first use.  Mutations apply to packets sent afterwards.
   FaultSpec& link(ProcessId from, ProcessId to);
 
+  /// Packet slots ever used: the peak number of packets in flight at once.
+  [[nodiscard]] std::size_t in_flight_slot_count() const { return in_flight_.slot_count(); }
+
  private:
   [[nodiscard]] bool routable(ProcessId to) const override { return attached(to); }
   void transmit(const Endpoint& from, ProcessId to, ProtocolId proto, const Buffer& payload,
@@ -61,6 +70,7 @@ class Network final : public Transport {
   sim::Rng rng_;
   FaultSpec default_faults_;
   std::map<std::pair<ProcessId, ProcessId>, FaultSpec> link_faults_;
+  SlotTable<Packet> in_flight_;
 };
 
 }  // namespace ugrpc::net

@@ -1,7 +1,6 @@
 #include "runtime/framework.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "common/assert.h"
@@ -15,7 +14,7 @@ Framework::Framework(net::Transport& transport, DomainId domain, obs::SiteTrace*
 Framework::~Framework() {
   // A destroyed framework (crashed site) must not leave timers behind: their
   // callbacks capture `this`.
-  for (TimerId id : live_timeouts_) transport_.cancel_timer(id);
+  armed_.for_each([&](std::uint64_t, const Armed& a) { transport_.cancel_timer(a.timer); });
 }
 
 Framework::Chain& Framework::mutable_chain(EventId event) {
@@ -51,11 +50,6 @@ void Framework::register_handler(EventId event, std::string handler_name, int pr
       [](int prio, const Registration& r) { return prio < r.priority; });
   const std::uint32_t name_id = intern(handler_name);
   handlers.insert(pos, Registration{std::move(handler_name), priority, std::move(fn), name_id});
-}
-
-void Framework::deregister(EventId event, const std::string& handler_name) {
-  std::erase_if(mutable_chain(event).handlers,
-                [&](const Registration& r) { return r.name == handler_name; });
 }
 
 sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
@@ -108,58 +102,66 @@ sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
 TimerId Framework::register_timeout(std::string_view name, sim::Duration delay,
                                     TimeoutHandler fn) {
   UGRPC_ASSERT(fn != nullptr);
-  // The id is assigned by the scheduler; the callback fires exactly once and
-  // spawns a fresh fiber, so a timeout handler is a thread of control of its
-  // own and may block like any event handler.
-  // The armed record also carries the timer id, filled in below, so the
-  // fire callback can drop it from live_timeouts_.
-  auto armed = std::make_shared<Armed>(Armed{std::move(fn), TimerId{}});
-  // The wrapper coroutine keeps the handler object alive for as long as the
-  // handler body runs: coroutine parameters are copied into the frame,
+  const auto [slot_id, armed] = armed_.insert();
+  const TimerId id{slot_id};
+  armed.fn = std::move(fn);
+  armed.name_id = intern(name);
+  armed.armed_ctx = site_trace_ ? transport_.executor().ambient() : obs::SpanCtx{};
+  // The callback fires exactly once and spawns a fresh fiber, so a timeout
+  // handler is a thread of control of its own and may block like any event
+  // handler.  Neither transport fires a timer before schedule_after returns.
+  armed.timer = transport_.schedule_after(delay, [this, id] { fire_timeout(id); }, domain_);
+  // Trace records name the transport's timer: unlike the framework's id,
+  // it is unique across all the sites on one transport.
+  if (site_trace_) {
+    site_trace_->record(transport_.now(), obs::Kind::kTimerArmed, 0, armed.timer.value(),
+                        static_cast<std::uint64_t>(delay), armed.name_id);
+  }
+  return id;
+}
+
+void Framework::fire_timeout(TimerId id) {
+  // The wrapper coroutine owns the handler object for as long as the
+  // handler body runs: coroutine parameters are moved into the frame,
   // whereas the closure that a std::function invocation runs on is not.
   // It also makes the timer's span (opened by the kTimerFired record,
   // parented to the context that *armed* the timer) the handler fiber's
   // ambient context -- so a retransmission timer's sends stay on the call's
   // trace -- and closes the span when the handler returns.
-  // The wrapper captures the transport and the site trace rather than the
+  // The wrapper takes the transport and the site trace rather than the
   // framework: both outlive any fiber of this domain, the framework may not.
-  static constexpr auto invoke = [](net::Transport* tp, obs::SiteTrace* st,
-                                    std::shared_ptr<Armed> a, obs::SpanCtx ctx) -> sim::Task<> {
+  static constexpr auto invoke = [](net::Transport* tp, obs::SiteTrace* st, TimeoutHandler fn,
+                                    obs::SpanCtx ctx) -> sim::Task<> {
     if (st != nullptr) tp->executor().set_ambient(ctx);
-    co_await a->fn();
+    co_await fn();
     if (st != nullptr) st->close(tp->now(), ctx.parent);
   };
-  const std::uint32_t name_id = intern(name);
-  obs::SpanCtx armed_ctx;
-  if (site_trace_) armed_ctx = transport_.executor().ambient();
-  const TimerId id = transport_.schedule_after(
-      delay,
-      [this, armed, name_id, armed_ctx]() {
-        // A fired timer is no longer live: cancelling it later is a no-op.
-        live_timeouts_.erase(armed->id);
-        obs::SpanCtx ctx;
-        if (site_trace_) {
-          // The name identifies the timer class.
-          ctx = site_trace_->open(transport_.now(), obs::Kind::kTimerFired, armed_ctx, 0, 0, 0,
-                                  name_id);
-        }
-        transport_.spawn(invoke(&transport_, site_trace_, armed, ctx), domain_);
-      },
-      domain_);
-  // Neither transport fires a timer before schedule_after returns.
-  armed->id = id;
-  live_timeouts_.insert(id);
+  Armed* armed = armed_.find(id.value());
+  UGRPC_ASSERT(armed != nullptr && "a cancelled timeout's transport timer fired");
+  // A fired timer is no longer live: cancelling it later is a no-op.
+  TimeoutHandler fn = std::move(armed->fn);
+  armed->fn = nullptr;
+  obs::SpanCtx ctx;
   if (site_trace_) {
-    site_trace_->record(transport_.now(), obs::Kind::kTimerArmed, 0, id.value(),
-                        static_cast<std::uint64_t>(delay), name_id);
+    // The name identifies the timer class.
+    ctx = site_trace_->open(transport_.now(), obs::Kind::kTimerFired, armed->armed_ctx, 0, 0, 0,
+                            armed->name_id);
   }
-  return id;
+  armed_.erase(id.value());
+  transport_.spawn(invoke(&transport_, site_trace_, std::move(fn), ctx), domain_);
 }
 
 void Framework::cancel_timeout(TimerId id) {
-  transport_.cancel_timer(id);
-  if (live_timeouts_.erase(id) > 0 && site_trace_) {
-    site_trace_->record(transport_.now(), obs::Kind::kTimerCancelled, 0, id.value());
+  Armed* armed = armed_.find(id.value());
+  if (armed == nullptr) return;
+  const TimerId timer = armed->timer;
+  transport_.cancel_timer(timer);
+  // The handler is destroyed after its slot is free (see cancel_timer).
+  const TimeoutHandler fn = std::move(armed->fn);
+  armed->fn = nullptr;
+  armed_.erase(id.value());
+  if (site_trace_) {
+    site_trace_->record(transport_.now(), obs::Kind::kTimerCancelled, 0, timer.value());
   }
 }
 

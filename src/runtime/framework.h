@@ -1,7 +1,9 @@
 // The micro-protocol runtime framework (paper section 3).
 //
-// Provides the four operations the paper defines for micro-protocols --
-// register, trigger, deregister, cancel_event -- plus TIMEOUT registration:
+// Provides the operations the paper defines for micro-protocols --
+// register, trigger, cancel_event -- plus TIMEOUT registration.  The paper's
+// fourth, deregister, is left out: a configuration is static, so it simply
+// does not register what it does not use.
 //
 //  * register_handler(event, name, priority, fn): invoke `fn` whenever
 //    `event` is triggered.  Handlers for one event run *sequentially and
@@ -20,7 +22,12 @@
 //    after registration, in a fresh fiber; unlike ordinary registrations it
 //    fires once and is gone (paper: "executed only once after the timeout
 //    period has expired").  Cancelled automatically if the framework is
-//    destroyed first (site crash).
+//    destroyed first (site crash).  Each armed timeout waits in a slot
+//    (common/slot_table.h) holding its handler, the transport's timer id
+//    and what its trace records need; the id register_timeout returns names
+//    that slot, and the transport's callback names only the framework and
+//    the slot.  Arming a timeout allocates nothing once the slots have grown
+//    to the peak number armed at once.
 //
 // The handler table is frozen at the first trigger().  The paper's
 // configurations are fixed before a composite runs: every micro-protocol
@@ -28,8 +35,8 @@
 // is built once and then only read.  It is one chain per event, indexed by
 // the event id (ids are small and dense).  Each chain holds its handlers by
 // value in (priority, registration) order, plus the names trigger()
-// reports.  After the first trigger, register_handler, deregister and
-// define_event are checked errors, and trigger() walks a chain that can
+// reports.  After the first trigger, register_handler and define_event are
+// checked errors, and trigger() walks a chain that can
 // never change under it: no lookup, no snapshot, no liveness check.
 //
 // Ownership: handler closures live in the framework, and a running handler
@@ -45,10 +52,10 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.h"
+#include "common/slot_table.h"
 #include "net/transport.h"
 #include "obs/trace.h"
 #include "runtime/event.h"
@@ -94,24 +101,21 @@ class Framework {
     register_handler(event, std::move(handler_name), kDefaultPriority, std::move(fn));
   }
 
-  /// Paper-style deregistration by (event, handler name); a no-op when no
-  /// handler matches.  Not allowed once the table is frozen.
-  void deregister(EventId event, const std::string& handler_name);
-
   /// Invokes every handler registered for `event`, in priority order,
   /// sequentially, awaiting each (blocking sequential invocation).  Returns
   /// true if the chain ran to completion, false if a handler cancelled it.
   /// The first call freezes the handler table.
   sim::Task<bool> trigger(EventId event, EventArg arg = {});
 
-  /// One-shot timeout (see file comment).  Returns the timer id; cancel with
-  /// cancel_timeout().
+  /// One-shot timeout (see file comment).  Returns the timeout's id, which
+  /// only cancel_timeout() takes (it is not the transport's timer id).
   /// `name` labels the timer in the site trace; it is read only when
   /// tracing is on, and not kept.
   TimerId register_timeout(std::string_view name, sim::Duration delay, TimeoutHandler fn);
+  /// No-op for a timeout that fired or was cancelled, and for TimerId{}.
   void cancel_timeout(TimerId id);
   /// Timeouts armed and neither fired nor cancelled yet.
-  [[nodiscard]] std::size_t live_timeouts() const { return live_timeouts_.size(); }
+  [[nodiscard]] std::size_t live_timeouts() const { return armed_.size(); }
 
   [[nodiscard]] net::Transport& transport() { return transport_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return transport_.executor(); }
@@ -160,17 +164,22 @@ class Framework {
   /// `name` interned in the site trace, 0 when tracing is off.
   [[nodiscard]] std::uint32_t intern(std::string_view name) const;
 
-  /// A registered timeout: its handler and the id the transport gave it.
+  /// An armed timeout.
   struct Armed {
     TimeoutHandler fn;
-    TimerId id;
+    TimerId timer;           ///< the transport's id
+    std::uint32_t name_id;   ///< its name interned in the site trace
+    obs::SpanCtx armed_ctx;  ///< the ambient context that armed it
   };
+
+  /// The transport's callback: frees the slot and runs the handler.
+  void fire_timeout(TimerId id);
 
   net::Transport& transport_;
   DomainId domain_;
   std::vector<Chain> chains_;  ///< indexed by EventId value
   bool frozen_ = false;        ///< set by the first trigger()
-  std::unordered_set<TimerId> live_timeouts_;
+  SlotTable<Armed> armed_;
   TraceObserver trace_;
   obs::SiteTrace* const site_trace_;
 };

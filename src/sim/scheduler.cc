@@ -12,15 +12,15 @@ Scheduler::Scheduler(std::uint64_t seed) : rng_(seed) {}
 Scheduler::~Scheduler() {
   // Destroy remaining fibers explicitly; their awaiter destructors unlink
   // from ready_/timer queues, which must still be alive here.
-  fibers_.clear();
+  std::vector<FiberId> remaining;
+  fibers_.for_each([&](std::uint64_t id, FiberState&) { remaining.push_back(FiberId{id}); });
+  for (FiberId id : remaining) kill(id);
 }
 
 FiberId Scheduler::spawn(Task<> task, DomainId domain) {
   UGRPC_ASSERT(task.valid());
-  const FiberId fiber{next_fiber_++};
-  auto [it, inserted] = fibers_.try_emplace(fiber);
-  UGRPC_ASSERT(inserted);
-  FiberState& state = it->second;
+  const auto [id, state] = fibers_.insert();
+  const FiberId fiber{id};
   state.task = std::move(task);
   state.domain = domain;
   auto handle = state.task.handle();
@@ -32,80 +32,96 @@ FiberId Scheduler::spawn(Task<> task, DomainId domain) {
   return fiber;
 }
 
+void Scheduler::release_fiber(FiberId fiber, FiberState& state) {
+  // The slot is free before the chain is destroyed, as a map entry was
+  // gone before its value: fiber_alive(fiber) is false from the chain's
+  // destructors on.  Destroying the Task destroys the whole coroutine chain;
+  // intrusive nodes unlink from ready_/wait queues.
+  Task<> task = std::move(state.task);
+  state.start_node.unlink();
+  state.ambient = {};
+  fibers_.erase(fiber.value());
+}
+
 void Scheduler::kill(FiberId fiber) {
   UGRPC_ASSERT(fiber != current_fiber_ && "a fiber cannot kill itself");
-  // Erasing the FiberState destroys the Task, which destroys the whole
-  // coroutine chain; intrusive nodes unlink from ready_/wait queues.
-  fibers_.erase(fiber);
+  if (FiberState* state = fibers_.find(fiber.value())) release_fiber(fiber, *state);
 }
 
 void Scheduler::kill_domain(DomainId domain) {
   std::vector<FiberId> victims;
-  victims.reserve(fibers_.size());
-  for (const auto& [id, state] : fibers_) {
-    if (state.domain == domain) victims.push_back(id);
-  }
+  fibers_.for_each([&](std::uint64_t id, const FiberState& state) {
+    if (state.domain == domain) victims.push_back(FiberId{id});
+  });
   for (FiberId id : victims) kill(id);
 
   std::vector<TimerId> dead_timers;
-  for (const auto& [id, rec] : timers_) {
-    if (rec.domain == domain) dead_timers.push_back(id);
-  }
+  timers_.for_each([&](std::uint64_t id, const TimerRecord& rec) {
+    if (rec.domain == domain) dead_timers.push_back(TimerId{id});
+  });
   for (TimerId id : dead_timers) cancel_timer(id);
 }
 
 DomainId Scheduler::current_domain() const {
-  auto it = fibers_.find(current_fiber_);
-  return it != fibers_.end() ? it->second.domain : kGlobalDomain;
+  const FiberState* state = fibers_.find(current_fiber_.value());
+  return state != nullptr ? state->domain : kGlobalDomain;
 }
 
 obs::SpanCtx Scheduler::ambient() const {
-  auto it = fibers_.find(current_fiber_);
-  return it != fibers_.end() ? it->second.ambient : obs::SpanCtx{};
+  const FiberState* state = fibers_.find(current_fiber_.value());
+  return state != nullptr ? state->ambient : obs::SpanCtx{};
 }
 
 void Scheduler::set_ambient(const obs::SpanCtx& ctx) {
-  auto it = fibers_.find(current_fiber_);
-  UGRPC_ASSERT(it != fibers_.end() && "set_ambient outside a fiber");
-  it->second.ambient = ctx;
+  FiberState* state = fibers_.find(current_fiber_.value());
+  UGRPC_ASSERT(state != nullptr && "set_ambient outside a fiber");
+  state->ambient = ctx;
 }
 
 TimerId Scheduler::schedule_after(Duration delay, std::function<void()> fn, DomainId domain) {
   UGRPC_ASSERT(delay >= 0);
-  const TimerId id{next_timer_++};
-  timers_.emplace(id, TimerRecord{std::move(fn), domain});
-  timer_heap_.push(TimerEntry{now_ + delay, next_seq_++, id});
-  return id;
+  const auto [id, rec] = timers_.insert();
+  rec.fn = std::move(fn);
+  rec.domain = domain;
+  timer_heap_.push(TimerEntry{now_ + delay, TimerId{id}});
+  return TimerId{id};
 }
 
 void Scheduler::cancel_timer(TimerId id) {
-  timers_.erase(id);  // heap entry is skipped lazily when popped
+  // The heap entry is skipped lazily when popped.  The callback is
+  // destroyed after its slot is free, so its destructor may use the timers.
+  TimerRecord* rec = timers_.find(id.value());
+  if (rec == nullptr) return;
+  std::function<void()> fn = std::move(rec->fn);
+  rec->fn = nullptr;
+  timers_.erase(id.value());
 }
 
-Scheduler::TimerMap::iterator Scheduler::earliest_live_timer() {
+Scheduler::TimerRecord* Scheduler::earliest_live_timer() {
   while (!timer_heap_.empty()) {
-    auto it = timers_.find(timer_heap_.top().id);
-    if (it != timers_.end()) return it;
+    if (TimerRecord* rec = timers_.find(timer_heap_.top().id.value())) return rec;
     timer_heap_.pop();  // cancelled
   }
-  return timers_.end();
+  return nullptr;
 }
 
 std::optional<Time> Scheduler::next_timer_deadline() {
-  if (earliest_live_timer() == timers_.end()) return std::nullopt;
+  if (earliest_live_timer() == nullptr) return std::nullopt;
   return timer_heap_.top().deadline;
 }
 
 bool Scheduler::fire_due_timer(Time limit) {
-  auto it = earliest_live_timer();
-  if (it == timers_.end() || timer_heap_.top().deadline > limit) return false;
+  TimerRecord* rec = earliest_live_timer();
+  if (rec == nullptr || timer_heap_.top().deadline > limit) return false;
   UGRPC_ASSERT(timer_heap_.top().deadline >= now_);
   now_ = timer_heap_.top().deadline;
+  const TimerId id = timer_heap_.top().id;
   timer_heap_.pop();
   // Move the callback out before erasing so the callback may itself
   // register or cancel timers.
-  std::function<void()> fn = std::move(it->second.fn);
-  timers_.erase(it);
+  std::function<void()> fn = std::move(rec->fn);
+  rec->fn = nullptr;
+  timers_.erase(id.value());
   fn();
   return true;
 }
@@ -142,15 +158,15 @@ void Scheduler::run_until(Time deadline) {
 }
 
 void Scheduler::fiber_finished(FiberId fiber) {
-  auto it = fibers_.find(fiber);
-  UGRPC_ASSERT(it != fibers_.end());
+  FiberState* state = fibers_.find(fiber.value());
+  UGRPC_ASSERT(state != nullptr);
   // Surface unhandled fiber exceptions from step()/run(): a protocol fiber
   // that throws indicates a bug or a test assertion, never normal operation.
-  auto handle = it->second.task.handle();
+  auto handle = state->task.handle();
   if (handle.promise().exception && !pending_exception_) {
     pending_exception_ = handle.promise().exception;
   }
-  fibers_.erase(it);
+  release_fiber(fiber, *state);
 }
 
 namespace detail {

@@ -13,12 +13,21 @@
 // entire coroutine chain, and `kill_domain` does so for every fiber of a
 // crashing site, also cancelling the site's timers.
 //
+// Fibers and timers live in SlotTables (common/slot_table.h), not in map
+// nodes: spawning a fiber or arming a timer allocates nothing once the
+// tables have grown to the peak number live at once.  A FiberId or TimerId
+// names its slot plus a sequence number in the high bits, so a stale id
+// never matches the slot's next occupant, FiberId{} and TimerId{} match
+// nothing, and fiber ids ascend in spawn order (TerminateOrphan kills from a
+// std::set<FiberId>).  Timer ids ascend in arming order too, which is the
+// heap's tie-break among equal deadlines.
+//
 // Each fiber also carries one ambient trace context (obs::SpanCtx): which
 // trace the code it runs belongs to.  It is per fiber because fibers
 // interleave at every suspension point, so one value per site would be
 // clobbered by whichever fiber ran last.  The tracing layers read and write
-// it through ambient()/set_ambient(); the scheduler only stores it, and the
-// slot dies with its fiber.
+// it through ambient()/set_ambient(); the scheduler only stores it, and it
+// is cleared when its fiber ends.
 #pragma once
 
 #include <coroutine>
@@ -26,11 +35,11 @@
 #include <functional>
 #include <optional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/assert.h"
 #include "common/ids.h"
+#include "common/slot_table.h"
 #include "obs/span.h"
 #include "sim/intrusive_list.h"
 #include "sim/rng.h"
@@ -81,8 +90,13 @@ class Scheduler {
   /// Fiber currently executing (valid only while inside a resumed coroutine).
   [[nodiscard]] FiberId current_fiber() const { return current_fiber_; }
   [[nodiscard]] DomainId current_domain() const;
-  [[nodiscard]] bool fiber_alive(FiberId fiber) const { return fibers_.contains(fiber); }
+  [[nodiscard]] bool fiber_alive(FiberId fiber) const {
+    return fibers_.find(fiber.value()) != nullptr;
+  }
   [[nodiscard]] std::size_t live_fiber_count() const { return fibers_.size(); }
+  /// Fiber and timer slots ever used: the peak numbers live at once.
+  [[nodiscard]] std::size_t fiber_slot_count() const { return fibers_.slot_count(); }
+  [[nodiscard]] std::size_t timer_slot_count() const { return timers_.slot_count(); }
 
   /// The running fiber's ambient trace context; {} when no fiber runs (a
   /// timer callback, the thread driving the scheduler) and in a fiber that
@@ -143,15 +157,16 @@ class Scheduler {
     obs::SpanCtx ambient;     // ambient()/set_ambient()
   };
 
+  /// A heap entry; ids ascend in arming order, so (deadline, id) orders
+  /// equal deadlines by registration.
   struct TimerEntry {
     Time deadline;
-    std::uint64_t seq;
     TimerId id;
   };
   struct TimerLater {
     bool operator()(const TimerEntry& a, const TimerEntry& b) const {
       if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.seq > b.seq;
+      return a.id > b.id;
     }
   };
 
@@ -160,13 +175,14 @@ class Scheduler {
     DomainId domain;
   };
 
-  using TimerMap = std::unordered_map<TimerId, TimerRecord>;
-
+  /// Frees the slot of the live fiber `fiber`, then destroys its coroutine
+  /// chain.
+  void release_fiber(FiberId fiber, FiberState& state);
   void fiber_finished(FiberId fiber);
   /// Discards cancelled entries from the top of the timer heap.  Returns the
   /// record of the earliest live timer, whose entry is then the heap's top,
-  /// or timers_.end() when no timer is pending.
-  TimerMap::iterator earliest_live_timer();
+  /// or nullptr when no timer is pending.
+  TimerRecord* earliest_live_timer();
   /// Fires the earliest live timer if its deadline is at most `limit`.
   bool fire_due_timer(Time limit);
 
@@ -174,12 +190,9 @@ class Scheduler {
   Rng rng_;
   IntrusiveList<ScheduleNode> ready_;
   std::priority_queue<TimerEntry, std::vector<TimerEntry>, TimerLater> timer_heap_;
-  TimerMap timers_;
-  std::unordered_map<FiberId, FiberState> fibers_;
+  SlotTable<TimerRecord> timers_;
+  SlotTable<FiberState> fibers_;
   FiberId current_fiber_{0};
-  std::uint64_t next_fiber_ = 1;
-  std::uint64_t next_timer_ = 1;
-  std::uint64_t next_seq_ = 1;
   std::exception_ptr pending_exception_;
 };
 

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace ugrpc {
 namespace {
@@ -159,6 +163,106 @@ TEST(Buffer, EqualityComparesContents) {
   EXPECT_EQ(a, b);
   Writer(b).u8(1);
   EXPECT_NE(a, b);
+}
+
+// ---- slices ----
+
+static_assert(std::is_constructible_v<Reader, const Buffer&>);
+static_assert(!std::is_constructible_v<Reader, Buffer&&>, "a Reader must not view a temporary");
+static_assert(!std::is_constructible_v<Reader, const Buffer&&>);
+
+/// True when `inner`'s bytes lie within `outer`'s.
+bool lies_within(std::span<const std::byte> inner, std::span<const std::byte> outer) {
+  return !inner.empty() && inner.data() >= outer.data() &&
+         inner.data() + inner.size() <= outer.data() + outer.size();
+}
+
+Buffer with_nested(std::string_view head, std::string_view nested) {
+  Buffer inner;
+  Writer(inner).str(nested);
+  Buffer b;
+  Writer w(b);
+  w.str(head);
+  w.raw(inner.bytes());
+  w.u8(7);
+  return b;
+}
+
+TEST(Codec, RawOfABufferReaderIsASliceOfItsStorage) {
+  const Buffer b = with_nested("head", "nested bytes");
+  Reader r(b);
+  EXPECT_EQ(r.str(), "head");
+  const Buffer nested = r.raw();
+  EXPECT_EQ(r.u8(), 7);
+  EXPECT_TRUE(lies_within(nested.bytes(), b.bytes()));
+  EXPECT_EQ(Reader(nested).str(), "nested bytes");
+
+  // A Reader over a span has no storage to share: raw() copies.
+  Reader span_reader(b.bytes());
+  (void)span_reader.str();
+  const Buffer copied = span_reader.raw();
+  EXPECT_FALSE(lies_within(copied.bytes(), b.bytes()));
+  EXPECT_EQ(copied, nested);
+}
+
+TEST(Buffer, WritingToASliceDetachesIt) {
+  const Buffer b = with_nested("head", "nested bytes");
+  const Buffer before = Buffer::copy_of(b.bytes());
+  Reader r(b);
+  (void)r.str();
+  Buffer appended = r.raw();
+  const Buffer nested = appended;
+  Buffer overwritten = nested;
+  Buffer cleared = nested;
+
+  appended.push_back(std::byte{0x42});
+  overwritten.overwrite(4, std::array{std::byte{'N'}});
+  cleared.clear();
+
+  EXPECT_EQ(b, before) << "no write through a slice may reach its source";
+  EXPECT_FALSE(lies_within(appended.bytes(), b.bytes()));
+  EXPECT_FALSE(lies_within(overwritten.bytes(), b.bytes()));
+  EXPECT_TRUE(cleared.empty());
+  EXPECT_EQ(appended.size(), nested.size() + 1);
+  EXPECT_TRUE(std::equal(nested.bytes().begin(), nested.bytes().end(), appended.bytes().begin()));
+  Reader ro(overwritten);
+  EXPECT_EQ(ro.str(), "Nested bytes");
+  EXPECT_EQ(Reader(nested).str(), "nested bytes");
+}
+
+TEST(Buffer, SliceOutlivesEveryOtherHandleToItsSource) {
+  Buffer nested;
+  {
+    const Buffer source = with_nested("head", "still here");
+    Buffer copy = source;
+    Reader r(copy);
+    (void)r.str();
+    nested = r.raw();
+    copy.clear();
+  }
+  EXPECT_EQ(Reader(nested).str(), "still here");
+  // A moved-from slice is empty, and the moved-to one holds the bytes.
+  Buffer moved = std::move(nested);
+  EXPECT_TRUE(nested.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(nested.bytes().empty());
+  EXPECT_EQ(Reader(moved).str(), "still here");
+  // The last handle to the storage still detaches before a write: the
+  // storage holds more than the slice's bytes.
+  const std::size_t size = moved.size();
+  moved.push_back(std::byte{0x42});
+  ASSERT_EQ(moved.size(), size + 1);
+  EXPECT_EQ(moved.bytes().back(), std::byte{0x42});
+  EXPECT_EQ(Reader(moved).str(), "still here");
+}
+
+TEST(Buffer, SliceOfASliceAndEmptySlices) {
+  const Buffer b = Buffer::copy_of(std::as_bytes(std::span<const char>("0123456789", 10)));
+  const Buffer mid = b.slice(2, 6);  // "234567"
+  const Buffer inner = mid.slice(1, 3);  // "345"
+  EXPECT_EQ(inner, Buffer::copy_of(std::as_bytes(std::span<const char>("345", 3))));
+  EXPECT_TRUE(lies_within(inner.bytes(), b.bytes()));
+  EXPECT_TRUE(b.slice(10, 0).empty());
+  EXPECT_TRUE(mid.slice(0, 0).empty());
 }
 
 }  // namespace

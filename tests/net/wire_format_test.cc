@@ -1,8 +1,11 @@
 // Golden wire-format tests: the exact byte layout of NetMessage is a
 // compatibility contract (checkpoints and any future cross-version traffic
 // depend on it).  If one of these fails, the wire format changed -- bump a
-// version, do not silently re-golden.
+// version, do not silently re-golden.  The last tests pin that decoding
+// shares the payload's bytes instead of copying the arguments out.
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "net/message.h"
 
@@ -78,6 +81,35 @@ TEST(WireFormat, DecodeIgnoresNothingRejectsTrailingGarbage) {
   Buffer wire = m.encode();
   wire.push_back(std::byte{0xFF});
   EXPECT_EQ(NetMessage::decode(wire), m);
+}
+
+// ---- zero-copy decode ----
+
+TEST(MessageDecode, ArgsAreASliceOfThePayload) {
+  NetMessage m;
+  m.type = MsgType::kReply;
+  Writer(m.args).str("result bytes");
+  const Buffer payload = m.encode();
+  const NetMessage decoded = NetMessage::decode(payload);
+  const auto args = decoded.args.bytes();
+  const auto wire = payload.bytes();
+  ASSERT_FALSE(args.empty());
+  EXPECT_GE(args.data(), wire.data());
+  EXPECT_LE(args.data() + args.size(), wire.data() + wire.size());
+  EXPECT_EQ(decoded, m);
+}
+
+TEST(MessageDecode, WritingToDecodedArgsLeavesThePayloadUnchanged) {
+  NetMessage m;
+  Writer(m.args).str("request");
+  const Buffer payload = m.encode();
+  const std::vector<std::uint8_t> sent = bytes_of(payload);
+  NetMessage decoded = NetMessage::decode(payload);
+  // What a server procedure does: write its results in place.
+  decoded.args.overwrite(4, std::array{std::byte{'R'}});
+  Writer(decoded.args).u64(99);
+  EXPECT_EQ(bytes_of(payload), sent);
+  EXPECT_EQ(NetMessage::decode(payload), m);
 }
 
 }  // namespace

@@ -62,26 +62,6 @@ TEST(Framework, TriggerWithNoHandlersCompletes) {
   EXPECT_TRUE(completed);
 }
 
-TEST(Framework, DeregisterByNameOnlyRemovesMatchingEvent) {
-  sim::Scheduler sched;
-  net::Network net{sched};
-  Framework fw(net, DomainId{1});
-  constexpr EventId kOther{10};
-  fw.register_handler(kEv, "shared-name", 1, [](EventContext&) -> sim::Task<> { co_return; });
-  fw.register_handler(kOther, "shared-name", 1, [](EventContext&) -> sim::Task<> { co_return; });
-  fw.deregister(kEv, "shared-name");
-  EXPECT_EQ(fw.handler_count(kEv), 0u);
-  EXPECT_EQ(fw.handler_count(kOther), 1u);
-}
-
-TEST(Framework, DeregisterUnknownIdIsNoOp) {
-  sim::Scheduler sched;
-  net::Network net{sched};
-  Framework fw(net, DomainId{1});
-  fw.deregister(kEv, "no-such-handler");
-  SUCCEED();
-}
-
 TEST(Framework, ManyTimeoutsFireInDelayOrder) {
   sim::Scheduler sched;
   net::Network net{sched};

@@ -157,17 +157,6 @@ TEST(Framework, BlockingHandlerBlocksTheChain) {
   EXPECT_EQ(out, std::vector<int>({1, 2, 3}));
 }
 
-TEST(Framework, DeregisterByName) {
-  Fixture f;
-  std::vector<int> out;
-  f.fw.register_handler(kPing, "victim", 1, appender(out, 1));
-  f.fw.register_handler(kPing, "keeper", 2, appender(out, 2));
-  f.fw.deregister(kPing, "victim");
-  f.sched.spawn(run_trigger(f.fw, kPing, {}));
-  f.sched.run();
-  EXPECT_EQ(out, std::vector<int>({2}));
-}
-
 TEST(Framework, ReentrantTriggerOfTheSameEventRunsTheFullChain) {
   Fixture f;
   std::vector<int> out;
@@ -191,14 +180,6 @@ TEST(FrameworkDeathTest, RegisterAfterFirstTriggerAborts) {
   f.fw.register_handler(kPing, "a", 1, appender(out, 1));
   freeze(f, kPing);
   EXPECT_DEATH(f.fw.register_handler(kOther, "late", 1, appender(out, 2)), "frozen");
-}
-
-TEST(FrameworkDeathTest, DeregisterAfterFirstTriggerAborts) {
-  Fixture f;
-  std::vector<int> out;
-  f.fw.register_handler(kPing, "a", 1, appender(out, 1));
-  freeze(f, kPing);
-  EXPECT_DEATH(f.fw.deregister(kPing, "a"), "frozen");
 }
 
 TEST(FrameworkDeathTest, DefineEventAfterFirstTriggerAborts) {

@@ -1,10 +1,11 @@
 // Unit tests for the discrete-event scheduler: fiber lifecycle, virtual
-// time, timers, kill semantics, determinism, and the per-fiber ambient
-// trace context.
+// time, timers, kill semantics, determinism, the per-fiber ambient trace
+// context, and the reuse of fiber and timer slots.
 #include "sim/scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
 #include <vector>
 
@@ -349,6 +350,130 @@ TEST(Scheduler, TracedCallFibersAndCrashCyclesLeaveNoFiberState) {
   sched.spawn(ambient_reader(sched, fresh));
   sched.run();
   EXPECT_EQ(fresh, std::vector<obs::SpanCtx>{obs::SpanCtx{}});
+}
+
+// ---- slot reuse ----
+
+TEST(Scheduler, StaleFiberIdDoesNotMatchTheSlotsNextFiber) {
+  Scheduler sched;
+  Semaphore sem(sched, 0);
+  bool destroyed_a = false;
+  bool destroyed_b = false;
+  const FiberId a = sched.spawn(block_on(sem, &destroyed_a));
+  sched.run();
+  sched.kill(a);
+  const FiberId b = sched.spawn(block_on(sem, &destroyed_b));
+  sched.run();
+  ASSERT_EQ(sched.fiber_slot_count(), 1u) << "b must reuse a's slot";
+  EXPECT_NE(a, b);
+  EXPECT_FALSE(sched.fiber_alive(a));
+  EXPECT_TRUE(sched.fiber_alive(b));
+  sched.kill(a);
+  EXPECT_FALSE(destroyed_b) << "killing a stale id must not kill the slot's next fiber";
+  EXPECT_TRUE(sched.fiber_alive(b));
+  EXPECT_TRUE(sem.has_waiters());
+}
+
+TEST(Scheduler, StaleTimerIdDoesNotCancelTheSlotsNextTimer) {
+  Scheduler sched;
+  int fired = 0;
+  const TimerId cancelled = sched.schedule_after(msec(1), [&] { fired += 100; });
+  sched.cancel_timer(cancelled);
+  const TimerId next = sched.schedule_after(msec(2), [&] { ++fired; });
+  ASSERT_EQ(sched.timer_slot_count(), 1u) << "next must reuse the cancelled timer's slot";
+  EXPECT_NE(cancelled, next);
+  sched.cancel_timer(cancelled);
+  sched.run();
+  EXPECT_EQ(fired, 1) << "the slot's live timer must stay armed";
+
+  // The same after the first timer fired rather than being cancelled.
+  const TimerId done = sched.schedule_after(msec(1), [&] { ++fired; });
+  sched.run();
+  sched.schedule_after(msec(1), [&] { ++fired; });
+  sched.cancel_timer(done);
+  sched.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sched.timer_slot_count(), 1u);
+}
+
+TEST(Scheduler, NullIdsTouchNoFreeSlot) {
+  // Leave slot 0 of both tables free, with a finished fiber's domain and a
+  // cancelled timer behind it.
+  Scheduler sched;
+  std::vector<DomainId> seen;
+  sched.spawn(record_domain(sched, seen), DomainId{5});
+  sched.run();
+  sched.cancel_timer(sched.schedule_after(msec(1), [] {}));
+  ASSERT_EQ(sched.fiber_slot_count(), 1u);
+  ASSERT_EQ(sched.timer_slot_count(), 1u);
+
+  // Outside a fiber the current fiber is FiberId{}: it must not read slot 0.
+  EXPECT_EQ(sched.current_domain(), kGlobalDomain);
+  EXPECT_EQ(sched.ambient(), obs::SpanCtx{});
+  EXPECT_FALSE(sched.fiber_alive(FiberId{}));
+  EXPECT_DEATH(sched.set_ambient(obs::SpanCtx{1, 1}), "set_ambient outside a fiber");
+
+  // Cancelling TimerId{} (a protocol's never-armed timer) must not free
+  // slot 0 a second time: two timers would then share it, and one of them
+  // would never fire.
+  sched.cancel_timer(TimerId{});
+  sched.cancel_timer(TimerId{});
+  int fired = 0;
+  sched.schedule_after(msec(1), [&] { ++fired; });
+  sched.schedule_after(msec(1), [&] { ++fired; });
+  sched.schedule_after(msec(1), [&] { ++fired; });
+  sched.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sched.timer_slot_count(), 3u);
+}
+
+TEST(Scheduler, FiberIdsAscendInSpawnOrder) {
+  // Reused slots must not make a later fiber's id compare lower: ordered
+  // sets of fiber ids (TerminateOrphan's) rely on creation order.
+  Scheduler sched;
+  Semaphore sem(sched, 0);
+  std::vector<int> out;
+  bool destroyed = false;
+  std::vector<FiberId> ids;
+  for (int i = 0; i < 64; ++i) {
+    // Every other fiber runs to completion and every third blocked one is
+    // killed, so later spawns land in freed slots below the highest one.
+    ids.push_back(i % 2 == 0 ? sched.spawn(append_value(out, i))
+                             : sched.spawn(block_on(sem, &destroyed)));
+    sched.run();
+    if (i % 6 == 5) sched.kill(ids.back());
+  }
+  EXPECT_LT(sched.fiber_slot_count(), ids.size()) << "slots must have been reused";
+  for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_LT(ids[i - 1], ids[i]) << i;
+}
+
+TEST(Scheduler, SlotCountsStayAtThePeakLiveCountOverManyCalls) {
+  // 100k ordered writes: each makes delivery fibers, timers and packets in
+  // flight, so slots that were not reused would number in the millions.  A
+  // slot count is the peak number live at once, which a loss-free run keeps
+  // to a few dozen.
+  core::ScenarioParams p;
+  p.num_servers = 3;
+  p.config = core::ConfigBuilder::at_most_once().total_order().build();
+  core::Scenario s(std::move(p));
+  constexpr int kCalls = 100'000;
+  int ok = 0;
+  s.run_client(0, [&](core::Client& c) -> Task<> {
+    for (int i = 0; i < kCalls; ++i) {
+      const core::CallResult r = co_await c.call(s.group(), OpId{1}, Buffer{});
+      if (r.ok()) ++ok;
+    }
+  });
+  EXPECT_EQ(ok, kCalls);
+  const std::size_t fibers = s.scheduler().fiber_slot_count();
+  const std::size_t timers = s.scheduler().timer_slot_count();
+  const std::size_t packets = s.network().in_flight_slot_count();
+  std::printf("slots after %d calls: %zu fibers, %zu timers, %zu packets\n", kCalls, fibers,
+              timers, packets);
+  for (const std::size_t n : {fibers, timers, packets}) {
+    EXPECT_GT(n, 0u);
+    EXPECT_LE(n, 64u);
+  }
 }
 
 }  // namespace
