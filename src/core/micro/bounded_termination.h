@@ -12,10 +12,11 @@
 // order, so a FIFO queue of (deadline, id) drained by a single armed timer is
 // equivalent and keeps the timer population O(1) instead of O(calls).
 //
-// Deadlines are read from the transport's clock, the one the timer runs on.
-// Over UDP the executor's clock lags it: a fiber the timer wheel makes ready
-// runs before the executor catches up with real time, so a deadline read
-// from the executor would find nothing expired and fire a second time.
+// Deadlines are read from the transport's clock, the one timers are armed
+// on.  Over UDP the executor's clock lags it by up to one poll wait (a
+// delivery fiber runs at the value from before the poll), so a deadline read
+// from the executor would come early by that lag and the timer armed for it
+// would end calls before their bound.
 #pragma once
 
 #include <deque>

@@ -13,7 +13,7 @@
 // round trip SRTT and its variation RTTVAR, sampled from the Reply to a call
 // sent to that peer only once (Karn's rule: a reply to a retransmitted call
 // could answer any of its copies).  RTO = SRTT + max(G, 4 * RTTVAR), where G
-// is the real-time timer wheel's granularity (net/timer_wheel.h).  Each
+// (kClockGranularity) is a 1 ms floor on the variation term.  Each
 // pending copy records its last send time and retry count (PendingServer),
 // and its timeout is RTO doubled per retry.  `retrans_timeout` is both the
 // RTO before a peer's first sample and the ceiling of every timeout, so loss
@@ -41,8 +41,11 @@ namespace ugrpc::core {
 
 class ReliableCommunication : public runtime::MicroProtocol {
  public:
-  /// G in the RTO formula: the UDP timer wheel's tick, below which a shorter
-  /// timeout cannot be honoured anyway.
+  /// G in the RTO formula.  Over UDP a timer fires when the host wakes the
+  /// poll loop, late by the host's wake-up jitter (timer slack, scheduling
+  /// delay), and a Reply is read just as late; with RTTVAR near zero on a
+  /// quiet loopback, an RTO without this floor would retransmit on that
+  /// jitter alone.  The simulator's message flow depends on its value too.
   static constexpr sim::Duration kClockGranularity = sim::msec(1);
 
   /// A peer's round-trip estimate (RFC 6298 state).

@@ -44,9 +44,12 @@
 // Both backends execute protocol code on a single-threaded cooperative
 // sim::Scheduler; executor() exposes it for the semaphore (sim::Semaphore)
 // and fiber-level control (current_fiber, kill) that are executor concerns
-// rather than transport concerns.  By default the clock and the timers are
-// the executor's, in virtual time; UdpTransport overrides them with the
-// host's monotonic clock and a timer wheel.
+// rather than transport concerns.  Timers live on the executor's heap under
+// both backends, armed at the absolute deadline now()+delay.  now() is the
+// one clock that differs: the executor's virtual time by default, the host's
+// monotonic clock under UdpTransport.  Over UDP the executor's clock lags
+// real time by up to one poll wait (a delivery fiber runs at the value from
+// before the poll), so a deadline taken relative to it would fire early.
 #pragma once
 
 #include <cstdint>
@@ -199,12 +202,12 @@ class Transport {
   /// Runs `fn` at now()+delay.  The callback executes inline in the driving
   /// loop (it typically spawns a fiber or releases a semaphore); `domain`
   /// ties the timer to a crashable site (cancelled by kill_domain).
-  virtual TimerId schedule_after(sim::Duration delay, std::function<void()> fn,
-                                 DomainId domain = sim::kGlobalDomain) {
-    return exec_.schedule_after(delay, std::move(fn), domain);
+  TimerId schedule_after(sim::Duration delay, std::function<void()> fn,
+                         DomainId domain = sim::kGlobalDomain) {
+    return exec_.schedule_at(now() + delay, std::move(fn), domain);
   }
   /// Cancels a pending timer; no-op if it already fired or was cancelled.
-  virtual void cancel_timer(TimerId id) { exec_.cancel_timer(id); }
+  void cancel_timer(TimerId id) { exec_.cancel_timer(id); }
 
   // ---- threads of control ----
 
@@ -212,9 +215,9 @@ class Transport {
   FiberId spawn(sim::Task<> task, DomainId domain = sim::kGlobalDomain) {
     return exec_.spawn(std::move(task), domain);
   }
-  /// Kills every fiber of `domain` and cancels the domain's timers (both
-  /// the executor's and the transport's).  Models a site crash.
-  virtual void kill_domain(DomainId domain) { exec_.kill_domain(domain); }
+  /// Kills every fiber of `domain` and cancels the domain's timers.  Models
+  /// a site crash.
+  void kill_domain(DomainId domain) { exec_.kill_domain(domain); }
 
   /// The cooperative executor protocol code runs on.  For the semaphore
   /// (sim::Semaphore) and fiber-level introspection

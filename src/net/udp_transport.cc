@@ -21,6 +21,8 @@ namespace {
 /// Poll timeout cap of run_for/run_until_fiber_done: an idle loop wakes at
 /// least this often.
 constexpr sim::Duration kMaxPollWait = sim::msec(10);
+/// Cap of any one ppoll wait, whatever poll_once is asked for.
+constexpr sim::Duration kMaxPpollWait = sim::seconds(1);
 
 sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   sockaddr_in addr{};
@@ -65,6 +67,7 @@ Endpoint& UdpTransport::attach(ProcessId process, DomainId domain) {
   const Socket& socket = sockets_[process] =
       Socket{fd, ntohs(addr.sin_port), ++attach_counts_[process]};
   peers_[process] = addr;  // local processes are reachable like any peer
+  rebuild_poll_set();
   UGRPC_LOG(kDebug, "udp: attach %u on %s:%u (incarnation %u)", process.value(),
             options_.bind_host.c_str(), socket.port, socket.incarnation);
   return endpoint;
@@ -76,19 +79,17 @@ void UdpTransport::detach(ProcessId process) {
   ::close(it->second.fd);
   peers_.erase(process);
   sockets_.erase(it);
+  rebuild_poll_set();
   Transport::detach(process);
 }
 
-TimerId UdpTransport::schedule_after(sim::Duration delay, std::function<void()> fn,
-                                     DomainId domain) {
-  return wheel_.add(now() + std::max<sim::Duration>(delay, 0), std::move(fn), domain);
-}
-
-void UdpTransport::cancel_timer(TimerId id) { wheel_.cancel(id); }
-
-void UdpTransport::kill_domain(DomainId domain) {
-  Transport::kill_domain(domain);
-  wheel_.cancel_domain(domain);
+void UdpTransport::rebuild_poll_set() {
+  pollfds_.clear();
+  poll_owners_.clear();
+  for (const auto& [process, socket] : sockets_) {
+    pollfds_.push_back(pollfd{socket.fd, POLLIN, 0});
+    poll_owners_.push_back(process);
+  }
 }
 
 void UdpTransport::add_peer(ProcessId peer, const std::string& host, std::uint16_t port) {
@@ -172,19 +173,10 @@ void UdpTransport::dispatch_datagram(ProcessId owner, std::span<const std::byte>
                  obs::SpanCtx{frame->trace, frame->span}});
 }
 
-void UdpTransport::sync_executor() {
-  const sim::Time t = now();
-  wheel_.advance(t);
-  // Slave the executor's virtual clock to real time: due sleep_for timers
-  // fire, ready fibers drain, and the clock lands exactly at t.
-  exec_.run_until(t);
-}
-
 sim::Duration UdpTransport::poll_wait(sim::Duration max_wait) {
   if (exec_.has_ready()) return 0;
   const sim::Time t = now();
   sim::Time deadline = t + std::max<sim::Duration>(max_wait, 0);
-  if (const auto d = wheel_.next_deadline()) deadline = std::min(deadline, *d);
   if (const auto d = exec_.next_timer_deadline()) deadline = std::min(deadline, *d);
   return std::max<sim::Duration>(deadline - t, 0);
 }
@@ -192,25 +184,19 @@ sim::Duration UdpTransport::poll_wait(sim::Duration max_wait) {
 void UdpTransport::poll_once(sim::Duration max_wait) {
   sync_executor();
 
-  std::vector<pollfd> fds;
-  std::vector<ProcessId> owners;
-  fds.reserve(sockets_.size());
-  for (const auto& [process, socket] : sockets_) {
-    fds.push_back(pollfd{socket.fd, POLLIN, 0});
-    owners.push_back(process);
-  }
-  const sim::Duration wait = poll_wait(max_wait);
-  const int timeout_ms = static_cast<int>(std::min<sim::Duration>((wait + 999) / 1000, 1000));
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-  if (ready > 0) {
+  const sim::Duration wait = std::min(poll_wait(max_wait), kMaxPpollWait);
+  const timespec timeout{static_cast<time_t>(wait / 1'000'000),
+                         static_cast<long>(wait % 1'000'000 * 1000)};
+  if (::ppoll(pollfds_.data(), pollfds_.size(), &timeout, nullptr) > 0) {
     std::byte buf[kMaxDatagram + 1];
-    for (std::size_t i = 0; i < owners.size(); ++i) {
-      if ((fds[i].revents & POLLIN) == 0) continue;
-      if (!sockets_.contains(owners[i])) continue;  // detached by a callback
+    for (std::size_t i = 0; i < pollfds_.size(); ++i) {
+      if ((pollfds_[i].revents & POLLIN) == 0) continue;
+      if (!sockets_.contains(poll_owners_[i])) continue;  // detached by a callback
       for (;;) {
-        const ssize_t n = ::recv(fds[i].fd, buf, sizeof(buf), 0);
+        const ssize_t n = ::recv(pollfds_[i].fd, buf, sizeof(buf), 0);
         if (n < 0) break;  // EWOULDBLOCK: socket drained
-        dispatch_datagram(owners[i], std::span<const std::byte>(buf, static_cast<std::size_t>(n)));
+        dispatch_datagram(poll_owners_[i],
+                          std::span<const std::byte>(buf, static_cast<std::size_t>(n)));
       }
     }
   }

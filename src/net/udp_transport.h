@@ -7,30 +7,30 @@
 // clock (run_until(elapsed)), so semaphores, sleeps and fibers behave
 // identically -- one microsecond of virtual time is one microsecond of real
 // time.  Transport-level timers (retransmission, heartbeats, termination
-// bounds) live on a hashed TimerWheel rather than the executor's heap; the
-// wheel records nothing, so a timer leaves the same trace as in the
-// simulator.  Hence this backend overrides the base class's clock, timers
-// and kill_domain (which also cancels the domain's wheel timers).
+// bounds) sit on the executor's heap like every other timer, armed at the
+// absolute deadline now()+delay on the host clock (transport.h says why not
+// relative to the executor's).  Of clock and timers, this backend
+// overrides only the clock, now().
 //
 // Everything above the wire -- demux, groups and fan-out, unroutable
-// accounting, delivery fibers, Stats, the tracer (set_tracer) -- is the
-// net::Transport base (transport.h), exactly as under the simulator.  This
-// file is the wire: framing (wire.h, which carries the trace context), the
-// injectable send fault, the datagram size cap, sendto() (a send that fails
-// there closes its kMsgSent span flagged), and on the receive side recv(),
-// decode and two filters -- frames addressed to another process, and frames
-// from a superseded incarnation of their sender, are counted as dropped
-// without a record.
+// accounting, delivery fibers, timers, Stats, the tracer (set_tracer) -- is
+// the net::Transport base (transport.h), exactly as under the simulator.
+// This file is the wire: framing (wire.h, which carries the trace context),
+// the injectable send fault, the datagram size cap, sendto() (a send that
+// fails there closes its kMsgSent span flagged), and on the receive side
+// recv(), decode and two filters -- frames addressed to another process, and
+// frames from a superseded incarnation of their sender, are counted as
+// dropped without a record.
 //
 // Topology is explicit: each locally attached process binds its own
 // ephemeral-port socket (no fixed ports, so parallel CI runs cannot
 // collide), and remote peers are introduced via add_peer().  A destination
 // is routable when it has an address: attached here, or added as a peer.
 //
-// The event loop is poll()-based and single-threaded:
+// The event loop is ppoll()-based and single-threaded:
 //
-//   poll_once:  advance wheel + executor to `elapsed()`, then poll every
-//               socket (timeout sized by the earliest wheel/executor timer),
+//   poll_once:  advance the executor to `elapsed()`, then ppoll every socket
+//               (timeout sized to the microsecond by the earliest timer),
 //               then decode + demux received frames into delivery fibers.
 //
 // Crash modelling reaches only locally attached processes:
@@ -41,13 +41,13 @@
 #pragma once
 
 #include <netinet/in.h>
+#include <poll.h>
 
 #include <chrono>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "net/timer_wheel.h"
 #include "net/transport.h"
 #include "obs/trace.h"
 
@@ -73,10 +73,6 @@ class UdpTransport final : public Transport {
 
   /// Microseconds of real time since construction.
   [[nodiscard]] sim::Time now() const override;
-  TimerId schedule_after(sim::Duration delay, std::function<void()> fn,
-                         DomainId domain = sim::kGlobalDomain) override;
-  void cancel_timer(TimerId id) override;
-  void kill_domain(DomainId domain) override;
 
   // ---- UDP-specific surface ----
 
@@ -90,9 +86,9 @@ class UdpTransport final : public Transport {
 
   // ---- event loop ----
 
-  /// One loop iteration: advance timers + executor to real `now()`, poll
-  /// the sockets (waiting at most `max_wait`, less if a timer is due
-  /// sooner), dispatch received datagrams, run the executor again.
+  /// One loop iteration: advance the executor to real `now()`, poll the
+  /// sockets (waiting at most `max_wait`, less if a timer is due sooner),
+  /// dispatch received datagrams, run the executor again.
   void poll_once(sim::Duration max_wait);
 
   /// Drives the loop for `d` of real time, waking at least every 10 ms.
@@ -122,16 +118,20 @@ class UdpTransport final : public Transport {
   void transmit(const Endpoint& from, ProcessId to, ProtocolId proto, const Buffer& payload,
                 obs::SiteTrace* trace, obs::SpanCtx parent) override;
   void dispatch_datagram(ProcessId owner, std::span<const std::byte> datagram);
-  /// Advances the wheel and the executor's virtual clock to real elapsed
-  /// time, draining every ready fiber and due timer.
-  void sync_executor();
+  /// Advances the executor's virtual clock to real elapsed time, draining
+  /// every ready fiber and due timer.
+  void sync_executor() { exec_.run_until(now()); }
   [[nodiscard]] sim::Duration poll_wait(sim::Duration max_wait);
+  /// Refills pollfds_/poll_owners_ from sockets_ (on attach and detach).
+  void rebuild_poll_set();
 
   Options options_;
   sim::Scheduler exec_;
-  TimerWheel wheel_;
   std::chrono::steady_clock::time_point start_;
   std::unordered_map<ProcessId, Socket> sockets_;
+  /// What poll_once waits on: one entry per socket, with its owner.
+  std::vector<pollfd> pollfds_;
+  std::vector<ProcessId> poll_owners_;
   std::unordered_map<ProcessId, sockaddr_in> peers_;
   /// Highest incarnation heard per remote sender; older frames are stale.
   std::unordered_map<ProcessId, std::uint32_t> seen_incarnations_;

@@ -78,12 +78,12 @@ void Scheduler::set_ambient(const obs::SpanCtx& ctx) {
   state->ambient = ctx;
 }
 
-TimerId Scheduler::schedule_after(Duration delay, std::function<void()> fn, DomainId domain) {
-  UGRPC_ASSERT(delay >= 0);
+TimerId Scheduler::schedule_at(Time deadline, std::function<void()> fn, DomainId domain) {
+  UGRPC_ASSERT(deadline >= now_);
   const auto [id, rec] = timers_.insert();
   rec.fn = std::move(fn);
   rec.domain = domain;
-  timer_heap_.push(TimerEntry{now_ + delay, TimerId{id}});
+  timer_heap_.push(TimerEntry{deadline, TimerId{id}});
   return TimerId{id};
 }
 

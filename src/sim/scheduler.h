@@ -35,6 +35,7 @@
 #include <functional>
 #include <optional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -94,6 +95,7 @@ class Scheduler {
     return fibers_.find(fiber.value()) != nullptr;
   }
   [[nodiscard]] std::size_t live_fiber_count() const { return fibers_.size(); }
+  [[nodiscard]] std::size_t live_timer_count() const { return timers_.size(); }
   /// Fiber and timer slots ever used: the peak numbers live at once.
   [[nodiscard]] std::size_t fiber_slot_count() const { return fibers_.slot_count(); }
   [[nodiscard]] std::size_t timer_slot_count() const { return timers_.slot_count(); }
@@ -107,11 +109,16 @@ class Scheduler {
 
   // ---- timers ----
 
-  /// Runs `fn` at virtual time now()+delay.  The callback executes inline in
-  /// the scheduler loop (it typically spawns a fiber or releases a
-  /// semaphore).  Returns an id usable with cancel_timer.
+  /// Runs `fn` at virtual time `deadline` (not before now()).  The callback
+  /// executes inline in the scheduler loop (it typically spawns a fiber or
+  /// releases a semaphore).  Returns an id usable with cancel_timer.
+  TimerId schedule_at(Time deadline, std::function<void()> fn, DomainId domain = kGlobalDomain);
+  /// schedule_at(now() + delay).
   TimerId schedule_after(Duration delay, std::function<void()> fn,
-                         DomainId domain = kGlobalDomain);
+                         DomainId domain = kGlobalDomain) {
+    UGRPC_ASSERT(delay >= 0);
+    return schedule_at(now_ + delay, std::move(fn), domain);
+  }
 
   /// Cancels a pending timer; no-op if it already fired or was cancelled.
   void cancel_timer(TimerId id);

@@ -1,6 +1,8 @@
-// TimerWheel unit tests: firing order, O(1) cancellation semantics
-// (including cancel-from-inside-a-callback), per-domain cancellation, and
-// the next_deadline() hint the UDP poll loop sizes its timeout with.
+// TimerWheel unit tests: firing order, cancellation semantics and
+// per-domain cancellation.  `net::TimerWheel` is now a shim over the
+// executor's timer heap (see its header), so these cases pin the same
+// contract on the queue that replaced the hashed wheel; the wheel's
+// ring-wrap cases had no counterpart on a heap and were dropped with it.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -74,160 +76,6 @@ TEST(TimerWheel, CancelDomainCancelsOnlyThatDomain) {
   wheel.cancel_domain(DomainId{1});
   wheel.advance(sim::msec(100));
   EXPECT_EQ(fired, (std::vector<int>{2}));
-}
-
-TEST(TimerWheel, CancelFromInsideCallbackStopsSameBatchEntry) {
-  TimerWheel wheel;
-  int second_fired = 0;
-  TimerId second{};
-  // Both timers are due in the same advance() batch; the first cancels the
-  // second before the batch reaches it.
-  wheel.add(sim::msec(5), [&] { wheel.cancel(second); }, sim::kGlobalDomain);
-  second = wheel.add(sim::msec(6), [&] { ++second_fired; }, sim::kGlobalDomain);
-  wheel.advance(sim::msec(50));
-  EXPECT_EQ(second_fired, 0);
-}
-
-TEST(TimerWheel, CallbackCanArmNewTimer) {
-  TimerWheel wheel;
-  int chained = 0;
-  wheel.add(sim::msec(5), [&] {
-    wheel.add(sim::msec(100), [&] { ++chained; }, sim::kGlobalDomain);
-  }, sim::kGlobalDomain);
-  wheel.advance(sim::msec(10));
-  EXPECT_EQ(chained, 0) << "rearmed timer must wait for its own deadline";
-  wheel.advance(sim::msec(200));
-  EXPECT_EQ(chained, 1);
-}
-
-TEST(TimerWheel, NextDeadlineReportsEarliestPending) {
-  TimerWheel wheel;
-  EXPECT_FALSE(wheel.next_deadline().has_value());
-  wheel.add(sim::msec(30), [] {}, sim::kGlobalDomain);
-  const TimerId early = wheel.add(sim::msec(10), [] {}, sim::kGlobalDomain);
-  ASSERT_TRUE(wheel.next_deadline().has_value());
-  EXPECT_EQ(*wheel.next_deadline(), sim::msec(10));
-  wheel.cancel(early);
-  EXPECT_EQ(*wheel.next_deadline(), sim::msec(30));
-  wheel.advance(sim::msec(100));
-  EXPECT_FALSE(wheel.next_deadline().has_value());
-}
-
-TEST(TimerWheel, PastDeadlineFiresOnNextAdvance) {
-  TimerWheel wheel;
-  wheel.advance(sim::msec(50));
-  int fired = 0;
-  wheel.add(sim::msec(10), [&] { ++fired; }, sim::kGlobalDomain);  // already past
-  wheel.advance(sim::msec(51));
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(TimerWheel, DeadlinesBeyondOneRotationStillFire) {
-  // kSlots * granularity = 256ms with default 1ms ticks; a deadline several
-  // rotations out hashes to an already-visited slot and must not fire early.
-  TimerWheel wheel;
-  int fired = 0;
-  wheel.add(sim::msec(700), [&] { ++fired; }, sim::kGlobalDomain);
-  wheel.advance(sim::msec(300));
-  EXPECT_EQ(fired, 0);
-  wheel.advance(sim::msec(699));
-  EXPECT_EQ(fired, 0);
-  wheel.advance(sim::msec(700));
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(TimerWheel, ManyTimersAcrossSlots) {
-  TimerWheel wheel;
-  std::vector<int> fired;
-  for (int i = 0; i < 1000; ++i) {
-    wheel.add(sim::msec(i + 1), [&fired, i] { fired.push_back(i); }, sim::kGlobalDomain);
-  }
-  wheel.advance(sim::msec(2000));
-  ASSERT_EQ(fired.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
-}
-
-// ---- ring-wrap regressions (audit, satellite of ISSUE 3) ----
-//
-// With 1ms granularity and 256 slots one rotation is 256ms.  These pin the
-// wrap behaviour: a timer several rotations out must survive any pattern of
-// advance() calls -- tiny steps that revisit its bucket each rotation, one
-// giant leap past it, or a gap of exactly a full rotation -- and fire
-// exactly once, exactly on time.
-
-TEST(TimerWheel, FarFutureTimerSurvivesManySmallAdvancesAcrossWrap) {
-  TimerWheel wheel;
-  int fired = 0;
-  // ~3.9 rotations out; its bucket is visited on every rotation before the
-  // deadline and the entry must be skipped each time.
-  wheel.add(sim::msec(1000), [&] { ++fired; }, sim::kGlobalDomain);
-  for (int t = 1; t <= 999; ++t) {
-    wheel.advance(sim::msec(t));
-    ASSERT_EQ(fired, 0) << "fired early at t=" << t << "ms";
-  }
-  wheel.advance(sim::msec(1000));
-  EXPECT_EQ(fired, 1);
-  wheel.advance(sim::msec(2000));
-  EXPECT_EQ(fired, 1) << "must not refire after the wrap";
-}
-
-TEST(TimerWheel, ExactRotationBoundaryFires) {
-  TimerWheel wheel;
-  int fired = 0;
-  // Deadline tick 256 hashes to slot 0 -- the same slot as tick 0, where
-  // the walk started.  Crossing the boundary must still fire it.
-  wheel.add(sim::msec(256), [&] { ++fired; }, sim::kGlobalDomain);
-  wheel.advance(sim::msec(255));
-  EXPECT_EQ(fired, 0);
-  wheel.advance(sim::msec(256));
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(TimerWheel, AdvanceGapOfExactlyOneRotation) {
-  TimerWheel wheel;
-  std::vector<int> fired;
-  wheel.add(sim::msec(100), [&] { fired.push_back(1); }, sim::kGlobalDomain);
-  wheel.add(sim::msec(100 + 256), [&] { fired.push_back(2); }, sim::kGlobalDomain);
-  // One advance spanning exactly a full rotation: both entries share a slot
-  // and both deadlines are <= now.
-  wheel.advance(sim::msec(100 + 256));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-}
-
-TEST(TimerWheel, NearAndFarTimerInSameSlot) {
-  TimerWheel wheel;
-  std::vector<int> fired;
-  wheel.add(sim::msec(10), [&] { fired.push_back(1); }, sim::kGlobalDomain);
-  wheel.add(sim::msec(10 + 256), [&] { fired.push_back(2); }, sim::kGlobalDomain);
-  wheel.advance(sim::msec(20));
-  EXPECT_EQ(fired, (std::vector<int>{1})) << "the next-rotation entry must stay armed";
-  EXPECT_EQ(wheel.size(), 1u);
-  wheel.advance(sim::msec(10 + 256));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-}
-
-TEST(TimerWheel, NextDeadlineSeesFarFutureEntriesAfterPartialAdvance) {
-  TimerWheel wheel;
-  wheel.add(sim::msec(900), [] {}, sim::kGlobalDomain);
-  wheel.advance(sim::msec(500));  // passes the entry's bucket twice; must not disturb it
-  ASSERT_TRUE(wheel.next_deadline().has_value());
-  EXPECT_EQ(*wheel.next_deadline(), sim::msec(900));
-  EXPECT_EQ(wheel.size(), 1u);
-}
-
-TEST(TimerWheel, GapLargerThanOneRotationFiresOnlyDueEntries) {
-  TimerWheel wheel;
-  std::vector<int> fired;
-  wheel.add(sim::msec(50), [&] { fired.push_back(1); }, sim::kGlobalDomain);
-  wheel.add(sim::msec(400), [&] { fired.push_back(2); }, sim::kGlobalDomain);
-  wheel.add(sim::msec(5000), [&] { fired.push_back(3); }, sim::kGlobalDomain);
-  // A single advance over >1 rotation (walk caps at kSlots buckets): the two
-  // due entries fire in deadline order, the far one stays.
-  wheel.advance(sim::msec(600));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_EQ(wheel.size(), 1u);
-  wheel.advance(sim::msec(5000));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 }  // namespace

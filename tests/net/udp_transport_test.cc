@@ -9,15 +9,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/config_builder.h"
+#include "core/observe.h"
 #include "core/service.h"
 #include "core/site.h"
 #include "net/udp_transport.h"
 #include "net/wire.h"
+#include "obs/checker.h"
 #include "obs/trace.h"
 
 namespace ugrpc::net {
@@ -159,7 +163,7 @@ TEST(UdpTransport, DownLocalProcessNeitherSendsNorReceives) {
   EXPECT_EQ(Reader(received[0].payload).u32(), 3u);
 }
 
-TEST(UdpTransport, TimersFireOnTheWheel) {
+TEST(UdpTransport, TimersFireOnTheExecutor) {
   UdpTransport t;
   int fired = 0;
   t.schedule_after(sim::msec(5), [&] { ++fired; });
@@ -169,7 +173,7 @@ TEST(UdpTransport, TimersFireOnTheWheel) {
   EXPECT_EQ(fired, 1);
 }
 
-// A site crash over UDP: kill_domain cancels the crashed domain's wheel
+// A site crash over UDP: kill_domain cancels the crashed domain's
 // timers and kills its fibers; global-domain timers and another domain's
 // timers and fibers live on.
 TEST(UdpTransport, KillDomainCancelsOnlyThatDomainsTimersAndFibers) {
@@ -217,18 +221,20 @@ TEST(UdpTransport, RunUntilFiberDoneHonoursTimeout) {
   EXPECT_TRUE(ran);
 }
 
-// Bounded Termination over UDP: the deadline is taken from the transport's
-// clock, the one its timer runs on.  A fiber the wheel timer makes ready
-// runs before the executor's clock catches up with real time, so a deadline
-// read from the executor would find nothing expired, re-arm and fire late.
-TEST(UdpTransport, BoundedTerminationTimesOutOnTheTransportClock) {
+struct BoundedRun {
+  Status status = Status::kWaiting;
+  std::chrono::steady_clock::duration elapsed{};
+};
+
+/// One call, under `config`'s Bounded Termination, to a server whose
+/// procedure never returns, driven by poll_once(poll) until the call ends or
+/// 2 s pass.  The client site records into `tracer`.
+BoundedRun run_bounded_call(const core::Config& config, sim::Duration poll,
+                            obs::Tracer& tracer) {
   constexpr ProcessId kServer{1};
   constexpr ProcessId kClient{2};
   constexpr GroupId kGroup{1};
   UdpTransport t;
-  obs::Tracer tracer;
-  const core::Config config =
-      core::ConfigBuilder().termination_bound(sim::msec(100)).unreliable().build();
   const std::set<ProcessId> known{kServer, kClient};
   core::Site server(t, kServer, config, known);
   core::Site client(t, kClient, config, known);
@@ -243,23 +249,98 @@ TEST(UdpTransport, BoundedTerminationTimesOutOnTheTransportClock) {
   client.boot();
 
   core::Client c(client);
-  Status status = Status::kWaiting;
+  BoundedRun run;
   const FiberId fiber = t.spawn(
       [](core::Client& c, Status& status) -> sim::Task<> {
         status = (co_await c.call(kGroup, OpId{1}, Buffer{})).status;
-      }(c, status),
+      }(c, run.status),
       client.domain());
   const auto start = std::chrono::steady_clock::now();
   const auto give_up = start + std::chrono::seconds(2);
   while (t.executor().fiber_alive(fiber) && std::chrono::steady_clock::now() < give_up) {
-    t.poll_once(sim::msec(200));
+    t.poll_once(poll);
   }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
+  run.elapsed = std::chrono::steady_clock::now() - start;
+  return run;
+}
 
-  EXPECT_EQ(status, Status::kTimeout);
-  EXPECT_LT(elapsed, std::chrono::milliseconds(150));
+// Bounded Termination over UDP: the deadline is taken from the transport's
+// clock, the one its timer is armed on.  A fiber runs before the executor's
+// clock catches up with real time, so a deadline read from the executor
+// would come early by that lag.
+TEST(UdpTransport, BoundedTerminationTimesOutOnTheTransportClock) {
+  obs::Tracer tracer;
+  const BoundedRun run = run_bounded_call(
+      core::ConfigBuilder().termination_bound(sim::msec(100)).unreliable().build(),
+      sim::msec(200), tracer);
+  EXPECT_EQ(run.status, Status::kTimeout);
+  EXPECT_LT(run.elapsed, std::chrono::milliseconds(150));
   EXPECT_EQ(tracer.count(obs::Kind::kTimerFired), 1u)
       << "the deadline timer fires once";
+}
+
+// How late the framework timeout in `trace` fired after its deadline
+// (kTimerArmed's time plus its delay), in transport-clock microseconds.
+sim::Duration timer_fire_lateness(const std::vector<obs::Event>& trace) {
+  const auto armed = std::find_if(trace.begin(), trace.end(), [](const obs::Event& e) {
+    return e.kind == obs::Kind::kTimerArmed;
+  });
+  const auto fired = std::find_if(trace.begin(), trace.end(), [](const obs::Event& e) {
+    return e.kind == obs::Kind::kTimerFired;
+  });
+  if (armed == trace.end() || fired == trace.end()) return 0;
+  return fired->time - (armed->time + static_cast<sim::Duration>(armed->b));
+}
+
+// The checker's verdict on the same scenario, driven by 10 ms polls as
+// run_for drives it: the poll wakes at the deadline to the microsecond, so a
+// run ends within the bound plus Expect::termination_slack (1 ms) whenever
+// the host wakes the loop on time.  A shared host sometimes wakes a timed
+// wait milliseconds late whatever the wait asked for; a run whose deadline
+// timer fired more than half the slack late is such a run, says nothing
+// about the transport, and is replaced (PollWakesForATimerToTheMicrosecond
+// pins the wait itself).
+TEST(UdpTransport, BoundedTerminationPassesTheCheckerOnEveryRun) {
+  constexpr sim::Duration kBound = sim::msec(20);
+  const core::Config config =
+      core::ConfigBuilder().termination_bound(kBound).unreliable().build();
+  const obs::Expect expect = core::expectations_from(config);
+  ASSERT_EQ(expect.termination_bound, kBound);
+  int checked = 0;
+  int host_late = 0;
+  while (checked < 20) {
+    obs::Tracer tracer;
+    ASSERT_EQ(run_bounded_call(config, sim::msec(10), tracer).status, Status::kTimeout);
+    const std::vector<obs::Event> trace = tracer.merged();
+    if (timer_fire_lateness(trace) > expect.termination_slack / 2) {
+      ASSERT_LT(++host_late, 20) << "the host woke the poll loop late on 20 runs";
+      continue;
+    }
+    const obs::Report report = obs::check(trace, expect);
+    EXPECT_EQ(report.summary.calls_timeout, 1u) << "run " << checked;
+    EXPECT_TRUE(report.ok()) << "run " << checked << ": " << report.brief() << "; "
+                             << report.violations.front().detail;
+    ++checked;
+  }
+}
+
+// poll_once sleeps exactly until the earliest timer: a wait rounded up to
+// whole milliseconds would wake a 300 us timer at least 700 us late.  The
+// median of several wakes keeps a host's occasional late wake-up out of it.
+TEST(UdpTransport, PollWakesForATimerToTheMicrosecond) {
+  constexpr sim::Duration kDelay = sim::usec(300);
+  UdpTransport t;
+  std::vector<sim::Duration> late;
+  for (int i = 0; i < 9; ++i) {
+    bool fired = false;
+    const sim::Time start = t.now();
+    t.schedule_after(kDelay, [&] { fired = true; });
+    while (!fired && t.now() < start + sim::seconds(2)) t.poll_once(sim::msec(10));
+    ASSERT_TRUE(fired);
+    late.push_back(t.now() - start - kDelay);
+  }
+  std::sort(late.begin(), late.end());
+  EXPECT_LT(late[late.size() / 2], sim::usec(500));
 }
 
 /// Sends a raw pre-encoded frame at the given port from a throwaway socket
@@ -277,6 +358,49 @@ void send_raw(std::uint16_t port, const WireFrame& frame) {
                              reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   ::close(fd);
   ASSERT_EQ(static_cast<std::size_t>(sent), encoded.size());
+}
+
+// A transport timer is armed at the transport clock's absolute deadline.
+// The executor's clock lags real time by the wait of the poll that received
+// a datagram (its delivery fiber runs at the value from before the poll),
+// so a timer taken relative to the executor would fire early by that lag.
+TEST(UdpTransport, TimerArmedByADeliveryFiberWaitsItsFullDelay) {
+  using Clock = std::chrono::steady_clock;
+  constexpr sim::Duration kDelay = sim::msec(20);
+  UdpTransport t;
+  Endpoint& b = t.attach(kB, DomainId{2});
+  sim::Duration lag = -1;
+  Clock::time_point armed_at{};
+  Clock::time_point fired_at{};
+  b.set_handler(kProto, [&](Packet) -> sim::Task<> {
+    lag = t.now() - t.executor().now();
+    armed_at = Clock::now();
+    t.schedule_after(kDelay, [&] { fired_at = Clock::now(); });
+    co_return;
+  });
+
+  WireFrame frame;
+  frame.src = kA;
+  frame.dst = kB;
+  frame.proto = kProto;
+  frame.incarnation = 1;
+  frame.payload = make_payload(1);
+  const std::uint16_t port = t.local_port(kB);
+  {
+    const std::jthread sender([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      send_raw(port, frame);
+    });
+    t.poll_once(sim::msec(500));  // waits in ppoll until the datagram arrives
+  }
+  ASSERT_GE(lag, sim::msec(1)) << "the delivery fiber must run on a lagging executor clock";
+
+  const auto give_up = Clock::now() + std::chrono::seconds(2);
+  while (fired_at == Clock::time_point{} && Clock::now() < give_up) t.poll_once(sim::msec(10));
+  ASSERT_NE(fired_at, Clock::time_point{});
+  // now() truncates to whole microseconds, hence the 1 us.
+  EXPECT_GE(fired_at - armed_at, std::chrono::microseconds(kDelay - 1))
+      << "executor clock lag at arming: " << lag << " us";
 }
 
 TEST(UdpTransport, StaleIncarnationFramesAreDropped) {

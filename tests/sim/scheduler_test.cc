@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -96,6 +97,51 @@ TEST(Scheduler, RunUntilStopsAtDeadline) {
   sched.run_until(msec(20));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sched.now(), msec(20));
+}
+
+TEST(Scheduler, ScheduleAtFiresAtTheAbsoluteDeadline) {
+  Scheduler sched;
+  sched.run_until(msec(5));
+  Time fired_at = 0;
+  sched.schedule_at(msec(8), [&] { fired_at = sched.now(); });
+  sched.run();
+  EXPECT_EQ(fired_at, msec(8));
+}
+
+TEST(Scheduler, CallbackCancelsAnotherTimerDueInTheSameRunUntil) {
+  Scheduler sched;
+  int second_fired = 0;
+  TimerId second{};
+  // Both are due before the run_until limit; the first cancels the second
+  // before the loop reaches it.
+  sched.schedule_after(msec(5), [&] { sched.cancel_timer(second); });
+  second = sched.schedule_after(msec(6), [&] { ++second_fired; });
+  sched.run_until(msec(50));
+  EXPECT_EQ(second_fired, 0);
+}
+
+TEST(Scheduler, TimerArmedByACallbackWaitsForItsOwnDeadline) {
+  Scheduler sched;
+  int chained = 0;
+  sched.schedule_after(msec(5), [&] { sched.schedule_after(msec(100), [&] { ++chained; }); });
+  sched.run_until(msec(10));
+  EXPECT_EQ(chained, 0) << "the new timer is due at 105 ms, not in this batch";
+  sched.run_until(msec(104));
+  EXPECT_EQ(chained, 0);
+  sched.run_until(msec(105));
+  EXPECT_EQ(chained, 1);
+}
+
+TEST(Scheduler, NextTimerDeadlineSkipsACancelledEarliestTimer) {
+  Scheduler sched;
+  EXPECT_FALSE(sched.next_timer_deadline().has_value());
+  sched.schedule_after(msec(30), [] {});
+  const TimerId early = sched.schedule_after(msec(10), [] {});
+  EXPECT_EQ(sched.next_timer_deadline(), std::optional<Time>(msec(10)));
+  sched.cancel_timer(early);
+  EXPECT_EQ(sched.next_timer_deadline(), std::optional<Time>(msec(30)));
+  sched.run();
+  EXPECT_FALSE(sched.next_timer_deadline().has_value());
 }
 
 Task<> nested_child(std::vector<int>& out) {
