@@ -28,8 +28,8 @@
 // ephemeral; the chosen port is printed and, with --port-file, written for
 // scripts -- scrape /metrics with curl or watch live with tools/ugrpcstat).
 // --serve-sec keeps the client serving that many seconds after the calls
-// finish.  --stats-out writes the final metrics JSON.  --flight-dir arms
-// the flight recorder (watchdog trips and crash signals dump there);
+// finish.  --stats-out writes the final /metrics exposition.  --flight-dir
+// arms the flight recorder (watchdog trips and crash signals dump there);
 // --stall-bound-us tightens the stall watchdog's bound so a run with
 // --force-retransmit provably trips it (the CI telemetry-smoke job).
 //
@@ -74,7 +74,7 @@ struct Cli {
   bool force_retransmit = false;  ///< drop the first call datagram to each server
   int telemetry_port = -1;        ///< -1 = off, 0 = ephemeral
   std::string port_file;          ///< write the bound telemetry port here
-  std::string stats_out;          ///< write final metrics JSON here
+  std::string stats_out;          ///< write the final /metrics text here
   int serve_sec = 0;              ///< keep serving after the calls finish
   std::string flight_dir;         ///< arm the flight recorder
   long stall_bound_us = 0;        ///< 0 = config-derived watchdog bound
@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
 
   bool stats_ok = true;
   if (!cli.stats_out.empty()) {
-    stats_ok = write_file(cli.stats_out, telemetry.metrics_json());
+    stats_ok = write_file(cli.stats_out, telemetry.metrics_text());
     if (!stats_ok) std::fprintf(stderr, "udp_group_call: cannot write %s\n", cli.stats_out.c_str());
   }
 

@@ -84,9 +84,6 @@ std::string TelemetryServer::route(const std::string& method, const std::string&
     return http_response(200, "OK", "text/plain; version=0.0.4; charset=utf-8",
                          telemetry_.metrics_text());
   }
-  if (path == "/metrics.json") {
-    return http_response(200, "OK", "application/json", telemetry_.metrics_json());
-  }
   if (path == "/introspect") {
     return http_response(200, "OK", "application/json", telemetry_.introspection_json());
   }
@@ -95,7 +92,6 @@ std::string TelemetryServer::route(const std::string& method, const std::string&
     return http_response(200, "OK", "text/plain",
                          "ugrpc live telemetry\n"
                          "  /metrics        Prometheus text exposition\n"
-                         "  /metrics.json   metrics as JSON\n"
                          "  /introspect     live composite-state snapshot\n"
                          "  /healthz        liveness probe\n");
   }

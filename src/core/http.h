@@ -11,7 +11,6 @@
 //
 // Routes (GET only; one request per connection, Connection: close):
 //   /metrics        Prometheus text exposition        (metrics_text())
-//   /metrics.json   same data as JSON                 (metrics_json())
 //   /introspect     channelz-style live-state JSON    (introspection_json())
 //   /healthz        "ok"
 //   /               plain-text index of the above

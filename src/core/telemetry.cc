@@ -127,10 +127,6 @@ SiteTelemetry::SiteTelemetry(Site& site, const obs::Tracer& tracer, Options opti
   bind_kind("msgs.malformed", Kind::kMsgMalformed);
   bind_kind("timers.fired", Kind::kTimerFired);
   bind_kind("timers.cancelled", Kind::kTimerCancelled);
-  bind_kind("msgs.sent", Kind::kMsgSent);
-  bind_kind("msgs.delivered", Kind::kMsgDelivered);
-  bind_kind("msgs.dropped", Kind::kMsgDropped);
-  bind_kind("msgs.unroutable", Kind::kMsgUnroutable);
   bind_kind("execs.started", Kind::kExecStarted);
   bind_kind("execs.committed", Kind::kExecCommitted);
   bind_kind("execs.duplicates_suppressed", Kind::kDupSuppressed);
@@ -248,28 +244,12 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
 // ---- snapshot endpoints ----
 
 std::string SiteTelemetry::metrics_text() const {
-  std::string out = obs::live::render_prometheus(registry_);
-  // Fold spans into a throwaway registry per scrape: the tracer is long-
-  // lived (its rings feed the flight recorder, so it is never cleared) and
-  // Profile::add re-reads every closed span -- accumulating into a
-  // persistent registry would double-count monotonically.
+  // Fold spans afresh per scrape: the tracer is long-lived (its rings feed
+  // the flight recorder, so it is never cleared) and Profile::add re-reads
+  // every closed span.
   obs::Profile profile;
   profile.add(tracer_);
-  if (!profile.empty()) {
-    obs::Registry span_reg;
-    profile.export_to(span_reg);
-    out += obs::live::render_prometheus(span_reg);
-  }
-  return out;
-}
-
-std::string SiteTelemetry::metrics_json() const {
-  std::string out = "{\"site\":" + registry_.to_json();
-  obs::Profile profile;
-  profile.add(tracer_);
-  if (!profile.empty()) out += ",\"spans\":" + profile.to_json();
-  out += "}";
-  return out;
+  return obs::live::render_prometheus(registry_) + obs::live::render_prometheus(profile);
 }
 
 std::string SiteTelemetry::introspection_json() const {
@@ -389,8 +369,8 @@ std::optional<std::string> SiteTelemetry::trip(std::string_view reason, std::str
   std::string manifest = "{\n  \"reason\": " + obs::json_str(reason) +
                          ",\n  \"stamp_utc\": " + obs::json_str(stamp_utc()) +
                          ",\n  \"seq\": " + std::to_string(seq) +
-                         ",\n  \"files\": [\"trace.json\", \"spans.json\", \"metrics.json\", "
-                         "\"metrics.prom\", \"introspect.json\"]";
+                         ",\n  \"files\": [\"trace.json\", \"spans.json\", \"metrics.prom\", "
+                         "\"introspect.json\"]";
   manifest += ",\n  \"config\": " + obs::json_str(site_.config().describe()) + ",\n  ";
   manifest += "\"expect\": {\"unique_execution\":";
   manifest += expect.unique_execution ? "true" : "false";
@@ -411,7 +391,6 @@ std::optional<std::string> SiteTelemetry::trip(std::string_view reason, std::str
   if (!write_file(tmp / "MANIFEST.json", manifest, error) ||
       !write_file(tmp / "trace.json", tracer_.dump_json(), error) ||
       !write_file(tmp / "spans.json", obs::export_perfetto(tracer_), error) ||
-      !write_file(tmp / "metrics.json", metrics_json(), error) ||
       !write_file(tmp / "metrics.prom", metrics_text(), error) ||
       !write_file(tmp / "introspect.json", introspection_json(), error)) {
     fs::remove_all(tmp, ec);

@@ -3,19 +3,18 @@
 //
 // It answers everything a frontend can ask for:
 //
-//   * counters -- one Registry whose call, retransmission, malformed-drop,
-//     timer and message counts are read from Tracer::count() at scrape time,
-//     so the stack records each fact once, as a trace record.  The object
-//     therefore reports what its tracer saw -- with one site per process
-//     (UDP) that is the site; with a simulator tracer shared by several
-//     sites it is all of them.  It adds reads of net::Stats (`net.*`; the
-//     site's transport must outlive the scrapes) and owns the `watchdog.*`
-//     and `flight.dumps` counters.
-//   * metrics_text() / metrics_json() -- Prometheus exposition (and JSON) of
-//     the registry, plus per-micro-protocol self-time attribution folded
-//     fresh from the tracer's spans on every scrape (the Tracer is never
-//     cleared -- its rings feed the flight recorder -- so folding into a
-//     persistent registry would double-count).
+//   * counters -- one Registry whose call, execution, retransmission,
+//     malformed-drop and timer counts are read from Tracer::count() at
+//     scrape time, so the stack records each fact once, as a trace record.
+//     The object therefore reports what its tracer saw -- with one site per
+//     process (UDP) that is the site; with a simulator tracer shared by
+//     several sites it is all of them.  Transport counts are read from
+//     net::Stats (`net.*`; the site's transport must outlive the scrapes),
+//     and the object owns the `watchdog.*` and `flight.dumps` counters.
+//   * metrics_text() -- the site's one exposition, in Prometheus text
+//     format: the registry's counters plus the span profile (wall and self
+//     time per component, span kind and handler) folded fresh from the
+//     tracer's spans on every scrape (obs/live/prometheus.h).
 //   * introspection -- a channelz-style JSON snapshot of the running stack:
 //     configured micro-protocol set, registered handlers with priorities,
 //     pending pRPC entries with age/status/outstanding responses, sRPC
@@ -37,7 +36,6 @@
 //       trace.json      Tracer::dump_json()       (reload: obs/live/trace_load.h)
 //       spans.json      export_perfetto()         (loadable by ui.perfetto.dev
 //                                                  and tools/check_perfetto.py)
-//       metrics.json    metrics_json()
 //       metrics.prom    metrics_text()
 //       introspect.json introspection_json()
 //
@@ -129,11 +127,9 @@ class SiteTelemetry {
 
   // ---- snapshot endpoints ----
 
-  /// Prometheus text exposition: the registry + a fresh span-profile fold
-  /// (when the tracer holds closed spans).
+  /// Prometheus text exposition: the registry's counters + a fresh
+  /// span-profile fold (when the tracer holds closed spans).
   [[nodiscard]] std::string metrics_text() const;
-  /// Same data as one JSON object: {"site":{...},"spans":{...}}.
-  [[nodiscard]] std::string metrics_json() const;
   [[nodiscard]] std::string introspection_json() const;
 
   // ---- flight recorder ----

@@ -1,41 +1,13 @@
 #include "obs/live/prometheus.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "obs/metrics.h"
+#include "obs/profile.h"
 
 namespace ugrpc::obs::live {
-
-namespace {
-
-bool name_char_ok(char c, bool first) {
-  if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' || c == ':') return true;
-  return !first && c >= '0' && c <= '9';
-}
-
-struct RenderedName {
-  std::string metric;  ///< sanitized, prefixed
-  std::string labels;  ///< "{raw=...}" or ""
-};
-
-RenderedName rendered_name(const std::string& name) {
-  RenderedName out;
-  out.metric = prom_metric_name(name);
-  bool lossy = false;
-  for (char c : name) {
-    if (!name_char_ok(c, false) && c != '.') {
-      lossy = true;
-      break;
-    }
-  }
-  out.metric = "ugrpc_" + out.metric;
-  if (lossy) out.labels = "{raw=\"" + prom_escape_label(name) + "\"}";
-  return out;
-}
-
-void append_u64(std::string& out, std::uint64_t v) { out += std::to_string(v); }
-
-}  // namespace
 
 std::string prom_escape_label(std::string_view s) {
   std::string out;
@@ -61,63 +33,57 @@ std::string prom_escape_label(std::string_view s) {
 }
 
 std::string prom_metric_name(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    // '.' separates Registry path segments; '_' is its canonical spelling.
-    out += name_char_ok(c, /*first=*/false) ? c : '_';
-  }
-  if (out.empty() || !name_char_ok(out.front(), /*first=*/true)) out.insert(out.begin(), '_');
+  std::string out(s);
+  std::replace(out.begin(), out.end(), '.', '_');
   return out;
 }
 
 std::string render_prometheus(const Registry& reg) {
   std::string out;
-  out.reserve(1024);
-
   reg.for_each_counter([&](const std::string& name, std::uint64_t value) {
-    const RenderedName rn = rendered_name(name);
-    out += "# TYPE " + rn.metric + " counter\n";
-    out += rn.metric + rn.labels + " ";
-    append_u64(out, value);
-    out += "\n";
+    const std::string metric = "ugrpc_" + prom_metric_name(name);
+    out += "# TYPE " + metric + " counter\n" + metric + " " + std::to_string(value) + "\n";
   });
+  return out;
+}
 
-  reg.for_each_histogram([&](const std::string& name, const Histogram& h) {
-    const RenderedName rn = rendered_name(name);
-    // Bucket lines carry `le` plus whatever labels the base name has; the
-    // raw label must precede le to keep one canonical order.
-    std::string base_labels = rn.labels;
-    if (!base_labels.empty()) {
-      base_labels.pop_back();  // drop '}'
-      base_labels += ",";
-    } else {
-      base_labels = "{";
+std::string render_prometheus(const Profile& profile) {
+  if (profile.empty()) return "";
+  using Stats = Profile::Stats;
+  struct Family {
+    const char* metric;
+    std::uint64_t Stats::*total;
+    std::uint64_t Stats::*quantiles[4];
+  };
+  static constexpr Family kFamilies[] = {
+      {"ugrpc_span_wall_ns", &Stats::wall_total,
+       {&Stats::wall_p50, &Stats::wall_p95, &Stats::wall_p99, &Stats::wall_max}},
+      {"ugrpc_span_self_ns", &Stats::self_total,
+       {&Stats::self_p50, &Stats::self_p95, &Stats::self_p99, &Stats::self_max}},
+  };
+  static constexpr const char* kQuantiles[] = {"0.5", "0.95", "0.99", "1"};
+  // Finalizing sorts every row's samples: do it once for both families.
+  const std::pair<const char*, std::map<std::string, Stats>> groups[] = {
+      {"component", profile.by_component()},
+      {"kind", profile.by_kind()},
+      {"handler", profile.by_handler()},
+  };
+  std::string out;
+  for (const Family& f : kFamilies) {
+    out += "# TYPE " + std::string(f.metric) + " summary\n";
+    for (const auto& [by, rows] : groups) {
+      for (const auto& [name, st] : rows) {
+        const std::string labels =
+            std::string("{by=\"") + by + "\",name=\"" + prom_escape_label(name) + "\"";
+        for (std::size_t i = 0; i < 4; ++i) {
+          out += f.metric + labels + ",quantile=\"" + kQuantiles[i] + "\"} " +
+                 std::to_string(st.*f.quantiles[i]) + "\n";
+        }
+        out += f.metric + ("_sum" + labels) + "} " + std::to_string(st.*f.total) + "\n";
+        out += f.metric + ("_count" + labels) + "} " + std::to_string(st.count) + "\n";
+      }
     }
-    out += "# TYPE " + rn.metric + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t in_bucket = h.bucket_count(i);
-      if (in_bucket == 0 && cumulative == 0) continue;   // leading empty buckets
-      cumulative += in_bucket;
-      out += rn.metric + "_bucket" + base_labels + "le=\"";
-      append_u64(out, Histogram::bucket_upper(i));
-      out += "\"} ";
-      append_u64(out, cumulative);
-      out += "\n";
-      if (cumulative == h.count()) break;  // trailing empty buckets add nothing
-    }
-    out += rn.metric + "_bucket" + base_labels + "le=\"+Inf\"} ";
-    append_u64(out, h.count());
-    out += "\n";
-    out += rn.metric + "_sum" + rn.labels + " ";
-    append_u64(out, h.sum());
-    out += "\n";
-    out += rn.metric + "_count" + rn.labels + " ";
-    append_u64(out, h.count());
-    out += "\n";
-  });
-
+  }
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace ugrpc::obs {
 
@@ -123,17 +122,6 @@ std::string Profile::to_json() const {
   emit_group(out, by_handler());
   out += "\n}";
   return out;
-}
-
-void Profile::export_to(Registry& reg) const {
-  for (const auto& [comp, samples] : component_) {
-    Histogram& h = reg.histogram("span." + comp + ".self_ns");
-    for (const auto v : samples.self) h.add(v);
-  }
-  for (const auto& [kind, samples] : kind_) {
-    Histogram& h = reg.histogram("span.kind." + kind + ".wall_ns");
-    for (const auto v : samples.wall) h.add(v);
-  }
 }
 
 }  // namespace ugrpc::obs

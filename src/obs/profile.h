@@ -10,11 +10,10 @@
 // at zero), so a component that merely awaits its children is not charged for
 // their work.
 //
-// Percentiles here are exact (samples are retained and sorted at finalize),
-// unlike the bucketed estimates of obs::Histogram -- bench attribution wants
-// real p50/p99, not power-of-two upper bounds.  export_to() additionally
-// folds self-time samples into a metrics Registry so the regular Registry
-// JSON dump carries the same attribution at bucket resolution.
+// Percentiles here are exact (samples are retained and sorted at finalize):
+// bench attribution wants real p50/p99.  The benches dump to_json(); a live
+// site's /metrics renders the same rows as Prometheus summaries
+// (obs/live/prometheus.h).
 #pragma once
 
 #include <cstdint>
@@ -25,8 +24,6 @@
 #include "obs/trace.h"
 
 namespace ugrpc::obs {
-
-class Registry;
 
 class Profile {
  public:
@@ -58,11 +55,6 @@ class Profile {
   /// {"by_component":{...},"by_kind":{...},"by_handler":{...}} with every
   /// Stats field spelled out (keys JSON-escaped).
   [[nodiscard]] std::string to_json() const;
-
-  /// Folds self-time samples into `reg` as histograms named
-  /// "span.<component>.self_ns" / "span.kind.<kind>.wall_ns", extending the
-  /// Registry JSON dump with the same attribution.
-  void export_to(Registry& reg) const;
 
   [[nodiscard]] bool empty() const { return component_.empty() && kind_.empty(); }
 

@@ -1,8 +1,9 @@
 // Integration tests for the live telemetry plane (core/telemetry.h): the
-// counters, read from the trace tallies of a real workload, the stall
-// watchdog flagging pending pRPC/sRPC records, the introspection snapshot,
-// flight dumps loadable by trace_load + the checker, the crash handler, and
-// a UDP site serving scrapes over real TCP.
+// counters, read from the trace tallies of a real workload, the span
+// profile on the scrape, the stall watchdog flagging pending pRPC/sRPC
+// records, the introspection snapshot, flight dumps loadable by trace_load
+// + the checker, the crash handler, and a UDP site serving scrapes over
+// real TCP.
 #include "core/telemetry.h"
 
 #include <arpa/inet.h>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <csignal>
 #include <chrono>
@@ -20,10 +22,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/observe.h"
@@ -32,7 +37,9 @@
 #include "net/udp_transport.h"
 #include "obs/checker.h"
 #include "obs/live/json_value.h"
+#include "obs/live/prometheus.h"
 #include "obs/live/trace_load.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 
 namespace ugrpc::core {
@@ -140,6 +147,53 @@ TEST(LiveTelemetry, ScrapeTypesEveryCountAsCounter) {
     EXPECT_NE(out.find(std::string(line) + "\n"), std::string::npos) << line << "\n" << out;
   }
   EXPECT_EQ(out.find(" gauge\n"), std::string::npos) << out;
+}
+
+TEST(LiveTelemetry, ScrapeCarriesEveryProfileRow) {
+  obs::Tracer tracer;
+  ScenarioParams p;
+  p.seed = 7;
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
+  SiteTelemetry telemetry(s.client_site(0), tracer);
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    for (int i = 0; i < 5; ++i) (void)co_await c.call(s.group(), kOp, Buffer{});
+  });
+  const std::string out = telemetry.metrics_text();
+
+  // The same fold the scrape made: nothing ran in between.
+  obs::Profile profile;
+  profile.add(tracer);
+  using Stats = obs::Profile::Stats;
+  const std::pair<std::string, std::map<std::string, Stats>> groups[] = {
+      {"component", profile.by_component()},
+      {"kind", profile.by_kind()},
+      {"handler", profile.by_handler()},
+  };
+  const auto expect_sample = [&out](const std::string& sample, std::uint64_t value) {
+    const std::string line = "\n" + sample + " " + std::to_string(value) + "\n";
+    EXPECT_NE(out.find(line), std::string::npos) << "missing" << line;
+  };
+  for (const auto& [by, rows] : groups) {
+    ASSERT_FALSE(rows.empty()) << "the workload yields " << by << " rows";
+    for (const auto& [name, st] : rows) {
+      const std::string labels =
+          "{by=\"" + by + "\",name=\"" + obs::live::prom_escape_label(name) + "\"";
+      for (const auto& [metric, total, values] :
+           {std::tuple{"ugrpc_span_wall_ns", st.wall_total,
+                       std::array{st.wall_p50, st.wall_p95, st.wall_p99, st.wall_max}},
+            std::tuple{"ugrpc_span_self_ns", st.self_total,
+                       std::array{st.self_p50, st.self_p95, st.self_p99, st.self_max}}}) {
+        const std::string family = metric;
+        const char* quantiles[] = {"0.5", "0.95", "0.99", "1"};
+        for (std::size_t i = 0; i < 4; ++i) {
+          expect_sample(family + labels + ",quantile=\"" + quantiles[i] + "\"}", values[i]);
+        }
+        expect_sample(family + "_sum" + labels + "}", total);
+        expect_sample(family + "_count" + labels + "}", st.count);
+      }
+    }
+  }
 }
 
 TEST(LiveTelemetry, WatchdogFlagsStalledCallOnce) {
@@ -289,6 +343,9 @@ TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
   ASSERT_TRUE((*manifest)["expect"].is_object());
   EXPECT_EQ((*manifest)["expect"]["unique_execution"].as_bool(),
             expectations_from(config).unique_execution);
+  for (const JsonValue& file : (*manifest)["files"].as_array()) {
+    EXPECT_TRUE(fs::exists(fs::path(*dump) / file.as_string())) << file.as_string();
+  }
 
   // trace.json round-trips into checker-ready events; the healthy workload
   // must replay clean under the config's own expectations.

@@ -164,6 +164,7 @@ TEST_F(HttpFuzz, WellFormedRequestsAreAnswered) {
       {"GET /metrics HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n", 200},
       {"GET / HTTP/1.0\r\n\r\n", 200},
       {"GET /nowhere HTTP/1.0\r\n\r\n", 404},
+      {"GET /metrics.json HTTP/1.0\r\n\r\n", 404},
       {"POST /metrics HTTP/1.0\r\n\r\n", 405},
       {"GET\r\n\r\n", 400},
   };
@@ -179,7 +180,7 @@ TEST_F(HttpFuzz, WellFormedRequestsAreAnswered) {
 std::string mutate(std::mt19937_64& rng) {
   static const std::vector<std::string> kSeeds = {
       "GET /metrics HTTP/1.0\r\n\r\n",
-      "GET /metrics.json HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+      "GET / HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
       "GET /introspect HTTP/1.0\r\nUser-Agent: ugrpcstat\r\n\r\n",
       "GET /healthz HTTP/1.0\r\n\r\n",
   };

@@ -1,6 +1,6 @@
 // obs::Profile: self-time vs children-time accounting, exact percentiles,
-// component grouping by handler-name prefix, kind grouping, JSON emission,
-// and Registry export -- all on hand-built span sets with known timestamps.
+// component grouping by handler-name prefix, kind grouping and JSON
+// emission -- all on hand-built span sets with known timestamps.
 #include "obs/profile.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ugrpc::obs {
@@ -136,21 +135,6 @@ TEST(Profile, ToJsonEscapesKeysAndContainsEveryField) {
                             "\"self_p99_ns\":", "\"children_total_ns\":"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }
-}
-
-TEST(Profile, ExportToRegistryAddsHistograms) {
-  Tracer names;
-  const std::uint32_t handler = names.site(ProcessId{1}).intern("Comp.h");
-  std::vector<Span> spans;
-  spans.push_back(make_span(1, 0, 0, 100, Kind::kEventHandled, handler));
-  spans.push_back(make_span(2, 1, 0, 40, Kind::kMsgSent));
-  Profile prof;
-  prof.add_spans(spans, names);
-  Registry reg;
-  prof.export_to(reg);
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("span.Comp.self_ns"), std::string::npos);
-  EXPECT_NE(json.find("span.kind.send.wall_ns"), std::string::npos);
 }
 
 TEST(Profile, AddFoldsTracerSpansDirectly) {

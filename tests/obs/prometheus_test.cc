@@ -1,10 +1,11 @@
 // Unit tests for the Prometheus text exposition (obs/live/prometheus.h).
 //
-// Three contracts pinned here: hostile Registry names survive sanitization
-// via the raw="..." label instead of colliding silently; histograms render
-// as coherent cumulative native histograms over the power-of-two buckets;
-// and a scrape taken from a timer callback under the cooperative executor
-// is a consistent point-in-time snapshot of a registry a fiber is mutating.
+// Three contracts pinned here: counters render under the ugrpc_ prefix;
+// a span Profile renders as two summary families carrying every
+// Profile::Stats field, with free-form handler names escaped in the `name`
+// label; and a scrape taken from a timer callback under the cooperative
+// executor is a consistent point-in-time snapshot of a registry a fiber is
+// mutating.
 #include "obs/live/prometheus.h"
 
 #include <gtest/gtest.h>
@@ -12,8 +13,11 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 #include "sim/scheduler.h"
 #include "sim/time.h"
 
@@ -44,15 +48,6 @@ TEST(PromName, DotsBecomeUnderscores) {
   EXPECT_EQ(prom_metric_name("net.bytes_sent"), "net_bytes_sent");
 }
 
-TEST(PromName, HostileBytesBecomeUnderscores) {
-  EXPECT_EQ(prom_metric_name("a b\"c\\d\ne"), "a_b_c_d_e");
-}
-
-TEST(PromName, NeverEmptyAndNeverLeadsWithDigit) {
-  EXPECT_EQ(prom_metric_name(""), "_");
-  EXPECT_EQ(prom_metric_name("9lives"), "_9lives");
-}
-
 TEST(PromEscape, EscapesBackslashQuoteNewline) {
   EXPECT_EQ(prom_escape_label("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
 }
@@ -71,51 +66,71 @@ TEST(PromRender, CounterAndGaugeWithPrefix) {
   EXPECT_EQ(out.find("gauge"), std::string::npos) << out;
 }
 
-TEST(PromRender, LossyNameKeepsOriginalInRawLabel) {
-  Registry reg;
-  // A group label with quote, backslash and newline -- the worst a
-  // user-provided name can carry.
-  reg.counter("calls[\"evil\\name\n\"]", [] { return std::uint64_t{2}; });
-  const std::string out = render_prometheus(reg);
-  EXPECT_TRUE(has_line(out, "ugrpc_calls__evil_name___{raw=\"calls[\\\"evil\\\\name\\n\\\"]\"} 2"))
+/// Three calls of handler `handler` (wall 1000, 200, 300 ns); the first
+/// has a 300 ns send child, so its self time is 700.
+Profile three_calls(const std::string& handler) {
+  Tracer names;
+  const std::uint32_t h = names.site(ProcessId{1}).intern(handler);
+  const auto span = [](std::uint64_t id, std::uint64_t parent, std::uint64_t begin,
+                       std::uint64_t end, Kind kind, std::uint32_t name) {
+    Span s;
+    s.id = id;
+    s.trace = 1;
+    s.parent = parent;
+    s.ns_begin = begin;
+    s.ns_end = end;
+    s.site = ProcessId{1};
+    s.kind = kind;
+    s.name = name;
+    return s;
+  };
+  const std::vector<Span> spans = {
+      span(1, 0, 0, 1000, Kind::kEventHandled, h), span(2, 1, 100, 400, Kind::kMsgSent, 0),
+      span(3, 0, 2000, 2200, Kind::kEventHandled, h),
+      span(4, 0, 3000, 3300, Kind::kEventHandled, h)};
+  Profile prof;
+  prof.add_spans(spans, names);
+  return prof;
+}
+
+TEST(PromRender, SummaryCarriesEveryStatsField) {
+  const std::string out = render_prometheus(three_calls("Comp.h"));
+  for (const char* line : {
+           "# TYPE ugrpc_span_wall_ns summary",
+           "ugrpc_span_wall_ns{by=\"component\",name=\"Comp\",quantile=\"0.5\"} 300",
+           "ugrpc_span_wall_ns{by=\"component\",name=\"Comp\",quantile=\"0.95\"} 1000",
+           "ugrpc_span_wall_ns{by=\"component\",name=\"Comp\",quantile=\"0.99\"} 1000",
+           "ugrpc_span_wall_ns{by=\"component\",name=\"Comp\",quantile=\"1\"} 1000",
+           "ugrpc_span_wall_ns_sum{by=\"component\",name=\"Comp\"} 1500",
+           "ugrpc_span_wall_ns_count{by=\"component\",name=\"Comp\"} 3",
+           "ugrpc_span_wall_ns{by=\"kind\",name=\"send\",quantile=\"1\"} 300",
+           "ugrpc_span_wall_ns_count{by=\"kind\",name=\"send\"} 1",
+           "ugrpc_span_wall_ns_sum{by=\"handler\",name=\"Comp.h\"} 1500",
+           "# TYPE ugrpc_span_self_ns summary",
+           "ugrpc_span_self_ns{by=\"component\",name=\"Comp\",quantile=\"0.5\"} 300",
+           "ugrpc_span_self_ns{by=\"component\",name=\"Comp\",quantile=\"0.95\"} 700",
+           "ugrpc_span_self_ns{by=\"component\",name=\"Comp\",quantile=\"1\"} 700",
+           "ugrpc_span_self_ns_sum{by=\"component\",name=\"Comp\"} 1200",
+           "ugrpc_span_self_ns_count{by=\"handler\",name=\"Comp.h\"} 3",
+       }) {
+    EXPECT_TRUE(has_line(out, line)) << line << "\n" << out;
+  }
+}
+
+TEST(PromRender, SummaryEscapesHandlerNameInNameLabel) {
+  // A handler name with quote, backslash and newline -- the worst user code
+  // can register.  It stays one label value, escaped.
+  const std::string out = render_prometheus(three_calls("Ev\"il\\Comp.h\nx"));
+  EXPECT_TRUE(has_line(
+      out, "ugrpc_span_self_ns_count{by=\"handler\",name=\"Ev\\\"il\\\\Comp.h\\nx\"} 3"))
+      << out;
+  EXPECT_TRUE(has_line(
+      out, "ugrpc_span_wall_ns_sum{by=\"component\",name=\"Ev\\\"il\\\\Comp\"} 1500"))
       << out;
 }
 
-TEST(PromRender, LosslessNameGetsNoRawLabel) {
-  Registry reg;
-  reg.counter("net.sent", [] { return std::uint64_t{1}; });
-  const std::string out = render_prometheus(reg);
-  EXPECT_EQ(out.find("raw="), std::string::npos) << out;
-}
-
-TEST(PromRender, HistogramIsCumulativeWithPowerOfTwoBuckets) {
-  Registry reg;
-  Histogram& h = reg.histogram("lat_us");
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(1000);
-  const std::string out = render_prometheus(reg);
-  EXPECT_TRUE(has_line(out, "# TYPE ugrpc_lat_us histogram")) << out;
-  EXPECT_TRUE(has_line(out, "ugrpc_lat_us_bucket{le=\"1\"} 1")) << out;
-  EXPECT_TRUE(has_line(out, "ugrpc_lat_us_bucket{le=\"3\"} 3")) << out;
-  // Intermediate empty buckets still render (cumulative stays flat)...
-  EXPECT_TRUE(has_line(out, "ugrpc_lat_us_bucket{le=\"511\"} 3")) << out;
-  // ...up to the bucket containing the max, then straight to +Inf.
-  EXPECT_TRUE(has_line(out, "ugrpc_lat_us_bucket{le=\"1023\"} 4")) << out;
-  EXPECT_EQ(out.find("le=\"2047\""), std::string::npos) << out;
-  EXPECT_TRUE(has_line(out, "ugrpc_lat_us_bucket{le=\"+Inf\"} 4")) << out;
-  EXPECT_TRUE(has_line(out, "ugrpc_lat_us_sum 1006")) << out;
-  EXPECT_TRUE(has_line(out, "ugrpc_lat_us_count 4")) << out;
-}
-
-TEST(PromRender, EmptyHistogramStillCompleteFamily) {
-  Registry reg;
-  (void)reg.histogram("lat_us");
-  const std::string out = render_prometheus(reg);
-  EXPECT_TRUE(has_line(out, "ugrpc_lat_us_bucket{le=\"+Inf\"} 0")) << out;
-  EXPECT_TRUE(has_line(out, "ugrpc_lat_us_sum 0")) << out;
-  EXPECT_TRUE(has_line(out, "ugrpc_lat_us_count 0")) << out;
+TEST(PromRender, EmptyProfileRendersNothing) {
+  EXPECT_EQ(render_prometheus(Profile{}), "");
 }
 
 TEST(PromRender, ScrapeBetweenFibersIsConsistentSnapshot) {

@@ -18,6 +18,10 @@ Validates the output of obs::live::render_prometheus / a /metrics scrape
   * histogram families are complete and coherent: ``_bucket`` series carry
     ``le``, bucket counts are cumulative (non-decreasing with ``le``), the
     last bucket is ``le="+Inf"``, and ``_count`` equals the +Inf bucket
+  * summary families are coherent: every quantile sample carries a
+    ``quantile`` label in [0, 1], per label set the values do not decrease
+    as the quantile grows, and ``_sum`` and ``_count`` are present and
+    non-negative
   * no duplicate sample (same name + label set)
 
 ``--require NAME`` (repeatable) asserts a family is present -- the CI smoke
@@ -230,6 +234,43 @@ def main():
                 err(f"{family}: _count {counts[base]} != +Inf bucket "
                     f"{series[-1][1]}")
 
+    # Summary coherence per family (+ per non-quantile label set).
+    for family, mtype in types.items():
+        if mtype != "summary":
+            continue
+        quantiles = {}  # non-quantile labels -> [(quantile, value, lineno)]
+        totals = {}     # non-quantile labels -> {"_sum": v, "_count": v}
+        for lineno, name, labels, value in samples:
+            if family_of(name) != family:
+                continue
+            if name == family:
+                q = dict(labels).get("quantile")
+                q_value = parse_float(q) if q is not None else None
+                if q_value is None or not 0.0 <= q_value <= 1.0:
+                    err(f"line {lineno}: {name} needs a quantile label in "
+                        f"[0, 1], has {q!r}")
+                    continue
+                base = tuple(kv for kv in labels if kv[0] != "quantile")
+                quantiles.setdefault(base, []).append((q_value, value, lineno))
+            else:
+                suffix = name[len(family):]
+                if suffix not in ("_sum", "_count"):
+                    err(f"line {lineno}: {name} in summary {family}")
+                    continue
+                if value < 0:
+                    err(f"line {lineno}: negative summary {suffix} {name}")
+                totals.setdefault(labels, {})[suffix] = value
+        for base in set(quantiles) | set(totals):
+            prev_value = float("-inf")
+            for q_value, value, lineno in sorted(quantiles.get(base, [])):
+                if value < prev_value:
+                    err(f"line {lineno}: {family} decreases at "
+                        f"quantile={q_value}")
+                prev_value = value
+            for suffix in ("_sum", "_count"):
+                if suffix not in totals.get(base, {}):
+                    err(f"{family}{dict(base)}: no {suffix} sample")
+
     present = {family_of(name) for _, name, _, _ in samples}
     for family in args.require:
         if family not in present:
@@ -242,8 +283,9 @@ def main():
               f"{len(samples)} samples)", file=sys.stderr)
         return 1
     n_hist = sum(1 for t in types.values() if t == "histogram")
+    n_summary = sum(1 for t in types.values() if t == "summary")
     print(f"check_prom: OK -- {len(samples)} samples in {len(present)} "
-          f"families ({n_hist} histogram(s))")
+          f"families ({n_hist} histogram(s), {n_summary} summary(ies))")
     return 0
 
 

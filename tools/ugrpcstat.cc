@@ -6,8 +6,9 @@
 //   ugrpcstat --port P                  pretty-print one introspection snapshot
 //   ugrpcstat --port P --json           raw /introspect JSON
 //   ugrpcstat --port P --metrics        raw /metrics Prometheus text
-//   ugrpcstat --port P --watch S        poll /metrics.json every S seconds and
-//                                       print counter deltas (--count N polls)
+//   ugrpcstat --port P --watch S        poll /metrics every S seconds and print
+//                                       the samples that changed, keyed by name
+//                                       plus labels (--count N polls)
 //   ugrpcstat --check-flight DIR        load DIR/trace.json + DIR/MANIFEST.json,
 //                                       rebuild the checker Expect recorded in
 //                                       the manifest, and replay the dumped
@@ -21,8 +22,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -252,16 +255,17 @@ int print_introspection(const std::string& body) {
 
 // ---- watch mode ----
 
-/// Flattens numeric leaves of a metrics.json document to dotted paths.
-void flatten(const JsonValue& v, const std::string& prefix,
-             std::map<std::string, double>& out) {
-  if (v.is_number()) {
-    out[prefix] = v.as_double();
-  } else if (v.is_object()) {
-    for (const auto& [key, child] : v.as_object()) {
-      flatten(child, prefix.empty() ? key : prefix + "." + key, out);
-    }
+/// The sample lines of a Prometheus text exposition, keyed by name plus
+/// labels (everything before the value; the server writes no timestamps).
+std::map<std::string, double> parse_samples(const std::string& text) {
+  std::map<std::string, double> out;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t space = line.rfind(' ');
+    if (line.empty() || line[0] == '#' || space == std::string::npos) continue;
+    out[line.substr(0, space)] = std::strtod(line.c_str() + space + 1, nullptr);
   }
+  return out;
 }
 
 int watch(const Cli& cli) {
@@ -269,21 +273,19 @@ int watch(const Cli& cli) {
   bool have_prev = false;
   for (int poll = 0; cli.count == 0 || poll < cli.count; ++poll) {
     std::string error;
-    const auto body = http_get(cli.host, cli.port, "/metrics.json", &error);
+    const auto body = http_get(cli.host, cli.port, "/metrics", &error);
     if (!body) {
       std::fprintf(stderr, "ugrpcstat: %s\n", error.c_str());
       return 2;
     }
-    const auto doc = json_parse(*body, &error);
-    if (!doc) {
-      std::fprintf(stderr, "ugrpcstat: bad metrics document: %s\n", error.c_str());
-      return 2;
-    }
-    std::map<std::string, double> cur;
-    flatten(*doc, "", cur);
+    std::map<std::string, double> cur = parse_samples(*body);
+    int width = 6;  // "sample"
+    for (const auto& [name, value] : cur) width = std::max(width, static_cast<int>(name.size()));
     if (!have_prev) {
-      std::printf("%-44s %14s %10s\n", "metric", "value", "delta");
-      for (const auto& [name, value] : cur) std::printf("%-44s %14.0f\n", name.c_str(), value);
+      std::printf("%-*s %14s %10s\n", width, "sample", "value", "delta");
+      for (const auto& [name, value] : cur) {
+        std::printf("%-*s %14.0f\n", width, name.c_str(), value);
+      }
     } else {
       bool any = false;
       for (const auto& [name, value] : cur) {
@@ -291,7 +293,7 @@ int watch(const Cli& cli) {
         const double delta = it == prev.end() ? value : value - it->second;
         if (delta == 0) continue;
         any = true;
-        std::printf("%-44s %14.0f %+10.0f\n", name.c_str(), value, delta);
+        std::printf("%-*s %14.0f %+10.0f\n", width, name.c_str(), value, delta);
       }
       if (!any) std::printf("(no change)\n");
     }
