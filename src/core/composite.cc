@@ -37,10 +37,6 @@ GrpcComposite::GrpcComposite(net::Transport& transport, net::Endpoint& endpoint,
   define_grpc_events(framework());
   assemble();
   start();
-  // The baseline checkpoint must see the full checkpoint-participant list,
-  // which ordering protocols only join in their start() -- after Atomic
-  // Execution's (assembly order).
-  if (atomic_ != nullptr) atomic_->ensure_baseline();
   // UPI "demux from below": decode and run the MSG_FROM_NETWORK chain.  The
   // network spawns one fiber per delivered packet in this site's domain.
   endpoint_.set_handler(kGrpcProto, [this](net::Packet pkt) -> sim::Task<> {

@@ -4,8 +4,9 @@
 // by the micro-protocols configured into the framework".  GrpcState is that
 // shared data: the client-side pending-call table (pRPC), the server-side
 // table (sRPC), the HOLD readiness array, the live-member set, the serial
-// semaphore, and handles to the neighbouring protocols (the network below,
-// the user protocol above).
+// semaphore, the checkpoint participants (with the journal each keeps for
+// Atomic Execution), and handles to the neighbouring protocols (the network
+// below, the user protocol above).
 //
 // Call-id scheme: the paper indexes both tables by a bare integer call id
 // assigned per client.  With multiple clients those ids would collide at the
@@ -142,61 +143,58 @@ struct ServerRecord {
 
 /// Micro-protocols with volatile state that must survive a crash for the
 /// configured semantics to hold across recovery (e.g. Unique Execution's
-/// duplicate tables) register themselves here; Atomic Execution includes
-/// them in every checkpoint.
+/// duplicate tables) register themselves here, in their constructors;
+/// Atomic Execution includes them in every checkpoint.
 ///
-/// Atomic Execution stores a chain: a base record holding every
-/// participant's full state (encode_state) followed by delta records
-/// holding only what changed since the previous record (encode_delta).
-/// Recovery decodes the base and applies each delta in order.  The default
-/// delta is the full state, which suits small state (FIFO Order); large
-/// tables journal their changes instead (CheckpointJournal): Total Order
-/// its order inserts, Unique Execution its OldCalls inserts and its
-/// OldResults stores and frees.
+/// A participant's state has one encoding: a list of changes, each one a
+/// record of the participant's own format, replayed in order by apply().
+/// encode_state() writes the whole state as the changes that rebuild it
+/// from empty.  While Atomic Execution runs, every change is also written,
+/// in that same encoding, to a journal this class keeps.  Atomic Execution
+/// stores a chain: a base record whose parts are encode_state(), then delta
+/// records whose parts are the journal since the previous record.  Recovery
+/// applies every record's part the same way, oldest first.
 class CheckpointParticipant {
  public:
+  CheckpointParticipant() = default;
+  // The journal's writer holds the journal's address.
+  CheckpointParticipant(const CheckpointParticipant&) = delete;
+  CheckpointParticipant& operator=(const CheckpointParticipant&) = delete;
   virtual ~CheckpointParticipant() = default;
-  /// Full state: the participant's part of a base record.
-  virtual void encode_state(Writer& w) const = 0;
-  virtual void decode_state(Reader& r) = 0;
-  /// What changed since the last committed record; apply_delta runs on top
-  /// of the state that record restores.
-  virtual void encode_delta(Writer& w) const { encode_state(w); }
-  virtual void apply_delta(Reader& r) { decode_state(r); }
-  /// Journal position reached by the entries encoded so far.  Atomic
-  /// Execution hands it back to forget_journal() once the record holding
-  /// those entries is committed -- never earlier, so a record lost to a
-  /// crash or a killed writer costs no entry.
-  [[nodiscard]] virtual std::uint64_t journal_end() const { return 0; }
-  virtual void forget_journal(std::uint64_t /*end*/) {}
-};
 
-/// The changes to a participant's tables since Atomic Execution's last
-/// committed checkpoint record, in the order they happened.  Positions are
-/// absolute (they count every entry ever added), so an end taken at encode
-/// time still names the same entries after later changes.
-template <typename T>
-class CheckpointJournal {
- public:
-  void add(const T& entry) { entries_.push_back(entry); }
-  [[nodiscard]] const std::vector<T>& entries() const { return entries_; }
-  [[nodiscard]] std::uint64_t end() const { return forgotten_ + entries_.size(); }
-  /// Drops the entries before absolute position `end`.
-  void forget(std::uint64_t end) {
-    if (end <= forgotten_) return;
-    const auto n = static_cast<std::ptrdiff_t>(end - forgotten_);
-    entries_.erase(entries_.begin(), entries_.begin() + n);
-    forgotten_ = end;
+  /// The whole state, as the changes that rebuild it from empty.
+  virtual void encode_state(Writer& w) const = 0;
+  /// Replays changes until `r` is at its end; throws CodecError on a
+  /// malformed one.
+  virtual void apply(Reader& r) = 0;
+
+  /// Atomic Execution turns the journal on.  Off, nothing accumulates.
+  void start_journal() { journaling_ = true; }
+  /// The changes not yet held by a committed checkpoint record.
+  [[nodiscard]] std::span<const std::byte> journaled() const { return journal_.bytes(); }
+  /// Marks the changes journaled so far as held by the record being written.
+  void mark_journal() { marked_ = journal_.size(); }
+  /// The record holding the marked changes is committed: drops them.  Never
+  /// earlier, so a record lost to a crash or a killed writer costs no
+  /// change, and changes journaled during its write stay for the next one.
+  void forget_journal() {
+    if (marked_ == journal_.size()) {
+      journal_.clear();  // the usual case; keeps the capacity
+    } else if (marked_ != 0) {
+      journal_ = Buffer::copy_of(journal_.bytes().subspan(marked_));
+    }
+    marked_ = 0;
   }
-  /// Restored state is exactly what storage holds: nothing is pending.
-  void clear() {
-    forgotten_ = end();
-    entries_.clear();
-  }
+
+ protected:
+  /// Where to write a change as it happens; nullptr while the journal is off.
+  [[nodiscard]] Writer* journal() { return journaling_ ? &journal_writer_ : nullptr; }
 
  private:
-  std::vector<T> entries_;
-  std::uint64_t forgotten_ = 0;
+  Buffer journal_;
+  Writer journal_writer_{journal_};
+  std::size_t marked_ = 0;
+  bool journaling_ = false;
 };
 
 class UserProtocol;  // defined in user_protocol.h
@@ -244,12 +242,8 @@ struct GrpcState {
   /// serial gate lives here rather than at message arrival.
   std::vector<std::function<sim::Task<>(CallId)>> before_execute;
 
-  /// Checkpoint participants (see above).
+  /// Checkpoint participants (see above), in assembly order.
   std::vector<CheckpointParticipant*> checkpoint_participants;
-  /// Set by Atomic Execution: participants journal their changes for the
-  /// next delta record.  Off otherwise, so nothing accumulates when no one
-  /// checkpoints.
-  bool journal_checkpoints = false;
 
   /// RPC Main's exported forward_up procedure (set in RpcMain::start); the
   /// ordering micro-protocols call it to release held calls.

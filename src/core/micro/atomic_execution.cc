@@ -9,14 +9,11 @@
 namespace ugrpc::core {
 
 void AtomicExecution::start(runtime::Framework& fw) {
-  state_.journal_checkpoints = true;
   fw.register_handler(kReplyFromServer, "AtomicExec.handle_reply", kPrioReplyAtomic,
                       [this](runtime::EventContext& ctx) { return handle_reply(ctx); });
   fw.register_handler(kRecovery, "AtomicExec.handle_recovery", kPrioRecoveryAtomic,
                       [this](runtime::EventContext& ctx) { return handle_recovery(ctx); });
-}
-
-void AtomicExecution::ensure_baseline() {
+  for (CheckpointParticipant* p : state_.checkpoint_participants) p->start_journal();
   // Baseline checkpoint at first boot: a crash during the very first call
   // must be able to roll back to the initial state.  (The paper's
   // pseudocode only checkpoints after replies, leaving the first call
@@ -25,7 +22,7 @@ void AtomicExecution::ensure_baseline() {
   if (!store_.var(kCurrentVar).has_value()) {
     Buffer record = build_record({});
     const std::size_t bytes = record.size();
-    commit(store_.store_checkpoint(std::move(record)), true, bytes, journal_ends());
+    commit(store_.store_checkpoint(std::move(record)), true, bytes);
   }
 }
 
@@ -48,34 +45,22 @@ Buffer AtomicExecution::build_record(std::optional<storage::StableAddress> prev)
   w.raw(user_state.bytes());
   w.u32(static_cast<std::uint32_t>(state_.checkpoint_participants.size()));
   for (const CheckpointParticipant* p : state_.checkpoint_participants) {
-    const std::size_t part = w.begin_raw();
     if (prev.has_value()) {
-      p->encode_delta(w);
+      w.raw(p->journaled());
     } else {
+      const std::size_t part = w.begin_raw();
       p->encode_state(w);
+      w.end_raw(part);
     }
-    w.end_raw(part);
   }
   return record;
 }
 
-std::vector<std::uint64_t> AtomicExecution::journal_ends() const {
-  std::vector<std::uint64_t> ends;
-  ends.reserve(state_.checkpoint_participants.size());
-  for (const CheckpointParticipant* p : state_.checkpoint_participants) {
-    ends.push_back(p->journal_end());
-  }
-  return ends;
-}
-
-void AtomicExecution::commit(storage::StableAddress addr, bool base, std::size_t bytes,
-                             const std::vector<std::uint64_t>& ends) {
+void AtomicExecution::commit(storage::StableAddress addr, bool base, std::size_t bytes) {
   // Atomic switch-over: the stable variable either points at the old
   // checkpoint or the new one, never at a torn state.
   store_.set_var(kCurrentVar, addr.value());
-  for (std::size_t i = 0; i < ends.size(); ++i) {
-    state_.checkpoint_participants[i]->forget_journal(ends[i]);
-  }
+  for (CheckpointParticipant* p : state_.checkpoint_participants) p->forget_journal();
   if (base) {
     for (storage::StableAddress old : chain_) store_.release_checkpoint(old);
     chain_.clear();
@@ -95,17 +80,17 @@ sim::Task<> AtomicExecution::handle_reply(runtime::EventContext&) {
   const std::optional<storage::StableAddress> prev =
       base ? std::nullopt : std::optional(chain_.back());
   Buffer record = build_record(prev);
-  // Journal entries inserted while the record is being written are not in
-  // it: they belong to the next one.
-  const std::vector<std::uint64_t> ends = journal_ends();
+  // Changes journaled while the record is being written are not in it:
+  // they belong to the next one.
+  for (CheckpointParticipant* p : state_.checkpoint_participants) p->mark_journal();
   const std::size_t bytes = record.size();
   const auto head = store_.var(kCurrentVar);
   const storage::StableAddress addr = co_await store_.store_checkpoint_async(std::move(record));
   // Serial Execution holds its token across this write, so no other record
   // can have become current meanwhile.  (A writer killed or crashed during
-  // the write stores nothing, and its journal entries stay for the next.)
+  // the write stores nothing, and its changes stay journaled for the next.)
   UGRPC_ASSERT(store_.var(kCurrentVar) == head && "checkpoint records are written one at a time");
-  commit(addr, base, bytes, ends);
+  commit(addr, base, bytes);
   ++checkpoints_taken_;
   state_.note(obs::Kind::kCheckpoint, 0, addr.value());
 }
@@ -152,17 +137,14 @@ void AtomicExecution::restore_chain(const std::vector<ChainRecord>& chain) {
     for (const ChainRecord& rec : chain) {
       // Participant order is the configuration order, which is identical
       // across a crash (the stack factory rebuilds the same configuration).
+      // The rebuilt participants start empty, and a base's parts rebuild
+      // the state from empty, so every record is applied the same way.
       UGRPC_ASSERT(rec.parts.size() == participants.size());
-      const bool base = chain_.empty();
       for (std::size_t i = 0; i < participants.size(); ++i) {
         Reader pr(rec.parts[i]);
-        if (base) {
-          participants[i]->decode_state(pr);
-        } else {
-          participants[i]->apply_delta(pr);
-        }
+        participants[i]->apply(pr);
       }
-      if (!base) delta_bytes_ += rec.bytes;
+      if (!chain_.empty()) delta_bytes_ += rec.bytes;
       chain_.push_back(rec.addr);
     }
   } catch (const CodecError&) {

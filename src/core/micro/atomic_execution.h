@@ -18,18 +18,22 @@
 // call served, so re-encoding them per call would make a call's cost grow
 // with the server's age.  The checkpoint is therefore a chain of records in
 // stable storage: one base record (full state) followed by delta records,
-// each holding only what changed since its predecessor (participants
-// journal their changes; small mutable parts and the user state travel
-// whole).  The stable variable names the newest record; recovery walks back
-// to the base, decodes it and applies the deltas in order.  Once the deltas
-// since the base add up to the base's size, the next record is a new base
-// and the old chain is freed: stored bytes stay below about two full
-// snapshots and each call pays amortised O(1).  Record layout:
+// each holding only what changed since its predecessor (the user state
+// travels whole).  A participant writes its state and its changes in one
+// encoding, a list of changes (CheckpointParticipant): a base's part is its
+// encode_state(), a delta's part the changes it journaled since the last
+// committed record.  The stable variable names the newest record; recovery
+// walks back to the base and applies every record's parts in order, all
+// the same way.  Once the deltas since the base add up to the base's size,
+// the next record is a new base and the old chain is freed: stored bytes
+// stay below about two full snapshots and each call pays amortised O(1).
+// Record layout:
 //
 //   prev:u64 (0 for a base) user:raw n:u32 part:raw*n
 //
-// where part i is participant i's encode_state (base) or encode_delta
-// (delta), written in place in one pass over one buffer.
+// written in one pass over one buffer.  The first-boot baseline record is
+// written in start(): participants register in their constructors, and the
+// composite constructs every micro-protocol before it starts any.
 //
 // Requires Serial Execution (calls processed one at a time); the
 // configurator enforces this dependency (paper Figure 4).
@@ -50,16 +54,9 @@ class AtomicExecution : public runtime::MicroProtocol {
   AtomicExecution(GrpcState& state, storage::StableStore& store)
       : MicroProtocol("Atomic Execution"), state_(state), store_(store) {}
 
+  /// Turns on the participants' journals and, at first boot, writes the
+  /// baseline checkpoint (on recovery the stored chain stays current).
   void start(runtime::Framework& fw) override;
-
-  /// Writes the first-boot baseline checkpoint (no-op on recovery, when the
-  /// stable variable already points at one).  Must run after EVERY
-  /// micro-protocol's start(): ordering protocols assembled after Atomic
-  /// Execution register as checkpoint participants in their start(), and a
-  /// baseline taken before they did would restore with a participant-count
-  /// mismatch after an early crash.  GrpcComposite calls this once the whole
-  /// stack is up.
-  void ensure_baseline();
 
   [[nodiscard]] std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
   /// Records in the live chain: the base plus the deltas written on it.
@@ -86,12 +83,10 @@ class AtomicExecution : public runtime::MicroProtocol {
   [[nodiscard]] sim::Task<> handle_recovery(runtime::EventContext& ctx);
   /// A base record when `prev` is empty, else a delta on top of `prev`.
   [[nodiscard]] Buffer build_record(std::optional<storage::StableAddress> prev) const;
-  [[nodiscard]] std::vector<std::uint64_t> journal_ends() const;
   /// Makes the stored record at `addr` current, then lets participants drop
-  /// the journal entries it holds (up to `ends`) and, for a base, frees the
-  /// chain it replaces.
-  void commit(storage::StableAddress addr, bool base, std::size_t bytes,
-              const std::vector<std::uint64_t>& ends);
+  /// the changes it holds (those marked when it was built) and, for a base,
+  /// frees the chain it replaces.
+  void commit(storage::StableAddress addr, bool base, std::size_t bytes);
   void restore_chain(const std::vector<ChainRecord>& chain);
 
   static constexpr const char* kCurrentVar = "atomic.current";

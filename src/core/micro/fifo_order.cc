@@ -4,30 +4,32 @@
 
 namespace ugrpc::core {
 
-void FifoOrder::encode_state(Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(in_progress_.size()));
-  for (const auto& [client, info] : in_progress_) {
-    w.u32(client.value());
-    w.u32(info.inc);
-    w.u64(info.next.value());
-  }
+void FifoOrder::write_position(Writer& w, ProcessId client, const InProgress& info) {
+  w.u32(client.value());
+  w.u32(info.inc);
+  w.u64(info.next.value());
 }
 
-void FifoOrder::decode_state(Reader& r) {
-  in_progress_.clear();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
+void FifoOrder::set_position(ProcessId client, InProgress& info, InProgress to) {
+  info = to;
+  if (Writer* w = journal()) write_position(*w, client, info);
+}
+
+void FifoOrder::encode_state(Writer& w) const {
+  for (const auto& [client, info] : in_progress_) write_position(w, client, info);
+}
+
+void FifoOrder::apply(Reader& r) {
+  while (!r.at_end()) {
     const ProcessId client{r.u32()};
-    InProgress info;
+    InProgress& info = in_progress_[client];
     info.inc = r.u32();
     info.next = CallId{r.u64()};
-    in_progress_.emplace(client, info);
   }
 }
 
 void FifoOrder::start(runtime::Framework& fw) {
   state_.HOLD[kHoldFifo] = true;
-  state_.checkpoint_participants.push_back(this);
   fw.register_handler(kMsgFromNetwork, "FifoOrder.msg_from_net", kPrioNetOrderDeliver,
                       [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
   fw.register_handler(kReplyFromServer, "FifoOrder.mark_executed", kPrioReplyOrderMark,
@@ -39,7 +41,9 @@ void FifoOrder::start(runtime::Framework& fw) {
                           auto it = in_progress_.find(rec->client);
                           if (it != in_progress_.end()) {
                             const CallId next = next_call_id(id);
-                            if (next.value() > it->second.next.value()) it->second.next = next;
+                            if (next.value() > it->second.next.value()) {
+                              set_position(rec->client, it->second, {it->second.inc, next});
+                            }
                           }
                         }
                         co_return;
@@ -51,22 +55,21 @@ void FifoOrder::start(runtime::Framework& fw) {
 sim::Task<> FifoOrder::msg_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   if (msg.type != net::MsgType::kCall) co_return;
-  auto [it, inserted] = in_progress_.try_emplace(msg.sender, InProgress{msg.inc, msg.id});
+  auto [it, inserted] = in_progress_.try_emplace(msg.sender);
   InProgress& info = it->second;
-  if (!inserted) {
-    if (info.inc > msg.inc || (info.inc == msg.inc && msg.id < info.next)) {
-      // Stale: an orphaned incarnation or an id already executed here.
-      ++stale_dropped_;
-      state_.note(obs::Kind::kStaleDropped, msg.id.value());
-      ctx.cancel();
-      auto srec = state_.sRPC.find(msg.id);
-      if (srec != state_.sRPC.end()) state_.sRPC.erase(srec);
-      co_return;
-    }
-    if (info.inc < msg.inc) {
-      // New client incarnation: restart the stream at its first-seen id.
-      info = InProgress{msg.inc, msg.id};
-    }
+  if (inserted) {
+    set_position(msg.sender, info, {msg.inc, msg.id});  // the stream starts here
+  } else if (info.inc > msg.inc || (info.inc == msg.inc && msg.id < info.next)) {
+    // Stale: an orphaned incarnation or an id already executed here.
+    ++stale_dropped_;
+    state_.note(obs::Kind::kStaleDropped, msg.id.value());
+    ctx.cancel();
+    auto srec = state_.sRPC.find(msg.id);
+    if (srec != state_.sRPC.end()) state_.sRPC.erase(srec);
+    co_return;
+  } else if (info.inc < msg.inc) {
+    // New client incarnation: restart the stream at its first-seen id.
+    set_position(msg.sender, info, {msg.inc, msg.id});
   }
   if (msg.id == info.next) {
     co_await state_.forward_up(msg.id, kHoldFifo);

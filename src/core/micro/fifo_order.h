@@ -10,6 +10,12 @@
 // earlier ones are dropped as stale, which preserves the relative-order
 // guarantee (execution sequences are subsequences of the issue order).
 //
+// Checkpoint (with Atomic Execution): a change is one client's new stream
+// position, `client:u32 inc:u32 next:u64`.  Every change to a position is
+// journaled -- a stream started or restarted when a call arrives, and an
+// advance when one executes -- so a delta record restores exactly what a
+// full snapshot would.
+//
 // Per the paper, FIFO Order deliberately allows duplicate and concurrent
 // execution -- combine with Unique/Serial Execution to remove those.
 // Depends on Reliable Communication (every server must receive the set of
@@ -26,7 +32,9 @@ namespace ugrpc::core {
 
 class FifoOrder : public runtime::MicroProtocol, public CheckpointParticipant {
  public:
-  explicit FifoOrder(GrpcState& state) : MicroProtocol("FIFO Order"), state_(state) {}
+  explicit FifoOrder(GrpcState& state) : MicroProtocol("FIFO Order"), state_(state) {
+    state_.checkpoint_participants.push_back(this);
+  }
 
   void start(runtime::Framework& fw) override;
 
@@ -34,7 +42,7 @@ class FifoOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   // stream positions survive a crash, so a recovered member continues each
   // client's stream instead of restarting at its first re-seen id.
   void encode_state(Writer& w) const override;
-  void decode_state(Reader& r) override;
+  void apply(Reader& r) override;
 
   [[nodiscard]] std::uint64_t stale_dropped() const { return stale_dropped_; }
 
@@ -46,6 +54,9 @@ class FifoOrder : public runtime::MicroProtocol, public CheckpointParticipant {
     Incarnation inc = 0;
     CallId next;  ///< next call id allowed to execute for this client
   };
+  static void write_position(Writer& w, ProcessId client, const InProgress& info);
+  /// Sets `info`, the entry of `client` in in_progress_, to `to`.
+  void set_position(ProcessId client, InProgress& info, InProgress to);
 
   GrpcState& state_;
   std::unordered_map<ProcessId, InProgress> in_progress_;

@@ -16,7 +16,6 @@ constexpr sim::Duration kAgreementTimeout = sim::msec(100);
 void TotalOrder::start(runtime::Framework& fw) {
   fw_ = &fw;
   state_.HOLD[kHoldTotal] = true;
-  state_.checkpoint_participants.push_back(this);
   fw.register_handler(kMsgFromNetwork, "TotalOrder.assign_order", kPrioNetAssignOrder,
                       [this](runtime::EventContext& ctx) { return assign_order(ctx); });
   fw.register_handler(kMsgFromNetwork, "TotalOrder.msg_from_net", kPrioNetOrderDeliver,
@@ -24,6 +23,7 @@ void TotalOrder::start(runtime::Framework& fw) {
   fw.register_handler(kReplyFromServer, "TotalOrder.mark_executed", kPrioReplyOrderMark,
                       [this](runtime::EventContext&) -> sim::Task<> {
                         ++next_entry_;  // before the checkpoint; see priorities.h
+                        if (Writer* w = journal()) write_next_entry(*w, next_entry_);
                         co_return;
                       });
   fw.register_handler(kReplyFromServer, "TotalOrder.handle_reply", kPrioReplyOrder,
@@ -114,8 +114,21 @@ sim::Task<> TotalOrder::note_order(CallId id, std::uint64_t order) {
 
 std::uint64_t TotalOrder::remember_order(CallId id, std::uint64_t order) {
   const auto [it, inserted] = old_orders_.emplace(id, order);
-  if (inserted && state_.journal_checkpoints) journal_.add({id, order});
+  if (inserted) {
+    if (Writer* w = journal()) write_assigned(*w, id, order);
+  }
   return it->second;
+}
+
+void TotalOrder::write_assigned(Writer& w, CallId id, std::uint64_t order) {
+  w.u8(static_cast<std::uint8_t>(Change::kAssigned));
+  w.u64(id.value());
+  w.u64(order);
+}
+
+void TotalOrder::write_next_entry(Writer& w, std::uint64_t next_entry) {
+  w.u8(static_cast<std::uint8_t>(Change::kNextEntry));
+  w.u64(next_entry);
 }
 
 sim::Task<> TotalOrder::msg_from_net(runtime::EventContext& ctx) {
@@ -259,43 +272,32 @@ void TotalOrder::begin_reconciliation() {
 }
 
 void TotalOrder::encode_state(Writer& w) const {
-  w.u64(next_order_);
-  w.u64(next_entry_);
-  w.u32(static_cast<std::uint32_t>(old_orders_.size()));
-  for (const auto& [id, order] : old_orders_) {
-    w.u64(id.value());
-    w.u64(order);
-  }
+  for (const auto& [id, order] : old_orders_) write_assigned(w, id, order);
+  write_next_entry(w, next_entry_);
   // waiting_set_ and ready_list_ reference sRPC records that do not survive
   // the crash; the calls they hold are re-delivered by client
   // retransmissions, so only the assignments need to persist.
 }
 
-void TotalOrder::decode_state(Reader& r) {
-  old_orders_.clear();
-  waiting_set_.clear();
-  ready_list_.clear();
-  journal_.clear();
-  apply_delta(r);
-}
-
-void TotalOrder::encode_delta(Writer& w) const {
-  w.u64(next_order_);
-  w.u64(next_entry_);
-  w.u32(static_cast<std::uint32_t>(journal_.entries().size()));
-  for (const auto& [id, order] : journal_.entries()) {
-    w.u64(id.value());
-    w.u64(order);
-  }
-}
-
-void TotalOrder::apply_delta(Reader& r) {
-  next_order_ = r.u64();
-  next_entry_ = r.u64();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const CallId id{r.u64()};
-    old_orders_.emplace(id, r.u64());
+void TotalOrder::apply(Reader& r) {
+  while (!r.at_end()) {
+    switch (static_cast<Change>(r.u8())) {  // any u8 fits the enum
+      case Change::kAssigned: {
+        const CallId id{r.u64()};
+        const std::uint64_t order = r.u64();
+        old_orders_.emplace(id, order);
+        // next_order_ is always one past the largest known order, so it is
+        // recomputed rather than stored: the leader assigns next_order_++
+        // only to a call without an order, note_order raises it past each
+        // order it learns, and both record the assignment.  (An Order for a
+        // call known under another number would raise it further, but only
+        // a group whose assignments diverged can send one.)
+        next_order_ = std::max(next_order_, order + 1);
+        break;
+      }
+      case Change::kNextEntry: next_entry_ = r.u64(); break;
+      default: throw CodecError("Total Order: bad checkpoint change op");
+    }
   }
 }
 

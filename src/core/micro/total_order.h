@@ -28,6 +28,12 @@
 // members' answers are lost, a timeout closes the round with the answers at
 // hand; reconciliation is idempotent and re-runs on later failures.
 //
+// Checkpoint (with Atomic Execution): a change is an assignment learned or
+// made, or a new next_entry:
+//   kAssigned:  op:u8 id:u64 order:u64
+//   kNextEntry: op:u8 next_entry:u64
+// next_order is not stored; apply() recomputes it (see there).
+//
 // Dependencies (paper Figure 4): Reliable Communication and Unique Execution
 // (a server must see each request effectively once past the dedup stage);
 // incompatible with Bounded Termination.
@@ -48,7 +54,9 @@ namespace ugrpc::core {
 class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
  public:
   TotalOrder(GrpcState& state, GroupId group)
-      : MicroProtocol("Total Order"), state_(state), group_(group) {}
+      : MicroProtocol("Total Order"), state_(state), group_(group) {
+    state_.checkpoint_participants.push_back(this);
+  }
 
   void start(runtime::Framework& fw) override;
 
@@ -57,13 +65,7 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   // so a recovered member resumes the total order where its last completed
   // call left it instead of restarting from order 1.
   void encode_state(Writer& w) const override;
-  void decode_state(Reader& r) override;
-  // A delta carries the assignments journaled since the last committed
-  // record plus both counters.
-  void encode_delta(Writer& w) const override;
-  void apply_delta(Reader& r) override;
-  [[nodiscard]] std::uint64_t journal_end() const override { return journal_.end(); }
-  void forget_journal(std::uint64_t end) override { journal_.forget(end); }
+  void apply(Reader& r) override;
 
   /// The group leader from this member's viewpoint: the largest-id live
   /// member of the group this member serves (Config::group).  A Call naming
@@ -92,6 +94,10 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   /// wins); returns the call's order.
   std::uint64_t remember_order(CallId id, std::uint64_t order);
 
+  enum class Change : std::uint8_t { kAssigned = 0, kNextEntry = 1 };
+  static void write_assigned(Writer& w, CallId id, std::uint64_t order);
+  static void write_next_entry(Writer& w, std::uint64_t next_entry);
+
   void begin_reconciliation();
   void finish_reconciliation();
   [[nodiscard]] Buffer encode_order_info(std::uint64_t floor) const;
@@ -105,8 +111,6 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   std::map<std::uint64_t, CallId> ready_list_;       ///< order -> call, not yet executable
   std::set<CallId> waiting_set_;                     ///< calls seen but unordered
   std::unordered_map<CallId, std::uint64_t> old_orders_;  ///< call -> assigned order
-  /// old_orders_ inserts for the next delta checkpoint record.
-  CheckpointJournal<std::pair<CallId, std::uint64_t>> journal_;
   std::uint64_t next_order_ = 1;  ///< leader: next order number to assign
   std::uint64_t next_entry_ = 1;  ///< next order number allowed to execute
 

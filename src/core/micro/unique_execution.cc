@@ -6,7 +6,6 @@ namespace ugrpc::core {
 
 void UniqueExecution::start(runtime::Framework& fw) {
   fw_ = &fw;
-  state_.checkpoint_participants.push_back(this);
   fw.register_handler(kMsgFromNetwork, "UniqueExec.msg_from_net", kPrioNetUnique,
                       [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
   fw.register_handler(kReplyFromServer, "UniqueExec.handle_reply", kPrioReplyUnique,
@@ -14,18 +13,24 @@ void UniqueExecution::start(runtime::Framework& fw) {
                         const CallId id = ctx.arg_as<CallEvent>().id;
                         if (auto rec = state_.find_server(id)) {
                           old_results_[id] = rec->args;
-                          journal(Change::kResultStored, id, rec->args);
+                          journal_change(Change::kResultStored, id, &rec->args);
                         }
                         co_return;
                       });
 }
 
-void UniqueExecution::journal(Change op, CallId id, Buffer result) {
-  if (state_.journal_checkpoints) journal_.add({op, id, std::move(result)});
+void UniqueExecution::write_change(Writer& w, Change op, CallId id, const Buffer* result) {
+  w.u8(static_cast<std::uint8_t>(op));
+  w.u64(id.value());
+  if (op == Change::kResultStored) w.raw(result->bytes());
+}
+
+void UniqueExecution::journal_change(Change op, CallId id, const Buffer* result) {
+  if (Writer* w = journal()) write_change(*w, op, id, result);
 }
 
 void UniqueExecution::free_result(CallId id) {
-  if (old_results_.erase(id) != 0) journal(Change::kResultFreed, id);
+  if (old_results_.erase(id) != 0) journal_change(Change::kResultFreed, id);
 }
 
 void UniqueExecution::queue_ack(ProcessId dest, std::uint64_t id) {
@@ -92,7 +97,7 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
         ctx.cancel();
       } else {
         old_calls_.insert(msg.id);
-        journal(Change::kCallSeen, msg.id);
+        journal_change(Change::kCallSeen, msg.id);
       }
       break;
     }
@@ -115,51 +120,23 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
 }
 
 void UniqueExecution::encode_state(Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(old_calls_.size()));
-  for (CallId id : old_calls_) w.u64(id.value());
-  w.u32(static_cast<std::uint32_t>(old_results_.size()));
-  for (const auto& [id, args] : old_results_) {
-    w.u64(id.value());
-    w.raw(args.bytes());
-  }
+  for (CallId id : old_calls_) write_change(w, Change::kCallSeen, id);
+  for (const auto& [id, result] : old_results_) write_change(w, Change::kResultStored, id, &result);
 }
 
-void UniqueExecution::decode_state(Reader& r) {
-  old_calls_.clear();
-  old_results_.clear();
-  journal_.clear();
-  const std::uint32_t n_calls = r.u32();
-  for (std::uint32_t i = 0; i < n_calls; ++i) old_calls_.insert(CallId{r.u64()});
-  const std::uint32_t n_results = r.u32();
-  for (std::uint32_t i = 0; i < n_results; ++i) {
-    const CallId id{r.u64()};
-    // A copy, not a slice: a slice would keep the whole checkpoint part
-    // alive for as long as any one result stays in the table.
-    old_results_[id] = Buffer::copy_of(r.raw().bytes());
-  }
-}
-
-void UniqueExecution::encode_delta(Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(journal_.entries().size()));
-  for (const JournalEntry& e : journal_.entries()) {
-    w.u8(static_cast<std::uint8_t>(e.op));
-    w.u64(e.id.value());
-    if (e.op == Change::kResultStored) w.raw(e.result.bytes());
-  }
-}
-
-void UniqueExecution::apply_delta(Reader& r) {
-  // Replayed in journal order: a result stored and freed within one chain
-  // ends up absent, exactly as on the live server.
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
+void UniqueExecution::apply(Reader& r) {
+  // Replayed in order: a result stored and freed within one chain ends up
+  // absent, exactly as on the live server.
+  while (!r.at_end()) {
     const auto op = static_cast<Change>(r.u8());  // any u8 fits the enum
     const CallId id{r.u64()};
     switch (op) {
       case Change::kCallSeen: old_calls_.insert(id); break;
+      // A copy, not a slice: a slice would keep the whole checkpoint part
+      // alive for as long as any one result stays in the table.
       case Change::kResultStored: old_results_[id] = Buffer::copy_of(r.raw().bytes()); break;
       case Change::kResultFreed: old_results_.erase(id); break;
-      default: throw CodecError("Unique Execution: bad checkpoint journal op");
+      default: throw CodecError("Unique Execution: bad checkpoint change op");
     }
   }
 }

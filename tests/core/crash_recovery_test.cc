@@ -8,6 +8,7 @@
 // rolls back to the last checkpoint, so every call is all-or-nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <map>
@@ -15,6 +16,7 @@
 
 #include "core/micro/acceptance.h"
 #include "core/micro/atomic_execution.h"
+#include "core/micro/fifo_order.h"
 #include "core/micro/total_order.h"
 #include "core/micro/unique_execution.h"
 #include "core/scenario.h"
@@ -215,6 +217,7 @@ struct ServerImage {
   std::size_t stored_results = 0;
   std::uint64_t next_entry = 0;
   std::size_t old_orders = 0;
+  std::uint64_t orders_assigned = 0;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   bool operator==(const ServerImage&) const = default;
@@ -222,9 +225,10 @@ struct ServerImage {
 
 ServerImage image_of(Site& server) {
   GrpcComposite& g = server.grpc();
-  return ServerImage{g.unique()->old_calls(), g.unique()->stored_results(),
-                     g.total()->next_entry(), g.total()->old_orders(),
-                     read_var(server.stable(), "a"), read_var(server.stable(), "b")};
+  return ServerImage{g.unique()->old_calls(),    g.unique()->stored_results(),
+                     g.total()->next_entry(),    g.total()->old_orders(),
+                     g.total()->orders_assigned(), read_var(server.stable(), "a"),
+                     read_var(server.stable(), "b")};
 }
 
 /// Calls until `stop(atomic)` holds right after a call's checkpoint, crashes
@@ -290,9 +294,11 @@ TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
     while (read_var(server.stable(), "b") < 6) co_await s.scheduler().sleep_for(sim::msec(1));
     EXPECT_EQ(server.grpc().atomic()->checkpoints_taken(), 5u);
     // Three changes wait for the 6th call's record to be committed: its
-    // OldCalls insert, its stored result, and the free of the 5th call's
-    // result (that ACK arrived after the 5th record was committed).
-    EXPECT_EQ(server.grpc().unique()->journaled(), 3u)
+    // OldCalls insert (op + id: 9 bytes), its stored result (op + id + the
+    // length-prefixed 8-byte result: 21 bytes), and the free of the 5th
+    // call's result (9 bytes; that ACK arrived after the 5th record was
+    // committed).
+    EXPECT_EQ(server.grpc().unique()->journaled().size(), 9u + 21u + 9u)
         << "the 6th call's changes wait for its record to be committed";
     server.crash();
     crashed = true;
@@ -321,7 +327,7 @@ TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
   s.run_for(sim::msec(100));
   // Only the free from the 10th call's ACK is left: no later call wrote a
   // record to hold it.
-  EXPECT_EQ(server.grpc().unique()->journaled(), 1u);
+  EXPECT_EQ(server.grpc().unique()->journaled().size(), 9u);
   server.crash();
   server.recover();
   s.run_for(sim::msec(1));
@@ -412,7 +418,7 @@ TEST(CrashRecovery, NoJournalWithoutAtomicExecution) {
     GrpcComposite& g = s.server(i).grpc();
     ASSERT_EQ(g.atomic(), nullptr);
     EXPECT_EQ(g.unique()->old_calls(), 1000u);
-    EXPECT_EQ(g.unique()->journaled(), 0u) << "nothing checkpoints, so nothing may pile up";
+    EXPECT_TRUE(g.unique()->journaled().empty()) << "nothing checkpoints, so nothing may pile up";
   }
 }
 
@@ -464,25 +470,28 @@ TEST(CrashRecoveryDeathTest, TruncatedDeltaIsRejected) {
       "truncated record");
 }
 
-TEST(CrashRecoveryDeathTest, CorruptJournalOpIsRejected) {
-  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+/// Rewrites the newest record of a crashed server's chain with the first
+/// byte of participant `index`'s part -- the op of its first change -- set
+/// to an op that does not exist; recovery must reject the record.
+void expect_bad_op_rejected(ScenarioParams params, std::size_t index) {
+  Scenario s(std::move(params));
   crashed_with_chain(s);
   storage::StableStore& store = s.server(0).stable();
   const auto chain =
       AtomicExecution::load_chain(store, storage::StableAddress{*store.var("atomic.current")});
-  // Rewrite the newest delta with its first Unique Execution journal entry's
-  // op byte (after the entry count) set to an op that does not exist.
   const AtomicExecution::ChainRecord& newest = chain.back();
-  ASSERT_EQ(newest.parts.size(), 1u);
-  Buffer part = newest.parts.front();
-  ASSERT_GT(Reader(part).u32(), 0u);
-  part.overwrite(4, std::array{std::byte{0x7f}});
+  ASSERT_LT(index, newest.parts.size());
+  Buffer part = newest.parts[index];
+  ASSERT_FALSE(part.empty());
+  part.overwrite(0, std::array{std::byte{0x7f}});
   Buffer record;
   Writer w(record);
   w.u64(chain[chain.size() - 2].addr.value());
   w.raw(newest.user_state.bytes());
-  w.u32(1);
-  w.raw(part.bytes());
+  w.u32(static_cast<std::uint32_t>(newest.parts.size()));
+  for (std::size_t i = 0; i < newest.parts.size(); ++i) {
+    w.raw(i == index ? part.bytes() : newest.parts[i].bytes());
+  }
   store.set_var("atomic.current", store.store_checkpoint(record).value());
   EXPECT_DEATH(
       {
@@ -490,6 +499,113 @@ TEST(CrashRecoveryDeathTest, CorruptJournalOpIsRejected) {
         s.run_for(sim::msec(1));
       },
       "corrupt participant state");
+}
+
+TEST(CrashRecoveryDeathTest, CorruptJournalOpIsRejected) {
+  // Participants come in assembly order: Unique Execution, then Total Order.
+  expect_bad_op_rejected(crash_params(ExecutionMode::kSerialAtomic), 0);
+  expect_bad_op_rejected(ordered_crash_params(), 1);
+}
+
+TEST(CrashRecovery, CrashBeforeFirstReplyRestoresBaselineOfEveryParticipant) {
+  // The baseline record is written before any call, so it must already
+  // hold a part for every participant, the ordering protocols included.
+  for (const Ordering ordering : {Ordering::kFifo, Ordering::kTotal}) {
+    ScenarioParams p = crash_params(ExecutionMode::kSerialAtomic);
+    p.config.ordering = ordering;
+    p.config.termination_bound.reset();  // Total Order rules it out
+    Scenario s(std::move(p));
+    // The first call's procedure runs from about 300 ms for 10 ms.
+    s.scheduler().schedule_after(sim::msec(305), [&] { s.server(0).crash(); });
+    s.scheduler().schedule_after(sim::msec(400), [&] { s.server(0).recover(); });
+    std::vector<std::uint64_t> results;
+    s.run_client(0, [&](Client& c) -> sim::Task<> {
+      co_await s.scheduler().sleep_for(sim::msec(300));
+      for (int i = 0; i < 3; ++i) {
+        const CallResult r = co_await c.call(s.group(), kIncrementBoth, num_buf(0));
+        EXPECT_EQ(r.status, Status::kOk);
+        results.push_back(Reader(r.result).u64());
+      }
+    });
+    EXPECT_EQ(results, std::vector<std::uint64_t>({1, 2, 3}))
+        << "ordering " << static_cast<int>(ordering);
+    EXPECT_EQ(s.server(0).incarnation(), 2u);
+  }
+}
+
+/// A participant's encode_state() decoded into its changes, sorted, so two
+/// states compare equal whatever order their hash tables iterate in.
+using Changes = std::vector<std::vector<std::uint64_t>>;
+
+Buffer encoded_state(const CheckpointParticipant& p) {
+  Buffer state;
+  Writer w(state);
+  p.encode_state(w);
+  return state;
+}
+
+Changes fifo_changes(const FifoOrder& fifo) {
+  const Buffer state = encoded_state(fifo);
+  Reader r(state);
+  Changes out;
+  while (!r.at_end()) {
+    const std::uint64_t client = r.u32();
+    const std::uint64_t inc = r.u32();
+    out.push_back({client, inc, r.u64()});
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+Changes unique_changes(const UniqueExecution& unique) {
+  const Buffer state = encoded_state(unique);
+  Reader r(state);
+  Changes out;
+  while (!r.at_end()) {
+    std::vector<std::uint64_t> change{r.u8(), r.u64()};
+    if (change[0] == 1) {  // a stored result
+      const Buffer result = r.raw();
+      change.push_back(Reader(result).u64());
+    }
+    out.push_back(change);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(CrashRecovery, RecordHoldsTheStreamStartOfACallNotYetExecuted) {
+  ScenarioParams p = crash_params(ExecutionMode::kSerialAtomic);
+  p.config.ordering = Ordering::kFifo;
+  p.num_clients = 2;
+  Scenario s(std::move(p));
+  Site& server = s.server(0);
+  // Client 1's first call arrives while client 0's runs its 10 ms procedure,
+  // and waits for the serial token: client 0's record is written while
+  // client 1's stream has started but none of its calls has executed.
+  auto late_caller = [&](Client& c) -> sim::Task<> {
+    co_await s.scheduler().sleep_for(sim::msec(302));
+    (void)co_await c.call(s.group(), kIncrementBoth, num_buf(0));
+  };
+  s.scheduler().spawn(late_caller(s.client(1)), s.client_site(1).domain());
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    co_await s.scheduler().sleep_for(sim::msec(300));
+    EXPECT_EQ((co_await c.call(s.group(), kIncrementBoth, num_buf(0))).status, Status::kOk);
+  });
+  // Client 0's record is committed and is a delta on the baseline.  No
+  // table has changed since: client 1's call is executing, and no message
+  // reaches the server before the links are cut.
+  ASSERT_EQ(server.grpc().atomic()->chain_length(), 2u);
+  const Changes fifo_before = fifo_changes(*server.grpc().fifo());
+  const Changes unique_before = unique_changes(*server.grpc().unique());
+  ASSERT_EQ(fifo_before.size(), 2u) << "both clients' streams have started";
+  for (int i = 0; i < 2; ++i) {
+    s.network().link(s.client_id(i), Scenario::server_id(0)).partitioned = true;
+  }
+  server.crash();
+  server.recover();
+  s.run_for(sim::msec(1));
+  EXPECT_EQ(fifo_changes(*server.grpc().fifo()), fifo_before);
+  EXPECT_EQ(unique_changes(*server.grpc().unique()), unique_before);
 }
 
 TEST(CrashRecovery, ServerGroupMasksSingleCrash) {

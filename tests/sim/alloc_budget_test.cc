@@ -104,7 +104,7 @@ class AllocBudget : public ::testing::Test {
 };
 
 TEST_F(AllocBudget, OrderedWrite) {
-  EXPECT_LE(allocations_per_call(ConfigBuilder::at_most_once().total_order().build()), 60.0);
+  EXPECT_LE(allocations_per_call(ConfigBuilder::at_most_once().total_order().build()), 55.0);
 }
 
 TEST_F(AllocBudget, ReadOptimized) {

@@ -24,9 +24,11 @@ Validates the output of obs::live::render_prometheus / a /metrics scrape
     non-negative
   * no duplicate sample (same name + label set)
 
-``--require NAME`` (repeatable) asserts a family is present -- the CI smoke
-job requires the counters it knows the run must have produced (e.g.
-``ugrpc_calls_retransmissions`` after a forced retransmission).
+``--require NAME`` (repeatable) asserts a family is present; it checks
+presence only, not the value (a counter that reads 0 passes).  The CI smoke
+job requires the families it knows the run must expose, and checks a
+value it needs (``ugrpc_calls_retransmissions`` >= 1 after a forced
+retransmission) separately.
 ``--require-prefix P`` asserts every sample name starts with P.
 
 Exits 0 when the exposition passes, 1 on violations, 2 on usage/file errors.
