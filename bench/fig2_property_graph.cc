@@ -46,8 +46,8 @@ std::size_t fifo_executions(bool reliable, std::size_t calls, std::uint64_t seed
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     for (std::size_t i = 0; i < calls; ++i) {
       (void)co_await c.call_async(s.group(), OpId{1}, Buffer{});
-      // Paced so the first call arrives first: this isolates the loss
-      // effect from FIFO's first-seen stream initialization under bursts.
+      // Paced: the calls go out one at a time, and no call is collected,
+      // so every Call carries the first call's id as its watermark.
       co_await s.scheduler().sleep_for(sim::msec(2));
     }
   });

@@ -71,7 +71,7 @@ void GrpcComposite::assemble() {
   CollationFn fold = config_.collation ? config_.collation : last_reply_collation();
   emplace<Collation>(state_, std::move(fold), config_.collation_init);
   if (config_.unique_execution) {
-    unique_ = &emplace<UniqueExecution>(state_);
+    unique_ = &emplace<UniqueExecution>(state_, config_.retrans_timeout);
   }
   switch (config_.orphan) {
     case OrphanHandling::kIgnore: break;

@@ -14,6 +14,11 @@
 // into the high bits and a per-client sequence number into the low bits.
 // Low bits increment by one per call, preserving the consecutive-id
 // assumption FIFO Order relies on (next expected id = id + 1).
+//
+// Low watermark: every Call carries its client's W (GrpcState::low_watermark)
+// in the otherwise unused `ackid` field.  Unique Execution frees the stored
+// results below it, and FIFO Order starts a client's stream at it
+// (call_watermark says when a Call's field may be trusted as one).
 #pragma once
 
 #include <array>
@@ -67,6 +72,19 @@ inline constexpr int kIncarnationShift = 28;
 }
 /// The next call id issued by the same client (consecutive low bits).
 [[nodiscard]] constexpr CallId next_call_id(CallId id) { return CallId{id.value() + 1}; }
+
+/// The low watermark W a Call carries in its ackid, or nullopt when the
+/// field cannot be one: W must name the Call's own client and lie in the
+/// Call's incarnation, at or below the Call's id.
+[[nodiscard]] inline std::optional<CallId> call_watermark(const net::NetMessage& call) {
+  const CallId w{call.ackid};
+  const ProcessId client = call_client(call.id);
+  if (call_client(w) != client || call.id < w ||
+      w < make_call_id(client, first_seq_of_incarnation(call.inc))) {
+    return std::nullopt;
+  }
+  return w;
+}
 
 // ---- HOLD array ----
 
@@ -289,26 +307,17 @@ struct GrpcState {
     return ctx.parent;
   }
 
-  /// Reply acknowledgements queued per destination instead of sent
-  /// immediately: Unique Execution's coalesced flush timer drains each
-  /// destination's queue into one batched kAck message, and Reliable
-  /// Communication piggybacks queued ids onto retransmitted Calls (the
-  /// kCall's ackid field is otherwise unused).  Acks are garbage-collection
-  /// signals only, so deferring them never affects call semantics.
-  std::map<ProcessId, std::vector<std::uint64_t>> pending_acks;
-
-  /// Removes and returns one queued ack for `dest` to piggyback onto an
-  /// outgoing Call; 0 when none is pending (call ids are never 0).
-  [[nodiscard]] std::uint64_t take_piggyback_ack(ProcessId dest) {
-    auto it = pending_acks.find(dest);
-    if (it == pending_acks.end() || it->second.empty()) return 0;
-    const std::uint64_t id = it->second.back();
-    it->second.pop_back();
-    if (it->second.empty()) pending_acks.erase(it);
-    return id;
-  }
-
   // ---- helpers ----
+
+  /// This client's low watermark W, stamped on every Call it sends: the
+  /// lowest id of a call it still waits for -- pRPC's first key, or the next
+  /// id it will issue when pRPC is empty.  Every call of this client below
+  /// W has completed, so no server needs its result again.  A completed
+  /// asynchronous call stays in pRPC until the user collects it, so it holds
+  /// W back: W never passes a call whose record is still here.
+  [[nodiscard]] CallId low_watermark() const {
+    return pRPC.empty() ? make_call_id(my_id, next_seq) : pRPC.begin()->first;
+  }
 
   [[nodiscard]] std::shared_ptr<ClientRecord> find_client(CallId id) const {
     auto it = pRPC.find(id);

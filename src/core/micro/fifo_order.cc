@@ -57,8 +57,12 @@ sim::Task<> FifoOrder::msg_from_net(runtime::EventContext& ctx) {
   if (msg.type != net::MsgType::kCall) co_return;
   auto [it, inserted] = in_progress_.try_emplace(msg.sender);
   InProgress& info = it->second;
+  // A stream starts at the client's low watermark: every call below it has
+  // completed, and the Call that arrives first may have overtaken (or
+  // outlived the loss of) an earlier one that is still to come.
+  const CallId base = call_watermark(msg).value_or(msg.id);
   if (inserted) {
-    set_position(msg.sender, info, {msg.inc, msg.id});  // the stream starts here
+    set_position(msg.sender, info, {msg.inc, base});
   } else if (info.inc > msg.inc || (info.inc == msg.inc && msg.id < info.next)) {
     // Stale: an orphaned incarnation or an id already executed here.
     ++stale_dropped_;
@@ -68,8 +72,7 @@ sim::Task<> FifoOrder::msg_from_net(runtime::EventContext& ctx) {
     if (srec != state_.sRPC.end()) state_.sRPC.erase(srec);
     co_return;
   } else if (info.inc < msg.inc) {
-    // New client incarnation: restart the stream at its first-seen id.
-    set_position(msg.sender, info, {msg.inc, msg.id});
+    set_position(msg.sender, info, {msg.inc, base});  // a new client incarnation
   }
   if (msg.id == info.next) {
     co_await state_.forward_up(msg.id, kHoldFifo);

@@ -3,12 +3,18 @@
 // Guarantees that the calls of any one client are executed in the same
 // (issue) order at every server.  Implementation: a HOLD gate; a call is
 // released only when its id is the next expected id of its client, and the
-// reply handler releases the successor if it has already arrived.  The next
-// expected id is initialized to the first id seen from a client (or
-// incarnation), so a server that joins mid-stream (e.g. after recovery)
-// starts from the stream position it can observe -- later calls are ordered,
-// earlier ones are dropped as stale, which preserves the relative-order
-// guarantee (execution sequences are subsequences of the issue order).
+// reply handler releases the successor if it has already arrived.  A
+// client's stream (or a new incarnation's) starts at the low watermark W
+// that its first-seen Call carries (grpc_state.h), not at that Call's id:
+// the calls from W on are still to be executed, even if their first copies
+// were lost or overtaken, and every call below W has completed.  A Call
+// without a usable W starts the stream at its own id.  A server that joins
+// mid-stream (e.g. after recovery) thus starts from the stream position it
+// can observe -- later calls are ordered, earlier ones are dropped as
+// stale, which preserves the relative-order guarantee (execution sequences
+// are subsequences of the issue order).  A stream that already runs is not
+// advanced past a gap: a call that completed at the client without ever
+// reaching this server still stalls it.
 //
 // Checkpoint (with Atomic Execution): a change is one client's new stream
 // position, `client:u32 inc:u32 next:u64`.  Every change to a position is

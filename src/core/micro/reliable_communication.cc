@@ -140,6 +140,7 @@ void ReliableCommunication::resend_due() {
   const sim::Time now = state_.transport.now();
   const bool traced = state_.trace != nullptr;
   const obs::SpanCtx saved_ctx = traced ? state_.sched.ambient() : obs::SpanCtx{};
+  const std::uint64_t watermark = state_.low_watermark().value();
   for (const auto& [id, rec] : state_.pRPC) {
     for (auto& [p, ps] : rec->pending) {
       if (ps.acked || deadline(p, ps) > now) continue;
@@ -151,11 +152,7 @@ void ReliableCommunication::resend_due() {
       msg.server = rec->server;
       msg.sender = state_.my_id;
       msg.inc = state_.inc_number;
-      // Piggyback one queued reply acknowledgement on the retransmission
-      // (the kCall ackid field is otherwise unused) so the server can free
-      // a stored result without waiting for the explicit batched ACK.
-      msg.ackid = state_.take_piggyback_ack(p);
-      if (msg.ackid != 0) ++piggybacked_acks_;
+      msg.ackid = watermark;  // as on the original Call: see grpc_state.h
       // Re-enter the call's own trace context: the timer fiber's ambient is
       // the timer span, but each retransmitted datagram belongs to the call
       // it retries, so the span tree shows the retry under the original call.

@@ -5,9 +5,10 @@
 // replied nor acknowledged it once the call's copy to that member is older
 // than the member's retransmission timeout.  Only a Reply counts as an
 // acknowledgement: servers send no call-receipt ACKs, and the ACKs of
-// net/message.h flow the other way (client to server, releasing a stored
-// result).  Combined with RPC Main this gives unbounded
-// termination: "the client side keeps on trying until it gets a response".
+// net/message.h flow the other way (client to server, releasing stored
+// results below the client's low watermark).  Combined with RPC Main this
+// gives unbounded termination: "the client side keeps on trying until it
+// gets a response".
 //
 // Adaptive timeout (Jacobson/Karels, RFC 6298): each peer has a smoothed
 // round trip SRTT and its variation RTTVAR, sampled from the Reply to a call
@@ -25,8 +26,9 @@
 // timer waits for has completed meanwhile (so a client whose calls finish
 // within the RTO does not pay a timer fire per call).  When the timer fires
 // it resends just the copies whose deadline has passed.  Each retransmitted
-// Call additionally piggybacks one queued reply acknowledgement in its
-// unused ackid field, saving explicit ACK messages.
+// Call carries the client's current low watermark W in its ackid, as the
+// original Call did (grpc_state.h), so a retransmission also releases the
+// server's stored results below W.
 #pragma once
 
 #include <map>
@@ -63,8 +65,6 @@ class ReliableCommunication : public runtime::MicroProtocol {
 
   /// Total retransmissions performed (observability for tests/benches).
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
-  /// Acks piggybacked onto retransmitted Calls (observability).
-  [[nodiscard]] std::uint64_t piggybacked_acks() const { return piggybacked_acks_; }
   /// `peer`'s round-trip estimate; nullopt before its first sample.
   [[nodiscard]] std::optional<RttEstimate> rtt(ProcessId peer) const;
   /// Timeout of a first transmission to `peer`.
@@ -93,7 +93,6 @@ class ReliableCommunication : public runtime::MicroProtocol {
   CallId armed_for_{};  ///< the call whose deadline the timer is armed at
   TimerId timer_{};
   std::uint64_t retransmissions_ = 0;
-  std::uint64_t piggybacked_acks_ = 0;
 };
 
 }  // namespace ugrpc::core

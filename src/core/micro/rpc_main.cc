@@ -113,6 +113,7 @@ sim::Task<> RpcMain::msg_from_user(runtime::EventContext& ctx) {
   msg.server = rec->server;
   msg.sender = state_.my_id;
   msg.inc = state_.inc_number;
+  msg.ackid = state_.low_watermark().value();
   state_.net_multicast(rec->server, msg);
 }
 

@@ -8,6 +8,21 @@ void UniqueExecution::start(runtime::Framework& fw) {
   fw_ = &fw;
   fw.register_handler(kMsgFromNetwork, "UniqueExec.msg_from_net", kPrioNetUnique,
                       [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
+  fw.register_handler(kNewRpcCall, "UniqueExec.handle_new_call", kPrioNewUnique,
+                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                        // RPC Main multicasts this Call right after the
+                        // event's chain, carrying W: each server it goes to
+                        // is told W, which covers every Reply below it.
+                        auto rec = state_.find_client(ctx.arg_as<CallEvent>().id);
+                        if (rec == nullptr) co_return;
+                        const CallId w = state_.low_watermark();
+                        for (Owed& o : owed_) {
+                          if (o.replied < w && rec->pending.contains(o.server)) {
+                            o.replied = CallId{};
+                          }
+                        }
+                        co_return;
+                      });
   fw.register_handler(kReplyFromServer, "UniqueExec.handle_reply", kPrioReplyUnique,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         const CallId id = ctx.arg_as<CallEvent>().id;
@@ -29,21 +44,27 @@ void UniqueExecution::journal_change(Change op, CallId id, const Buffer* result)
   if (Writer* w = journal()) write_change(*w, op, id, result);
 }
 
-void UniqueExecution::free_result(CallId id) {
-  if (old_results_.erase(id) != 0) journal_change(Change::kResultFreed, id);
+void UniqueExecution::free_below(ProcessId client, CallId watermark) {
+  if (call_client(watermark) != client) return;
+  const auto first = old_results_.lower_bound(make_call_id(client, 0));
+  const auto last = old_results_.lower_bound(watermark);
+  if (Writer* w = journal()) {
+    for (auto it = first; it != last; ++it) write_change(*w, Change::kResultFreed, it->first);
+  }
+  old_results_.erase(first, last);
 }
 
-void UniqueExecution::queue_ack(ProcessId dest, std::uint64_t id) {
-  state_.pending_acks[dest].push_back(id);
-  ++acks_queued_;
+UniqueExecution::Owed& UniqueExecution::owed_entry(ProcessId server) {
+  for (Owed& o : owed_) {
+    if (o.server == server) return o;
+  }
+  return owed_.emplace_back(Owed{server, CallId{}});
+}
+
+void UniqueExecution::arm_flush() {
   if (flush_armed_) return;
   flush_armed_ = true;
-  // One coalesced timer for every destination: all acknowledgements queued
-  // before it fires leave in one message per server.  Its delay of 0 still
-  // batches -- timers fire only after the ready fibers of the current
-  // instant have drained, so a burst of same-time Replies is acknowledged
-  // as one batch.
-  fw_->register_timeout("UniqueExec.flush_acks", 0, [this]() -> sim::Task<> {
+  fw_->register_timeout("UniqueExec.flush_acks", idle_ack_delay_, [this]() -> sim::Task<> {
     flush_armed_ = false;
     flush_acks();
     co_return;
@@ -51,21 +72,32 @@ void UniqueExecution::queue_ack(ProcessId dest, std::uint64_t id) {
 }
 
 void UniqueExecution::flush_acks() {
-  // Drain every destination's queue in place.  The queue lives in the shared
-  // state because retransmission piggybacking may already have consumed some
-  // ids (take_piggyback_ack).  Clearing a drained queue rather than erasing
-  // it keeps the map node and the vector's capacity for the next batch.
-  for (auto& [dest, ids] : state_.pending_acks) {
-    if (ids.empty()) continue;
+  const CallId w = state_.low_watermark();
+  bool uncovered = false;
+  for (Owed& o : owed_) {
+    if (o.replied == CallId{}) continue;
+    if (w <= o.replied) {
+      uncovered = true;
+      continue;
+    }
     net::NetMessage ack;
     ack.type = net::MsgType::kAck;
     ack.sender = state_.my_id;
     ack.inc = state_.inc_number;
-    ack.ackid = ids.front();
-    ack.args = net::encode_ack_batch(std::span(ids).subspan(1));
-    state_.net_push(dest, ack);
-    ids.clear();
+    ack.ackid = w.value();
+    state_.net_push(o.server, ack);
+    o.replied = CallId{};
     ++ack_messages_sent_;
+  }
+  // A Reply that W does not cover yet belongs to the call holding W back.
+  // While that call is in flight it completes on its own, so look again
+  // later.  A completed call that waits for the user to collect it may wait
+  // forever, and a timer re-armed for it would keep an idle site from
+  // quiescing; the next Reply arms the timer instead.  (With pRPC empty, an
+  // uncovered Reply named no call this client issued.)
+  if (uncovered && !state_.pRPC.empty() &&
+      state_.pRPC.begin()->second->status == Status::kWaiting) {
+    arm_flush();
   }
 }
 
@@ -73,9 +105,7 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   switch (msg.type) {
     case net::MsgType::kCall: {
-      // A retransmitted Call may piggyback one acknowledgement in its
-      // otherwise-unused ackid field (see Reliable Communication).
-      if (msg.ackid != 0) free_result(CallId{msg.ackid});
+      if (const auto w = call_watermark(msg)) free_below(call_client(msg.id), *w);
       if (auto it = old_results_.find(msg.id); it != old_results_.end()) {
         // Completed before: answer from the stored result, do not re-execute.
         ++duplicates_suppressed_;
@@ -91,7 +121,8 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
         state_.net_push(msg.sender, reply);
         ctx.cancel();
       } else if (old_calls_.contains(msg.id)) {
-        // In progress (or executed and already acknowledged): drop.
+        // In progress, or executed with its result freed below a watermark:
+        // drop.
         ++duplicates_suppressed_;
         state_.note(obs::Kind::kDupSuppressed, msg.id.value());
         ctx.cancel();
@@ -102,14 +133,15 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
       break;
     }
     case net::MsgType::kReply: {
-      // Client side: queue the acknowledgement so the server can free the
-      // stored result; the coalesced flush timer batches per destination.
-      queue_ack(msg.sender, msg.id.value());
+      // Client side: the server stores this result until a W above it
+      // reaches the server; owe it one.
+      Owed& o = owed_entry(msg.sender);
+      if (o.replied < msg.id) o.replied = msg.id;
+      arm_flush();
       break;
     }
     case net::MsgType::kAck:
-      free_result(CallId{msg.ackid});
-      for (std::uint64_t id : net::decode_ack_batch(msg.args)) free_result(CallId{id});
+      free_below(msg.sender, CallId{msg.ackid});
       break;
     case net::MsgType::kOrder:
     case net::MsgType::kOrderQuery:

@@ -38,7 +38,7 @@ inline constexpr int kPrioNetReliable = 20;     ///< Reliable Comm: mark acked
 /// duplicate, so the deferred call could never be admitted.  (The paper
 /// gives both handlers priority 2 and leaves the order to chance.)
 inline constexpr int kPrioNetOrphan = 25;       ///< Interference Avoidance / Terminate Orphan
-inline constexpr int kPrioNetUnique = 30;       ///< Unique Execution: dup suppression / ACK
+inline constexpr int kPrioNetUnique = 30;       ///< Unique Execution: free below W, dup suppression
 inline constexpr int kPrioNetCollation = 45;    ///< Collation: fold reply (see note 1)
 inline constexpr int kPrioNetMain = 50;         ///< RPC Main: record + forward_up
 inline constexpr int kPrioNetAcceptance = 55;   ///< Acceptance: count replies (client side)
@@ -54,6 +54,7 @@ inline constexpr int kPrioNewReliable = 10;     ///< reset acked flags
 inline constexpr int kPrioNewAcceptance = 20;   ///< compute nres / done flags
 inline constexpr int kPrioNewCollation = 30;    ///< initialize accumulator
 inline constexpr int kPrioNewBounded = 40;      ///< arm the per-call deadline
+inline constexpr int kPrioNewUnique = 50;       ///< Unique Exec: the Call tells its servers W
 
 // ---- REPLY_FROM_SERVER ----
 // The ordering protocols' reply work is split in two: their *bookkeeping*

@@ -3,8 +3,13 @@
 // One message type carries all four protocol interactions:
 //   kCall  - client -> servers: invoke operation `op` with `args`
 //   kReply - server -> client: result of call `id` (args holds the result)
-//   kAck   - client -> server: acknowledges receipt of the Reply for
-//            call `ackid` (Unique Execution's garbage-collection signal)
+//   kAck   - client -> server: carries the client's low watermark W in
+//            `ackid`: every call of the sender below W has completed, so
+//            the server may free their stored results (Unique Execution's
+//            garbage-collection signal).  Every Call carries W in the same
+//            field, so an ACK is sent only by a client that has gone idle.
+//            A kAck has no args.  (The compact point-to-point protocol,
+//            core/p2p_rpc.h, acks the one call `ackid` names instead.)
 //   kOrder - leader -> group: assigns total-order position `ackid` to call
 //            `id` (Total Order micro-protocol)
 //
@@ -13,11 +18,8 @@
 // marshalling.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "common/buffer.h"
 #include "common/ids.h"
@@ -59,11 +61,11 @@ struct NetMessage {
   GroupId server;     ///< identity of the server group
   ProcessId sender;   ///< process that sent this message
   Incarnation inc = 0;  ///< sender's incarnation number
-  std::uint64_t ackid = 0;  ///< acked call id (kAck) or assigned order (kOrder)
+  /// The sender's low watermark (kCall, kAck) or assigned order (kOrder).
+  std::uint64_t ackid = 0;
 
   [[nodiscard]] Buffer encode() const;
-  /// Throws CodecError on malformed input, including a kAck whose batch
-  /// (see encode_ack_batch) does not hold the ids its count announces.
+  /// Throws CodecError on malformed input, including a kAck with args.
   [[nodiscard]] static NetMessage decode(const Buffer& buf);
 
   friend bool operator==(const NetMessage&, const NetMessage&) = default;
@@ -86,41 +88,6 @@ inline Buffer NetMessage::encode() const {
   w.u32(inc);
   w.u64(ackid);
   return out;
-}
-
-// ---- batched acknowledgements ----
-//
-// A kAck message acknowledges `ackid`; when the client batches several
-// acknowledgements for one destination into a single message, the ids beyond
-// the first ride in the (otherwise unused) args field as `u32 count` followed
-// by `count` u64 call ids.  The NetMessage wire layout is unchanged -- args
-// was always length-prefixed opaque bytes -- so old-format single acks decode
-// as a batch of one.
-
-[[nodiscard]] inline Buffer encode_ack_batch(std::span<const std::uint64_t> extra_ids) {
-  Buffer out;
-  if (extra_ids.empty()) return out;
-  Writer w(out);
-  w.u32(static_cast<std::uint32_t>(extra_ids.size()));
-  for (std::uint64_t id : extra_ids) w.u64(id);
-  return out;
-}
-
-/// Extra acked ids carried in a kAck's args; tolerant of malformed payloads
-/// (returns the ids decoded before the error -- acks are best-effort GC).
-/// NetMessage::decode already rejects a kAck whose batch is malformed.
-[[nodiscard]] inline std::vector<std::uint64_t> decode_ack_batch(const Buffer& args) {
-  std::vector<std::uint64_t> ids;
-  if (args.empty()) return ids;
-  try {
-    Reader r(args);
-    const std::uint32_t count = r.u32();
-    // The count comes off the wire: reserve no more ids than the bytes hold.
-    ids.reserve(std::min<std::size_t>(count, r.remaining() / 8));
-    for (std::uint32_t i = 0; i < count; ++i) ids.push_back(r.u64());
-  } catch (const CodecError&) {
-  }
-  return ids;
 }
 
 /// Messages dropped because their bytes did not decode.  A peer's bug or a
@@ -163,12 +130,7 @@ inline NetMessage NetMessage::decode(const Buffer& buf) {
   m.sender = ProcessId{r.u32()};
   m.inc = r.u32();
   m.ackid = r.u64();
-  if (m.type == MsgType::kAck && !m.args.empty()) {
-    // A batch must hold exactly the ids its count announces.
-    Reader batch(m.args);
-    const std::uint32_t count = batch.u32();
-    if (batch.remaining() != std::size_t{count} * 8) throw CodecError("NetMessage: bad ack batch");
-  }
+  if (m.type == MsgType::kAck && !m.args.empty()) throw CodecError("NetMessage: ACK with args");
   return m;
 }
 

@@ -296,8 +296,8 @@ TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
     // Three changes wait for the 6th call's record to be committed: its
     // OldCalls insert (op + id: 9 bytes), its stored result (op + id + the
     // length-prefixed 8-byte result: 21 bytes), and the free of the 5th
-    // call's result (9 bytes; that ACK arrived after the 5th record was
-    // committed).
+    // call's result (9 bytes; the 6th Call's watermark freed it, after the
+    // 5th record was committed).
     EXPECT_EQ(server.grpc().unique()->journaled().size(), 9u + 21u + 9u)
         << "the 6th call's changes wait for its record to be committed";
     server.crash();
@@ -325,7 +325,7 @@ TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
   // The lost record's entry came back with the retransmission and went
   // into a later record: after a second crash all ten calls are known.
   s.run_for(sim::msec(100));
-  // Only the free from the 10th call's ACK is left: no later call wrote a
+  // Only the free from the client's idle ACK is left: no later call wrote a
   // record to hold it.
   EXPECT_EQ(server.grpc().unique()->journaled().size(), 9u);
   server.crash();
@@ -339,21 +339,24 @@ TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
   EXPECT_EQ(read_var(server.stable(), "b"), 10u);
 }
 
-/// Keeps the client's queued acknowledgements from leaving, so the server
-/// keeps every result.  The ACK flush is a timer, and timers fire only after
-/// the fiber that just received its Reply has yielded.
-void withhold_acks(Scenario& s) { s.client_site(0).grpc().state().pending_acks.clear(); }
-
 TEST(CrashRecovery, DeltaSizeDoesNotGrowWithStoredResults) {
-  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  // An asynchronous call that the client never collects holds its low
+  // watermark back, so the server keeps the result of every later call.
+  ScenarioParams p = crash_params(ExecutionMode::kSerialAtomic);
+  p.config.call = CallSemantics::kAsynchronous;
+  Scenario s(std::move(p));
   Site& server = s.server(0);
   s.run_client(0, [&](Client& c) -> sim::Task<> {
-    while (server.grpc().unique()->stored_results() < 60 ||
-           server.grpc().atomic()->chain_length() < 2) {
-      (void)co_await c.call(s.group(), kIncrementBoth, num_buf(0));
-      withhold_acks(s);
+    [[maybe_unused]] CallHandle pin = co_await c.call_async(s.group(), kIncrementBoth, num_buf(0));
+    for (int i = 0; i < 500 && (server.grpc().unique()->stored_results() < 60 ||
+                                server.grpc().atomic()->chain_length() < 2);
+         ++i) {
+      CallHandle h = co_await c.call_async(s.group(), kIncrementBoth, num_buf(0));
+      (void)co_await h.get();
     }
   });
+  ASSERT_GE(server.grpc().unique()->stored_results(), 60u);
+  ASSERT_GE(server.grpc().atomic()->chain_length(), 2u);
   storage::StableStore& store = server.stable();
   const auto newest = store.load_checkpoint(storage::StableAddress{*store.var("atomic.current")});
   ASSERT_TRUE(newest.has_value());
@@ -368,9 +371,10 @@ TEST(CrashRecovery, ChainReplaysStoredAndFreedResults) {
   Site& server = s.server(0);
   AtomicExecution& atomic = *server.grpc().atomic();
   // Call pairs until both records of a pair land as deltas on one chain:
-  // `freed` is stored by the first record and freed by the second (its ACK
-  // arrives while the second call executes); `live` is stored by the second
-  // and stays, its ACK withheld.
+  // `freed` is stored by the first record and freed by the second (the
+  // second Call's low watermark covers it); `live` is stored by the second
+  // and stays, because no later watermark reaches the server: the client
+  // makes no further call, and its link is cut before its idle ACK leaves.
   CallId freed;
   CallId live;
   bool ready = false;
@@ -379,11 +383,11 @@ TEST(CrashRecovery, ChainReplaysStoredAndFreedResults) {
       freed = (co_await c.call(s.group(), kIncrementBoth, num_buf(0))).id;
       const std::size_t chain_after_freed = atomic.chain_length();
       live = (co_await c.call(s.group(), kIncrementBoth, num_buf(0))).id;
-      withhold_acks(s);
       ready = chain_after_freed >= 2 && atomic.chain_length() == chain_after_freed + 1;
     }
   });
   ASSERT_TRUE(ready);
+  s.network().link(s.client_id(0), Scenario::server_id(0)).partitioned = true;
   const std::map<CallId, Buffer> before = server.grpc().unique()->results();
   ASSERT_FALSE(before.contains(freed));
   ASSERT_TRUE(before.contains(live));
@@ -392,9 +396,10 @@ TEST(CrashRecovery, ChainReplaysStoredAndFreedResults) {
   server.recover();
   s.run_for(sim::msec(1));
   EXPECT_EQ(server.grpc().unique()->results(), before);
+  s.network().link(s.client_id(0), Scenario::server_id(0)).partitioned = false;
 
   // A duplicate of the live call is answered from its stored result: the
-  // client acknowledges that answer, which frees the result again.
+  // client's idle ACK then covers that answer, which frees the result again.
   const std::uint64_t executions = server.total_executions();
   const std::uint64_t suppressed = server.grpc().unique()->duplicates_suppressed();
   resend_call(s, live);

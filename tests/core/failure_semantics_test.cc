@@ -238,7 +238,7 @@ TEST(UniqueExecution, AckGarbageCollectsStoredResults) {
   });
   s.run_until_quiescent();
   EXPECT_EQ(s.server(0).grpc().unique()->stored_results(), 0u)
-      << "client ACKs must free all stored results on a fault-free network";
+      << "watermarks on Calls and the idle ACK must free every stored result";
 }
 
 }  // namespace

@@ -120,16 +120,56 @@ TEST(FifoOrder, PerClientOrderAtEveryServer) {
   s.run_for(sim::seconds(5));
   for (const auto& [server, log] : logs) {
     EXPECT_TRUE(per_client_order_preserved(log)) << "server " << server;
-    // FIFO Order initializes a client's stream at the first call id the
-    // server happens to see; earlier ids are dropped as stale (paper
-    // behaviour).  From that point on execution is strictly consecutive, so
-    // each server's log is one contiguous run of the issue stream.
+    // FIFO Order starts a client's stream at the low watermark of the first
+    // Call a server sees.  No call is collected here, so every Call carries
+    // the first call's id: each server executes the whole issue stream,
+    // strictly consecutively.
     ASSERT_FALSE(log.empty());
+    EXPECT_EQ(log.front().seq, 0u) << "server " << server << " must start at the first call";
     for (std::size_t i = 1; i < log.size(); ++i) {
       EXPECT_EQ(log[i].seq, log[i - 1].seq + 1)
           << "server " << server << " must execute a contiguous run";
     }
     EXPECT_EQ(log.back().seq, 39u) << "the stream must catch up to the last call";
+  }
+}
+
+// The first Call to one server is lost, and the later Calls reach it before
+// that Call's retransmission does.  Without Unique Execution nothing answers
+// a Call below a server's stream position, so a stream started at the
+// first id the server sees would leave the first call stale forever; the
+// stream starts at the watermark those Calls carry instead.
+TEST(FifoOrder, StreamStartsAtTheWatermarkWhenTheFirstCallIsLost) {
+  Logs logs;
+  ScenarioParams p;
+  p.num_servers = 2;
+  p.config = ConfigBuilder()
+                 .asynchronous()
+                 .reliable_communication(sim::msec(30))
+                 .fifo_order()
+                 .acceptance_limit(kAll)
+                 .build();
+  p.server_app = logging_app(logs);
+  Scenario s(std::move(p));
+  const ProcessId lossy = Scenario::server_id(1);
+  constexpr std::uint32_t kCalls = 10;
+  std::vector<CallResult> results;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    std::vector<CallHandle> handles;
+    s.network().link(s.client_id(0), lossy).partitioned = true;
+    handles.push_back(co_await c.call_async(s.group(), kTagged, tag_buf({0, 0})));
+    s.network().link(s.client_id(0), lossy).partitioned = false;
+    for (std::uint32_t i = 1; i < kCalls; ++i) {
+      handles.push_back(co_await c.call_async(s.group(), kTagged, tag_buf({0, i})));
+    }
+    for (CallHandle& h : handles) results.push_back(co_await h.get());
+  }, sim::seconds(10));
+  ASSERT_EQ(results.size(), kCalls) << "every call must end";
+  for (const CallResult& r : results) EXPECT_EQ(r.status, Status::kOk);
+  for (int k = 0; k < s.num_servers(); ++k) {
+    const std::vector<Tag>& log = logs[Scenario::server_id(k).value()];
+    ASSERT_EQ(log.size(), kCalls) << "server " << k << " must execute every call";
+    for (std::uint32_t i = 0; i < kCalls; ++i) EXPECT_EQ(log[i], (Tag{0, i})) << "server " << k;
   }
 }
 

@@ -27,9 +27,9 @@ Buffer bytes_of(std::initializer_list<int> values) {
 }
 
 // Bytes from the network never crash a site: a gRPC payload that does not
-// decode, or an ACK whose batch count runs past its bytes, is dropped and
-// counted -- as a kMsgMalformed trace record, which SiteTelemetry's
-// msgs.malformed reads -- and the site goes on serving calls.
+// decode, or an ACK with args (an ACK carries only its watermark), is
+// dropped and counted -- as a kMsgMalformed trace record, which
+// SiteTelemetry's msgs.malformed reads -- and the site goes on serving calls.
 TEST(Regression, MalformedGrpcMessagesAreDroppedAndCounted) {
   obs::Tracer tracer;
   ScenarioParams p;
@@ -52,7 +52,7 @@ TEST(Regression, MalformedGrpcMessagesAreDroppedAndCounted) {
   ack.type = net::MsgType::kAck;
   ack.sender = s.client_id(0);
   ack.ackid = 1;
-  Writer(ack.args).u32(0xFFFFFFF0u);  // a batch of ~4 billion ids, none present
+  Writer(ack.args).u32(0xFFFFFFF0u);  // an ACK carries no args
 
   net::Endpoint& from = s.client_site(0).grpc().state().endpoint;
   for (const Buffer& payload : {bytes_of({9, 1, 2}), Buffer{}, truncated, ack.encode()}) {

@@ -72,24 +72,27 @@ TEST(DecodeFuzz, BitflipSweepOfValidMessage) {
   SUCCEED();
 }
 
-TEST(DecodeFuzz, AckBatchCountPastItsBytes) {
-  Buffer args;
-  Writer w(args);
-  w.u32(0xFFFFFFF0u);
-  w.u64(7);
-  // The count off the wire must not size the reservation: 0xFFFFFFF0 ids
-  // would be 32 GiB, asked for before a single id is read.
-  EXPECT_EQ(decode_ack_batch(args), std::vector<std::uint64_t>({7}));
-
+TEST(DecodeFuzz, AckWithArgsIsMalformed) {
   NetMessage ack;
   ack.type = MsgType::kAck;
   ack.ackid = 5;
-  ack.args = args;
-  EXPECT_THROW((void)NetMessage::decode(ack.encode()), CodecError);
-  const std::vector<std::uint64_t> extra{8, 9};
-  ack.args = encode_ack_batch(extra);
   EXPECT_EQ(NetMessage::decode(ack.encode()), ack);
-  EXPECT_EQ(decode_ack_batch(ack.args), extra);
+  // An ACK carries one watermark and no args.  A count of extra ids with
+  // fewer ids behind it, a well-formed list of them, or a single stray
+  // byte all make it malformed.
+  Writer w(ack.args);
+  w.u32(0xFFFFFFF0u);
+  w.u64(7);
+  EXPECT_THROW((void)NetMessage::decode(ack.encode()), CodecError);
+  ack.args = Buffer{};
+  Writer list(ack.args);
+  list.u32(2);
+  list.u64(8);
+  list.u64(9);
+  EXPECT_THROW((void)NetMessage::decode(ack.encode()), CodecError);
+  ack.args = Buffer{};
+  ack.args.push_back(std::byte{0});
+  EXPECT_THROW((void)NetMessage::decode(ack.encode()), CodecError);
 }
 
 }  // namespace

@@ -104,15 +104,15 @@ class AllocBudget : public ::testing::Test {
 };
 
 TEST_F(AllocBudget, OrderedWrite) {
-  EXPECT_LE(allocations_per_call(ConfigBuilder::at_most_once().total_order().build()), 55.0);
+  EXPECT_LE(allocations_per_call(ConfigBuilder::at_most_once().total_order().build()), 44.0);
 }
 
 TEST_F(AllocBudget, ReadOptimized) {
-  EXPECT_LE(allocations_per_call(ConfigBuilder::read_optimized().build()), 25.0);
+  EXPECT_LE(allocations_per_call(ConfigBuilder::read_optimized().build()), 21.0);
 }
 
 TEST_F(AllocBudget, ExactlyOnce) {
-  EXPECT_LE(allocations_per_call(ConfigBuilder::exactly_once().build()), 40.0);
+  EXPECT_LE(allocations_per_call(ConfigBuilder::exactly_once().build()), 27.0);
 }
 
 }  // namespace
