@@ -16,8 +16,8 @@
 // assumption FIFO Order relies on (next expected id = id + 1).
 //
 // Low watermark: every Call carries its client's W (GrpcState::low_watermark)
-// in the otherwise unused `ackid` field.  Unique Execution frees the stored
-// results below it, and FIFO Order starts a client's stream at it
+// in the otherwise unused `ackid` field.  Unique Execution raises the
+// client's floor to it, and FIFO Order starts a client's stream at it
 // (call_watermark says when a Call's field may be trusted as one).
 #pragma once
 

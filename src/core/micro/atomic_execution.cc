@@ -29,16 +29,11 @@ void AtomicExecution::start(runtime::Framework& fw) {
 Buffer AtomicExecution::build_record(std::optional<storage::StableAddress> prev) const {
   // One pass into one buffer, each participant's part written in place.
   // The reservation comes from the sizes already tracked: a new base holds
-  // at most the old base plus every change since, a delta about the mean
+  // at most the old base plus every change since, a delta about the largest
   // delta of the live chain.  A first delta gets none: no record of its
   // kind to go by, and stored records keep their capacity.
-  const std::size_t deltas = chain_.empty() ? 0 : chain_.size() - 1;
   Buffer record;
-  if (!prev.has_value()) {
-    record.reserve(base_bytes_ + delta_bytes_);
-  } else if (deltas > 0) {
-    record.reserve(delta_bytes_ / deltas);
-  }
+  record.reserve(prev.has_value() ? largest_delta_ : base_bytes_ + delta_bytes_);
   Writer w(record);
   w.u64(prev.has_value() ? prev->value() : 0);  // addresses start at 1
   const Buffer user_state = state_.user != nullptr ? state_.user->snapshot_state() : Buffer{};
@@ -66,8 +61,10 @@ void AtomicExecution::commit(storage::StableAddress addr, bool base, std::size_t
     chain_.clear();
     base_bytes_ = bytes;
     delta_bytes_ = 0;
+    largest_delta_ = 0;
   } else {
     delta_bytes_ += bytes;
+    largest_delta_ = std::max(largest_delta_, bytes);
   }
   chain_.push_back(addr);
 }
@@ -144,7 +141,10 @@ void AtomicExecution::restore_chain(const std::vector<ChainRecord>& chain) {
         Reader pr(rec.parts[i]);
         participants[i]->apply(pr);
       }
-      if (!chain_.empty()) delta_bytes_ += rec.bytes;
+      if (!chain_.empty()) {
+        delta_bytes_ += rec.bytes;
+        largest_delta_ = std::max(largest_delta_, rec.bytes);
+      }
       chain_.push_back(rec.addr);
     }
   } catch (const CodecError&) {

@@ -97,6 +97,7 @@ class AtomicExecution : public runtime::MicroProtocol {
   std::vector<storage::StableAddress> chain_;  ///< live chain, base first
   std::size_t base_bytes_ = 0;                 ///< size of chain_.front()
   std::size_t delta_bytes_ = 0;                ///< sum over the deltas in chain_
+  std::size_t largest_delta_ = 0;              ///< the largest delta in chain_
 };
 
 }  // namespace ugrpc::core

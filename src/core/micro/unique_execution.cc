@@ -1,8 +1,20 @@
 #include "core/micro/unique_execution.h"
 
+#include <algorithm>
+
 #include "core/priorities.h"
 
 namespace ugrpc::core {
+
+namespace {
+
+/// The missed range that holds `id`, or the end.
+auto missed_at(std::vector<std::pair<CallId, CallId>>& missed, CallId id) {
+  return std::ranges::find_if(missed,
+                              [id](const auto& m) { return m.first <= id && id < m.second; });
+}
+
+}  // namespace
 
 void UniqueExecution::start(runtime::Framework& fw) {
   fw_ = &fw;
@@ -27,31 +39,84 @@ void UniqueExecution::start(runtime::Framework& fw) {
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         const CallId id = ctx.arg_as<CallEvent>().id;
                         if (auto rec = state_.find_server(id)) {
-                          old_results_[id] = rec->args;
-                          journal_change(Change::kResultStored, id, &rec->args);
+                          store_result(id, rec->args, journal());
                         }
                         co_return;
                       });
 }
 
-void UniqueExecution::write_change(Writer& w, Change op, CallId id, const Buffer* result) {
-  w.u8(static_cast<std::uint8_t>(op));
-  w.u64(id.value());
-  if (op == Change::kResultStored) w.raw(result->bytes());
-}
-
-void UniqueExecution::journal_change(Change op, CallId id, const Buffer* result) {
-  if (Writer* w = journal()) write_change(*w, op, id, result);
-}
-
-void UniqueExecution::free_below(ProcessId client, CallId watermark) {
-  if (call_client(watermark) != client) return;
-  const auto first = old_results_.lower_bound(make_call_id(client, 0));
-  const auto last = old_results_.lower_bound(watermark);
-  if (Writer* w = journal()) {
-    for (auto it = first; it != last; ++it) write_change(*w, Change::kResultFreed, it->first);
+void UniqueExecution::write_floor(Writer& w, const Session& s) {
+  w.u8(static_cast<std::uint8_t>(Change::kFloor));
+  w.u64(s.floor.value());
+  w.u64(s.missed.size());
+  for (const auto& [lo, hi] : s.missed) {
+    w.u64(lo.value());
+    w.u64(hi.value());
   }
-  old_results_.erase(first, last);
+}
+
+void UniqueExecution::write_result(Writer& w, CallId id, const Buffer& result) {
+  w.u8(static_cast<std::uint8_t>(Change::kResultStored));
+  w.u64(id.value());
+  w.raw(result.bytes());
+}
+
+std::size_t UniqueExecution::count(const std::function<bool(const Entry&)>& pred) const {
+  std::size_t n = 0;
+  for (const auto& [client, s] : sessions_) n += std::ranges::count_if(s.entries, pred);
+  return n;
+}
+
+UniqueExecution::Session& UniqueExecution::session(ProcessId client) {
+  return sessions_.try_emplace(client, Session{make_call_id(client, 0), {}, {}}).first->second;
+}
+
+std::pair<UniqueExecution::Entry*, bool> UniqueExecution::see(CallId id) {
+  Session& s = session(call_client(id));
+  const auto it = std::ranges::lower_bound(s.entries, id, {}, &Entry::id);
+  if (it != s.entries.end() && it->id == id) return {&*it, false};
+  if (id < s.floor && missed_at(s.missed, id) == s.missed.end()) return {nullptr, false};
+  return {&*s.entries.insert(it, Entry{id, std::nullopt}), true};
+}
+
+void UniqueExecution::raise_floor(CallId w, Writer* out) {
+  Session& s = session(call_client(w));
+  if (w <= s.floor) return;
+  // W's incarnation starts here; an older one is forgotten, its orphans
+  // dropped.  Up to W, the ids not completed here join the missed ranges
+  // and the completed ones are pruned.
+  const CallId first{(w.value() & ~((std::uint64_t{1} << kIncarnationShift) - 1)) + 1};
+  std::erase_if(s.missed, [first](const Range& m) { return m.second <= first; });
+  CallId lo = std::max(s.floor, first);
+  const auto end = std::ranges::lower_bound(s.entries, w, {}, &Entry::id);
+  for (auto it = s.entries.begin(); it != end; ++it) {
+    if (it->id < lo || !it->result) continue;
+    if (lo < it->id) s.missed.emplace_back(lo, it->id);
+    lo = next_call_id(it->id);
+  }
+  if (lo < w) s.missed.emplace_back(lo, w);
+  s.entries.erase(std::remove_if(s.entries.begin(), end,
+                                 [first](const Entry& e) { return e.result || e.id < first; }),
+                  end);
+  s.floor = w;
+  if (out != nullptr) write_floor(*out, s);
+}
+
+void UniqueExecution::store_result(CallId id, const Buffer& result, Writer* out) {
+  Session& s = session(call_client(id));
+  if (id >= s.floor) {
+    see(id).first->result = result;
+  } else if (const auto m = missed_at(s.missed, id); m != s.missed.end()) {
+    // Acknowledged already: it leaves its missed range, and its entry.
+    const Range right{next_call_id(id), m->second};
+    m->second = id;
+    const auto next = m->first == m->second ? s.missed.erase(m) : m + 1;
+    if (right.first < right.second) s.missed.insert(next, right);
+    std::erase_if(s.entries, [id](const Entry& e) { return e.id == id; });
+  } else {
+    return;
+  }
+  if (out != nullptr) write_result(*out, id, result);
 }
 
 UniqueExecution::Owed& UniqueExecution::owed_entry(ProcessId server) {
@@ -105,31 +170,26 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   switch (msg.type) {
     case net::MsgType::kCall: {
-      if (const auto w = call_watermark(msg)) free_below(call_client(msg.id), *w);
-      if (auto it = old_results_.find(msg.id); it != old_results_.end()) {
-        // Completed before: answer from the stored result, do not re-execute.
-        ++duplicates_suppressed_;
-        state_.note(obs::Kind::kDupSuppressed, msg.id.value());
+      if (const auto w = call_watermark(msg)) raise_floor(*w, journal());
+      const auto [entry, fresh] = see(msg.id);
+      if (fresh) break;  // never seen here: execute it
+      // A duplicate: running, completed, or completed and pruned below the
+      // floor (or of an older incarnation).  Only a stored result is
+      // answered; nothing is re-executed.
+      ++duplicates_suppressed_;
+      state_.note(obs::Kind::kDupSuppressed, msg.id.value());
+      if (entry != nullptr && entry->result) {
         net::NetMessage reply;
         reply.type = net::MsgType::kReply;
         reply.id = msg.id;
         reply.op = msg.op;
-        reply.args = it->second;
+        reply.args = *entry->result;
         reply.server = msg.server;
         reply.sender = state_.my_id;
         reply.inc = state_.inc_number;
         state_.net_push(msg.sender, reply);
-        ctx.cancel();
-      } else if (old_calls_.contains(msg.id)) {
-        // In progress, or executed with its result freed below a watermark:
-        // drop.
-        ++duplicates_suppressed_;
-        state_.note(obs::Kind::kDupSuppressed, msg.id.value());
-        ctx.cancel();
-      } else {
-        old_calls_.insert(msg.id);
-        journal_change(Change::kCallSeen, msg.id);
       }
+      ctx.cancel();
       break;
     }
     case net::MsgType::kReply: {
@@ -141,7 +201,7 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
       break;
     }
     case net::MsgType::kAck:
-      free_below(msg.sender, CallId{msg.ackid});
+      if (const CallId w{msg.ackid}; call_client(w) == msg.sender) raise_floor(w, journal());
       break;
     case net::MsgType::kOrder:
     case net::MsgType::kOrderQuery:
@@ -152,23 +212,33 @@ sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
 }
 
 void UniqueExecution::encode_state(Writer& w) const {
-  for (CallId id : old_calls_) write_change(w, Change::kCallSeen, id);
-  for (const auto& [id, result] : old_results_) write_change(w, Change::kResultStored, id, &result);
+  for (const auto& [client, s] : sessions_) {
+    write_floor(w, s);
+    for (const Entry& e : s.entries) {
+      if (e.result) write_result(w, e.id, *e.result);
+    }
+  }
 }
 
 void UniqueExecution::apply(Reader& r) {
-  // Replayed in order: a result stored and freed within one chain ends up
-  // absent, exactly as on the live server.
+  // Replayed in order: a result stored and then pruned by a floor within
+  // one chain ends up absent, exactly as on the live server.
   while (!r.at_end()) {
     const auto op = static_cast<Change>(r.u8());  // any u8 fits the enum
     const CallId id{r.u64()};
-    switch (op) {
-      case Change::kCallSeen: old_calls_.insert(id); break;
+    if (op == Change::kFloor) {
+      raise_floor(id, nullptr);
+      std::vector<Range>& missed = session(call_client(id)).missed;
+      missed.clear();
+      for (std::uint64_t n = r.u64(); n > 0; --n) {
+        missed.push_back(Range{CallId{r.u64()}, CallId{r.u64()}});  // braced: read in order
+      }
+    } else if (op == Change::kResultStored) {
       // A copy, not a slice: a slice would keep the whole checkpoint part
-      // alive for as long as any one result stays in the table.
-      case Change::kResultStored: old_results_[id] = Buffer::copy_of(r.raw().bytes()); break;
-      case Change::kResultFreed: old_results_.erase(id); break;
-      default: throw CodecError("Unique Execution: bad checkpoint change op");
+      // alive for as long as any one result stays stored.
+      store_result(id, Buffer::copy_of(r.raw().bytes()), nullptr);
+    } else {
+      throw CodecError("Unique Execution: bad checkpoint change op");
     }
   }
 }

@@ -34,11 +34,11 @@ inline constexpr int kPrioNetReliable = 20;     ///< Reliable Comm: mark acked
 /// Orphan handling runs BEFORE Unique Execution: Interference Avoidance
 /// defers a new-incarnation call by cancelling the event and relying on the
 /// client's retransmissions -- if Unique Execution saw the call first it
-/// would record it in OldCalls and then suppress every retransmission as a
+/// would record it in its session and then suppress every retransmission as a
 /// duplicate, so the deferred call could never be admitted.  (The paper
 /// gives both handlers priority 2 and leaves the order to chance.)
 inline constexpr int kPrioNetOrphan = 25;       ///< Interference Avoidance / Terminate Orphan
-inline constexpr int kPrioNetUnique = 30;       ///< Unique Execution: free below W, dup suppression
+inline constexpr int kPrioNetUnique = 30;       ///< Unique Execution: floor to W, dup suppression
 inline constexpr int kPrioNetCollation = 45;    ///< Collation: fold reply (see note 1)
 inline constexpr int kPrioNetMain = 50;         ///< RPC Main: record + forward_up
 inline constexpr int kPrioNetAcceptance = 55;   ///< Acceptance: count replies (client side)

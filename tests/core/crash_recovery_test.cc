@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "core/micro/acceptance.h"
@@ -212,9 +211,60 @@ void resend_call(Scenario& s, CallId id) {
   s.client_site(0).grpc().state().net_push(Scenario::server_id(0), msg);
 }
 
+/// A participant's encode_state() decoded into its changes, sorted, so two
+/// states compare equal whatever order their hash tables iterate in.
+using Changes = std::vector<std::vector<std::uint64_t>>;
+
+Buffer encoded_state(const CheckpointParticipant& p) {
+  Buffer state;
+  Writer w(state);
+  p.encode_state(w);
+  return state;
+}
+
+Changes fifo_changes(const FifoOrder& fifo) {
+  const Buffer state = encoded_state(fifo);
+  Reader r(state);
+  Changes out;
+  while (!r.at_end()) {
+    const std::uint64_t client = r.u32();
+    const std::uint64_t inc = r.u32();
+    out.push_back({client, inc, r.u64()});
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+Changes unique_changes(const UniqueExecution& unique) {
+  const Buffer state = encoded_state(unique);
+  Reader r(state);
+  Changes out;
+  while (!r.at_end()) {
+    std::vector<std::uint64_t> change{r.u8(), r.u64()};
+    if (change[0] == 0) {  // a stored result
+      const Buffer result = r.raw();
+      change.push_back(Reader(result).u64());
+    } else {  // a floor, and the ranges of ids below it not completed
+      const std::uint64_t ranges = r.u64();
+      change.push_back(ranges);
+      for (std::uint64_t i = 0; i < 2 * ranges; ++i) change.push_back(r.u64());
+    }
+    out.push_back(change);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+bool has_result(const UniqueExecution& unique, CallId id) {
+  return std::ranges::any_of(unique_changes(unique), [id](const std::vector<std::uint64_t>& c) {
+    return c[0] == 0 && c[1] == id.value();
+  });
+}
+
 struct ServerImage {
   std::size_t old_calls = 0;
   std::size_t stored_results = 0;
+  Changes unique;
   std::uint64_t next_entry = 0;
   std::size_t old_orders = 0;
   std::uint64_t orders_assigned = 0;
@@ -225,15 +275,15 @@ struct ServerImage {
 
 ServerImage image_of(Site& server) {
   GrpcComposite& g = server.grpc();
-  return ServerImage{g.unique()->old_calls(),    g.unique()->stored_results(),
-                     g.total()->next_entry(),    g.total()->old_orders(),
-                     g.total()->orders_assigned(), read_var(server.stable(), "a"),
-                     read_var(server.stable(), "b")};
+  return ServerImage{g.unique()->old_calls(),      g.unique()->stored_results(),
+                     unique_changes(*g.unique()),   g.total()->next_entry(),
+                     g.total()->old_orders(),       g.total()->orders_assigned(),
+                     read_var(server.stable(), "a"), read_var(server.stable(), "b")};
 }
 
 /// Calls until `stop(atomic)` holds right after a call's checkpoint, crashes
-/// the server at that instant and recovers it; the volatile tables, the
-/// order position and the registers must come back exactly, and a late
+/// the server at that instant and recovers it; the sessions, the order
+/// position and the registers must come back exactly, and a late
 /// duplicate of a completed call must still be suppressed.
 void crash_where(const std::function<bool(const AtomicExecution&)>& stop) {
   Scenario s(ordered_crash_params());
@@ -293,12 +343,11 @@ TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
   auto watch = [&]() -> sim::Task<> {
     while (read_var(server.stable(), "b") < 6) co_await s.scheduler().sleep_for(sim::msec(1));
     EXPECT_EQ(server.grpc().atomic()->checkpoints_taken(), 5u);
-    // Three changes wait for the 6th call's record to be committed: its
-    // OldCalls insert (op + id: 9 bytes), its stored result (op + id + the
-    // length-prefixed 8-byte result: 21 bytes), and the free of the 5th
-    // call's result (9 bytes; the 6th Call's watermark freed it, after the
-    // 5th record was committed).
-    EXPECT_EQ(server.grpc().unique()->journaled().size(), 9u + 21u + 9u)
+    // Two changes wait for the 6th call's record to be committed: the floor
+    // its watermark raised past the 5th call (op + W + a count of 0 missed
+    // ranges: 17 bytes) and its stored result (op + id + the length-prefixed
+    // 8-byte result: 21 bytes).  A call in progress is not journaled.
+    EXPECT_EQ(server.grpc().unique()->journaled().size(), 17u + 21u)
         << "the 6th call's changes wait for its record to be committed";
     server.crash();
     crashed = true;
@@ -323,15 +372,17 @@ TEST(CrashRecovery, CrashDuringDeltaWriteLosesNoEntry) {
   EXPECT_EQ(read_var(server.stable(), "b"), 10u);
 
   // The lost record's entry came back with the retransmission and went
-  // into a later record: after a second crash all ten calls are known.
+  // into a later record: after a second crash all ten calls are still
+  // known, nine below the floor the 10th Call raised and the 10th as its
+  // entry.
   s.run_for(sim::msec(100));
-  // Only the free from the client's idle ACK is left: no later call wrote a
+  // Only the floor from the client's idle ACK is left: no later call wrote a
   // record to hold it.
-  EXPECT_EQ(server.grpc().unique()->journaled().size(), 9u);
+  EXPECT_EQ(server.grpc().unique()->journaled().size(), 17u);
   server.crash();
   server.recover();
   s.run_for(sim::msec(1));
-  EXPECT_EQ(server.grpc().unique()->old_calls(), 10u);
+  EXPECT_EQ(server.grpc().unique()->old_calls(), 1u);
   const std::uint64_t executions = server.total_executions();
   resend_call(s, sixth);
   s.run_for(sim::msec(100));
@@ -360,14 +411,62 @@ TEST(CrashRecovery, DeltaSizeDoesNotGrowWithStoredResults) {
   storage::StableStore& store = server.stable();
   const auto newest = store.load_checkpoint(storage::StableAddress{*store.var("atomic.current")});
   ASSERT_TRUE(newest.has_value());
-  // The newest record is a delta holding one call: its OldCalls insert and
-  // its 8-byte result.  Record header, user state and the journal entries
-  // take under 100 bytes; the 60 stored results alone would take 1,200.
+  // The newest record is a delta holding one call's stored result
+  // (kResultStored with its 8-byte result), plus a kFloor if a watermark
+  // raised the floor.  Record header, user state and those changes take
+  // under 100 bytes; the 60 stored results alone would take 1,200.
   EXPECT_LT(newest->size(), 100u) << "a delta must not carry the stored results whole";
 }
 
-TEST(CrashRecovery, ChainReplaysStoredAndFreedResults) {
+TEST(CrashRecovery, CrashBeforeAFloorIsCheckpointedKeepsTheOlderFloor) {
   Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  Site& server = s.server(0);
+  // The server's composite is rebuilt on recovery: look it up each time.
+  auto unique = [&server]() -> const UniqueExecution& { return *server.grpc().unique(); };
+  server.stable().set_write_latency(sim::msec(20));
+  // The 6th Call's watermark raised the floor past the 5th call, pruning
+  // its entry; crash while the record holding that floor is being written.
+  std::vector<CallId> ids;
+  bool checked = false;
+  auto watch = [&]() -> sim::Task<> {
+    while (read_var(server.stable(), "b") < 6) co_await s.scheduler().sleep_for(sim::msec(1));
+    const CallId fifth = ids.back();
+    EXPECT_FALSE(has_result(unique(), fifth)) << "the 6th Call's floor pruned the 5th";
+    server.crash();
+    server.recover();
+    co_await s.scheduler().sleep_for(sim::msec(1));
+    // The committed record's floor and its entry are back: the 5th call's
+    // result is stored again, and nothing of the 6th is known.
+    EXPECT_EQ(unique().old_calls(), 1u);
+    EXPECT_TRUE(has_result(unique(), fifth));
+    const std::uint64_t executions = server.total_executions();
+    const std::uint64_t suppressed = unique().duplicates_suppressed();
+    resend_call(s, fifth);
+    co_await s.scheduler().sleep_for(sim::msec(2));
+    EXPECT_EQ(unique().duplicates_suppressed(), suppressed + 1);
+    EXPECT_EQ(server.total_executions(), executions) << "a completed call must not re-execute";
+    checked = true;
+  };
+  s.scheduler().spawn(watch());
+  std::vector<std::uint64_t> results;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    for (int i = 0; i < 8; ++i) {
+      const CallResult r = co_await c.call(s.group(), kIncrementBoth, num_buf(0));
+      EXPECT_EQ(r.status, Status::kOk);
+      ids.push_back(r.id);
+      results.push_back(Reader(r.result).u64());
+    }
+  });
+  ASSERT_TRUE(checked);
+  EXPECT_EQ(results, std::vector<std::uint64_t>({1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(read_var(server.stable(), "b"), 8u);
+}
+
+TEST(CrashRecovery, ChainReplaysStoredAndFreedResults) {
+  // Total Order's assignments keep the base growing, so records land as
+  // deltas; Unique Execution's own base holds only the unacknowledged call
+  // and alone would make every other record a base.
+  Scenario s(ordered_crash_params());
   Site& server = s.server(0);
   AtomicExecution& atomic = *server.grpc().atomic();
   // Call pairs until both records of a pair land as deltas on one chain:
@@ -388,14 +487,16 @@ TEST(CrashRecovery, ChainReplaysStoredAndFreedResults) {
   });
   ASSERT_TRUE(ready);
   s.network().link(s.client_id(0), Scenario::server_id(0)).partitioned = true;
-  const std::map<CallId, Buffer> before = server.grpc().unique()->results();
-  ASSERT_FALSE(before.contains(freed));
-  ASSERT_TRUE(before.contains(live));
+  ASSERT_FALSE(has_result(*server.grpc().unique(), freed));
+  ASSERT_TRUE(has_result(*server.grpc().unique(), live));
+  const Changes before = unique_changes(*server.grpc().unique());
 
   server.crash();
   server.recover();
   s.run_for(sim::msec(1));
-  EXPECT_EQ(server.grpc().unique()->results(), before);
+  EXPECT_EQ(unique_changes(*server.grpc().unique()), before);
+  EXPECT_FALSE(has_result(*server.grpc().unique(), freed));
+  EXPECT_TRUE(has_result(*server.grpc().unique(), live));
   s.network().link(s.client_id(0), Scenario::server_id(0)).partitioned = false;
 
   // A duplicate of the live call is answered from its stored result: the
@@ -406,7 +507,85 @@ TEST(CrashRecovery, ChainReplaysStoredAndFreedResults) {
   s.run_for(sim::msec(100));
   EXPECT_EQ(server.total_executions(), executions) << "a completed call must not re-execute";
   EXPECT_EQ(server.grpc().unique()->duplicates_suppressed(), suppressed + 1);
-  EXPECT_FALSE(server.grpc().unique()->results().contains(live));
+  EXPECT_FALSE(has_result(*server.grpc().unique(), live));
+}
+
+TEST(CrashRecovery, UniqueOnlyChainRestoresSessions) {
+  // Unique Execution is the only participant: a base holds the floor and
+  // the unacknowledged call's result, no smaller than a delta holding the
+  // next call's floor and result, so every other record is a base.
+  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  Site& server = s.server(0);
+  const AtomicExecution& atomic = *server.grpc().atomic();
+  const std::uint64_t records_before = atomic.checkpoints_taken();
+  std::uint64_t calls = 0;
+  std::uint64_t bases = 0;
+  CallId last;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    while (calls < 20 || atomic.chain_length() < 2) {
+      last = (co_await c.call(s.group(), kIncrementBoth, num_buf(0))).id;
+      ++calls;
+      if (atomic.chain_length() == 1) ++bases;
+    }
+  });
+  EXPECT_EQ(atomic.checkpoints_taken() - records_before, calls) << "one record per call";
+  EXPECT_EQ(bases, calls / 2) << "bases and deltas alternate, from a delta on the baseline";
+  // Crash on a delta: the base and the delta replay to the same sessions.
+  s.network().link(s.client_id(0), Scenario::server_id(0)).partitioned = true;
+  const Changes before = unique_changes(*server.grpc().unique());
+  ASSERT_TRUE(has_result(*server.grpc().unique(), last));
+  server.crash();
+  server.recover();
+  s.run_for(sim::msec(1));
+  EXPECT_EQ(unique_changes(*server.grpc().unique()), before);
+  EXPECT_EQ(read_var(server.stable(), "b"), calls);
+  s.network().link(s.client_id(0), Scenario::server_id(0)).partitioned = false;
+
+  const std::uint64_t executions = server.total_executions();
+  const std::uint64_t suppressed = server.grpc().unique()->duplicates_suppressed();
+  resend_call(s, last);
+  s.run_for(sim::msec(100));
+  EXPECT_EQ(server.total_executions(), executions) << "a completed call must not re-execute";
+  EXPECT_EQ(server.grpc().unique()->duplicates_suppressed(), suppressed + 1);
+}
+
+TEST(CrashRecovery, MissedRangesSurviveACrash) {
+  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  Site& server = s.server(0);
+  CallId last;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    last = (co_await c.call(s.group(), kIncrementBoth, num_buf(0))).id;
+  });
+  // A Call 100 ids ahead, carrying its own id as W, lifts the floor past
+  // 99 ids never seen here, as if their Calls were still in the network.
+  auto send = [&](CallId id, CallId w) {
+    net::NetMessage msg;
+    msg.type = net::MsgType::kCall;
+    msg.id = id;
+    msg.op = kIncrementBoth;
+    msg.args = num_buf(0);
+    msg.server = s.group();
+    msg.sender = s.client_id(0);
+    msg.inc = s.client_site(0).incarnation();
+    msg.ackid = w.value();
+    s.client_site(0).grpc().state().net_push(Scenario::server_id(0), msg);
+  };
+  const CallId ahead{last.value() + 100};
+  send(ahead, ahead);
+  s.run_for(sim::msec(100));
+  const Changes before = unique_changes(*server.grpc().unique());
+  ASSERT_EQ(read_var(server.stable(), "b"), 2u);
+  server.crash();
+  server.recover();
+  s.run_for(sim::msec(1));
+  EXPECT_EQ(unique_changes(*server.grpc().unique()), before) << "the floor and its missed range";
+
+  // A never-seen id below the floor runs once; a completed one does not.
+  const CallId missed = next_call_id(last);
+  for (CallId id : {missed, missed, last}) send(id, last);
+  s.run_for(sim::msec(100));
+  EXPECT_EQ(read_var(server.stable(), "b"), 3u);
+  EXPECT_EQ(server.grpc().unique()->duplicates_suppressed(), 2u);
 }
 
 TEST(CrashRecovery, NoJournalWithoutAtomicExecution) {
@@ -422,12 +601,13 @@ TEST(CrashRecovery, NoJournalWithoutAtomicExecution) {
   for (int i = 0; i < s.num_servers(); ++i) {
     GrpcComposite& g = s.server(i).grpc();
     ASSERT_EQ(g.atomic(), nullptr);
-    EXPECT_EQ(g.unique()->old_calls(), 1000u);
+    EXPECT_EQ(g.unique()->old_calls(), 0u) << "the idle ACK's floor covers every call";
     EXPECT_TRUE(g.unique()->journaled().empty()) << "nothing checkpoints, so nothing may pile up";
   }
 }
 
-/// A server with a chain of a base and at least two deltas, crashed.
+/// A server with a chain of a base and at least two deltas, crashed.  (Its
+/// params must include Total Order, whose growing base lets deltas pile up.)
 void crashed_with_chain(Scenario& s) {
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     while (s.server(0).grpc().atomic()->chain_length() < 3) {
@@ -438,7 +618,7 @@ void crashed_with_chain(Scenario& s) {
 }
 
 TEST(CrashRecoveryDeathTest, ChainWithReleasedBaseIsRejected) {
-  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  Scenario s(ordered_crash_params());
   crashed_with_chain(s);
   storage::StableStore& store = s.server(0).stable();
   const storage::StableAddress newest{*store.var("atomic.current")};
@@ -455,7 +635,7 @@ TEST(CrashRecoveryDeathTest, ChainWithReleasedBaseIsRejected) {
 }
 
 TEST(CrashRecoveryDeathTest, TruncatedDeltaIsRejected) {
-  Scenario s(crash_params(ExecutionMode::kSerialAtomic));
+  Scenario s(ordered_crash_params());
   crashed_with_chain(s);
   storage::StableStore& store = s.server(0).stable();
   const storage::StableAddress newest{*store.var("atomic.current")};
@@ -508,7 +688,7 @@ void expect_bad_op_rejected(ScenarioParams params, std::size_t index) {
 
 TEST(CrashRecoveryDeathTest, CorruptJournalOpIsRejected) {
   // Participants come in assembly order: Unique Execution, then Total Order.
-  expect_bad_op_rejected(crash_params(ExecutionMode::kSerialAtomic), 0);
+  expect_bad_op_rejected(ordered_crash_params(), 0);
   expect_bad_op_rejected(ordered_crash_params(), 1);
 }
 
@@ -538,46 +718,6 @@ TEST(CrashRecovery, CrashBeforeFirstReplyRestoresBaselineOfEveryParticipant) {
   }
 }
 
-/// A participant's encode_state() decoded into its changes, sorted, so two
-/// states compare equal whatever order their hash tables iterate in.
-using Changes = std::vector<std::vector<std::uint64_t>>;
-
-Buffer encoded_state(const CheckpointParticipant& p) {
-  Buffer state;
-  Writer w(state);
-  p.encode_state(w);
-  return state;
-}
-
-Changes fifo_changes(const FifoOrder& fifo) {
-  const Buffer state = encoded_state(fifo);
-  Reader r(state);
-  Changes out;
-  while (!r.at_end()) {
-    const std::uint64_t client = r.u32();
-    const std::uint64_t inc = r.u32();
-    out.push_back({client, inc, r.u64()});
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-Changes unique_changes(const UniqueExecution& unique) {
-  const Buffer state = encoded_state(unique);
-  Reader r(state);
-  Changes out;
-  while (!r.at_end()) {
-    std::vector<std::uint64_t> change{r.u8(), r.u64()};
-    if (change[0] == 1) {  // a stored result
-      const Buffer result = r.raw();
-      change.push_back(Reader(result).u64());
-    }
-    out.push_back(change);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 TEST(CrashRecovery, RecordHoldsTheStreamStartOfACallNotYetExecuted) {
   ScenarioParams p = crash_params(ExecutionMode::kSerialAtomic);
   p.config.ordering = Ordering::kFifo;
@@ -587,9 +727,10 @@ TEST(CrashRecovery, RecordHoldsTheStreamStartOfACallNotYetExecuted) {
   // Client 1's first call arrives while client 0's runs its 10 ms procedure,
   // and waits for the serial token: client 0's record is written while
   // client 1's stream has started but none of its calls has executed.
+  CallResult late;
   auto late_caller = [&](Client& c) -> sim::Task<> {
     co_await s.scheduler().sleep_for(sim::msec(302));
-    (void)co_await c.call(s.group(), kIncrementBoth, num_buf(0));
+    late = co_await c.call(s.group(), kIncrementBoth, num_buf(0));
   };
   s.scheduler().spawn(late_caller(s.client(1)), s.client_site(1).domain());
   s.run_client(0, [&](Client& c) -> sim::Task<> {
@@ -611,6 +752,15 @@ TEST(CrashRecovery, RecordHoldsTheStreamStartOfACallNotYetExecuted) {
   s.run_for(sim::msec(1));
   EXPECT_EQ(fifo_changes(*server.grpc().fifo()), fifo_before);
   EXPECT_EQ(unique_changes(*server.grpc().unique()), unique_before);
+
+  // Client 1's call never ran in the restored state, so the record must
+  // not mark it seen: its retransmission executes it, once.
+  for (int i = 0; i < 2; ++i) {
+    s.network().link(s.client_id(i), Scenario::server_id(0)).partitioned = false;
+  }
+  s.run_for(sim::seconds(1));
+  EXPECT_EQ(late.status, Status::kOk);
+  EXPECT_EQ(read_var(server.stable(), "b"), 2u);
 }
 
 TEST(CrashRecovery, ServerGroupMasksSingleCrash) {

@@ -200,8 +200,8 @@ TEST(Figure1, ExactlyOnceUnderLossAndDuplication) {
 
 TEST(UniqueExecution, StoredResultIsResentForDuplicateCall) {
   // Drop the first Reply deterministically by partitioning the reverse link
-  // briefly: the client retransmits, and the server must answer from
-  // OldResults without re-executing.
+  // briefly: the client retransmits, and the server must answer from the
+  // stored result without re-executing.
   ScenarioParams p;
   p.num_servers = 1;
   p.config.acceptance_limit = 1;

@@ -104,7 +104,7 @@ class AllocBudget : public ::testing::Test {
 };
 
 TEST_F(AllocBudget, OrderedWrite) {
-  EXPECT_LE(allocations_per_call(ConfigBuilder::at_most_once().total_order().build()), 44.0);
+  EXPECT_LE(allocations_per_call(ConfigBuilder::at_most_once().total_order().build()), 37.0);
 }
 
 TEST_F(AllocBudget, ReadOptimized) {
@@ -112,7 +112,7 @@ TEST_F(AllocBudget, ReadOptimized) {
 }
 
 TEST_F(AllocBudget, ExactlyOnce) {
-  EXPECT_LE(allocations_per_call(ConfigBuilder::exactly_once().build()), 27.0);
+  EXPECT_LE(allocations_per_call(ConfigBuilder::exactly_once().build()), 21.0);
 }
 
 }  // namespace
