@@ -13,6 +13,8 @@
 //                             configuration vs a fully loaded one; the gap is
 //                             the price of the added micro-protocols
 //   * CodecNetMessage      -- encode+decode of a wire message
+//   * WriterFixedWidth     -- 64 u64 fields written into a reserved Buffer
+//                             and read back: the codec's per-field cost
 //   * EventDispatch_Spans/N -- the same dispatch with span tracing attached;
 //                             the delta against EventDispatch/N is the
 //                             enabled-path cost of the profiler itself
@@ -26,6 +28,7 @@
 //                             [google-benchmark flags...]
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -155,6 +158,29 @@ void BM_CodecNetMessage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CodecNetMessage);
+
+void BM_WriterFixedWidth(benchmark::State& state) {
+  constexpr std::size_t kFields = 64;
+  std::vector<std::uint64_t> values(kFields);
+  for (std::size_t i = 0; i < kFields; ++i) values[i] = 0x9e3779b97f4a7c15ULL * (i + 1);
+  benchmark::DoNotOptimize(values.data());  // the fields are run-time data
+  benchmark::ClobberMemory();
+  Buffer buf;
+  for (auto _ : state) {
+    buf.clear();  // keeps the block: only the first iteration allocates
+    buf.reserve(kFields * sizeof(std::uint64_t));
+    Writer w(buf);
+    for (const std::uint64_t v : values) w.u64(v);
+    benchmark::DoNotOptimize(buf.bytes().data());
+    benchmark::ClobberMemory();
+    Reader r(buf);
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < kFields; ++i) sum += r.u64();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kFields));
+}
+BENCHMARK(BM_WriterFixedWidth);
 
 }  // namespace
 

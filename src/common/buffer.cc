@@ -1,33 +1,47 @@
 #include "common/buffer.h"
 
+#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstring>
+#include <new>
 
 namespace ugrpc {
 
-void Writer::uint_le(std::uint64_t v, int width) {
-  // One staged append instead of `width` push_backs: a single detach check
-  // and a single grow for the whole field.
-  std::array<std::byte, 8> staged;
-  for (int i = 0; i < width; ++i) {
-    staged[static_cast<std::size_t>(i)] = static_cast<std::byte>(v & 0xffu);
-    v >>= 8;
-  }
-  out_.append(std::span<const std::byte>(staged.data(), static_cast<std::size_t>(width)));
+namespace {
+
+/// Smallest block a growing buffer allocates: its header and bytes make 64.
+constexpr std::size_t kMinGrownCapacity = 40;
+
+}  // namespace
+
+Buffer Buffer::copy_of(std::span<const std::byte> bytes) {
+  Buffer out;
+  out.reserve(bytes.size());
+  out.append(bytes);
+  return out;
 }
 
-void Writer::f64(double v) {
-  static_assert(sizeof(double) == sizeof(std::uint64_t));
-  u64(std::bit_cast<std::uint64_t>(v));
+void Buffer::reserve(std::size_t n) {
+  // Shared storage and slices detach whatever `n`: a reserve precedes writes.
+  const bool enough = owns_block() ? block_->capacity >= n : block_ == nullptr && n == 0;
+  if (!enough) (void)reallocate(std::max(n, size_));
+}
+
+std::size_t Buffer::grown_capacity(std::size_t n) const {
+  return std::max({size_ + n, 2 * size_, kMinGrownCapacity});
+}
+
+Buffer Buffer::reallocate(std::size_t capacity) {
+  UGRPC_ASSERT(capacity >= size_);
+  Buffer old = std::move(*this);
+  block_ = new (::operator new(sizeof(Block) + capacity)) Block{1, capacity, old.size_};
+  size_ = old.size_;
+  if (size_ != 0) std::memcpy(block_->bytes(), old.bytes().data(), size_);
+  return old;
 }
 
 void Writer::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  append_bytes(s);
-}
-
-void Writer::append_bytes(std::string_view s) {
   out_.append(std::as_bytes(std::span<const char>(s.data(), s.size())));
 }
 
@@ -43,35 +57,12 @@ std::size_t Writer::begin_raw() {
 }
 
 void Writer::end_raw(std::size_t prefix_at) {
-  const std::size_t len = out_.size() - prefix_at - 4;
   std::array<std::byte, 4> prefix;
-  for (std::size_t i = 0; i < prefix.size(); ++i) {
-    prefix[i] = static_cast<std::byte>((len >> (8 * i)) & 0xffu);
-  }
+  detail::store_le(prefix.data(), static_cast<std::uint32_t>(out_.size() - prefix_at - 4));
   out_.overwrite(prefix_at, prefix);
 }
 
-void Reader::require(std::size_t n) const {
-  if (remaining() < n) throw CodecError("ugrpc codec: truncated input");
-}
-
-std::uint8_t Reader::u8() {
-  require(1);
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint64_t Reader::uint_le(int width) {
-  require(static_cast<std::size_t>(width));
-  std::uint64_t v = 0;
-  for (int i = 0; i < width; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_ + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  pos_ += static_cast<std::size_t>(width);
-  return v;
-}
-
-double Reader::f64() { return std::bit_cast<double>(u64()); }
+void Reader::truncated() { throw CodecError("ugrpc codec: truncated input"); }
 
 std::string Reader::str() {
   const std::uint32_t len = u32();

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -128,21 +129,30 @@ void UdpTransport::transmit(const Endpoint& from, ProcessId to, ProtocolId proto
   const Socket& socket = sockets_.at(from.process());
   const WireFrame frame{from.process(), to, proto, socket.incarnation,
                         ctx.trace, ctx.parent, payload};
-  const Buffer wire = frame.encode();
-  if (wire.size() > kMaxDatagram) {
+  // The datagram is frame.encode()'s bytes, gathered from the stack (the
+  // header) and the payload's own storage: no framing copy of the payload.
+  const WireFrame::Head head = frame.head();
+  if (head.size() + payload.size() > kMaxDatagram) {
     UGRPC_LOG(kWarn, "udp: frame %u->%u proto=%u exceeds %zu bytes, dropped",
               from.process().value(), to.value(), proto.value(), kMaxDatagram);
     close_send(true);
     return;
   }
-  const sockaddr_in& addr = peers_.at(to);
-  const auto bytes = wire.bytes();
-  const ssize_t n = ::sendto(socket.fd, bytes.data(), bytes.size(), 0,
-                             reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  sockaddr_in addr = peers_.at(to);
+  iovec iov[2] = {
+      {const_cast<std::byte*>(head.data()), head.size()},
+      {const_cast<std::byte*>(payload.bytes().data()), payload.size()},
+  };
+  msghdr msg{};
+  msg.msg_name = &addr;
+  msg.msg_namelen = sizeof(addr);
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  const ssize_t n = ::sendmsg(socket.fd, &msg, 0);
   if (n < 0) {
     // A full socket buffer or a vanished peer (ECONNREFUSED from a previous
     // ICMP) is datagram loss; the reliable-communication layer retransmits.
-    UGRPC_LOG(kDebug, "udp: sendto %u->%u failed: %s", from.process().value(), to.value(),
+    UGRPC_LOG(kDebug, "udp: sendmsg %u->%u failed: %s", from.process().value(), to.value(),
               std::strerror(errno));
   }
   close_send(n < 0);

@@ -16,7 +16,7 @@
 // accounting, delivery fibers, timers, Stats, the tracer (set_tracer) -- is
 // the net::Transport base (transport.h), exactly as under the simulator.
 // This file is the wire: framing (wire.h, which carries the trace context),
-// the injectable send fault, the datagram size cap, sendto() (a send that
+// the injectable send fault, the datagram size cap, sendmsg() (a send that
 // fails there closes its kMsgSent span flagged), and on the receive side
 // recv(), decode and two filters -- frames addressed to another process, and
 // frames from a superseded incarnation of their sender, are counted as

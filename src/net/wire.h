@@ -23,12 +23,14 @@
 //                     cross-process span tree together
 //   raw  payload      length-prefixed opaque bytes
 //
-// Integers are little-endian (the Writer/Reader codec).  decode() is
-// defensive: any malformed input -- wrong magic, truncation, trailing
-// garbage -- yields nullopt rather than an exception or a partial frame,
-// because a UDP socket receives whatever the network hands it.
+// Integers are little-endian (the Writer/Reader codec's detail::store_le).
+// decode() is defensive: any malformed input -- wrong magic, truncation,
+// trailing garbage -- yields nullopt rather than an exception or a partial
+// frame, because a UDP socket receives whatever the network hands it.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -58,19 +60,35 @@ struct WireFrame {
   std::uint64_t span = 0;   ///< sender's send-span id (0 = none)
   Buffer payload;
 
+  /// The frame's bytes before the payload: the header and the payload's
+  /// length prefix.  A sender can send them from here and the payload from
+  /// its own Buffer, as one datagram, without copying the payload.
+  using Head = std::array<std::byte, kWireHeaderSize + 4>;
+  [[nodiscard]] Head head() const {
+    Head out;
+    std::byte* at = out.data();
+    const auto put = [&at](auto v) {
+      detail::store_le(at, v);
+      at += sizeof v;
+    };
+    put(kWireMagic);
+    put(kWireVersion);
+    put(src.value());
+    put(dst.value());
+    put(proto.value());
+    put(incarnation);
+    put(trace);
+    put(span);
+    put(static_cast<std::uint32_t>(payload.size()));
+    return out;
+  }
+
   [[nodiscard]] Buffer encode() const {
+    const Head h = head();
     Buffer out;
-    out.reserve(kWireHeaderSize + 4 + payload.size());
-    Writer w(out);
-    w.u32(kWireMagic);
-    w.u8(kWireVersion);
-    w.u32(src.value());
-    w.u32(dst.value());
-    w.u16(proto.value());
-    w.u32(incarnation);
-    w.u64(trace);
-    w.u64(span);
-    w.raw(payload.bytes());
+    out.reserve(h.size() + payload.size());
+    out.append(h);
+    out.append(payload.bytes());
     return out;
   }
 

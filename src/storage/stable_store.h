@@ -10,10 +10,12 @@
 // to show the cost of atomic execution.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/buffer.h"
 #include "sim/scheduler.h"
@@ -47,7 +49,7 @@ class StableStore {
   /// until released; the caller implements the old/new switch-over.
   [[nodiscard]] StableAddress store_checkpoint(Buffer snapshot) {
     const StableAddress addr{next_checkpoint_++};
-    checkpoints_[addr] = std::move(snapshot);
+    checkpoints_.push_back(Checkpoint{addr, std::move(snapshot)});
     return addr;
   }
   [[nodiscard]] sim::Task<StableAddress> store_checkpoint_async(Buffer snapshot) {
@@ -55,11 +57,14 @@ class StableStore {
     co_return store_checkpoint(std::move(snapshot));
   }
   [[nodiscard]] std::optional<Buffer> load_checkpoint(StableAddress addr) const {
-    auto it = checkpoints_.find(addr);
+    const auto it = find_checkpoint(addr);
     if (it == checkpoints_.end()) return std::nullopt;
-    return it->second;
+    return it->snapshot;
   }
-  void release_checkpoint(StableAddress addr) { checkpoints_.erase(addr); }
+  void release_checkpoint(StableAddress addr) {
+    const auto it = find_checkpoint(addr);
+    if (it != checkpoints_.end()) checkpoints_.erase(it);
+  }
   [[nodiscard]] std::size_t checkpoint_count() const { return checkpoints_.size(); }
   /// Bytes held by all stored checkpoints.
   [[nodiscard]] std::size_t checkpoint_bytes() const {
@@ -78,10 +83,25 @@ class StableStore {
   void set_write_latency(sim::Duration d) { write_latency_ = d; }
 
  private:
+  struct Checkpoint {
+    StableAddress addr;
+    Buffer snapshot;
+  };
+
+  /// The checkpoint at `addr`, or end().
+  [[nodiscard]] std::vector<Checkpoint>::const_iterator find_checkpoint(StableAddress addr) const {
+    const auto it = std::lower_bound(
+        checkpoints_.begin(), checkpoints_.end(), addr,
+        [](const Checkpoint& c, StableAddress a) { return c.addr < a; });
+    return it != checkpoints_.end() && it->addr == addr ? it : checkpoints_.end();
+  }
+
   sim::Scheduler& sched_;
   sim::Duration write_latency_ = 0;
   std::unordered_map<std::string, Buffer> kv_;
-  std::unordered_map<StableAddress, Buffer> checkpoints_;
+  /// Ordered by address: addresses only grow, so a store appends.  A
+  /// vector, not a map, so storing a checkpoint allocates no node.
+  std::vector<Checkpoint> checkpoints_;
   std::unordered_map<std::string, std::uint64_t> vars_;
   std::uint64_t next_checkpoint_ = 1;
 };

@@ -265,5 +265,169 @@ TEST(Buffer, SliceOfASliceAndEmptySlices) {
   EXPECT_TRUE(mid.slice(0, 0).empty());
 }
 
+// ---- one-block storage ----
+
+Buffer bytes_from(std::string_view s) {
+  return Buffer::copy_of(std::as_bytes(std::span<const char>(s.data(), s.size())));
+}
+
+TEST(Buffer, SelfAssignmentAndSelfMoveKeepTheBytes) {
+  Buffer b = bytes_from("self");
+  const Buffer other = b;  // a second handle on the same block
+  Buffer& alias = b;
+  b = alias;
+  EXPECT_EQ(b, bytes_from("self"));
+  b = std::move(alias);
+  EXPECT_EQ(b, bytes_from("self"));
+  b.push_back(std::byte{'!'});  // the refcount is still right: b detaches
+  EXPECT_EQ(b, bytes_from("self!"));
+  EXPECT_EQ(other, bytes_from("self"));
+}
+
+TEST(Buffer, MovedFromBufferIsEmpty) {
+  Buffer a = bytes_from("moved");
+  Buffer b = std::move(a);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(a.bytes().empty());
+  Buffer c;
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c, bytes_from("moved"));
+  a.push_back(std::byte{1});  // a moved-from buffer is usable
+  EXPECT_EQ(a.size(), 1u);
+}
+
+TEST(Buffer, AppendToOneOfTwoCopiesDetachesIt) {
+  Buffer a = bytes_from("shared");
+  Buffer b = a;
+  EXPECT_EQ(a.bytes().data(), b.bytes().data());
+  b.append(std::as_bytes(std::span<const char>("++", 2)));
+  EXPECT_EQ(a, bytes_from("shared"));
+  EXPECT_EQ(b, bytes_from("shared++"));
+  EXPECT_FALSE(lies_within(b.bytes(), a.bytes()));
+  a.push_back(std::byte{'!'});
+  EXPECT_EQ(a, bytes_from("shared!"));
+  EXPECT_EQ(b, bytes_from("shared++"));
+}
+
+TEST(Buffer, ClearKeepsTheBlockOnlyForAnExclusiveWholeBlockHandle) {
+  Buffer exclusive = bytes_from("exclusive");
+  const std::byte* block = exclusive.bytes().data();
+  exclusive.clear();
+  EXPECT_TRUE(exclusive.empty());
+  exclusive.push_back(std::byte{'x'});
+  EXPECT_EQ(exclusive.bytes().data(), block) << "clear() on an exclusive buffer keeps its block";
+
+  Buffer shared = bytes_from("shared");
+  const Buffer keeper = shared;
+  shared.clear();
+  EXPECT_TRUE(shared.empty());
+  shared.push_back(std::byte{'y'});
+  EXPECT_FALSE(lies_within(shared.bytes(), keeper.bytes()));
+  EXPECT_EQ(keeper, bytes_from("shared"));
+
+  const Buffer source = bytes_from("0123456789");
+  Buffer slice = source.slice(2, 3);
+  slice.clear();
+  EXPECT_TRUE(slice.empty());
+  slice.push_back(std::byte{'z'});
+  EXPECT_FALSE(lies_within(slice.bytes(), source.bytes()));
+  EXPECT_EQ(source, bytes_from("0123456789"));
+}
+
+TEST(Buffer, ReserveOnSharedStorageDetaches) {
+  const Buffer a = bytes_from("reserve");
+  Buffer b = a;
+  b.reserve(64);
+  EXPECT_EQ(b, a);
+  EXPECT_FALSE(lies_within(b.bytes(), a.bytes()));
+  // The reserved block takes the next 57 bytes without moving.
+  const std::byte* block = b.bytes().data();
+  for (int i = 0; i < 57; ++i) b.push_back(std::byte{'.'});
+  EXPECT_EQ(b.bytes().data(), block);
+  EXPECT_EQ(b.size(), 64u);
+  EXPECT_EQ(a, bytes_from("reserve"));
+}
+
+TEST(Buffer, TenThousandSingleByteAppendsKeepEveryByte) {
+  Buffer b;
+  for (int i = 0; i < 10'000; ++i) b.push_back(static_cast<std::byte>(i * 31 + 7));
+  ASSERT_EQ(b.size(), 10'000u);
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(b.bytes()[static_cast<std::size_t>(i)], static_cast<std::byte>(i * 31 + 7)) << i;
+  }
+}
+
+TEST(Buffer, AppendAndOverwriteFromTheirOwnBytes) {
+  // The source may lie in the storage a regrow or detach replaces.
+  Buffer b = bytes_from("abc");
+  for (int i = 0; i < 6; ++i) b.append(b.bytes());
+  ASSERT_EQ(b.size(), 3u * 64);
+  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_EQ(b.bytes()[i], std::byte('a' + i % 3)) << i;
+
+  Buffer shared = bytes_from("0123456789");
+  const Buffer keeper = shared;
+  shared.overwrite(0, shared.bytes().subspan(5));
+  EXPECT_EQ(shared, bytes_from("5678956789"));
+  EXPECT_EQ(keeper, bytes_from("0123456789"));
+  Buffer exclusive = bytes_from("0123456789");
+  exclusive.overwrite(2, exclusive.bytes().subspan(0, 5));  // overlapping
+  EXPECT_EQ(exclusive, bytes_from("0101234789"));
+}
+
+std::vector<std::uint8_t> octets(const Buffer& b) {
+  std::vector<std::uint8_t> out;
+  for (const std::byte x : b.bytes()) out.push_back(static_cast<std::uint8_t>(x));
+  return out;
+}
+
+TEST(Codec, WritesExactLittleEndianBytes) {
+  Buffer b;
+  Writer w(b);
+  w.u16(0x0102);
+  w.u32(0x03040506u);
+  w.u64(0x0708090a0b0c0d0eULL);
+  w.i64(-2);
+  w.f64(1.0);  // IEEE 754: 0x3ff0000000000000
+  const std::vector<std::uint8_t> expected = {
+      0x02, 0x01,                                      // u16
+      0x06, 0x05, 0x04, 0x03,                          // u32
+      0x0e, 0x0d, 0x0c, 0x0b, 0x0a, 0x09, 0x08, 0x07,  // u64
+      0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // i64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,  // f64
+  };
+  EXPECT_EQ(octets(b), expected);
+}
+
+TEST(Codec, ReaderThrowsOnTruncationAtEachWidth) {
+  for (std::size_t have = 0; have < 8; ++have) {
+    const Buffer b = Buffer::copy_of(std::vector<std::byte>(have, std::byte{0xee}));
+    const auto reading = [&b](auto read) {
+      Reader r(b);
+      read(r);
+    };
+    if (have < 1) {
+      EXPECT_THROW(reading([](Reader& r) { (void)r.u8(); }), CodecError);
+    }
+    if (have < 2) {
+      EXPECT_THROW(reading([](Reader& r) { (void)r.u16(); }), CodecError) << have;
+    }
+    if (have < 4) {
+      EXPECT_THROW(reading([](Reader& r) { (void)r.u32(); }), CodecError) << have;
+      EXPECT_THROW(reading([](Reader& r) { (void)r.i32(); }), CodecError) << have;
+    }
+    EXPECT_THROW(reading([](Reader& r) { (void)r.u64(); }), CodecError) << have;
+    EXPECT_THROW(reading([](Reader& r) { (void)r.i64(); }), CodecError) << have;
+    EXPECT_THROW(reading([](Reader& r) { (void)r.f64(); }), CodecError) << have;
+  }
+  // A failed read consumes nothing.
+  Buffer b;
+  Writer(b).u32(9);
+  Reader r(b);
+  EXPECT_THROW((void)r.u64(), CodecError);
+  EXPECT_EQ(r.remaining(), 4u);
+  EXPECT_EQ(r.u32(), 9u);
+}
+
 }  // namespace
 }  // namespace ugrpc

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -435,6 +436,104 @@ TEST(UdpTransport, StaleIncarnationFramesAreDropped) {
   EXPECT_EQ(receiver_t.stats().delivered, delivered_before)
       << "frame from a superseded incarnation must not be delivered";
   EXPECT_EQ(received.size(), 1u);
+}
+
+/// A plain loopback UDP socket standing in for a peer, so a test sees the
+/// exact datagrams a transport sends.
+struct RawPeer {
+  int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
+  std::uint16_t port = 0;
+
+  RawPeer() {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (fd >= 0 && ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0 &&
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      port = ntohs(addr.sin_port);
+    }
+  }
+  ~RawPeer() {
+    if (fd >= 0) ::close(fd);
+  }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  /// The next datagram, or nullopt if none arrives within ~2 s.
+  std::optional<std::vector<std::byte>> receive() const {
+    std::vector<std::byte> buf(kMaxDatagram + 1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (std::chrono::steady_clock::now() < deadline) {
+      const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+      if (n >= 0) {
+        buf.resize(static_cast<std::size_t>(n));
+        return buf;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return std::nullopt;
+  }
+  /// True when no datagram is waiting.
+  bool idle() const {
+    std::byte b{};
+    return ::recv(fd, &b, 1, 0) < 0;
+  }
+};
+
+std::vector<std::byte> bytes_of(const Buffer& b) { return {b.bytes().begin(), b.bytes().end()}; }
+
+TEST(UdpTransport, SentDatagramIsTheEncodedFrame) {
+  // transmit() gathers the header and the payload into one datagram instead
+  // of encoding a frame buffer; the bytes on the wire must be encode()'s.
+  const RawPeer peer;
+  ASSERT_NE(peer.port, 0);
+  UdpTransport t;
+  Endpoint& a = t.attach(kA, DomainId{1});
+  t.add_peer(kC, "127.0.0.1", peer.port);
+
+  Buffer big;
+  for (int i = 0; i < 8192; ++i) big.push_back(static_cast<std::byte>(i * 7));
+  for (const Buffer& payload : {make_payload(0xabcdef01), Buffer{}, big}) {
+    a.send(kC, kProto, payload);
+    const auto got = peer.receive();
+    ASSERT_TRUE(got.has_value());
+    const WireFrame expected{kA, kC, kProto, /*incarnation=*/1, /*trace=*/0, /*span=*/0, payload};
+    EXPECT_EQ(*got, bytes_of(expected.encode())) << payload.size() << "-byte payload";
+  }
+
+  // Traced, the frame carries the send span's id.
+  obs::Tracer tracer;
+  t.set_tracer(&tracer);
+  a.send(kC, kProto, make_payload(5));
+  const auto got = peer.receive();
+  ASSERT_TRUE(got.has_value());
+  const auto frame = WireFrame::decode(*got);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_NE(frame->span, 0u);
+  EXPECT_EQ(frame->payload, make_payload(5));
+  EXPECT_EQ(*got, bytes_of(frame->encode()));
+  EXPECT_EQ(t.stats().dropped, 0u);
+}
+
+TEST(UdpTransport, OversizedFrameIsDroppedUnsent) {
+  const RawPeer peer;
+  ASSERT_NE(peer.port, 0);
+  UdpTransport t;
+  Endpoint& a = t.attach(kA, DomainId{1});
+  t.add_peer(kC, "127.0.0.1", peer.port);
+  // The largest payload that fits, and one byte more.
+  const std::size_t fits = kMaxDatagram - kWireHeaderSize - 4;
+  Buffer payload = Buffer::copy_of(std::vector<std::byte>(fits, std::byte{0x33}));
+  a.send(kC, kProto, payload);
+  const auto got = peer.receive();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->size(), kMaxDatagram);
+  payload.push_back(std::byte{0x33});
+  a.send(kC, kProto, payload);
+  EXPECT_EQ(t.stats().dropped, 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(peer.idle()) << "an oversized frame must not be sent";
 }
 
 TEST(UdpTransport, StrayDatagramsAreRejected) {

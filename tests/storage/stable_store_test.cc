@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace ugrpc::storage {
 namespace {
 
@@ -55,6 +57,30 @@ TEST(StableStore, ReleaseCheckpointFrees) {
   EXPECT_FALSE(store.load_checkpoint(a).has_value());
   EXPECT_EQ(store.checkpoint_count(), 0u);
   EXPECT_EQ(store.checkpoint_bytes(), 0u);
+}
+
+TEST(StableStore, ReleaseInAnyOrderKeepsTheOthersLoadable) {
+  sim::Scheduler sched;
+  StableStore store(sched);
+  std::vector<StableAddress> addrs;
+  for (std::uint32_t i = 1; i <= 5; ++i) addrs.push_back(store.store_checkpoint(make_buf(i)));
+  store.release_checkpoint(addrs[2]);
+  store.release_checkpoint(addrs[0]);
+  store.release_checkpoint(addrs[0]);  // released twice: no-op
+  store.release_checkpoint(StableAddress{999});  // never stored: no-op
+  EXPECT_EQ(store.checkpoint_count(), 3u);
+  EXPECT_EQ(store.checkpoint_bytes(), make_buf(2).size() + make_buf(4).size() + make_buf(5).size());
+  EXPECT_FALSE(store.load_checkpoint(addrs[0]).has_value());
+  EXPECT_FALSE(store.load_checkpoint(addrs[2]).has_value());
+  EXPECT_EQ(*store.load_checkpoint(addrs[1]), make_buf(2));
+  EXPECT_EQ(*store.load_checkpoint(addrs[3]), make_buf(4));
+  // A store after releases still gets a fresh, loadable address.
+  const StableAddress next = store.store_checkpoint(make_buf(6));
+  EXPECT_GT(next, addrs[4]);
+  store.release_checkpoint(addrs[4]);
+  EXPECT_EQ(*store.load_checkpoint(next), make_buf(6));
+  EXPECT_EQ(*store.load_checkpoint(addrs[3]), make_buf(4));
+  EXPECT_EQ(store.checkpoint_count(), 3u);
 }
 
 TEST(StableStore, StableVariables) {
