@@ -12,9 +12,9 @@
 #include "core/observe.h"
 #include "obs/json.h"
 #include "obs/live/prometheus.h"
-#include "obs/perfetto.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "obs/trace_file.h"
 
 namespace ugrpc::core {
 
@@ -369,28 +369,28 @@ std::optional<std::string> SiteTelemetry::trip(std::string_view reason, std::str
   std::string manifest = "{\n  \"reason\": " + obs::json_str(reason) +
                          ",\n  \"stamp_utc\": " + obs::json_str(stamp_utc()) +
                          ",\n  \"seq\": " + std::to_string(seq) +
-                         ",\n  \"files\": [\"trace.json\", \"spans.json\", \"metrics.prom\", "
-                         "\"introspect.json\"]";
+                         ",\n  \"files\": [\"" + obs::kTraceFileName +
+                         "\", \"metrics.prom\", \"introspect.json\"]";
   manifest += ",\n  \"config\": " + obs::json_str(site_.config().describe()) + ",\n  ";
-  manifest += "\"expect\": {\"unique_execution\":";
-  manifest += expect.unique_execution ? "true" : "false";
-  manifest += ",\"atomic_execution\":";
-  manifest += expect.atomic_execution ? "true" : "false";
+  const auto flag = [&manifest](const char* key, bool on) {
+    manifest += std::string(key) + (on ? "true" : "false");
+  };
+  flag("\"expect\": {\"unique_execution\":", expect.unique_execution);
+  flag(",\"atomic_execution\":", expect.atomic_execution);
   manifest += ",\"termination_bound_us\":";
   manifest += expect.termination_bound.has_value() ? std::to_string(*expect.termination_bound)
                                                    : std::string("null");
   manifest += ",\"termination_slack_us\":" + std::to_string(expect.termination_slack);
-  manifest += ",\"fifo_order\":";
-  manifest += expect.fifo_order ? "true" : "false";
-  manifest += ",\"total_order\":";
-  manifest += expect.total_order ? "true" : "false";
-  manifest += ",\"terminate_orphans\":";
-  manifest += expect.terminate_orphans ? "true" : "false";
+  flag(",\"fifo_order\":", expect.fifo_order);
+  flag(",\"total_order\":", expect.total_order);
+  flag(",\"terminate_orphans\":", expect.terminate_orphans);
   manifest += "}\n}\n";
 
+  const Buffer trace = obs::encode_trace(tracer_);
+  const std::string_view trace_bytes(reinterpret_cast<const char*>(trace.bytes().data()),
+                                     trace.size());
   if (!write_file(tmp / "MANIFEST.json", manifest, error) ||
-      !write_file(tmp / "trace.json", tracer_.dump_json(), error) ||
-      !write_file(tmp / "spans.json", obs::export_perfetto(tracer_), error) ||
+      !write_file(tmp / obs::kTraceFileName, trace_bytes, error) ||
       !write_file(tmp / "metrics.prom", metrics_text(), error) ||
       !write_file(tmp / "introspect.json", introspection_json(), error)) {
     fs::remove_all(tmp, ec);

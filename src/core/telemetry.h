@@ -33,9 +33,9 @@
 //                       config line and the checker Expect derived from it
 //                       (core::expectations_from), so the dump is checkable
 //                       standalone
-//       trace.json      Tracer::dump_json()       (reload: obs/live/trace_load.h)
-//       spans.json      export_perfetto()         (loadable by ui.perfetto.dev
-//                                                  and tools/check_perfetto.py)
+//       trace.bin       obs::encode_trace(): the rings' records, names and
+//                       dropped count (obs/trace_file.h), which ugrpcstat
+//                       replays (--check-flight) and renders (--perfetto)
 //       metrics.prom    metrics_text()
 //       introspect.json introspection_json()
 //
@@ -49,10 +49,12 @@
 //
 // install_crash_handler() arms SIGSEGV/SIGBUS/SIGFPE/SIGABRT to attempt one
 // best-effort trip() before re-raising with default disposition.  The
-// handler allocates and does buffered I/O -- NOT async-signal-safe in the
-// strict sense -- which is the standard flight-recorder trade-off: the
-// process is dying anyway, and a truncated dump (the tmp directory, never
-// renamed) cannot be mistaken for a complete one.
+// handler allocates (the trace file is fixed-size records, but the manifest,
+// exposition and introspection are built as strings) and does buffered I/O
+// -- NOT async-signal-safe in the strict sense -- which is the standard
+// flight-recorder trade-off: the process is dying anyway, and a truncated
+// dump (the tmp directory, never renamed) cannot be mistaken for a complete
+// one.
 //
 // Construct after the Site, before or after boot(): the stack itself holds
 // no telemetry state, since every call count is a trace record.  The

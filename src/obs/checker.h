@@ -96,6 +96,8 @@ struct Summary {
   std::uint64_t crashes = 0;
   std::uint64_t recoveries = 0;
   sim::Duration max_call_latency = 0;  ///< completed calls only
+
+  friend bool operator==(const Summary&, const Summary&) = default;
 };
 
 struct Report {

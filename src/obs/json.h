@@ -1,7 +1,7 @@
-// Minimal JSON string escaping shared by every obs dumper (trace, metrics,
-// perfetto).  Interned names and metric keys may contain user-provided group
-// labels -- quotes, backslashes, control bytes -- which would otherwise
-// corrupt the emitted documents.
+// Minimal JSON string escaping shared by every JSON writer (profile,
+// Perfetto, telemetry).  Interned names and metric keys may contain
+// user-provided group labels -- quotes, backslashes, control bytes -- which
+// would otherwise corrupt the emitted documents.
 #pragma once
 
 #include <cstdio>

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "obs/json.h"
-#include "obs/trace.h"
 
 namespace ugrpc::obs {
 
@@ -25,7 +24,8 @@ std::uint64_t tid_of(const Span& s) { return s.trace == 0 ? 0 : 1 + s.trace % 99
 
 }  // namespace
 
-std::string export_perfetto_fragment(const Tracer& t) {
+std::string export_perfetto_fragment(const std::vector<Event>& history,
+                                     const std::vector<std::string>& names) {
   std::string out;
   bool first = true;
   const auto emit = [&](const std::string& obj) {
@@ -34,7 +34,7 @@ std::string export_perfetto_fragment(const Tracer& t) {
     out += obj;
   };
   std::set<std::uint64_t> named_sites;
-  for (const Span& s : t.spans()) {
+  for (const Span& s : spans_of(history)) {
     if (s.open()) continue;  // still running at export time; nothing to draw
     const std::uint64_t pid = s.site.value();
     if (named_sites.insert(pid).second) {
@@ -42,8 +42,8 @@ std::string export_perfetto_fragment(const Tracer& t) {
            ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":" +
            json_str("site " + std::to_string(pid)) + "}}");
     }
-    const std::string& raw = t.name(s.name);
-    const std::string name = raw.empty() ? std::string(span_kind_name(s.kind)) : raw;
+    const bool named = s.name < names.size() && !names[s.name].empty();
+    const std::string name = named ? names[s.name] : std::string(span_kind_name(s.kind));
     std::string obj = "{\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
                       ",\"tid\":" + std::to_string(tid_of(s)) + ",\"ts\":" + ts_us(s.ns_begin) +
                       ",\"dur\":" + ts_us(s.wall_ns()) + ",\"name\":" + json_str(name) +
@@ -71,6 +71,10 @@ std::string export_perfetto_fragment(const Tracer& t) {
     }
   }
   return out;
+}
+
+std::string export_perfetto_fragment(const Tracer& t) {
+  return export_perfetto_fragment(t.merged(), t.names());
 }
 
 std::string export_perfetto(const Tracer& t) {

@@ -1,4 +1,9 @@
-// Chrome/Perfetto `trace_event` JSON export of a Tracer's span trees.
+// Chrome/Perfetto `trace_event` JSON export of a history's span trees.
+//
+// It renders a sequence-ordered history plus its intern table: a live
+// Tracer's own records, or a flight dump's decoded trace file
+// (trace_file.h, `ugrpcstat --perfetto DIR`), so a dump stores the records
+// once and the rendering is made offline.
 //
 // Emits the legacy JSON trace format (loadable by ui.perfetto.dev and
 // chrome://tracing): one "X" complete event per closed span (pid = site,
@@ -15,12 +20,17 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace ugrpc::obs {
 
-class Tracer;
+/// The closed spans of `history` (spans_of) as a comma-separated JSON
+/// fragment (no enclosing brackets), span names looked up in `names`; ""
+/// when there are no closed spans.
+[[nodiscard]] std::string export_perfetto_fragment(const std::vector<Event>& history,
+                                                   const std::vector<std::string>& names);
 
-/// One process's events as a comma-separated JSON fragment (no enclosing
-/// brackets); "" when there are no closed spans.
+/// The fragment of a live tracer: its merged history and intern table.
 [[nodiscard]] std::string export_perfetto_fragment(const Tracer& t);
 
 /// A complete standalone trace document for `t`:

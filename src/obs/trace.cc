@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "obs/json.h"
 
 namespace ugrpc::obs {
 
@@ -42,14 +41,6 @@ std::string_view kind_name(Kind k) {
     case Kind::kKindCount: break;
   }
   return "<invalid>";
-}
-
-Kind kind_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kKindCount; ++i) {
-    const Kind k = static_cast<Kind>(i);
-    if (kind_name(k) == name) return k;
-  }
-  return Kind::kKindCount;
 }
 
 std::string_view span_kind_name(Kind k) {
@@ -144,29 +135,6 @@ std::uint64_t Tracer::total_dropped() const {
   std::uint64_t total = 0;
   for (const auto& [id, site] : sites_) total += site->dropped();
   return total;
-}
-
-std::string Tracer::dump_json() const {
-  std::string out = "[";
-  bool first = true;
-  for (const Event& e : merged()) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n  {\"seq\":" + std::to_string(e.seq) + ",\"t\":" + std::to_string(e.time) +
-           ",\"site\":" + std::to_string(e.site.value()) + ",\"kind\":\"" +
-           std::string(kind_name(e.kind)) + "\"";
-    if (e.call != 0) out += ",\"call\":" + std::to_string(e.call);
-    if (e.a != 0) out += ",\"a\":" + std::to_string(e.a);
-    if (e.b != 0) out += ",\"b\":" + std::to_string(e.b);
-    if (e.name != 0) out += ",\"name\":" + json_str(name(e.name));
-    if (e.trace != 0) out += ",\"trace\":" + std::to_string(e.trace);
-    if (e.link != 0) out += ",\"link\":" + std::to_string(e.link);
-    if (e.ns != 0) out += ",\"ns\":" + std::to_string(e.ns);
-    if (e.flags != 0) out += ",\"flags\":" + std::to_string(e.flags);
-    out += "}";
-  }
-  out += "\n]";
-  return out;
 }
 
 }  // namespace ugrpc::obs

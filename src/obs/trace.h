@@ -27,6 +27,8 @@
 //     kept by the scheduler (sim::Scheduler::ambient), not here.
 //   * obs::check (checker.h) replays a merged trace against the invariants
 //     the selected micro-protocol set promises.
+//   * A flight dump stores the merged trace as one binary file
+//     (trace_file.h), which the checker and the Perfetto export read back.
 //
 // Cost model: tracing is OFF unless a Tracer is attached.  Every record site
 // is guarded by a single pointer null-check, so the dispatch and transport
@@ -57,6 +59,10 @@ namespace ugrpc::obs {
 /// Typed trace record kinds.  `call`/`a`/`b` operand meaning per kind is
 /// documented inline; 0 means "not applicable".  Kinds marked "opens" start
 /// a span when recorded through SiteTrace::open().
+///
+/// The numbers are written into flight dumps (obs/trace_file.h), so they are
+/// fixed: never reorder or remove a kind; append new ones only, after
+/// kSpanEnd.  A reader skips and counts a number it does not know.
 enum class Kind : std::uint8_t {
   // Call lifecycle (client side).
   kCallIssued,     ///< call=id, a=server group, b=client incarnation; opens "call"
@@ -100,12 +106,9 @@ enum class Kind : std::uint8_t {
 
 inline constexpr std::size_t kKindCount = static_cast<std::size_t>(Kind::kKindCount);
 
-/// Short stable name, e.g. "exec_committed" (used in JSON dumps).
+/// Short stable name, e.g. "exec_committed", for messages and the
+/// Perfetto category of kinds that name no interval.
 [[nodiscard]] std::string_view kind_name(Kind k);
-
-/// Inverse of kind_name (flight-recorder dumps are reloaded through this);
-/// kKindCount for an unknown name.
-[[nodiscard]] Kind kind_from_name(std::string_view name);
 
 /// The interval an opening record of kind `k` names ("chain", "handler",
 /// "timer", "send", "deliver", "call", "exec"); Perfetto category and
@@ -248,6 +251,9 @@ class Tracer {
   [[nodiscard]] std::uint32_t intern(std::string_view s);
   /// The interned string for `id`; "" for 0 or out of range.
   [[nodiscard]] const std::string& name(std::uint32_t id) const;
+  /// The whole intern table: names()[id] is the string for `id`, names()[0]
+  /// is "".
+  [[nodiscard]] const std::vector<std::string>& names() const { return names_; }
 
   /// All retained records of all sites merged into one history, ordered by
   /// sequence number (a causal total order in the deterministic simulator).
@@ -265,9 +271,6 @@ class Tracer {
   /// merged() is an incomplete history (checker results are unreliable);
   /// size the per-site capacity for the experiment instead.
   [[nodiscard]] std::uint64_t total_dropped() const;
-
-  /// Serializes the merged trace as a JSON array (one object per record).
-  [[nodiscard]] std::string dump_json() const;
 
  private:
   friend class SiteTrace;

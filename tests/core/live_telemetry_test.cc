@@ -1,8 +1,8 @@
 // Integration tests for the live telemetry plane (core/telemetry.h): the
 // counters, read from the trace tallies of a real workload, the span
 // profile on the scrape, the stall watchdog flagging pending pRPC/sRPC
-// records, the introspection snapshot, flight dumps loadable by trace_load
-// + the checker, the crash handler, and a UDP site serving scrapes over
+// records, the introspection snapshot, flight dumps whose trace file loads
+// into the checker, the crash handler, and a UDP site serving scrapes over
 // real TCP.
 #include "core/telemetry.h"
 
@@ -24,6 +24,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,19 +36,19 @@
 #include "core/scenario.h"
 #include "core/service.h"
 #include "net/udp_transport.h"
+#include "json_value.h"
 #include "obs/checker.h"
-#include "obs/live/json_value.h"
 #include "obs/live/prometheus.h"
-#include "obs/live/trace_load.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "obs/trace_file.h"
 
 namespace ugrpc::core {
 namespace {
 
 namespace fs = std::filesystem;
-using obs::live::json_parse;
-using obs::live::JsonValue;
+using tools::json_parse;
+using tools::JsonValue;
 
 constexpr OpId kOp{1};
 
@@ -58,7 +59,7 @@ SiteTelemetry::Options tight_options() {
 }
 
 std::string slurp(const fs::path& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
@@ -343,15 +344,24 @@ TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
   ASSERT_TRUE((*manifest)["expect"].is_object());
   EXPECT_EQ((*manifest)["expect"]["unique_execution"].as_bool(),
             expectations_from(config).unique_execution);
-  for (const JsonValue& file : (*manifest)["files"].as_array()) {
-    EXPECT_TRUE(fs::exists(fs::path(*dump) / file.as_string())) << file.as_string();
+  // The dump holds the manifest and exactly the files it lists.
+  std::set<std::string> listed = {"MANIFEST.json"};
+  for (const JsonValue& file : (*manifest)["files"].as_array()) listed.insert(file.as_string());
+  std::set<std::string> present;
+  for (const auto& entry : fs::directory_iterator(*dump)) {
+    present.insert(entry.path().filename().string());
   }
+  EXPECT_EQ(present, listed);
+  EXPECT_EQ(present, (std::set<std::string>{"MANIFEST.json", obs::kTraceFileName, "metrics.prom",
+                                            "introspect.json"}));
 
-  // trace.json round-trips into checker-ready events; the healthy workload
+  // The trace file decodes into checker-ready events; the healthy workload
   // must replay clean under the config's own expectations.
-  const auto loaded = obs::live::load_trace_json(slurp(fs::path(*dump) / "trace.json"), &error);
+  const std::string bytes = slurp(fs::path(*dump) / obs::kTraceFileName);
+  const auto loaded = obs::decode_trace(std::as_bytes(std::span(bytes)), &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->unknown_kinds, 0u);
+  EXPECT_EQ(loaded->dropped, 0u);
   ASSERT_FALSE(loaded->events.empty());
   const obs::Report report = obs::check(loaded->events, expectations_from(config));
   EXPECT_TRUE(report.ok()) << report.brief();

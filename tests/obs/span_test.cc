@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,10 +23,10 @@
 #include "core/telemetry.h"
 #include "net/network.h"
 #include "net/udp_transport.h"
-#include "obs/live/json_value.h"
-#include "obs/live/trace_load.h"
+#include "json_value.h"
 #include "obs/perfetto.h"
 #include "obs/trace.h"
+#include "obs/trace_file.h"
 #include "runtime/framework.h"
 
 namespace ugrpc {
@@ -342,7 +343,7 @@ TEST(Span, UdpDroppedSendIsFlaggedAndRetransmitJoinsTrace) {
 // ---- lifecycle: ring wrap, clear, disabled path ----
 
 std::string slurp(const std::filesystem::path& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
@@ -398,8 +399,9 @@ TEST(Span, LongRunningSiteKeepsItsNewestSpans) {
   // Regression: spans used to live in a second store that stopped accepting
   // spans once full, so a long-running site's span view froze at its first
   // calls while the record ring moved on.  Run far more calls than the rings
-  // hold: the newest spans must belong to the newest calls, and a flight
-  // dump's spans.json must cover the same window as its trace.json.
+  // hold: the newest spans must belong to the newest calls, a flight dump
+  // must say its history is incomplete, and the Perfetto rendering of the
+  // dump must reach its newest records.
   obs::Tracer tracer(/*per_site_capacity=*/2048);
   core::ScenarioParams p;
   p.num_servers = 3;
@@ -432,31 +434,35 @@ TEST(Span, LongRunningSiteKeepsItsNewestSpans) {
   const auto dump = telemetry.trip("ring-wrap", &error);
   ASSERT_TRUE(dump.has_value()) << error;
 
-  // Every exported span's opening record is in trace.json, and the newest
-  // one is among trace.json's newest records.
-  const auto trace = obs::live::load_trace_json(slurp(std::filesystem::path(*dump) / "trace.json"),
-                                                &error);
+  // The dump reports the wrap.  Every span its Perfetto rendering draws
+  // opens in the dump's window, and the newest one is among its newest
+  // records.
+  const std::string bytes = slurp(std::filesystem::path(*dump) / obs::kTraceFileName);
+  const auto trace = obs::decode_trace(std::as_bytes(std::span(bytes)), &error);
   ASSERT_TRUE(trace.has_value()) << error;
+  EXPECT_GT(trace->dropped, 0u) << "the dump must say its history is incomplete";
+  EXPECT_EQ(trace->dropped, tracer.total_dropped());
   std::set<std::uint64_t> opens;
   for (const obs::Event& e : trace->events) {
     if ((e.flags & obs::kSpanOpen) != 0) opens.insert(obs::span_id(e.site, e.seq));
   }
-  const auto doc =
-      obs::live::json_parse(slurp(std::filesystem::path(*dump) / "spans.json"), &error);
+  const auto doc = tools::json_parse(
+      obs::merge_perfetto_fragments({obs::export_perfetto_fragment(trace->events, trace->names)}),
+      &error);
   ASSERT_TRUE(doc.has_value()) << error;
   std::uint64_t exported = 0;
   std::uint64_t newest_seq = 0;
-  for (const obs::live::JsonValue& ev : (*doc)["traceEvents"].as_array()) {
+  for (const tools::JsonValue& ev : (*doc)["traceEvents"].as_array()) {
     if (ev["ph"].as_string() != "X") continue;
     const std::uint64_t id = ev["args"]["span"].as_u64();
-    EXPECT_TRUE(opens.contains(id)) << "span " << id << " is outside trace.json's window";
+    EXPECT_TRUE(opens.contains(id)) << "span " << id << " is outside the dump's window";
     newest_seq = std::max(newest_seq, id & 0xFFFFFFFFu);
     ++exported;
   }
   EXPECT_GT(exported, 0u);
   ASSERT_FALSE(trace->events.empty());
   EXPECT_GT(newest_seq, trace->events[trace->events.size() / 2].seq)
-      << "spans.json must reach the newest half of trace.json";
+      << "the rendering must reach the newest half of the dump";
   std::filesystem::remove_all(dir);
 }
 

@@ -1,12 +1,17 @@
 // Unit tests for the obs::Tracer / obs::SiteTrace ring recorder: ring-wrap
 // retention, global sequence ordering across sites, string interning,
 // exact per-kind counters, span open/close records and the spans derived
-// from them, and the JSON dump shape.
+// from them, the trace file's fields, and the kind numbers a dump stores.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "obs/trace.h"
+#include "obs/trace_file.h"
 
 namespace ugrpc::obs {
 namespace {
@@ -84,16 +89,29 @@ TEST(Tracer, InternDeduplicatesAndResolves) {
   EXPECT_EQ(tracer.site(kSiteA).intern("RPCMain.msg_from_user"), a);
 }
 
-TEST(Tracer, DumpJsonNamesKindsAndFields) {
+/// `t`'s records as the trace file gives them back.
+TraceFile reload(const Tracer& t) {
+  std::string error;
+  auto file = decode_trace(encode_trace(t).bytes(), &error);
+  EXPECT_TRUE(file.has_value()) << error;
+  return file.value_or(TraceFile{});
+}
+
+TEST(Tracer, TraceFileNamesKindsAndFields) {
   Tracer tracer;
   SiteTrace& s = tracer.site(kSiteA);
   s.record(sim::usec(42), Kind::kExecCommitted, /*call=*/3, /*a=*/1, /*b=*/2,
            s.intern("two_step"));
-  const std::string json = tracer.dump_json();
-  EXPECT_NE(json.find("\"kind\":\"exec_committed\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"call\":3"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"name\":\"two_step\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"site\":1"), std::string::npos) << json;
+  const TraceFile file = reload(tracer);
+  ASSERT_EQ(file.events.size(), 1u);
+  const Event& e = file.events[0];
+  EXPECT_EQ(e.kind, Kind::kExecCommitted);
+  EXPECT_EQ(e.time, sim::usec(42));
+  EXPECT_EQ(e.call, 3u);
+  EXPECT_EQ(e.a, 1u);
+  EXPECT_EQ(e.b, 2u);
+  EXPECT_EQ(e.site, kSiteA);
+  EXPECT_EQ(file.names.at(e.name), "two_step");
 }
 
 TEST(SiteTrace, SpansAreRecordsInTheOneRing) {
@@ -170,27 +188,52 @@ TEST(Tracer, SpanKindNamesNameTheInterval) {
   EXPECT_EQ(span_kind_name(Kind::kExecStarted), "exec");
 }
 
-TEST(Tracer, DumpJsonCarriesSpanFields) {
+TEST(Tracer, TraceFileCarriesSpanFields) {
   Tracer tracer;
   SiteTrace& s = tracer.site(kSiteA);
   const SpanCtx h = s.open(sim::usec(1), Kind::kEventHandled, SpanCtx{5, 9});
   s.close(sim::usec(2), h.parent, Kind::kSpanEnd, 0, 0, 0, /*flagged=*/true);
-  const std::string json = tracer.dump_json();
-  EXPECT_NE(json.find("\"trace\":5,\"link\":9,\"ns\":"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"flags\":1}"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"link\":" + std::to_string(h.parent) + ",\"ns\":"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"flags\":6}"), std::string::npos) << json;
+  const TraceFile file = reload(tracer);
+  ASSERT_EQ(file.events.size(), 2u);
+  EXPECT_EQ(file.events[0].trace, 5u);
+  EXPECT_EQ(file.events[0].link, 9u);
+  EXPECT_NE(file.events[0].ns, 0u);
+  EXPECT_EQ(file.events[0].flags, kSpanOpen);
+  EXPECT_EQ(file.events[1].link, h.parent);
+  EXPECT_GE(file.events[1].ns, file.events[0].ns);
+  EXPECT_EQ(file.events[1].flags, kSpanClose | kSpanFlagged);
 }
 
 TEST(Tracer, KindNamesCoverEveryKind) {
+  std::set<std::string_view> names;
   for (std::size_t k = 0; k < kKindCount; ++k) {
     const Kind kind = static_cast<Kind>(k);
     EXPECT_FALSE(kind_name(kind).empty()) << "kind " << k;
-    EXPECT_EQ(kind_from_name(kind_name(kind)), kind) << "kind " << k;
+    EXPECT_NE(kind_name(kind), "<invalid>") << "kind " << k;
+    EXPECT_TRUE(names.insert(kind_name(kind)).second) << "kind " << k << " repeats a name";
   }
   EXPECT_EQ(kind_name(Kind::kMsgMalformed), "msg_malformed");
-  EXPECT_EQ(kind_from_name("msg_malformed"), Kind::kMsgMalformed);
+}
+
+TEST(Tracer, KindNumbersArePinned) {
+  // Flight dumps store kinds as these numbers: a reorder or a kind inserted
+  // before kSpanEnd would make every older dump read wrong.
+  const std::pair<int, std::string_view> pinned[] = {
+      {0, "call_issued"},      {1, "call_completed"},   {2, "event_triggered"},
+      {3, "event_handled"},    {4, "msg_sent"},         {5, "msg_delivered"},
+      {6, "msg_dropped"},      {7, "msg_duplicated"},   {8, "msg_unroutable"},
+      {9, "msg_malformed"},    {10, "timer_armed"},     {11, "timer_fired"},
+      {12, "timer_cancelled"}, {13, "exec_started"},    {14, "exec_committed"},
+      {15, "dup_suppressed"},  {16, "retransmit"},      {17, "checkpoint"},
+      {18, "state_restored"},  {19, "orphan_killed"},   {20, "call_deferred"},
+      {21, "stale_dropped"},   {22, "call_held"},       {23, "call_released"},
+      {24, "serial_acquired"}, {25, "serial_released"}, {26, "deadline_expired"},
+      {27, "site_crashed"},    {28, "site_recovered"},  {29, "span_end"},
+  };
+  ASSERT_EQ(kKindCount, std::size(pinned)) << "a new kind needs a pinned number here";
+  for (const auto& [number, name] : pinned) {
+    EXPECT_EQ(kind_name(static_cast<Kind>(number)), name) << "kind " << number;
+  }
 }
 
 }  // namespace

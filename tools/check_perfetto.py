@@ -5,6 +5,7 @@ Usage:
     check_perfetto.py TRACE.json [--min-processes N] [--require-flagged]
                       [--partial]
 
+TRACE.json ``-`` reads standard input (``ugrpcstat --perfetto DIR | ...``).
 Validates the structural contract of obs::export_perfetto / the merged
 output of examples/udp_group_call --trace-out:
 
@@ -46,7 +47,7 @@ def main():
     args = parser.parse_args()
 
     try:
-        with open(args.trace) as f:
+        with sys.stdin if args.trace == "-" else open(args.trace) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"check_perfetto: {e}", file=sys.stderr)

@@ -1,10 +1,12 @@
-#include "obs/live/json_value.h"
+#include "json_value.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
 #include <utility>
 
-namespace ugrpc::obs::live {
+namespace ugrpc::tools {
 
 namespace {
 
@@ -12,7 +14,9 @@ const JsonValue kNullValue{};
 
 constexpr int kMaxDepth = 64;
 
-struct Parser {
+}  // namespace
+
+struct JsonParser {
   std::string_view text{};
   std::size_t pos = 0;
   std::string error{};
@@ -64,20 +68,9 @@ struct Parser {
 
   bool parse_hex4(std::uint32_t& out) {
     if (pos + 4 > text.size()) return false;
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text[pos + static_cast<std::size_t>(i)];
-      out <<= 4;
-      if (c >= '0' && c <= '9') {
-        out |= static_cast<std::uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        out |= static_cast<std::uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        out |= static_cast<std::uint32_t>(c - 'A' + 10);
-      } else {
-        return false;
-      }
-    }
+    const char* first = text.data() + pos;
+    const auto r = std::from_chars(first, first + 4, out, 16);
+    if (r.ec != std::errc{} || r.ptr != first + 4) return false;
     pos += 4;
     return true;
   }
@@ -149,47 +142,42 @@ struct Parser {
 
   bool parse_number(JsonValue& out) {
     const std::size_t start = pos;
-    if (consume('-')) {
-    }
-    while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos;
+    const auto digits = [this] {
+      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos;
+    };
+    (void)consume('-');
+    digits();
     bool integral = true;
     if (consume('.')) {
       integral = false;
-      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos;
+      digits();
     }
     if (!at_end() && (peek() == 'e' || peek() == 'E')) {
       integral = false;
       ++pos;
       if (!at_end() && (peek() == '+' || peek() == '-')) ++pos;
-      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos;
+      digits();
     }
     const std::string token(text.substr(start, pos - start));
-    if (token.empty() || token == "-") {
-      fail("bad number");
-      return false;
-    }
-    errno = 0;
+    const char* last = token.c_str() + token.size();
     char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    out.number_ = std::strtod(token.c_str(), &end);
+    if (token.empty() || end != last) {
       fail("bad number");
       return false;
     }
-    std::optional<std::int64_t> i;
-    std::optional<std::uint64_t> u;
-    if (integral) {
-      errno = 0;
-      char* iend = nullptr;
-      const long long ll = std::strtoll(token.c_str(), &iend, 10);
-      if (errno == 0 && iend == token.c_str() + token.size()) i = ll;
-      if (token[0] != '-') {
-        errno = 0;
-        char* uend = nullptr;
-        const unsigned long long ull = std::strtoull(token.c_str(), &uend, 10);
-        if (errno == 0 && uend == token.c_str() + token.size()) u = ull;
-      }
+    out.type_ = JsonValue::Type::kNumber;
+    // The exact integer too, when the token is one that fits.
+    std::int64_t i = 0;
+    std::uint64_t u = 0;
+    if (const auto r = std::from_chars(token.c_str(), last, i);
+        integral && r.ec == std::errc{} && r.ptr == last) {
+      out.exact_i64_ = i;
     }
-    out = JsonValue::make_number(d, i, u);
+    if (const auto r = std::from_chars(token.c_str(), last, u);
+        integral && r.ec == std::errc{} && r.ptr == last) {
+      out.exact_u64_ = u;
+    }
     return true;
   }
 
@@ -206,12 +194,9 @@ struct Parser {
     const char c = peek();
     if (c == '{') {
       ++pos;
-      JsonValue::Object obj;
+      out.type_ = JsonValue::Type::kObject;
       skip_ws();
-      if (consume('}')) {
-        out = JsonValue::make_object(std::move(obj));
-        return true;
-      }
+      if (consume('}')) return true;
       while (true) {
         skip_ws();
         std::string key;
@@ -223,62 +208,47 @@ struct Parser {
         }
         JsonValue v;
         if (!parse_value(v, depth + 1)) return false;
-        obj.insert_or_assign(std::move(key), std::move(v));
+        out.object_.insert_or_assign(std::move(key), std::move(v));
         skip_ws();
         if (consume(',')) continue;
-        if (consume('}')) break;
+        if (consume('}')) return true;
         fail("expected ',' or '}'");
         return false;
       }
-      out = JsonValue::make_object(std::move(obj));
-      return true;
     }
     if (c == '[') {
       ++pos;
-      JsonValue::Array arr;
+      out.type_ = JsonValue::Type::kArray;
       skip_ws();
-      if (consume(']')) {
-        out = JsonValue::make_array(std::move(arr));
-        return true;
-      }
+      if (consume(']')) return true;
       while (true) {
         JsonValue v;
         if (!parse_value(v, depth + 1)) return false;
-        arr.push_back(std::move(v));
+        out.array_.push_back(std::move(v));
         skip_ws();
         if (consume(',')) continue;
-        if (consume(']')) break;
+        if (consume(']')) return true;
         fail("expected ',' or ']'");
         return false;
       }
-      out = JsonValue::make_array(std::move(arr));
-      return true;
     }
     if (c == '"') {
-      std::string s;
-      if (!parse_string(s)) return false;
-      out = JsonValue::make_string(std::move(s));
-      return true;
+      out.type_ = JsonValue::Type::kString;
+      return parse_string(out.string_);
     }
-    if (consume_word("true")) {
-      out = JsonValue::make_bool(true);
-      return true;
+    for (const bool b : {true, false}) {
+      if (consume_word(b ? "true" : "false")) {
+        out.type_ = JsonValue::Type::kBool;
+        out.bool_ = b;
+        return true;
+      }
     }
-    if (consume_word("false")) {
-      out = JsonValue::make_bool(false);
-      return true;
-    }
-    if (consume_word("null")) {
-      out = JsonValue::make_null();
-      return true;
-    }
+    if (consume_word("null")) return true;
     if (c == '-' || std::isdigit(static_cast<unsigned char>(c)) != 0) return parse_number(out);
     fail("unexpected character");
     return false;
   }
 };
-
-}  // namespace
 
 const JsonValue& JsonValue::operator[](const std::string& key) const {
   if (type_ != Type::kObject) return kNullValue;
@@ -286,46 +256,8 @@ const JsonValue& JsonValue::operator[](const std::string& key) const {
   return it == object_.end() ? kNullValue : it->second;
 }
 
-JsonValue JsonValue::make_bool(bool b) {
-  JsonValue v;
-  v.type_ = Type::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::make_number(double d, std::optional<std::int64_t> i,
-                                 std::optional<std::uint64_t> u) {
-  JsonValue v;
-  v.type_ = Type::kNumber;
-  v.number_ = d;
-  v.exact_i64_ = i;
-  v.exact_u64_ = u;
-  return v;
-}
-
-JsonValue JsonValue::make_string(std::string s) {
-  JsonValue v;
-  v.type_ = Type::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::make_array(Array a) {
-  JsonValue v;
-  v.type_ = Type::kArray;
-  v.array_ = std::move(a);
-  return v;
-}
-
-JsonValue JsonValue::make_object(Object o) {
-  JsonValue v;
-  v.type_ = Type::kObject;
-  v.object_ = std::move(o);
-  return v;
-}
-
 std::optional<JsonValue> json_parse(std::string_view text, std::string* error) {
-  Parser p{.text = text};
+  JsonParser p{.text = text};
   JsonValue out;
   if (!p.parse_value(out, 0)) {
     if (error != nullptr) *error = p.error;
@@ -339,4 +271,4 @@ std::optional<JsonValue> json_parse(std::string_view text, std::string* error) {
   return out;
 }
 
-}  // namespace ugrpc::obs::live
+}  // namespace ugrpc::tools

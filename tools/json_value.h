@@ -1,15 +1,15 @@
-// Minimal JSON document model + recursive-descent parser.
+// Minimal JSON document model + recursive-descent parser for the tools.
 //
-// The live telemetry plane emits JSON (obs/json.h escapes it) and two
-// consumers need to read it back without external dependencies: the flight
-// recorder loader (trace_load.h) re-hydrates dumped trace rings for the
-// checker, and tools/ugrpcstat parses, diffs and pretty-prints the
-// introspection endpoint.  This is a small, strict-enough parser for those
-// documents: objects, arrays, strings (with standard escapes incl. \uXXXX,
-// decoded to UTF-8), numbers (stored as double, plus the exact i64/u64 when
-// representable), booleans, null.  It rejects trailing garbage and caps
-// nesting depth; it does NOT aim to be a validator for arbitrary hostile
-// input beyond not crashing on it.
+// The live telemetry plane emits JSON (obs/json.h escapes it) and no site
+// reads any back, so the reader lives here, beside ugrpcstat: it prints
+// the /introspect document fetched over the network and reads a flight
+// dump's MANIFEST.json (the dump's trace is binary, obs/trace_file.h).
+// Tests use it to look inside the same documents.  It parses objects,
+// arrays, strings (standard escapes incl. \uXXXX, decoded to UTF-8),
+// numbers (a double, plus the exact i64/u64 when representable), booleans
+// and null.  It rejects trailing garbage and caps nesting depth; it does
+// NOT aim to be a validator for arbitrary hostile input beyond not
+// crashing on it.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,7 @@
 #include <string_view>
 #include <vector>
 
-namespace ugrpc::obs::live {
+namespace ugrpc::tools {
 
 class JsonValue {
  public:
@@ -32,19 +32,14 @@ class JsonValue {
 
   JsonValue() = default;
 
-  [[nodiscard]] Type type() const { return type_; }
   [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
   [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
-  [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }
   [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
   [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
   [[nodiscard]] bool is_bool() const { return type_ == Type::kBool; }
 
   [[nodiscard]] bool as_bool(bool fallback = false) const {
     return is_bool() ? bool_ : fallback;
-  }
-  [[nodiscard]] double as_double(double fallback = 0.0) const {
-    return is_number() ? number_ : fallback;
   }
   /// Exact unsigned value when the token was a non-negative integer that
   /// fits; otherwise a best-effort cast of the double, or `fallback` when
@@ -67,16 +62,9 @@ class JsonValue {
   /// Member lookup; a shared null value for missing keys / non-objects.
   [[nodiscard]] const JsonValue& operator[](const std::string& key) const;
 
-  // ---- construction (parser + tests) ----
-  static JsonValue make_null() { return JsonValue{}; }
-  static JsonValue make_bool(bool b);
-  static JsonValue make_number(double d, std::optional<std::int64_t> i = {},
-                               std::optional<std::uint64_t> u = {});
-  static JsonValue make_string(std::string s);
-  static JsonValue make_array(Array a);
-  static JsonValue make_object(Object o);
-
  private:
+  friend struct JsonParser;
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
@@ -93,4 +81,4 @@ class JsonValue {
 [[nodiscard]] std::optional<JsonValue> json_parse(std::string_view text,
                                                   std::string* error = nullptr);
 
-}  // namespace ugrpc::obs::live
+}  // namespace ugrpc::tools

@@ -9,10 +9,12 @@
 //   ugrpcstat --port P --watch S        poll /metrics every S seconds and print
 //                                       the samples that changed, keyed by name
 //                                       plus labels (--count N polls)
-//   ugrpcstat --check-flight DIR        load DIR/trace.json + DIR/MANIFEST.json,
+//   ugrpcstat --check-flight DIR        load DIR/trace.bin + DIR/MANIFEST.json,
 //                                       rebuild the checker Expect recorded in
 //                                       the manifest, and replay the dumped
 //                                       trace through obs::check()
+//   ugrpcstat --perfetto DIR            print DIR/trace.bin's spans as a
+//                                       Perfetto trace_event document
 //
 // Exit status: 0 on success, 1 on violations / unreadable dump, 2 on usage or
 // connection errors.  The HTTP client is deliberately tiny -- blocking
@@ -30,20 +32,22 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "json_value.h"
 #include "obs/checker.h"
-#include "obs/live/json_value.h"
-#include "obs/live/trace_load.h"
+#include "obs/perfetto.h"
+#include "obs/trace_file.h"
 #include "sim/time.h"
 
 namespace {
 
-using ugrpc::obs::live::JsonValue;
-using ugrpc::obs::live::json_parse;
+using ugrpc::tools::JsonValue;
+using ugrpc::tools::json_parse;
 
 struct Cli {
   std::string host = "127.0.0.1";
@@ -53,13 +57,15 @@ struct Cli {
   double watch_sec = 0.0;
   int count = 0;  // 0 = until interrupted
   std::string check_flight;
+  std::string perfetto;
 };
 
 void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: ugrpcstat [--host H] --port P [--json | --metrics | --watch SEC "
                "[--count N]]\n"
-               "       ugrpcstat --check-flight DIR\n");
+               "       ugrpcstat --check-flight DIR\n"
+               "       ugrpcstat --perfetto DIR\n");
 }
 
 bool parse_cli(int argc, char** argv, Cli& cli) {
@@ -90,6 +96,10 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
       const char* v = value();
       if (v == nullptr) return false;
       cli.check_flight = v;
+    } else if (arg == "--perfetto") {
+      const char* v = value();
+      if (v == nullptr) return false;
+      cli.perfetto = v;
     } else if (arg == "--help" || arg == "-h") {
       usage(stdout);
       std::exit(0);
@@ -98,7 +108,7 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
       return false;
     }
   }
-  if (!cli.check_flight.empty()) return true;
+  if (!cli.check_flight.empty() || !cli.perfetto.empty()) return true;
   if (cli.port <= 0 || cli.port > 65535) {
     std::fprintf(stderr, "ugrpcstat: --port required (1..65535)\n");
     return false;
@@ -319,6 +329,30 @@ std::optional<std::string> read_file(const std::string& path) {
   return ss.str();
 }
 
+/// Decodes `dir`'s trace file; nullopt after saying why on stderr.
+std::optional<ugrpc::obs::TraceFile> load_trace(const std::string& dir) {
+  const std::string path = dir + "/" + ugrpc::obs::kTraceFileName;
+  const auto bytes = read_file(path);
+  if (!bytes) {
+    std::fprintf(stderr, "ugrpcstat: cannot read %s (a dump holding trace.json is from an older "
+                 "build and does not load)\n", path.c_str());
+    return std::nullopt;
+  }
+  std::string error;
+  auto trace = ugrpc::obs::decode_trace(std::as_bytes(std::span(*bytes)), &error);
+  if (!trace) std::fprintf(stderr, "ugrpcstat: bad %s: %s\n", path.c_str(), error.c_str());
+  return trace;
+}
+
+int print_perfetto(const std::string& dir) {
+  const auto trace = load_trace(dir);
+  if (!trace) return 1;
+  const std::string doc = ugrpc::obs::merge_perfetto_fragments(
+      {ugrpc::obs::export_perfetto_fragment(trace->events, trace->names)});
+  std::fwrite(doc.data(), 1, doc.size(), stdout);
+  return 0;
+}
+
 int check_flight(const std::string& dir) {
   const auto manifest_text = read_file(dir + "/MANIFEST.json");
   if (!manifest_text) {
@@ -339,15 +373,11 @@ int check_flight(const std::string& dir) {
     std::printf("  config: %s\n", (*manifest)["config"].as_string().c_str());
   }
 
-  const auto trace_text = read_file(dir + "/trace.json");
-  if (!trace_text) {
-    std::fprintf(stderr, "ugrpcstat: cannot read %s/trace.json\n", dir.c_str());
-    return 1;
-  }
-  const auto loaded = ugrpc::obs::live::load_trace_json(*trace_text, &error);
-  if (!loaded) {
-    std::fprintf(stderr, "ugrpcstat: bad trace.json: %s\n", error.c_str());
-    return 1;
+  const auto loaded = load_trace(dir);
+  if (!loaded) return 1;
+  if (loaded->dropped > 0) {
+    std::printf("  note: %llu records overwritten before the dump; the history is incomplete\n",
+                static_cast<unsigned long long>(loaded->dropped));
   }
   if (loaded->unknown_kinds > 0) {
     std::printf("  note: skipped %llu event(s) of unknown kind\n",
@@ -401,6 +431,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!cli.check_flight.empty()) return check_flight(cli.check_flight);
+  if (!cli.perfetto.empty()) return print_perfetto(cli.perfetto);
   if (cli.watch_sec > 0) return watch(cli);
 
   std::string error;
