@@ -14,6 +14,10 @@
 namespace ugrpc::core {
 
 // Event identifiers.  All events are blocking and sequential (paper 4.3).
+// The paper passes kNewRpcCall and kReplyFromServer a call id that every
+// handler looks up; here they carry the record itself (grpc_state.h):
+// kNewRpcCall the call's ClientRecord in pRPC, kReplyFromServer the
+// executing call's own copy of its ServerRecord.
 inline constexpr runtime::EventId kCallFromUser{1};     ///< new call from the user protocol (client)
 inline constexpr runtime::EventId kNewRpcCall{2};       ///< call about to leave gRPC for the network
 inline constexpr runtime::EventId kReplyFromServer{3};  ///< server procedure finished (server)
@@ -38,11 +42,6 @@ struct UserMessage {
   Buffer args;      ///< in: marshalled arguments; out: collated results
   GroupId server;
   Status status = Status::kWaiting;
-};
-
-/// Argument of kNewRpcCall and kReplyFromServer: the call id.
-struct CallEvent {
-  CallId id;
 };
 
 /// Argument of kRecovery.

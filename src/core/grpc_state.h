@@ -19,13 +19,23 @@
 // in the otherwise unused `ackid` field.  Unique Execution raises the
 // client's floor to it, and FIFO Order starts a client's stream at it
 // (call_watermark says when a Call's field may be trusted as one).
+//
+// Ownership: pRPC and sRPC own their records by value, one map node each,
+// and the two call events hand handlers the record itself, not an id to
+// look up.  An execution runs on its own copy of its ServerRecord, taken
+// when its last gate opens; the row stays in sRPC meanwhile, so the
+// watchdog and /introspect see executing calls, and a retransmission may
+// replace it (an at-least-once stack runs the call again).  Each arrival
+// gets a per-site stamp, and an execution erases the row at its end only if
+// the row still holds its own arrival.  A pointer from find_client or
+// find_server is not held across a co_await: the row may be gone after it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -104,6 +114,7 @@ using HoldArray = std::array<bool, kHoldCount>;
 
 /// Per-server response bookkeeping (`waiting_list` in the paper).
 struct PendingServer {
+  ProcessId server;
   bool acked = false;  ///< Reliable Communication: the server replied
   bool done = false;   ///< Acceptance: response received (or server failed)
   /// Reliable Communication: when the Call last went to this server, and how
@@ -129,8 +140,9 @@ struct ClientRecord {
   GroupId server;
   sim::Semaphore sem;  ///< client thread blocks here until the call completes
   int nres = 0;        ///< responses still required (Acceptance)
-  std::map<ProcessId, PendingServer> pending;  ///< servers yet to respond
+  std::vector<PendingServer> pending;  ///< one per server group member, in group order
   Status status = Status::kWaiting;
+  bool collecting = false;  ///< a fiber waits to collect the result; no second may
   /// Root span of this call's trace (obs layer), opened by the kCallIssued
   /// record and closed by kCallCompleted; 0 when tracing is off.
   /// Retransmission timers re-enter the context {id, span} so late sends
@@ -140,6 +152,11 @@ struct ClientRecord {
   /// reports pending ages from it and the stall watchdog compares it against
   /// the termination bound.
   sim::Time issued_at = 0;
+  /// The entry of `server`, or nullptr when it is not in the group.
+  [[nodiscard]] PendingServer* pending_for(ProcessId server) {
+    auto it = std::ranges::find(pending, server, &PendingServer::server);
+    return it != pending.end() ? &*it : nullptr;
+  }
 };
 
 // ---- server-side table (sRPC) ----
@@ -155,6 +172,7 @@ struct ServerRecord {
   /// Transport time the Call message arrived; entries pending far past the
   /// termination bound are flagged as orphaned by the stall watchdog.
   sim::Time arrived_at = 0;
+  std::uint64_t arrival = 0;  ///< which arrival created it (GrpcState::arrivals)
 };
 
 // ---- checkpoint participation (Atomic Execution) ----
@@ -239,11 +257,12 @@ struct GrpcState {
   std::uint64_t next_seq = 1;   ///< per-client call sequence counter
 
   // Client side.
-  std::map<CallId, std::shared_ptr<ClientRecord>> pRPC;
+  std::map<CallId, ClientRecord> pRPC;
 
   // Server side.
-  std::map<CallId, std::shared_ptr<ServerRecord>> sRPC;
+  std::map<CallId, ServerRecord> sRPC;
   HoldArray HOLD{};
+  std::uint64_t arrivals = 0;  ///< calls stored in sRPC so far: the last arrival stamp
 
   /// Live members, maintained by the composite from MEMBERSHIP_CHANGE
   /// events; without a membership service it stays as initialized (the
@@ -258,7 +277,7 @@ struct GrpcState {
   /// Hooks awaited by RPC Main immediately before executing a call (after
   /// all HOLD gates are satisfied).  See serial_execution.h for why the
   /// serial gate lives here rather than at message arrival.
-  std::vector<std::function<sim::Task<>(CallId)>> before_execute;
+  std::vector<std::function<sim::Task<>(const ServerRecord&)>> before_execute;
 
   /// Checkpoint participants (see above), in assembly order.
   std::vector<CheckpointParticipant*> checkpoint_participants;
@@ -319,13 +338,13 @@ struct GrpcState {
     return pRPC.empty() ? make_call_id(my_id, next_seq) : pRPC.begin()->first;
   }
 
-  [[nodiscard]] std::shared_ptr<ClientRecord> find_client(CallId id) const {
+  [[nodiscard]] ClientRecord* find_client(CallId id) {
     auto it = pRPC.find(id);
-    return it != pRPC.end() ? it->second : nullptr;
+    return it != pRPC.end() ? &it->second : nullptr;
   }
-  [[nodiscard]] std::shared_ptr<ServerRecord> find_server(CallId id) const {
+  [[nodiscard]] ServerRecord* find_server(CallId id) {
     auto it = sRPC.find(id);
-    return it != sRPC.end() ? it->second : nullptr;
+    return it != sRPC.end() ? &it->second : nullptr;
   }
 
   /// Ends a call still WAITING with `status`: closes the root span of its

@@ -16,30 +16,29 @@ void Acceptance::start(runtime::Framework& fw) {
 }
 
 sim::Task<> Acceptance::handle_new_call(runtime::EventContext& ctx) {
-  auto rec = state_.find_client(ctx.arg_as<CallEvent>().id);
-  if (rec == nullptr) co_return;
+  ClientRecord& rec = ctx.arg_as<ClientRecord>();
   int alive = 0;
-  for (auto& [p, ps] : rec->pending) {
-    if (state_.members.contains(p)) {
+  for (PendingServer& ps : rec.pending) {
+    if (state_.members.contains(ps.server)) {
       ps.done = false;
       ++alive;
     } else {
       ps.done = true;  // known-failed members are not waited for
     }
   }
-  rec->nres = std::min(limit_, alive);
+  rec.nres = std::min(limit_, alive);
   co_return;
 }
 
 sim::Task<> Acceptance::msg_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   if (msg.type != net::MsgType::kReply) co_return;
-  auto rec = state_.find_client(msg.id);
+  ClientRecord* rec = state_.find_client(msg.id);
   if (rec == nullptr) co_return;
-  auto it = rec->pending.find(msg.sender);
-  if (it == rec->pending.end()) co_return;  // reply from a non-member: ignore
-  if (!it->second.done) {
-    it->second.done = true;
+  PendingServer* ps = rec->pending_for(msg.sender);
+  if (ps == nullptr) co_return;  // reply from a non-member: ignore
+  if (!ps->done) {
+    ps->done = true;
     if (--rec->nres <= 0) state_.complete(*rec, Status::kOk);
   } else {
     ctx.cancel();  // duplicate reply: nothing further should process it
@@ -59,15 +58,13 @@ sim::Task<> Acceptance::server_failure(runtime::EventContext& ctx) {
   // still functioning") and keeps k-of-n waiting for k real replies while
   // k are still possible.
   for (auto& [id, rec] : state_.pRPC) {
-    auto it = rec->pending.find(ev.who);
-    if (it == rec->pending.end() || it->second.done) continue;
-    it->second.done = true;
-    int remaining = 0;
-    for (const auto& [p, ps] : rec->pending) {
-      if (!ps.done) ++remaining;
-    }
-    rec->nres = std::min(rec->nres, remaining);
-    if (rec->nres <= 0) state_.complete(*rec, Status::kOk);
+    PendingServer* ps = rec.pending_for(ev.who);
+    if (ps == nullptr || ps->done) continue;
+    ps->done = true;
+    const auto remaining =
+        static_cast<int>(std::ranges::count(rec.pending, false, &PendingServer::done));
+    rec.nres = std::min(rec.nres, remaining);
+    if (rec.nres <= 0) state_.complete(rec, Status::kOk);
   }
   co_return;
 }

@@ -8,8 +8,8 @@ void BoundedTermination::start(runtime::Framework& fw) {
   fw_ = &fw;
   fw.register_handler(kNewRpcCall, "BoundedTerm.handle_new_call", kPrioNewBounded,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
-                        const CallId id = ctx.arg_as<CallEvent>().id;
-                        deadlines_.emplace_back(state_.transport.now() + timebound_, id);
+                        deadlines_.emplace_back(state_.transport.now() + timebound_,
+                                                ctx.arg_as<ClientRecord>().id);
                         arm_timer();
                         co_return;
                       });
@@ -36,7 +36,7 @@ void BoundedTermination::drain_expired() {
   while (!deadlines_.empty() && deadlines_.front().first <= now) {
     const CallId id = deadlines_.front().second;
     deadlines_.pop_front();
-    auto rec = state_.find_client(id);
+    ClientRecord* rec = state_.find_client(id);
     if (rec != nullptr && rec->status == Status::kWaiting) {
       ++timeouts_fired_;
       // Recorded right before the call's kCallCompleted, which telemetry's

@@ -5,15 +5,18 @@ namespace ugrpc::core {
 namespace {
 
 /// Shared wait-and-collect path: P on the call's semaphore, copy results and
-/// status into the user message, drop the record.
+/// status into the user message, drop the record.  One fiber collects a
+/// call; a concurrent second request returns WAITING at once.
 sim::Task<> await_completion(GrpcState& state, UserMessage& umsg) {
-  auto rec = state.find_client(umsg.id);
-  if (rec == nullptr) co_return;  // unknown or already collected
+  ClientRecord* rec = state.find_client(umsg.id);
+  if (rec == nullptr || rec->collecting) co_return;  // unknown, collected or being collected
+  rec->collecting = true;
   co_await rec->sem.acquire();
-  umsg.args = rec->args;
-  umsg.status = rec->status;
   auto it = state.pRPC.find(umsg.id);
-  if (it != state.pRPC.end() && it->second == rec) state.pRPC.erase(it);
+  UGRPC_ASSERT(it != state.pRPC.end() && "only the collector erases a record");
+  umsg.args = std::move(it->second.args);
+  umsg.status = it->second.status;
+  state.pRPC.erase(it);
 }
 
 }  // namespace

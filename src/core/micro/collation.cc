@@ -7,21 +7,19 @@ namespace ugrpc::core {
 void Collation::start(runtime::Framework& fw) {
   fw.register_handler(kNewRpcCall, "Collation.handle_new_call", kPrioNewCollation,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
-                        if (auto rec = state_.find_client(ctx.arg_as<CallEvent>().id)) {
-                          rec->args = init_;
-                        }
+                        ctx.arg_as<ClientRecord>().args = init_;
                         co_return;
                       });
   fw.register_handler(kMsgFromNetwork, "Collation.msg_from_net", kPrioNetCollation,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         const auto& msg = ctx.arg_as<net::NetMessage>();
                         if (msg.type != net::MsgType::kReply) co_return;
-                        auto rec = state_.find_client(msg.id);
+                        ClientRecord* rec = state_.find_client(msg.id);
                         if (rec == nullptr) co_return;
-                        auto it = rec->pending.find(msg.sender);
+                        const PendingServer* ps = rec->pending_for(msg.sender);
                         // Fold only first responses from known group members
                         // (Acceptance marks them `done` right after us).
-                        if (it == rec->pending.end() || it->second.done) co_return;
+                        if (ps == nullptr || ps->done) co_return;
                         rec->args = fn_(rec->args, msg.args);
                       });
 }

@@ -36,14 +36,12 @@ void FifoOrder::start(runtime::Framework& fw) {
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         // Advance the client's stream position before the
                         // Atomic checkpoint runs; see priorities.h.
-                        const CallId id = ctx.arg_as<CallEvent>().id;
-                        if (auto rec = state_.find_server(id)) {
-                          auto it = in_progress_.find(rec->client);
-                          if (it != in_progress_.end()) {
-                            const CallId next = next_call_id(id);
-                            if (next.value() > it->second.next.value()) {
-                              set_position(rec->client, it->second, {it->second.inc, next});
-                            }
+                        const ServerRecord& rec = ctx.arg_as<ServerRecord>();
+                        auto it = in_progress_.find(rec.client);
+                        if (it != in_progress_.end()) {
+                          const CallId next = next_call_id(rec.id);
+                          if (next.value() > it->second.next.value()) {
+                            set_position(rec.client, it->second, {it->second.inc, next});
                           }
                         }
                         co_return;
@@ -84,7 +82,7 @@ sim::Task<> FifoOrder::msg_from_net(runtime::EventContext& ctx) {
 sim::Task<> FifoOrder::handle_reply(runtime::EventContext& ctx) {
   // The stream position was advanced by mark_executed; release the
   // successor if it has already arrived.
-  const CallId next = next_call_id(ctx.arg_as<CallEvent>().id);
+  const CallId next = next_call_id(ctx.arg_as<ServerRecord>().id);
   if (state_.sRPC.contains(next)) {
     state_.note(obs::Kind::kCallReleased, next.value(), kHoldFifo);
     co_await state_.forward_up(next, kHoldFifo);

@@ -41,10 +41,7 @@ sim::Task<> InterferenceAvoidance::msg_from_net(runtime::EventContext& ctx) {
 }
 
 sim::Task<> InterferenceAvoidance::handle_reply(runtime::EventContext& ctx) {
-  const CallId id = ctx.arg_as<CallEvent>().id;
-  auto rec = state_.find_server(id);
-  if (rec == nullptr) co_return;
-  auto it = cinfo_.find(rec->client);
+  auto it = cinfo_.find(ctx.arg_as<ServerRecord>().client);
   if (it == cinfo_.end()) co_return;
   ClientInfo& info = it->second;
   if (info.count > 0) --info.count;

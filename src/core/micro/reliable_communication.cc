@@ -17,12 +17,11 @@ void ReliableCommunication::start(runtime::Framework& fw) {
   fw_ = &fw;
   fw.register_handler(kNewRpcCall, "ReliableComm.handle_new_call", kPrioNewReliable,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
-                        auto rec = state_.find_client(ctx.arg_as<CallEvent>().id);
-                        if (rec == nullptr) co_return;
+                        ClientRecord& rec = ctx.arg_as<ClientRecord>();
                         // RPC Main multicasts the Call right after this
                         // event's chain, at the same transport time.
                         const sim::Time now = state_.transport.now();
-                        for (auto& [p, ps] : rec->pending) {
+                        for (PendingServer& ps : rec.pending) {
                           ps.acked = false;
                           ps.sent_at = now;
                           ps.retries = 0;
@@ -35,7 +34,7 @@ void ReliableCommunication::start(runtime::Framework& fw) {
                           armed_ = false;
                           arm_earliest();
                         } else {
-                          arm_timer(first_deadline(*rec), rec->id);
+                          arm_timer(first_deadline(rec), rec.id);
                         }
                         co_return;
                       });
@@ -46,14 +45,13 @@ void ReliableCommunication::start(runtime::Framework& fw) {
                         // match to its own call is one it sent itself.
                         const auto& msg = ctx.arg_as<net::NetMessage>();
                         if (msg.type != net::MsgType::kReply) co_return;
-                        auto rec = state_.find_client(msg.id);
+                        ClientRecord* rec = state_.find_client(msg.id);
                         if (rec == nullptr) co_return;
-                        auto it = rec->pending.find(msg.sender);
-                        if (it == rec->pending.end() || it->second.acked) co_return;
-                        PendingServer& ps = it->second;
-                        ps.acked = true;
-                        if (ps.retries == 0) {
-                          sample_rtt(msg.sender, state_.transport.now() - ps.sent_at);
+                        PendingServer* ps = rec->pending_for(msg.sender);
+                        if (ps == nullptr || ps->acked) co_return;
+                        ps->acked = true;
+                        if (ps->retries == 0) {
+                          sample_rtt(msg.sender, state_.transport.now() - ps->sent_at);
                         }
                         co_return;
                       });
@@ -85,16 +83,16 @@ void ReliableCommunication::sample_rtt(ProcessId peer, sim::Duration r) {
   }
 }
 
-sim::Time ReliableCommunication::deadline(ProcessId peer, const PendingServer& ps) const {
-  sim::Duration timeout = rto(peer);
+sim::Time ReliableCommunication::deadline(const PendingServer& ps) const {
+  sim::Duration timeout = rto(ps.server);
   for (int i = 0; i < ps.retries && timeout < retrans_timeout_; ++i) timeout *= 2;
   return ps.sent_at + std::min(timeout, retrans_timeout_);
 }
 
 sim::Time ReliableCommunication::first_deadline(const ClientRecord& rec) const {
   sim::Time first = kNever;
-  for (const auto& [p, ps] : rec.pending) {
-    if (!ps.acked) first = std::min(first, deadline(p, ps));
+  for (const PendingServer& ps : rec.pending) {
+    if (!ps.acked) first = std::min(first, deadline(ps));
   }
   return first;
 }
@@ -125,7 +123,7 @@ void ReliableCommunication::arm_earliest() {
   sim::Time at = kNever;
   CallId call{};
   for (const auto& [id, rec] : state_.pRPC) {
-    const sim::Time first = first_deadline(*rec);
+    const sim::Time first = first_deadline(rec);
     if (first < at) {
       at = first;
       call = id;
@@ -141,27 +139,27 @@ void ReliableCommunication::resend_due() {
   const bool traced = state_.trace != nullptr;
   const obs::SpanCtx saved_ctx = traced ? state_.sched.ambient() : obs::SpanCtx{};
   const std::uint64_t watermark = state_.low_watermark().value();
-  for (const auto& [id, rec] : state_.pRPC) {
-    for (auto& [p, ps] : rec->pending) {
-      if (ps.acked || deadline(p, ps) > now) continue;
+  for (auto& [id, rec] : state_.pRPC) {
+    for (PendingServer& ps : rec.pending) {
+      if (ps.acked || deadline(ps) > now) continue;
       net::NetMessage msg;
       msg.type = net::MsgType::kCall;
-      msg.id = rec->id;
-      msg.op = rec->op;
-      msg.args = rec->request_args;  // shared, not deep-copied (COW Buffer)
-      msg.server = rec->server;
+      msg.id = id;
+      msg.op = rec.op;
+      msg.args = rec.request_args;  // shared, not deep-copied (COW Buffer)
+      msg.server = rec.server;
       msg.sender = state_.my_id;
       msg.inc = state_.inc_number;
       msg.ackid = watermark;  // as on the original Call: see grpc_state.h
       // Re-enter the call's own trace context: the timer fiber's ambient is
       // the timer span, but each retransmitted datagram belongs to the call
       // it retries, so the span tree shows the retry under the original call.
-      if (traced) state_.sched.set_ambient(obs::SpanCtx{rec->id.value(), rec->span});
-      state_.net_push(p, msg);
+      if (traced) state_.sched.set_ambient(obs::SpanCtx{id.value(), rec.span});
+      state_.net_push(ps.server, msg);
       ps.sent_at = now;
       ++ps.retries;
       ++retransmissions_;
-      state_.note(obs::Kind::kRetransmit, rec->id.value(), p.value());
+      state_.note(obs::Kind::kRetransmit, id.value(), ps.server.value());
     }
   }
   if (traced) state_.sched.set_ambient(saved_ctx);

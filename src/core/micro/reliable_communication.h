@@ -72,8 +72,8 @@ class ReliableCommunication : public runtime::MicroProtocol {
 
  private:
   void sample_rtt(ProcessId peer, sim::Duration r);
-  /// When the copy `ps` sent to `peer` is due for retransmission.
-  [[nodiscard]] sim::Time deadline(ProcessId peer, const PendingServer& ps) const;
+  /// When the copy `ps` is due for retransmission.
+  [[nodiscard]] sim::Time deadline(const PendingServer& ps) const;
   /// The earliest deadline of `rec`'s unacknowledged copies.
   [[nodiscard]] sim::Time first_deadline(const ClientRecord& rec) const;
   /// Arms the timer at `call`'s deadline `at` unless it is already armed no

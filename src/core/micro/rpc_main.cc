@@ -26,58 +26,54 @@ void RpcMain::start(runtime::Framework& fw) {
 sim::Task<> RpcMain::msg_from_net(runtime::EventContext& ctx) {
   auto& msg = ctx.arg_as<net::NetMessage>();
   if (msg.type != net::MsgType::kCall) co_return;
-  auto rec = std::make_shared<ServerRecord>();
-  rec->id = msg.id;
-  rec->op = msg.op;
-  rec->args = msg.args;
-  rec->server = msg.server;
-  rec->client = msg.sender;
-  rec->client_inc = msg.inc;
-  rec->arrived_at = state_.transport.now();
   // Overwriting any previous record for this id implements the default
   // at-least-once behaviour: without Unique Execution a retransmitted call
   // is simply executed again.
-  state_.sRPC[msg.id] = rec;
+  state_.sRPC.insert_or_assign(msg.id, ServerRecord{.id = msg.id, .op = msg.op, .args = msg.args,
+                                                    .server = msg.server, .client = msg.sender,
+                                                    .client_inc = msg.inc,
+                                                    .arrived_at = state_.transport.now(),
+                                                    .arrival = ++state_.arrivals});
   co_await forward_up(msg.id, kHoldMain);
 }
 
 sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
-  auto rec = state_.find_server(id);
-  if (rec == nullptr) co_return;  // removed by an ordering micro-protocol
-  rec->hold[index] = true;
+  ServerRecord* row = state_.find_server(id);
+  if (row == nullptr) co_return;  // removed by an ordering micro-protocol
+  row->hold[index] = true;
   for (std::size_t i = 0; i < kHoldCount; ++i) {
-    if (state_.HOLD[i] && !rec->hold[i]) co_return;  // still gated
+    if (state_.HOLD[i] && !row->hold[i]) co_return;  // still gated
   }
-  // All gates satisfied: run execution guards (Serial Execution's token
-  // acquisition lives here; see priorities.h note 2), then execute.
-  for (const auto& guard : state_.before_execute) co_await guard(id);
+  // All gates satisfied: run the execution guards (Serial Execution's token
+  // acquisition lives here; see priorities.h note 2), then execute, on a
+  // copy of the row, which stays in sRPC until the end.
+  ServerRecord rec = *row;
+  for (const auto& guard : state_.before_execute) co_await guard(rec);
   UGRPC_ASSERT(state_.user != nullptr && "server site has no user protocol");
   // The exec span (kExecStarted .. kExecCommitted) covers user-procedure
   // execution through sending the reply, so the reply's send span hangs
   // beneath it on the call's trace.
   const obs::SpanCtx saved_ctx = state_.trace ? state_.sched.ambient() : obs::SpanCtx{};
   const std::uint64_t exec_span = state_.note_open(obs::Kind::kExecStarted, saved_ctx, id.value(),
-                                                   rec->client.value(), rec->client_inc);
-  co_await state_.user->pop(rec->op, rec->args);
+                                                   rec.client.value(), rec.client_inc);
+  co_await state_.user->pop(rec.op, rec.args);
 
-  CallEvent done{id};
-  co_await fw_->trigger(kReplyFromServer, runtime::EventArg::ref(done));
+  co_await fw_->trigger(kReplyFromServer, runtime::EventArg::ref(rec));
 
   net::NetMessage reply;
   reply.type = net::MsgType::kReply;
-  reply.id = rec->id;
-  reply.op = rec->op;
-  reply.args = rec->args;  // the procedure wrote results in place
-  reply.server = rec->server;
+  reply.id = rec.id;
+  reply.op = rec.op;
+  reply.args = rec.args;  // the procedure wrote results in place
+  reply.server = rec.server;
   reply.sender = state_.my_id;
   reply.inc = state_.inc_number;
-  const ProcessId client = rec->client;
-  // Erase only if the table still maps the id to *this* record; a concurrent
-  // retransmission may have installed a fresh one.
+  // Erase only if the row still holds this arrival; a retransmission may
+  // have replaced it meanwhile.
   auto it = state_.sRPC.find(id);
-  if (it != state_.sRPC.end() && it->second == rec) state_.sRPC.erase(it);
-  state_.net_push(client, reply);
-  state_.note(obs::Kind::kExecCommitted, id.value(), client.value(), rec->client_inc, exec_span);
+  if (it != state_.sRPC.end() && it->second.arrival == rec.arrival) state_.sRPC.erase(it);
+  state_.net_push(rec.client, reply);
+  state_.note(obs::Kind::kExecCommitted, id.value(), rec.client.value(), rec.client_inc, exec_span);
   if (exec_span != 0) state_.sched.set_ambient(saved_ctx);
 }
 
@@ -85,36 +81,35 @@ sim::Task<> RpcMain::msg_from_user(runtime::EventContext& ctx) {
   auto& umsg = ctx.arg_as<UserMessage>();
   if (umsg.type != UserOp::kCall) co_return;
   const CallId id = make_call_id(state_.my_id, state_.next_seq++);
-  auto rec = std::make_shared<ClientRecord>(state_.sched, id, umsg.op, umsg.args, umsg.server);
-  rec->issued_at = state_.transport.now();
-  for (ProcessId p : state_.transport.group_members(umsg.server)) {
-    rec->pending.emplace(p, PendingServer{});
-  }
-  state_.pRPC[id] = rec;
+  ClientRecord& rec =
+      state_.pRPC.try_emplace(id, state_.sched, id, umsg.op, umsg.args, umsg.server).first->second;
+  rec.issued_at = state_.transport.now();
+  const std::vector<ProcessId>& members = state_.transport.group_members(umsg.server);
+  rec.pending.reserve(members.size());
+  for (ProcessId p : members) rec.pending.push_back(PendingServer{.server = p});
   // kCallIssued opens the root of the call's distributed trace: the trace id
   // IS the call id (globally unique), so spans recorded by other processes
   // join without any id-allocation protocol.  The span parents to whatever
   // the submitting fiber was doing and becomes its ambient context, so the
   // multicast below and everything downstream of it hang beneath the call.
   if (state_.trace) {
-    rec->span = state_.note_open(obs::Kind::kCallIssued,
-                                 obs::SpanCtx{rec->id.value(), state_.sched.ambient().parent},
-                                 rec->id.value(), umsg.server.value(), state_.inc_number);
+    rec.span = state_.note_open(obs::Kind::kCallIssued,
+                                obs::SpanCtx{id.value(), state_.sched.ambient().parent},
+                                id.value(), umsg.server.value(), state_.inc_number);
   }
-  CallEvent created{rec->id};
-  co_await fw_->trigger(kNewRpcCall, runtime::EventArg::ref(created));
-  umsg.id = rec->id;
+  co_await fw_->trigger(kNewRpcCall, runtime::EventArg::ref(rec));
+  umsg.id = id;
 
   net::NetMessage msg;
   msg.type = net::MsgType::kCall;
-  msg.id = rec->id;
-  msg.op = rec->op;
-  msg.args = rec->request_args;
-  msg.server = rec->server;
+  msg.id = id;
+  msg.op = umsg.op;
+  msg.args = umsg.args;  // the request, as in rec.request_args
+  msg.server = umsg.server;
   msg.sender = state_.my_id;
   msg.inc = state_.inc_number;
   msg.ackid = state_.low_watermark().value();
-  state_.net_multicast(rec->server, msg);
+  state_.net_multicast(umsg.server, msg);
 }
 
 }  // namespace ugrpc::core

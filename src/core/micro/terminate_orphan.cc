@@ -10,10 +10,8 @@ void TerminateOrphan::start(runtime::Framework& fw) {
   // Must be registered before Serial Execution's guard (the composite
   // assembles orphan handling first) so that fibers blocked waiting for the
   // serial token are already tracked and killable.
-  state_.before_execute.push_back([this](CallId id) -> sim::Task<> {
-    if (auto rec = state_.find_server(id)) {
-      cinfo_[rec->client].threads.insert(state_.sched.current_fiber());
-    }
+  state_.before_execute.push_back([this](const ServerRecord& rec) -> sim::Task<> {
+    cinfo_[rec.client].threads.insert(state_.sched.current_fiber());
     co_return;
   });
   fw.register_handler(kMsgFromNetwork, "TermOrphan.msg_from_net", kPrioNetOrphan,
@@ -72,10 +70,7 @@ sim::Task<> TerminateOrphan::msg_from_net(runtime::EventContext& ctx) {
 }
 
 sim::Task<> TerminateOrphan::handle_reply(runtime::EventContext& ctx) {
-  const CallId id = ctx.arg_as<CallEvent>().id;
-  auto rec = state_.find_server(id);
-  if (rec == nullptr) co_return;
-  auto it = cinfo_.find(rec->client);
+  auto it = cinfo_.find(ctx.arg_as<ServerRecord>().client);
   if (it != cinfo_.end()) it->second.threads.erase(state_.sched.current_fiber());
   co_return;
 }

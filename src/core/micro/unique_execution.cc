@@ -25,11 +25,10 @@ void UniqueExecution::start(runtime::Framework& fw) {
                         // RPC Main multicasts this Call right after the
                         // event's chain, carrying W: each server it goes to
                         // is told W, which covers every Reply below it.
-                        auto rec = state_.find_client(ctx.arg_as<CallEvent>().id);
-                        if (rec == nullptr) co_return;
+                        ClientRecord& rec = ctx.arg_as<ClientRecord>();
                         const CallId w = state_.low_watermark();
                         for (Owed& o : owed_) {
-                          if (o.replied < w && rec->pending.contains(o.server)) {
+                          if (o.replied < w && rec.pending_for(o.server) != nullptr) {
                             o.replied = CallId{};
                           }
                         }
@@ -37,10 +36,8 @@ void UniqueExecution::start(runtime::Framework& fw) {
                       });
   fw.register_handler(kReplyFromServer, "UniqueExec.handle_reply", kPrioReplyUnique,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
-                        const CallId id = ctx.arg_as<CallEvent>().id;
-                        if (auto rec = state_.find_server(id)) {
-                          store_result(id, rec->args, journal());
-                        }
+                        const ServerRecord& rec = ctx.arg_as<ServerRecord>();
+                        store_result(rec.id, rec.args, journal());
                         co_return;
                       });
 }
@@ -161,7 +158,7 @@ void UniqueExecution::flush_acks() {
   // quiescing; the next Reply arms the timer instead.  (With pRPC empty, an
   // uncovered Reply named no call this client issued.)
   if (uncovered && !state_.pRPC.empty() &&
-      state_.pRPC.begin()->second->status == Status::kWaiting) {
+      state_.pRPC.begin()->second.status == Status::kWaiting) {
     arm_flush();
   }
 }

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <system_error>
 
+#include <unistd.h>
+
 #include "common/log.h"
 #include "core/http.h"
 #include "core/observe.h"
@@ -25,6 +27,9 @@ namespace fs = std::filesystem;
 /// Rate-limiter keys: one line budget per finding category.
 constexpr std::uint64_t kWarnStalled = 0;
 constexpr std::uint64_t kWarnOrphaned = 1;
+constexpr std::uint64_t kWarnFlight = 2;
+/// Names trip() tries before giving up when every one is already taken.
+constexpr int kDumpNameTries = 16;
 /// Stall/orphan warnings are rate-limited to one line per category per this
 /// period (suppressed counts stay exact).
 constexpr sim::Duration kWarnPeriod = sim::seconds(10);
@@ -202,14 +207,14 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
                 [&](std::uint64_t id) { return !state.sRPC.contains(CallId{id}); });
 
   for (const auto& [id, rec] : state.pRPC) {
-    if (rec->status != Status::kWaiting || now - rec->issued_at <= threshold) continue;
+    if (rec.status != Status::kWaiting || now - rec.issued_at <= threshold) continue;
     if (!flagged_calls_.insert(id.value()).second) continue;
     ++sweep.stalled;
     ++stalled_;
     if (const std::uint64_t n = warn_log_.occurrences_to_log(kWarnStalled, now); n == 1) {
       UGRPC_LOG(kWarn, "telemetry: site %u call %llu stalled (age %lld us > %lld us)",
                 site_.id().value(), static_cast<unsigned long long>(id.value()),
-                static_cast<long long>(now - rec->issued_at), static_cast<long long>(threshold));
+                static_cast<long long>(now - rec.issued_at), static_cast<long long>(threshold));
     } else if (n > 1) {
       UGRPC_LOG(kWarn, "telemetry: site %u stalled calls: %llu more since last report",
                 site_.id().value(), static_cast<unsigned long long>(n));
@@ -217,7 +222,7 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
   }
 
   for (const auto& [id, rec] : state.sRPC) {
-    if (now - rec->arrived_at <= threshold) continue;
+    if (now - rec.arrived_at <= threshold) continue;
     if (!flagged_entries_.insert(id.value()).second) continue;
     ++sweep.orphaned;
     ++orphaned_;
@@ -225,7 +230,7 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
       UGRPC_LOG(kWarn,
                 "telemetry: site %u sRPC entry %llu orphaned (client %u, age %lld us > %lld us)",
                 site_.id().value(), static_cast<unsigned long long>(id.value()),
-                rec->client.value(), static_cast<long long>(now - rec->arrived_at),
+                rec.client.value(), static_cast<long long>(now - rec.arrived_at),
                 static_cast<long long>(threshold));
     } else if (n > 1) {
       UGRPC_LOG(kWarn, "telemetry: site %u orphaned sRPC entries: %llu more since last report",
@@ -235,8 +240,19 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
 
   if (sweep.stalled + sweep.orphaned > 0) {
     ++trips_;
+    std::string error;
     sweep.flight_dir = trip("watchdog: " + std::to_string(sweep.stalled) + " stalled call(s), " +
-                            std::to_string(sweep.orphaned) + " orphaned entr(ies)");
+                                std::to_string(sweep.orphaned) + " orphaned entr(ies)",
+                            &error);
+    if (!sweep.flight_dir && !flight_dir_.empty()) {
+      if (const std::uint64_t n = warn_log_.occurrences_to_log(kWarnFlight, now); n == 1) {
+        UGRPC_LOG(kWarn, "telemetry: site %u flight dump failed: %s", site_.id().value(),
+                  error.c_str());
+      } else if (n > 1) {
+        UGRPC_LOG(kWarn, "telemetry: site %u flight dumps failed: %llu since last report",
+                  site_.id().value(), static_cast<unsigned long long>(n));
+      }
+    }
   }
   return sweep;
 }
@@ -303,15 +319,14 @@ std::string SiteTelemetry::introspection_json() const {
   for (const auto& [id, rec] : state.pRPC) {
     if (!first) out += ",";
     first = false;
-    int outstanding = 0;
-    for (const auto& [p, ps] : rec->pending) outstanding += ps.done ? 0 : 1;
+    const auto outstanding = std::ranges::count(rec.pending, false, &PendingServer::done);
     out += "{\"id\":" + std::to_string(id.value()) +
            ",\"seq\":" + std::to_string(call_seq(id)) +
-           ",\"op\":" + std::to_string(rec->op.value()) +
-           ",\"server\":" + std::to_string(rec->server.value()) + ",\"status\":" +
-           obs::json_str(to_string(rec->status)) + ",\"nres\":" + std::to_string(rec->nres) +
+           ",\"op\":" + std::to_string(rec.op.value()) +
+           ",\"server\":" + std::to_string(rec.server.value()) + ",\"status\":" +
+           obs::json_str(to_string(rec.status)) + ",\"nres\":" + std::to_string(rec.nres) +
            ",\"outstanding\":" + std::to_string(outstanding) +
-           ",\"age_us\":" + std::to_string(now - rec->issued_at) + "}";
+           ",\"age_us\":" + std::to_string(now - rec.issued_at) + "}";
   }
   out += "]";
 
@@ -322,14 +337,15 @@ std::string SiteTelemetry::introspection_json() const {
     first = false;
     bool ready = true;
     for (std::size_t i = 0; i < kHoldCount; ++i) {
-      if (state.HOLD[i] && !rec->hold[i]) ready = false;
+      if (state.HOLD[i] && !rec.hold[i]) ready = false;
     }
     out += "{\"id\":" + std::to_string(id.value()) +
-           ",\"client\":" + std::to_string(rec->client.value()) +
-           ",\"client_inc\":" + std::to_string(rec->client_inc) +
-           ",\"op\":" + std::to_string(rec->op.value()) +
-           ",\"age_us\":" + std::to_string(now - rec->arrived_at) + ",\"hold\":";
-    append_hold(out, rec->hold);
+           ",\"client\":" + std::to_string(rec.client.value()) +
+           ",\"client_inc\":" + std::to_string(rec.client_inc) +
+           ",\"op\":" + std::to_string(rec.op.value()) +
+           ",\"arrival\":" + std::to_string(rec.arrival) +
+           ",\"age_us\":" + std::to_string(now - rec.arrived_at) + ",\"hold\":";
+    append_hold(out, rec.hold);
     out += ",\"ready\":";
     out += ready ? "true" : "false";
     out += "}";
@@ -352,13 +368,25 @@ std::optional<std::string> SiteTelemetry::trip(std::string_view reason, std::str
     if (error != nullptr) *error = "flight recorder disabled (no directory configured)";
     return std::nullopt;
   }
-  const std::uint64_t seq = ++dump_seq_;
-  const std::string name = "flight-" + stamp_utc() + "-site" + std::to_string(site_.id().value()) +
-                           "-" + std::to_string(seq);
+  // The pid keeps processes apart.  Within one process another object may
+  // dump for the same site id (two simulated scenarios), so a name already
+  // taken moves on to the next seq.
+  std::error_code ec;
+  std::uint64_t seq = 0;
+  std::string name;
+  for (int tries = 0;; ++tries) {
+    seq = ++dump_seq_;
+    name = "flight-" + stamp_utc() + "-site" + std::to_string(site_.id().value()) + "-pid" +
+           std::to_string(::getpid()) + "-" + std::to_string(seq);
+    if (!fs::exists(fs::path(flight_dir_) / name, ec)) break;
+    if (tries + 1 == kDumpNameTries) {
+      if (error != nullptr) *error = "no free dump name in " + flight_dir_ + " after " + name;
+      return std::nullopt;
+    }
+  }
   const fs::path tmp = fs::path(flight_dir_) / (".tmp-" + name);
   const fs::path final_dir = fs::path(flight_dir_) / name;
 
-  std::error_code ec;
   fs::create_directories(tmp, ec);
   if (ec) {
     if (error != nullptr) *error = "cannot create " + tmp.string() + ": " + ec.message();

@@ -27,7 +27,7 @@
 //     (common/rate_limited_log.h); a sweep that flags anything counts as a
 //     watchdog trip and trips the flight recorder.
 //   * flight recorder -- trip() persists the in-memory evidence into one
-//     fresh directory `<flight_dir>/flight-<UTCstamp>-site<id>-<seq>`:
+//     fresh directory `<flight_dir>/flight-<UTCstamp>-site<id>-pid<pid>-<seq>`:
 //
 //       MANIFEST.json   reason, wall-clock stamp, seq, file list, the site's
 //                       config line and the checker Expect derived from it
@@ -41,8 +41,11 @@
 //
 //     Everything is written into a ".tmp-" sibling and rename(2)d into
 //     place, so a consumer polling the directory never observes a partial
-//     dump.  The site id in the name keeps two sites tripping into one
-//     directory within the same second apart.
+//     dump.  The site id and the pid in the name keep two sites, or two
+//     processes, tripping into one directory within the same second apart;
+//     a name still taken (two objects over one site id in one process)
+//     moves on to the next seq.  A watchdog trip whose dump fails logs a
+//     rate-limited warning.
 //   * serve() -- a TCP listener (core/http.h) polled from a periodic timer
 //     on the global domain, so curl, Prometheus and ugrpcstat can scrape
 //     the site while the transport's loop runs.
@@ -179,7 +182,7 @@ class SiteTelemetry {
   std::set<std::uint64_t> flagged_calls_;
   std::set<std::uint64_t> flagged_entries_;
   std::string flight_dir_;
-  /// Dumps attempted so far (suffix for unique directory names within one
+  /// Dump names tried so far (suffix for unique directory names within one
   /// clock tick).
   std::uint64_t dump_seq_ = 0;
   std::unique_ptr<TelemetryServer> server_;

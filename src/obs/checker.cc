@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 namespace ugrpc::obs {
@@ -88,8 +89,13 @@ Report check(const std::vector<Event>& trace, const Expect& expect) {
   // FIFO: (site, server inc, client, client inc) -> highest started call id.
   std::map<std::tuple<std::uint32_t, Incarnation, std::uint64_t, std::uint64_t>, std::uint64_t>
       fifo_last;
-  // Total order: (site, server inc) -> first-start order of calls.
-  std::map<std::pair<std::uint32_t, Incarnation>, std::vector<std::uint64_t>> exec_order;
+  // Total order: (site, server inc) -> first-start order of calls, and each
+  // call's position in it.
+  struct ExecOrder {
+    std::vector<std::uint64_t> order;
+    std::unordered_map<std::uint64_t, std::size_t> pos;
+  };
+  std::map<std::pair<std::uint32_t, Incarnation>, ExecOrder> exec_order;
   // Orphans: (site, client) -> highest client incarnation already executing.
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> max_started_inc;
   sim::Time last_time = 0;
@@ -141,10 +147,8 @@ Report check(const std::vector<Event>& trace, const Expect& expect) {
           }
         }
         if (expect.total_order) {
-          auto& order = exec_order[{e.site.value(), site.inc}];
-          if (std::find(order.begin(), order.end(), e.call) == order.end()) {
-            order.push_back(e.call);
-          }
+          ExecOrder& exec = exec_order[{e.site.value(), site.inc}];
+          if (exec.pos.try_emplace(e.call, exec.order.size()).second) exec.order.push_back(e.call);
         }
         if (expect.terminate_orphans) {
           auto& highest = max_started_inc[{e.site.value(), static_cast<std::uint32_t>(e.a)}];
@@ -255,13 +259,12 @@ Report check(const std::vector<Event>& trace, const Expect& expect) {
   if (expect.total_order) {
     for (auto a = exec_order.begin(); a != exec_order.end(); ++a) {
       for (auto b = std::next(a); b != exec_order.end(); ++b) {
-        std::map<std::uint64_t, std::size_t> pos_b;
-        for (std::size_t i = 0; i < b->second.size(); ++i) pos_b[b->second[i]] = i;
+        const std::unordered_map<std::uint64_t, std::size_t>& pos_b = b->second.pos;
         // Positions in b of the common calls, in a's order, must increase.
         std::size_t prev = 0;
         std::uint64_t prev_call = 0;
         bool have_prev = false;
-        for (std::uint64_t call : a->second) {
+        for (std::uint64_t call : a->second.order) {
           auto it = pos_b.find(call);
           if (it == pos_b.end()) continue;
           if (have_prev && it->second < prev) {

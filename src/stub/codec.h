@@ -8,6 +8,7 @@
 // message types by specializing Codec<T>.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <map>
@@ -72,7 +73,7 @@ struct Codec<std::vector<T>> {
   static std::vector<T> decode(Reader& r) {
     const std::uint32_t n = r.u32();
     std::vector<T> v;
-    v.reserve(n);
+    v.reserve(std::min<std::size_t>(n, r.remaining()));  // n comes off the wire
     for (std::uint32_t i = 0; i < n; ++i) v.push_back(Codec<T>::decode(r));
     return v;
   }

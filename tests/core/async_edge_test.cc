@@ -38,6 +38,50 @@ TEST(AsyncEdge, SecondGetOnSameHandleReturnsWaiting) {
   EXPECT_EQ(second.status, Status::kWaiting);
 }
 
+/// Requests the result of call `id` at `site`, as CallHandle::get() does,
+/// and notes when the request returned.
+sim::Task<> collect(Site& site, GroupId group, CallId id, Status& status, sim::Time& returned_at) {
+  UserMessage umsg;
+  umsg.type = UserOp::kRequest;
+  umsg.id = id;
+  umsg.server = group;
+  co_await site.grpc().submit(umsg);
+  status = umsg.status;
+  returned_at = site.scheduler().now();
+}
+
+TEST(AsyncEdge, ConcurrentSecondCollectReturnsWaitingAtOnce) {
+  // Two fibers request one slow call's result at the same time: the first
+  // waits for it, the second is turned away at once instead of waiting on
+  // a call only the first will collect.
+  ScenarioParams p = async_params();
+  p.num_servers = 1;
+  p.server_app = [](UserProtocol& user, Site& site) {
+    user.set_procedure([&site](OpId, Buffer&) -> sim::Task<> {
+      co_await site.scheduler().sleep_for(sim::msec(100));
+    });
+  };
+  Scenario s(std::move(p));
+  CallId id;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    id = (co_await c.call_async(s.group(), kOp, num_buf(1))).id();
+  });
+  const sim::Time asked_at = s.scheduler().now();
+  Site& site = s.client_site(0);
+  Status first = Status::kTimeout;
+  Status second = Status::kTimeout;
+  sim::Time first_at = -1;
+  sim::Time second_at = -1;
+  s.scheduler().spawn(collect(site, s.group(), id, first, first_at), site.domain());
+  s.scheduler().spawn(collect(site, s.group(), id, second, second_at), site.domain());
+  s.run_for(sim::seconds(1));
+  EXPECT_EQ(second, Status::kWaiting);
+  EXPECT_EQ(second_at, asked_at);
+  EXPECT_EQ(first, Status::kOk);
+  EXPECT_GE(first_at, asked_at + sim::msec(100));
+  EXPECT_TRUE(site.grpc().state().pRPC.empty()) << "the first request collected the call";
+}
+
 TEST(AsyncEdge, BoundedTerminationAppliesToAsyncCalls) {
   ScenarioParams p = async_params();
   p.config.termination_bound = sim::msec(150);

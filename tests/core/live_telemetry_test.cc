@@ -316,6 +316,43 @@ TEST(LiveTelemetry, IntrospectionListsPendingCalls) {
   EXPECT_TRUE((*down_doc)["sRPC"].is_null());
 }
 
+TEST(LiveTelemetry, RetransmissionDuringExecutionReplacesTheRowAndBothCommit) {
+  // At-least-once: the 40 ms retransmission reaches the server while the
+  // first arrival's 50 ms execution runs.  It replaces the sRPC row and
+  // runs too; each execution leaves the row to the newer arrival, and the
+  // table ends empty.
+  obs::Tracer tracer;
+  ScenarioParams p;
+  p.tracer = &tracer;
+  p.num_servers = 1;
+  p.config = ConfigBuilder::at_least_once().reliable_communication(sim::msec(40)).build();
+  p.server_app = [](UserProtocol& user, Site& site) {
+    user.set_procedure([&site](OpId, Buffer&) -> sim::Task<> {
+      co_await site.scheduler().sleep_for(sim::msec(50));
+    });
+  };
+  Scenario s(std::move(p));
+  SiteTelemetry server_tel(s.server(0), tracer);
+  Status status = Status::kWaiting;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    status = (co_await c.call(s.group(), kOp, Buffer{})).status;
+  }, sim::msec(45));
+
+  std::string error;
+  const auto mid = json_parse(server_tel.introspection_json(), &error);
+  ASSERT_TRUE(mid.has_value()) << error;
+  ASSERT_EQ((*mid)["sRPC"].as_array().size(), 1u);
+  EXPECT_EQ((*mid)["sRPC"].as_array()[0]["arrival"].as_u64(), 2u) << "the retransmission's row";
+
+  s.run_for(sim::msec(200));
+  EXPECT_EQ(status, Status::kOk);
+  EXPECT_EQ(s.server(0).total_executions(), 2u);
+  EXPECT_EQ(tracer.count(obs::Kind::kExecCommitted), 2u);
+  const auto end = json_parse(server_tel.introspection_json(), &error);
+  ASSERT_TRUE(end.has_value()) << error;
+  EXPECT_TRUE((*end)["sRPC"].as_array().empty());
+}
+
 TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
   obs::Tracer tracer;
   ScenarioParams p;
@@ -430,6 +467,42 @@ TEST(LiveTelemetry, TwoSitesTripIntoOneDirectoryWithinASecond) {
     const auto manifest = json_parse(slurp(fs::path(dump) / "MANIFEST.json"), &error);
     ASSERT_TRUE(manifest.has_value()) << error;
     EXPECT_EQ((*manifest)["reason"].as_string(), reason);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(LiveTelemetry, TwoScenariosOfOneSiteIdTripIntoOneDirectoryWithinASecond) {
+  // Two simulated scenarios in one process both have a server 1: same site
+  // id, same pid, same first seq.  The second dump takes the next seq.
+  obs::Tracer tracer_a;
+  obs::Tracer tracer_b;
+  ScenarioParams pa;
+  pa.num_servers = 1;
+  pa.tracer = &tracer_a;
+  ScenarioParams pb = pa;
+  pb.tracer = &tracer_b;
+  Scenario a(std::move(pa));
+  Scenario b(std::move(pb));
+  ASSERT_EQ(a.server(0).id(), b.server(0).id());
+  SiteTelemetry tel_a(a.server(0), tracer_a);
+  SiteTelemetry tel_b(b.server(0), tracer_b);
+  const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_one_site_id";
+  fs::remove_all(dir);
+  tel_a.set_flight_dir(dir.string());
+  tel_b.set_flight_dir(dir.string());
+
+  std::string error;
+  const auto dump_a = tel_a.trip("a", &error);
+  ASSERT_TRUE(dump_a.has_value()) << error;
+  const auto dump_b = tel_b.trip("b", &error);
+  ASSERT_TRUE(dump_b.has_value()) << error;
+  EXPECT_NE(*dump_a, *dump_b);
+  const std::vector<fs::path> dumps = flight_dumps(dir);
+  EXPECT_EQ(dumps.size(), 2u);
+  for (const fs::path& dump : dumps) {
+    const std::string bytes = slurp(dump / obs::kTraceFileName);
+    EXPECT_TRUE(obs::decode_trace(std::as_bytes(std::span(bytes)), &error).has_value())
+        << dump << ": " << error;
   }
   fs::remove_all(dir);
 }

@@ -5,6 +5,8 @@
 // these traces prove the checker actually detects violations.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <utility>
 #include <vector>
 
 #include "obs/checker.h"
@@ -239,6 +241,41 @@ TEST(Checker, OppositeExecutionOrdersViolateTotalOrder) {
       .add(kServer2, 35, Kind::kExecStarted, 1, kClient.value(), 1)  // re-delivery
       .add(kServer2, 40, Kind::kExecStarted, 2, kClient.value(), 1);
   EXPECT_TRUE(check(same.events, x).ok());
+}
+
+TEST(Checker, TotalOrderCheckIsLinearInTheHistory) {
+  // 100k calls started and committed at three sites in one order, except
+  // that site 2 swaps one pair and site 3 never runs the pair's first call:
+  // exactly one pair of sites disagrees, once.
+  constexpr std::uint64_t kCalls = 100'000;
+  constexpr std::uint64_t kSwapped = kCalls / 2;
+  constexpr ProcessId kServer3{3};
+  TraceBuilder t;
+  t.events.reserve(6 * kCalls);
+  for (const ProcessId site : {kServer, kServer2, kServer3}) {
+    for (std::uint64_t i = 1; i <= kCalls; ++i) {
+      std::uint64_t call = i;
+      if (site == kServer2 && (i == kSwapped || i == kSwapped + 1)) {
+        call = i == kSwapped ? kSwapped + 1 : kSwapped;
+      }
+      if (site == kServer3 && call == kSwapped) continue;
+      const auto time = static_cast<sim::Time>(i);
+      t.add(site, time, Kind::kExecStarted, call, kClient.value(), 1)
+          .add(site, time, Kind::kExecCommitted, call, kClient.value(), 1);
+    }
+  }
+  Expect x;
+  x.total_order = true;
+  const auto start = std::chrono::steady_clock::now();
+  const Report r = check(t.events, x);
+  [[maybe_unused]] const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(r.count(Invariant::kTotalOrder), 1u) << r.brief();
+  EXPECT_EQ(r.summary.execs_started, 3 * kCalls - 1);
+#if !defined(__SANITIZE_ADDRESS__)
+  // A pass quadratic in the calls per site takes seconds here.
+  EXPECT_LT(took.count(), 2.0);
+#endif
 }
 
 TEST(Checker, SurvivingOrphanCommitViolatesOrphanTermination) {

@@ -105,15 +105,15 @@ class AllocBudget : public ::testing::Test {
 };
 
 TEST_F(AllocBudget, OrderedWrite) {
-  EXPECT_LE(allocations_per_call(ConfigBuilder::at_most_once().total_order().build()), 26.0);
+  EXPECT_LE(allocations_per_call(ConfigBuilder::at_most_once().total_order().build()), 20.0);
 }
 
 TEST_F(AllocBudget, ReadOptimized) {
-  EXPECT_LE(allocations_per_call(ConfigBuilder::read_optimized().build()), 16.0);
+  EXPECT_LE(allocations_per_call(ConfigBuilder::read_optimized().build()), 10.0);
 }
 
 TEST_F(AllocBudget, ExactlyOnce) {
-  EXPECT_LE(allocations_per_call(ConfigBuilder::exactly_once().build()), 16.0);
+  EXPECT_LE(allocations_per_call(ConfigBuilder::exactly_once().build()), 10.0);
 }
 
 }  // namespace
