@@ -282,9 +282,19 @@ struct GrpcState {
   /// Checkpoint participants (see above), in assembly order.
   std::vector<CheckpointParticipant*> checkpoint_participants;
 
-  /// RPC Main's exported forward_up procedure (set in RpcMain::start); the
-  /// ordering micro-protocols call it to release held calls.
+  /// RPC Main's exported forward_up procedure (set in RpcMain::start): opens
+  /// one HOLD gate of a call, at most once per arrival, and executes the call
+  /// once all are open.  An ordering micro-protocol awaits it only for the
+  /// call of the message in hand; any other held call goes through release().
   std::function<sim::Task<>(CallId, HoldIndex)> forward_up;
+  DomainId domain{};  ///< the site's fiber domain (set in RpcMain::start)
+
+  /// Records kCallReleased and opens gate `gate` of held call `id` in a fiber
+  /// of its own, so no reply chain executes another call.
+  void release(CallId id, HoldIndex gate) {
+    note(obs::Kind::kCallReleased, id.value(), gate);
+    transport.spawn(forward_up(id, gate), domain);
+  }
 
   /// The user protocol above gRPC (server procedure entry point).
   UserProtocol* user = nullptr;

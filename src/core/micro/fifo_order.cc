@@ -33,21 +33,7 @@ void FifoOrder::start(runtime::Framework& fw) {
   fw.register_handler(kMsgFromNetwork, "FifoOrder.msg_from_net", kPrioNetOrderDeliver,
                       [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
   fw.register_handler(kReplyFromServer, "FifoOrder.mark_executed", kPrioReplyOrderMark,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
-                        // Advance the client's stream position before the
-                        // Atomic checkpoint runs; see priorities.h.
-                        const ServerRecord& rec = ctx.arg_as<ServerRecord>();
-                        auto it = in_progress_.find(rec.client);
-                        if (it != in_progress_.end()) {
-                          const CallId next = next_call_id(rec.id);
-                          if (next.value() > it->second.next.value()) {
-                            set_position(rec.client, it->second, {it->second.inc, next});
-                          }
-                        }
-                        co_return;
-                      });
-  fw.register_handler(kReplyFromServer, "FifoOrder.handle_reply", kPrioReplyOrder,
-                      [this](runtime::EventContext& ctx) { return handle_reply(ctx); });
+                      [this](runtime::EventContext& ctx) { return mark_executed(ctx); });
 }
 
 sim::Task<> FifoOrder::msg_from_net(runtime::EventContext& ctx) {
@@ -79,14 +65,18 @@ sim::Task<> FifoOrder::msg_from_net(runtime::EventContext& ctx) {
   }
 }
 
-sim::Task<> FifoOrder::handle_reply(runtime::EventContext& ctx) {
-  // The stream position was advanced by mark_executed; release the
-  // successor if it has already arrived.
-  const CallId next = next_call_id(ctx.arg_as<ServerRecord>().id);
-  if (state_.sRPC.contains(next)) {
-    state_.note(obs::Kind::kCallReleased, next.value(), kHoldFifo);
-    co_await state_.forward_up(next, kHoldFifo);
+sim::Task<> FifoOrder::mark_executed(runtime::EventContext& ctx) {
+  // Advance the client's stream position before the Atomic checkpoint runs
+  // (see priorities.h), then release the successor if it has arrived.
+  const ServerRecord& rec = ctx.arg_as<ServerRecord>();
+  const CallId next = next_call_id(rec.id);
+  auto it = in_progress_.find(rec.client);
+  if (it != in_progress_.end() && next.value() > it->second.next.value()) {
+    set_position(rec.client, it->second, {it->second.inc, next});
   }
+  const ServerRecord* row = state_.find_server(next);
+  if (row != nullptr && !row->hold[kHoldFifo]) state_.release(next, kHoldFifo);
+  co_return;
 }
 
 }  // namespace ugrpc::core

@@ -3,7 +3,7 @@
 // Guarantees that the calls of any one client are executed in the same
 // (issue) order at every server.  Implementation: a HOLD gate; a call is
 // released only when its id is the next expected id of its client, and the
-// reply handler releases the successor if it has already arrived.  A
+// reply handler releases an arrived successor into a fiber of its own.  A
 // client's stream (or a new incarnation's) starts at the low watermark W
 // that its first-seen Call carries (grpc_state.h), not at that Call's id:
 // the calls from W on are still to be executed, even if their first copies
@@ -54,7 +54,7 @@ class FifoOrder : public runtime::MicroProtocol, public CheckpointParticipant {
 
  private:
   [[nodiscard]] sim::Task<> msg_from_net(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> handle_reply(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> mark_executed(runtime::EventContext& ctx);
 
   struct InProgress {
     Incarnation inc = 0;

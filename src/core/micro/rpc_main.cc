@@ -12,6 +12,7 @@ void RpcMain::start(runtime::Framework& fw) {
   // Other micro-protocols reach forward_up through the shared state, keeping
   // them decoupled from this class.
   state_.forward_up = [this](CallId id, HoldIndex index) { return forward_up(id, index); };
+  state_.domain = fw.domain();
   fw.register_handler(kMsgFromNetwork, "RPCMain.msg_from_net", kPrioNetMain,
                       [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
   fw.register_handler(kCallFromUser, "RPCMain.msg_from_user", kPrioUserMain,
@@ -39,7 +40,8 @@ sim::Task<> RpcMain::msg_from_net(runtime::EventContext& ctx) {
 
 sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
   ServerRecord* row = state_.find_server(id);
-  if (row == nullptr) co_return;  // removed by an ordering micro-protocol
+  // Gone, or the gate is open already: one arrival never runs twice.
+  if (row == nullptr || row->hold[index]) co_return;
   row->hold[index] = true;
   for (std::size_t i = 0; i < kHoldCount; ++i) {
     if (state_.HOLD[i] && !row->hold[i]) co_return;  // still gated
@@ -52,9 +54,11 @@ sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
   UGRPC_ASSERT(state_.user != nullptr && "server site has no user protocol");
   // The exec span (kExecStarted .. kExecCommitted) covers user-procedure
   // execution through sending the reply, so the reply's send span hangs
-  // beneath it on the call's trace.
+  // beneath it on the call's trace.  A released call's fiber has no
+  // context yet, so there the exec span starts its call's trace.
   const obs::SpanCtx saved_ctx = state_.trace ? state_.sched.ambient() : obs::SpanCtx{};
-  const std::uint64_t exec_span = state_.note_open(obs::Kind::kExecStarted, saved_ctx, id.value(),
+  const obs::SpanCtx parent = saved_ctx.active() ? saved_ctx : obs::SpanCtx{id.value(), 0};
+  const std::uint64_t exec_span = state_.note_open(obs::Kind::kExecStarted, parent, id.value(),
                                                    rec.client.value(), rec.client_inc);
   co_await state_.user->pop(rec.op, rec.args);
 

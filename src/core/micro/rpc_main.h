@@ -22,8 +22,8 @@ class RpcMain : public runtime::MicroProtocol {
   /// Marks gate `index` satisfied for call `id`; if the call's hold array
   /// now matches the composite's HOLD array, runs the execution guards,
   /// invokes the server procedure, triggers REPLY_FROM_SERVER and sends the
-  /// Reply.  Exported: the ordering micro-protocols call it when they
-  /// release a held call (paper: "exported procedure forward_up").
+  /// Reply.  A gate already open for the row's arrival stays as it is.
+  /// Exported (paper: "exported procedure forward_up"); see GrpcState.
   [[nodiscard]] sim::Task<> forward_up(CallId id, HoldIndex index);
 
  private:

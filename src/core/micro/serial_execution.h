@@ -10,9 +10,9 @@
 // must execute first blocks on it.  We therefore acquire the token in an
 // execution guard that RPC Main awaits immediately before invoking the
 // procedure -- equivalent when execution is immediate, correct when it is
-// deferred.  The token is released on REPLY_FROM_SERVER *before* the
-// ordering protocols' reply handlers run, since those forward (and execute)
-// the next held call.
+// deferred.  The token is released on REPLY_FROM_SERVER after Atomic
+// Execution's checkpoint; a held call released behind this one waits for it
+// here, in a fiber of its own (GrpcState::release).
 //
 // The current holder's fiber is tracked so Terminate Orphan can release the
 // token when it kills a thread that is mid-execution (the paper V's

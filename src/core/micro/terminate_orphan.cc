@@ -11,7 +11,7 @@ void TerminateOrphan::start(runtime::Framework& fw) {
   // assembles orphan handling first) so that fibers blocked waiting for the
   // serial token are already tracked and killable.
   state_.before_execute.push_back([this](const ServerRecord& rec) -> sim::Task<> {
-    cinfo_[rec.client].threads.insert(state_.sched.current_fiber());
+    cinfo_[rec.client].threads[state_.sched.current_fiber()] = {rec.id, rec.arrival};
     co_return;
   });
   fw.register_handler(kMsgFromNetwork, "TermOrphan.msg_from_net", kPrioNetOrphan,
@@ -25,7 +25,7 @@ void TerminateOrphan::start(runtime::Framework& fw) {
 }
 
 void TerminateOrphan::kill_threads(ProcessId client, ClientInfo& info) {
-  for (FiberId th : info.threads) {
+  for (const auto& [th, call] : info.threads) {
     UGRPC_ASSERT(th != state_.sched.current_fiber());
     if (state_.serial_holder == th) {
       // The victim holds the serial token; free it or the server wedges.
@@ -33,6 +33,8 @@ void TerminateOrphan::kill_threads(ProcessId client, ClientInfo& info) {
       state_.serial.release();
     }
     state_.sched.kill(th);
+    auto row = state_.sRPC.find(call.first);  // its end would have erased the row
+    if (row != state_.sRPC.end() && row->second.arrival == call.second) state_.sRPC.erase(row);
     ++orphans_killed_;
     state_.note(obs::Kind::kOrphanKilled, 0, client.value(), th.value());
   }

@@ -8,9 +8,10 @@
 //
 // Thread tracking deviation: the paper records my_thread() at message
 // arrival, but with ordering micro-protocols the executing thread can be a
-// different fiber (a held call is executed from the predecessor's reply
-// chain).  We record the executing fiber in an execution guard immediately
-// before the procedure runs, which is the handle the kill must target.
+// different fiber (GrpcState::release spawns one for a held call).  We
+// record the executing fiber, call and arrival in an execution guard
+// immediately before the procedure runs; a kill targets the fiber and, as
+// the end of the execution would, erases the row if it holds that arrival.
 // Likewise, the paper V's the serial semaphore once per killed thread,
 // over-releasing when the victim never held the token; we release it only
 // when the victim is the current holder (see serial_execution.h).
@@ -22,8 +23,9 @@
 // threads immediately, covering clients that crash and never come back.
 #pragma once
 
-#include <set>
+#include <map>
 #include <unordered_map>
+#include <utility>
 
 #include "core/events.h"
 #include "core/grpc_state.h"
@@ -47,7 +49,8 @@ class TerminateOrphan : public runtime::MicroProtocol {
 
   struct ClientInfo {
     Incarnation inc = 0;
-    std::set<FiberId> threads;  ///< fibers executing this client's calls
+    /// Fibers executing this client's calls: the call and its arrival stamp.
+    std::map<FiberId, std::pair<CallId, std::uint64_t>> threads;
   };
 
   void kill_threads(ProcessId client, ClientInfo& info);

@@ -21,13 +21,7 @@ void TotalOrder::start(runtime::Framework& fw) {
   fw.register_handler(kMsgFromNetwork, "TotalOrder.msg_from_net", kPrioNetOrderDeliver,
                       [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
   fw.register_handler(kReplyFromServer, "TotalOrder.mark_executed", kPrioReplyOrderMark,
-                      [this](runtime::EventContext&) -> sim::Task<> {
-                        ++next_entry_;  // before the checkpoint; see priorities.h
-                        if (Writer* w = journal()) write_next_entry(*w, next_entry_);
-                        co_return;
-                      });
-  fw.register_handler(kReplyFromServer, "TotalOrder.handle_reply", kPrioReplyOrder,
-                      [this](runtime::EventContext& ctx) { return handle_reply(ctx); });
+                      [this](runtime::EventContext&) { return mark_executed(); });
   fw.register_handler(kMembershipChange, "TotalOrder.membership_change", kPrioMemberOrder,
                       [this](runtime::EventContext& ctx) { return membership_change(ctx); });
   // A member that boots (or recovers) into the leader role must not assign
@@ -67,13 +61,12 @@ sim::Task<> TotalOrder::assign_order(runtime::EventContext& ctx) {
     } else if (!reconciling_) {
       order = remember_order(msg.id, next_order_++);
     } else {
-      // Mid-reconciliation: do not assign.  The call parks in waiting_set
-      // (msg_from_net) and the client's retransmission re-triggers
-      // assignment once the round closes.
+      // Mid-reconciliation: do not assign.  The call waits in sRPC without
+      // an order, and finish_reconciliation assigns it.
       co_return;
     }
     announce(msg.id, order);
-  } else if (waiting_set_.contains(msg.id)) {
+  } else if (!old_orders_.contains(msg.id) && state_.sRPC.contains(msg.id)) {
     // A retransmission of a call we still cannot order: nudge the (possibly
     // new) leader, which may never have received the original.
     state_.net_push(who_leads, msg);
@@ -98,18 +91,16 @@ void TotalOrder::announce(CallId id, std::uint64_t order) {
   state_.net_multicast(group_, order_msg);
 }
 
-sim::Task<> TotalOrder::note_order(CallId id, std::uint64_t order) {
+bool TotalOrder::note_order(CallId id, std::uint64_t order) {
   // Followers track the leader's counter so a successor continues the
   // numbering after a failover.
   if (next_order_ < order + 1) next_order_ = order + 1;
   const std::uint64_t my_order = remember_order(id, order);
-  if (waiting_set_.erase(id) > 0) {
-    if (my_order == next_entry_) {
-      co_await state_.forward_up(id, kHoldTotal);
-    } else if (my_order > next_entry_) {
-      ready_list_[my_order] = id;
-    }
-  }
+  // A held call is an sRPC row whose gate is still closed.
+  const ServerRecord* row = state_.find_server(id);
+  if (row == nullptr || row->hold[kHoldTotal]) return false;
+  if (my_order > next_entry_) ready_list_[my_order] = id;
+  return my_order == next_entry_;
 }
 
 std::uint64_t TotalOrder::remember_order(CallId id, std::uint64_t order) {
@@ -137,7 +128,7 @@ sim::Task<> TotalOrder::msg_from_net(runtime::EventContext& ctx) {
     case net::MsgType::kCall: {
       auto it = old_orders_.find(msg.id);
       if (it == old_orders_.end()) {
-        waiting_set_.insert(msg.id);  // unordered: hold until an Order arrives
+        // Unordered: the row waits in sRPC until an Order arrives.
         state_.note(obs::Kind::kCallHeld, msg.id.value(), kHoldTotal);
         co_return;
       }
@@ -156,7 +147,10 @@ sim::Task<> TotalOrder::msg_from_net(runtime::EventContext& ctx) {
       break;
     }
     case net::MsgType::kOrder:
-      co_await note_order(msg.id, msg.ackid);
+      if (note_order(msg.id, msg.ackid)) {
+        state_.note(obs::Kind::kCallReleased, msg.id.value(), kHoldTotal);
+        co_await state_.forward_up(msg.id, kHoldTotal);
+      }
       break;
     case net::MsgType::kOrderQuery: {
       if (msg.sender == state_.my_id) co_return;
@@ -181,7 +175,9 @@ sim::Task<> TotalOrder::msg_from_net(runtime::EventContext& ctx) {
         state_.drop_malformed(msg.sender, e);
         co_return;
       }
-      for (const auto& [id, order] : orders) co_await note_order(id, order);
+      for (const auto& [id, order] : orders) {
+        if (note_order(id, order)) state_.release(id, kHoldTotal);
+      }
       awaiting_info_.erase(msg.sender);
       if (awaiting_info_.empty()) finish_reconciliation();
       break;
@@ -192,15 +188,16 @@ sim::Task<> TotalOrder::msg_from_net(runtime::EventContext& ctx) {
   }
 }
 
-sim::Task<> TotalOrder::handle_reply(runtime::EventContext&) {
-  // next_entry_ was advanced by mark_executed (kPrioReplyOrderMark).
+sim::Task<> TotalOrder::mark_executed() {
+  ++next_entry_;  // before the checkpoint; see priorities.h
+  if (Writer* w = journal()) write_next_entry(*w, next_entry_);
   auto it = ready_list_.find(next_entry_);
   if (it != ready_list_.end()) {
     const CallId next_id = it->second;
     ready_list_.erase(it);
-    state_.note(obs::Kind::kCallReleased, next_id.value(), kHoldTotal);
-    co_await state_.forward_up(next_id, kHoldTotal);
+    state_.release(next_id, kHoldTotal);
   }
+  co_return;
 }
 
 sim::Task<> TotalOrder::membership_change(runtime::EventContext& ctx) {
@@ -274,8 +271,8 @@ void TotalOrder::begin_reconciliation() {
 void TotalOrder::encode_state(Writer& w) const {
   for (const auto& [id, order] : old_orders_) write_assigned(w, id, order);
   write_next_entry(w, next_entry_);
-  // waiting_set_ and ready_list_ reference sRPC records that do not survive
-  // the crash; the calls they hold are re-delivered by client
+  // ready_list_ and the unordered calls reference sRPC records that do not
+  // survive the crash; the calls they hold are re-delivered by client
   // retransmissions, so only the assignments need to persist.
 }
 
@@ -307,29 +304,19 @@ void TotalOrder::finish_reconciliation() {
   fw_->cancel_timeout(reconcile_timer_);
   UGRPC_LOG(kDebug, "total@%u: reconciliation closed, next_order=%llu", state_.my_id.value(),
             static_cast<unsigned long long>(next_order_));
-  // Calls that arrived during the round were parked unassigned; give them
-  // their numbers now rather than waiting for client retransmissions.
-  std::vector<std::pair<CallId, std::uint64_t>> fresh;
-  for (CallId id : waiting_set_) {
+  // Calls that arrived during the round wait in sRPC unassigned; give them
+  // their numbers now rather than waiting for client retransmissions, and
+  // deliver each locally without relying on the multicast self-loop (which
+  // is subject to faults).
+  for (const auto& [id, row] : state_.sRPC) {
     if (old_orders_.contains(id)) continue;
-    const std::uint64_t order = remember_order(id, next_order_++);
-    fresh.emplace_back(id, order);
+    if (note_order(id, remember_order(id, next_order_++))) state_.release(id, kHoldTotal);
   }
   // Re-announce the merged tail (plus the fresh assignments) so every
   // member converges on one assignment even if the old leader's Orders
   // reached only a subset.
   for (const auto& [id, order] : old_orders_) {
     if (order >= next_entry_) announce(id, order);
-  }
-  // Deliver the fresh assignments locally without relying on the multicast
-  // self-loop (which is subject to faults): note_order may execute calls,
-  // so it runs in its own fiber.
-  if (!fresh.empty()) {
-    state_.sched.spawn(
-        [](TotalOrder& self, std::vector<std::pair<CallId, std::uint64_t>> pairs) -> sim::Task<> {
-          for (const auto& [id, order] : pairs) co_await self.note_order(id, order);
-        }(*this, std::move(fresh)),
-        fw_->domain());
   }
 }
 

@@ -11,7 +11,10 @@
 // messages ("if next_order < msg.ackid+1 ..."), so when the leader fails the
 // next-largest live member continues numbering where it left off;
 // retransmitted calls (Reliable Communication is required) reach the new
-// leader, and followers forward calls stuck in their waiting set.
+// leader, and followers forward retransmissions of calls they hold without
+// an order.  A held call is its sRPC row with the gate closed; one with a
+// later order also waits on ready_list, which the reply handler releases
+// from (GrpcState::release) as it advances next_entry.
 //
 // Agreement phase (EXTENSION -- the paper omits it "for brevity"): tracking
 // the counter is not enough.  If the failed leader's last Order messages
@@ -82,14 +85,14 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
  private:
   [[nodiscard]] sim::Task<> assign_order(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> msg_from_net(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> handle_reply(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> mark_executed();
   [[nodiscard]] sim::Task<> membership_change(runtime::EventContext& ctx);
 
   /// Multicasts the Order message assigning `order` to call `id`.
   void announce(CallId id, std::uint64_t order);
-  /// Records an assignment learned from an Order/OrderInfo message and, if
-  /// the call is waiting, moves it toward execution.
-  [[nodiscard]] sim::Task<> note_order(CallId id, std::uint64_t order);
+  /// Records an assignment learned from an Order/OrderInfo message; queues
+  /// the call if it is held here, or returns true if its turn has come.
+  bool note_order(CallId id, std::uint64_t order);
   /// Records `id -> order` unless `id` already has one (first assignment
   /// wins); returns the call's order.
   std::uint64_t remember_order(CallId id, std::uint64_t order);
@@ -109,7 +112,6 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   GroupId group_;
   runtime::Framework* fw_ = nullptr;
   std::map<std::uint64_t, CallId> ready_list_;       ///< order -> call, not yet executable
-  std::set<CallId> waiting_set_;                     ///< calls seen but unordered
   std::unordered_map<CallId, std::uint64_t> old_orders_;  ///< call -> assigned order
   std::uint64_t next_order_ = 1;  ///< leader: next order number to assign
   std::uint64_t next_entry_ = 1;  ///< next order number allowed to execute

@@ -21,9 +21,9 @@
 //     held back would acquire the token at arrival and deadlock the call
 //     that must execute first.  The gate instead lives in an
 //     execution-guard hook that RPC Main awaits immediately before invoking
-//     the procedure (see serial_execution.h).  Correspondingly, on
-//     REPLY_FROM_SERVER the serial V() must precede the ordering protocols'
-//     handlers, because those forward (and execute) the next held call.
+//     the procedure (see serial_execution.h).  A call the ordering
+//     protocols release runs in a fiber of its own and waits there for the
+//     token, so the serial V() needs no place relative to them.
 #pragma once
 
 namespace ugrpc::core {
@@ -57,18 +57,18 @@ inline constexpr int kPrioNewBounded = 40;      ///< arm the per-call deadline
 inline constexpr int kPrioNewUnique = 50;       ///< Unique Exec: the Call tells its servers W
 
 // ---- REPLY_FROM_SERVER ----
-// The ordering protocols' reply work is split in two: their *bookkeeping*
-// (advancing next_entry / the per-client stream position) must precede the
-// Atomic Execution checkpoint, or a recovered member would resume expecting
-// to re-execute the call it just completed; their *forwarding* of the next
-// held call must follow both the checkpoint (the next call mutates state)
-// and the serial-token release (the next call needs the token).
+// The ordering protocols' one reply handler advances next_entry / the
+// per-client stream position before the Atomic Execution checkpoint, or a
+// recovered member would resume expecting to re-execute the call it just
+// completed.  It also releases the next held call (GrpcState::release),
+// which runs in a fiber of its own: not before this chain yields, and then
+// only up to the serial token this call holds until kPrioReplySerial, so
+// the checkpoint never sees the next call's effects.
 inline constexpr int kPrioReplyUnique = 10;      ///< store result for dup answers
 inline constexpr int kPrioReplyOrphan = 20;      ///< orphan bookkeeping
-inline constexpr int kPrioReplyOrderMark = 25;   ///< FIFO/Total: advance position
-inline constexpr int kPrioReplyAtomic = 30;      ///< checkpoint (post-position, pre-next-call)
+inline constexpr int kPrioReplyOrderMark = 25;   ///< FIFO/Total: advance position, release next
+inline constexpr int kPrioReplyAtomic = 30;      ///< checkpoint (post-position)
 inline constexpr int kPrioReplySerial = 40;      ///< release serial token (see note 2)
-inline constexpr int kPrioReplyOrder = 50;       ///< FIFO/Total: chain to the next held call
 
 // ---- RECOVERY ----
 inline constexpr int kPrioRecoveryMain = 10;     ///< RPC Main: adopt the new incarnation

@@ -13,9 +13,12 @@
 #include <map>
 #include <vector>
 
+#include "core/events.h"
 #include "core/micro/acceptance.h"
+#include "core/micro/terminate_orphan.h"
 #include "core/micro/total_order.h"
 #include "core/scenario.h"
+#include "obs/trace.h"
 
 namespace ugrpc::core {
 namespace {
@@ -310,6 +313,204 @@ TEST(TotalOrder, SurvivesLossyNetwork) {
   for (const auto& [server, log] : logs) {
     EXPECT_EQ(log, reference) << "server " << server;
   }
+}
+
+// ---- a released call runs in a fiber of its own ----
+//
+// One server, fixed 100 us links and a 10 ms procedure.  The first call
+// runs from 0.1 to 10.1 ms and its Reply reaches the client at 10.2 ms.
+// The call held behind it is released when it ends; if that call ran inside
+// the first one's reply chain, the first Reply would leave only after it,
+// at 20.1 ms.
+
+constexpr sim::Duration kProcedure = sim::msec(10);
+constexpr sim::Duration kFirstReplyBound = sim::msec(12);
+
+ScenarioParams held_call_params(Config config, int clients) {
+  ScenarioParams p;
+  p.num_servers = 1;
+  p.num_clients = clients;
+  p.config = std::move(config);
+  p.faults.min_delay = sim::usec(100);
+  p.faults.max_delay = sim::usec(100);
+  p.server_app = [](UserProtocol& user, Site& site) {
+    user.set_procedure([&site](OpId, Buffer&) -> sim::Task<> {
+      co_await site.scheduler().sleep_for(kProcedure);
+    });
+  };
+  return p;
+}
+
+/// Client 0 calls at 0 ms and client 1 at 1 ms; returns when each call
+/// completed (0 if it did not).
+std::pair<sim::Time, sim::Time> two_clients_one_after_the_other(Scenario& s) {
+  sim::Time done[2] = {0, 0};
+  auto call_at = [&](int i, sim::Duration at) -> sim::Task<> {
+    co_await s.scheduler().sleep_for(at);
+    const CallResult r = co_await s.client(i).call(
+        s.group(), kTagged, tag_buf({static_cast<std::uint32_t>(i), 0}));
+    if (r.status == Status::kOk) done[i] = s.scheduler().now();
+  };
+  s.scheduler().spawn(call_at(0, 0), s.client_site(0).domain());
+  s.scheduler().spawn(call_at(1, sim::msec(1)), s.client_site(1).domain());
+  s.run_for(sim::seconds(1));
+  return {done[0], done[1]};
+}
+
+TEST(TotalOrder, ReplyDoesNotWaitForTheCallReleasedBehindIt) {
+  Scenario s(held_call_params(
+      ConfigBuilder::exactly_once().total_order().acceptance_limit(1).build(), 2));
+  const auto [a, b] = two_clients_one_after_the_other(s);
+  EXPECT_GT(a, 0);
+  EXPECT_LE(a, kFirstReplyBound) << "the first Reply waited for the call released behind it";
+  EXPECT_GE(b, 2 * kProcedure) << "the second call runs after the first";
+}
+
+TEST(TotalOrder, ReplyDoesNotWaitForTheReleasedCallUnderSerialExecution) {
+  Scenario s(held_call_params(ConfigBuilder::exactly_once()
+                                  .total_order()
+                                  .execution(ExecutionMode::kSerial)
+                                  .acceptance_limit(1)
+                                  .build(),
+                              2));
+  const auto [a, b] = two_clients_one_after_the_other(s);
+  EXPECT_GT(a, 0);
+  EXPECT_LE(a, kFirstReplyBound) << "the first Reply waited for the call released behind it";
+  EXPECT_GE(b, 2 * kProcedure) << "the second call runs after the first";
+}
+
+TEST(FifoOrder, ReplyDoesNotWaitForTheSuccessorReleasedBehindIt) {
+  Scenario s(held_call_params(
+      ConfigBuilder().asynchronous().reliable_communication().fifo_order().build(), 1));
+  sim::Time done[2] = {0, 0};
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    CallHandle first = co_await c.call_async(s.group(), kTagged, tag_buf({0, 0}));
+    CallHandle second = co_await c.call_async(s.group(), kTagged, tag_buf({0, 1}));
+    if ((co_await first.get()).status == Status::kOk) done[0] = s.scheduler().now();
+    if ((co_await second.get()).status == Status::kOk) done[1] = s.scheduler().now();
+  }, sim::seconds(1));
+  EXPECT_GT(done[0], 0);
+  EXPECT_LE(done[0], kFirstReplyBound) << "the first Reply waited for its successor";
+  EXPECT_GE(done[1], 2 * kProcedure);
+}
+
+// Client 1's call is released behind client 0's, and client 1 crashes and
+// comes back while it runs: Terminate Orphan kills it.  That kill must take
+// only the orphan's fiber, not the Reply of the call that released it.
+TEST(TotalOrder, KillingTheReleasedCallAsAnOrphanSparesTheReleasingReply) {
+  Scenario s(held_call_params(ConfigBuilder::exactly_once()
+                                  .total_order()
+                                  .orphan_handling(OrphanHandling::kTerminateOrphans)
+                                  .acceptance_limit(1)
+                                  .build(),
+                              2));
+  Site& orphaned = s.client_site(1);
+  s.scheduler().schedule_after(sim::msec(15), [&] {
+    orphaned.crash();
+    orphaned.recover();
+    auto new_incarnation = [](Scenario& sc) -> sim::Task<> {
+      (void)co_await sc.client(1).call(sc.group(), kTagged, tag_buf({1, 1}));
+    };
+    s.scheduler().spawn(new_incarnation(s), orphaned.domain());
+  });
+  const auto [a, b] = two_clients_one_after_the_other(s);
+  EXPECT_EQ(s.server(0).grpc().terminator()->orphans_killed(), 1u);
+  EXPECT_EQ(b, 0) << "client 1's first call died with its incarnation";
+  EXPECT_GT(a, 0);
+  EXPECT_LE(a, kFirstReplyBound) << "the orphan kill took the releasing call's Reply with it";
+}
+
+// A gate opens at most once per arrival.  Client 1's call holds order 2 and
+// is released when client 0's call ends; a duplicated Order for it that is
+// delivered before the released fiber starts opens the gate inline.  The
+// released fiber must then find the gate open and not run the call again.
+TEST(TotalOrder, DuplicatedOrderBehindAPendingReleaseRunsTheCallOnce) {
+  std::map<std::uint32_t, int> runs;  // client -> executions of its call
+  ScenarioParams p = held_call_params(
+      ConfigBuilder::exactly_once().total_order().acceptance_limit(1).build(), 2);
+  p.server_app = [&runs](UserProtocol& user, Site& site) {
+    user.set_procedure([&runs, &site](OpId, Buffer& args) -> sim::Task<> {
+      co_await site.scheduler().sleep_for(kProcedure);
+      const std::uint32_t client = tag_of(args).client;
+      ++runs[client];
+      if (client != 0) co_return;
+      // Queued now, this delivery runs before the fiber that the reply
+      // chain about to start spawns for client 1's call.
+      net::NetMessage order;
+      order.type = net::MsgType::kOrder;
+      order.id = make_call_id(ProcessId{3}, first_seq_of_incarnation(1));  // client 1's call
+      order.server = GroupId{1};
+      order.sender = site.id();
+      order.inc = 1;
+      order.ackid = 2;
+      auto deliver = [](Site& at, net::NetMessage msg) -> sim::Task<> {
+        co_await at.grpc().framework().trigger(kMsgFromNetwork, runtime::EventArg::ref(msg));
+      };
+      site.scheduler().spawn(deliver(site, order), site.domain());
+    });
+  };
+  Scenario s(std::move(p));
+  ASSERT_EQ(s.client_id(1), ProcessId{3});
+  ASSERT_EQ(s.group(), GroupId{1});
+  const auto [a, b] = two_clients_one_after_the_other(s);
+  EXPECT_GT(a, 0);
+  EXPECT_GT(b, 0);
+  EXPECT_EQ(runs[0], 1);
+  EXPECT_EQ(runs[1], 1) << "one arrival ran twice";
+}
+
+// Every gate an ordering protocol opens is recorded: on every site, a call
+// held (kCallHeld) that later starts executing (kExecStarted) has a
+// kCallReleased in between.  Total Order's Order path used to open held
+// gates without one.
+TEST(TotalOrder, EveryHeldCallThatExecutesWasReleasedFirst) {
+  obs::Tracer tracer(1 << 16);
+  ScenarioParams p;
+  p.num_servers = 3;
+  p.num_clients = 4;
+  p.config = ConfigBuilder::at_most_once().total_order().acceptance_limit(kAll).build();
+  p.faults.drop_prob = 0.02;
+  p.faults.min_delay = sim::usec(100);
+  p.faults.max_delay = sim::msec(2);
+  p.seed = 3;
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
+  constexpr std::uint32_t kCalls = 200;
+  int completed = 0;
+  auto burst = [&](Client& c, std::uint32_t who) -> sim::Task<> {
+    for (std::uint32_t i = 0; i < kCalls; ++i) {
+      if ((co_await c.call(s.group(), kTagged, tag_buf({who, i}))).status == Status::kOk) {
+        ++completed;
+      }
+    }
+  };
+  for (int i = 0; i < 4; ++i) {
+    s.scheduler().spawn(burst(s.client(i), static_cast<std::uint32_t>(i)),
+                        s.client_site(i).domain());
+  }
+  s.run_for(sim::seconds(60));
+  ASSERT_EQ(completed, 4 * static_cast<int>(kCalls));
+  ASSERT_EQ(tracer.total_dropped(), 0u) << "the rings must hold the whole run";
+
+  std::map<std::pair<ProcessId, std::uint64_t>, bool> held;  // (site, call) -> gate held
+  std::size_t holds = 0;
+  std::size_t unreleased = 0;
+  for (const obs::Event& e : tracer.merged()) {
+    const auto key = std::make_pair(e.site, e.call);
+    switch (e.kind) {
+      case obs::Kind::kCallHeld: held[key] = true; ++holds; break;
+      case obs::Kind::kCallReleased: held[key] = false; break;
+      case obs::Kind::kExecStarted:
+        if (held[key]) {
+          ++unreleased;
+          held[key] = false;
+        }
+        break;
+      default: break;
+    }
+  }
+  EXPECT_GT(holds, 0u) << "the workload must hold calls";
+  EXPECT_EQ(unreleased, 0u) << "executions of held calls without a kCallReleased";
 }
 
 }  // namespace

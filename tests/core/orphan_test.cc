@@ -120,6 +120,29 @@ TEST(TerminateOrphan, SerialTokenIsReleasedWhenHolderKilled) {
   EXPECT_EQ(s.server(0).grpc().state().serial.count(), 1) << "token fully returned";
 }
 
+// A killed execution never reaches the end that would erase its sRPC row,
+// so the kill erases it.  Without Unique Execution nothing else would: the
+// row stayed, and the stall watchdog counted it as an orphaned entry.
+TEST(TerminateOrphan, KilledCallLeavesNoServerRow) {
+  SlowLog log;
+  ScenarioParams p = orphan_params(OrphanHandling::kTerminateOrphans, log);
+  p.config = ConfigBuilder::at_least_once()
+                 .orphan_handling(OrphanHandling::kTerminateOrphans)
+                 .acceptance_limit(1)
+                 .build();
+  Scenario s(std::move(p));
+  CallResult second;
+  run_orphan_scenario(s, second);
+  s.run_for(sim::seconds(2));
+  EXPECT_EQ(second.status, Status::kOk);
+  EXPECT_EQ(s.server(0).grpc().terminator()->orphans_killed(), 1u);
+  const GrpcState& server = s.server(0).grpc().state();
+  for (const auto& [id, row] : server.sRPC) {
+    ADD_FAILURE() << "call " << id.value() << " of incarnation " << row.client_inc
+                  << " is still in sRPC";
+  }
+}
+
 TEST(OrphanIgnore, StaleIncarnationRequestsAreDropped) {
   // After the client recovers, a lingering duplicate of the OLD incarnation
   // must not execute (InterferenceAvoidance path: Cinfo.inc > msg.inc).
