@@ -65,9 +65,14 @@ int main() {
   }
 
   std::printf("\npaper Figure 3's bindings for comparison:\n");
-  std::printf("  Msg from network -> R, U     (here: Reliable, Unique, Main -- \n");
+  std::printf("  Msg from network -> R, U     (here: one event per message kind --\n");
+  std::printf("                                CALL_FROM_NETWORK: Unique, Main;\n");
+  std::printf("                                REPLY_FROM_NETWORK: Reliable, Unique,\n");
+  std::printf("                                Collation, Acceptance;\n");
+  std::printf("                                ACK_FROM_NETWORK: Unique;\n");
   std::printf("                                Reliable was implicit in the figure's example)\n");
-  std::printf("  Call from user   -> R, S     (here: Main, then Synchronous Call last)\n");
+  std::printf("  Call from user   -> R, S     (here: Main, then Synchronous Call last;\n");
+  std::printf("                                a Request is REQUEST_FROM_USER)\n");
   std::printf("  Timeout          -> B, U     (here: one-shot timers of Bounded/Reliable)\n");
   std::printf("  Reply from server-> U        (here: Unique stores the result)\n");
   return 0;

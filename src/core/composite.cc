@@ -37,8 +37,8 @@ GrpcComposite::GrpcComposite(net::Transport& transport, net::Endpoint& endpoint,
   define_grpc_events(framework());
   assemble();
   start();
-  // UPI "demux from below": decode and run the MSG_FROM_NETWORK chain.  The
-  // network spawns one fiber per delivered packet in this site's domain.
+  // UPI "demux from below": decode and run the chain of the message's kind.
+  // The network spawns one fiber per delivered packet in this site's domain.
   endpoint_.set_handler(kGrpcProto, [this](net::Packet pkt) -> sim::Task<> {
     net::NetMessage msg;
     try {
@@ -47,16 +47,12 @@ GrpcComposite::GrpcComposite(net::Transport& transport, net::Endpoint& endpoint,
       state_.drop_malformed(pkt.src, e);
       co_return;
     }
-    co_await framework().trigger(kMsgFromNetwork, runtime::EventArg::ref(msg));
+    co_await framework().trigger(network_event(msg.type), runtime::EventArg::ref(msg));
   });
 }
 
 void GrpcComposite::assemble() {
-  // Assembly order matters in two places: (a) orphan handling must register
-  // its execution guard before Serial Execution's (so fibers blocked on the
-  // serial token are already tracked), and (b) handler priorities -- not
-  // registration order -- encode the paper's per-event sequencing, so the
-  // rest is free.
+  // Priorities (priorities.h), not this order, decide the order of every chain.
   emplace<RpcMain>(state_);
   switch (config_.call) {
     case CallSemantics::kSynchronous: emplace<SynchronousCall>(state_); break;
@@ -98,8 +94,12 @@ void GrpcComposite::assemble() {
   }
 }
 
-sim::Task<> GrpcComposite::submit(UserMessage& umsg) {
+sim::Task<> GrpcComposite::call(UserMessage& umsg) {
   co_await framework().trigger(kCallFromUser, runtime::EventArg::ref(umsg));
+}
+
+sim::Task<> GrpcComposite::collect(UserMessage& umsg) {
+  co_await framework().trigger(kRequestFromUser, runtime::EventArg::ref(umsg));
 }
 
 sim::Task<> GrpcComposite::signal_recovery(Incarnation inc) {

@@ -39,10 +39,11 @@ class GrpcComposite : public runtime::CompositeProtocol {
                 storage::StableStore& stable, UserProtocol& user, const Config& config,
                 std::set<ProcessId> known, obs::SiteTrace* trace = nullptr);
 
-  /// Entry point from the user protocol (UPI push): runs the
-  /// CALL_FROM_USER event chain in the calling fiber.  With Synchronous Call
-  /// configured this blocks until the call completes or times out.
-  [[nodiscard]] sim::Task<> submit(UserMessage& umsg);
+  /// Entry points from the user protocol (UPI push), running CALL_FROM_USER
+  /// or REQUEST_FROM_USER (the asynchronous call `umsg.id`'s result) in the
+  /// calling fiber.  With Synchronous Call a call blocks until it ends.
+  [[nodiscard]] sim::Task<> call(UserMessage& umsg);
+  [[nodiscard]] sim::Task<> collect(UserMessage& umsg);
 
   /// To be called after recovery: runs the RECOVERY event chain.
   [[nodiscard]] sim::Task<> signal_recovery(Incarnation inc);

@@ -274,11 +274,6 @@ struct GrpcState {
   sim::Semaphore serial;
   std::optional<FiberId> serial_holder;
 
-  /// Hooks awaited by RPC Main immediately before executing a call (after
-  /// all HOLD gates are satisfied).  See serial_execution.h for why the
-  /// serial gate lives here rather than at message arrival.
-  std::vector<std::function<sim::Task<>(const ServerRecord&)>> before_execute;
-
   /// Checkpoint participants (see above), in assembly order.
   std::vector<CheckpointParticipant*> checkpoint_participants;
 

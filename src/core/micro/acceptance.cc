@@ -9,8 +9,8 @@ namespace ugrpc::core {
 void Acceptance::start(runtime::Framework& fw) {
   fw.register_handler(kNewRpcCall, "Acceptance.handle_new_call", kPrioNewAcceptance,
                       [this](runtime::EventContext& ctx) { return handle_new_call(ctx); });
-  fw.register_handler(kMsgFromNetwork, "Acceptance.msg_from_net", kPrioNetAcceptance,
-                      [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
+  fw.register_handler(kReplyFromNetwork, "Acceptance.reply_from_net", kPrioNetAcceptance,
+                      [this](runtime::EventContext& ctx) { return reply_from_net(ctx); });
   fw.register_handler(kMembershipChange, "Acceptance.server_failure", kPrioMemberAcceptance,
                       [this](runtime::EventContext& ctx) { return server_failure(ctx); });
 }
@@ -30,9 +30,8 @@ sim::Task<> Acceptance::handle_new_call(runtime::EventContext& ctx) {
   co_return;
 }
 
-sim::Task<> Acceptance::msg_from_net(runtime::EventContext& ctx) {
+sim::Task<> Acceptance::reply_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
-  if (msg.type != net::MsgType::kReply) co_return;
   ClientRecord* rec = state_.find_client(msg.id);
   if (rec == nullptr) co_return;
   PendingServer* ps = rec->pending_for(msg.sender);

@@ -32,7 +32,7 @@ class Acceptance : public runtime::MicroProtocol {
 
  private:
   [[nodiscard]] sim::Task<> handle_new_call(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> msg_from_net(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> reply_from_net(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> server_failure(runtime::EventContext& ctx);
 
   GrpcState& state_;

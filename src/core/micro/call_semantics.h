@@ -7,8 +7,8 @@
 // removes the pRPC record.
 //
 // Asynchronous Call lets the issuing thread return immediately (RPC Main
-// already sent the call; nothing blocks).  The user later issues a kRequest
-// message with the call id; the request blocks until the result is available
+// already sent the call; nothing blocks).  The user later issues a Request
+// (REQUEST_FROM_USER) with the call id; it blocks until the result is available
 // -- "if the result is pending, the request message returns immediately".
 #pragma once
 

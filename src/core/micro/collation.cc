@@ -10,10 +10,9 @@ void Collation::start(runtime::Framework& fw) {
                         ctx.arg_as<ClientRecord>().args = init_;
                         co_return;
                       });
-  fw.register_handler(kMsgFromNetwork, "Collation.msg_from_net", kPrioNetCollation,
+  fw.register_handler(kReplyFromNetwork, "Collation.reply_from_net", kPrioNetCollation,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         const auto& msg = ctx.arg_as<net::NetMessage>();
-                        if (msg.type != net::MsgType::kReply) co_return;
                         ClientRecord* rec = state_.find_client(msg.id);
                         if (rec == nullptr) co_return;
                         const PendingServer* ps = rec->pending_for(msg.sender);

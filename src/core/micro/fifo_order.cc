@@ -30,15 +30,14 @@ void FifoOrder::apply(Reader& r) {
 
 void FifoOrder::start(runtime::Framework& fw) {
   state_.HOLD[kHoldFifo] = true;
-  fw.register_handler(kMsgFromNetwork, "FifoOrder.msg_from_net", kPrioNetOrderDeliver,
-                      [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
+  fw.register_handler(kCallFromNetwork, "FifoOrder.call_from_net", kPrioNetOrderDeliver,
+                      [this](runtime::EventContext& ctx) { return call_from_net(ctx); });
   fw.register_handler(kReplyFromServer, "FifoOrder.mark_executed", kPrioReplyOrderMark,
                       [this](runtime::EventContext& ctx) { return mark_executed(ctx); });
 }
 
-sim::Task<> FifoOrder::msg_from_net(runtime::EventContext& ctx) {
+sim::Task<> FifoOrder::call_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
-  if (msg.type != net::MsgType::kCall) co_return;
   auto [it, inserted] = in_progress_.try_emplace(msg.sender);
   InProgress& info = it->second;
   // A stream starts at the client's low watermark: every call below it has

@@ -53,7 +53,7 @@ class FifoOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   [[nodiscard]] std::uint64_t stale_dropped() const { return stale_dropped_; }
 
  private:
-  [[nodiscard]] sim::Task<> msg_from_net(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> call_from_net(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> mark_executed(runtime::EventContext& ctx);
 
   struct InProgress {

@@ -5,15 +5,14 @@
 namespace ugrpc::core {
 
 void InterferenceAvoidance::start(runtime::Framework& fw) {
-  fw.register_handler(kMsgFromNetwork, "InterfAvoid.msg_from_net", kPrioNetOrphan,
-                      [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
+  fw.register_handler(kCallFromNetwork, "InterfAvoid.call_from_net", kPrioNetOrphan,
+                      [this](runtime::EventContext& ctx) { return call_from_net(ctx); });
   fw.register_handler(kReplyFromServer, "InterfAvoid.handle_reply", kPrioReplyOrphan,
                       [this](runtime::EventContext& ctx) { return handle_reply(ctx); });
 }
 
-sim::Task<> InterferenceAvoidance::msg_from_net(runtime::EventContext& ctx) {
+sim::Task<> InterferenceAvoidance::call_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
-  if (msg.type != net::MsgType::kCall) co_return;
   auto [it, inserted] = cinfo_.try_emplace(msg.sender, ClientInfo{msg.inc, 0, msg.inc});
   ClientInfo& info = it->second;
   if (info.inc != kBlocked && info.inc > msg.inc) {

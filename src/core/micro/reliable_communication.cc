@@ -38,13 +38,9 @@ void ReliableCommunication::start(runtime::Framework& fw) {
                         }
                         co_return;
                       });
-  fw.register_handler(kMsgFromNetwork, "ReliableComm.msg_from_net", kPrioNetReliable,
+  fw.register_handler(kReplyFromNetwork, "ReliableComm.reply_from_net", kPrioNetReliable,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
-                        // Only a Reply acknowledges a call: servers send no
-                        // call-receipt ACKs, so the one kAck a site could
-                        // match to its own call is one it sent itself.
                         const auto& msg = ctx.arg_as<net::NetMessage>();
-                        if (msg.type != net::MsgType::kReply) co_return;
                         ClientRecord* rec = state_.find_client(msg.id);
                         if (rec == nullptr) co_return;
                         PendingServer* ps = rec->pending_for(msg.sender);

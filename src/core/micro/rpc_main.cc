@@ -13,10 +13,10 @@ void RpcMain::start(runtime::Framework& fw) {
   // them decoupled from this class.
   state_.forward_up = [this](CallId id, HoldIndex index) { return forward_up(id, index); };
   state_.domain = fw.domain();
-  fw.register_handler(kMsgFromNetwork, "RPCMain.msg_from_net", kPrioNetMain,
-                      [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
-  fw.register_handler(kCallFromUser, "RPCMain.msg_from_user", kPrioUserMain,
-                      [this](runtime::EventContext& ctx) { return msg_from_user(ctx); });
+  fw.register_handler(kCallFromNetwork, "RPCMain.call_from_net", kPrioNetMain,
+                      [this](runtime::EventContext& ctx) { return call_from_net(ctx); });
+  fw.register_handler(kCallFromUser, "RPCMain.call_from_user", kPrioUserMain,
+                      [this](runtime::EventContext& ctx) { return call_from_user(ctx); });
   fw.register_handler(kRecovery, "RPCMain.handle_recovery", kPrioRecoveryMain,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         state_.inc_number = ctx.arg_as<RecoveryEvent>().inc;
@@ -24,9 +24,8 @@ void RpcMain::start(runtime::Framework& fw) {
                       });
 }
 
-sim::Task<> RpcMain::msg_from_net(runtime::EventContext& ctx) {
+sim::Task<> RpcMain::call_from_net(runtime::EventContext& ctx) {
   auto& msg = ctx.arg_as<net::NetMessage>();
-  if (msg.type != net::MsgType::kCall) co_return;
   // Overwriting any previous record for this id implements the default
   // at-least-once behaviour: without Unique Execution a retransmitted call
   // is simply executed again.
@@ -46,20 +45,18 @@ sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
   for (std::size_t i = 0; i < kHoldCount; ++i) {
     if (state_.HOLD[i] && !row->hold[i]) co_return;  // still gated
   }
-  // All gates satisfied: run the execution guards (Serial Execution's token
-  // acquisition lives here; see priorities.h note 2), then execute, on a
-  // copy of the row, which stays in sRPC until the end.
+  // All gates open: run EXECUTE_CALL (priorities.h note 2), then execute on
+  // a copy of the row, which stays in sRPC until the end.  The exec span
+  // covers the procedure through the reply's send.  A released call's fiber
+  // has no trace context yet, so there the execution starts its call's trace.
   ServerRecord rec = *row;
-  for (const auto& guard : state_.before_execute) co_await guard(rec);
   UGRPC_ASSERT(state_.user != nullptr && "server site has no user protocol");
-  // The exec span (kExecStarted .. kExecCommitted) covers user-procedure
-  // execution through sending the reply, so the reply's send span hangs
-  // beneath it on the call's trace.  A released call's fiber has no
-  // context yet, so there the exec span starts its call's trace.
   const obs::SpanCtx saved_ctx = state_.trace ? state_.sched.ambient() : obs::SpanCtx{};
-  const obs::SpanCtx parent = saved_ctx.active() ? saved_ctx : obs::SpanCtx{id.value(), 0};
-  const std::uint64_t exec_span = state_.note_open(obs::Kind::kExecStarted, parent, id.value(),
-                                                   rec.client.value(), rec.client_inc);
+  if (state_.trace && !saved_ctx.active()) state_.sched.set_ambient({id.value(), 0});
+  co_await fw_->trigger(kExecuteCall, runtime::EventArg::ref(rec));
+  const std::uint64_t exec_span =
+      state_.note_open(obs::Kind::kExecStarted, state_.sched.ambient(), id.value(),
+                       rec.client.value(), rec.client_inc);
   co_await state_.user->pop(rec.op, rec.args);
 
   co_await fw_->trigger(kReplyFromServer, runtime::EventArg::ref(rec));
@@ -81,9 +78,8 @@ sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
   if (exec_span != 0) state_.sched.set_ambient(saved_ctx);
 }
 
-sim::Task<> RpcMain::msg_from_user(runtime::EventContext& ctx) {
+sim::Task<> RpcMain::call_from_user(runtime::EventContext& ctx) {
   auto& umsg = ctx.arg_as<UserMessage>();
-  if (umsg.type != UserOp::kCall) co_return;
   const CallId id = make_call_id(state_.my_id, state_.next_seq++);
   ClientRecord& rec =
       state_.pRPC.try_emplace(id, state_.sched, id, umsg.op, umsg.args, umsg.server).first->second;

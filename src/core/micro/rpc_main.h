@@ -20,15 +20,14 @@ class RpcMain : public runtime::MicroProtocol {
   void start(runtime::Framework& fw) override;
 
   /// Marks gate `index` satisfied for call `id`; if the call's hold array
-  /// now matches the composite's HOLD array, runs the execution guards,
-  /// invokes the server procedure, triggers REPLY_FROM_SERVER and sends the
-  /// Reply.  A gate already open for the row's arrival stays as it is.
+  /// now matches the composite's HOLD array, triggers EXECUTE_CALL, invokes
+  /// the server procedure, triggers REPLY_FROM_SERVER and sends the Reply.  A gate already open for the row's arrival stays as it is.
   /// Exported (paper: "exported procedure forward_up"); see GrpcState.
   [[nodiscard]] sim::Task<> forward_up(CallId id, HoldIndex index);
 
  private:
-  [[nodiscard]] sim::Task<> msg_from_net(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> msg_from_user(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> call_from_net(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> call_from_user(runtime::EventContext& ctx);
 
   GrpcState& state_;
   runtime::Framework* fw_ = nullptr;

@@ -5,11 +5,13 @@
 namespace ugrpc::core {
 
 void SerialExecution::start(runtime::Framework& fw) {
-  state_.before_execute.push_back([this](const ServerRecord& rec) -> sim::Task<> {
-    co_await state_.serial.acquire();
-    state_.serial_holder = state_.sched.current_fiber();
-    state_.note(obs::Kind::kSerialAcquired, rec.id.value());
-  });
+  fw.register_handler(kExecuteCall, "SerialExec.execute_call", kPrioExecSerial,
+                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                        co_await state_.serial.acquire();
+                        state_.serial_holder = state_.sched.current_fiber();
+                        state_.note(obs::Kind::kSerialAcquired,
+                                    ctx.arg_as<ServerRecord>().id.value());
+                      });
   fw.register_handler(kReplyFromServer, "SerialExec.handle_reply", kPrioReplySerial,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         state_.serial_holder.reset();

@@ -7,8 +7,8 @@
 // acquires the token in a MSG_FROM_NETWORK handler, i.e. at *arrival* time.
 // When an ordering micro-protocol holds a call back, arrival-time
 // acquisition deadlocks: the held call owns the token while the call that
-// must execute first blocks on it.  We therefore acquire the token in an
-// execution guard that RPC Main awaits immediately before invoking the
+// must execute first blocks on it.  We therefore acquire the token on
+// EXECUTE_CALL, which RPC Main triggers immediately before invoking the
 // procedure -- equivalent when execution is immediate, correct when it is
 // deferred.  The token is released on REPLY_FROM_SERVER after Atomic
 // Execution's checkpoint; a held call released behind this one waits for it

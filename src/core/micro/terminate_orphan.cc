@@ -6,16 +6,15 @@
 namespace ugrpc::core {
 
 void TerminateOrphan::start(runtime::Framework& fw) {
-  // Execution-guard: remember which fiber executes which client's call.
-  // Must be registered before Serial Execution's guard (the composite
-  // assembles orphan handling first) so that fibers blocked waiting for the
-  // serial token are already tracked and killable.
-  state_.before_execute.push_back([this](const ServerRecord& rec) -> sim::Task<> {
-    cinfo_[rec.client].threads[state_.sched.current_fiber()] = {rec.id, rec.arrival};
-    co_return;
-  });
-  fw.register_handler(kMsgFromNetwork, "TermOrphan.msg_from_net", kPrioNetOrphan,
-                      [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
+  fw.register_handler(kExecuteCall, "TermOrphan.execute_call", kPrioExecOrphan,
+                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                        const auto& rec = ctx.arg_as<ServerRecord>();
+                        cinfo_[rec.client].threads[state_.sched.current_fiber()] = {
+                            rec.id, rec.arrival};
+                        co_return;
+                      });
+  fw.register_handler(kCallFromNetwork, "TermOrphan.call_from_net", kPrioNetOrphan,
+                      [this](runtime::EventContext& ctx) { return call_from_net(ctx); });
   fw.register_handler(kReplyFromServer, "TermOrphan.handle_reply", kPrioReplyOrphan,
                       [this](runtime::EventContext& ctx) { return handle_reply(ctx); });
   // Probing-based detection (paper's second approach): the membership
@@ -53,9 +52,8 @@ sim::Task<> TerminateOrphan::client_failure(runtime::EventContext& ctx) {
   }
 }
 
-sim::Task<> TerminateOrphan::msg_from_net(runtime::EventContext& ctx) {
+sim::Task<> TerminateOrphan::call_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
-  if (msg.type != net::MsgType::kCall) co_return;
   auto [it, inserted] = cinfo_.try_emplace(msg.sender, ClientInfo{msg.inc, {}});
   ClientInfo& info = it->second;
   if (info.inc > msg.inc) {

@@ -9,8 +9,8 @@
 // Thread tracking deviation: the paper records my_thread() at message
 // arrival, but with ordering micro-protocols the executing thread can be a
 // different fiber (GrpcState::release spawns one for a held call).  We
-// record the executing fiber, call and arrival in an execution guard
-// immediately before the procedure runs; a kill targets the fiber and, as
+// record the executing fiber, call and arrival on EXECUTE_CALL, immediately
+// before the procedure runs; a kill targets the fiber and, as
 // the end of the execution would, erases the row if it holds that arrival.
 // Likewise, the paper V's the serial semaphore once per killed thread,
 // over-releasing when the victim never held the token; we release it only
@@ -43,7 +43,7 @@ class TerminateOrphan : public runtime::MicroProtocol {
   [[nodiscard]] std::uint64_t orphans_killed() const { return orphans_killed_; }
 
  private:
-  [[nodiscard]] sim::Task<> msg_from_net(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> call_from_net(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> handle_reply(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> client_failure(runtime::EventContext& ctx);
 

@@ -16,10 +16,18 @@ constexpr sim::Duration kAgreementTimeout = sim::msec(100);
 void TotalOrder::start(runtime::Framework& fw) {
   fw_ = &fw;
   state_.HOLD[kHoldTotal] = true;
-  fw.register_handler(kMsgFromNetwork, "TotalOrder.assign_order", kPrioNetAssignOrder,
+  fw.register_handler(kCallFromNetwork, "TotalOrder.assign_order", kPrioNetAssignOrder,
                       [this](runtime::EventContext& ctx) { return assign_order(ctx); });
-  fw.register_handler(kMsgFromNetwork, "TotalOrder.msg_from_net", kPrioNetOrderDeliver,
-                      [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
+  fw.register_handler(kCallFromNetwork, "TotalOrder.call_from_net", kPrioNetOrderDeliver,
+                      [this](runtime::EventContext& ctx) { return call_from_net(ctx); });
+  fw.register_handler(kOrderFromNetwork, "TotalOrder.order_from_net", kPrioNetOrderDeliver,
+                      [this](runtime::EventContext& ctx) { return order_from_net(ctx); });
+  fw.register_handler(kOrderQueryFromNetwork, "TotalOrder.order_query_from_net",
+                      kPrioNetOrderDeliver,
+                      [this](runtime::EventContext& ctx) { return order_query_from_net(ctx); });
+  fw.register_handler(kOrderInfoFromNetwork, "TotalOrder.order_info_from_net",
+                      kPrioNetOrderDeliver,
+                      [this](runtime::EventContext& ctx) { return order_info_from_net(ctx); });
   fw.register_handler(kReplyFromServer, "TotalOrder.mark_executed", kPrioReplyOrderMark,
                       [this](runtime::EventContext&) { return mark_executed(); });
   fw.register_handler(kMembershipChange, "TotalOrder.membership_change", kPrioMemberOrder,
@@ -45,7 +53,6 @@ ProcessId TotalOrder::leader() const {
 
 sim::Task<> TotalOrder::assign_order(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
-  if (msg.type != net::MsgType::kCall) co_return;
   if (msg.server != group_) {
     // This member orders the calls of the one group it serves; a Call
     // naming any other group (possibly an undefined one) has no leader here.
@@ -122,70 +129,66 @@ void TotalOrder::write_next_entry(Writer& w, std::uint64_t next_entry) {
   w.u64(next_entry);
 }
 
-sim::Task<> TotalOrder::msg_from_net(runtime::EventContext& ctx) {
+sim::Task<> TotalOrder::call_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
-  switch (msg.type) {
-    case net::MsgType::kCall: {
-      auto it = old_orders_.find(msg.id);
-      if (it == old_orders_.end()) {
-        // Unordered: the row waits in sRPC until an Order arrives.
-        state_.note(obs::Kind::kCallHeld, msg.id.value(), kHoldTotal);
-        co_return;
-      }
-      const std::uint64_t my_order = it->second;
-      if (my_order < next_entry_) {
-        // Already executed here; discard the freshly re-created record.
-        state_.note(obs::Kind::kStaleDropped, msg.id.value());
-        ctx.cancel();
-        state_.sRPC.erase(msg.id);
-      } else if (my_order == next_entry_) {
-        co_await state_.forward_up(msg.id, kHoldTotal);
-      } else {
-        ready_list_[my_order] = msg.id;
-        state_.note(obs::Kind::kCallHeld, msg.id.value(), kHoldTotal);
-      }
-      break;
-    }
-    case net::MsgType::kOrder:
-      if (note_order(msg.id, msg.ackid)) {
-        state_.note(obs::Kind::kCallReleased, msg.id.value(), kHoldTotal);
-        co_await state_.forward_up(msg.id, kHoldTotal);
-      }
-      break;
-    case net::MsgType::kOrderQuery: {
-      if (msg.sender == state_.my_id) co_return;
-      net::NetMessage info;
-      info.type = net::MsgType::kOrderInfo;
-      info.server = msg.server;
-      info.sender = state_.my_id;
-      info.inc = state_.inc_number;
-      info.ackid = msg.ackid;  // echo the floor
-      info.args = encode_order_info(msg.ackid);
-      state_.net_push(msg.sender, info);
-      break;
-    }
-    case net::MsgType::kOrderInfo: {
-      if (!reconciling_) co_return;  // stale answer from an earlier round
-      // Decode the whole answer before applying any of it: a malformed one
-      // is dropped and counted, and the round's timeout covers its sender.
-      std::vector<std::pair<CallId, std::uint64_t>> orders;
-      try {
-        orders = decode_order_info(msg.args);
-      } catch (const CodecError& e) {
-        state_.drop_malformed(msg.sender, e);
-        co_return;
-      }
-      for (const auto& [id, order] : orders) {
-        if (note_order(id, order)) state_.release(id, kHoldTotal);
-      }
-      awaiting_info_.erase(msg.sender);
-      if (awaiting_info_.empty()) finish_reconciliation();
-      break;
-    }
-    case net::MsgType::kReply:
-    case net::MsgType::kAck:
-      break;
+  auto it = old_orders_.find(msg.id);
+  if (it == old_orders_.end()) {
+    // Unordered: the row waits in sRPC until an Order arrives.
+    state_.note(obs::Kind::kCallHeld, msg.id.value(), kHoldTotal);
+    co_return;
   }
+  const std::uint64_t my_order = it->second;
+  if (my_order < next_entry_) {
+    // Already executed here; discard the freshly re-created record.
+    state_.note(obs::Kind::kStaleDropped, msg.id.value());
+    ctx.cancel();
+    state_.sRPC.erase(msg.id);
+  } else if (my_order == next_entry_) {
+    co_await state_.forward_up(msg.id, kHoldTotal);
+  } else {
+    ready_list_[my_order] = msg.id;
+    state_.note(obs::Kind::kCallHeld, msg.id.value(), kHoldTotal);
+  }
+}
+
+sim::Task<> TotalOrder::order_from_net(runtime::EventContext& ctx) {
+  const auto& msg = ctx.arg_as<net::NetMessage>();
+  if (note_order(msg.id, msg.ackid)) {
+    state_.note(obs::Kind::kCallReleased, msg.id.value(), kHoldTotal);
+    co_await state_.forward_up(msg.id, kHoldTotal);
+  }
+}
+
+sim::Task<> TotalOrder::order_query_from_net(runtime::EventContext& ctx) {
+  const auto& msg = ctx.arg_as<net::NetMessage>();
+  if (msg.sender == state_.my_id) co_return;
+  net::NetMessage info;
+  info.type = net::MsgType::kOrderInfo;
+  info.server = msg.server;
+  info.sender = state_.my_id;
+  info.inc = state_.inc_number;
+  info.ackid = msg.ackid;  // echo the floor
+  info.args = encode_order_info(msg.ackid);
+  state_.net_push(msg.sender, info);
+}
+
+sim::Task<> TotalOrder::order_info_from_net(runtime::EventContext& ctx) {
+  const auto& msg = ctx.arg_as<net::NetMessage>();
+  if (!reconciling_) co_return;  // stale answer from an earlier round
+  // Decode the whole answer before applying any of it: a malformed one is
+  // dropped and counted, and the round's timeout covers its sender.
+  std::vector<std::pair<CallId, std::uint64_t>> orders;
+  try {
+    orders = decode_order_info(msg.args);
+  } catch (const CodecError& e) {
+    state_.drop_malformed(msg.sender, e);
+    co_return;
+  }
+  for (const auto& [id, order] : orders) {
+    if (note_order(id, order)) state_.release(id, kHoldTotal);
+  }
+  awaiting_info_.erase(msg.sender);
+  if (awaiting_info_.empty()) finish_reconciliation();
 }
 
 sim::Task<> TotalOrder::mark_executed() {

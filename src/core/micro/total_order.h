@@ -84,7 +84,10 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
 
  private:
   [[nodiscard]] sim::Task<> assign_order(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> msg_from_net(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> call_from_net(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> order_from_net(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> order_query_from_net(runtime::EventContext& ctx);
+  [[nodiscard]] sim::Task<> order_info_from_net(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> mark_executed();
   [[nodiscard]] sim::Task<> membership_change(runtime::EventContext& ctx);
 

@@ -18,8 +18,25 @@ auto missed_at(std::vector<std::pair<CallId, CallId>>& missed, CallId id) {
 
 void UniqueExecution::start(runtime::Framework& fw) {
   fw_ = &fw;
-  fw.register_handler(kMsgFromNetwork, "UniqueExec.msg_from_net", kPrioNetUnique,
-                      [this](runtime::EventContext& ctx) { return msg_from_net(ctx); });
+  fw.register_handler(kCallFromNetwork, "UniqueExec.call_from_net", kPrioNetUnique,
+                      [this](runtime::EventContext& ctx) { return call_from_net(ctx); });
+  fw.register_handler(kReplyFromNetwork, "UniqueExec.reply_from_net", kPrioNetUnique,
+                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                        // Client side: the server stores this result until a
+                        // W above it reaches the server; owe it one.
+                        const auto& msg = ctx.arg_as<net::NetMessage>();
+                        Owed& o = owed_entry(msg.sender);
+                        if (o.replied < msg.id) o.replied = msg.id;
+                        arm_flush();
+                        co_return;
+                      });
+  fw.register_handler(kAckFromNetwork, "UniqueExec.ack_from_net", kPrioNetUnique,
+                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                        const auto& msg = ctx.arg_as<net::NetMessage>();
+                        const CallId w{msg.ackid};
+                        if (call_client(w) == msg.sender) raise_floor(w, journal());
+                        co_return;
+                      });
   fw.register_handler(kNewRpcCall, "UniqueExec.handle_new_call", kPrioNewUnique,
                       [this](runtime::EventContext& ctx) -> sim::Task<> {
                         // RPC Main multicasts this Call right after the
@@ -163,49 +180,28 @@ void UniqueExecution::flush_acks() {
   }
 }
 
-sim::Task<> UniqueExecution::msg_from_net(runtime::EventContext& ctx) {
+sim::Task<> UniqueExecution::call_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
-  switch (msg.type) {
-    case net::MsgType::kCall: {
-      if (const auto w = call_watermark(msg)) raise_floor(*w, journal());
-      const auto [entry, fresh] = see(msg.id);
-      if (fresh) break;  // never seen here: execute it
-      // A duplicate: running, completed, or completed and pruned below the
-      // floor (or of an older incarnation).  Only a stored result is
-      // answered; nothing is re-executed.
-      ++duplicates_suppressed_;
-      state_.note(obs::Kind::kDupSuppressed, msg.id.value());
-      if (entry != nullptr && entry->result) {
-        net::NetMessage reply;
-        reply.type = net::MsgType::kReply;
-        reply.id = msg.id;
-        reply.op = msg.op;
-        reply.args = *entry->result;
-        reply.server = msg.server;
-        reply.sender = state_.my_id;
-        reply.inc = state_.inc_number;
-        state_.net_push(msg.sender, reply);
-      }
-      ctx.cancel();
-      break;
-    }
-    case net::MsgType::kReply: {
-      // Client side: the server stores this result until a W above it
-      // reaches the server; owe it one.
-      Owed& o = owed_entry(msg.sender);
-      if (o.replied < msg.id) o.replied = msg.id;
-      arm_flush();
-      break;
-    }
-    case net::MsgType::kAck:
-      if (const CallId w{msg.ackid}; call_client(w) == msg.sender) raise_floor(w, journal());
-      break;
-    case net::MsgType::kOrder:
-    case net::MsgType::kOrderQuery:
-    case net::MsgType::kOrderInfo:
-      break;
+  if (const auto w = call_watermark(msg)) raise_floor(*w, journal());
+  const auto [entry, fresh] = see(msg.id);
+  if (fresh) co_return;  // never seen here: execute it
+  // A duplicate: running, completed, or completed and pruned below the
+  // floor (or of an older incarnation).  Only a stored result is answered;
+  // nothing is re-executed.
+  ++duplicates_suppressed_;
+  state_.note(obs::Kind::kDupSuppressed, msg.id.value());
+  if (entry != nullptr && entry->result) {
+    net::NetMessage reply;
+    reply.type = net::MsgType::kReply;
+    reply.id = msg.id;
+    reply.op = msg.op;
+    reply.args = *entry->result;
+    reply.server = msg.server;
+    reply.sender = state_.my_id;
+    reply.inc = state_.inc_number;
+    state_.net_push(msg.sender, reply);
   }
-  co_return;
+  ctx.cancel();
 }
 
 void UniqueExecution::encode_state(Writer& w) const {

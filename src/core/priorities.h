@@ -19,35 +19,41 @@
 //  2. Serial Execution does not P(serial) at message arrival (paper's
 //     placement): with FIFO/Total ordering a call whose execution is being
 //     held back would acquire the token at arrival and deadlock the call
-//     that must execute first.  The gate instead lives in an
-//     execution-guard hook that RPC Main awaits immediately before invoking
-//     the procedure (see serial_execution.h).  A call the ordering
+//     that must execute first.  It P()s on EXECUTE_CALL instead, the event
+//     RPC Main triggers once a call's gates are all open, immediately before
+//     invoking the procedure (see serial_execution.h).  A call the ordering
 //     protocols release runs in a fiber of its own and waits there for the
 //     token, so the serial V() needs no place relative to them.
 #pragma once
 
 namespace ugrpc::core {
 
-// ---- MSG_FROM_NETWORK ----
-inline constexpr int kPrioNetAssignOrder = 10;  ///< Total Order: leader assigns order
-inline constexpr int kPrioNetReliable = 20;     ///< Reliable Comm: mark acked
+// ---- *_FROM_NETWORK: one scale, the paper's MSG_FROM_NETWORK chain ----
+inline constexpr int kPrioNetAssignOrder = 10;  ///< Call: Total Order leader assigns order
+inline constexpr int kPrioNetReliable = 20;     ///< Reply: Reliable Comm marks acked
 /// Orphan handling runs BEFORE Unique Execution: Interference Avoidance
 /// defers a new-incarnation call by cancelling the event and relying on the
 /// client's retransmissions -- if Unique Execution saw the call first it
 /// would record it in its session and then suppress every retransmission as a
 /// duplicate, so the deferred call could never be admitted.  (The paper
 /// gives both handlers priority 2 and leaves the order to chance.)
-inline constexpr int kPrioNetOrphan = 25;       ///< Interference Avoidance / Terminate Orphan
-inline constexpr int kPrioNetUnique = 30;       ///< Unique Execution: floor to W, dup suppression
-inline constexpr int kPrioNetCollation = 45;    ///< Collation: fold reply (see note 1)
-inline constexpr int kPrioNetMain = 50;         ///< RPC Main: record + forward_up
-inline constexpr int kPrioNetAcceptance = 55;   ///< Acceptance: count replies (client side)
-inline constexpr int kPrioNetOrderDeliver = 60; ///< FIFO/Total: ordering bookkeeping + deliver
+inline constexpr int kPrioNetOrphan = 25;       ///< Call: Interference Avoidance / Terminate Orphan
+inline constexpr int kPrioNetUnique = 30;       ///< Call, Reply, ACK: Unique Execution
+inline constexpr int kPrioNetCollation = 45;    ///< Reply: Collation folds it (see note 1)
+inline constexpr int kPrioNetMain = 50;         ///< Call: RPC Main records it, forward_up
+inline constexpr int kPrioNetAcceptance = 55;   ///< Reply: Acceptance counts it
+inline constexpr int kPrioNetOrderDeliver = 60; ///< Call, Order*: FIFO/Total bookkeeping + deliver
 
 // ---- CALL_FROM_USER ----
 inline constexpr int kPrioUserMain = 10;        ///< RPC Main: create record, send
-// Synchronous/Asynchronous Call register with the default (lowest) priority,
-// exactly as in the paper: they block after RPC Main has sent the call.
+// Synchronous Call registers with the default (lowest) priority, exactly as
+// in the paper: it blocks after RPC Main has sent the call.
+
+// ---- EXECUTE_CALL ----
+// Terminate Orphan tracks the fiber before Serial Execution may park it on
+// the token (note 2), so a fiber parked there is already killable.
+inline constexpr int kPrioExecOrphan = 10;
+inline constexpr int kPrioExecSerial = 20;
 
 // ---- NEW_RPC_CALL ----
 inline constexpr int kPrioNewReliable = 10;     ///< reset acked flags

@@ -7,8 +7,8 @@
 //                     is sent; CallHandle::get() blocks until the result is
 //                     available (requires CallSemantics::kAsynchronous).
 //
-// Both are thin wrappers over GrpcComposite::submit with the paper's
-// User_Msgtype messages.
+// Both are thin wrappers over GrpcComposite::call and collect with the
+// paper's User_Msgtype messages.
 #pragma once
 
 #include <utility>
@@ -65,10 +65,9 @@ class CallHandle {
     }
     Site* site = std::exchange(site_, nullptr);
     UserMessage umsg;
-    umsg.type = UserOp::kRequest;
     umsg.id = id_;
     umsg.server = server_;
-    co_await site->grpc().submit(umsg);
+    co_await site->grpc().collect(umsg);
     co_return CallResult{umsg.status, std::move(umsg.args), umsg.id};
   }
 
@@ -89,11 +88,10 @@ class Client {
   /// Synchronous group RPC: invoke `op` with `args` on group `server`.
   [[nodiscard]] sim::Task<CallResult> call(GroupId server, OpId op, Buffer args) {
     UserMessage umsg;
-    umsg.type = UserOp::kCall;
     umsg.op = op;
     umsg.args = std::move(args);
     umsg.server = server;
-    co_await site_.grpc().submit(umsg);
+    co_await site_.grpc().call(umsg);
     co_return CallResult{umsg.status, std::move(umsg.args), umsg.id};
   }
 
@@ -101,11 +99,10 @@ class Client {
   /// is sent; handle.get() retrieves the result (in any order across calls).
   [[nodiscard]] sim::Task<CallHandle> call_async(GroupId server, OpId op, Buffer args) {
     UserMessage umsg;
-    umsg.type = UserOp::kCall;
     umsg.op = op;
     umsg.args = std::move(args);
     umsg.server = server;
-    co_await site_.grpc().submit(umsg);
+    co_await site_.grpc().call(umsg);
     co_return CallHandle{site_, server, umsg.id};
   }
 

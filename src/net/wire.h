@@ -14,7 +14,8 @@
 //                     within one transport: a restarted OS process attaches
 //                     as incarnation 1 again, like the process it replaces,
 //                     and its predecessor's stale datagrams are not told
-//                     apart (persisting the incarnation is ROADMAP item 6)
+//                     apart (persisting the incarnation is ROADMAP's
+//                     "Durable stable storage" item)
 //   u64  trace        trace-context id (v2; 0 = untraced).  Group RPC calls
 //                     use the raw CallId, so one trace follows a call across
 //                     client, servers and retransmissions

@@ -43,6 +43,9 @@ void Framework::register_handler(EventId event, std::string handler_name, int pr
   UGRPC_ASSERT(fn != nullptr);
   UGRPC_ASSERT(priority >= 0 && "priorities are non-negative");
   std::vector<Registration>& handlers = mutable_chain(event).handlers;
+  // Most chains hold at most four handlers: one block for them, rather than
+  // a regrowth per registration, while a site sets up its composite.
+  if (handlers.empty()) handlers.reserve(4);
   // Insertion keeps (priority, registration) order: among equal priorities
   // the new entry goes after every existing one.
   const auto pos = std::upper_bound(

@@ -42,10 +42,9 @@ TEST(AsyncEdge, SecondGetOnSameHandleReturnsWaiting) {
 /// and notes when the request returned.
 sim::Task<> collect(Site& site, GroupId group, CallId id, Status& status, sim::Time& returned_at) {
   UserMessage umsg;
-  umsg.type = UserOp::kRequest;
   umsg.id = id;
   umsg.server = group;
-  co_await site.grpc().submit(umsg);
+  co_await site.grpc().collect(umsg);
   status = umsg.status;
   returned_at = site.scheduler().now();
 }

@@ -59,6 +59,63 @@ TEST(Composite, EveryConfigurationOrdersEachEventByPriorityAlone) {
   }
 }
 
+// Each message kind raises an event of its own, and a configuration runs
+// only the handlers bound to it: an Order, OrderQuery or OrderInfo at a
+// stack without Total Order, an ACK without Unique Execution or a Reply at a
+// server runs an empty chain.  Every kind, with a call id nobody issued, goes
+// to a server site and a client site of every configuration: neither
+// aborts, nothing but the Call runs a procedure, and an ordinary call
+// completes afterwards.
+TEST(Composite, EveryConfigurationTakesEveryMessageKind) {
+  const auto configs = enumerate_valid_configs();
+  ASSERT_EQ(configs.size(), 198u);
+  for (const Config& c : configs) {
+    ScenarioParams p;
+    p.num_servers = 1;
+    p.num_clients = 2;  // client 1 sends the messages; client 0 calls after
+    p.config = c;
+    Scenario s(std::move(p));
+    const ProcessId stranger = s.client_id(1);
+    const CallId unknown = make_call_id(stranger, first_seq_of_incarnation(1) + 1000);
+    const auto deliver = [&](net::MsgType type) {
+      net::NetMessage msg;
+      msg.type = type;
+      msg.id = unknown;
+      msg.server = s.group();
+      msg.sender = stranger;
+      msg.inc = 1;
+      if (type == net::MsgType::kAck) msg.ackid = unknown.value();  // W names its sender
+      if (type == net::MsgType::kOrder) msg.ackid = 1;              // the first order
+      if (type == net::MsgType::kOrderInfo) Writer(msg.args).u32(0);  // no assignments
+      for (ProcessId to : {Scenario::server_id(0), s.client_id(0)}) {
+        s.client_site(1).grpc().state().endpoint.send(to, kGrpcProto, msg.encode());
+      }
+    };
+    for (net::MsgType type : {net::MsgType::kReply, net::MsgType::kAck, net::MsgType::kOrder,
+                              net::MsgType::kOrderQuery, net::MsgType::kOrderInfo}) {
+      deliver(type);
+    }
+    s.run_for(sim::msec(100));
+    EXPECT_EQ(s.server(0).total_executions(), 0u) << c.describe();
+    EXPECT_EQ(s.client_site(0).total_executions(), 0u) << c.describe();
+    deliver(net::MsgType::kCall);
+    s.run_for(sim::msec(100));
+    EXPECT_LE(s.server(0).total_executions(), 1u) << c.describe();
+    EXPECT_LE(s.client_site(0).total_executions(), 1u) << c.describe();
+
+    CallResult result;
+    s.run_client(0, [&](Client& client) -> sim::Task<> {
+      if (c.call == CallSemantics::kSynchronous) {
+        result = co_await client.call(s.group(), OpId{1}, Buffer{});
+      } else {
+        CallHandle h = co_await client.call_async(s.group(), OpId{1}, Buffer{});
+        result = co_await h.get();
+      }
+    }, sim::seconds(10));
+    EXPECT_EQ(result.status, Status::kOk) << c.describe();
+  }
+}
+
 TEST(Composite, FullyLoadedConfigInstantiatesEverything) {
   ScenarioParams p;
   p.config.call = CallSemantics::kAsynchronous;

@@ -33,12 +33,12 @@ TEST(TraceObserver, RecordsHandlerChainOfACall) {
   // The client-side story: user call enters, record created, call sent,
   // reply processed, acceptance completes.
   ASSERT_FALSE(client_events.empty());
-  EXPECT_EQ(client_events.front(), "CALL_FROM_USER/RPCMain.msg_from_user");
+  EXPECT_EQ(client_events.front(), "CALL_FROM_USER/RPCMain.call_from_user");
   bool saw_new_call = false;
   bool saw_accept = false;
   for (const std::string& e : client_events) {
     if (e == "NEW_RPC_CALL/Acceptance.handle_new_call") saw_new_call = true;
-    if (e == "MSG_FROM_NETWORK/Acceptance.msg_from_net") saw_accept = true;
+    if (e == "REPLY_FROM_NETWORK/Acceptance.reply_from_net") saw_accept = true;
   }
   EXPECT_TRUE(saw_new_call);
   EXPECT_TRUE(saw_accept);

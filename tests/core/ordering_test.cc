@@ -444,7 +444,7 @@ TEST(TotalOrder, DuplicatedOrderBehindAPendingReleaseRunsTheCallOnce) {
       order.inc = 1;
       order.ackid = 2;
       auto deliver = [](Site& at, net::NetMessage msg) -> sim::Task<> {
-        co_await at.grpc().framework().trigger(kMsgFromNetwork, runtime::EventArg::ref(msg));
+        co_await at.grpc().framework().trigger(kOrderFromNetwork, runtime::EventArg::ref(msg));
       };
       site.scheduler().spawn(deliver(site, order), site.domain());
     });

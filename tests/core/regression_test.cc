@@ -151,7 +151,7 @@ TEST(Regression, TotalOrderDropsCallForAnotherGroup) {
 // Hazard 2: Interference Avoidance's deferral relies on retransmissions
 // re-delivering the new incarnation's call.  If Unique Execution saw the
 // call first it would eat every retransmission as a duplicate.  (Fixed by
-// running orphan handling before unique execution on MSG_FROM_NETWORK.)
+// running orphan handling before unique execution on CALL_FROM_NETWORK.)
 TEST(Regression, DeferredNewIncarnationCallIsEventuallyAdmitted) {
   ScenarioParams p;
   p.num_servers = 1;
