@@ -47,6 +47,12 @@ GrpcComposite::GrpcComposite(net::Transport& transport, net::Endpoint& endpoint,
       state_.drop_malformed(pkt.src, e);
       co_return;
     }
+    // A Call is for the members of the group it names.  One delivered to
+    // any other site is misaddressed: no micro-protocol sees it.
+    if (msg.type == net::MsgType::kCall && !state_.member_of(msg.server)) {
+      state_.drop_malformed(pkt.src, CodecError("Call names a group this site is not in"));
+      co_return;
+    }
     co_await framework().trigger(network_event(msg.type), runtime::EventArg::ref(msg));
   });
 }

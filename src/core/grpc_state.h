@@ -299,9 +299,10 @@ struct GrpcState {
   /// single pointer check.
   obs::SiteTrace* trace = nullptr;
 
-  /// gRPC messages dropped because their bytes did not decode: the demux
-  /// below the framework and Total Order's OrderInfo args.  The trace
-  /// record is the count; `malformed` keeps the rate-limited log.
+  /// gRPC messages dropped because their bytes did not decode (the demux
+  /// below the framework, Total Order's Order and OrderInfo args) or, at
+  /// the demux, a Call naming a group this site is not a member of.  The
+  /// trace record is the count; `malformed` keeps the rate-limited log.
   net::MalformedDrops malformed;
   void drop_malformed(ProcessId from, const CodecError& e) {
     malformed.note("grpc", from, transport.now(), e.what());
@@ -341,6 +342,13 @@ struct GrpcState {
   /// W back: W never passes a call whose record is still here.
   [[nodiscard]] CallId low_watermark() const {
     return pRPC.empty() ? make_call_id(my_id, next_seq) : pRPC.begin()->first;
+  }
+
+  /// True when this site is a member of `group` (false for an undefined one).
+  [[nodiscard]] bool member_of(GroupId group) const {
+    const std::vector<ProcessId>* members = transport.find_group(group);
+    return members != nullptr &&
+           std::find(members->begin(), members->end(), my_id) != members->end();
   }
 
   [[nodiscard]] ClientRecord* find_client(CallId id) {

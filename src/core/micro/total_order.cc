@@ -11,6 +11,9 @@ namespace {
 /// reconciliation round with whatever arrived.
 constexpr sim::Duration kAgreementTimeout = sim::msec(100);
 
+/// An Order's args: the leader's previous assignment, id:u64 order:u64.
+constexpr std::size_t kPredecessorBytes = 16;
+
 }  // namespace
 
 void TotalOrder::start(runtime::Framework& fw) {
@@ -95,7 +98,17 @@ void TotalOrder::announce(CallId id, std::uint64_t order) {
   order_msg.sender = state_.my_id;
   order_msg.inc = state_.inc_number;
   order_msg.ackid = order;
-  state_.net_multicast(group_, order_msg);
+  order_msg.args = std::move(predecessor_);
+  const Buffer bytes = order_msg.encode();
+  for (ProcessId p : state_.transport.group_members(group_)) {
+    if (p != state_.my_id) state_.endpoint.send(p, kGrpcProto, bytes);
+  }
+  // Back in its one owner, the buffer is rewritten in place.
+  predecessor_ = std::move(order_msg.args);
+  predecessor_.clear();
+  Writer w(predecessor_);
+  w.u64(id.value());
+  w.u64(order);
 }
 
 bool TotalOrder::note_order(CallId id, std::uint64_t order) {
@@ -111,7 +124,7 @@ bool TotalOrder::note_order(CallId id, std::uint64_t order) {
 }
 
 std::uint64_t TotalOrder::remember_order(CallId id, std::uint64_t order) {
-  const auto [it, inserted] = old_orders_.emplace(id, order);
+  const auto [it, inserted] = old_orders_.try_emplace(id, order);
   if (inserted) {
     if (Writer* w = journal()) write_assigned(*w, id, order);
   }
@@ -153,6 +166,17 @@ sim::Task<> TotalOrder::call_from_net(runtime::EventContext& ctx) {
 
 sim::Task<> TotalOrder::order_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
+  if (!msg.args.empty()) {
+    if (msg.args.size() != kPredecessorBytes) {
+      state_.drop_malformed(msg.sender, CodecError("Order args are not one assignment"));
+      co_return;
+    }
+    // The leader's previous assignment: it repairs a lost Order.  It comes
+    // first, and runs in a fiber of its own if its turn has come.
+    Reader r(msg.args);
+    const CallId prev{r.u64()};
+    if (note_order(prev, r.u64())) state_.release(prev, kHoldTotal);
+  }
   if (note_order(msg.id, msg.ackid)) {
     state_.note(obs::Kind::kCallReleased, msg.id.value(), kHoldTotal);
     co_await state_.forward_up(msg.id, kHoldTotal);
@@ -309,8 +333,7 @@ void TotalOrder::finish_reconciliation() {
             static_cast<unsigned long long>(next_order_));
   // Calls that arrived during the round wait in sRPC unassigned; give them
   // their numbers now rather than waiting for client retransmissions, and
-  // deliver each locally without relying on the multicast self-loop (which
-  // is subject to faults).
+  // deliver each locally: the leader sends itself no Order.
   for (const auto& [id, row] : state_.sRPC) {
     if (old_orders_.contains(id)) continue;
     if (note_order(id, remember_order(id, next_order_++))) state_.release(id, kHoldTotal);

@@ -7,6 +7,16 @@
 // group with Order messages.  Each member executes calls strictly in
 // assigned order (a HOLD gate holds calls whose turn has not come).
 //
+// Order message (EXTENSION): `ackid` carries the order of call `id`, and
+// `args` the assignment the leader announced just before this one, as
+// id:u64 order:u64 (empty in a leader's first Order).  A follower that lost
+// Order k learns it from Order k+1, about one call later, instead of
+// stalling every later call until a client's retransmission makes the
+// leader re-announce it.  An Order whose args are neither empty nor 16 bytes
+// is dropped as malformed.  The leader sends Orders to the other members
+// only: the Call's own call_from_net handler already releases or queues the
+// call it has just assigned, so an Order to itself would be a no-op.
+//
 // Leader change: followers track the leader's counter via the Order
 // messages ("if next_order < msg.ackid+1 ..."), so when the leader fails the
 // next-largest live member continues numbering where it left off;
@@ -91,7 +101,8 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   [[nodiscard]] sim::Task<> mark_executed();
   [[nodiscard]] sim::Task<> membership_change(runtime::EventContext& ctx);
 
-  /// Multicasts the Order message assigning `order` to call `id`.
+  /// Sends the Order assigning `order` to call `id`, with the previous
+  /// announcement in its args, to every other member of the group.
   void announce(CallId id, std::uint64_t order);
   /// Records an assignment learned from an Order/OrderInfo message; queues
   /// the call if it is held here, or returns true if its turn has come.
@@ -118,6 +129,9 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   std::unordered_map<CallId, std::uint64_t> old_orders_;  ///< call -> assigned order
   std::uint64_t next_order_ = 1;  ///< leader: next order number to assign
   std::uint64_t next_entry_ = 1;  ///< next order number allowed to execute
+  /// Leader: the last assignment announced (id:u64 order:u64, empty before
+  /// the first), the next Order's args.  One buffer, rewritten in place.
+  Buffer predecessor_;
 
   // Reconciliation round state (only meaningful on the new leader).
   bool reconciling_ = false;

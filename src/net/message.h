@@ -10,8 +10,11 @@
 //            field, so an ACK is sent only by a client that has gone idle.
 //            A kAck has no args.  (The compact point-to-point protocol,
 //            core/p2p_rpc.h, acks the one call `ackid` names instead.)
-//   kOrder - leader -> group: assigns total-order position `ackid` to call
-//            `id` (Total Order micro-protocol)
+//   kOrder - leader -> the other group members: assigns total-order
+//            position `ackid` to call `id`.  `args` repeats the leader's
+//            previous assignment as id:u64 order:u64 (empty in its first
+//            Order), so a lost Order is repaired by the next one (Total
+//            Order micro-protocol)
 //
 // Messages are serialized with the common codec before entering the network
 // and decoded on delivery, so every protocol exchange exercises real

@@ -22,9 +22,14 @@ void Transport::define_group(GroupId group, std::vector<ProcessId> members) {
 }
 
 const std::vector<ProcessId>& Transport::group_members(GroupId group) const {
+  const std::vector<ProcessId>* members = find_group(group);
+  UGRPC_ASSERT(members != nullptr && "unknown group");
+  return *members;
+}
+
+const std::vector<ProcessId>* Transport::find_group(GroupId group) const {
   auto it = groups_.find(group);
-  UGRPC_ASSERT(it != groups_.end() && "unknown group");
-  return it->second;
+  return it != groups_.end() ? &it->second : nullptr;
 }
 
 void Transport::set_process_up(ProcessId process, bool up) {
@@ -63,12 +68,12 @@ void Transport::send(const Endpoint& from, ProcessId to, ProtocolId proto, const
 
 void Transport::multicast(const Endpoint& from, GroupId group, ProtocolId proto,
                        const Buffer& payload) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
+  const std::vector<ProcessId>* members = find_group(group);
+  if (members == nullptr) {
     unroutable(from.process(), group.value(), proto, /*group=*/true);
     return;
   }
-  for (ProcessId member : it->second) send(from, member, proto, payload);
+  for (ProcessId member : *members) send(from, member, proto, payload);
 }
 
 void Transport::unroutable(ProcessId from, std::uint64_t target, ProtocolId proto, bool group) {

@@ -182,6 +182,8 @@ class Transport {
   void define_group(GroupId group, std::vector<ProcessId> members);
   /// Members of a defined group; fatal on an undefined one.
   [[nodiscard]] const std::vector<ProcessId>& group_members(GroupId group) const;
+  /// Members of `group`, or nullptr when it is undefined.
+  [[nodiscard]] const std::vector<ProcessId>* find_group(GroupId group) const;
 
   // ---- process-up control (crash modelling of attached processes) ----
 

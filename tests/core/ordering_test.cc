@@ -15,6 +15,7 @@
 
 #include "core/events.h"
 #include "core/micro/acceptance.h"
+#include "core/micro/reliable_communication.h"
 #include "core/micro/terminate_orphan.h"
 #include "core/micro/total_order.h"
 #include "core/scenario.h"
@@ -511,6 +512,134 @@ TEST(TotalOrder, EveryHeldCallThatExecutesWasReleasedFirst) {
   }
   EXPECT_GT(holds, 0u) << "the workload must hold calls";
   EXPECT_EQ(unreleased, 0u) << "executions of held calls without a kCallReleased";
+}
+
+// ---- the Order message: a predecessor in args, none to the leader ----
+//
+// Two servers (the leader is server id 2), fixed 100 us links.  Each call is
+// issued when the one before it has completed everywhere, so the leader
+// assigns orders 1, 2, 3 in issue order.
+
+struct Execution {
+  Tag tag;
+  sim::Time at;
+};
+using TimedLogs = std::map<std::uint32_t, std::vector<Execution>>;  // server id -> executions
+
+ScenarioParams order_repair_params(TimedLogs& logs) {
+  ScenarioParams p;
+  p.num_servers = 2;
+  p.num_clients = 2;
+  p.config = ConfigBuilder::at_most_once().total_order().acceptance_limit(kAll).build();
+  p.faults.min_delay = sim::usec(100);
+  p.faults.max_delay = sim::usec(100);
+  p.server_app = [&logs](UserProtocol& user, Site& site) {
+    user.set_procedure([&logs, &site](OpId, Buffer& args) -> sim::Task<> {
+      logs[site.id().value()].push_back({tag_of(args), site.scheduler().now()});
+      co_return;
+    });
+  };
+  return p;
+}
+
+TEST(TotalOrder, LostOrderIsRepairedByTheNextOrder) {
+  TimedLogs logs;
+  Scenario s(order_repair_params(logs));
+  const ProcessId leader = Scenario::server_id(1);
+  const ProcessId follower = Scenario::server_id(0);
+  ASSERT_EQ(s.server(0).grpc().total()->leader(), leader);
+  // Client 0 calls at 10 ms (order 1) and 12 ms (order 3), client 1 at
+  // 11 ms (order 2).  Only the Order for call 2 is sent while the leader's
+  // link to the follower is cut; nothing else crosses that link then.
+  constexpr sim::Time kSecond = sim::msec(11);
+  constexpr sim::Time kThird = sim::msec(12);
+  s.scheduler().schedule_after(sim::usec(10'500),
+                               [&] { s.network().link(leader, follower).partitioned = true; });
+  s.scheduler().schedule_after(sim::usec(11'500),
+                               [&] { s.network().link(leader, follower).partitioned = false; });
+  int completed = 0;
+  auto call_at = [&](int client, sim::Time at, std::uint32_t seq) -> sim::Task<> {
+    co_await s.scheduler().sleep_for(at - s.scheduler().now());
+    const CallResult r = co_await s.client(client).call(
+        s.group(), kTagged, tag_buf({static_cast<std::uint32_t>(client), seq}));
+    if (r.status == Status::kOk) ++completed;
+  };
+  auto client0 = [&]() -> sim::Task<> {
+    co_await call_at(0, sim::msec(10), 0);
+    co_await call_at(0, kThird, 1);
+  };
+  s.scheduler().spawn(client0(), s.client_site(0).domain());
+  s.scheduler().spawn(call_at(1, kSecond, 0), s.client_site(1).domain());
+  s.run_for(sim::seconds(1));
+
+  ASSERT_EQ(completed, 3);
+  const std::vector<Execution>& at_follower = logs[follower.value()];
+  ASSERT_EQ(at_follower.size(), 3u);
+  EXPECT_EQ(at_follower[1].tag, (Tag{1, 0}));
+  // Order 3 leaves the leader when call 3 reaches it (kThird + 100 us) and
+  // reaches the follower 100 us later; call 2 executes then, not at a
+  // retransmission (the first retransmission timeout is 50 ms).
+  EXPECT_EQ(at_follower[1].at, kThird + sim::usec(200))
+      << "the follower waited past the Order that carried the lost assignment";
+  EXPECT_EQ(at_follower[2].tag, (Tag{0, 1}));
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(s.client_site(i).grpc().reliable()->retransmissions(), 0u) << "client " << i;
+  }
+  std::vector<Tag> leader_tags;
+  std::vector<Tag> follower_tags;
+  for (const Execution& e : logs[leader.value()]) leader_tags.push_back(e.tag);
+  for (const Execution& e : at_follower) follower_tags.push_back(e.tag);
+  EXPECT_EQ(follower_tags, leader_tags);
+}
+
+// One call to three servers: three Calls, the leader's Order to each of the
+// two followers and three Replies.  An Order to the leader itself would be
+// the ninth datagram.
+TEST(TotalOrder, LeaderSendsNoOrderToItself) {
+  ScenarioParams p;
+  p.num_servers = 3;
+  p.config = ConfigBuilder::at_most_once().total_order().acceptance_limit(kAll).build();
+  Scenario s(std::move(p));
+  s.run_for(sim::msec(10));  // the leader's boot reconciliation round
+  const std::uint64_t before = s.network().stats().sent;
+  std::uint64_t sent = 0;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    const CallResult r = co_await c.call(s.group(), kTagged, tag_buf({0, 0}));
+    EXPECT_EQ(r.status, Status::kOk);
+    sent = s.network().stats().sent - before;  // before the idle client's ACK
+  });
+  EXPECT_EQ(sent, 8u);
+  EXPECT_EQ(s.network().stats().dropped, 0u);
+  EXPECT_EQ(s.total_server_executions(), 3u);
+}
+
+// An Order's args are empty or one assignment (16 bytes).  Anything else is
+// dropped and counted as malformed, and the follower goes on ordering calls.
+TEST(TotalOrder, OrderWithMalformedArgsIsDroppedAndCounted) {
+  TimedLogs logs;
+  Scenario s(order_repair_params(logs));
+  const ProcessId follower = Scenario::server_id(0);
+  for (const std::size_t bytes : {std::size_t{7}, std::size_t{17}, std::size_t{32}}) {
+    net::NetMessage order;
+    order.type = net::MsgType::kOrder;
+    order.id = make_call_id(s.client_id(0), first_seq_of_incarnation(1));
+    order.server = s.group();
+    order.sender = Scenario::server_id(1);
+    order.inc = 1;
+    order.ackid = 1;
+    order.args = Buffer(std::vector<std::byte>(bytes, std::byte{0xff}));
+    s.client_site(1).grpc().state().endpoint.send(follower, kGrpcProto, order.encode());
+  }
+  s.run_for(sim::msec(10));
+  EXPECT_EQ(s.server(0).grpc().state().malformed.count(), 3u);
+  EXPECT_EQ(s.server(0).grpc().total()->old_orders(), 0u) << "a malformed Order taught an order";
+
+  CallResult result;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    result = co_await c.call(s.group(), kTagged, tag_buf({0, 0}));
+  });
+  EXPECT_EQ(result.status, Status::kOk);
+  EXPECT_EQ(logs[follower.value()].size(), 1u);
 }
 
 }  // namespace

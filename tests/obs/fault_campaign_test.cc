@@ -11,6 +11,7 @@
 
 #include "core/config_builder.h"
 #include "core/micro/acceptance.h"
+#include "core/micro/total_order.h"
 #include "core/observe.h"
 #include "core/scenario.h"
 #include "obs/checker.h"
@@ -136,6 +137,60 @@ TEST(OrderingCampaign, TotalOrderStackAgreesAcrossReplicas) {
     EXPECT_EQ(report.summary.calls_issued, 10u);
     EXPECT_EQ(report.summary.calls_completed, 10u);
     EXPECT_GT(report.summary.execs_committed, 0u);
+  }
+}
+
+// The leader (server id 3) crashes and recovers while three clients call
+// concurrently under loss and duplication.  Atomic Execution restores its
+// assignments, and it boots back into the role: its reconciliation round
+// merges what the followers learned and re-announces the tail, Orders that
+// carry their predecessor.  Every call completes, and the replicas agree on
+// one order.  (No membership service: with one, a follower would take over
+// and calls would complete without the crashed leader, which has no state
+// transfer and could not execute those calls once back.  Under acceptance
+// ALL the calls pending when it rejoined would then wait for it for good.)
+TEST(OrderingCampaign, TotalOrderSurvivesALeaderCrashUnderConcurrentClients) {
+  Config config = ConfigBuilder::exactly_once()
+                      .total_order()
+                      .execution(ExecutionMode::kSerialAtomic)
+                      .acceptance_limit(kAll)
+                      .build();
+  config.retrans_timeout = sim::msec(25);
+  constexpr int kClients = 3;
+  constexpr int kCallsEach = 10;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    obs::Tracer tracer(1 << 16);  // holds each site's whole run
+    ScenarioParams p;
+    p.num_servers = 3;
+    p.num_clients = kClients;
+    p.config = config;
+    p.faults.dup_prob = 0.3;
+    p.faults.drop_prob = 0.15;
+    p.seed = seed;
+    p.tracer = &tracer;
+    Scenario s(std::move(p));
+    s.scheduler().schedule_after(sim::msec(40), [&] { s.server(2).crash(); });
+    s.scheduler().schedule_after(sim::msec(300), [&] { s.server(2).recover(); });
+    int completed = 0;
+    auto burst = [&](Client& c) -> sim::Task<> {
+      for (int i = 0; i < kCallsEach; ++i) {
+        if ((co_await c.call(s.group(), kOp, Buffer{})).ok()) ++completed;
+      }
+    };
+    for (int i = 0; i < kClients; ++i) {
+      s.scheduler().spawn(burst(s.client(i)), s.client_site(i).domain());
+    }
+    s.run_for(sim::seconds(10));
+    EXPECT_EQ(completed, kClients * kCallsEach) << "seed " << seed;
+    EXPECT_GE(s.server(2).grpc().total()->reconciliations(), 1u) << "seed " << seed;
+    EXPECT_EQ(tracer.total_dropped(), 0u) << "seed " << seed;
+    const obs::Report report =
+        obs::check(tracer.merged(), expectations_from(s.server(0).grpc().config()));
+    EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.brief() << " -- "
+                             << (report.violations.empty() ? ""
+                                                           : report.violations.front().detail);
+    EXPECT_EQ(report.summary.crashes, 1u) << "seed " << seed;
+    EXPECT_EQ(report.summary.recoveries, 1u) << "seed " << seed;
   }
 }
 

@@ -105,7 +105,7 @@ class AllocBudget : public ::testing::Test {
 };
 
 TEST_F(AllocBudget, OrderedWrite) {
-  EXPECT_LE(allocations_per_call(ConfigBuilder::at_most_once().total_order().build()), 18.0);
+  EXPECT_LE(allocations_per_call(ConfigBuilder::at_most_once().total_order().build()), 17.0);
 }
 
 TEST_F(AllocBudget, ReadOptimized) {

@@ -73,7 +73,7 @@ double handlers_per_call(Config config) {
 TEST(HandlerBudget, OrderedWrite) {
   EXPECT_LE(
       handlers_per_call(ConfigBuilder::at_most_once().total_order().acceptance_limit(kAll).build()),
-      48.02);
+      47.02);
 }
 
 TEST(HandlerBudget, ReadOptimized) {
