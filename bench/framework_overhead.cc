@@ -7,6 +7,8 @@
 //
 //   * EventDispatch/N      -- triggering one event with N registered
 //                             handlers (framework dispatch + priority chain)
+//   * EventDispatch_Plain/N -- the same with N plain handlers, which run as
+//                             calls instead of coroutines
 //   * TimeoutRegistration  -- arming + cancelling a TIMEOUT registration
 //   * FullCall/<config>    -- one complete simulated group RPC (client call
 //                             through 3 servers to completion) for a minimal
@@ -68,6 +70,29 @@ void BM_EventDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * handlers);
 }
 BENCHMARK(BM_EventDispatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+// The same dispatch with plain handlers, which run as calls: no coroutine
+// frame per handler.  The gap to BM_EventDispatch/N is what a handler that
+// cannot block saves by not being a coroutine.
+void BM_EventDispatch_Plain(benchmark::State& state) {
+  sim::Scheduler sched;
+  net::Network net{sched};
+  runtime::Framework fw(net, DomainId{1});
+  const int handlers = static_cast<int>(state.range(0));
+  for (int i = 0; i < handlers; ++i) {
+    fw.register_handler(kEvent, "h" + std::to_string(i), i,
+                        [](runtime::EventContext& ctx) { benchmark::DoNotOptimize(&ctx); });
+  }
+  int arg = 0;
+  for (auto _ : state) {
+    sched.spawn([](runtime::Framework& f, int& a) -> sim::Task<> {
+      co_await f.trigger(kEvent, runtime::EventArg::ref(a));
+    }(fw, arg));
+    sched.run();
+  }
+  state.SetItemsProcessed(state.iterations() * handlers);
+}
+BENCHMARK(BM_EventDispatch_Plain)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 // Same dispatch with a SiteTrace attached: every trigger records an
 // event-chain span plus one span per handler (an open and a close record

@@ -15,7 +15,7 @@ void Acceptance::start(runtime::Framework& fw) {
                       [this](runtime::EventContext& ctx) { return server_failure(ctx); });
 }
 
-sim::Task<> Acceptance::handle_new_call(runtime::EventContext& ctx) {
+void Acceptance::handle_new_call(runtime::EventContext& ctx) {
   ClientRecord& rec = ctx.arg_as<ClientRecord>();
   int alive = 0;
   for (PendingServer& ps : rec.pending) {
@@ -27,27 +27,25 @@ sim::Task<> Acceptance::handle_new_call(runtime::EventContext& ctx) {
     }
   }
   rec.nres = std::min(limit_, alive);
-  co_return;
 }
 
-sim::Task<> Acceptance::reply_from_net(runtime::EventContext& ctx) {
+void Acceptance::reply_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   ClientRecord* rec = state_.find_client(msg.id);
-  if (rec == nullptr) co_return;
+  if (rec == nullptr) return;
   PendingServer* ps = rec->pending_for(msg.sender);
-  if (ps == nullptr) co_return;  // reply from a non-member: ignore
+  if (ps == nullptr) return;  // reply from a non-member: ignore
   if (!ps->done) {
     ps->done = true;
     if (--rec->nres <= 0) state_.complete(*rec, Status::kOk);
   } else {
     ctx.cancel();  // duplicate reply: nothing further should process it
   }
-  co_return;
 }
 
-sim::Task<> Acceptance::server_failure(runtime::EventContext& ctx) {
+void Acceptance::server_failure(runtime::EventContext& ctx) {
   const auto& ev = ctx.arg_as<MembershipEvent>();
-  if (ev.change != membership::Change::kFailure) co_return;
+  if (ev.change != membership::Change::kFailure) return;
   // A failed server will not respond: stop waiting for it on every pending
   // call.  Deviation from the paper, which decrements nres as if the failure
   // were a response -- under that reading a k=1 call "succeeds" with zero
@@ -65,7 +63,6 @@ sim::Task<> Acceptance::server_failure(runtime::EventContext& ctx) {
     rec.nres = std::min(rec.nres, remaining);
     if (rec.nres <= 0) state_.complete(rec, Status::kOk);
   }
-  co_return;
 }
 
 }  // namespace ugrpc::core

@@ -31,9 +31,9 @@ class Acceptance : public runtime::MicroProtocol {
   void start(runtime::Framework& fw) override;
 
  private:
-  [[nodiscard]] sim::Task<> handle_new_call(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> reply_from_net(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> server_failure(runtime::EventContext& ctx);
+  void handle_new_call(runtime::EventContext& ctx);
+  void reply_from_net(runtime::EventContext& ctx);
+  void server_failure(runtime::EventContext& ctx);
 
   GrpcState& state_;
   int limit_;

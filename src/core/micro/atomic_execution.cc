@@ -57,7 +57,7 @@ void AtomicExecution::commit(storage::StableAddress addr, bool base, std::size_t
   store_.set_var(kCurrentVar, addr.value());
   for (CheckpointParticipant* p : state_.checkpoint_participants) p->forget_journal();
   if (base) {
-    for (storage::StableAddress old : chain_) store_.release_checkpoint(old);
+    store_.release_checkpoints(chain_);  // the chain ascends
     chain_.clear();
     base_bytes_ = bytes;
     delta_bytes_ = 0;
@@ -152,9 +152,9 @@ void AtomicExecution::restore_chain(const std::vector<ChainRecord>& chain) {
   }
 }
 
-sim::Task<> AtomicExecution::handle_recovery(runtime::EventContext&) {
+void AtomicExecution::handle_recovery(runtime::EventContext&) {
   const auto current = store_.var(kCurrentVar);
-  if (!current.has_value()) co_return;  // never checkpointed: initial state is correct
+  if (!current.has_value()) return;  // never checkpointed: initial state is correct
   restore_chain(load_chain(store_, storage::StableAddress{*current}));
   state_.note(obs::Kind::kStateRestored, 0, *current);
   UGRPC_LOG(kDebug, "atomic@%u: restored checkpoint chain of %zu records ending at %llu",

@@ -80,7 +80,7 @@ class AtomicExecution : public runtime::MicroProtocol {
 
  private:
   [[nodiscard]] sim::Task<> handle_reply(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> handle_recovery(runtime::EventContext& ctx);
+  void handle_recovery(runtime::EventContext& ctx);
   /// A base record when `prev` is empty, else a delta on top of `prev`.
   [[nodiscard]] Buffer build_record(std::optional<storage::StableAddress> prev) const;
   /// Makes the stored record at `addr` current, then lets participants drop

@@ -7,11 +7,10 @@ namespace ugrpc::core {
 void BoundedTermination::start(runtime::Framework& fw) {
   fw_ = &fw;
   fw.register_handler(kNewRpcCall, "BoundedTerm.handle_new_call", kPrioNewBounded,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                      [this](runtime::EventContext& ctx) {
                         deadlines_.emplace_back(state_.transport.now() + timebound_,
                                                 ctx.arg_as<ClientRecord>().id);
                         arm_timer();
-                        co_return;
                       });
 }
 

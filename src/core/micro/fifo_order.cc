@@ -64,7 +64,7 @@ sim::Task<> FifoOrder::call_from_net(runtime::EventContext& ctx) {
   }
 }
 
-sim::Task<> FifoOrder::mark_executed(runtime::EventContext& ctx) {
+void FifoOrder::mark_executed(runtime::EventContext& ctx) {
   // Advance the client's stream position before the Atomic checkpoint runs
   // (see priorities.h), then release the successor if it has arrived.
   const ServerRecord& rec = ctx.arg_as<ServerRecord>();
@@ -75,7 +75,6 @@ sim::Task<> FifoOrder::mark_executed(runtime::EventContext& ctx) {
   }
   const ServerRecord* row = state_.find_server(next);
   if (row != nullptr && !row->hold[kHoldFifo]) state_.release(next, kHoldFifo);
-  co_return;
 }
 
 }  // namespace ugrpc::core

@@ -54,7 +54,7 @@ class FifoOrder : public runtime::MicroProtocol, public CheckpointParticipant {
 
  private:
   [[nodiscard]] sim::Task<> call_from_net(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> mark_executed(runtime::EventContext& ctx);
+  void mark_executed(runtime::EventContext& ctx);
 
   struct InProgress {
     Incarnation inc = 0;

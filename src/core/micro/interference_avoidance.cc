@@ -11,14 +11,14 @@ void InterferenceAvoidance::start(runtime::Framework& fw) {
                       [this](runtime::EventContext& ctx) { return handle_reply(ctx); });
 }
 
-sim::Task<> InterferenceAvoidance::call_from_net(runtime::EventContext& ctx) {
+void InterferenceAvoidance::call_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   auto [it, inserted] = cinfo_.try_emplace(msg.sender, ClientInfo{msg.inc, 0, msg.inc});
   ClientInfo& info = it->second;
   if (info.inc != kBlocked && info.inc > msg.inc) {
     // An orphaned request from a dead incarnation: drop permanently.
     ctx.cancel();
-    co_return;
+    return;
   }
   if (info.inc != kBlocked && info.inc < msg.inc) {
     // First sight of a new incarnation: latch the gate shut so no more old
@@ -39,9 +39,9 @@ sim::Task<> InterferenceAvoidance::call_from_net(runtime::EventContext& ctx) {
   }
 }
 
-sim::Task<> InterferenceAvoidance::handle_reply(runtime::EventContext& ctx) {
+void InterferenceAvoidance::handle_reply(runtime::EventContext& ctx) {
   auto it = cinfo_.find(ctx.arg_as<ServerRecord>().client);
-  if (it == cinfo_.end()) co_return;
+  if (it == cinfo_.end()) return;
   ClientInfo& info = it->second;
   if (info.count > 0) --info.count;
   if (info.count == 0 && info.inc == kBlocked) {

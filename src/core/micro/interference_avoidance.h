@@ -33,8 +33,8 @@ class InterferenceAvoidance : public runtime::MicroProtocol {
   /// Gate value meaning "draining the old generation; admit nothing".
   static constexpr Incarnation kBlocked = std::numeric_limits<Incarnation>::max();
 
-  [[nodiscard]] sim::Task<> call_from_net(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> handle_reply(runtime::EventContext& ctx);
+  void call_from_net(runtime::EventContext& ctx);
+  void handle_reply(runtime::EventContext& ctx);
 
   struct ClientInfo {
     Incarnation inc = 0;       ///< incarnation currently admitted (or kBlocked)

@@ -16,7 +16,7 @@ constexpr sim::Time kNever = std::numeric_limits<sim::Time>::max();
 void ReliableCommunication::start(runtime::Framework& fw) {
   fw_ = &fw;
   fw.register_handler(kNewRpcCall, "ReliableComm.handle_new_call", kPrioNewReliable,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                      [this](runtime::EventContext& ctx) {
                         ClientRecord& rec = ctx.arg_as<ClientRecord>();
                         // RPC Main multicasts the Call right after this
                         // event's chain, at the same transport time.
@@ -36,20 +36,18 @@ void ReliableCommunication::start(runtime::Framework& fw) {
                         } else {
                           arm_timer(first_deadline(rec), rec.id);
                         }
-                        co_return;
                       });
   fw.register_handler(kReplyFromNetwork, "ReliableComm.reply_from_net", kPrioNetReliable,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                      [this](runtime::EventContext& ctx) {
                         const auto& msg = ctx.arg_as<net::NetMessage>();
                         ClientRecord* rec = state_.find_client(msg.id);
-                        if (rec == nullptr) co_return;
+                        if (rec == nullptr) return;
                         PendingServer* ps = rec->pending_for(msg.sender);
-                        if (ps == nullptr || ps->acked) co_return;
+                        if (ps == nullptr || ps->acked) return;
                         ps->acked = true;
                         if (ps->retries == 0) {
                           sample_rtt(msg.sender, state_.transport.now() - ps->sent_at);
                         }
-                        co_return;
                       });
 }
 

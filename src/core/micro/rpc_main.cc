@@ -18,9 +18,8 @@ void RpcMain::start(runtime::Framework& fw) {
   fw.register_handler(kCallFromUser, "RPCMain.call_from_user", kPrioUserMain,
                       [this](runtime::EventContext& ctx) { return call_from_user(ctx); });
   fw.register_handler(kRecovery, "RPCMain.handle_recovery", kPrioRecoveryMain,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                      [this](runtime::EventContext& ctx) {
                         state_.inc_number = ctx.arg_as<RecoveryEvent>().inc;
-                        co_return;
                       });
 }
 

@@ -13,12 +13,11 @@ void SerialExecution::start(runtime::Framework& fw) {
                                     ctx.arg_as<ServerRecord>().id.value());
                       });
   fw.register_handler(kReplyFromServer, "SerialExec.handle_reply", kPrioReplySerial,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                      [this](runtime::EventContext& ctx) {
                         state_.serial_holder.reset();
                         state_.serial.release();
                         state_.note(obs::Kind::kSerialReleased,
                                     ctx.arg_as<ServerRecord>().id.value());
-                        co_return;
                       });
 }
 

@@ -7,11 +7,10 @@ namespace ugrpc::core {
 
 void TerminateOrphan::start(runtime::Framework& fw) {
   fw.register_handler(kExecuteCall, "TermOrphan.execute_call", kPrioExecOrphan,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                      [this](runtime::EventContext& ctx) {
                         const auto& rec = ctx.arg_as<ServerRecord>();
                         cinfo_[rec.client].threads[state_.sched.current_fiber()] = {
                             rec.id, rec.arrival};
-                        co_return;
                       });
   fw.register_handler(kCallFromNetwork, "TermOrphan.call_from_net", kPrioNetOrphan,
                       [this](runtime::EventContext& ctx) { return call_from_net(ctx); });
@@ -40,11 +39,11 @@ void TerminateOrphan::kill_threads(ProcessId client, ClientInfo& info) {
   info.threads.clear();
 }
 
-sim::Task<> TerminateOrphan::client_failure(runtime::EventContext& ctx) {
+void TerminateOrphan::client_failure(runtime::EventContext& ctx) {
   const auto& ev = ctx.arg_as<MembershipEvent>();
-  if (ev.change != membership::Change::kFailure) co_return;
+  if (ev.change != membership::Change::kFailure) return;
   auto it = cinfo_.find(ev.who);
-  if (it == cinfo_.end()) co_return;
+  if (it == cinfo_.end()) return;
   if (!it->second.threads.empty()) {
     UGRPC_LOG(kDebug, "orphan@%u: probing detected death of client %u, killing %zu thread(s)",
               state_.my_id.value(), ev.who.value(), it->second.threads.size());
@@ -52,13 +51,13 @@ sim::Task<> TerminateOrphan::client_failure(runtime::EventContext& ctx) {
   }
 }
 
-sim::Task<> TerminateOrphan::call_from_net(runtime::EventContext& ctx) {
+void TerminateOrphan::call_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   auto [it, inserted] = cinfo_.try_emplace(msg.sender, ClientInfo{msg.inc, {}});
   ClientInfo& info = it->second;
   if (info.inc > msg.inc) {
     ctx.cancel();  // request from a dead incarnation
-    co_return;
+    return;
   }
   if (info.inc < msg.inc) {
     // Newer incarnation: the previous one is dead, its threads are orphans.
@@ -69,10 +68,9 @@ sim::Task<> TerminateOrphan::call_from_net(runtime::EventContext& ctx) {
   }
 }
 
-sim::Task<> TerminateOrphan::handle_reply(runtime::EventContext& ctx) {
+void TerminateOrphan::handle_reply(runtime::EventContext& ctx) {
   auto it = cinfo_.find(ctx.arg_as<ServerRecord>().client);
   if (it != cinfo_.end()) it->second.threads.erase(state_.sched.current_fiber());
-  co_return;
 }
 
 }  // namespace ugrpc::core

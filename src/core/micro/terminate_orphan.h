@@ -43,9 +43,9 @@ class TerminateOrphan : public runtime::MicroProtocol {
   [[nodiscard]] std::uint64_t orphans_killed() const { return orphans_killed_; }
 
  private:
-  [[nodiscard]] sim::Task<> call_from_net(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> handle_reply(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> client_failure(runtime::EventContext& ctx);
+  void call_from_net(runtime::EventContext& ctx);
+  void handle_reply(runtime::EventContext& ctx);
+  void client_failure(runtime::EventContext& ctx);
 
   struct ClientInfo {
     Incarnation inc = 0;

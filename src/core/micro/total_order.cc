@@ -54,14 +54,14 @@ ProcessId TotalOrder::leader() const {
   return best;
 }
 
-sim::Task<> TotalOrder::assign_order(runtime::EventContext& ctx) {
+void TotalOrder::assign_order(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   if (msg.server != group_) {
     // This member orders the calls of the one group it serves; a Call
     // naming any other group (possibly an undefined one) has no leader here.
     state_.drop_malformed(msg.sender, CodecError("Call names a group Total Order does not serve"));
     ctx.cancel();
-    co_return;
+    return;
   }
   const ProcessId who_leads = leader();
   if (state_.my_id == who_leads) {
@@ -73,7 +73,7 @@ sim::Task<> TotalOrder::assign_order(runtime::EventContext& ctx) {
     } else {
       // Mid-reconciliation: do not assign.  The call waits in sRPC without
       // an order, and finish_reconciliation assigns it.
-      co_return;
+      return;
     }
     announce(msg.id, order);
   } else if (!old_orders_.contains(msg.id) && state_.sRPC.contains(msg.id)) {
@@ -183,9 +183,9 @@ sim::Task<> TotalOrder::order_from_net(runtime::EventContext& ctx) {
   }
 }
 
-sim::Task<> TotalOrder::order_query_from_net(runtime::EventContext& ctx) {
+void TotalOrder::order_query_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
-  if (msg.sender == state_.my_id) co_return;
+  if (msg.sender == state_.my_id) return;
   net::NetMessage info;
   info.type = net::MsgType::kOrderInfo;
   info.server = msg.server;
@@ -196,9 +196,9 @@ sim::Task<> TotalOrder::order_query_from_net(runtime::EventContext& ctx) {
   state_.net_push(msg.sender, info);
 }
 
-sim::Task<> TotalOrder::order_info_from_net(runtime::EventContext& ctx) {
+void TotalOrder::order_info_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
-  if (!reconciling_) co_return;  // stale answer from an earlier round
+  if (!reconciling_) return;  // stale answer from an earlier round
   // Decode the whole answer before applying any of it: a malformed one is
   // dropped and counted, and the round's timeout covers its sender.
   std::vector<std::pair<CallId, std::uint64_t>> orders;
@@ -206,7 +206,7 @@ sim::Task<> TotalOrder::order_info_from_net(runtime::EventContext& ctx) {
     orders = decode_order_info(msg.args);
   } catch (const CodecError& e) {
     state_.drop_malformed(msg.sender, e);
-    co_return;
+    return;
   }
   for (const auto& [id, order] : orders) {
     if (note_order(id, order)) state_.release(id, kHoldTotal);
@@ -215,7 +215,7 @@ sim::Task<> TotalOrder::order_info_from_net(runtime::EventContext& ctx) {
   if (awaiting_info_.empty()) finish_reconciliation();
 }
 
-sim::Task<> TotalOrder::mark_executed() {
+void TotalOrder::mark_executed() {
   ++next_entry_;  // before the checkpoint; see priorities.h
   if (Writer* w = journal()) write_next_entry(*w, next_entry_);
   auto it = ready_list_.find(next_entry_);
@@ -224,10 +224,9 @@ sim::Task<> TotalOrder::mark_executed() {
     ready_list_.erase(it);
     state_.release(next_id, kHoldTotal);
   }
-  co_return;
 }
 
-sim::Task<> TotalOrder::membership_change(runtime::EventContext& ctx) {
+void TotalOrder::membership_change(runtime::EventContext& ctx) {
   const auto& ev = ctx.arg_as<MembershipEvent>();
   // Leadership falls to this member when a higher-id member fails while we
   // are (now) the maximum live id.
@@ -235,7 +234,6 @@ sim::Task<> TotalOrder::membership_change(runtime::EventContext& ctx) {
       state_.my_id == leader() && !reconciling_) {
     begin_reconciliation();
   }
-  co_return;
 }
 
 Buffer TotalOrder::encode_order_info(std::uint64_t floor) const {

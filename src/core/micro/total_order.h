@@ -93,13 +93,13 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   [[nodiscard]] std::uint64_t reconciliations() const { return reconciliations_; }
 
  private:
-  [[nodiscard]] sim::Task<> assign_order(runtime::EventContext& ctx);
+  void assign_order(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> call_from_net(runtime::EventContext& ctx);
   [[nodiscard]] sim::Task<> order_from_net(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> order_query_from_net(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> order_info_from_net(runtime::EventContext& ctx);
-  [[nodiscard]] sim::Task<> mark_executed();
-  [[nodiscard]] sim::Task<> membership_change(runtime::EventContext& ctx);
+  void order_query_from_net(runtime::EventContext& ctx);
+  void order_info_from_net(runtime::EventContext& ctx);
+  void mark_executed();
+  void membership_change(runtime::EventContext& ctx);
 
   /// Sends the Order assigning `order` to call `id`, with the previous
   /// announcement in its args, to every other member of the group.

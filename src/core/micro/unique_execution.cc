@@ -21,24 +21,22 @@ void UniqueExecution::start(runtime::Framework& fw) {
   fw.register_handler(kCallFromNetwork, "UniqueExec.call_from_net", kPrioNetUnique,
                       [this](runtime::EventContext& ctx) { return call_from_net(ctx); });
   fw.register_handler(kReplyFromNetwork, "UniqueExec.reply_from_net", kPrioNetUnique,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                      [this](runtime::EventContext& ctx) {
                         // Client side: the server stores this result until a
                         // W above it reaches the server; owe it one.
                         const auto& msg = ctx.arg_as<net::NetMessage>();
                         Owed& o = owed_entry(msg.sender);
                         if (o.replied < msg.id) o.replied = msg.id;
                         arm_flush();
-                        co_return;
                       });
   fw.register_handler(kAckFromNetwork, "UniqueExec.ack_from_net", kPrioNetUnique,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                      [this](runtime::EventContext& ctx) {
                         const auto& msg = ctx.arg_as<net::NetMessage>();
                         const CallId w{msg.ackid};
                         if (call_client(w) == msg.sender) raise_floor(w, journal());
-                        co_return;
                       });
   fw.register_handler(kNewRpcCall, "UniqueExec.handle_new_call", kPrioNewUnique,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                      [this](runtime::EventContext& ctx) {
                         // RPC Main multicasts this Call right after the
                         // event's chain, carrying W: each server it goes to
                         // is told W, which covers every Reply below it.
@@ -49,13 +47,11 @@ void UniqueExecution::start(runtime::Framework& fw) {
                             o.replied = CallId{};
                           }
                         }
-                        co_return;
                       });
   fw.register_handler(kReplyFromServer, "UniqueExec.handle_reply", kPrioReplyUnique,
-                      [this](runtime::EventContext& ctx) -> sim::Task<> {
+                      [this](runtime::EventContext& ctx) {
                         const ServerRecord& rec = ctx.arg_as<ServerRecord>();
                         store_result(rec.id, rec.args, journal());
-                        co_return;
                       });
 }
 
@@ -180,11 +176,11 @@ void UniqueExecution::flush_acks() {
   }
 }
 
-sim::Task<> UniqueExecution::call_from_net(runtime::EventContext& ctx) {
+void UniqueExecution::call_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
   if (const auto w = call_watermark(msg)) raise_floor(*w, journal());
   const auto [entry, fresh] = see(msg.id);
-  if (fresh) co_return;  // never seen here: execute it
+  if (fresh) return;  // never seen here: execute it
   // A duplicate: running, completed, or completed and pruned below the
   // floor (or of an older incarnation).  Only a stored result is answered;
   // nothing is re-executed.

@@ -79,7 +79,7 @@ class UniqueExecution : public runtime::MicroProtocol, public CheckpointParticip
     CallId replied;
   };
 
-  [[nodiscard]] sim::Task<> call_from_net(runtime::EventContext& ctx);
+  void call_from_net(runtime::EventContext& ctx);
   /// The entry of `server`, added at its first Reply.
   Owed& owed_entry(ProcessId server);
   /// Arms the idle flush unless it is armed already.

@@ -38,9 +38,9 @@ void Framework::define_event(EventId event, std::string name) {
   chain.event_name_id = intern(chain.event_name);
 }
 
-void Framework::register_handler(EventId event, std::string handler_name, int priority,
-                                 Handler fn) {
-  UGRPC_ASSERT(fn != nullptr);
+void Framework::add_handler(EventId event, std::string handler_name, int priority,
+                            Callable fn) {
+  UGRPC_ASSERT(std::visit([](const auto& f) { return f != nullptr; }, fn));
   UGRPC_ASSERT(priority >= 0 && "priorities are non-negative");
   std::vector<Registration>& handlers = mutable_chain(event).handlers;
   // Most chains hold at most four handlers: one block for them, rather than
@@ -95,7 +95,12 @@ sim::Task<bool> Framework::trigger(EventId event, EventArg arg) {
                              reg.name_id);
       transport_.executor().set_ambient(handler_ctx);
     }
-    co_await reg.fn(ctx);
+    // A plain handler is a call; only a coroutine handler costs a frame.
+    if (const PlainHandler* plain = std::get_if<PlainHandler>(&reg.fn)) {
+      (*plain)(ctx);
+    } else {
+      co_await (*std::get_if<Handler>(&reg.fn))(ctx);
+    }
     if (st) st->close(transport_.now(), handler_ctx.parent);
     if (ctx.cancelled()) co_return finish(false);
   }

@@ -11,11 +11,16 @@
 //    registration order.  Omitting the priority yields kDefaultPriority,
 //    which runs after all explicitly prioritised handlers ("defaults to the
 //    lowest priority").
+//  * A handler comes in one of two kinds, chosen by what `fn` returns.  A
+//    `void(EventContext&)` handler cannot block: trigger() runs it as a
+//    plain call, with no coroutine frame.  A `sim::Task<>(EventContext&)`
+//    handler may suspend (P on a semaphore, calling into the user protocol,
+//    a stable-store write) and trigger() awaits it; the event chain waits,
+//    which is exactly how Serial Execution serialises calls.  A handler that
+//    waits or triggers a nested event must therefore return sim::Task<>.
+//    The configuration is static, so the kind is fixed at registration.
 //  * trigger(event, arg): runs all handlers registered for `event` (a
 //    coroutine; the caller awaits completion -- "blocking" invocation).
-//    Handlers may suspend (P on a semaphore, calling into the user
-//    protocol); the event chain waits, which is exactly how Serial Execution
-//    serialises calls.
 //  * EventContext::cancel() inside a handler skips the remaining handlers of
 //    the current invocation (cancel_event()).
 //  * register_timeout(name, delay, fn): one-shot handler invoked `delay`
@@ -49,9 +54,12 @@
 // introspection (reproduces paper Figure 3's picture of a live composite).
 #pragma once
 
+#include <concepts>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/ids.h"
@@ -67,7 +75,10 @@ namespace ugrpc::runtime {
 /// Handlers registered without an explicit priority run last.
 inline constexpr int kDefaultPriority = 1'000'000;
 
+/// A handler that may suspend: trigger() awaits it.
 using Handler = std::function<sim::Task<>(EventContext&)>;
+/// A handler that cannot suspend: trigger() calls it.
+using PlainHandler = std::function<void(EventContext&)>;
 /// Timeout handlers take no event argument (paper's TIMEOUT handlers).
 using TimeoutHandler = std::function<sim::Task<>()>;
 
@@ -96,15 +107,29 @@ class Framework {
   void define_event(EventId event, std::string name);
 
   /// Registers `fn` for `event`.  Not allowed once the table is frozen.
-  void register_handler(EventId event, std::string handler_name, int priority, Handler fn);
-  void register_handler(EventId event, std::string handler_name, Handler fn) {
-    register_handler(event, std::move(handler_name), kDefaultPriority, std::move(fn));
+  /// `fn` returns void (a plain handler) or sim::Task<> (a coroutine
+  /// handler); see the file comment.
+  template <typename F>
+    requires std::invocable<F&, EventContext&>
+  void register_handler(EventId event, std::string handler_name, int priority, F&& fn) {
+    using R = std::invoke_result_t<F&, EventContext&>;
+    static_assert(std::is_void_v<R> || std::is_same_v<R, sim::Task<>>,
+                  "an event handler returns void or sim::Task<>");
+    using Kind = std::conditional_t<std::is_void_v<R>, PlainHandler, Handler>;
+    add_handler(event, std::move(handler_name), priority,
+                Callable(std::in_place_type<Kind>, std::forward<F>(fn)));
+  }
+  template <typename F>
+    requires std::invocable<F&, EventContext&>
+  void register_handler(EventId event, std::string handler_name, F&& fn) {
+    register_handler(event, std::move(handler_name), kDefaultPriority, std::forward<F>(fn));
   }
 
   /// Invokes every handler registered for `event`, in priority order,
-  /// sequentially, awaiting each (blocking sequential invocation).  Returns
-  /// true if the chain ran to completion, false if a handler cancelled it.
-  /// The first call freezes the handler table.
+  /// sequentially, calling each plain handler and awaiting each coroutine
+  /// handler (blocking sequential invocation).  Returns true if the chain
+  /// ran to completion, false if a handler cancelled it.  The first call
+  /// freezes the handler table.
   sim::Task<bool> trigger(EventId event, EventArg arg = {});
 
   /// One-shot timeout (see file comment).  Returns the timeout's id, which
@@ -143,10 +168,13 @@ class Framework {
   [[nodiscard]] std::size_t handler_count(EventId event) const;
 
  private:
+  /// A registration's handler, of either kind.
+  using Callable = std::variant<PlainHandler, Handler>;
+
   struct Registration {
     std::string name;
     int priority;
-    Handler fn;
+    Callable fn;
     std::uint32_t name_id;  ///< `name` interned in the site trace
   };
 
@@ -158,6 +186,7 @@ class Framework {
     std::vector<Registration> handlers;  ///< (priority, registration) order
   };
 
+  void add_handler(EventId event, std::string handler_name, int priority, Callable fn);
   /// The chain of `event`, created on first use; asserts the table is not
   /// frozen yet.
   Chain& mutable_chain(EventId event);

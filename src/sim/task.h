@@ -25,6 +25,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <new>
 #include <optional>
@@ -63,6 +64,7 @@ class FramePool {
   static constexpr std::size_t kMaxPooled = 2048;
 
   [[nodiscard]] static void* allocate(std::size_t n) {
+    ++lists_.frames;
     if (n > kMaxPooled) return ::operator new(n);
     const std::size_t c = size_class(n);
     if (Block* b = lists_.head[c]) {
@@ -88,6 +90,8 @@ class FramePool {
 
   /// Blocks on the calling thread's free lists.
   [[nodiscard]] static std::size_t cached() noexcept;
+  /// Frames the calling thread has allocated, pooled or not.
+  [[nodiscard]] static std::uint64_t frames() noexcept { return lists_.frames; }
 
  private:
   static constexpr std::size_t kClasses = kMaxPooled / kGranule;
@@ -101,6 +105,7 @@ class FramePool {
   struct Lists {
     Block* head[kClasses];
     State state;
+    std::uint64_t frames;
   };
 
   [[nodiscard]] static constexpr std::size_t size_class(std::size_t n) {

@@ -13,10 +13,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/buffer.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
@@ -61,10 +63,15 @@ class StableStore {
     if (it == checkpoints_.end()) return std::nullopt;
     return it->snapshot;
   }
-  void release_checkpoint(StableAddress addr) {
-    const auto it = find_checkpoint(addr);
-    if (it != checkpoints_.end()) checkpoints_.erase(it);
+  /// Releases the checkpoints at `addrs`, which ascend, in one pass over
+  /// the store; an address not stored is skipped.
+  void release_checkpoints(std::span<const StableAddress> addrs) {
+    UGRPC_ASSERT(std::ranges::is_sorted(addrs));
+    std::erase_if(checkpoints_, [addrs](const Checkpoint& c) {
+      return std::ranges::binary_search(addrs, c.addr);
+    });
   }
+  void release_checkpoint(StableAddress addr) { release_checkpoints({&addr, 1}); }
   [[nodiscard]] std::size_t checkpoint_count() const { return checkpoints_.size(); }
   /// Bytes held by all stored checkpoints.
   [[nodiscard]] std::size_t checkpoint_bytes() const {

@@ -1,15 +1,19 @@
 // Unit tests for the event framework: registration, priority order,
-// blocking sequential invocation, cancel_event, deregistration, the table
-// freeze at the first trigger, teardown order, timeouts.
+// blocking sequential invocation, plain and coroutine handlers in one chain,
+// cancel_event, deregistration, the table freeze at the first trigger,
+// teardown order, timeouts.
 #include "runtime/framework.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/network.h"
+#include "obs/trace.h"
 #include "runtime/composite.h"
 #include "runtime/micro_protocol.h"
 #include "sim/sync.h"
@@ -31,6 +35,11 @@ Handler appender(std::vector<int>& out, int tag) {
     out.push_back(tag);
     co_return;
   };
+}
+
+/// The plain (frameless) counterpart of appender().
+PlainHandler plain_appender(std::vector<int>& out, int tag) {
+  return [&out, tag](EventContext&) { out.push_back(tag); };
 }
 
 sim::Task<> run_trigger(Framework& fw, EventId ev, EventArg arg, bool* completed = nullptr) {
@@ -155,6 +164,119 @@ TEST(Framework, BlockingHandlerBlocksTheChain) {
   gate.release();
   f.sched.run();
   EXPECT_EQ(out, std::vector<int>({1, 2, 3}));
+}
+
+// ---- plain and coroutine handlers in one chain ----
+
+TEST(Framework, MixedChainRunsInPriorityThenRegistrationOrder) {
+  Fixture f;
+  std::vector<int> out;
+  f.fw.register_handler(kPing, "c", 30, plain_appender(out, 5));
+  f.fw.register_handler(kPing, "b1", 20, plain_appender(out, 2));
+  f.fw.register_handler(kPing, "b2", 20, [&](EventContext&) -> sim::Task<> {
+    out.push_back(3);
+    co_await f.sched.sleep_for(sim::msec(1));  // the plain handlers after it wait
+  });
+  f.fw.register_handler(kPing, "a", 10, appender(out, 1));
+  f.fw.register_handler(kPing, "b3", 20, [&out](EventContext&) { out.push_back(4); });
+  f.fw.register_handler(kPing, "default", plain_appender(out, 6));
+  bool completed = false;
+  f.sched.spawn(run_trigger(f.fw, kPing, {}, &completed));
+  f.sched.run();
+  EXPECT_EQ(out, std::vector<int>({1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(f.sched.now(), sim::msec(1));
+}
+
+TEST(Framework, CancelFromAPlainHandlerSkipsTheRestOfTheChain) {
+  Fixture f;
+  std::vector<int> out;
+  f.fw.register_handler(kPing, "a", 1, appender(out, 1));
+  f.fw.register_handler(kPing, "cancel", 2, [](EventContext& ctx) { ctx.cancel(); });
+  f.fw.register_handler(kPing, "never-plain", 3, plain_appender(out, 3));
+  f.fw.register_handler(kPing, "never-coroutine", 4, appender(out, 4));
+  bool completed = true;
+  f.sched.spawn(run_trigger(f.fw, kPing, {}, &completed));
+  f.sched.run();
+  EXPECT_EQ(out, std::vector<int>({1}));
+  EXPECT_FALSE(completed) << "trigger must report cancellation";
+}
+
+sim::Task<> trigger_catching(Framework& fw, EventId ev, std::string& what) {
+  try {
+    co_await fw.trigger(ev, {});
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+}
+
+TEST(Framework, AnExceptionFromEitherKindOfHandlerReachesTheTriggersAwaiter) {
+  Fixture f;
+  std::vector<int> out;
+  f.fw.register_handler(kPing, "plain-throws", 1,
+                        [](EventContext&) { throw std::runtime_error("plain"); });
+  f.fw.register_handler(kPing, "skipped", 2, plain_appender(out, 2));
+  f.fw.register_handler(kOther, "coroutine-throws", 1, [](EventContext&) -> sim::Task<> {
+    throw std::runtime_error("coroutine");
+    co_return;
+  });
+  f.fw.register_handler(kOther, "skipped", 2, plain_appender(out, 2));
+  std::string plain_what;
+  std::string coroutine_what;
+  f.sched.spawn(trigger_catching(f.fw, kPing, plain_what));
+  f.sched.spawn(trigger_catching(f.fw, kOther, coroutine_what));
+  f.sched.run();
+  EXPECT_EQ(plain_what, "plain");
+  EXPECT_EQ(coroutine_what, "coroutine");
+  EXPECT_TRUE(out.empty()) << "a throwing handler ends its chain";
+}
+
+/// A span as (kind, name, priority, id, parent).
+using SpanRow = std::tuple<obs::Kind, std::string, std::uint64_t, std::uint64_t, std::uint64_t>;
+
+/// The spans one traced trigger of a three-handler chain records; `plain`
+/// picks the kind of the first and the last handler.
+std::vector<SpanRow> traced_chain(bool plain) {
+  sim::Scheduler sched;
+  net::Network net{sched};
+  obs::Tracer tracer;
+  Framework fw(net, DomainId{1}, &tracer.site(ProcessId{1}));
+  fw.define_event(kPing, "PING");
+  const auto add = [&](std::string name, int priority) {
+    if (plain) {
+      fw.register_handler(kPing, std::move(name), priority, [](EventContext&) {});
+    } else {
+      fw.register_handler(kPing, std::move(name), priority,
+                          [](EventContext&) -> sim::Task<> { co_return; });
+    }
+  };
+  add("first", 1);
+  fw.register_handler(kPing, "middle", 2, [&](EventContext&) -> sim::Task<> {
+    co_await sched.sleep_for(sim::usec(5));
+  });
+  add("last", 3);
+  sched.spawn(run_trigger(fw, kPing, {}));
+  sched.run();
+  std::vector<SpanRow> out;
+  for (const obs::Span& s : tracer.spans()) {
+    out.emplace_back(s.kind, tracer.name(s.name), s.b, s.id, s.parent);
+  }
+  return out;
+}
+
+TEST(Framework, ATracedMixedChainRecordsWhatAnAllCoroutineChainRecords) {
+  const auto mixed = traced_chain(/*plain=*/true);
+  ASSERT_EQ(mixed.size(), 4u) << "one chain span and one span per handler";
+  EXPECT_EQ(std::get<0>(mixed[0]), obs::Kind::kEventTriggered);
+  EXPECT_EQ(std::get<1>(mixed[0]), "PING");
+  const std::vector<std::string> handlers{"first", "middle", "last"};
+  for (std::size_t i = 1; i < mixed.size(); ++i) {
+    EXPECT_EQ(std::get<0>(mixed[i]), obs::Kind::kEventHandled);
+    EXPECT_EQ(std::get<1>(mixed[i]), handlers[i - 1]);
+    EXPECT_EQ(std::get<2>(mixed[i]), i) << "the handler span carries its priority";
+    EXPECT_EQ(std::get<4>(mixed[i]), std::get<3>(mixed[0])) << "parented to the chain span";
+  }
+  EXPECT_EQ(mixed, traced_chain(/*plain=*/false));
 }
 
 TEST(Framework, ReentrantTriggerOfTheSameEventRunsTheFullChain) {

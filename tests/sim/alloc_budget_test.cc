@@ -1,6 +1,6 @@
 // Heap allocations per group RPC on the steady-state call path.
 //
-// Every handler of the composite is a coroutine and every message is a
+// Every handler that may block is a coroutine and every message is a
 // Buffer, so the allocator is a per-layer cost of the micro-protocol
 // composition.  This binary replaces the global operator new with one that
 // counts, runs 1 client against 3 servers on a loss-free network (64 B

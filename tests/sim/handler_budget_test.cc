@@ -1,7 +1,8 @@
 // Event handler runs per group RPC on the steady-state call path.
 //
-// Every handler the framework runs costs a coroutine frame and a dispatch,
-// traced or not, so the count is a per-layer cost of the micro-protocol
+// Every handler the framework runs costs a dispatch, traced or not, and a
+// handler that may block a coroutine frame too (frame_budget_test.cc counts
+// those), so the count is a per-layer cost of the micro-protocol
 // composition.  Each message kind raises an event of its own, so a chain
 // holds only handlers that act on its kind.  This test counts, through the
 // framework's trace observer on every site, the handlers run by 1 client

@@ -83,6 +83,30 @@ TEST(StableStore, ReleaseInAnyOrderKeepsTheOthersLoadable) {
   EXPECT_EQ(store.checkpoint_count(), 3u);
 }
 
+TEST(StableStore, ReleasingALongChainInOneCallKeepsTheOthersLoadable) {
+  // Atomic Execution frees a replaced checkpoint chain with one call: every
+  // chain record goes, every other record stays loadable.
+  sim::Scheduler sched;
+  StableStore store(sched);
+  std::vector<StableAddress> chain;
+  std::vector<StableAddress> kept;
+  for (std::uint32_t i = 1; i <= 200; ++i) {
+    const StableAddress a = store.store_checkpoint(make_buf(i));
+    (i % 7 == 0 ? kept : chain).push_back(a);
+  }
+  chain.push_back(StableAddress{999});  // never stored: skipped
+  store.release_checkpoints(chain);
+  EXPECT_EQ(store.checkpoint_count(), kept.size());
+  for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+    EXPECT_FALSE(store.load_checkpoint(chain[i]).has_value());
+  }
+  for (const StableAddress a : kept) {
+    EXPECT_EQ(*store.load_checkpoint(a), make_buf(static_cast<std::uint32_t>(a.value())));
+  }
+  store.release_checkpoints({});  // an empty chain releases nothing
+  EXPECT_EQ(store.checkpoint_count(), kept.size());
+}
+
 TEST(StableStore, StableVariables) {
   sim::Scheduler sched;
   StableStore store(sched);
