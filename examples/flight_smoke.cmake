@@ -1,38 +1,53 @@
-# Flight-recorder smoke through the operator tools: udp_group_call trips its
-# stall watchdog (forced retransmission, 10 ms bound) into a fresh flight
-# directory, `ugrpcstat --check-flight` must replay the dump clean, and
-# `ugrpcstat --perfetto` must render it into a document that
-# tools/check_perfetto.py --partial accepts (that step is skipped when
-# python3 is missing).  Run as
-#   cmake -DEXAMPLE=<udp_group_call> -DUGRPCSTAT=<ugrpcstat>
+# udp_group_call's trace files through the operator tools, with a forced
+# retransmission.  MODE=flight trips the stall watchdog (10 ms bound) into
+# flight dumps; MODE=trace runs 2 servers with --trace-dir, so each of the 3
+# processes writes its own file.  Every file must replay clean through
+# `ugrpcstat --check-flight` against the Expect its header records, and
+# `ugrpcstat --perfetto` must render them into a document that
+# tools/check_perfetto.py accepts: the first dump with --partial (it is taken
+# mid-run), the 3 process files with 3 processes and a flagged send (skipped
+# without python3).  Run as
+#   cmake -DEXAMPLE=<udp_group_call> -DUGRPCSTAT=<ugrpcstat> -DMODE=flight|trace
 #         -DCHECK_PERFETTO=<check_perfetto.py> -DDIR=<work dir> -P flight_smoke.cmake
 file(REMOVE_RECURSE "${DIR}")
-execute_process(COMMAND "${EXAMPLE}" --servers 1 --calls 3 --timeout-sec 60 --force-retransmit
-                        --flight-dir "${DIR}" --stall-bound-us 10000
+if(MODE STREQUAL "flight")
+  set(run --servers 1 --calls 3 --flight-dir "${DIR}" --stall-bound-us 10000)
+  set(pattern "${DIR}/flight-*/trace.bin")
+  set(render_flags --partial)
+else()
+  set(run --servers 2 --calls 5 --trace-dir "${DIR}")
+  set(pattern "${DIR}/*")
+  set(render_flags --min-processes 3 --require-flagged)
+endif()
+execute_process(COMMAND "${EXAMPLE}" ${run} --timeout-sec 60 --force-retransmit
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "udp_group_call exited with ${rc}")
 endif()
-file(GLOB dumps LIST_DIRECTORIES true "${DIR}/flight-*")
-if(NOT dumps)
-  message(FATAL_ERROR "no flight dump under ${DIR}")
+file(GLOB traces "${pattern}")
+list(LENGTH traces count)
+if(count EQUAL 0 OR (MODE STREQUAL "trace" AND NOT count EQUAL 3))
+  message(FATAL_ERROR "found ${count} trace file(s) matching ${pattern}")
 endif()
-list(GET dumps 0 dump)
-
-execute_process(COMMAND "${UGRPCSTAT}" --check-flight "${dump}" RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "ugrpcstat --check-flight ${dump} exited with ${rc}")
+foreach(trace IN LISTS traces)
+  execute_process(COMMAND "${UGRPCSTAT}" --check-flight "${trace}" RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "ugrpcstat --check-flight ${trace} exited with ${rc}")
+  endif()
+endforeach()
+if(MODE STREQUAL "flight")
+  list(GET traces 0 traces)  # dumps of one site repeat its span ids
 endif()
 
 find_program(PYTHON3 python3)
 if(NOT PYTHON3)
   message(STATUS "python3 not found: skipping the Perfetto schema check")
 else()
-  execute_process(COMMAND "${UGRPCSTAT}" --perfetto "${dump}"
-                  COMMAND "${PYTHON3}" "${CHECK_PERFETTO}" - --partial
+  execute_process(COMMAND "${UGRPCSTAT}" --perfetto ${traces}
+                  COMMAND "${PYTHON3}" "${CHECK_PERFETTO}" - ${render_flags}
                   RESULTS_VARIABLE rcs)
   if(NOT rcs STREQUAL "0;0")
-    message(FATAL_ERROR "ugrpcstat --perfetto | check_perfetto.py --partial exited with ${rcs}")
+    message(FATAL_ERROR "ugrpcstat --perfetto | check_perfetto.py exited with ${rcs}")
   endif()
 endif()
 file(REMOVE_RECURSE "${DIR}")

@@ -9,15 +9,21 @@
 // accepted reply.
 //
 //   usage: udp_group_call [--servers N] [--calls N] [--timeout-sec N]
-//                         [--trace-out PATH] [--force-retransmit]
+//                         [--trace-dir DIR] [--force-retransmit]
 //                         [--telemetry-port N] [--port-file PATH]
 //                         [--stats-out PATH] [--serve-sec N]
 //                         [--flight-dir DIR] [--stall-bound-us N]
 //
-// --trace-out PATH enables span tracing in every process; each server child
-// writes a Perfetto fragment next to PATH, and the parent merges them with
-// its own into PATH -- a single Chrome/Perfetto-loadable JSON whose span
-// tree crosses the real process boundary (see README "Profiling a call").
+// A numeric flag that is not a whole decimal number in range ("2x", a
+// sign, a port above 65535) exits 2 before any process is forked.
+//
+// --trace-dir DIR enables span tracing in every process, and every process,
+// the parent included, writes its own trace file DIR/trace-site<id>.bin
+// (obs/trace_file.h): its site's records, configuration line and checker
+// expectations.  `ugrpcstat --check-flight` replays any one of them, and
+// `ugrpcstat --perfetto DIR/*` renders them into one Chrome/Perfetto
+// document whose span tree crosses the real process boundary (see README
+// "Profiling a call").
 // --force-retransmit drops the first call datagram to every server before
 // it reaches the socket, so the first call completes only after a
 // retransmission, whatever the number of servers, and the trace
@@ -41,21 +47,26 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/config_builder.h"
 #include "core/grpc_state.h"
+#include "core/observe.h"
 #include "core/service.h"
 #include "core/site.h"
 #include "core/telemetry.h"
 #include "net/udp_transport.h"
-#include "obs/perfetto.h"
 #include "obs/trace.h"
+#include "obs/trace_file.h"
 
 namespace {
 
@@ -63,6 +74,8 @@ using namespace ugrpc;
 
 constexpr GroupId kGroup{1};
 constexpr OpId kEcho{7};
+/// Each server is a forked process; more than this is a typo, not a test.
+constexpr std::uint64_t kMaxServers = 64;
 
 ProcessId server_id(int i) { return ProcessId{static_cast<std::uint32_t>(i + 1)}; }
 
@@ -70,14 +83,14 @@ struct Cli {
   int servers = 2;
   int calls = 20;
   int timeout_sec = 30;
-  std::string trace_out;          ///< empty = tracing off
+  std::string trace_dir;          ///< empty = tracing off
   bool force_retransmit = false;  ///< drop the first call datagram to each server
   int telemetry_port = -1;        ///< -1 = off, 0 = ephemeral
   std::string port_file;          ///< write the bound telemetry port here
   std::string stats_out;          ///< write the final /metrics text here
   int serve_sec = 0;              ///< keep serving after the calls finish
   std::string flight_dir;         ///< arm the flight recorder
-  long stall_bound_us = 0;        ///< 0 = config-derived watchdog bound
+  std::int64_t stall_bound_us = 0;  ///< 0 = config-derived watchdog bound
 
   /// Any flag that needs the client's SiteTelemetry?
   [[nodiscard]] bool telemetry_on() const {
@@ -85,58 +98,84 @@ struct Cli {
   }
 };
 
+/// The server group, in index order.
+std::vector<ProcessId> members_of(const Cli& cli) {
+  std::vector<ProcessId> members;
+  for (int i = 0; i < cli.servers; ++i) members.push_back(server_id(i));
+  return members;
+}
+
+/// Every process a site knows: the servers and the client.
+std::set<ProcessId> known_to(const Cli& cli) {
+  std::set<ProcessId> known;
+  for (int i = 0; i <= cli.servers; ++i) known.insert(server_id(i));
+  return known;
+}
+
+/// `v`, the value of numeric flag `flag`, if it is a whole decimal number
+/// in [min, max]; otherwise a usage error (exit 2).
+std::uint64_t number(const std::string& flag, const char* v, std::uint64_t min,
+                     std::uint64_t max) {
+  std::uint64_t n = 0;
+  if (bench::parse_u64(v, n) && n >= min && n <= max) return n;
+  std::fprintf(stderr, "udp_group_call: invalid value for %s: '%s' (expected %llu..%llu)\n",
+               flag.c_str(), v == nullptr ? "" : v, static_cast<unsigned long long>(min),
+               static_cast<unsigned long long>(max));
+  std::exit(2);
+}
+
 Cli parse(int argc, char** argv) {
   Cli cli;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> int { return i + 1 < argc ? std::atoi(argv[++i]) : 0; };
-    if (arg == "--servers") cli.servers = next();
-    else if (arg == "--calls") cli.calls = next();
-    else if (arg == "--timeout-sec") cli.timeout_sec = next();
-    else if (arg == "--trace-out" && i + 1 < argc) cli.trace_out = argv[++i];
+    const auto next = [&](std::uint64_t min, std::uint64_t max) {
+      return number(arg, i + 1 < argc ? argv[++i] : nullptr, min, max);
+    };
+    if (arg == "--servers") cli.servers = static_cast<int>(next(1, kMaxServers));
+    else if (arg == "--calls") cli.calls = static_cast<int>(next(1, INT_MAX));
+    else if (arg == "--timeout-sec") cli.timeout_sec = static_cast<int>(next(1, INT_MAX));
+    else if (arg == "--trace-dir" && i + 1 < argc) cli.trace_dir = argv[++i];
     else if (arg == "--force-retransmit") cli.force_retransmit = true;
-    else if (arg == "--telemetry-port") cli.telemetry_port = next();
+    else if (arg == "--telemetry-port") cli.telemetry_port = static_cast<int>(next(0, 65535));
     else if (arg == "--port-file" && i + 1 < argc) cli.port_file = argv[++i];
     else if (arg == "--stats-out" && i + 1 < argc) cli.stats_out = argv[++i];
-    else if (arg == "--serve-sec") cli.serve_sec = next();
+    else if (arg == "--serve-sec") cli.serve_sec = static_cast<int>(next(0, INT_MAX));
     else if (arg == "--flight-dir" && i + 1 < argc) cli.flight_dir = argv[++i];
-    else if (arg == "--stall-bound-us") cli.stall_bound_us = next();
-    else {
+    else if (arg == "--stall-bound-us") {
+      cli.stall_bound_us = static_cast<std::int64_t>(next(0, INT64_MAX));
+    } else {
       std::fprintf(stderr,
                    "usage: udp_group_call [--servers N] [--calls N] [--timeout-sec N]"
-                   " [--trace-out PATH] [--force-retransmit] [--telemetry-port N]"
+                   " [--trace-dir DIR] [--force-retransmit] [--telemetry-port N]"
                    " [--port-file PATH] [--stats-out PATH] [--serve-sec N]"
                    " [--flight-dir DIR] [--stall-bound-us N]\n");
       std::exit(2);
     }
   }
-  if (cli.servers < 1 || cli.calls < 1 || cli.timeout_sec < 1 || cli.serve_sec < 0 ||
-      cli.stall_bound_us < 0) {
-    std::exit(2);
-  }
   return cli;
 }
 
-/// Per-process Perfetto fragment file (children write, parent merges).
-std::string fragment_path(const Cli& cli, int index) {
-  return cli.trace_out + ".frag" + std::to_string(index);
-}
-
-bool write_file(const std::string& path, const std::string& content) {
+bool write_file(const std::string& path, std::string_view content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   const bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
   return std::fclose(f) == 0 && ok;
 }
 
-bool read_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return true;
+/// Writes `site`'s trace file into the --trace-dir: `tracer`'s records under
+/// a header naming the site's configuration and what it promises.
+bool write_trace(const Cli& cli, const core::Site& site, const obs::Tracer& tracer) {
+  std::error_code ec;
+  std::filesystem::create_directories(cli.trace_dir, ec);  // a failure shows when writing
+  const std::string path =
+      cli.trace_dir + "/trace-site" + std::to_string(site.id().value()) + ".bin";
+  const Buffer trace = obs::encode_trace(
+      tracer, {"", site.config().describe(), core::expectations_from(site.config())});
+  if (write_file(path, {reinterpret_cast<const char*>(trace.bytes().data()), trace.size()})) {
+    return true;
+  }
+  std::fprintf(stderr, "pid %d: cannot write %s\n", getpid(), path.c_str());
+  return false;
 }
 
 void write_u16(int fd, std::uint16_t v) {
@@ -159,18 +198,10 @@ std::uint16_t read_u16(int fd) {
   net::UdpTransport::Options opt;
   opt.seed = my_id.value();
   net::UdpTransport transport(opt);
-
-  std::set<ProcessId> known;
-  std::vector<ProcessId> members;
-  for (int i = 0; i < cli.servers; ++i) {
-    known.insert(server_id(i));
-    members.push_back(server_id(i));
-  }
-  known.insert(client_id);
-
-  core::Site site(transport, my_id, core::ConfigBuilder::exactly_once().build(), known);
+  const std::vector<ProcessId> members = members_of(cli);
+  core::Site site(transport, my_id, core::ConfigBuilder::exactly_once().build(), known_to(cli));
   obs::Tracer tracer;
-  if (!cli.trace_out.empty()) {
+  if (!cli.trace_dir.empty()) {
     transport.set_tracer(&tracer);
     site.set_tracer(&tracer);
   }
@@ -201,14 +232,7 @@ std::uint16_t read_u16(int fd) {
     if (n == 0) break;                           // EOF: parent is done
     if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) break;
   }
-  if (!cli.trace_out.empty()) {
-    // Leave our slice of the distributed trace where the parent can find it.
-    if (!write_file(fragment_path(cli, index), obs::export_perfetto_fragment(tracer))) {
-      std::fprintf(stderr, "pid %d: cannot write trace fragment\n", getpid());
-      std::exit(1);
-    }
-  }
-  std::exit(0);
+  std::exit(cli.trace_dir.empty() || write_trace(cli, site, tracer) ? 0 : 1);
 }
 
 }  // namespace
@@ -248,18 +272,11 @@ int main(int argc, char** argv) {
   net::UdpTransport::Options opt;
   opt.seed = client_id.value();
   net::UdpTransport transport(opt);
-
-  std::set<ProcessId> known;
-  std::vector<ProcessId> members;
-  for (int i = 0; i < cli.servers; ++i) {
-    known.insert(server_id(i));
-    members.push_back(server_id(i));
-  }
-  known.insert(client_id);
-
-  core::Site site(transport, client_id, core::ConfigBuilder::exactly_once().build(), known);
+  const std::vector<ProcessId> members = members_of(cli);
+  core::Site site(transport, client_id, core::ConfigBuilder::exactly_once().build(),
+                  known_to(cli));
   obs::Tracer tracer;
-  if (!cli.trace_out.empty() || cli.telemetry_on()) {
+  if (!cli.trace_dir.empty() || cli.telemetry_on()) {
     // Telemetry implies tracing: its counters, span attribution and
     // flight-dump rings come from the same tracer the spans land in.
     transport.set_tracer(&tracer);
@@ -364,30 +381,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  bool trace_ok = true;
-  if (!cli.trace_out.empty()) {
-    // Children have exited (waitpid above), so their fragments are complete.
-    std::vector<std::string> fragments;
-    fragments.push_back(obs::export_perfetto_fragment(tracer));
-    for (int i = 0; i < cli.servers; ++i) {
-      const std::string path = fragment_path(cli, i);
-      std::string frag;
-      if (read_file(path, frag)) {
-        fragments.push_back(std::move(frag));
-      } else {
-        std::fprintf(stderr, "udp_group_call: missing trace fragment %s\n", path.c_str());
-        trace_ok = false;
-      }
-      ::unlink(path.c_str());
-    }
-    if (write_file(cli.trace_out, obs::merge_perfetto_fragments(fragments))) {
-      std::printf("udp_group_call: wrote merged trace to %s (load it in ui.perfetto.dev "
-                  "or chrome://tracing)\n",
-                  cli.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "udp_group_call: cannot write %s\n", cli.trace_out.c_str());
-      trace_ok = false;
-    }
+  const bool trace_ok = cli.trace_dir.empty() || write_trace(cli, site, tracer);
+  if (!cli.trace_dir.empty() && trace_ok && children_ok) {
+    std::printf("udp_group_call: wrote %d trace files to %s (render them with "
+                "`ugrpcstat --perfetto %s/*`)\n",
+                cli.servers + 1, cli.trace_dir.c_str(), cli.trace_dir.c_str());
   }
 
   const net::Stats& stats = transport.stats();

@@ -372,12 +372,10 @@ std::optional<std::string> SiteTelemetry::trip(std::string_view reason, std::str
   // dump for the same site id (two simulated scenarios), so a name already
   // taken moves on to the next seq.
   std::error_code ec;
-  std::uint64_t seq = 0;
   std::string name;
   for (int tries = 0;; ++tries) {
-    seq = ++dump_seq_;
     name = "flight-" + stamp_utc() + "-site" + std::to_string(site_.id().value()) + "-pid" +
-           std::to_string(::getpid()) + "-" + std::to_string(seq);
+           std::to_string(::getpid()) + "-" + std::to_string(++dump_seq_);
     if (!fs::exists(fs::path(flight_dir_) / name, ec)) break;
     if (tries + 1 == kDumpNameTries) {
       if (error != nullptr) *error = "no free dump name in " + flight_dir_ + " after " + name;
@@ -393,32 +391,11 @@ std::optional<std::string> SiteTelemetry::trip(std::string_view reason, std::str
     return std::nullopt;
   }
 
-  const obs::Expect expect = expectations_from(site_.config());
-  std::string manifest = "{\n  \"reason\": " + obs::json_str(reason) +
-                         ",\n  \"stamp_utc\": " + obs::json_str(stamp_utc()) +
-                         ",\n  \"seq\": " + std::to_string(seq) +
-                         ",\n  \"files\": [\"" + obs::kTraceFileName +
-                         "\", \"metrics.prom\", \"introspect.json\"]";
-  manifest += ",\n  \"config\": " + obs::json_str(site_.config().describe()) + ",\n  ";
-  const auto flag = [&manifest](const char* key, bool on) {
-    manifest += std::string(key) + (on ? "true" : "false");
-  };
-  flag("\"expect\": {\"unique_execution\":", expect.unique_execution);
-  flag(",\"atomic_execution\":", expect.atomic_execution);
-  manifest += ",\"termination_bound_us\":";
-  manifest += expect.termination_bound.has_value() ? std::to_string(*expect.termination_bound)
-                                                   : std::string("null");
-  manifest += ",\"termination_slack_us\":" + std::to_string(expect.termination_slack);
-  flag(",\"fifo_order\":", expect.fifo_order);
-  flag(",\"total_order\":", expect.total_order);
-  flag(",\"terminate_orphans\":", expect.terminate_orphans);
-  manifest += "}\n}\n";
-
-  const Buffer trace = obs::encode_trace(tracer_);
+  const Buffer trace = obs::encode_trace(
+      tracer_, {std::string(reason), site_.config().describe(), expectations_from(site_.config())});
   const std::string_view trace_bytes(reinterpret_cast<const char*>(trace.bytes().data()),
                                      trace.size());
-  if (!write_file(tmp / "MANIFEST.json", manifest, error) ||
-      !write_file(tmp / obs::kTraceFileName, trace_bytes, error) ||
+  if (!write_file(tmp / obs::kTraceFileName, trace_bytes, error) ||
       !write_file(tmp / "metrics.prom", metrics_text(), error) ||
       !write_file(tmp / "introspect.json", introspection_json(), error)) {
     fs::remove_all(tmp, ec);

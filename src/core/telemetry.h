@@ -29,13 +29,13 @@
 //   * flight recorder -- trip() persists the in-memory evidence into one
 //     fresh directory `<flight_dir>/flight-<UTCstamp>-site<id>-pid<pid>-<seq>`:
 //
-//       MANIFEST.json   reason, wall-clock stamp, seq, file list, the site's
-//                       config line and the checker Expect derived from it
-//                       (core::expectations_from), so the dump is checkable
-//                       standalone
-//       trace.bin       obs::encode_trace(): the rings' records, names and
-//                       dropped count (obs/trace_file.h), which ugrpcstat
-//                       replays (--check-flight) and renders (--perfetto)
+//       trace.bin       obs::encode_trace(): a header with the reason, the
+//                       site's config line and the checker Expect derived
+//                       from it (core::expectations_from), then the rings'
+//                       records, names and dropped count (obs/trace_file.h),
+//                       so the dump is checkable standalone: ugrpcstat
+//                       replays it (--check-flight) and renders it
+//                       (--perfetto)
 //       metrics.prom    metrics_text()
 //       introspect.json introspection_json()
 //
@@ -52,12 +52,13 @@
 //
 // install_crash_handler() arms SIGSEGV/SIGBUS/SIGFPE/SIGABRT to attempt one
 // best-effort trip() before re-raising with default disposition.  The
-// handler allocates (the trace file is fixed-size records, but the manifest,
-// exposition and introspection are built as strings) and does buffered I/O
-// -- NOT async-signal-safe in the strict sense -- which is the standard
-// flight-recorder trade-off: the process is dying anyway, and a truncated
-// dump (the tmp directory, never renamed) cannot be mistaken for a complete
-// one.
+// handler runs the same trip(): it builds no manifest, but it still
+// allocates (the trace file's buffer, the names, the exposition and the
+// introspection strings), uses std::filesystem and does buffered I/O, so
+// it is NOT async-signal-safe -- a fault inside malloc can deadlock it.
+// That is the standard flight-recorder trade-off, not a solved problem:
+// the process is dying anyway, and a truncated dump (the tmp directory,
+// never renamed) cannot be mistaken for a complete one.
 //
 // Construct after the Site, before or after boot(): the stack itself holds
 // no telemetry state, since every call count is a trace record.  The

@@ -10,11 +10,12 @@
 
 namespace ugrpc::obs {
 
-/// `s` escaped for embedding between JSON double quotes (quotes and the
-/// enclosing string are NOT added).
-[[nodiscard]] inline std::string json_escape(std::string_view s) {
+/// `s` as a complete JSON string literal, quotes included: quotes,
+/// backslashes and control bytes escaped.
+[[nodiscard]] inline std::string json_str(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
+  out.reserve(s.size() + 2);
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -34,15 +35,6 @@ namespace ugrpc::obs {
         }
     }
   }
-  return out;
-}
-
-/// `s` as a complete JSON string literal, quotes included.
-[[nodiscard]] inline std::string json_str(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  out += json_escape(s);
   out += '"';
   return out;
 }

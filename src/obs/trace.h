@@ -140,7 +140,7 @@ static_assert(sizeof(Event) == 80, "trace.h states the per-site ring bytes");
 
 /// The id of the span a record opens: unique across every site of a tracer
 /// AND across OS processes (sites are disjoint between forked processes), so
-/// multi-process Perfetto fragments merge without id collisions.
+/// the trace files of several processes render together without collisions.
 [[nodiscard]] constexpr std::uint64_t span_id(ProcessId site, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(site.value()) << 32) | (seq & 0xFFFFFFFFu);
 }

@@ -1,16 +1,38 @@
 #include "obs/trace_file.h"
 
+#include <iterator>
 #include <utility>
 
 namespace ugrpc::obs {
 
-Buffer encode_trace(const Tracer& t) {
+namespace {
+
+/// The header's expect flags: bit i is kExpectFlags[i]; kExpectBound says a
+/// termination bound follows.
+constexpr bool Expect::*kExpectFlags[] = {&Expect::unique_execution, &Expect::atomic_execution,
+                                          &Expect::fifo_order, &Expect::total_order,
+                                          &Expect::terminate_orphans};
+constexpr std::uint8_t kExpectBound = 1 << std::size(kExpectFlags);
+
+}  // namespace
+
+Buffer encode_trace(const Tracer& t, const TraceHeader& header) {
   const std::vector<Event> history = t.merged();
   const std::vector<std::string>& names = t.names();
   Buffer out;
   Writer w(out);
   w.u32(kTraceFileMagic);
   w.u32(kTraceFileVersion);
+  w.str(header.reason);
+  w.str(header.config);
+  const Expect& x = header.expect;
+  std::uint8_t flags = x.termination_bound.has_value() ? kExpectBound : 0;
+  for (std::size_t i = 0; i < std::size(kExpectFlags); ++i) {
+    if (x.*kExpectFlags[i]) flags |= static_cast<std::uint8_t>(1 << i);
+  }
+  w.u8(flags);
+  if (x.termination_bound.has_value()) w.i64(*x.termination_bound);
+  w.i64(x.termination_slack);
   w.u64(t.total_dropped());
   w.u32(static_cast<std::uint32_t>(names.size() - 1));
   for (std::size_t id = 1; id < names.size(); ++id) w.str(names[id]);
@@ -45,6 +67,16 @@ std::optional<TraceFile> decode_trace(std::span<const std::byte> bytes, std::str
                   std::to_string(kTraceFileVersion) + " only");
     }
     TraceFile out;
+    out.header.reason = r.str();
+    out.header.config = r.str();
+    const std::uint8_t flags = r.u8();
+    if (flags >= 2 * kExpectBound) {
+      return fail("expect flags " + std::to_string(flags) + " carry bits this build does not know");
+    }
+    Expect& x = out.header.expect;
+    for (std::size_t i = 0; i < std::size(kExpectFlags); ++i) x.*kExpectFlags[i] = (flags >> i) & 1;
+    if ((flags & kExpectBound) != 0) x.termination_bound = r.i64();
+    x.termination_slack = r.i64();
     out.dropped = r.u64();
     // Every name takes at least its 4-byte length prefix.
     const std::uint32_t name_count = r.u32();

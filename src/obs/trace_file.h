@@ -1,12 +1,17 @@
-// The trace file: the one on-disk encoding of a Tracer's rings.
-//
-// A flight dump (core/telemetry.h) writes the rings once, as this file;
-// `ugrpcstat --check-flight` replays it through obs::check() and
-// `ugrpcstat --perfetto` renders its spans (obs/perfetto.h) offline.
+// The trace file: the one form in which a trace leaves a process (a flight
+// dump's trace.bin, core/telemetry.h, or each process's file of a traced
+// `udp_group_call --trace-dir` run).  Its header says what the trace
+// promised, the site's config line and the checker Expect derived from it,
+// so `ugrpcstat --check-flight FILE` replays it through obs::check() with
+// nothing beside it; `ugrpcstat --perfetto FILE...` renders it offline.
 // Layout, every integer little-endian at fixed width (common/buffer.h's
 // Writer, read back with its bounds-checked Reader):
 //
 //   u32 magic "UGTR"   u32 version (kTraceFileVersion)
+//   header: str reason ("" for a run's trace), str config line,
+//           u8 expect flags (bits 0-4: unique, atomic, FIFO, total,
+//           orphans; bit 5: a bound follows), i64 termination bound in us
+//           when bit 5 is set, i64 termination slack in us
 //   u64 records overwritten by ring wraps before the dump (total_dropped)
 //   u32 name count N, then N length-prefixed strings: interned ids 1..N
 //   u32 record count M, then M records of kTraceRecordBytes each:
@@ -16,10 +21,12 @@
 // Records are written field by field, never as the Event struct, whose
 // padding bytes are indeterminate.  Kind values are stored as numbers,
 // which is why trace.h's enum is append-only.  The decoder trusts nothing:
-// counts are checked against the bytes left before anything is reserved,
-// a name id must index the table, records must come in increasing
-// sequence order, and a kind this build does not know is skipped and
-// counted, so a newer build's dump still loads.
+// lengths and counts are checked against the bytes left before anything
+// is reserved, a name id must index the table, records must come in
+// increasing sequence order, and a kind this build does not know is
+// skipped and counted, so a newer build's dump still loads.  An expect
+// flag this build does not know is rejected instead: checking a trace
+// against less than it promised would call it clean.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +37,7 @@
 #include <vector>
 
 #include "common/buffer.h"
+#include "obs/checker.h"
 #include "obs/trace.h"
 
 namespace ugrpc::obs {
@@ -37,19 +45,29 @@ namespace ugrpc::obs {
 /// The trace file's name inside a flight dump directory.
 inline constexpr const char* kTraceFileName = "trace.bin";
 inline constexpr std::uint32_t kTraceFileMagic = 0x52544755;  // "UGTR" on disk
-inline constexpr std::uint32_t kTraceFileVersion = 1;
+inline constexpr std::uint32_t kTraceFileVersion = 2;
 inline constexpr std::size_t kTraceRecordBytes = 8 * 8 + 4 + 4 + 1 + 1;
+
+/// What a trace promised: why it was written, the configuration of the
+/// site that wrote it, and the invariants that configuration commits to.
+struct TraceHeader {
+  std::string reason;  ///< why the trace was written; "" for a run's trace
+  std::string config;  ///< the site's Config::describe() line
+  Expect expect;
+};
 
 /// A decoded trace file.
 struct TraceFile {
+  TraceHeader header;
   std::vector<Event> events;       ///< in sequence order; `name` indexes `names`
   std::vector<std::string> names;  ///< names[0] == ""
   std::uint64_t dropped = 0;        ///< records overwritten before the dump
   std::uint64_t unknown_kinds = 0;  ///< records skipped: kind unknown to this build
 };
 
-/// `t`'s merged history, dropped count and name table as a trace file.
-[[nodiscard]] Buffer encode_trace(const Tracer& t);
+/// `header`, then `t`'s merged history, dropped count and name table, as a
+/// trace file.
+[[nodiscard]] Buffer encode_trace(const Tracer& t, const TraceHeader& header);
 
 /// Decodes a trace file.  nullopt, with a one-line reason in `error` when
 /// non-null, if `bytes` is not a well-formed file of this version.

@@ -23,6 +23,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <sstream>
@@ -63,6 +64,15 @@ std::string slurp(const fs::path& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// `dump`'s decoded trace file; nullopt (a test failure) if it does not load.
+std::optional<obs::TraceFile> load_trace(const fs::path& dump) {
+  std::string error;
+  const std::string bytes = slurp(dump / obs::kTraceFileName);
+  auto file = obs::decode_trace(std::as_bytes(std::span(bytes)), &error);
+  EXPECT_TRUE(file.has_value()) << dump << ": " << error;
+  return file;
 }
 
 /// The flight-* directories under `dir` (none when `dir` is missing).
@@ -374,33 +384,29 @@ TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
   ASSERT_TRUE(dump.has_value()) << error;
   EXPECT_EQ(telemetry.registry().value("flight.dumps"), 1u);
 
-  // MANIFEST.json carries the reason plus the site's checker expectations.
-  const auto manifest = json_parse(slurp(fs::path(*dump) / "MANIFEST.json"), &error);
-  ASSERT_TRUE(manifest.has_value()) << error;
-  EXPECT_EQ((*manifest)["reason"].as_string(), "test-reason");
-  ASSERT_TRUE((*manifest)["expect"].is_object());
-  EXPECT_EQ((*manifest)["expect"]["unique_execution"].as_bool(),
-            expectations_from(config).unique_execution);
-  // The dump holds the manifest and exactly the files it lists.
-  std::set<std::string> listed = {"MANIFEST.json"};
-  for (const JsonValue& file : (*manifest)["files"].as_array()) listed.insert(file.as_string());
+  // The dump holds exactly its three files.
   std::set<std::string> present;
   for (const auto& entry : fs::directory_iterator(*dump)) {
     present.insert(entry.path().filename().string());
   }
-  EXPECT_EQ(present, listed);
-  EXPECT_EQ(present, (std::set<std::string>{"MANIFEST.json", obs::kTraceFileName, "metrics.prom",
-                                            "introspect.json"}));
+  EXPECT_EQ(present,
+            (std::set<std::string>{obs::kTraceFileName, "metrics.prom", "introspect.json"}));
 
-  // The trace file decodes into checker-ready events; the healthy workload
-  // must replay clean under the config's own expectations.
-  const std::string bytes = slurp(fs::path(*dump) / obs::kTraceFileName);
-  const auto loaded = obs::decode_trace(std::as_bytes(std::span(bytes)), &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
+  // The trace file's header carries the reason, the site's config line and
+  // its checker expectations, and its events are checker-ready: the healthy
+  // workload must replay clean under the expectations the file records.
+  const auto loaded = load_trace(fs::path(*dump));
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->header.reason, "test-reason");
+  EXPECT_EQ(loaded->header.config, config.describe());
+  const obs::Expect want = expectations_from(config);
+  EXPECT_EQ(loaded->header.expect.unique_execution, want.unique_execution);
+  EXPECT_EQ(loaded->header.expect.atomic_execution, want.atomic_execution);
+  EXPECT_EQ(loaded->header.expect.termination_bound, want.termination_bound);
   EXPECT_EQ(loaded->unknown_kinds, 0u);
   EXPECT_EQ(loaded->dropped, 0u);
   ASSERT_FALSE(loaded->events.empty());
-  const obs::Report report = obs::check(loaded->events, expectations_from(config));
+  const obs::Report report = obs::check(loaded->events, loaded->header.expect);
   EXPECT_TRUE(report.ok()) << report.brief();
   EXPECT_EQ(report.summary.calls_issued, 3u);
   EXPECT_EQ(report.summary.calls_ok, 3u);
@@ -433,13 +439,11 @@ TEST(LiveTelemetry, WatchdogTripWritesFlightDump) {
   const SiteTelemetry::Sweep sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.stalled, 1u);
   ASSERT_TRUE(sweep.flight_dir.has_value());
-  EXPECT_TRUE(fs::exists(fs::path(*sweep.flight_dir) / "MANIFEST.json"));
   EXPECT_EQ(telemetry.registry().value("flight.dumps"), 1u);
 
-  std::string error;
-  const auto manifest = json_parse(slurp(fs::path(*sweep.flight_dir) / "MANIFEST.json"), &error);
-  ASSERT_TRUE(manifest.has_value()) << error;
-  EXPECT_NE((*manifest)["reason"].as_string().find("watchdog"), std::string::npos);
+  const auto loaded = load_trace(fs::path(*sweep.flight_dir));
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_NE(loaded->header.reason.find("watchdog"), std::string::npos);
   fs::remove_all(dir);
 }
 
@@ -464,9 +468,9 @@ TEST(LiveTelemetry, TwoSitesTripIntoOneDirectoryWithinASecond) {
   EXPECT_NE(*client_dump, *server_dump);
   EXPECT_EQ(flight_dumps(dir).size(), 2u);
   for (const auto& [dump, reason] : {std::pair{*client_dump, "client"}, {*server_dump, "server"}}) {
-    const auto manifest = json_parse(slurp(fs::path(dump) / "MANIFEST.json"), &error);
-    ASSERT_TRUE(manifest.has_value()) << error;
-    EXPECT_EQ((*manifest)["reason"].as_string(), reason);
+    const auto loaded = load_trace(fs::path(dump));
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->header.reason, reason);
   }
   fs::remove_all(dir);
 }
@@ -499,11 +503,7 @@ TEST(LiveTelemetry, TwoScenariosOfOneSiteIdTripIntoOneDirectoryWithinASecond) {
   EXPECT_NE(*dump_a, *dump_b);
   const std::vector<fs::path> dumps = flight_dumps(dir);
   EXPECT_EQ(dumps.size(), 2u);
-  for (const fs::path& dump : dumps) {
-    const std::string bytes = slurp(dump / obs::kTraceFileName);
-    EXPECT_TRUE(obs::decode_trace(std::as_bytes(std::span(bytes)), &error).has_value())
-        << dump << ": " << error;
-  }
+  for (const fs::path& dump : dumps) EXPECT_TRUE(load_trace(dump).has_value()) << dump;
   fs::remove_all(dir);
 }
 
@@ -523,10 +523,9 @@ TEST(LiveTelemetryDeathTest, CrashHandlerDumpsOnAbortUntilDestroyed) {
   }
   const std::vector<fs::path> dumps = flight_dumps(dir);
   ASSERT_EQ(dumps.size(), 1u);
-  std::string error;
-  const auto manifest = json_parse(slurp(dumps[0] / "MANIFEST.json"), &error);
-  ASSERT_TRUE(manifest.has_value()) << error;
-  EXPECT_EQ((*manifest)["reason"].as_string(), "signal:SIGABRT");
+  const auto loaded = load_trace(dumps[0]);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->header.reason, "signal:SIGABRT");
 
   // The destructor disarmed the handler: default disposition again, and a
   // second abort leaves no dump.

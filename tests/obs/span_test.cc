@@ -24,9 +24,9 @@
 #include "net/network.h"
 #include "net/udp_transport.h"
 #include "json_value.h"
-#include "obs/perfetto.h"
 #include "obs/trace.h"
 #include "obs/trace_file.h"
+#include "perfetto.h"
 #include "runtime/framework.h"
 
 namespace ugrpc {
@@ -349,6 +349,14 @@ std::string slurp(const std::filesystem::path& path) {
   return ss.str();
 }
 
+/// `tracer`'s spans as a Perfetto document, rendered from its trace file.
+std::string perfetto_of(const obs::Tracer& tracer) {
+  const Buffer bytes = obs::encode_trace(tracer, {});
+  const auto file = obs::decode_trace(bytes.bytes());
+  EXPECT_TRUE(file.has_value());
+  return file ? tools::render_perfetto(std::span(&*file, 1)) : std::string();
+}
+
 /// Runs tools/check_perfetto.py on `json`; its exit status.
 int check_perfetto(const std::string& json, const std::string& flags) {
   const std::filesystem::path file =
@@ -390,7 +398,7 @@ TEST(Span, RingWrapDropsSpansWhoseOpenWasOverwritten) {
   if (std::system("python3 --version > /dev/null 2>&1") != 0) {
     GTEST_SKIP() << "python3 not available to run check_perfetto.py";
   }
-  const std::string json = obs::export_perfetto(tracer);
+  const std::string json = perfetto_of(tracer);
   EXPECT_EQ(check_perfetto(json, "--partial"), 0) << json;
   EXPECT_EQ(check_perfetto(json, ""), 1) << "the dangling root parent must be visible";
 }
@@ -446,9 +454,7 @@ TEST(Span, LongRunningSiteKeepsItsNewestSpans) {
   for (const obs::Event& e : trace->events) {
     if ((e.flags & obs::kSpanOpen) != 0) opens.insert(obs::span_id(e.site, e.seq));
   }
-  const auto doc = tools::json_parse(
-      obs::merge_perfetto_fragments({obs::export_perfetto_fragment(trace->events, trace->names)}),
-      &error);
+  const auto doc = tools::json_parse(tools::render_perfetto(std::span(&*trace, 1)), &error);
   ASSERT_TRUE(doc.has_value()) << error;
   std::uint64_t exported = 0;
   std::uint64_t newest_seq = 0;
@@ -501,7 +507,7 @@ TEST(Span, PerfettoExportEscapesHostileNames) {
   const std::uint32_t evil = st.intern("evil\"name\\with\nnewline");
   const SpanCtx h = st.open(sim::Time{1}, Kind::kEventHandled, SpanCtx{1, 0}, 0, 0, 0, evil);
   st.close(sim::Time{2}, h.parent);
-  const std::string json = obs::export_perfetto(tracer);
+  const std::string json = perfetto_of(tracer);
   EXPECT_NE(json.find("evil\\\"name\\\\with\\nnewline"), std::string::npos)
       << "quotes, backslashes and control characters must be escaped";
   // No raw control characters may survive inside the document.

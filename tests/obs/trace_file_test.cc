@@ -1,11 +1,12 @@
-// The trace file (obs/trace_file.h), the one encoding a flight dump stores a
-// trace in.  A round trip on a seeded lossy, duplicating run must give back
-// merged() field by field, the same names, the same checker verdict and the
-// same Perfetto rendering.  A dump is bytes from disk, so a seeded mutation
-// campaign over a real dump -- truncation at every length, byte flips, lying
-// counts, bad name ids, bad magic or version, unknown kinds -- must see each
-// input rejected with a reason or loaded into a history spans_of() accepts,
-// never a crash (ASan/UBSan in CI).
+// The trace file (obs/trace_file.h), the one form in which a trace leaves a
+// process.  A round trip on a seeded lossy, duplicating run must give back
+// its header, merged() field by field, the same names, the same checker
+// verdict and a Perfetto rendering of every closed span.  A dump is bytes
+// from disk, so a seeded mutation campaign over a real dump -- truncation at
+// every length, byte flips, lying lengths and counts, unknown expect flags,
+// bad name ids, bad magic or version, unknown kinds -- must see each input
+// rejected with a reason or loaded into a history spans_of() accepts and the
+// renderer draws, never a crash (ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,17 +19,21 @@
 #include "core/observe.h"
 #include "core/scenario.h"
 #include "obs/checker.h"
-#include "obs/perfetto.h"
 #include "obs/trace_file.h"
+#include "perfetto.h"
 
 namespace ugrpc::obs {
 namespace {
 
-/// Offsets into a file with no names: magic, version, dropped, counts.
+/// Offsets into a file with an empty header (no reason, no config line, no
+/// termination bound) and no names: magic, version, header, dropped, counts.
 constexpr std::size_t kVersionAt = 4;
-constexpr std::size_t kNameCountAt = 16;
-constexpr std::size_t kRecordCountAt = 20;  // with no names
-constexpr std::size_t kFirstRecordAt = 24;  // with no names
+constexpr std::size_t kReasonAt = 8;
+constexpr std::size_t kConfigAt = 12;
+constexpr std::size_t kFlagsAt = 16;
+constexpr std::size_t kNameCountAt = 33;
+constexpr std::size_t kRecordCountAt = 37;  // with no names
+constexpr std::size_t kFirstRecordAt = 41;  // with no names
 /// Offsets within a record.
 constexpr std::size_t kNameIdAt = 68;
 constexpr std::size_t kKindAt = 72;
@@ -51,6 +56,18 @@ void lossy_run(Tracer& tracer) {
   s.run_until_quiescent();
 }
 
+/// Where the name count of a file with header `h` sits: after the magic, the
+/// version, the header and the dropped count.
+std::size_t name_count_at(const TraceHeader& h) {
+  return 8 + 4 + h.reason.size() + 4 + h.config.size() + 1 +
+         (h.expect.termination_bound.has_value() ? 8 : 0) + 8 + 8;
+}
+
+/// The header a site running `config` writes.
+TraceHeader header_of(const core::Config& config, std::string reason) {
+  return {std::move(reason), config.describe(), core::expectations_from(config)};
+}
+
 /// A real dump: one exactly-once call to two servers over a duplicating link.
 Buffer real_dump() {
   Tracer tracer;
@@ -65,7 +82,7 @@ Buffer real_dump() {
     (void)co_await c.call(s.group(), OpId{1}, Buffer{});
   });
   s.run_until_quiescent();
-  return encode_trace(tracer);
+  return encode_trace(tracer, header_of(core::ConfigBuilder::exactly_once().build(), "watchdog"));
 }
 
 std::vector<std::byte> bytes_of(const Buffer& b) { return {b.bytes().begin(), b.bytes().end()}; }
@@ -91,7 +108,7 @@ bool decode_checked(const std::vector<std::byte>& bytes) {
     EXPECT_LT(e.name, file->names.size());
   }
   (void)spans_of(file->events);  // deriving spans from any loaded history is safe
-  (void)export_perfetto_fragment(file->events, file->names);
+  (void)tools::render_perfetto(std::span(&*file, 1));
   return true;
 }
 
@@ -99,7 +116,7 @@ bool decode_checked(const std::vector<std::byte>& bytes) {
 std::vector<std::byte> one_record(Kind kind) {
   Tracer tracer;
   tracer.site(ProcessId{1}).record(sim::usec(1), kind, 7);
-  return bytes_of(encode_trace(tracer));
+  return bytes_of(encode_trace(tracer, {}));
 }
 
 TEST(TraceFile, RoundTripEqualsMergedHistoryCheckerAndPerfetto) {
@@ -108,9 +125,13 @@ TEST(TraceFile, RoundTripEqualsMergedHistoryCheckerAndPerfetto) {
   ASSERT_GT(tracer.count(Kind::kRetransmit), 0u);
   ASSERT_GT(tracer.count(Kind::kMsgDuplicated), 0u);
 
+  const core::Config config = core::ConfigBuilder::at_least_once().acceptance_limit(3).build();
   std::string error;
-  const auto file = decode_trace(bytes_of(encode_trace(tracer)), &error);
+  const auto file = decode_trace(bytes_of(encode_trace(tracer, header_of(config, ""))), &error);
   ASSERT_TRUE(file.has_value()) << error;
+  EXPECT_EQ(file->header.reason, "");
+  EXPECT_EQ(file->header.config, config.describe());
+  EXPECT_FALSE(file->header.expect.unique_execution) << "at-least-once promises no uniqueness";
   EXPECT_EQ(file->dropped, 0u);
   EXPECT_EQ(file->unknown_kinds, 0u);
   const std::vector<Event> want = tracer.merged();
@@ -152,15 +173,72 @@ TEST(TraceFile, RoundTripEqualsMergedHistoryCheckerAndPerfetto) {
   EXPECT_EQ(got.summary.calls_issued, 8u);
   EXPECT_GT(got.summary.retransmissions, 0u);
 
-  EXPECT_EQ(merge_perfetto_fragments({export_perfetto_fragment(file->events, file->names)}),
-            export_perfetto(tracer));
+  // The rendering draws one complete event per closed span of the run.
+  const std::string doc = tools::render_perfetto(std::span(&*file, 1));
+  std::size_t drawn = 0;
+  for (std::size_t at = 0; (at = doc.find("\"ph\":\"X\"", at)) != std::string::npos; ++at) ++drawn;
+  std::size_t closed = 0;
+  for (const Span& span : tracer.spans()) closed += span.open() ? 0 : 1;
+  EXPECT_GT(closed, 0u);
+  EXPECT_EQ(drawn, closed);
+}
+
+TEST(TraceFile, HeaderRoundTripsEveryExpectation) {
+  Tracer tracer;
+  tracer.site(ProcessId{1}).record(sim::usec(1), Kind::kCheckpoint, 7);
+  TraceHeader every{"signal:SIGABRT", "a config line", {}};
+  every.expect = {true, true, sim::msec(250), sim::usec(1500), true, true, true};
+  for (const TraceHeader& want : {TraceHeader{}, every}) {
+    std::string error;
+    const auto file = decode_trace(bytes_of(encode_trace(tracer, want)), &error);
+    ASSERT_TRUE(file.has_value()) << error;
+    const Expect& got = file->header.expect;
+    EXPECT_EQ(file->header.reason, want.reason);
+    EXPECT_EQ(file->header.config, want.config);
+    EXPECT_EQ(got.unique_execution, want.expect.unique_execution);
+    EXPECT_EQ(got.atomic_execution, want.expect.atomic_execution);
+    EXPECT_EQ(got.termination_bound, want.expect.termination_bound);
+    EXPECT_EQ(got.termination_slack, want.expect.termination_slack);
+    EXPECT_EQ(got.fifo_order, want.expect.fifo_order);
+    EXPECT_EQ(got.total_order, want.expect.total_order);
+    EXPECT_EQ(got.terminate_orphans, want.expect.terminate_orphans);
+    EXPECT_EQ(file->events.size(), 1u);
+  }
+}
+
+TEST(TraceFile, MalformedHeaderIsRejected) {
+  const std::vector<std::byte> base = one_record(Kind::kCheckpoint);
+  std::string error;
+  for (const std::size_t at : {kReasonAt, kConfigAt}) {
+    for (const std::uint32_t lie : {std::uint32_t{5000}, UINT32_MAX}) {
+      std::vector<std::byte> length = base;
+      put_u32(length, at, lie);
+      EXPECT_FALSE(decode_trace(length, &error).has_value()) << at << " " << lie;
+      EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+    }
+  }
+  for (const int bit : {6, 7}) {
+    std::vector<std::byte> flags = base;
+    flags[kFlagsAt] |= static_cast<std::byte>(1 << bit);
+    EXPECT_FALSE(decode_trace(flags, &error).has_value()) << bit;
+    EXPECT_NE(error.find("expect flags"), std::string::npos) << error;
+  }
+  // A bound flagged present in a file cut off inside it.
+  Tracer tracer;
+  TraceHeader bounded;
+  bounded.expect.termination_bound = sim::msec(100);
+  const std::vector<std::byte> whole = bytes_of(encode_trace(tracer, bounded));
+  ASSERT_TRUE(decode_trace(whole).has_value());
+  const std::vector<std::byte> cut(whole.begin(), whole.begin() + kFlagsAt + 1 + 4);
+  EXPECT_FALSE(decode_trace(cut, &error).has_value());
+  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
 }
 
 TEST(TraceFile, HeaderCarriesTheDroppedCount) {
   Tracer tracer(/*per_site_capacity=*/4);
   SiteTrace& st = tracer.site(ProcessId{2});
   for (int i = 0; i < 10; ++i) st.record(sim::usec(i), Kind::kRetransmit, 1);
-  const auto file = decode_trace(bytes_of(encode_trace(tracer)));
+  const auto file = decode_trace(bytes_of(encode_trace(tracer, {})));
   ASSERT_TRUE(file.has_value());
   EXPECT_EQ(file->dropped, 6u);
   ASSERT_EQ(file->events.size(), 4u);
@@ -203,6 +281,10 @@ TEST(TraceFile, BadMagicVersionOrNameIdIsRejected) {
   put_u32(version, kVersionAt, kTraceFileVersion + 1);
   EXPECT_FALSE(decode_trace(version, &error).has_value());
   EXPECT_NE(error.find("version"), std::string::npos) << error;
+  // A version-1 file, which has no header, is named as such.
+  put_u32(version, kVersionAt, 1);
+  EXPECT_FALSE(decode_trace(version, &error).has_value());
+  EXPECT_NE(error.find("version 1;"), std::string::npos) << error;
 
   std::vector<std::byte> name = base;
   put_u32(name, kFirstRecordAt + kNameIdAt, 1);  // the table holds only id 0
@@ -217,7 +299,7 @@ TEST(TraceLoadFuzz, RealDumpRoundTripsItsSpans) {
   const SpanCtx send = st.open(sim::usec(2), Kind::kMsgSent, chain, 0, 4, 1);
   st.close(sim::usec(3), send.parent, Kind::kSpanEnd, 0, 0, 0, /*flagged=*/true);
   st.close(sim::usec(4), chain.parent);
-  const auto loaded = decode_trace(bytes_of(encode_trace(tracer)));
+  const auto loaded = decode_trace(bytes_of(encode_trace(tracer, {})));
   ASSERT_TRUE(loaded.has_value());
   const auto want = tracer.spans();
   const auto got = spans_of(loaded->events);
@@ -246,6 +328,8 @@ TEST(TraceLoadFuzz, MutatedDumpsAreRejectedOrLoadedNeverCrash) {
   // Where the records start: after the header and the name table.
   const auto file = decode_trace(base);
   ASSERT_TRUE(file.has_value());
+  ASSERT_FALSE(file->header.expect.termination_bound.has_value()) << "case 6 finds the flags";
+  const std::size_t names_at = name_count_at(file->header);
   const std::size_t records_at = base.size() - file->events.size() * kTraceRecordBytes;
   const std::size_t record_count = file->events.size();
 
@@ -261,14 +345,14 @@ TEST(TraceLoadFuzz, MutatedDumpsAreRejectedOrLoadedNeverCrash) {
   for (int round = 0; round < kRounds; ++round) {
     std::vector<std::byte> bytes = base;
     const std::size_t record = records_at + pick(record_count) * kTraceRecordBytes;
-    switch (round % 6) {
+    switch (round % 8) {
       case 0:  // byte flips anywhere
         for (int i = 0; i < 1 + static_cast<int>(pick(8)); ++i) {
           bytes[pick(bytes.size())] = static_cast<std::byte>(pick(256));
         }
         break;
       case 1:  // a hostile name count or record count
-        put_u32(bytes, pick(2) == 0 ? kNameCountAt : records_at - 4, hostile[pick(hostile.size())]);
+        put_u32(bytes, pick(2) == 0 ? names_at : records_at - 4, hostile[pick(hostile.size())]);
         break;
       case 2:  // a record naming an id past the table
         put_u32(bytes, record + kNameIdAt,
@@ -282,6 +366,13 @@ TEST(TraceLoadFuzz, MutatedDumpsAreRejectedOrLoadedNeverCrash) {
           bytes[records_at + pick(record_count) * kTraceRecordBytes + kKindAt] =
               static_cast<std::byte>(kKindCount + pick(256 - kKindCount));
         }
+        break;
+      case 5:  // a hostile reason or config length
+        put_u32(bytes, pick(2) == 0 ? kReasonAt : kReasonAt + 4 + file->header.reason.size(),
+                hostile[pick(hostile.size())]);
+        break;
+      case 6:  // any expect flags byte: unknown bits, or a bound that is not there
+        bytes[names_at - 8 - 8 - 1] = static_cast<std::byte>(pick(256));
         break;
       default:  // flips inside one record's fields, span flags included
         for (int i = 0; i < 1 + static_cast<int>(pick(4)); ++i) {
@@ -305,7 +396,7 @@ TEST(TraceLoadFuzz, UnknownKindsAreCountedNotFatal) {
   SiteTrace& st = tracer.site(ProcessId{1});
   st.record(sim::usec(1), Kind::kCheckpoint, 0, 9);
   st.record(sim::usec(2), Kind::kRetransmit, 4, 2);
-  std::vector<std::byte> bytes = bytes_of(encode_trace(tracer));
+  std::vector<std::byte> bytes = bytes_of(encode_trace(tracer, {}));
   bytes[kFirstRecordAt + kKindAt] = static_cast<std::byte>(kKindCount);  // from a newer build
   bytes[kFirstRecordAt + kTraceRecordBytes + kKindAt + 1] = std::byte{0xFF};  // unknown flags
   const auto loaded = decode_trace(bytes);

@@ -92,7 +92,7 @@ TEST(Tracer, InternDeduplicatesAndResolves) {
 /// `t`'s records as the trace file gives them back.
 TraceFile reload(const Tracer& t) {
   std::string error;
-  auto file = decode_trace(encode_trace(t).bytes(), &error);
+  auto file = decode_trace(encode_trace(t, {}).bytes(), &error);
   EXPECT_TRUE(file.has_value()) << error;
   return file.value_or(TraceFile{});
 }

@@ -5,16 +5,18 @@ Usage:
     check_perfetto.py TRACE.json [--min-processes N] [--require-flagged]
                       [--partial]
 
-TRACE.json ``-`` reads standard input (``ugrpcstat --perfetto DIR | ...``).
-Validates the structural contract of obs::export_perfetto / the merged
-output of examples/udp_group_call --trace-out:
+TRACE.json ``-`` reads standard input (``ugrpcstat --perfetto FILE... | ...``).
+Validates the structural contract of the documents ``ugrpcstat --perfetto``
+renders (tools/perfetto.h) from one or more trace files, e.g. a flight
+dump's ``trace.bin`` or every process's file of
+``examples/udp_group_call --trace-dir DIR``:
 
   * top level is an object with a ``traceEvents`` list
   * every event has ``ph``; ``X`` events carry name/pid/tid plus numeric
     ``ts``/``dur`` and args with integer span/parent/trace ids
-  * span ids are unique across the whole (merged, multi-process) trace
+  * span ids are unique across the whole (multi-process) trace
   * every non-zero parent id resolves to a span in the trace (a dangling
-    parent means a fragment is missing from the merge)
+    parent means a process's trace file is missing from the rendering)
   * flow events (``s``/``f``) carry an id; each ``f`` has bp == "e"
   * every pid with spans has an ``M`` process_name metadata record
 
@@ -121,7 +123,7 @@ def main():
                 dangling += 1
             else:
                 err(f"span '{name}': parent {parent} not in trace "
-                    "(missing fragment?)")
+                    "(missing trace file?)")
 
     unnamed = pids_with_spans - pids_named
     if unnamed:

@@ -2,14 +2,13 @@
 //
 // The live telemetry plane emits JSON (obs/json.h escapes it) and no site
 // reads any back, so the reader lives here, beside ugrpcstat: it prints
-// the /introspect document fetched over the network and reads a flight
-// dump's MANIFEST.json (the dump's trace is binary, obs/trace_file.h).
-// Tests use it to look inside the same documents.  It parses objects,
-// arrays, strings (standard escapes incl. \uXXXX, decoded to UTF-8),
-// numbers (a double, plus the exact i64/u64 when representable), booleans
-// and null.  It rejects trailing garbage and caps nesting depth; it does
-// NOT aim to be a validator for arbitrary hostile input beyond not
-// crashing on it.
+// the /introspect document fetched over the network (a trace file and what
+// it promised are binary, obs/trace_file.h).  Tests use it to look inside
+// the same documents.  It parses objects, arrays, strings (standard
+// escapes incl. \uXXXX, decoded to UTF-8), numbers (a double, plus the
+// exact i64/u64 when representable), booleans and null.  It rejects
+// trailing garbage and caps nesting depth; it does NOT aim to be a
+// validator for arbitrary hostile input beyond not crashing on it.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,8 @@
-// ugrpcstat: command-line client for the live telemetry plane (ISSUE 5).
+// ugrpcstat: command-line client for the live telemetry plane.
 //
 // Talks to a serving site's telemetry listener (core::SiteTelemetry::serve)
-// and to flight-recorder dumps on disk:
+// and reads trace files on disk (obs/trace_file.h): a flight dump's
+// trace.bin, or the per-process files of `udp_group_call --trace-dir`:
 //
 //   ugrpcstat --port P                  pretty-print one introspection snapshot
 //   ugrpcstat --port P --json           raw /introspect JSON
@@ -9,22 +10,23 @@
 //   ugrpcstat --port P --watch S        poll /metrics every S seconds and print
 //                                       the samples that changed, keyed by name
 //                                       plus labels (--count N polls)
-//   ugrpcstat --check-flight DIR        load DIR/trace.bin + DIR/MANIFEST.json,
-//                                       rebuild the checker Expect recorded in
-//                                       the manifest, and replay the dumped
-//                                       trace through obs::check()
-//   ugrpcstat --perfetto DIR            print DIR/trace.bin's spans as a
-//                                       Perfetto trace_event document
+//   ugrpcstat --check-flight FILE       replay the trace file through
+//                                       obs::check() against the Expect its
+//                                       header records
+//   ugrpcstat --perfetto FILE...        print the spans of the trace files as
+//                                       one Perfetto trace_event document
 //
-// Exit status: 0 on success, 1 on violations / unreadable dump, 2 on usage or
-// connection errors.  The HTTP client is deliberately tiny -- blocking
-// connect, one GET, read to EOF (the server closes after each response).
+// Exit status: 0 on success, 1 on violations / unreadable trace file, 2 on
+// usage or connection errors; a numeric flag out of range or with trailing
+// garbage is a usage error, found before connecting.  The HTTP client is deliberately tiny -- blocking connect,
+// one GET, read to EOF (the server closes after each response).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,13 +37,15 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "json_value.h"
 #include "obs/checker.h"
-#include "obs/perfetto.h"
 #include "obs/trace_file.h"
+#include "perfetto.h"
 #include "sim/time.h"
 
 namespace {
@@ -57,49 +61,61 @@ struct Cli {
   double watch_sec = 0.0;
   int count = 0;  // 0 = until interrupted
   std::string check_flight;
-  std::string perfetto;
+  std::vector<std::string> perfetto;
 };
 
 void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: ugrpcstat [--host H] --port P [--json | --metrics | --watch SEC "
                "[--count N]]\n"
-               "       ugrpcstat --check-flight DIR\n"
-               "       ugrpcstat --perfetto DIR\n");
+               "       ugrpcstat --check-flight FILE\n"
+               "       ugrpcstat --perfetto FILE...\n");
+}
+
+/// A whole decimal number no larger than `max`; false (after saying why)
+/// for trailing garbage, a sign or a value out of range.
+bool parse_number(const std::string& flag, const char* v, std::uint64_t max, std::uint64_t& out) {
+  if (ugrpc::bench::parse_u64(v, out) && out <= max) return true;
+  std::fprintf(stderr, "ugrpcstat: invalid value for %s: '%s' (expected 0..%llu)\n", flag.c_str(),
+               v, static_cast<unsigned long long>(max));
+  return false;
 }
 
 bool parse_cli(int argc, char** argv, Cli& cli) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    const bool takes_value = arg == "--host" || arg == "--port" || arg == "--watch" ||
+                             arg == "--count" || arg == "--check-flight";
+    if (takes_value && i + 1 == argc) return false;
+    const char* v = takes_value ? argv[++i] : nullptr;
+    std::uint64_t n = 0;
     if (arg == "--host") {
-      const char* v = value();
-      if (v == nullptr) return false;
       cli.host = v;
     } else if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      cli.port = std::atoi(v);
+      if (!parse_number(arg, v, 65535, n)) return false;
+      cli.port = static_cast<int>(n);
     } else if (arg == "--json") {
       cli.json = true;
     } else if (arg == "--metrics") {
       cli.metrics = true;
     } else if (arg == "--watch") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      cli.watch_sec = std::atof(v);
+      char* end = nullptr;
+      cli.watch_sec = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !(cli.watch_sec >= 0 && cli.watch_sec <= 86400)) {
+        std::fprintf(stderr, "ugrpcstat: invalid value for --watch: '%s' (expected 0..86400)\n",
+                     v);
+        return false;
+      }
     } else if (arg == "--count") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      cli.count = std::atoi(v);
+      if (!parse_number(arg, v, INT_MAX, n)) return false;
+      cli.count = static_cast<int>(n);
     } else if (arg == "--check-flight") {
-      const char* v = value();
-      if (v == nullptr) return false;
       cli.check_flight = v;
     } else if (arg == "--perfetto") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      cli.perfetto = v;
+      while (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
+        cli.perfetto.emplace_back(argv[++i]);
+      }
+      if (cli.perfetto.empty()) return false;
     } else if (arg == "--help" || arg == "-h") {
       usage(stdout);
       std::exit(0);
@@ -109,11 +125,10 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
     }
   }
   if (!cli.check_flight.empty() || !cli.perfetto.empty()) return true;
-  if (cli.port <= 0 || cli.port > 65535) {
+  if (cli.port <= 0) {
     std::fprintf(stderr, "ugrpcstat: --port required (1..65535)\n");
     return false;
   }
-  if (cli.watch_sec < 0 || cli.count < 0) return false;
   return true;
 }
 
@@ -319,7 +334,7 @@ int watch(const Cli& cli) {
   return 0;
 }
 
-// ---- flight-dump checking ----
+// ---- trace files ----
 
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -329,13 +344,11 @@ std::optional<std::string> read_file(const std::string& path) {
   return ss.str();
 }
 
-/// Decodes `dir`'s trace file; nullopt after saying why on stderr.
-std::optional<ugrpc::obs::TraceFile> load_trace(const std::string& dir) {
-  const std::string path = dir + "/" + ugrpc::obs::kTraceFileName;
+/// Decodes the trace file at `path`; nullopt after saying why on stderr.
+std::optional<ugrpc::obs::TraceFile> load_trace(const std::string& path) {
   const auto bytes = read_file(path);
   if (!bytes) {
-    std::fprintf(stderr, "ugrpcstat: cannot read %s (a dump holding trace.json is from an older "
-                 "build and does not load)\n", path.c_str());
+    std::fprintf(stderr, "ugrpcstat: cannot read %s\n", path.c_str());
     return std::nullopt;
   }
   std::string error;
@@ -344,37 +357,28 @@ std::optional<ugrpc::obs::TraceFile> load_trace(const std::string& dir) {
   return trace;
 }
 
-int print_perfetto(const std::string& dir) {
-  const auto trace = load_trace(dir);
-  if (!trace) return 1;
-  const std::string doc = ugrpc::obs::merge_perfetto_fragments(
-      {ugrpc::obs::export_perfetto_fragment(trace->events, trace->names)});
+int print_perfetto(const std::vector<std::string>& paths) {
+  std::vector<ugrpc::obs::TraceFile> traces;
+  for (const std::string& path : paths) {
+    auto trace = load_trace(path);
+    if (!trace) return 1;
+    traces.push_back(std::move(*trace));
+  }
+  const std::string doc = ugrpc::tools::render_perfetto(traces);
   std::fwrite(doc.data(), 1, doc.size(), stdout);
   return 0;
 }
 
-int check_flight(const std::string& dir) {
-  const auto manifest_text = read_file(dir + "/MANIFEST.json");
-  if (!manifest_text) {
-    std::fprintf(stderr, "ugrpcstat: cannot read %s/MANIFEST.json\n", dir.c_str());
-    return 1;
-  }
-  std::string error;
-  const auto manifest = json_parse(*manifest_text, &error);
-  if (!manifest) {
-    std::fprintf(stderr, "ugrpcstat: bad MANIFEST.json: %s\n", error.c_str());
-    return 1;
-  }
-  std::printf("flight dump %s\n", dir.c_str());
-  std::printf("  reason: %s\n", (*manifest)["reason"].as_string().c_str());
-  std::printf("  stamp:  %s (seq %llu)\n", (*manifest)["stamp_utc"].as_string().c_str(),
-              static_cast<unsigned long long>((*manifest)["seq"].as_u64()));
-  if ((*manifest)["config"].is_string()) {
-    std::printf("  config: %s\n", (*manifest)["config"].as_string().c_str());
-  }
-
-  const auto loaded = load_trace(dir);
+/// Replays the trace file at `path` against the Expect its header records
+/// for the site that wrote it.
+int check_flight(const std::string& path) {
+  const auto loaded = load_trace(path);
   if (!loaded) return 1;
+  std::printf("trace file %s\n", path.c_str());
+  if (!loaded->header.reason.empty()) {
+    std::printf("  reason: %s\n", loaded->header.reason.c_str());
+  }
+  std::printf("  config: %s\n", loaded->header.config.c_str());
   if (loaded->dropped > 0) {
     std::printf("  note: %llu records overwritten before the dump; the history is incomplete\n",
                 static_cast<unsigned long long>(loaded->dropped));
@@ -384,25 +388,7 @@ int check_flight(const std::string& dir) {
                 static_cast<unsigned long long>(loaded->unknown_kinds));
   }
 
-  // The manifest records the Expect derived from the dumping site's Config,
-  // so the dump is checkable without access to that process.
-  ugrpc::obs::Expect expect;
-  const JsonValue& e = (*manifest)["expect"];
-  if (e.is_object()) {
-    expect.unique_execution = e["unique_execution"].as_bool();
-    expect.atomic_execution = e["atomic_execution"].as_bool();
-    if (e["termination_bound_us"].is_number()) {
-      expect.termination_bound = e["termination_bound_us"].as_i64();
-    }
-    expect.termination_slack = e["termination_slack_us"].as_i64(expect.termination_slack);
-    expect.fifo_order = e["fifo_order"].as_bool();
-    expect.total_order = e["total_order"].as_bool();
-    expect.terminate_orphans = e["terminate_orphans"].as_bool();
-  } else {
-    std::printf("  note: manifest has no \"expect\" -- evidence counters only\n");
-  }
-
-  const ugrpc::obs::Report report = ugrpc::obs::check(loaded->events, expect);
+  const ugrpc::obs::Report report = ugrpc::obs::check(loaded->events, loaded->header.expect);
   const ugrpc::obs::Summary& s = report.summary;
   std::printf("  trace: %zu event(s); %llu issued, %llu completed (%llu ok / %llu timeout), "
               "%llu exec(s) committed, %llu retransmission(s)\n",
