@@ -52,7 +52,7 @@ inline obs::Profile profile_config(core::Config config, int calls, std::uint64_t
   }
   if (dropped != nullptr) *dropped = tracer.total_dropped();
   obs::Profile prof;
-  prof.add(tracer);
+  prof.add(tracer.spans(), tracer);
   return prof;
 }
 

@@ -5,10 +5,13 @@
 # `ugrpcstat --check-flight` against the Expect its header records, and
 # `ugrpcstat --perfetto` must render them into a document that
 # tools/check_perfetto.py accepts: the first dump with --partial (it is taken
-# mid-run), the 3 process files with 3 processes and a flagged send (skipped
-# without python3).  Run as
+# mid-run), the 3 process files with 3 processes and a flagged send; and
+# the first dump's metrics.prom must pass tools/check_prom.py with the
+# families CI's telemetry-smoke job requires (both skipped without python3).
+# Run as
 #   cmake -DEXAMPLE=<udp_group_call> -DUGRPCSTAT=<ugrpcstat> -DMODE=flight|trace
-#         -DCHECK_PERFETTO=<check_perfetto.py> -DDIR=<work dir> -P flight_smoke.cmake
+#         -DCHECK_PERFETTO=<check_perfetto.py> -DCHECK_PROM=<check_prom.py>
+#         -DDIR=<work dir> -P flight_smoke.cmake
 file(REMOVE_RECURSE "${DIR}")
 if(MODE STREQUAL "flight")
   set(run --servers 1 --calls 3 --flight-dir "${DIR}" --stall-bound-us 10000)
@@ -41,13 +44,25 @@ endif()
 
 find_program(PYTHON3 python3)
 if(NOT PYTHON3)
-  message(STATUS "python3 not found: skipping the Perfetto schema check")
+  message(STATUS "python3 not found: skipping the Perfetto schema and exposition checks")
 else()
   execute_process(COMMAND "${UGRPCSTAT}" --perfetto ${traces}
                   COMMAND "${PYTHON3}" "${CHECK_PERFETTO}" - ${render_flags}
                   RESULTS_VARIABLE rcs)
   if(NOT rcs STREQUAL "0;0")
     message(FATAL_ERROR "ugrpcstat --perfetto | check_perfetto.py exited with ${rcs}")
+  endif()
+  if(MODE STREQUAL "flight")
+    get_filename_component(dump "${traces}" DIRECTORY)
+    execute_process(COMMAND "${PYTHON3}" "${CHECK_PROM}" "${dump}/metrics.prom"
+                            --require-prefix ugrpc_
+                            --require ugrpc_watchdog_trips --require ugrpc_calls_started
+                            --require ugrpc_calls_retransmissions --require ugrpc_net_sent
+                            --require ugrpc_span_self_ns --require ugrpc_span_wall_ns
+                    RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "check_prom.py ${dump}/metrics.prom exited with ${rc}")
+    endif()
   endif()
 endif()
 file(REMOVE_RECURSE "${DIR}")

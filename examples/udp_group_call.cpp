@@ -36,8 +36,9 @@
 // --serve-sec keeps the client serving that many seconds after the calls
 // finish.  --stats-out writes the final /metrics exposition.  --flight-dir
 // arms the flight recorder (watchdog trips and crash signals dump there);
-// --stall-bound-us tightens the stall watchdog's bound so a run with
-// --force-retransmit provably trips it (the CI telemetry-smoke job).
+// --stall-bound-us tightens the stall watchdog's bound, and with it the
+// sweep period (half the bound), so a run with --force-retransmit provably
+// trips it (the CI telemetry-smoke job).
 //
 // Exit status 0 iff every call completed OK with the echoed payload and
 // every server process shut down cleanly.  The CI smoke job runs
@@ -53,6 +54,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -285,12 +287,10 @@ int main(int argc, char** argv) {
 
   // Live telemetry plane for the client site: its counters are the
   // tracer's tallies.
-  core::SiteTelemetry::Options wopts;
-  if (cli.stall_bound_us > 0) {
-    wopts.stall_after = sim::usec(cli.stall_bound_us);
-    wopts.scan_period = sim::msec(5);  // sweep fast enough to catch the stall
-  }
-  core::SiteTelemetry telemetry(site, tracer, wopts);
+  core::SiteTelemetry telemetry(site, tracer,
+                                cli.stall_bound_us > 0
+                                    ? std::optional(sim::usec(cli.stall_bound_us))
+                                    : std::nullopt);
   if (cli.telemetry_on()) {
     if (cli.telemetry_port >= 0) {
       std::string err;

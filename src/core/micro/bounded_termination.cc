@@ -37,7 +37,6 @@ void BoundedTermination::drain_expired() {
     deadlines_.pop_front();
     ClientRecord* rec = state_.find_client(id);
     if (rec != nullptr && rec->status == Status::kWaiting) {
-      ++timeouts_fired_;
       // Recorded right before the call's kCallCompleted, which telemetry's
       // calls.completed relies on.
       state_.note(obs::Kind::kDeadlineExpired, id.value());

@@ -36,8 +36,6 @@ class BoundedTermination : public runtime::MicroProtocol {
 
   void start(runtime::Framework& fw) override;
 
-  [[nodiscard]] std::uint64_t timeouts_fired() const { return timeouts_fired_; }
-
  private:
   void drain_expired();
   void arm_timer();
@@ -48,7 +46,6 @@ class BoundedTermination : public runtime::MicroProtocol {
   /// FIFO of (deadline, call) pairs; front expires first (uniform bound).
   std::deque<std::pair<sim::Time, CallId>> deadlines_;
   bool armed_ = false;
-  std::uint64_t timeouts_fired_ = 0;
 };
 
 }  // namespace ugrpc::core

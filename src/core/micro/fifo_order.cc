@@ -48,7 +48,6 @@ sim::Task<> FifoOrder::call_from_net(runtime::EventContext& ctx) {
     set_position(msg.sender, info, {msg.inc, base});
   } else if (info.inc > msg.inc || (info.inc == msg.inc && msg.id < info.next)) {
     // Stale: an orphaned incarnation or an id already executed here.
-    ++stale_dropped_;
     state_.note(obs::Kind::kStaleDropped, msg.id.value());
     ctx.cancel();
     auto srec = state_.sRPC.find(msg.id);

@@ -50,8 +50,6 @@ class FifoOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   void encode_state(Writer& w) const override;
   void apply(Reader& r) override;
 
-  [[nodiscard]] std::uint64_t stale_dropped() const { return stale_dropped_; }
-
  private:
   [[nodiscard]] sim::Task<> call_from_net(runtime::EventContext& ctx);
   void mark_executed(runtime::EventContext& ctx);
@@ -66,7 +64,6 @@ class FifoOrder : public runtime::MicroProtocol, public CheckpointParticipant {
 
   GrpcState& state_;
   std::unordered_map<ProcessId, InProgress> in_progress_;
-  std::uint64_t stale_dropped_ = 0;
 };
 
 }  // namespace ugrpc::core

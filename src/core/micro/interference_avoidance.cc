@@ -33,7 +33,6 @@ void InterferenceAvoidance::call_from_net(runtime::EventContext& ctx) {
     // it again once the old generation has finished.  (The paper's
     // pseudocode omits this cancel and would let the first new-incarnation
     // arrival through; see DESIGN.md.)
-    ++deferred_;
     state_.note(obs::Kind::kCallDeferred, msg.id.value(), msg.sender.value());
     ctx.cancel();
   }

@@ -27,8 +27,6 @@ class InterferenceAvoidance : public runtime::MicroProtocol {
 
   void start(runtime::Framework& fw) override;
 
-  [[nodiscard]] std::uint64_t deferred() const { return deferred_; }
-
  private:
   /// Gate value meaning "draining the old generation; admit nothing".
   static constexpr Incarnation kBlocked = std::numeric_limits<Incarnation>::max();
@@ -44,7 +42,6 @@ class InterferenceAvoidance : public runtime::MicroProtocol {
 
   GrpcState& state_;
   std::unordered_map<ProcessId, ClientInfo> cinfo_;
-  std::uint64_t deferred_ = 0;
 };
 
 }  // namespace ugrpc::core

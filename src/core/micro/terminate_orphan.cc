@@ -33,7 +33,6 @@ void TerminateOrphan::kill_threads(ProcessId client, ClientInfo& info) {
     state_.sched.kill(th);
     auto row = state_.sRPC.find(call.first);  // its end would have erased the row
     if (row != state_.sRPC.end() && row->second.arrival == call.second) state_.sRPC.erase(row);
-    ++orphans_killed_;
     state_.note(obs::Kind::kOrphanKilled, 0, client.value(), th.value());
   }
   info.threads.clear();

@@ -40,8 +40,6 @@ class TerminateOrphan : public runtime::MicroProtocol {
 
   void start(runtime::Framework& fw) override;
 
-  [[nodiscard]] std::uint64_t orphans_killed() const { return orphans_killed_; }
-
  private:
   void call_from_net(runtime::EventContext& ctx);
   void handle_reply(runtime::EventContext& ctx);
@@ -57,7 +55,6 @@ class TerminateOrphan : public runtime::MicroProtocol {
 
   GrpcState& state_;
   std::unordered_map<ProcessId, ClientInfo> cinfo_;
-  std::uint64_t orphans_killed_ = 0;
 };
 
 }  // namespace ugrpc::core

@@ -13,7 +13,6 @@
 #include "core/http.h"
 #include "core/observe.h"
 #include "obs/json.h"
-#include "obs/live/prometheus.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "obs/trace_file.h"
@@ -36,6 +35,8 @@ constexpr sim::Duration kWarnPeriod = sim::seconds(10);
 /// Default stall threshold: twice the termination bound, or twice this when
 /// the config sets none.
 constexpr sim::Duration kFallbackBound = sim::seconds(5);
+/// The watchdog sweeps every half stall threshold, but at least this often.
+constexpr sim::Duration kMaxSweepPeriod = sim::seconds(1);
 /// How often serve() accepts and progresses scrape connections.
 constexpr sim::Duration kServePoll = sim::msec(5);
 
@@ -106,51 +107,46 @@ void set_crash_handler(SiteTelemetry* telemetry) {
 
 void install_crash_handler(SiteTelemetry& telemetry) { set_crash_handler(&telemetry); }
 
-SiteTelemetry::SiteTelemetry(Site& site, const obs::Tracer& tracer)
-    : SiteTelemetry(site, tracer, Options{}) {}
-
-SiteTelemetry::SiteTelemetry(Site& site, const obs::Tracer& tracer, Options options)
+SiteTelemetry::SiteTelemetry(Site& site, const obs::Tracer& tracer,
+                             std::optional<sim::Duration> stall_after)
     : site_(site),
       tracer_(tracer),
-      options_(options),
-      warn_log_(kWarnPeriod) {
+      stall_after_(stall_after.value_or(
+          2 * site.config().termination_bound.value_or(kFallbackBound))),
+      warn_log_(kWarnPeriod) {}
+
+std::vector<obs::live::Counter> SiteTelemetry::counters() const {
   using obs::Kind;
-  const auto bind_field = [&](const std::string& name, const std::uint64_t& field) {
-    registry_.counter(name, [&field] { return field; });
-  };
-  bind_field("watchdog.scans", scans_);
-  bind_field("watchdog.stalled_calls", stalled_);
-  bind_field("watchdog.orphaned_entries", orphaned_);
-  bind_field("watchdog.trips", trips_);
-  bind_field("flight.dumps", flight_dumps_);
-  const auto bind_kind = [&](const std::string& name, Kind k) {
-    registry_.counter(name, [&tracer, k] { return tracer.count(k); });
-  };
-  bind_kind("calls.started", Kind::kCallIssued);
-  bind_kind("calls.failed", Kind::kDeadlineExpired);
-  bind_kind("calls.retransmissions", Kind::kRetransmit);
-  bind_kind("msgs.malformed", Kind::kMsgMalformed);
-  bind_kind("timers.fired", Kind::kTimerFired);
-  bind_kind("timers.cancelled", Kind::kTimerCancelled);
-  bind_kind("execs.started", Kind::kExecStarted);
-  bind_kind("execs.committed", Kind::kExecCommitted);
-  bind_kind("execs.duplicates_suppressed", Kind::kDupSuppressed);
+  const auto count = [this](Kind k) { return tracer_.count(k); };
+  const net::Stats& net = site_.transport().stats();
   // kCallCompleted closes every call, a timed-out one too, and Bounded
   // Termination records the call's kDeadlineExpired right before it with no
   // suspension point between: the difference never goes backwards.
-  registry_.counter("calls.completed", [&tracer] {
-    return tracer.count(Kind::kCallCompleted) - tracer.count(Kind::kDeadlineExpired);
-  });
-  registry_.counter("trace.events_dropped", [&tracer] { return tracer.total_dropped(); });
-  const net::Transport& transport = site_.transport();
-  registry_.counter("net.sent", [&transport] { return transport.stats().sent; });
-  registry_.counter("net.delivered", [&transport] { return transport.stats().delivered; });
-  registry_.counter("net.dropped", [&transport] { return transport.stats().dropped; });
-  registry_.counter("net.duplicated", [&transport] { return transport.stats().duplicated; });
-  registry_.counter("net.unroutable", [&transport] { return transport.stats().unroutable; });
-  registry_.counter("net.bytes_sent", [&transport] { return transport.stats().bytes_sent; });
-  registry_.counter("net.bytes_delivered",
-                    [&transport] { return transport.stats().bytes_delivered; });
+  return {
+      {"calls.completed", count(Kind::kCallCompleted) - count(Kind::kDeadlineExpired)},
+      {"calls.failed", count(Kind::kDeadlineExpired)},
+      {"calls.retransmissions", count(Kind::kRetransmit)},
+      {"calls.started", count(Kind::kCallIssued)},
+      {"execs.committed", count(Kind::kExecCommitted)},
+      {"execs.duplicates_suppressed", count(Kind::kDupSuppressed)},
+      {"execs.started", count(Kind::kExecStarted)},
+      {"flight.dumps", flight_dumps_},
+      {"msgs.malformed", count(Kind::kMsgMalformed)},
+      {"net.bytes_delivered", net.bytes_delivered},
+      {"net.bytes_sent", net.bytes_sent},
+      {"net.delivered", net.delivered},
+      {"net.dropped", net.dropped},
+      {"net.duplicated", net.duplicated},
+      {"net.sent", net.sent},
+      {"net.unroutable", net.unroutable},
+      {"timers.cancelled", count(Kind::kTimerCancelled)},
+      {"timers.fired", count(Kind::kTimerFired)},
+      {"trace.events_dropped", tracer_.total_dropped()},
+      {"watchdog.orphaned_entries", orphaned_},
+      {"watchdog.scans", scans_},
+      {"watchdog.stalled_calls", stalled_},
+      {"watchdog.trips", trips_},
+  };
 }
 
 SiteTelemetry::~SiteTelemetry() {
@@ -183,7 +179,8 @@ void SiteTelemetry::stop(std::optional<TimerId>& timer) {
 
 void SiteTelemetry::start_watchdog() {
   if (!watchdog_timer_.has_value()) {
-    every(watchdog_timer_, options_.scan_period, &SiteTelemetry::sweep_tick);
+    every(watchdog_timer_, std::clamp(stall_after_ / 2, sim::Duration{1}, kMaxSweepPeriod),
+          &SiteTelemetry::sweep_tick);
   }
 }
 
@@ -195,8 +192,6 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
   if (!site_.up()) return sweep;  // nothing pending on a crashed site
 
   const sim::Time now = site_.transport().now();
-  const sim::Duration threshold = options_.stall_after.value_or(
-      2 * site_.config().termination_bound.value_or(kFallbackBound));
   GrpcState& state = site_.grpc().state();
 
   // Prune flags of records that have since completed/retired, so a reused
@@ -207,14 +202,14 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
                 [&](std::uint64_t id) { return !state.sRPC.contains(CallId{id}); });
 
   for (const auto& [id, rec] : state.pRPC) {
-    if (rec.status != Status::kWaiting || now - rec.issued_at <= threshold) continue;
+    if (rec.status != Status::kWaiting || now - rec.issued_at <= stall_after_) continue;
     if (!flagged_calls_.insert(id.value()).second) continue;
     ++sweep.stalled;
     ++stalled_;
     if (const std::uint64_t n = warn_log_.occurrences_to_log(kWarnStalled, now); n == 1) {
       UGRPC_LOG(kWarn, "telemetry: site %u call %llu stalled (age %lld us > %lld us)",
                 site_.id().value(), static_cast<unsigned long long>(id.value()),
-                static_cast<long long>(now - rec.issued_at), static_cast<long long>(threshold));
+                static_cast<long long>(now - rec.issued_at), static_cast<long long>(stall_after_));
     } else if (n > 1) {
       UGRPC_LOG(kWarn, "telemetry: site %u stalled calls: %llu more since last report",
                 site_.id().value(), static_cast<unsigned long long>(n));
@@ -222,7 +217,7 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
   }
 
   for (const auto& [id, rec] : state.sRPC) {
-    if (now - rec.arrived_at <= threshold) continue;
+    if (now - rec.arrived_at <= stall_after_) continue;
     if (!flagged_entries_.insert(id.value()).second) continue;
     ++sweep.orphaned;
     ++orphaned_;
@@ -231,7 +226,7 @@ SiteTelemetry::Sweep SiteTelemetry::scan_now() {
                 "telemetry: site %u sRPC entry %llu orphaned (client %u, age %lld us > %lld us)",
                 site_.id().value(), static_cast<unsigned long long>(id.value()),
                 rec.client.value(), static_cast<long long>(now - rec.arrived_at),
-                static_cast<long long>(threshold));
+                static_cast<long long>(stall_after_));
     } else if (n > 1) {
       UGRPC_LOG(kWarn, "telemetry: site %u orphaned sRPC entries: %llu more since last report",
                 site_.id().value(), static_cast<unsigned long long>(n));
@@ -264,8 +259,8 @@ std::string SiteTelemetry::metrics_text() const {
   // the flight recorder, so it is never cleared) and Profile::add re-reads
   // every closed span.
   obs::Profile profile;
-  profile.add(tracer_);
-  return obs::live::render_prometheus(registry_) + obs::live::render_prometheus(profile);
+  profile.add(tracer_.spans(), tracer_);
+  return obs::live::render_prometheus(counters()) + obs::live::render_prometheus(profile);
 }
 
 std::string SiteTelemetry::introspection_json() const {

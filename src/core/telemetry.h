@@ -3,29 +3,30 @@
 //
 // It answers everything a frontend can ask for:
 //
-//   * counters -- one Registry whose call, execution, retransmission,
-//     malformed-drop and timer counts are read from Tracer::count() at
-//     scrape time, so the stack records each fact once, as a trace record.
-//     The object therefore reports what its tracer saw -- with one site per
-//     process (UDP) that is the site; with a simulator tracer shared by
-//     several sites it is all of them.  Transport counts are read from
-//     net::Stats (`net.*`; the site's transport must outlive the scrapes),
-//     and the object owns the `watchdog.*` and `flight.dumps` counters.
+//   * counters() -- one fixed list of the site's counters, in name order,
+//     read when asked: the call, execution, retransmission, malformed-drop
+//     and timer counts come from Tracer::count(), so the stack records each
+//     fact once, as a trace record.  The object therefore reports what its
+//     tracer saw -- with one site per process (UDP) that is the site; with a
+//     simulator tracer shared by several sites it is all of them.  Transport
+//     counts are read from net::Stats (`net.*`; the site's transport must
+//     outlive the scrapes), and the object keeps the `watchdog.*` and
+//     `flight.dumps` counts itself.
 //   * metrics_text() -- the site's one exposition, in Prometheus text
-//     format: the registry's counters plus the span profile (wall and self
-//     time per component, span kind and handler) folded fresh from the
-//     tracer's spans on every scrape (obs/live/prometheus.h).
+//     format: counters() plus the span profile (wall and self time per
+//     component, span kind and handler) folded fresh from the tracer's
+//     spans on every scrape (obs/live/prometheus.h).
 //   * introspection -- a channelz-style JSON snapshot of the running stack:
 //     configured micro-protocol set, registered handlers with priorities,
 //     pending pRPC entries with age/status/outstanding responses, sRPC
 //     entries with age and HOLD readiness, the live-member set and
 //     incarnation.  /introspect and ugrpcstat serve it.
-//   * stall watchdog -- a periodic sweep (timer on the global domain, so it
-//     survives site crashes) flagging calls pending past `stall_after` and
-//     sRPC entries stuck past the same threshold.  Each newly flagged record
-//     bumps a `watchdog.*` counter and emits a rate-limited warning
-//     (common/rate_limited_log.h); a sweep that flags anything counts as a
-//     watchdog trip and trips the flight recorder.
+//   * stall watchdog -- a sweep every half stall threshold, but at least once
+//     a second (a timer on the global domain, so it survives site crashes),
+//     flagging calls pending past the threshold and sRPC entries stuck past
+//     it.  Each newly flagged record bumps a `watchdog.*` counter and emits
+//     a rate-limited warning (common/rate_limited_log.h); a sweep that flags
+//     anything counts as a watchdog trip and trips the flight recorder.
 //   * flight recorder -- trip() persists the in-memory evidence into one
 //     fresh directory `<flight_dir>/flight-<UTCstamp>-site<id>-pid<pid>-<seq>`:
 //
@@ -74,10 +75,11 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/rate_limited_log.h"
 #include "core/site.h"
-#include "obs/metrics.h"
+#include "obs/live/prometheus.h"
 #include "sim/time.h"
 
 namespace ugrpc::obs {
@@ -90,16 +92,6 @@ class TelemetryServer;
 
 class SiteTelemetry {
  public:
-  struct Options {
-    /// A call (or sRPC entry) is stalled when pending longer than this.
-    /// Unset: twice the configured termination bound, or 10 s when the
-    /// config sets none.  Tools force a tight threshold without rebuilding
-    /// the site's Config (the CI smoke job trips the watchdog this way).
-    std::optional<sim::Duration> stall_after;
-    /// Watchdog sweep period; the timer is armed by start_watchdog().
-    sim::Duration scan_period = sim::seconds(1);
-  };
-
   /// One sweep's findings (returned by scan_now for tests/tools).
   struct Sweep {
     std::uint64_t stalled = 0;   ///< newly flagged pRPC calls
@@ -107,11 +99,15 @@ class SiteTelemetry {
     std::optional<std::string> flight_dir;  ///< dump written by this sweep
   };
 
-  /// Binds the registry's counters to `tracer`'s per-kind tallies.  `site`
-  /// and `tracer` must outlive this object, and `tracer` is never cleared
-  /// while it serves (the counters would go backwards).
-  SiteTelemetry(Site& site, const obs::Tracer& tracer);
-  SiteTelemetry(Site& site, const obs::Tracer& tracer, Options options);
+  /// Reads its counters from `tracer`'s per-kind tallies.  `site` and
+  /// `tracer` must outlive this object, and `tracer` is never cleared while
+  /// it serves (the counters would go backwards).  A call (or sRPC entry)
+  /// is stalled when pending longer than `stall_after`; unset, twice the
+  /// configured termination bound, or 10 s when the config sets none.
+  /// Tools force a tight threshold without rebuilding the site's Config
+  /// (the CI smoke job trips the watchdog this way).
+  SiteTelemetry(Site& site, const obs::Tracer& tracer,
+                std::optional<sim::Duration> stall_after = std::nullopt);
   /// Stops the watchdog and the listener, and disarms the crash handler if
   /// it is armed with this object.
   ~SiteTelemetry();
@@ -119,11 +115,12 @@ class SiteTelemetry {
   SiteTelemetry(const SiteTelemetry&) = delete;
   SiteTelemetry& operator=(const SiteTelemetry&) = delete;
 
-  [[nodiscard]] const obs::Registry& registry() const { return registry_; }
+  /// Every counter, in name order, read now.  Each only grows.
+  [[nodiscard]] std::vector<obs::live::Counter> counters() const;
 
   // ---- stall watchdog ----
 
-  /// Arms the periodic sweep (idempotent).
+  /// Arms the periodic sweep (idempotent): every min(1 s, threshold / 2).
   void start_watchdog();
   void stop_watchdog();
   [[nodiscard]] bool watchdog_running() const { return watchdog_timer_.has_value(); }
@@ -133,8 +130,8 @@ class SiteTelemetry {
 
   // ---- snapshot endpoints ----
 
-  /// Prometheus text exposition: the registry's counters + a fresh
-  /// span-profile fold (when the tracer holds closed spans).
+  /// Prometheus text exposition: counters() + a fresh span-profile fold
+  /// (when the tracer holds closed spans).
   [[nodiscard]] std::string metrics_text() const;
   [[nodiscard]] std::string introspection_json() const;
 
@@ -146,7 +143,7 @@ class SiteTelemetry {
   /// Writes one flight dump tagged with `reason`.  Returns the dump
   /// directory, or nullopt when disabled or on I/O failure (diagnostic in
   /// `error` when non-null).  Bumps `flight.dumps` on success.  Callers:
-  /// watchdog trips, checker violations, the crash handler.
+  /// watchdog trips, the crash handler.
   std::optional<std::string> trip(std::string_view reason, std::string* error = nullptr);
 
   // ---- serving ----
@@ -168,9 +165,9 @@ class SiteTelemetry {
 
   Site& site_;
   const obs::Tracer& tracer_;
-  Options options_;
-  obs::Registry registry_;
-  // Watchdog and flight tallies, bound into registry_ by name.
+  /// A record pending longer than this is stalled.
+  sim::Duration stall_after_;
+  // Watchdog and flight tallies, read by counters().
   std::uint64_t scans_ = 0;
   std::uint64_t stalled_ = 0;
   std::uint64_t orphaned_ = 0;

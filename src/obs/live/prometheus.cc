@@ -4,10 +4,24 @@
 #include <cstdio>
 #include <map>
 
-#include "obs/metrics.h"
+#include "common/assert.h"
 #include "obs/profile.h"
 
 namespace ugrpc::obs::live {
+
+namespace {
+
+/// [A-Za-z_][A-Za-z0-9_.]*: with '.' read as '_', a Prometheus metric name.
+bool is_metric_name(std::string_view name) {
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    const char c = name[i];
+    const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+    if (!alpha && (i == 0 || ((c < '0' || c > '9') && c != '.'))) return false;
+  }
+  return !name.empty();
+}
+
+}  // namespace
 
 std::string prom_escape_label(std::string_view s) {
   std::string out;
@@ -33,17 +47,18 @@ std::string prom_escape_label(std::string_view s) {
 }
 
 std::string prom_metric_name(std::string_view s) {
+  UGRPC_ASSERT(is_metric_name(s));
   std::string out(s);
   std::replace(out.begin(), out.end(), '.', '_');
   return out;
 }
 
-std::string render_prometheus(const Registry& reg) {
+std::string render_prometheus(std::span<const Counter> counters) {
   std::string out;
-  reg.for_each_counter([&](const std::string& name, std::uint64_t value) {
+  for (const auto& [name, value] : counters) {
     const std::string metric = "ugrpc_" + prom_metric_name(name);
     out += "# TYPE " + metric + " counter\n" + metric + " " + std::to_string(value) + "\n";
-  });
+  }
   return out;
 }
 

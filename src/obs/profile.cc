@@ -24,9 +24,7 @@ std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, double q) {
 
 }  // namespace
 
-void Profile::add(const Tracer& t) { add_spans(t.spans(), t); }
-
-void Profile::add_spans(const std::vector<Span>& spans, const Tracer& names) {
+void Profile::add(const std::vector<Span>& spans, const Tracer& names) {
   // Self time = wall minus the wall of direct children, clamped at zero.
   // (Children of an open span still accrue to it if it closes later in a
   // subsequent add() -- callers should add() after quiescing, which every

@@ -38,10 +38,10 @@ class Profile {
     [[nodiscard]] std::uint64_t children_total() const { return wall_total - self_total; }
   };
 
-  /// Folds all closed spans of `t` in.  Open spans are skipped.
-  void add(const Tracer& t);
-  /// Same, for an externally derived span set; `names` resolves name ids.
-  void add_spans(const std::vector<Span>& spans, const Tracer& names);
+  /// Folds the closed spans of `spans` in (a tracer's spans(), or a span
+  /// set derived elsewhere); `names` resolves name ids.  Open spans are
+  /// skipped.
+  void add(const std::vector<Span>& spans, const Tracer& names);
 
   /// Per-micro-protocol rollup: handler and timer spans grouped by the
   /// component prefix of their name (before the first '.').

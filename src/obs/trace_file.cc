@@ -13,6 +13,12 @@ constexpr bool Expect::*kExpectFlags[] = {&Expect::unique_execution, &Expect::at
                                           &Expect::fifo_order, &Expect::total_order,
                                           &Expect::terminate_orphans};
 constexpr std::uint8_t kExpectBound = 1 << std::size(kExpectFlags);
+/// Header durations and record times must lie in [0, this) microseconds, so
+/// the checker's sums of three of them cannot overflow and its -1 "never
+/// issued" sentinel cannot meet a real time.
+constexpr std::int64_t kTimeLimit = std::int64_t{1} << 60;
+
+bool in_range(std::int64_t us) { return us >= 0 && us < kTimeLimit; }
 
 }  // namespace
 
@@ -77,6 +83,9 @@ std::optional<TraceFile> decode_trace(std::span<const std::byte> bytes, std::str
     for (std::size_t i = 0; i < std::size(kExpectFlags); ++i) x.*kExpectFlags[i] = (flags >> i) & 1;
     if ((flags & kExpectBound) != 0) x.termination_bound = r.i64();
     x.termination_slack = r.i64();
+    if (!in_range(x.termination_bound.value_or(0)) || !in_range(x.termination_slack)) {
+      return fail("termination bound or slack outside [0, 2^60) us");
+    }
     out.dropped = r.u64();
     // Every name takes at least its 4-byte length prefix.
     const std::uint32_t name_count = r.u32();
@@ -107,6 +116,9 @@ std::optional<TraceFile> decode_trace(std::span<const std::byte> bytes, std::str
       e.flags = r.u8() & (kSpanOpen | kSpanClose | kSpanFlagged);
       if (e.seq <= last_seq) return fail("record " + std::to_string(i) + " is out of order");
       last_seq = e.seq;
+      if (!in_range(e.time)) {
+        return fail("record " + std::to_string(i) + " has time outside [0, 2^60) us");
+      }
       if (e.name >= out.names.size()) {
         return fail("record " + std::to_string(i) + " names unknown id " + std::to_string(e.name));
       }

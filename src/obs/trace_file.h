@@ -23,10 +23,12 @@
 // which is why trace.h's enum is append-only.  The decoder trusts nothing:
 // lengths and counts are checked against the bytes left before anything
 // is reserved, a name id must index the table, records must come in
-// increasing sequence order, and a kind this build does not know is
-// skipped and counted, so a newer build's dump still loads.  An expect
-// flag this build does not know is rejected instead: checking a trace
-// against less than it promised would call it clean.
+// increasing sequence order, the bound, the slack and every record's time
+// must lie in [0, 2^60) us (so obs::check's sums cannot overflow), and a
+// kind this build does not know is skipped and counted, so a newer build's
+// dump still loads.  An expect flag this build does not know is rejected
+// instead: checking a trace against less than it promised would call it
+// clean.
 #pragma once
 
 #include <cstddef>

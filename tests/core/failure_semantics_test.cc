@@ -3,11 +3,13 @@
 // and the at-least-once / exactly-once distinction of paper Figure 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/micro/acceptance.h"
-#include "core/micro/bounded_termination.h"
 #include "core/micro/reliable_communication.h"
 #include "core/micro/unique_execution.h"
 #include "core/scenario.h"
+#include "obs/trace.h"
 
 namespace ugrpc::core {
 namespace {
@@ -18,6 +20,12 @@ Buffer num_buf(std::uint64_t v) {
   Buffer b;
   Writer(b).u64(v);
   return b;
+}
+
+/// The records of `kind` on `site`'s ring.
+std::size_t records(obs::Tracer& tracer, Site& site, obs::Kind kind) {
+  return static_cast<std::size_t>(
+      std::ranges::count(tracer.site(site.id()).events(), kind, &obs::Event::kind));
 }
 
 TEST(ReliableCommunication, CallSurvivesHeavyMessageLoss) {
@@ -85,6 +93,8 @@ TEST(BoundedTermination, TimesOutWhenServersUnreachable) {
   p.config.acceptance_limit = 1;
   p.config.termination_bound = sim::msec(200);
   p.faults.drop_prob = 1.0;
+  obs::Tracer tracer;
+  p.tracer = &tracer;
   Scenario s(std::move(p));
   CallResult result;
   sim::Time elapsed = 0;
@@ -95,13 +105,15 @@ TEST(BoundedTermination, TimesOutWhenServersUnreachable) {
   });
   EXPECT_EQ(result.status, Status::kTimeout);
   EXPECT_EQ(elapsed, sim::msec(200)) << "the call must return exactly at the bound";
-  EXPECT_EQ(s.client_site(0).grpc().bounded()->timeouts_fired(), 1u);
+  EXPECT_EQ(records(tracer, s.client_site(0), obs::Kind::kDeadlineExpired), 1u);
 }
 
 TEST(BoundedTermination, FastCallDoesNotTimeOut) {
   ScenarioParams p;
   p.config.acceptance_limit = kAll;
   p.config.termination_bound = sim::seconds(5);
+  obs::Tracer tracer;
+  p.tracer = &tracer;
   Scenario s(std::move(p));
   CallResult result;
   s.run_client(0, [&](Client& c) -> sim::Task<> {
@@ -109,7 +121,7 @@ TEST(BoundedTermination, FastCallDoesNotTimeOut) {
   });
   s.run_until_quiescent();  // let the (now irrelevant) deadline fire
   EXPECT_EQ(result.status, Status::kOk);
-  EXPECT_EQ(s.client_site(0).grpc().bounded()->timeouts_fired(), 0u);
+  EXPECT_EQ(records(tracer, s.client_site(0), obs::Kind::kDeadlineExpired), 0u);
 }
 
 TEST(BoundedTermination, TimeoutCountsOnlyIncompleteCalls) {

@@ -24,10 +24,12 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <regex>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -53,10 +55,16 @@ using tools::JsonValue;
 
 constexpr OpId kOp{1};
 
-SiteTelemetry::Options tight_options() {
-  SiteTelemetry::Options options;
-  options.stall_after = sim::msec(10);
-  return options;
+/// A stall threshold the tests' stuck calls pass within 50 ms.
+constexpr sim::Duration kTightBound = sim::msec(10);
+
+/// The value of `telemetry`'s counter `name`; a test failure when it has none.
+std::uint64_t counter(const SiteTelemetry& telemetry, std::string_view name) {
+  for (const obs::live::Counter& c : telemetry.counters()) {
+    if (c.name == name) return c.value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
 }
 
 std::string slurp(const fs::path& path) {
@@ -116,10 +124,9 @@ TEST(LiveTelemetry, CountersTrackCompletedCalls) {
   });
   EXPECT_EQ(statuses, (std::vector<Status>{Status::kOk, Status::kOk, Status::kOk,
                                            Status::kTimeout}));
-  const obs::Registry& reg = telemetry.registry();
-  EXPECT_EQ(reg.value("calls.started"), 4u);
-  EXPECT_EQ(reg.value("calls.completed"), 3u) << "the expired call is not a completion";
-  EXPECT_EQ(reg.value("calls.failed"), 1u);
+  EXPECT_EQ(counter(telemetry, "calls.started"), 4u);
+  EXPECT_EQ(counter(telemetry, "calls.completed"), 3u) << "the expired call is not a completion";
+  EXPECT_EQ(counter(telemetry, "calls.failed"), 1u);
 }
 
 TEST(LiveTelemetry, CountersAccumulateAcrossCrashRecover) {
@@ -138,9 +145,31 @@ TEST(LiveTelemetry, CountersAccumulateAcrossCrashRecover) {
   s.client_site(0).recover();
   ASSERT_EQ(s.client_site(0).incarnation(), 2u);
   issue(3);
-  EXPECT_EQ(telemetry.registry().value("calls.started"), 5u) << "both incarnations' calls count";
-  EXPECT_EQ(telemetry.registry().value("calls.completed"), 5u);
-  EXPECT_EQ(telemetry.registry().value("calls.failed"), 0u);
+  EXPECT_EQ(counter(telemetry, "calls.started"), 5u) << "both incarnations' calls count";
+  EXPECT_EQ(counter(telemetry, "calls.completed"), 5u);
+  EXPECT_EQ(counter(telemetry, "calls.failed"), 0u);
+}
+
+TEST(LiveTelemetry, WatchdogSweepPeriodFollowsTheStallBound) {
+  // Half the stall threshold, at most 1 s: 1 s with no termination bound
+  // (a 10 s threshold), 200 ms with a 200 ms bound (a 400 ms threshold).
+  for (const auto& [bound, period] :
+       {std::pair{std::optional<sim::Duration>{}, sim::seconds(1)},
+        std::pair{std::optional{sim::msec(200)}, sim::msec(200)}}) {
+    obs::Tracer tracer;
+    ScenarioParams p;
+    p.tracer = &tracer;
+    p.config.termination_bound = bound;
+    Scenario s(std::move(p));
+    SiteTelemetry telemetry(s.client_site(0), tracer);
+    telemetry.start_watchdog();
+    s.run_for(period - 1);
+    EXPECT_EQ(counter(telemetry, "watchdog.scans"), 0u) << period;
+    s.run_for(1);
+    EXPECT_EQ(counter(telemetry, "watchdog.scans"), 1u) << period;
+    s.run_for(2 * period);
+    EXPECT_EQ(counter(telemetry, "watchdog.scans"), 3u) << period;
+  }
 }
 
 TEST(LiveTelemetry, ScrapeTypesEveryCountAsCounter) {
@@ -153,11 +182,35 @@ TEST(LiveTelemetry, ScrapeTypesEveryCountAsCounter) {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   });
   const std::string out = telemetry.metrics_text();
-  for (const char* line : {"# TYPE ugrpc_calls_started counter",
-                           "# TYPE ugrpc_timers_fired counter", "# TYPE ugrpc_net_sent counter"}) {
-    EXPECT_NE(out.find(std::string(line) + "\n"), std::string::npos) << line << "\n" << out;
-  }
   EXPECT_EQ(out.find(" gauge\n"), std::string::npos) << out;
+
+  // The exposition's counter families, in order: one per row of DESIGN.md
+  // section 10's table, in name order.
+  std::vector<std::string> families;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with("# TYPE ") && line.ends_with(" counter")) {
+      families.push_back(line.substr(7, line.size() - 7 - 8));
+    }
+  }
+  EXPECT_EQ(families, (std::vector<std::string>{
+                          "ugrpc_calls_completed", "ugrpc_calls_failed",
+                          "ugrpc_calls_retransmissions", "ugrpc_calls_started",
+                          "ugrpc_execs_committed", "ugrpc_execs_duplicates_suppressed",
+                          "ugrpc_execs_started", "ugrpc_flight_dumps", "ugrpc_msgs_malformed",
+                          "ugrpc_net_bytes_delivered", "ugrpc_net_bytes_sent",
+                          "ugrpc_net_delivered", "ugrpc_net_dropped", "ugrpc_net_duplicated",
+                          "ugrpc_net_sent", "ugrpc_net_unroutable", "ugrpc_timers_cancelled",
+                          "ugrpc_timers_fired", "ugrpc_trace_events_dropped",
+                          "ugrpc_watchdog_orphaned_entries", "ugrpc_watchdog_scans",
+                          "ugrpc_watchdog_stalled_calls", "ugrpc_watchdog_trips"}));
+
+  // Names render as Prometheus metric names with '.' read as '_': none may
+  // need escaping.
+  const std::regex metric_name("[A-Za-z_][A-Za-z0-9_.]*");
+  for (const obs::live::Counter& c : telemetry.counters()) {
+    EXPECT_TRUE(std::regex_match(std::string(c.name), metric_name)) << c.name;
+  }
 }
 
 TEST(LiveTelemetry, ScrapeCarriesEveryProfileRow) {
@@ -174,7 +227,7 @@ TEST(LiveTelemetry, ScrapeCarriesEveryProfileRow) {
 
   // The same fold the scrape made: nothing ran in between.
   obs::Profile profile;
-  profile.add(tracer);
+  profile.add(tracer.spans(), tracer);
   using Stats = obs::Profile::Stats;
   const std::pair<std::string, std::map<std::string, Stats>> groups[] = {
       {"component", profile.by_component()},
@@ -216,7 +269,7 @@ TEST(LiveTelemetry, WatchdogFlagsStalledCallOnce) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  SiteTelemetry telemetry(s.client_site(0), tracer, tight_options());
+  SiteTelemetry telemetry(s.client_site(0), tracer, kTightBound);
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
@@ -224,13 +277,13 @@ TEST(LiveTelemetry, WatchdogFlagsStalledCallOnce) {
 
   SiteTelemetry::Sweep sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.stalled, 1u);
-  EXPECT_EQ(telemetry.registry().value("watchdog.stalled_calls"), 1u);
-  EXPECT_EQ(telemetry.registry().value("watchdog.trips"), 1u);
+  EXPECT_EQ(counter(telemetry, "watchdog.stalled_calls"), 1u);
+  EXPECT_EQ(counter(telemetry, "watchdog.trips"), 1u);
 
   sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.stalled, 0u) << "a record is flagged once, not per sweep";
-  EXPECT_EQ(telemetry.registry().value("watchdog.stalled_calls"), 1u);
-  EXPECT_EQ(telemetry.registry().value("watchdog.scans"), 2u);
+  EXPECT_EQ(counter(telemetry, "watchdog.stalled_calls"), 1u);
+  EXPECT_EQ(counter(telemetry, "watchdog.scans"), 2u);
 }
 
 TEST(LiveTelemetry, WatchdogFlagsOrphanedServerEntry) {
@@ -242,7 +295,7 @@ TEST(LiveTelemetry, WatchdogFlagsOrphanedServerEntry) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  SiteTelemetry telemetry(s.server(0), tracer, tight_options());
+  SiteTelemetry telemetry(s.server(0), tracer, kTightBound);
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
@@ -250,7 +303,7 @@ TEST(LiveTelemetry, WatchdogFlagsOrphanedServerEntry) {
 
   const SiteTelemetry::Sweep sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.orphaned, 1u);
-  EXPECT_EQ(telemetry.registry().value("watchdog.orphaned_entries"), 1u);
+  EXPECT_EQ(counter(telemetry, "watchdog.orphaned_entries"), 1u);
 }
 
 TEST(LiveTelemetry, WatchdogTimerSweepsPeriodically) {
@@ -262,9 +315,7 @@ TEST(LiveTelemetry, WatchdogTimerSweepsPeriodically) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  SiteTelemetry::Options options = tight_options();
-  options.scan_period = sim::msec(5);
-  SiteTelemetry telemetry(s.client_site(0), tracer, options);
+  SiteTelemetry telemetry(s.client_site(0), tracer, kTightBound);  // sweeps every 5 ms
   telemetry.start_watchdog();
   EXPECT_TRUE(telemetry.watchdog_running());
 
@@ -272,14 +323,14 @@ TEST(LiveTelemetry, WatchdogTimerSweepsPeriodically) {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
   s.run_for(sim::msec(50));
-  EXPECT_GE(telemetry.registry().value("watchdog.scans"), 5u);
-  EXPECT_EQ(telemetry.registry().value("watchdog.stalled_calls"), 1u);
+  EXPECT_GE(counter(telemetry, "watchdog.scans"), 5u);
+  EXPECT_EQ(counter(telemetry, "watchdog.stalled_calls"), 1u);
 
   telemetry.stop_watchdog();
   EXPECT_FALSE(telemetry.watchdog_running());
-  const std::uint64_t scans = telemetry.registry().value("watchdog.scans");
+  const std::uint64_t scans = counter(telemetry, "watchdog.scans");
   s.run_for(sim::msec(50));
-  EXPECT_EQ(telemetry.registry().value("watchdog.scans"), scans)
+  EXPECT_EQ(counter(telemetry, "watchdog.scans"), scans)
       << "stopped watchdog must not sweep";
 }
 
@@ -382,7 +433,7 @@ TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
   std::string error;
   const auto dump = telemetry.trip("test-reason", &error);
   ASSERT_TRUE(dump.has_value()) << error;
-  EXPECT_EQ(telemetry.registry().value("flight.dumps"), 1u);
+  EXPECT_EQ(counter(telemetry, "flight.dumps"), 1u);
 
   // The dump holds exactly its three files.
   std::set<std::string> present;
@@ -426,7 +477,7 @@ TEST(LiveTelemetry, WatchdogTripWritesFlightDump) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  SiteTelemetry telemetry(s.client_site(0), tracer, tight_options());
+  SiteTelemetry telemetry(s.client_site(0), tracer, kTightBound);
   const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_trip";
   fs::remove_all(dir);
   telemetry.set_flight_dir(dir.string());
@@ -439,7 +490,7 @@ TEST(LiveTelemetry, WatchdogTripWritesFlightDump) {
   const SiteTelemetry::Sweep sweep = telemetry.scan_now();
   EXPECT_EQ(sweep.stalled, 1u);
   ASSERT_TRUE(sweep.flight_dir.has_value());
-  EXPECT_EQ(telemetry.registry().value("flight.dumps"), 1u);
+  EXPECT_EQ(counter(telemetry, "flight.dumps"), 1u);
 
   const auto loaded = load_trace(fs::path(*sweep.flight_dir));
   ASSERT_TRUE(loaded.has_value());

@@ -10,13 +10,13 @@
 // order is thoroughly scrambled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
 #include "core/events.h"
 #include "core/micro/acceptance.h"
 #include "core/micro/reliable_communication.h"
-#include "core/micro/terminate_orphan.h"
 #include "core/micro/total_order.h"
 #include "core/scenario.h"
 #include "obs/trace.h"
@@ -399,12 +399,15 @@ TEST(FifoOrder, ReplyDoesNotWaitForTheSuccessorReleasedBehindIt) {
 // comes back while it runs: Terminate Orphan kills it.  That kill must take
 // only the orphan's fiber, not the Reply of the call that released it.
 TEST(TotalOrder, KillingTheReleasedCallAsAnOrphanSparesTheReleasingReply) {
-  Scenario s(held_call_params(ConfigBuilder::exactly_once()
-                                  .total_order()
-                                  .orphan_handling(OrphanHandling::kTerminateOrphans)
-                                  .acceptance_limit(1)
-                                  .build(),
-                              2));
+  obs::Tracer tracer;
+  ScenarioParams p = held_call_params(ConfigBuilder::exactly_once()
+                                          .total_order()
+                                          .orphan_handling(OrphanHandling::kTerminateOrphans)
+                                          .acceptance_limit(1)
+                                          .build(),
+                                      2);
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
   Site& orphaned = s.client_site(1);
   s.scheduler().schedule_after(sim::msec(15), [&] {
     orphaned.crash();
@@ -415,7 +418,9 @@ TEST(TotalOrder, KillingTheReleasedCallAsAnOrphanSparesTheReleasingReply) {
     s.scheduler().spawn(new_incarnation(s), orphaned.domain());
   });
   const auto [a, b] = two_clients_one_after_the_other(s);
-  EXPECT_EQ(s.server(0).grpc().terminator()->orphans_killed(), 1u);
+  EXPECT_EQ(std::ranges::count(tracer.site(s.server(0).id()).events(), obs::Kind::kOrphanKilled,
+                               &obs::Event::kind),
+            1);
   EXPECT_EQ(b, 0) << "client 1's first call died with its incarnation";
   EXPECT_GT(a, 0);
   EXPECT_LE(a, kFirstReplyBound) << "the orphan kill took the releasing call's Reply with it";

@@ -6,10 +6,11 @@
 // servers detect the orphans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/micro/acceptance.h"
-#include "core/micro/interference_avoidance.h"
-#include "core/micro/terminate_orphan.h"
 #include "core/scenario.h"
+#include "obs/trace.h"
 
 namespace ugrpc::core {
 namespace {
@@ -38,8 +39,15 @@ struct SlowLog {
   }
 };
 
-ScenarioParams orphan_params(OrphanHandling orphan, SlowLog& log) {
+/// The records of `kind` on `site`'s ring.
+std::size_t records(obs::Tracer& tracer, Site& site, obs::Kind kind) {
+  return static_cast<std::size_t>(
+      std::ranges::count(tracer.site(site.id()).events(), kind, &obs::Event::kind));
+}
+
+ScenarioParams orphan_params(OrphanHandling orphan, SlowLog& log, obs::Tracer* tracer = nullptr) {
   ScenarioParams p;
+  p.tracer = tracer;
   p.num_servers = 1;
   p.config.acceptance_limit = 1;
   p.config.reliable_communication = true;
@@ -83,27 +91,29 @@ TEST(OrphanIgnore, OrphanRunsToCompletion) {
 
 TEST(InterferenceAvoidance, NewIncarnationWaitsForOrphanToDrain) {
   SlowLog log;
-  Scenario s(orphan_params(OrphanHandling::kInterferenceAvoidance, log));
+  obs::Tracer tracer;
+  Scenario s(orphan_params(OrphanHandling::kInterferenceAvoidance, log, &tracer));
   CallResult second;
   run_orphan_scenario(s, second);
   EXPECT_EQ(second.status, Status::kOk);
   ASSERT_EQ(log.completed.size(), 2u);
   EXPECT_EQ(log.completed[0], 1u) << "old generation drains before the new one starts";
   EXPECT_EQ(log.completed[1], 2u);
-  EXPECT_GT(s.server(0).grpc().interference()->deferred(), 0u)
+  EXPECT_GT(records(tracer, s.server(0), obs::Kind::kCallDeferred), 0u)
       << "the new call must have been deferred at least once";
 }
 
 TEST(TerminateOrphan, OrphanIsKilledAndNewCallProceeds) {
   SlowLog log;
-  Scenario s(orphan_params(OrphanHandling::kTerminateOrphans, log));
+  obs::Tracer tracer;
+  Scenario s(orphan_params(OrphanHandling::kTerminateOrphans, log, &tracer));
   CallResult second;
   run_orphan_scenario(s, second);
   EXPECT_EQ(second.status, Status::kOk);
   // The orphan died mid-sleep: only the new call's value is in the log.
   ASSERT_EQ(log.completed.size(), 1u);
   EXPECT_EQ(log.completed[0], 2u);
-  EXPECT_EQ(s.server(0).grpc().terminator()->orphans_killed(), 1u);
+  EXPECT_EQ(records(tracer, s.server(0), obs::Kind::kOrphanKilled), 1u);
 }
 
 TEST(TerminateOrphan, SerialTokenIsReleasedWhenHolderKilled) {
@@ -125,7 +135,8 @@ TEST(TerminateOrphan, SerialTokenIsReleasedWhenHolderKilled) {
 // row stayed, and the stall watchdog counted it as an orphaned entry.
 TEST(TerminateOrphan, KilledCallLeavesNoServerRow) {
   SlowLog log;
-  ScenarioParams p = orphan_params(OrphanHandling::kTerminateOrphans, log);
+  obs::Tracer tracer;
+  ScenarioParams p = orphan_params(OrphanHandling::kTerminateOrphans, log, &tracer);
   p.config = ConfigBuilder::at_least_once()
                  .orphan_handling(OrphanHandling::kTerminateOrphans)
                  .acceptance_limit(1)
@@ -135,7 +146,7 @@ TEST(TerminateOrphan, KilledCallLeavesNoServerRow) {
   run_orphan_scenario(s, second);
   s.run_for(sim::seconds(2));
   EXPECT_EQ(second.status, Status::kOk);
-  EXPECT_EQ(s.server(0).grpc().terminator()->orphans_killed(), 1u);
+  EXPECT_EQ(records(tracer, s.server(0), obs::Kind::kOrphanKilled), 1u);
   const GrpcState& server = s.server(0).grpc().state();
   for (const auto& [id, row] : server.sRPC) {
     ADD_FAILURE() << "call " << id.value() << " of incarnation " << row.client_inc
@@ -175,7 +186,8 @@ TEST(TerminateOrphan, ProbingKillsOrphanOfClientThatNeverRecovers) {
   // back; no new-incarnation message will ever arrive, yet the orphan must
   // still die once the failure detector fires.
   SlowLog log;
-  ScenarioParams p = orphan_params(OrphanHandling::kTerminateOrphans, log);
+  obs::Tracer tracer;
+  ScenarioParams p = orphan_params(OrphanHandling::kTerminateOrphans, log, &tracer);
   p.config.use_membership = true;
   p.config.membership_params = {sim::msec(10), sim::msec(50)};
   // A procedure slow enough that the detector fires while it runs.
@@ -194,7 +206,7 @@ TEST(TerminateOrphan, ProbingKillsOrphanOfClientThatNeverRecovers) {
   });
   s.run_for(sim::seconds(2));
   EXPECT_TRUE(log.completed.empty()) << "the orphan must have been killed mid-sleep";
-  EXPECT_EQ(s.server(0).grpc().terminator()->orphans_killed(), 1u);
+  EXPECT_EQ(records(tracer, s.server(0), obs::Kind::kOrphanKilled), 1u);
 }
 
 

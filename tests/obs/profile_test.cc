@@ -37,7 +37,7 @@ TEST(Profile, SelfTimeExcludesDirectChildren) {
   spans.push_back(make_span(11, 10, 100, 400, Kind::kMsgSent));
   spans.push_back(make_span(12, 10, 500, 600, Kind::kMsgSent));
   Profile prof;
-  prof.add_spans(spans, names);
+  prof.add(spans, names);
 
   const auto comp = prof.by_component();
   ASSERT_EQ(comp.count("Comp"), 1u);
@@ -66,7 +66,7 @@ TEST(Profile, SelfTimeClampsAtZeroWhenChildrenOverlap) {
   spans.push_back(make_span(11, 10, 0, 100, Kind::kMsgSent));
   spans.push_back(make_span(12, 10, 0, 100, Kind::kMsgSent));
   Profile prof;
-  prof.add_spans(spans, names);
+  prof.add(spans, names);
   EXPECT_EQ(prof.by_component().at("Comp").self_total, 0u);
 }
 
@@ -76,7 +76,7 @@ TEST(Profile, OpenSpansAreSkipped) {
   std::vector<Span> spans;
   spans.push_back(make_span(10, 0, 0, 0, Kind::kEventHandled, handler));  // still open
   Profile prof;
-  prof.add_spans(spans, names);
+  prof.add(spans, names);
   EXPECT_TRUE(prof.empty());
   EXPECT_EQ(prof.by_component().count("Comp"), 0u);
 }
@@ -89,7 +89,7 @@ TEST(Profile, PercentilesAreExactOnKnownSamples) {
     spans.push_back(make_span(100 + i, 0, 0, i, Kind::kEventHandled, handler));
   }
   Profile prof;
-  prof.add_spans(spans, names);
+  prof.add(spans, names);
   const Profile::Stats st = prof.by_component().at("C");
   EXPECT_EQ(st.count, 100u);
   // rank = round(q * (n-1)) on the sorted samples 1..100.
@@ -109,7 +109,7 @@ TEST(Profile, ComponentIsPrefixBeforeFirstDot) {
   spans.push_back(make_span(3, 0, 0, 30, Kind::kTimerFired, st.intern("ReliableComm.timeout")));
   spans.push_back(make_span(4, 0, 0, 40, Kind::kEventHandled, st.intern("nodot")));
   Profile prof;
-  prof.add_spans(spans, names);
+  prof.add(spans, names);
   const auto comp = prof.by_component();
   ASSERT_EQ(comp.size(), 3u);
   EXPECT_EQ(comp.at("Acceptance").count, 2u);
@@ -124,7 +124,7 @@ TEST(Profile, ToJsonEscapesKeysAndContainsEveryField) {
   std::vector<Span> spans;
   spans.push_back(make_span(1, 0, 0, 10, Kind::kEventHandled, evil));
   Profile prof;
-  prof.add_spans(spans, names);
+  prof.add(spans, names);
   const std::string json = prof.to_json();
   EXPECT_NE(json.find("\"by_component\""), std::string::npos);
   EXPECT_NE(json.find("\"by_kind\""), std::string::npos);
@@ -144,7 +144,7 @@ TEST(Profile, AddFoldsTracerSpansDirectly) {
       st.open(sim::Time{1}, Kind::kEventHandled, SpanCtx{1, 0}, 0, 0, 0, st.intern("X.h"));
   st.close(sim::Time{2}, h.parent);
   Profile prof;
-  prof.add(tracer);
+  prof.add(tracer.spans(), tracer);
   EXPECT_EQ(prof.by_component().at("X").count, 1u);
 }
 

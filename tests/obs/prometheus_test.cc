@@ -1,11 +1,11 @@
 // Unit tests for the Prometheus text exposition (obs/live/prometheus.h).
 //
-// Three contracts pinned here: counters render under the ugrpc_ prefix;
-// a span Profile renders as two summary families carrying every
-// Profile::Stats field, with free-form handler names escaped in the `name`
-// label; and a scrape taken from a timer callback under the cooperative
-// executor is a consistent point-in-time snapshot of a registry a fiber is
-// mutating.
+// Four contracts pinned here: counters render under the ugrpc_ prefix; a
+// counter name outside the metric-name alphabet asserts; a span Profile
+// renders as two summary families carrying every Profile::Stats field, with
+// free-form handler names escaped in the `name` label; and a scrape taken
+// from a timer callback under the cooperative executor is a consistent
+// point-in-time snapshot of counters a fiber is mutating.
 #include "obs/live/prometheus.h"
 
 #include <gtest/gtest.h>
@@ -13,9 +13,9 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "sim/scheduler.h"
@@ -48,17 +48,28 @@ TEST(PromName, DotsBecomeUnderscores) {
   EXPECT_EQ(prom_metric_name("net.bytes_sent"), "net_bytes_sent");
 }
 
+TEST(RegistryDeathTest, CounterRejectsNamesOutsideTheMetricAlphabet) {
+  // Names render as Prometheus metric names with '.' read as '_'; anything
+  // else -- a quote, backslash or newline, a leading digit, nothing at all --
+  // is a programming error, caught where a counter list is rendered.
+  const auto render_one = [](std::string_view name) {
+    const Counter counters[] = {{name, 0}};
+    return render_prometheus(counters);
+  };
+  EXPECT_TRUE(has_line(render_one("_ok.Name_9.x"), "ugrpc__ok_Name_9_x 0"));
+  EXPECT_DEATH(render_one("calls[\"evil\\name\n\"]"), "is_metric_name");
+  EXPECT_DEATH(render_one("9lives"), "is_metric_name");
+  EXPECT_DEATH(render_one(".net"), "is_metric_name");
+  EXPECT_DEATH(render_one(""), "is_metric_name");
+}
+
 TEST(PromEscape, EscapesBackslashQuoteNewline) {
   EXPECT_EQ(prom_escape_label("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
 }
 
 TEST(PromRender, CounterAndGaugeWithPrefix) {
-  Registry reg;
-  std::uint64_t started = 6;
-  reg.counter("calls.started", [&started] { return started; });
-  reg.counter("msgs.sent", [] { return std::uint64_t{3}; });
-  ++started;  // read at scrape time
-  const std::string out = render_prometheus(reg);
+  const Counter counters[] = {{"calls.started", 7}, {"msgs.sent", 3}};
+  const std::string out = render_prometheus(counters);
   EXPECT_TRUE(has_line(out, "# TYPE ugrpc_calls_started counter")) << out;
   EXPECT_TRUE(has_line(out, "ugrpc_calls_started 7")) << out;
   EXPECT_TRUE(has_line(out, "# TYPE ugrpc_msgs_sent counter")) << out;
@@ -89,7 +100,7 @@ Profile three_calls(const std::string& handler) {
       span(3, 0, 2000, 2200, Kind::kEventHandled, h),
       span(4, 0, 3000, 3300, Kind::kEventHandled, h)};
   Profile prof;
-  prof.add_spans(spans, names);
+  prof.add(spans, names);
   return prof;
 }
 
@@ -140,11 +151,8 @@ TEST(PromRender, ScrapeBetweenFibersIsConsistentSnapshot) {
   // therefore observe the pair in lockstep -- the structural property that
   // makes the live telemetry plane lock-free.
   sim::Scheduler sched;
-  Registry reg;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
-  reg.counter("a", [&a] { return a; });
-  reg.counter("b", [&b] { return b; });
 
   sched.spawn([](sim::Scheduler& s, std::uint64_t& a, std::uint64_t& b) -> sim::Task<> {
     for (int i = 0; i < 200; ++i) {
@@ -156,7 +164,8 @@ TEST(PromRender, ScrapeBetweenFibersIsConsistentSnapshot) {
 
   int scrapes = 0;
   std::function<void()> scrape = [&] {
-    const std::string out = render_prometheus(reg);
+    const Counter counters[] = {{"a", a}, {"b", b}};
+    const std::string out = render_prometheus(counters);
     const auto va = sample_value(out, "ugrpc_a");
     const auto vb = sample_value(out, "ugrpc_b");
     ASSERT_TRUE(va.has_value() && vb.has_value()) << out;

@@ -91,8 +91,14 @@ void put_u32(std::vector<std::byte>& bytes, std::size_t at, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) bytes.at(at + i) = static_cast<std::byte>(v >> (8 * i));
 }
 
-/// Decodes `bytes` and checks the decoder's contract; returns whether it
-/// loaded.
+void put_i64(std::vector<std::byte>& bytes, std::size_t at, std::int64_t v) {
+  const auto u = static_cast<std::uint64_t>(v);
+  for (int i = 0; i < 8; ++i) bytes.at(at + i) = static_cast<std::byte>(u >> (8 * i));
+}
+
+/// Decodes `bytes` and checks the decoder's contract, and replays what
+/// loads through the checker against its header's Expect; returns whether
+/// it loaded.
 bool decode_checked(const std::vector<std::byte>& bytes) {
   std::string error;
   const auto file = decode_trace(bytes, &error);
@@ -109,6 +115,7 @@ bool decode_checked(const std::vector<std::byte>& bytes) {
   }
   (void)spans_of(file->events);  // deriving spans from any loaded history is safe
   (void)tools::render_perfetto(std::span(&*file, 1));
+  (void)check(file->events, file->header.expect);  // and so is checking it
   return true;
 }
 
@@ -225,6 +232,7 @@ TEST(TraceFile, MalformedHeaderIsRejected) {
   }
   // A bound flagged present in a file cut off inside it.
   Tracer tracer;
+  tracer.site(ProcessId{1}).record(sim::usec(1), Kind::kCallIssued, 7);
   TraceHeader bounded;
   bounded.expect.termination_bound = sim::msec(100);
   const std::vector<std::byte> whole = bytes_of(encode_trace(tracer, bounded));
@@ -232,6 +240,25 @@ TEST(TraceFile, MalformedHeaderIsRejected) {
   const std::vector<std::byte> cut(whole.begin(), whole.begin() + kFlagsAt + 1 + 4);
   EXPECT_FALSE(decode_trace(cut, &error).has_value());
   EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+
+  // A bound, a slack or a record time that obs::check's sums could overflow
+  // (INT64_MAX stopped the checker under UBSan), or a negative one, which
+  // its -1 "never issued" sentinel could meet.  The bound sits right after
+  // the flags, the slack after it, and a record's time after its seq.
+  const std::size_t time_at = whole.size() - kTraceRecordBytes + 8;
+  for (const std::int64_t lie : {INT64_MAX, std::int64_t{1} << 60, std::int64_t{-1}, INT64_MIN}) {
+    for (const std::size_t at : {kFlagsAt + 1, kFlagsAt + 1 + 8, time_at}) {
+      std::vector<std::byte> bytes = whole;
+      put_i64(bytes, at, lie);
+      EXPECT_FALSE(decode_trace(bytes, &error).has_value()) << at << " " << lie;
+      EXPECT_NE(error.find("outside [0, 2^60) us"), std::string::npos) << error;
+    }
+  }
+  for (const std::size_t at : {kFlagsAt + 1, kFlagsAt + 1 + 8, time_at}) {
+    std::vector<std::byte> bytes = whole;
+    put_i64(bytes, at, (std::int64_t{1} << 60) - 1);
+    EXPECT_TRUE(decode_checked(bytes)) << "the largest legal value loads and checks, at " << at;
+  }
 }
 
 TEST(TraceFile, HeaderCarriesTheDroppedCount) {
