@@ -40,6 +40,7 @@
 #pragma once
 
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/events.h"
@@ -89,7 +90,7 @@ class AtomicExecution : public runtime::MicroProtocol {
   void commit(storage::StableAddress addr, bool base, std::size_t bytes);
   void restore_chain(const std::vector<ChainRecord>& chain);
 
-  static constexpr const char* kCurrentVar = "atomic.current";
+  static constexpr std::string_view kCurrentVar = "atomic.current";
 
   GrpcState& state_;
   storage::StableStore& store_;

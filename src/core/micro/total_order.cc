@@ -2,6 +2,7 @@
 
 #include "common/log.h"
 #include "core/priorities.h"
+#include "net/wire.h"
 
 namespace ugrpc::core {
 
@@ -11,8 +12,28 @@ namespace {
 /// reconciliation round with whatever arrived.
 constexpr sim::Duration kAgreementTimeout = sim::msec(100);
 
-/// An Order's args: the leader's previous assignment, id:u64 order:u64.
+/// An Order's args begin with the leader's previous assignment, id:u64
+/// order:u64; the Call may follow as one length-prefixed field.
 constexpr std::size_t kPredecessorBytes = 16;
+constexpr std::size_t kLengthPrefixBytes = 4;
+
+/// True when Order args are the predecessor alone, or the predecessor and
+/// one length-prefixed field that ends them.
+bool framed(const Buffer& args) {
+  if (args.size() == kPredecessorBytes) return true;
+  if (args.size() < kPredecessorBytes + kLengthPrefixBytes) return false;
+  Reader r(args.bytes().subspan(kPredecessorBytes));
+  const std::uint32_t length = r.u32();
+  return length == r.remaining();
+}
+
+/// True when an Order carrying `call` fits in one datagram.
+bool fits_with(const net::NetMessage& call) {
+  constexpr std::size_t kOverhead = sizeof(net::WireFrame::Head) + net::NetMessage::kFixedBytes +
+                                    kPredecessorBytes + kLengthPrefixBytes +
+                                    net::NetMessage::kFixedBytes;
+  return call.args.size() <= net::kMaxDatagram - kOverhead;
+}
 
 }  // namespace
 
@@ -75,7 +96,7 @@ void TotalOrder::assign_order(runtime::EventContext& ctx) {
       // an order, and finish_reconciliation assigns it.
       return;
     }
-    announce(msg.id, order);
+    announce(msg.id, order, &msg);
   } else if (!old_orders_.contains(msg.id) && state_.sRPC.contains(msg.id)) {
     // A retransmission of a call we still cannot order: nudge the (possibly
     // new) leader, which may never have received the original.
@@ -90,7 +111,7 @@ void TotalOrder::assign_order(runtime::EventContext& ctx) {
   // redundant and we omit it (see DESIGN.md).
 }
 
-void TotalOrder::announce(CallId id, std::uint64_t order) {
+void TotalOrder::announce(CallId id, std::uint64_t order, const net::NetMessage* call) {
   net::NetMessage order_msg;
   order_msg.type = net::MsgType::kOrder;
   order_msg.id = id;
@@ -98,17 +119,25 @@ void TotalOrder::announce(CallId id, std::uint64_t order) {
   order_msg.sender = state_.my_id;
   order_msg.inc = state_.inc_number;
   order_msg.ackid = order;
-  order_msg.args = std::move(predecessor_);
+  order_msg.args = std::move(order_args_);
+  order_msg.args.clear();
+  Writer w(order_msg.args);
+  w.u64(prev_id_.value());
+  w.u64(prev_order_);
+  if (call != nullptr && fits_with(*call)) {
+    // Written in place rather than encoded into a buffer of its own.
+    const std::size_t prefix_at = w.begin_raw();
+    call->encode_to(w);
+    w.end_raw(prefix_at);
+  }
   const Buffer bytes = order_msg.encode();
   for (ProcessId p : state_.transport.group_members(group_)) {
     if (p != state_.my_id) state_.endpoint.send(p, kGrpcProto, bytes);
   }
-  // Back in its one owner, the buffer is rewritten in place.
-  predecessor_ = std::move(order_msg.args);
-  predecessor_.clear();
-  Writer w(predecessor_);
-  w.u64(id.value());
-  w.u64(order);
+  // Back in its one owner, the buffer is rewritten in place next time.
+  order_args_ = std::move(order_msg.args);
+  prev_id_ = id;
+  prev_order_ = order;
 }
 
 bool TotalOrder::note_order(CallId id, std::uint64_t order) {
@@ -164,22 +193,52 @@ sim::Task<> TotalOrder::call_from_net(runtime::EventContext& ctx) {
   }
 }
 
+std::optional<net::NetMessage> TotalOrder::lost_call(const net::NetMessage& order) {
+  if (order.args.size() <= kPredecessorBytes || state_.find_server(order.id) != nullptr) {
+    return std::nullopt;
+  }
+  const auto known = old_orders_.find(order.id);
+  if ((known != old_orders_.end() ? known->second : order.ackid) < next_entry_) {
+    return std::nullopt;  // executed here
+  }
+  // framed() has checked that the Call's length prefix spans the rest.
+  constexpr std::size_t kCallAt = kPredecessorBytes + kLengthPrefixBytes;
+  net::NetMessage call =
+      net::NetMessage::decode(order.args.slice(kCallAt, order.args.size() - kCallAt));
+  if (call.type != net::MsgType::kCall) {
+    throw CodecError("Order carries a message that is not a Call");
+  }
+  if (call.id != order.id || call.server != order.server) {
+    throw CodecError("Order carries another call's Call");
+  }
+  return call;
+}
+
 sim::Task<> TotalOrder::order_from_net(runtime::EventContext& ctx) {
   const auto& msg = ctx.arg_as<net::NetMessage>();
-  if (!msg.args.empty()) {
-    if (msg.args.size() != kPredecessorBytes) {
-      state_.drop_malformed(msg.sender, CodecError("Order args are not one assignment"));
-      co_return;
-    }
-    // The leader's previous assignment: it repairs a lost Order.  It comes
-    // first, and runs in a fiber of its own if its turn has come.
-    Reader r(msg.args);
-    const CallId prev{r.u64()};
-    if (note_order(prev, r.u64())) state_.release(prev, kHoldTotal);
+  // Check everything before applying anything: a malformed Order teaches
+  // no order.
+  std::optional<net::NetMessage> call;
+  try {
+    if (!framed(msg.args)) throw CodecError("Order args are not an assignment and a Call");
+    call = lost_call(msg);
+  } catch (const CodecError& e) {
+    state_.drop_malformed(msg.sender, e);
+    co_return;
   }
+  // The leader's previous assignment, if any: it repairs a lost Order.  It
+  // comes first, and runs in a fiber of its own if its turn has come.
+  Reader r(msg.args);
+  const CallId prev{r.u64()};
+  const std::uint64_t prev_order = r.u64();
+  if (prev != CallId{0} && note_order(prev, prev_order)) state_.release(prev, kHoldTotal);
   if (note_order(msg.id, msg.ackid)) {
     state_.note(obs::Kind::kCallReleased, msg.id.value(), kHoldTotal);
     co_await state_.forward_up(msg.id, kHoldTotal);
+  } else if (call.has_value()) {
+    // This member lost the Call: run the leader's copy through the Call's
+    // own chain, which finds its order known now.
+    co_await fw_->trigger(kCallFromNetwork, runtime::EventArg::ref(*call));
   }
 }
 
@@ -340,7 +399,7 @@ void TotalOrder::finish_reconciliation() {
   // member converges on one assignment even if the old leader's Orders
   // reached only a subset.
   for (const auto& [id, order] : old_orders_) {
-    if (order >= next_entry_) announce(id, order);
+    if (order >= next_entry_) announce(id, order, nullptr);
   }
 }
 

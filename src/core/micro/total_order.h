@@ -8,14 +8,39 @@
 // assigned order (a HOLD gate holds calls whose turn has not come).
 //
 // Order message (EXTENSION): `ackid` carries the order of call `id`, and
-// `args` the assignment the leader announced just before this one, as
-// id:u64 order:u64 (empty in a leader's first Order).  A follower that lost
-// Order k learns it from Order k+1, about one call later, instead of
-// stalling every later call until a client's retransmission makes the
-// leader re-announce it.  An Order whose args are neither empty nor 16 bytes
-// is dropped as malformed.  The leader sends Orders to the other members
-// only: the Call's own call_from_net handler already releases or queues the
-// call it has just assigned, so an Order to itself would be a no-op.
+// `args` two repairs:
+//   prev_id:u64 prev_order:u64  the assignment the leader announced just
+//                               before this one (all zero before its first)
+//   call:bytes                  optional: the Call being ordered, its
+//                               NetMessage encoding as one length-prefixed
+//                               field that ends the args
+// A follower that lost Order k learns it from Order k+1, about one call
+// later, instead of stalling every later call until a client's
+// retransmission makes the leader re-announce it.
+//
+// A follower that lost the Call runs it from its Order.  Only when the
+// Order finds no sRPC row for its call and the call has not executed here
+// (its order >= next_entry) does the follower decode the embedded Call; it
+// raises CALL_FROM_NETWORK with it, so orphan handling, Unique Execution,
+// RPC Main and Total Order see it as if it had come from the client.  The
+// client's own copy, if it arrives later, is a duplicate that Unique
+// Execution answers.  Under acceptance below ALL the client stops sending a
+// call once enough servers answered, so without the embedded Call such a
+// follower would hold that order, and every later one, for good.  The
+// leader writes the Call in place (NetMessage::encode_to) into one reused
+// buffer, so it costs no allocation, but it costs bytes: one more copy of
+// each Call on the leader's link to every follower, which matters for
+// large arguments (a third more bytes per ordered write with 8 KiB args;
+// DESIGN.md section 5, item 17).  An
+// Order that the Call would push past net::kMaxDatagram goes out without
+// it, and a reconciliation's re-announcements carry none.
+//
+// An Order whose args are not framed as above is dropped as malformed, and
+// so is one whose Call, when the follower needs it, does not decode as a
+// Call with the Order's id and group.  The leader sends Orders to the other
+// members only: the Call's own call_from_net handler already releases or
+// queues the call it has just assigned, so an Order to itself would be a
+// no-op.
 //
 // Leader change: followers track the leader's counter via the Order
 // messages ("if next_order < msg.ackid+1 ..."), so when the leader fails the
@@ -53,6 +78,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -102,8 +128,13 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   void membership_change(runtime::EventContext& ctx);
 
   /// Sends the Order assigning `order` to call `id`, with the previous
-  /// announcement in its args, to every other member of the group.
-  void announce(CallId id, std::uint64_t order);
+  /// announcement and, if it fits, `call` in its args, to every other member
+  /// of the group.
+  void announce(CallId id, std::uint64_t order, const net::NetMessage* call);
+  /// The Call an Order carries, when this member needs it: no row holds the
+  /// call here and it has not executed.  Throws CodecError when the bytes
+  /// are not a Call with the Order's id and group.
+  [[nodiscard]] std::optional<net::NetMessage> lost_call(const net::NetMessage& order);
   /// Records an assignment learned from an Order/OrderInfo message; queues
   /// the call if it is held here, or returns true if its turn has come.
   bool note_order(CallId id, std::uint64_t order);
@@ -129,9 +160,12 @@ class TotalOrder : public runtime::MicroProtocol, public CheckpointParticipant {
   std::unordered_map<CallId, std::uint64_t> old_orders_;  ///< call -> assigned order
   std::uint64_t next_order_ = 1;  ///< leader: next order number to assign
   std::uint64_t next_entry_ = 1;  ///< next order number allowed to execute
-  /// Leader: the last assignment announced (id:u64 order:u64, empty before
-  /// the first), the next Order's args.  One buffer, rewritten in place.
-  Buffer predecessor_;
+  /// Leader: the last assignment announced (zero before the first), the
+  /// next Order's predecessor.
+  CallId prev_id_{0};
+  std::uint64_t prev_order_ = 0;
+  /// Leader: the Orders' args, one buffer rewritten in place per Order.
+  Buffer order_args_;
 
   // Reconciliation round state (only meaningful on the new leader).
   bool reconciling_ = false;

@@ -12,9 +12,12 @@
 //            core/p2p_rpc.h, acks the one call `ackid` names instead.)
 //   kOrder - leader -> the other group members: assigns total-order
 //            position `ackid` to call `id`.  `args` repeats the leader's
-//            previous assignment as id:u64 order:u64 (empty in its first
-//            Order), so a lost Order is repaired by the next one (Total
-//            Order micro-protocol)
+//            previous assignment as id:u64 order:u64 (zero before its
+//            first), so a lost Order is repaired by the next one, then
+//            carries the Call being ordered, its encoding as one
+//            length-prefixed field, so a follower that lost the Call runs
+//            it from the Order (omitted when the Order would not fit in a
+//            datagram; Total Order micro-protocol)
 //
 // Messages are serialized with the common codec before entering the network
 // and decoded on delivery, so every protocol exchange exercises real
@@ -67,7 +70,14 @@ struct NetMessage {
   /// The sender's low watermark (kCall, kAck) or assigned order (kOrder).
   std::uint64_t ackid = 0;
 
+  /// encode()'s bytes besides the args: the fixed fields and the args'
+  /// length prefix.
+  static constexpr std::size_t kFixedBytes = 1 + 8 + 4 + 4 + 4 + 4 + 4 + 8;
+
   [[nodiscard]] Buffer encode() const;
+  /// encode()'s bytes, appended through a caller's Writer (to nest this
+  /// message in another without a buffer of its own).
+  void encode_to(Writer& w) const;
   /// Throws CodecError on malformed input, including a kAck with args.
   [[nodiscard]] static NetMessage decode(const Buffer& buf);
 
@@ -75,13 +85,16 @@ struct NetMessage {
 };
 
 inline Buffer NetMessage::encode() const {
-  // The exact encoded size up front: 33 B of fixed fields, the args' 4 B
-  // length prefix and the args.  Growing the buffer field by field would
-  // reallocate (and re-copy the args) several times per message.
-  constexpr std::size_t kFixedBytes = 1 + 8 + 4 + 4 + 4 + 4 + 4 + 8;
+  // The exact encoded size up front: growing the buffer field by field
+  // would reallocate (and re-copy the args) several times per message.
   Buffer out;
   out.reserve(kFixedBytes + args.size());
   Writer w(out);
+  encode_to(w);
+  return out;
+}
+
+inline void NetMessage::encode_to(Writer& w) const {
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(id.value());
   w.u32(op.value());
@@ -90,7 +103,6 @@ inline Buffer NetMessage::encode() const {
   w.u32(sender.value());
   w.u32(inc);
   w.u64(ackid);
-  return out;
 }
 
 /// Messages dropped because their bytes did not decode.  A peer's bug or a

@@ -15,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -81,11 +82,17 @@ class StableStore {
   }
 
   // ---- stable variables (atomic assignment, paper section 4.4.5) ----
-  void set_var(const std::string& name, std::uint64_t value) { vars_[name] = value; }
-  [[nodiscard]] std::optional<std::uint64_t> var(const std::string& name) const {
-    auto it = vars_.find(name);
+  void set_var(std::string_view name, std::uint64_t value) {
+    if (auto it = std::ranges::find(vars_, name, &Var::name); it != vars_.end()) {
+      it->value = value;
+    } else {
+      vars_.push_back(Var{std::string(name), value});
+    }
+  }
+  [[nodiscard]] std::optional<std::uint64_t> var(std::string_view name) const {
+    auto it = std::ranges::find(vars_, name, &Var::name);
     if (it == vars_.end()) return std::nullopt;
-    return it->second;
+    return it->value;
   }
   void set_write_latency(sim::Duration d) { write_latency_ = d; }
 
@@ -93,6 +100,10 @@ class StableStore {
   struct Checkpoint {
     StableAddress addr;
     Buffer snapshot;
+  };
+  struct Var {
+    std::string name;
+    std::uint64_t value;
   };
 
   /// The checkpoint at `addr`, or end().
@@ -109,7 +120,9 @@ class StableStore {
   /// Ordered by address: addresses only grow, so a store appends.  A
   /// vector, not a map, so storing a checkpoint allocates no node.
   std::vector<Checkpoint> checkpoints_;
-  std::unordered_map<std::string, std::uint64_t> vars_;
+  /// A handful of names (Atomic Execution uses one), read several times per
+  /// checkpoint: a linear search, which hashes no string.
+  std::vector<Var> vars_;
   std::uint64_t next_checkpoint_ = 1;
 };
 

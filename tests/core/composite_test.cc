@@ -86,7 +86,10 @@ TEST(Composite, EveryConfigurationTakesEveryMessageKind) {
       msg.sender = stranger;
       msg.inc = 1;
       if (type == net::MsgType::kAck) msg.ackid = unknown.value();  // W names its sender
-      if (type == net::MsgType::kOrder) msg.ackid = 1;              // the first order
+      if (type == net::MsgType::kOrder) {  // the first order, no predecessor
+        msg.ackid = 1;
+        msg.args = Buffer(std::vector<std::byte>(16, std::byte{0}));
+      }
       if (type == net::MsgType::kOrderInfo) Writer(msg.args).u32(0);  // no assignments
       for (ProcessId to : {Scenario::server_id(0), s.client_id(0)}) {
         s.client_site(1).grpc().state().endpoint.send(to, kGrpcProto, msg.encode());

@@ -449,6 +449,7 @@ TEST(TotalOrder, DuplicatedOrderBehindAPendingReleaseRunsTheCallOnce) {
       order.sender = site.id();
       order.inc = 1;
       order.ackid = 2;
+      order.args = Buffer(std::vector<std::byte>(16, std::byte{0}));  // no predecessor
       auto deliver = [](Site& at, net::NetMessage msg) -> sim::Task<> {
         co_await at.grpc().framework().trigger(kOrderFromNetwork, runtime::EventArg::ref(msg));
       };
@@ -531,11 +532,11 @@ struct Execution {
 };
 using TimedLogs = std::map<std::uint32_t, std::vector<Execution>>;  // server id -> executions
 
-ScenarioParams order_repair_params(TimedLogs& logs) {
+ScenarioParams order_repair_params(TimedLogs& logs, int servers = 2, int acceptance = kAll) {
   ScenarioParams p;
-  p.num_servers = 2;
+  p.num_servers = servers;
   p.num_clients = 2;
-  p.config = ConfigBuilder::at_most_once().total_order().acceptance_limit(kAll).build();
+  p.config = ConfigBuilder::at_most_once().total_order().acceptance_limit(acceptance).build();
   p.faults.min_delay = sim::usec(100);
   p.faults.max_delay = sim::usec(100);
   p.server_app = [&logs](UserProtocol& user, Site& site) {
@@ -618,26 +619,137 @@ TEST(TotalOrder, LeaderSendsNoOrderToItself) {
   EXPECT_EQ(s.total_server_executions(), 3u);
 }
 
-// An Order's args are empty or one assignment (16 bytes).  Anything else is
-// dropped and counted as malformed, and the follower goes on ordering calls.
+/// Cuts client 0's link to `server` from 500 us before `at` to 500 us after,
+/// so that only the Call client 0 issues at `at` crosses it meanwhile.
+void lose_call_issued_at(Scenario& s, ProcessId server, sim::Time at) {
+  s.scheduler().schedule_after(at - sim::usec(500), [&s, server] {
+    s.network().link(s.client_id(0), server).partitioned = true;
+  });
+  s.scheduler().schedule_after(at + sim::usec(500), [&s, server] {
+    s.network().link(s.client_id(0), server).partitioned = false;
+  });
+}
+
+// A follower that lost a Call runs it from the leader's Order, which carries
+// it: the Call reaches the leader 100 us after it is issued and the Order the
+// follower 100 us later.  Without the embedded Call the follower would wait
+// for the client's retransmission (the first retransmission timeout is
+// 50 ms).
+TEST(TotalOrder, LostCallIsRepairedByItsOrder) {
+  TimedLogs logs;
+  Scenario s(order_repair_params(logs));
+  const ProcessId follower = Scenario::server_id(0);
+  ASSERT_EQ(s.server(0).grpc().total()->leader(), Scenario::server_id(1));
+  constexpr sim::Time kIssue = sim::msec(10);
+  lose_call_issued_at(s, follower, kIssue);
+  CallResult result;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    co_await s.scheduler().sleep_for(kIssue - s.scheduler().now());
+    result = co_await c.call(s.group(), kTagged, tag_buf({0, 0}));
+  });
+  s.run_for(sim::seconds(1));
+
+  EXPECT_EQ(result.status, Status::kOk);
+  ASSERT_EQ(logs[follower.value()].size(), 1u);
+  EXPECT_EQ(logs[follower.value()][0].at, kIssue + sim::usec(200))
+      << "the follower waited for a retransmission of the lost Call";
+  EXPECT_EQ(s.client_site(0).grpc().reliable()->retransmissions(), 0u);
+  EXPECT_EQ(s.total_server_executions(), 2u);
+}
+
+// Under acceptance 1 the client stops sending a call once one server has
+// answered, so a follower that lost the first Call never gets it from the
+// client.  It runs that call from its Order, then the four calls ordered
+// after it, in the leader's order.
+TEST(TotalOrder, FollowerThatLostACallCatchesUpUnderAcceptanceOne) {
+  TimedLogs logs;
+  Scenario s(order_repair_params(logs, 3, 1));
+  const ProcessId leader = Scenario::server_id(2);
+  const ProcessId follower = Scenario::server_id(0);
+  ASSERT_EQ(s.server(0).grpc().total()->leader(), leader);
+  constexpr sim::Time kFirst = sim::msec(10);
+  lose_call_issued_at(s, follower, kFirst);
+  int completed = 0;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    for (std::uint32_t seq = 0; seq < 5; ++seq) {
+      co_await s.scheduler().sleep_for(kFirst + seq * sim::msec(10) - s.scheduler().now());
+      const CallResult r = co_await c.call(s.group(), kTagged, tag_buf({0, seq}));
+      if (r.status == Status::kOk) ++completed;
+    }
+  });
+  s.run_for(sim::seconds(1));
+
+  ASSERT_EQ(completed, 5);
+  std::vector<Tag> leader_tags;
+  std::vector<Tag> follower_tags;
+  for (const Execution& e : logs[leader.value()]) leader_tags.push_back(e.tag);
+  for (const Execution& e : logs[follower.value()]) follower_tags.push_back(e.tag);
+  ASSERT_EQ(leader_tags.size(), 5u);
+  EXPECT_EQ(follower_tags, leader_tags) << "the follower ran " << follower_tags.size() << " of 5";
+}
+
+/// A Call as the client sends it, for an Order to carry.
+net::NetMessage call_message(const Scenario& s, CallId id) {
+  net::NetMessage call;
+  call.type = net::MsgType::kCall;
+  call.id = id;
+  call.op = kTagged;
+  call.args = tag_buf({0, 0});
+  call.server = s.group();
+  call.sender = s.client_id(0);
+  call.inc = 1;
+  call.ackid = id.value();
+  return call;
+}
+
+/// Order args: the predecessor (none) and `embedded` as one length-prefixed
+/// field.
+Buffer order_args(const Buffer& embedded) {
+  Buffer args;
+  Writer w(args);
+  w.u64(0);
+  w.u64(0);
+  w.raw(embedded.bytes());
+  return args;
+}
+
+// An Order's args are one assignment (16 bytes), or one assignment and a
+// length-prefixed Call.  Anything else is dropped and counted as
+// malformed, and so is an Order whose Call the follower needs but cannot
+// use: bytes that do not decode, a message that is not a Call, or a Call
+// with another id or group.  The follower goes on ordering calls.
 TEST(TotalOrder, OrderWithMalformedArgsIsDroppedAndCounted) {
   TimedLogs logs;
   Scenario s(order_repair_params(logs));
   const ProcessId follower = Scenario::server_id(0);
-  for (const std::size_t bytes : {std::size_t{7}, std::size_t{17}, std::size_t{32}}) {
+  const CallId id = make_call_id(s.client_id(0), first_seq_of_incarnation(1));
+  std::vector<Buffer> bad_args;
+  for (const std::size_t bytes : std::initializer_list<std::size_t>{0, 7, 17, 32}) {
+    bad_args.push_back(Buffer(std::vector<std::byte>(bytes, std::byte{0xff})));
+  }
+  bad_args.push_back(order_args(Buffer(std::vector<std::byte>(9, std::byte{0xff}))));
+  net::NetMessage not_a_call = call_message(s, id);
+  not_a_call.type = net::MsgType::kReply;
+  bad_args.push_back(order_args(not_a_call.encode()));
+  bad_args.push_back(order_args(call_message(s, next_call_id(id)).encode()));
+  net::NetMessage other_group = call_message(s, id);
+  other_group.server = GroupId{s.group().value() + 1};
+  bad_args.push_back(order_args(other_group.encode()));
+  for (const Buffer& args : bad_args) {
     net::NetMessage order;
     order.type = net::MsgType::kOrder;
-    order.id = make_call_id(s.client_id(0), first_seq_of_incarnation(1));
+    order.id = id;
     order.server = s.group();
     order.sender = Scenario::server_id(1);
     order.inc = 1;
     order.ackid = 1;
-    order.args = Buffer(std::vector<std::byte>(bytes, std::byte{0xff}));
+    order.args = args;
     s.client_site(1).grpc().state().endpoint.send(follower, kGrpcProto, order.encode());
   }
   s.run_for(sim::msec(10));
-  EXPECT_EQ(s.server(0).grpc().state().malformed.count(), 3u);
+  EXPECT_EQ(s.server(0).grpc().state().malformed.count(), bad_args.size());
   EXPECT_EQ(s.server(0).grpc().total()->old_orders(), 0u) << "a malformed Order taught an order";
+  EXPECT_EQ(s.server(0).total_executions(), 0u);
 
   CallResult result;
   s.run_client(0, [&](Client& c) -> sim::Task<> {

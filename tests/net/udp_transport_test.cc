@@ -11,12 +11,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "core/config_builder.h"
+#include "core/micro/acceptance.h"
+#include "core/micro/total_order.h"
 #include "core/observe.h"
 #include "core/service.h"
 #include "core/site.h"
@@ -402,6 +405,55 @@ TEST(UdpTransport, TimerArmedByADeliveryFiberWaitsItsFullDelay) {
   // now() truncates to whole microseconds, hence the 1 us.
   EXPECT_GE(fired_at - armed_at, std::chrono::microseconds(kDelay - 1))
       << "executor clock lag at arming: " << lag << " us";
+}
+
+// A Total Order leader's Order carries the Call it orders only when both fit
+// in one datagram.  A Call that fills a datagram alone goes out as usual and
+// its Orders without it; an Order carrying it would be dropped as oversized
+// at every send, and the followers would never learn the call's order.
+TEST(UdpTransport, TotalOrderCallThatFillsADatagramIsOrderedWithoutIt) {
+  constexpr ProcessId kClient{4};
+  constexpr GroupId kGroup{1};
+  const core::Config config =
+      core::ConfigBuilder::at_most_once().total_order().acceptance_limit(core::kAll).build();
+  UdpTransport t;
+  const std::set<ProcessId> known{kA, kB, kC, kClient};
+  std::vector<std::unique_ptr<core::Site>> servers;
+  for (ProcessId p : {kA, kB, kC}) {
+    servers.push_back(std::make_unique<core::Site>(t, p, config, known));
+  }
+  core::Site client(t, kClient, config, known);
+  t.define_group(kGroup, {kA, kB, kC});
+  for (auto& server : servers) server->boot();
+  client.boot();
+  // A call that reaches the leader during its boot reconciliation is
+  // announced by the round's close, without its Call.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (servers.back()->grpc().total()->reconciling() &&
+         std::chrono::steady_clock::now() < give_up) {
+    t.poll_once(sim::msec(10));
+  }
+  ASSERT_FALSE(servers.back()->grpc().total()->reconciling());
+
+  // The Call's datagram is the frame head, the message's fixed fields and
+  // length prefix, and the args: 8 bytes short of the cap.
+  constexpr std::size_t kArgs =
+      kMaxDatagram - sizeof(WireFrame::Head) - NetMessage::kFixedBytes - 8;
+  const Buffer args = Buffer::copy_of(std::vector<std::byte>(kArgs, std::byte{0x5a}));
+  core::Client c(client);
+  core::CallResult result;
+  const FiberId fiber = t.spawn(
+      [](core::Client& c, const Buffer& args, core::CallResult& result) -> sim::Task<> {
+        result = co_await c.call(kGroup, OpId{1}, args);
+      }(c, args, result),
+      client.domain());
+  while (t.executor().fiber_alive(fiber) && std::chrono::steady_clock::now() < give_up) {
+    t.poll_once(sim::msec(10));
+  }
+  EXPECT_EQ(result.status, Status::kOk) << "the group wedged on an oversized Order";
+  EXPECT_EQ(result.result, args);
+  EXPECT_EQ(t.stats().dropped, 0u) << "an Order was too large to send";
+  for (auto& server : servers) EXPECT_EQ(server->total_executions(), 1u);
 }
 
 TEST(UdpTransport, StaleIncarnationFramesAreDropped) {

@@ -71,10 +71,13 @@ double handlers_per_call(Config config) {
   return per_call;
 }
 
+// An Order sometimes reaches a follower before the client's Call does; the
+// follower then runs the Call the Order carries through its own chain, and
+// answers the client's late copy as a duplicate.
 TEST(HandlerBudget, OrderedWrite) {
   EXPECT_LE(
       handlers_per_call(ConfigBuilder::at_most_once().total_order().acceptance_limit(kAll).build()),
-      47.02);
+      48.01);
 }
 
 TEST(HandlerBudget, ReadOptimized) {
