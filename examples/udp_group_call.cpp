@@ -203,10 +203,7 @@ std::uint16_t read_u16(int fd) {
   const std::vector<ProcessId> members = members_of(cli);
   core::Site site(transport, my_id, core::ConfigBuilder::exactly_once().build(), known_to(cli));
   obs::Tracer tracer;
-  if (!cli.trace_dir.empty()) {
-    transport.set_tracer(&tracer);
-    site.set_tracer(&tracer);
-  }
+  if (!cli.trace_dir.empty()) transport.set_tracer(&tracer);
   write_u16(port_out_fd, transport.local_port(my_id));
   ::close(port_out_fd);
 
@@ -278,24 +275,20 @@ int main(int argc, char** argv) {
   core::Site site(transport, client_id, core::ConfigBuilder::exactly_once().build(),
                   known_to(cli));
   obs::Tracer tracer;
-  if (!cli.trace_dir.empty() || cli.telemetry_on()) {
-    // Telemetry implies tracing: its counters, span attribution and
-    // flight-dump rings come from the same tracer the spans land in.
-    transport.set_tracer(&tracer);
-    site.set_tracer(&tracer);
-  }
+  // Telemetry implies tracing: its counters, span attribution and
+  // flight-dump rings come from the same tracer the spans land in.
+  if (!cli.trace_dir.empty() || cli.telemetry_on()) transport.set_tracer(&tracer);
 
   // Live telemetry plane for the client site: its counters are the
   // tracer's tallies.
-  core::SiteTelemetry telemetry(site, tracer,
-                                cli.stall_bound_us > 0
-                                    ? std::optional(sim::usec(cli.stall_bound_us))
-                                    : std::nullopt);
+  std::optional<core::SiteTelemetry> telemetry;
   if (cli.telemetry_on()) {
+    telemetry.emplace(site, cli.stall_bound_us > 0 ? std::optional(sim::usec(cli.stall_bound_us))
+                                                   : std::nullopt);
     if (cli.telemetry_port >= 0) {
       std::string err;
       const std::uint16_t port =
-          telemetry.serve(static_cast<std::uint16_t>(cli.telemetry_port), "127.0.0.1", &err);
+          telemetry->serve(static_cast<std::uint16_t>(cli.telemetry_port), "127.0.0.1", &err);
       if (port == 0) {
         std::fprintf(stderr, "udp_group_call: telemetry listener failed: %s\n", err.c_str());
         return 1;
@@ -308,8 +301,8 @@ int main(int argc, char** argv) {
       }
     }
     if (!cli.flight_dir.empty()) {
-      telemetry.set_flight_dir(cli.flight_dir);
-      core::install_crash_handler(telemetry);  // ~SiteTelemetry disarms it
+      telemetry->set_flight_dir(cli.flight_dir);
+      core::install_crash_handler(*telemetry);  // ~SiteTelemetry disarms it
     }
   }
   if (cli.force_retransmit) {
@@ -340,7 +333,7 @@ int main(int argc, char** argv) {
   }
 
   site.boot();
-  if (cli.telemetry_on()) telemetry.start_watchdog();
+  if (telemetry) telemetry->start_watchdog();
   core::Client client(site);
 
   int ok = 0;
@@ -366,7 +359,7 @@ int main(int argc, char** argv) {
 
   bool stats_ok = true;
   if (!cli.stats_out.empty()) {
-    stats_ok = write_file(cli.stats_out, telemetry.metrics_text());
+    stats_ok = write_file(cli.stats_out, telemetry->metrics_text());
     if (!stats_ok) std::fprintf(stderr, "udp_group_call: cannot write %s\n", cli.stats_out.c_str());
   }
 

@@ -25,15 +25,13 @@ DomainId domain_of(ProcessId p) { return DomainId{p.value()}; }
 
 GrpcComposite::GrpcComposite(net::Transport& transport, net::Endpoint& endpoint, ProcessId my_id,
                              storage::StableStore& stable, UserProtocol& user,
-                             const Config& config, std::set<ProcessId> known,
-                             obs::SiteTrace* trace)
-    : runtime::CompositeProtocol(transport, domain_of(my_id), trace), config_(config),
+                             const Config& config, std::set<ProcessId> known)
+    : runtime::CompositeProtocol(transport, domain_of(my_id), endpoint.trace()), config_(config),
       state_(transport, endpoint, my_id), endpoint_(endpoint), stable_(stable) {
   UGRPC_ASSERT((config_.unsafe_skip_validation || is_valid(config_)) &&
                "configuration violates the dependency graph");
   state_.user = &user;
   state_.members = std::move(known);
-  state_.trace = trace;
   define_grpc_events(framework());
   assemble();
   start();

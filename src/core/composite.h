@@ -33,11 +33,12 @@ class GrpcComposite : public runtime::CompositeProtocol {
   /// hooks).  `known` initializes the live-member set (without a membership
   /// service it stays constant, per the paper).  The caller must have
   /// validated the config (asserted here).
-  /// `trace` (optional) is this site's obs ring: the framework and every
-  /// micro-protocol record into it; nullptr leaves tracing off.
+  /// The framework and every micro-protocol record on `endpoint`'s ring
+  /// (net::Endpoint::trace(), as the endpoint has it now); none leaves
+  /// tracing off.
   GrpcComposite(net::Transport& transport, net::Endpoint& endpoint, ProcessId my_id,
                 storage::StableStore& stable, UserProtocol& user, const Config& config,
-                std::set<ProcessId> known, obs::SiteTrace* trace = nullptr);
+                std::set<ProcessId> known);
 
   /// Entry points from the user protocol (UPI push), running CALL_FROM_USER
   /// or REQUEST_FROM_USER (the asynchronous call `umsg.id`'s result) in the

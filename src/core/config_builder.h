@@ -7,9 +7,10 @@
 // property names of paper section 5, presets encode the failure-semantics
 // rows of paper Figure 1, and build() validates against the dependency
 // graph of Figure 4, throwing ConfigError (which carries the structured
-// ValidationError list) on violation.  A ConfigBuilder therefore cannot
-// hand out an invalid Config except through build_unchecked(), the escape
-// hatch the Figure 2 harness uses to study broken configurations.
+// ValidationError list) on violation.  A ConfigBuilder therefore never
+// hands out an invalid Config; a harness that studies broken configurations
+// (Figure 2's) assembles the Config aggregate itself and sets
+// Config::unsafe_skip_validation.
 #pragma once
 
 #include <stdexcept>
@@ -107,9 +108,6 @@ class ConfigBuilder {
   /// Validates and returns the configuration; throws ConfigError listing
   /// every violated dependency rule if it is invalid.
   [[nodiscard]] Config build() const;
-  /// Returns the configuration without validating.  EXPERIMENTS ONLY; pairs
-  /// with Config::unsafe_skip_validation (see config.h).
-  [[nodiscard]] Config build_unchecked() const { return config_; }
 
  private:
   Config config_;

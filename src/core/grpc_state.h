@@ -148,9 +148,9 @@ struct ClientRecord {
   /// Retransmission timers re-enter the context {id, span} so late sends
   /// stay on the original trace.
   std::uint64_t span = 0;
-  /// Transport time the call was issued; the live-telemetry introspection
-  /// reports pending ages from it and the stall watchdog compares it against
-  /// the termination bound.
+  /// Transport time the call was issued; Bounded Termination's deadline is
+  /// this plus the bound, the live-telemetry introspection reports pending
+  /// ages from it and the stall watchdog compares it against the bound.
   sim::Time issued_at = 0;
   /// The entry of `server`, or nullptr when it is not in the group.
   [[nodiscard]] PendingServer* pending_for(ProcessId server) {
@@ -294,10 +294,10 @@ struct GrpcState {
   /// The user protocol above gRPC (server procedure entry point).
   UserProtocol* user = nullptr;
 
-  /// This site's trace ring (obs layer); nullptr = tracing off.  All
-  /// micro-protocols record through note() so every record site stays a
-  /// single pointer check.
-  obs::SiteTrace* trace = nullptr;
+  /// This site's trace ring (obs layer), the endpoint's; nullptr = tracing
+  /// off.  All micro-protocols record through note() so every record site
+  /// stays a single pointer check.
+  [[nodiscard]] obs::SiteTrace* trace() const { return endpoint.trace(); }
 
   /// gRPC messages dropped because their bytes did not decode (the demux
   /// below the framework, Total Order's Order and OrderInfo args) or, at
@@ -313,11 +313,11 @@ struct GrpcState {
   /// record the close of that span (kCallCompleted, kExecCommitted).
   void note(obs::Kind kind, std::uint64_t call = 0, std::uint64_t a = 0, std::uint64_t b = 0,
             std::uint64_t closes = 0) {
-    if (trace) {
+    if (obs::SiteTrace* ring = trace()) {
       if (closes != 0) {
-        trace->close(transport.now(), closes, kind, call, a, b);
+        ring->close(transport.now(), closes, kind, call, a, b);
       } else {
-        trace->record(transport.now(), kind, call, a, b);
+        ring->record(transport.now(), kind, call, a, b);
       }
     }
   }
@@ -326,8 +326,9 @@ struct GrpcState {
   /// hangs beneath it.  Returns the span id (0 when tracing is off).
   std::uint64_t note_open(obs::Kind kind, const obs::SpanCtx& parent, std::uint64_t call,
                           std::uint64_t a, std::uint64_t b) {
-    if (!trace) return 0;
-    const obs::SpanCtx ctx = trace->open(transport.now(), kind, parent, call, a, b);
+    obs::SiteTrace* ring = trace();
+    if (ring == nullptr) return 0;
+    const obs::SpanCtx ctx = ring->open(transport.now(), kind, parent, call, a, b);
     sched.set_ambient(ctx);
     return ctx.parent;
   }

@@ -7,10 +7,12 @@
 // still WAITING, so a call that completed but whose thread has not yet run
 // does not get a spurious second V.)
 //
-// Timer coalescing: the paper's pseudocode effectively keeps one timer per
-// outstanding call.  Because the bound is uniform, deadlines expire in call
-// order, so a FIFO queue of (deadline, id) drained by a single armed timer is
-// equivalent and keeps the timer population O(1) instead of O(calls).
+// One timer for every call: the bound is uniform and ids ascend in issue
+// order within an incarnation, so pRPC's first WAITING call has the first
+// deadline (ClientRecord::issued_at + timebound).  The timer is armed for
+// it; when it fires, every waiting call past its deadline times out and the
+// timer is re-armed for the next waiting call.  Nothing is armed while no
+// call waits, and a call that completes in time costs no timer of its own.
 //
 // Deadlines are read from the transport's clock, the one timers are armed
 // on.  Over UDP the executor's clock lags it by up to one poll wait (a
@@ -18,9 +20,6 @@
 // from the executor would come early by that lag and the timer armed for it
 // would end calls before their bound.
 #pragma once
-
-#include <deque>
-#include <utility>
 
 #include "core/events.h"
 #include "core/grpc_state.h"
@@ -37,14 +36,13 @@ class BoundedTermination : public runtime::MicroProtocol {
   void start(runtime::Framework& fw) override;
 
  private:
-  void drain_expired();
-  void arm_timer();
+  /// Times out every waiting call past its deadline; re-arms for the next.
+  void expire_and_rearm();
+  void arm_timer(const ClientRecord& rec);
 
   GrpcState& state_;
   runtime::Framework* fw_ = nullptr;
   sim::Duration timebound_;
-  /// FIFO of (deadline, call) pairs; front expires first (uniform bound).
-  std::deque<std::pair<sim::Time, CallId>> deadlines_;
   bool armed_ = false;
 };
 

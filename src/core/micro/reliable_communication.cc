@@ -130,7 +130,7 @@ void ReliableCommunication::resend_due() {
   // Sends never run protocol code in place, so nothing mutates pRPC while
   // this walks it.
   const sim::Time now = state_.transport.now();
-  const bool traced = state_.trace != nullptr;
+  const bool traced = state_.trace() != nullptr;
   const obs::SpanCtx saved_ctx = traced ? state_.sched.ambient() : obs::SpanCtx{};
   const std::uint64_t watermark = state_.low_watermark().value();
   for (auto& [id, rec] : state_.pRPC) {

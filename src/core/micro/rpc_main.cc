@@ -50,8 +50,8 @@ sim::Task<> RpcMain::forward_up(CallId id, HoldIndex index) {
   // has no trace context yet, so there the execution starts its call's trace.
   ServerRecord rec = *row;
   UGRPC_ASSERT(state_.user != nullptr && "server site has no user protocol");
-  const obs::SpanCtx saved_ctx = state_.trace ? state_.sched.ambient() : obs::SpanCtx{};
-  if (state_.trace && !saved_ctx.active()) state_.sched.set_ambient({id.value(), 0});
+  const obs::SpanCtx saved_ctx = state_.trace() ? state_.sched.ambient() : obs::SpanCtx{};
+  if (state_.trace() && !saved_ctx.active()) state_.sched.set_ambient({id.value(), 0});
   co_await fw_->trigger(kExecuteCall, runtime::EventArg::ref(rec));
   const std::uint64_t exec_span =
       state_.note_open(obs::Kind::kExecStarted, state_.sched.ambient(), id.value(),
@@ -91,7 +91,7 @@ sim::Task<> RpcMain::call_from_user(runtime::EventContext& ctx) {
   // join without any id-allocation protocol.  The span parents to whatever
   // the submitting fiber was doing and becomes its ambient context, so the
   // multicast below and everything downstream of it hang beneath the call.
-  if (state_.trace) {
+  if (state_.trace()) {
     rec.span = state_.note_open(obs::Kind::kCallIssued,
                                 obs::SpanCtx{id.value(), state_.sched.ambient().parent},
                                 id.value(), umsg.server.value(), state_.inc_number);

@@ -35,13 +35,11 @@ Scenario::Scenario(ScenarioParams params)
   for (int i = 0; i < params_.num_servers; ++i) {
     auto site = std::make_unique<Site>(net_, server_id(i), params_.config, known, all_procs);
     site->set_app(app);
-    site->set_tracer(params_.tracer);
     servers_.push_back(std::move(site));
   }
   for (int i = 0; i < params_.num_clients; ++i) {
-    auto site = std::make_unique<Site>(net_, client_id(i), params_.config, known, all_procs);
-    site->set_tracer(params_.tracer);
-    clients_.push_back(std::move(site));
+    clients_.push_back(
+        std::make_unique<Site>(net_, client_id(i), params_.config, known, all_procs));
     client_handles_.push_back(std::make_unique<Client>(*clients_.back()));
   }
   for (auto& site : servers_) site->boot();

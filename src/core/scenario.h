@@ -29,8 +29,9 @@ struct ScenarioParams {
   std::uint64_t seed = 1;
   /// Per-server application setup; default echoes args back unchanged.
   Site::AppSetup server_app;
-  /// Optional trace collector (must outlive the scenario): every site --
-  /// servers and clients -- and the network fabric record into it.
+  /// Optional trace collector (must outlive the scenario), set on the
+  /// Network before any site attaches: every site -- servers and clients,
+  /// their stacks and their traffic -- records into it.
   obs::Tracer* tracer = nullptr;
 };
 

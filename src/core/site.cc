@@ -27,9 +27,8 @@ void Site::build_stack() {
   up_ = true;
   user_ = std::make_unique<UserProtocol>();
   if (app_setup_) app_setup_(*user_, *this);
-  obs::SiteTrace* trace = tracer_ != nullptr ? &tracer_->site(id_) : nullptr;
   grpc_ = std::make_unique<GrpcComposite>(transport_, *endpoint_, id_, stable_, *user_, config_,
-                                          known_, trace);
+                                          known_);
   grpc_->state().inc_number = inc_;
   grpc_->state().next_seq = first_seq_of_incarnation(inc_);
   if (config_.use_membership && !watch_.empty()) {
@@ -57,8 +56,8 @@ void Site::teardown_stack() {
 void Site::crash() {
   UGRPC_ASSERT(up_ && "only a running site can crash");
   UGRPC_LOG(kDebug, "site %u: crash (incarnation %u)", id_.value(), inc_);
-  if (tracer_ != nullptr) {
-    tracer_->site(id_).record(transport_.now(), obs::Kind::kSiteCrashed, 0, inc_);
+  if (obs::SiteTrace* trace = endpoint_->trace()) {
+    trace->record(transport_.now(), obs::Kind::kSiteCrashed, 0, inc_);
   }
   teardown_stack();
 }
@@ -67,8 +66,8 @@ void Site::recover() {
   UGRPC_ASSERT(!up_ && inc_ > 0 && "recover() follows crash()");
   ++inc_;
   UGRPC_LOG(kDebug, "site %u: recovering as incarnation %u", id_.value(), inc_);
-  if (tracer_ != nullptr) {
-    tracer_->site(id_).record(transport_.now(), obs::Kind::kSiteRecovered, 0, inc_);
+  if (obs::SiteTrace* trace = endpoint_->trace()) {
+    trace->record(transport_.now(), obs::Kind::kSiteRecovered, 0, inc_);
   }
   build_stack();
   transport_.spawn(grpc_->signal_recovery(inc_), domain());

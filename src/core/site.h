@@ -13,6 +13,8 @@
 // net::Network it is one simulated machine in a deterministic experiment;
 // over UdpTransport it boots on an actual host and serves group calls from
 // other OS processes.
+// Its crash/recovery records and every stack it builds go on its Endpoint's
+// trace ring (net::Transport::set_tracer), so traces span incarnations.
 #pragma once
 
 #include <functional>
@@ -47,11 +49,6 @@ class Site {
   Site& operator=(const Site&) = delete;
 
   void set_app(AppSetup setup) { app_setup_ = std::move(setup); }
-
-  /// Attaches a trace collector (before boot()): the site records its
-  /// crash/recovery lifecycle and hands its per-site ring to every stack it
-  /// builds, so traces span incarnations.  nullptr = tracing off.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Builds the stack and brings the site up.  Call once, after set_app.
   void boot();
@@ -93,7 +90,6 @@ class Site {
   std::vector<ProcessId> watch_;
   storage::StableStore stable_;
   AppSetup app_setup_;
-  obs::Tracer* tracer_ = nullptr;
 
   net::Endpoint* endpoint_ = nullptr;
   std::unique_ptr<UserProtocol> user_;

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "common/assert.h"
 #include "common/log.h"
 #include "core/http.h"
 #include "core/observe.h"
@@ -22,6 +23,12 @@ namespace ugrpc::core {
 namespace {
 
 namespace fs = std::filesystem;
+
+const obs::Tracer& tracer_of(Site& site) {
+  const obs::Tracer* tracer = site.transport().tracer();
+  UGRPC_ASSERT(tracer != nullptr && "telemetry reads a traced transport (set_tracer first)");
+  return *tracer;
+}
 
 /// Rate-limiter keys: one line budget per finding category.
 constexpr std::uint64_t kWarnStalled = 0;
@@ -107,10 +114,9 @@ void set_crash_handler(SiteTelemetry* telemetry) {
 
 void install_crash_handler(SiteTelemetry& telemetry) { set_crash_handler(&telemetry); }
 
-SiteTelemetry::SiteTelemetry(Site& site, const obs::Tracer& tracer,
-                             std::optional<sim::Duration> stall_after)
+SiteTelemetry::SiteTelemetry(Site& site, std::optional<sim::Duration> stall_after)
     : site_(site),
-      tracer_(tracer),
+      tracer_(tracer_of(site)),
       stall_after_(stall_after.value_or(
           2 * site.config().termination_bound.value_or(kFallbackBound))),
       warn_log_(kWarnPeriod) {}

@@ -6,9 +6,10 @@
 //   * counters() -- one fixed list of the site's counters, in name order,
 //     read when asked: the call, execution, retransmission, malformed-drop
 //     and timer counts come from Tracer::count(), so the stack records each
-//     fact once, as a trace record.  The object therefore reports what its
-//     tracer saw -- with one site per process (UDP) that is the site; with a
-//     simulator tracer shared by several sites it is all of them.  Transport
+//     fact once, as a trace record, on the site's transport's tracer.  The
+//     object reports what that tracer saw -- with one site per process (UDP)
+//     that is the site; with a simulator tracer shared by several sites it
+//     is all of them.  Transport
 //     counts are read from net::Stats (`net.*`; the site's transport must
 //     outlive the scrapes), and the object keeps the `watchdog.*` and
 //     `flight.dumps` counts itself.
@@ -99,15 +100,15 @@ class SiteTelemetry {
     std::optional<std::string> flight_dir;  ///< dump written by this sweep
   };
 
-  /// Reads its counters from `tracer`'s per-kind tallies.  `site` and
-  /// `tracer` must outlive this object, and `tracer` is never cleared while
+  /// Reads its counters from the tracer set on the site's transport,
+  /// asserted to be there: telemetry implies tracing.  `site` and the
+  /// tracer must outlive this object, and the tracer is never cleared while
   /// it serves (the counters would go backwards).  A call (or sRPC entry)
   /// is stalled when pending longer than `stall_after`; unset, twice the
   /// configured termination bound, or 10 s when the config sets none.
   /// Tools force a tight threshold without rebuilding the site's Config
   /// (the CI smoke job trips the watchdog this way).
-  SiteTelemetry(Site& site, const obs::Tracer& tracer,
-                std::optional<sim::Duration> stall_after = std::nullopt);
+  explicit SiteTelemetry(Site& site, std::optional<sim::Duration> stall_after = std::nullopt);
   /// Stops the watchdog and the listener, and disarms the crash handler if
   /// it is armed with this object.
   ~SiteTelemetry();

@@ -26,10 +26,7 @@ MembershipMonitor::MembershipMonitor(net::Transport& transport, net::Endpoint& e
   UGRPC_ASSERT(params_.failure_timeout > params_.heartbeat_interval);
 }
 
-MembershipMonitor::~MembershipMonitor() {
-  transport_.cancel_timer(heartbeat_timer_);
-  transport_.cancel_timer(check_timer_);
-}
+MembershipMonitor::~MembershipMonitor() { transport_.cancel_timer(timer_); }
 
 void MembershipMonitor::start() {
   UGRPC_ASSERT(!started_);
@@ -53,8 +50,7 @@ void MembershipMonitor::start() {
     co_return;
   });
   send_heartbeat();
-  arm_heartbeat_timer();
-  arm_check_timer();
+  arm_timer();
 }
 
 void MembershipMonitor::send_heartbeat() {
@@ -65,12 +61,13 @@ void MembershipMonitor::send_heartbeat() {
   }
 }
 
-void MembershipMonitor::arm_heartbeat_timer() {
-  heartbeat_timer_ = transport_.schedule_after(
+void MembershipMonitor::arm_timer() {
+  timer_ = transport_.schedule_after(
       params_.heartbeat_interval,
       [this] {
         send_heartbeat();
-        arm_heartbeat_timer();
+        check_failures();
+        arm_timer();
       },
       domain_of(endpoint_.process()));
 }
@@ -84,16 +81,6 @@ void MembershipMonitor::check_failures() {
       if (listener_) listener_(who, Change::kFailure);
     }
   }
-}
-
-void MembershipMonitor::arm_check_timer() {
-  check_timer_ = transport_.schedule_after(
-      params_.heartbeat_interval,
-      [this] {
-        check_failures();
-        arm_check_timer();
-      },
-      domain_of(endpoint_.process()));
 }
 
 std::set<ProcessId> MembershipMonitor::live_members() const {

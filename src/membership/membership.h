@@ -6,7 +6,8 @@
 // cases").  This implementation monitors a watch list of processes: each
 // participant periodically sends heartbeat packets, and a detector declares
 // FAILURE after `failure_timeout` of silence and RECOVERY on the first
-// heartbeat heard from a process previously declared failed.
+// heartbeat heard from a process previously declared failed.  One timer
+// per monitor does both, each `heartbeat_interval`: heartbeats, then check.
 //
 // It is a failure *detector*, not a view-agreement protocol: different
 // observers may transition at slightly different times, which is all the
@@ -49,8 +50,8 @@ class MembershipMonitor {
 
   /// `endpoint` is the observing site's transport attachment; `watch` is the
   /// set of processes to monitor (typically the server group), and this site
-  /// also heartbeats to each of them.  Heartbeat and check timers are armed
-  /// through the transport's timer hooks.
+  /// also heartbeats to each of them, from a timer armed through the
+  /// transport's timer hooks.
   MembershipMonitor(net::Transport& transport, net::Endpoint& endpoint,
                     std::vector<ProcessId> watch, Params params);
   ~MembershipMonitor();
@@ -71,8 +72,7 @@ class MembershipMonitor {
  private:
   void send_heartbeat();
   void check_failures();
-  void arm_heartbeat_timer();
-  void arm_check_timer();
+  void arm_timer();
 
   net::Transport& transport_;
   net::Endpoint& endpoint_;
@@ -84,8 +84,7 @@ class MembershipMonitor {
     bool alive = true;
   };
   std::unordered_map<ProcessId, PeerState> peers_;
-  TimerId heartbeat_timer_{};
-  TimerId check_timer_{};
+  TimerId timer_{};
   bool started_ = false;
 };
 

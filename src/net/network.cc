@@ -19,7 +19,8 @@ const FaultSpec& Network::faults_for(ProcessId from, ProcessId to) const {
 }
 
 void Network::transmit(const Endpoint& from, ProcessId to, ProtocolId proto,
-                       const Buffer& payload, obs::SiteTrace* trace, obs::SpanCtx parent) {
+                       const Buffer& payload, obs::SpanCtx parent) {
+  obs::SiteTrace* trace = from.trace();
   const FaultSpec& spec = faults_for(from.process(), to);
   if (spec.partitioned || rng_.bernoulli(spec.drop_prob)) {
     ++stats_.dropped;

@@ -63,7 +63,7 @@ class Network final : public Transport {
  private:
   [[nodiscard]] bool routable(ProcessId to) const override { return attached(to); }
   void transmit(const Endpoint& from, ProcessId to, ProtocolId proto, const Buffer& payload,
-                obs::SiteTrace* trace, obs::SpanCtx parent) override;
+                obs::SpanCtx parent) override;
   void schedule_delivery(Packet packet, sim::Duration delay);
   [[nodiscard]] const FaultSpec& faults_for(ProcessId from, ProcessId to) const;
 

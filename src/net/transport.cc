@@ -14,7 +14,15 @@ Endpoint& Transport::attach(ProcessId process, DomainId domain) {
   // above, so it is neither copied nor moved while attached.
   auto [it, inserted] = endpoints_.try_emplace(process, *this, process, domain);
   UGRPC_ASSERT(inserted && "process already attached");
+  it->second.trace_ = obs_ != nullptr ? &obs_->site(process) : nullptr;
   return it->second;
+}
+
+void Transport::set_tracer(obs::Tracer* tracer) {
+  obs_ = tracer;
+  for (auto& [process, ep] : endpoints_) {
+    ep.trace_ = tracer != nullptr ? &tracer->site(process) : nullptr;
+  }
 }
 
 void Transport::define_group(GroupId group, std::vector<ProcessId> members) {
@@ -45,7 +53,7 @@ bool Transport::process_up(ProcessId process) const {
 
 void Transport::send(const Endpoint& from, ProcessId to, ProtocolId proto, const Buffer& payload) {
   if (!routable(to)) {
-    unroutable(from.process(), to.value(), proto, /*group=*/false);
+    unroutable(from, to.value(), proto, /*group=*/false);
     return;
   }
   ++stats_.sent;
@@ -57,30 +65,26 @@ void Transport::send(const Endpoint& from, ProcessId to, ProtocolId proto, const
   // The send span parents to whatever the sending fiber is doing (its
   // ambient context; none outside a fiber); the wire carries its id to the
   // destination, where it becomes the delivery span's parent.
-  obs::SiteTrace* trace = nullptr;
-  obs::SpanCtx parent;
-  if (obs_ != nullptr) {
-    trace = &obs_->site(from.process());
-    parent = exec_.ambient();
-  }
-  transmit(from, to, proto, payload, trace, parent);
+  transmit(from, to, proto, payload, from.trace_ != nullptr ? exec_.ambient() : obs::SpanCtx{});
 }
 
 void Transport::multicast(const Endpoint& from, GroupId group, ProtocolId proto,
                        const Buffer& payload) {
   const std::vector<ProcessId>* members = find_group(group);
   if (members == nullptr) {
-    unroutable(from.process(), group.value(), proto, /*group=*/true);
+    unroutable(from, group.value(), proto, /*group=*/true);
     return;
   }
   for (ProcessId member : *members) send(from, member, proto, payload);
 }
 
-void Transport::unroutable(ProcessId from, std::uint64_t target, ProtocolId proto, bool group) {
+void Transport::unroutable(const Endpoint& sender, std::uint64_t target, ProtocolId proto,
+                           bool group) {
   ++stats_.unroutable;
-  if (obs_ != nullptr) {
-    obs_->site(from).record(now(), obs::Kind::kMsgUnroutable, 0, target, proto.value());
+  if (sender.trace_ != nullptr) {
+    sender.trace_->record(now(), obs::Kind::kMsgUnroutable, 0, target, proto.value());
   }
+  const ProcessId from = sender.process_;
   // Rate-limiter keys: one space for links, one for (sender, group).
   const std::uint64_t key =
       group ? (std::uint64_t{1} << 63) | (static_cast<std::uint64_t>(from.value()) << 16) | target
@@ -97,26 +101,27 @@ void Transport::unroutable(ProcessId from, std::uint64_t target, ProtocolId prot
   }
 }
 
-void Transport::drop(const Packet& packet) {
+void Transport::drop(const Packet& packet, obs::SiteTrace* trace) {
   ++stats_.dropped;
-  if (obs_ != nullptr) {
-    obs_->site(packet.dst).record(now(), obs::Kind::kMsgDropped, 0, packet.src.value(),
-                                  packet.proto.value());
+  if (trace != nullptr) {
+    trace->record(now(), obs::Kind::kMsgDropped, 0, packet.src.value(), packet.proto.value());
   }
 }
 
 void Transport::deliver(Packet packet) {
   auto it = endpoints_.find(packet.dst);
   if (it == endpoints_.end() || !it->second.up_) {
-    drop(packet);  // the destination crashed or detached while the packet was in flight
+    // The destination crashed or detached (no ring left) while in flight.
+    drop(packet, it != endpoints_.end() ? it->second.trace_ : nullptr);
     return;
   }
   const Endpoint& ep = it->second;
+  obs::SiteTrace* trace = ep.trace_;
   std::shared_ptr<PacketHandler> handler = ep.handler(packet.proto);
   if (handler == nullptr) {
     UGRPC_LOG(kDebug, "net: no handler for proto=%u at %u", packet.proto.value(),
               packet.dst.value());
-    drop(packet);
+    drop(packet, trace);
     return;
   }
   ++stats_.delivered;
@@ -127,23 +132,21 @@ void Transport::deliver(Packet packet) {
   // context, so everything the handler does (nested sends, handler spans)
   // hangs beneath it.
   obs::SpanCtx ctx;
-  if (obs_ != nullptr) {
-    ctx = obs_->site(packet.dst).open(now(), obs::Kind::kMsgDelivered, packet.ctx, 0,
-                                      packet.src.value(), packet.proto.value(), 0,
-                                      packet.duplicate);
+  if (trace != nullptr) {
+    ctx = trace->open(now(), obs::Kind::kMsgDelivered, packet.ctx, 0, packet.src.value(),
+                      packet.proto.value(), 0, packet.duplicate);
   }
   // Each delivery runs in its own fiber in the destination's domain, so a
   // site crash kills in-progress message processing.  The wrapper keeps
   // the handler object alive for the fiber's lifetime (the coroutine frame
   // references the closure it was created from).
   static constexpr auto invoke = [](Transport* t, std::shared_ptr<PacketHandler> h, Packet p,
-                                    obs::SpanCtx ctx) -> sim::Task<> {
-    obs::SiteTrace* st = t->obs_ != nullptr ? &t->obs_->site(p.dst) : nullptr;
-    if (st != nullptr) t->exec_.set_ambient(ctx);
+                                    obs::SiteTrace* trace, obs::SpanCtx ctx) -> sim::Task<> {
+    if (trace != nullptr) t->exec_.set_ambient(ctx);
     co_await (*h)(std::move(p));
-    if (st != nullptr) st->close(t->now(), ctx.parent);
+    if (trace != nullptr) trace->close(t->now(), ctx.parent);
   };
-  exec_.spawn(invoke(this, std::move(handler), std::move(packet), ctx), ep.domain());
+  exec_.spawn(invoke(this, std::move(handler), std::move(packet), trace, ctx), ep.domain());
 }
 
 }  // namespace ugrpc::net

@@ -19,17 +19,20 @@
 // is, so it lives here once:
 //
 //   * attachments  -- one Endpoint per attached process: its demux table,
-//                     executor domain and up/down flag;
+//                     executor domain, up/down flag and trace ring;
 //   * routing      -- a send to a process the wire cannot reach, or a
 //                     multicast to an undefined group, is counted in
 //                     Stats::unroutable, recorded as kMsgUnroutable on the
 //                     sender's ring and logged at warn level, rate-limited;
 //   * delivery     -- demux at arrival, the receiver-side drops (destination
-//                     down, detached or without a handler; each a plain
-//                     kMsgDropped on the receiver's ring with a = sender),
+//                     down or without a handler: a plain kMsgDropped on the
+//                     receiver's ring with a = sender; detached: counted),
 //                     the delivered counts, the kMsgDelivered span and the
 //                     fiber that runs the handler in the destination's domain;
-//   * Stats and the tracer pointer.
+//   * Stats and the tracer: set_tracer() is a process's one tracing switch.
+//     Each Endpoint holds its process's ring, and every layer above (Site,
+//     composite, SiteTelemetry) records on Endpoint::trace(), so a site is
+//     traced throughout or not at all.
 //
 // Two backends derive from it and supply the wire: net::Network
 // (network.h), the deterministic simulator, and net::UdpTransport
@@ -144,6 +147,8 @@ class Endpoint {
 
   [[nodiscard]] ProcessId process() const { return process_; }
   [[nodiscard]] DomainId domain() const { return domain_; }
+  /// This process's trace ring; nullptr when the transport has no tracer.
+  [[nodiscard]] obs::SiteTrace* trace() const { return trace_; }
 
  private:
   friend class Transport;
@@ -152,6 +157,7 @@ class Endpoint {
   std::unordered_map<ProtocolId, std::shared_ptr<PacketHandler>> handlers_;
   ProcessId process_;
   DomainId domain_;
+  obs::SiteTrace* trace_ = nullptr;
   bool up_ = true;
 };
 
@@ -231,10 +237,12 @@ class Transport {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Records kMsgSent/kMsgDropped/kMsgDuplicated/kMsgUnroutable on the
-  /// sender's ring and kMsgDelivered/kMsgDropped on the receiver's, each
-  /// with the peer and protocol id.  nullptr (default) disables recording.
-  void set_tracer(obs::Tracer* tracer) { obs_ = tracer; }
+  /// Gives every endpoint, attached now or later, its ring of `tracer`
+  /// (nullptr, the default, turns recording off); set it before sites boot.
+  /// kMsgSent/kMsgDropped/kMsgDuplicated/kMsgUnroutable go on the sender's
+  /// ring, kMsgDelivered/kMsgDropped on the receiver's, with peer and proto.
+  void set_tracer(obs::Tracer* tracer);
+  [[nodiscard]] obs::Tracer* tracer() const { return obs_; }
 
  protected:
   /// `exec` runs the protocol code; it may be a member of the derived class
@@ -245,15 +253,15 @@ class Transport {
 
   /// Whether the wire can reach `to` at all.
   [[nodiscard]] virtual bool routable(ProcessId to) const = 0;
-  /// Moves one copy of a send toward `to` (routable; `from` is up).
-  /// `trace` is the sender's ring (nullptr when tracing is off) and
-  /// `parent` the sending fiber's context, which parents the send span.
+  /// Moves one copy of a send toward `to` (routable; `from` is up),
+  /// recording on `from.trace()`.  `parent` is the sending fiber's context,
+  /// which parents the send span.
   virtual void transmit(const Endpoint& from, ProcessId to, ProtocolId proto,
-                        const Buffer& payload, obs::SiteTrace* trace, obs::SpanCtx parent) = 0;
+                        const Buffer& payload, obs::SpanCtx parent) = 0;
 
   /// A packet off the wire: demux to the destination's handler in a fresh
-  /// fiber, or drop it (counted and recorded) when the destination is
-  /// detached, down or has no handler for the protocol.
+  /// fiber, or drop it (counted, and recorded unless detached) when the
+  /// destination is detached, down or has no handler for the protocol.
   void deliver(Packet packet);
 
   Stats stats_;
@@ -263,8 +271,8 @@ class Transport {
 
   void send(const Endpoint& from, ProcessId to, ProtocolId proto, const Buffer& payload);
   void multicast(const Endpoint& from, GroupId group, ProtocolId proto, const Buffer& payload);
-  void unroutable(ProcessId from, std::uint64_t target, ProtocolId proto, bool group);
-  void drop(const Packet& packet);
+  void unroutable(const Endpoint& sender, std::uint64_t target, ProtocolId proto, bool group);
+  void drop(const Packet& packet, obs::SiteTrace* trace);
 
   sim::Scheduler& exec_;
   std::unordered_map<ProcessId, Endpoint> endpoints_;

@@ -104,11 +104,12 @@ std::uint16_t UdpTransport::local_port(ProcessId process) const {
 }
 
 void UdpTransport::transmit(const Endpoint& from, ProcessId to, ProtocolId proto,
-                            const Buffer& payload, obs::SiteTrace* trace, obs::SpanCtx parent) {
+                            const Buffer& payload, obs::SpanCtx parent) {
   // kMsgSent opens the send span; its id travels in the frame (wire v2) and
   // parents the receiving process's delivery span -- the cross-process tree
   // edge.  A send that fails below is counted as dropped and flagged at the
   // close.
+  obs::SiteTrace* trace = from.trace();
   obs::SpanCtx ctx;
   if (trace != nullptr) {
     ctx = trace->open(now(), obs::Kind::kMsgSent, parent, 0, to.value(), proto.value());

@@ -116,7 +116,7 @@ class UdpTransport final : public Transport {
 
   [[nodiscard]] bool routable(ProcessId to) const override { return peers_.contains(to); }
   void transmit(const Endpoint& from, ProcessId to, ProtocolId proto, const Buffer& payload,
-                obs::SiteTrace* trace, obs::SpanCtx parent) override;
+                obs::SpanCtx parent) override;
   void dispatch_datagram(ProcessId owner, std::span<const std::byte> datagram);
   /// Advances the executor's virtual clock to real elapsed time, draining
   /// every ready fiber and due timer.

@@ -83,10 +83,13 @@ TEST(ConfigBuilder, BuildThrowsConfigErrorWithRuleCodes) {
   }
 }
 
-TEST(ConfigBuilder, BuildUncheckedBypassesValidation) {
-  const Config c = ConfigBuilder().unique_execution().build_unchecked();
-  EXPECT_TRUE(c.unique_execution);
-  EXPECT_FALSE(is_valid(c)) << "unchecked build hands out the invalid config unchanged";
+TEST(ConfigBuilder, InvalidConfigIsBuiltOnlyByHand) {
+  // The builder refuses the combination; the aggregate holds it unchanged,
+  // which is how a harness studying broken configurations gets one.
+  EXPECT_THROW((void)ConfigBuilder().unique_execution().build(), ConfigError);
+  Config c;
+  c.unique_execution = true;
+  EXPECT_FALSE(is_valid(c)) << "a hand-built config keeps the invalid combination";
 }
 
 TEST(ConfigBuilder, StartsFromExistingConfig) {

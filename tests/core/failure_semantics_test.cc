@@ -145,6 +145,34 @@ TEST(BoundedTermination, TimeoutCountsOnlyIncompleteCalls) {
   EXPECT_GT(ok, 0);
 }
 
+// One deadline timer serves every call: calls that all complete within the
+// bound leave at most the one timer armed for the first of them, which
+// fires, finds no call waiting and arms nothing.
+TEST(BoundedTermination, CompletedCallsLeaveAtMostOneTimerFire) {
+  ScenarioParams p;
+  p.config = ConfigBuilder::read_optimized().build();
+  ASSERT_EQ(p.config.termination_bound, sim::seconds(1));
+  obs::Tracer tracer;
+  p.tracer = &tracer;
+  Scenario s(std::move(p));
+  int ok = 0;
+  s.run_client(0, [&](Client& c) -> sim::Task<> {
+    for (int i = 0; i < 10; ++i) {
+      ok += (co_await c.call(s.group(), kEcho, num_buf(static_cast<unsigned>(i)))).ok() ? 1 : 0;
+      co_await s.scheduler().sleep_for(sim::msec(10));
+    }
+  });
+  ASSERT_EQ(ok, 10);
+  s.run_for(sim::seconds(3));
+  std::size_t fires = 0;
+  for (const obs::Event& e : tracer.site(s.client_site(0).id()).events()) {
+    fires += e.kind == obs::Kind::kTimerFired &&
+             tracer.name(e.name) == "BoundedTerm.handle_timeout";
+  }
+  EXPECT_LE(fires, 1u);
+  EXPECT_EQ(records(tracer, s.client_site(0), obs::Kind::kDeadlineExpired), 0u);
+}
+
 // ---- Figure 1: failure semantics as property combinations ----
 
 // At least once: no unique execution.  Duplicated messages cause duplicate

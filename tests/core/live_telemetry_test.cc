@@ -114,7 +114,7 @@ TEST(LiveTelemetry, CountersTrackCompletedCalls) {
   };
   p.tracer = &tracer;
   Scenario s(std::move(p));
-  SiteTelemetry telemetry(s.client_site(0), tracer);
+  SiteTelemetry telemetry(s.client_site(0));
   std::vector<Status> statuses;
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     for (int i = 0; i < 3; ++i) {
@@ -134,7 +134,7 @@ TEST(LiveTelemetry, CountersAccumulateAcrossCrashRecover) {
   ScenarioParams p;
   p.tracer = &tracer;
   Scenario s(std::move(p));
-  SiteTelemetry telemetry(s.client_site(0), tracer);
+  SiteTelemetry telemetry(s.client_site(0));
   const auto issue = [&](int n) {
     s.run_client(0, [&s, n](Client& c) -> sim::Task<> {
       for (int i = 0; i < n; ++i) (void)co_await c.call_async(s.group(), kOp, Buffer{});
@@ -161,7 +161,7 @@ TEST(LiveTelemetry, WatchdogSweepPeriodFollowsTheStallBound) {
     p.tracer = &tracer;
     p.config.termination_bound = bound;
     Scenario s(std::move(p));
-    SiteTelemetry telemetry(s.client_site(0), tracer);
+    SiteTelemetry telemetry(s.client_site(0));
     telemetry.start_watchdog();
     s.run_for(period - 1);
     EXPECT_EQ(counter(telemetry, "watchdog.scans"), 0u) << period;
@@ -177,7 +177,7 @@ TEST(LiveTelemetry, ScrapeTypesEveryCountAsCounter) {
   ScenarioParams p;
   p.tracer = &tracer;
   Scenario s(std::move(p));
-  SiteTelemetry telemetry(s.client_site(0), tracer);
+  SiteTelemetry telemetry(s.client_site(0));
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   });
@@ -219,7 +219,7 @@ TEST(LiveTelemetry, ScrapeCarriesEveryProfileRow) {
   p.seed = 7;
   p.tracer = &tracer;
   Scenario s(std::move(p));
-  SiteTelemetry telemetry(s.client_site(0), tracer);
+  SiteTelemetry telemetry(s.client_site(0));
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     for (int i = 0; i < 5; ++i) (void)co_await c.call(s.group(), kOp, Buffer{});
   });
@@ -269,7 +269,7 @@ TEST(LiveTelemetry, WatchdogFlagsStalledCallOnce) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  SiteTelemetry telemetry(s.client_site(0), tracer, kTightBound);
+  SiteTelemetry telemetry(s.client_site(0), kTightBound);
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
@@ -295,7 +295,7 @@ TEST(LiveTelemetry, WatchdogFlagsOrphanedServerEntry) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  SiteTelemetry telemetry(s.server(0), tracer, kTightBound);
+  SiteTelemetry telemetry(s.server(0), kTightBound);
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
@@ -315,7 +315,7 @@ TEST(LiveTelemetry, WatchdogTimerSweepsPeriodically) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  SiteTelemetry telemetry(s.client_site(0), tracer, kTightBound);  // sweeps every 5 ms
+  SiteTelemetry telemetry(s.client_site(0), kTightBound);  // sweeps every 5 ms
   telemetry.start_watchdog();
   EXPECT_TRUE(telemetry.watchdog_running());
 
@@ -343,8 +343,8 @@ TEST(LiveTelemetry, IntrospectionListsPendingCalls) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  SiteTelemetry client_tel(s.client_site(0), tracer);
-  SiteTelemetry server_tel(s.server(0), tracer);
+  SiteTelemetry client_tel(s.client_site(0));
+  SiteTelemetry server_tel(s.server(0));
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), kOp, Buffer{});
   }, sim::msec(50));
@@ -393,7 +393,7 @@ TEST(LiveTelemetry, RetransmissionDuringExecutionReplacesTheRowAndBothCommit) {
     });
   };
   Scenario s(std::move(p));
-  SiteTelemetry server_tel(s.server(0), tracer);
+  SiteTelemetry server_tel(s.server(0));
   Status status = Status::kWaiting;
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     status = (co_await c.call(s.group(), kOp, Buffer{})).status;
@@ -422,7 +422,7 @@ TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
   const Config config = p.config;
   Scenario s(std::move(p));
 
-  SiteTelemetry telemetry(s.client_site(0), tracer);
+  SiteTelemetry telemetry(s.client_site(0));
   s.run_client(0, [&](Client& c) -> sim::Task<> {
     for (int i = 0; i < 3; ++i) (void)co_await c.call_async(s.group(), kOp, Buffer{});
   });
@@ -477,7 +477,7 @@ TEST(LiveTelemetry, WatchdogTripWritesFlightDump) {
   p.server_app = stuck_app;
   Scenario s(std::move(p));
 
-  SiteTelemetry telemetry(s.client_site(0), tracer, kTightBound);
+  SiteTelemetry telemetry(s.client_site(0), kTightBound);
   const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_trip";
   fs::remove_all(dir);
   telemetry.set_flight_dir(dir.string());
@@ -504,8 +504,8 @@ TEST(LiveTelemetry, TwoSitesTripIntoOneDirectoryWithinASecond) {
   p.num_servers = 1;
   p.tracer = &tracer;
   Scenario s(std::move(p));
-  SiteTelemetry client_tel(s.client_site(0), tracer);
-  SiteTelemetry server_tel(s.server(0), tracer);
+  SiteTelemetry client_tel(s.client_site(0));
+  SiteTelemetry server_tel(s.server(0));
   const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_two_sites";
   fs::remove_all(dir);
   client_tel.set_flight_dir(dir.string());
@@ -539,8 +539,8 @@ TEST(LiveTelemetry, TwoScenariosOfOneSiteIdTripIntoOneDirectoryWithinASecond) {
   Scenario a(std::move(pa));
   Scenario b(std::move(pb));
   ASSERT_EQ(a.server(0).id(), b.server(0).id());
-  SiteTelemetry tel_a(a.server(0), tracer_a);
-  SiteTelemetry tel_b(b.server(0), tracer_b);
+  SiteTelemetry tel_a(a.server(0));
+  SiteTelemetry tel_b(b.server(0));
   const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_one_site_id";
   fs::remove_all(dir);
   tel_a.set_flight_dir(dir.string());
@@ -567,7 +567,7 @@ TEST(LiveTelemetryDeathTest, CrashHandlerDumpsOnAbortUntilDestroyed) {
   const fs::path dir = fs::path(testing::TempDir()) / "ugrpc_flight_crash";
   fs::remove_all(dir);
   {
-    SiteTelemetry telemetry(s.client_site(0), tracer);
+    SiteTelemetry telemetry(s.client_site(0));
     telemetry.set_flight_dir(dir.string());
     install_crash_handler(telemetry);
     EXPECT_DEATH(std::abort(), "");
@@ -628,8 +628,6 @@ TEST(LiveTelemetry, UdpSiteServesScrapesWhileRunForDrivesTheLoop) {
   const std::set<ProcessId> known{kServer, kClient};
   Site server(transport, kServer, Config{}, known);
   Site client(transport, kClient, Config{}, known);
-  server.set_tracer(&tracer);
-  client.set_tracer(&tracer);
   transport.define_group(kGroup, {kServer});
   server.set_app([](UserProtocol& user, Site&) {
     user.set_procedure([](OpId, Buffer&) -> sim::Task<> { co_return; });
@@ -637,7 +635,7 @@ TEST(LiveTelemetry, UdpSiteServesScrapesWhileRunForDrivesTheLoop) {
   server.boot();
   client.boot();
 
-  SiteTelemetry telemetry(client, tracer);
+  SiteTelemetry telemetry(client);
   std::string error;
   const std::uint16_t port = telemetry.serve(0, "127.0.0.1", &error);
   ASSERT_NE(port, 0) << error;

@@ -41,7 +41,7 @@ TEST(Regression, MalformedGrpcMessagesAreDroppedAndCounted) {
   p.config.unique_execution = true;
   p.tracer = &tracer;
   Scenario s(std::move(p));
-  const SiteTelemetry telemetry(s.server(0), tracer);
+  const SiteTelemetry telemetry(s.server(0));
   const ProcessId server = Scenario::server_id(0);
 
   net::NetMessage call;

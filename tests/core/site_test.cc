@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
 #include "core/micro/acceptance.h"
 #include "core/scenario.h"
+#include "core/telemetry.h"
+#include "net/network.h"
+#include "net/udp_transport.h"
+#include "obs/trace.h"
 
 namespace ugrpc::core {
 namespace {
@@ -122,6 +129,78 @@ TEST(CallIdScheme, DifferentClientsNeverCollide) {
   const CallId a = make_call_id(ProcessId{1}, 5);
   const CallId b = make_call_id(ProcessId{2}, 5);
   EXPECT_NE(a, b);
+}
+
+/// Two sites on `t`, whose only tracing switch is the transport's
+/// set_tracer, and one call between them: each site's ring holds its own
+/// lifecycle and stack records beside its message spans, and the client's
+/// telemetry counts the call from the same tracer.
+void check_transport_tracer_traces_every_site(
+    net::Transport& t, obs::Tracer& tracer, const std::function<bool(FiberId)>& run_until_done) {
+  constexpr ProcessId kServer{1};
+  constexpr ProcessId kClient{2};
+  constexpr GroupId kGroup{1};
+  t.set_tracer(&tracer);
+  const std::set<ProcessId> known{kServer, kClient};
+  Site server(t, kServer, Config{}, known);
+  Site client(t, kClient, Config{}, known);
+  t.define_group(kGroup, {kServer});
+  server.set_app(echo_app);
+  server.boot();
+  client.boot();
+
+  Client c(client);
+  Status status = Status::kWaiting;
+  const FiberId fiber = t.spawn(
+      [](Client& c, Status& status) -> sim::Task<> {
+        status = (co_await c.call(kGroup, kOp, Buffer{})).status;
+      }(c, status),
+      client.domain());
+  ASSERT_TRUE(run_until_done(fiber));
+  ASSERT_EQ(status, Status::kOk);
+
+  const auto records = [&](ProcessId site, obs::Kind kind) {
+    std::size_t n = 0;
+    for (const obs::Event& e : tracer.site(site).events()) n += e.kind == kind ? 1 : 0;
+    return n;
+  };
+  const auto spans = [&](ProcessId site, obs::Kind kind) {
+    std::size_t n = 0;
+    for (const obs::Span& span : tracer.spans()) n += span.site == site && span.kind == kind;
+    return n;
+  };
+  EXPECT_EQ(records(kClient, obs::Kind::kCallIssued), 1u);
+  EXPECT_EQ(records(kServer, obs::Kind::kExecStarted), 1u);
+  EXPECT_EQ(records(kServer, obs::Kind::kExecCommitted), 1u);
+  for (ProcessId site : {kServer, kClient}) {
+    EXPECT_GE(spans(site, obs::Kind::kMsgSent), 1u) << "site " << site.value();
+    EXPECT_GE(spans(site, obs::Kind::kMsgDelivered), 1u) << "site " << site.value();
+  }
+
+  const SiteTelemetry telemetry(client);
+  std::uint64_t started = 0;
+  for (const obs::live::Counter& counter : telemetry.counters()) {
+    if (counter.name == "calls.started") started = counter.value;
+  }
+  EXPECT_EQ(started, 1u);
+}
+
+TEST(Site, TracesThroughItsTransportInTheSimulator) {
+  obs::Tracer tracer;  // outlives the transport that records into it
+  sim::Scheduler sched{1};
+  net::Network net{sched};
+  check_transport_tracer_traces_every_site(net, tracer, [&](FiberId fiber) {
+    while (sched.fiber_alive(fiber) && sched.step()) {
+    }
+    return !sched.fiber_alive(fiber);
+  });
+}
+
+TEST(Site, TracesThroughItsTransportOverUdp) {
+  obs::Tracer tracer;
+  net::UdpTransport t;
+  check_transport_tracer_traces_every_site(
+      t, tracer, [&](FiberId fiber) { return t.run_until_fiber_done(fiber, sim::seconds(10)); });
 }
 
 }  // namespace

@@ -232,17 +232,17 @@ struct BoundedRun {
 
 /// One call, under `config`'s Bounded Termination, to a server whose
 /// procedure never returns, driven by poll_once(poll) until the call ends or
-/// 2 s pass.  The client site records into `tracer`.
+/// 2 s pass.  Both sites record into `tracer`.
 BoundedRun run_bounded_call(const core::Config& config, sim::Duration poll,
                             obs::Tracer& tracer) {
   constexpr ProcessId kServer{1};
   constexpr ProcessId kClient{2};
   constexpr GroupId kGroup{1};
   UdpTransport t;
+  t.set_tracer(&tracer);
   const std::set<ProcessId> known{kServer, kClient};
   core::Site server(t, kServer, config, known);
   core::Site client(t, kClient, config, known);
-  client.set_tracer(&tracer);
   t.define_group(kGroup, {kServer});
   server.set_app([](core::UserProtocol& user, core::Site& site) {
     user.set_procedure([&site](OpId, Buffer&) -> sim::Task<> {

@@ -151,7 +151,7 @@ class HttpFuzz : public ::testing::Test {
     p.tracer = &tracer_;
     return p;
   }()};
-  SiteTelemetry telemetry_{scenario_.client_site(0), tracer_};
+  SiteTelemetry telemetry_{scenario_.client_site(0)};
   TelemetryServer server_{telemetry_};
 };
 

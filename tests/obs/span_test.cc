@@ -433,7 +433,7 @@ TEST(Span, LongRunningSiteKeepsItsNewestSpans) {
   EXPECT_EQ(call_spans.back()->call, calls.back()) << "the newest call span is the last call's";
   EXPECT_FALSE(call_spans.back()->open());
 
-  core::SiteTelemetry telemetry(s.client_site(0), tracer);
+  core::SiteTelemetry telemetry(s.client_site(0));
   const std::filesystem::path dir =
       std::filesystem::path(testing::TempDir()) / "ugrpc_span_wrap_flight";
   std::filesystem::remove_all(dir);

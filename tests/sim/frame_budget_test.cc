@@ -5,10 +5,11 @@
 // This test counts the frames the frame pool hands out on the simulation's
 // thread while 1 client calls 3 servers on a loss-free network (64 B args):
 // 500 warm-up calls, then 2,000 counted ones, the scenarios of AllocBudget.
-// The bounds sit a little above today's counts (65.04, 42.29 and 42.04), so
-// a handler that turns back into a coroutine without needing to suspend
-// fails here.  With every handler a coroutine, the same runs counted 96.05,
-// 55.29 and 64.05 frames per call.
+// The bounds sit at or a little above today's counts (65.59, 42.00 and
+// 42.04; read_optimized's deadline timer fires about once per bound, not
+// once per call), so a handler that turns back into a coroutine without
+// needing to suspend fails here.  With every handler a coroutine, the same
+// runs counted 96.05, 55.29 and 64.05 frames per call.
 //
 // Under AddressSanitizer the frame pool is compiled out, so nothing is
 // counted and the bounds are skipped.
@@ -70,7 +71,7 @@ TEST_F(FrameBudget, OrderedWrite) {
 }
 
 TEST_F(FrameBudget, ReadOptimized) {
-  EXPECT_LE(frames_per_call(ConfigBuilder::read_optimized().build()), 43.0);
+  EXPECT_LE(frames_per_call(ConfigBuilder::read_optimized().build()), 42.0);
 }
 
 TEST_F(FrameBudget, ExactlyOnce) {

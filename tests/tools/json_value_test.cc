@@ -26,7 +26,7 @@ std::string real_document() {
   p.num_servers = 2;
   p.tracer = &tracer;
   core::Scenario s(std::move(p));
-  core::SiteTelemetry telemetry(s.client_site(0), tracer);
+  core::SiteTelemetry telemetry(s.client_site(0));
   s.run_client(0, [&](core::Client& c) -> sim::Task<> {
     (void)co_await c.call_async(s.group(), OpId{1}, Buffer{});
   }, sim::usec(150));
