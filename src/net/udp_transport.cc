@@ -24,6 +24,13 @@ namespace {
 constexpr sim::Duration kMaxPollWait = sim::msec(10);
 /// Cap of any one ppoll wait, whatever poll_once is asked for.
 constexpr sim::Duration kMaxPpollWait = sim::seconds(1);
+/// Receive buffer each socket asks for; the kernel caps it at rmem_max.
+constexpr int kRecvBufferBytes = 2 << 20;
+/// Most datagrams one sendmmsg() takes (the kernel's UIO_MAXIOV); it sends
+/// no more than that whatever it is offered.
+constexpr std::size_t kMaxSendBatch = 1024;
+/// recvmmsg() slot size: one byte past the largest frame.
+constexpr std::size_t kRecvSlot = kMaxDatagram + 1;
 
 sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   sockaddr_in addr{};
@@ -40,9 +47,17 @@ UdpTransport::UdpTransport() : UdpTransport(Options{}) {}
 
 UdpTransport::UdpTransport(Options options)
     : Transport(exec_), options_(std::move(options)), exec_(options_.seed),
-      start_(std::chrono::steady_clock::now()) {}
+      start_(std::chrono::steady_clock::now()),
+      recv_slots_(std::make_unique_for_overwrite<std::byte[]>(kRecvBatch * kRecvSlot)) {
+  for (std::size_t i = 0; i < kRecvBatch; ++i) {
+    recv_iovs_[i] = iovec{recv_slots_.get() + i * kRecvSlot, kRecvSlot};
+    recv_msgs_[i].msg_hdr.msg_iov = &recv_iovs_[i];
+    recv_msgs_[i].msg_hdr.msg_iovlen = 1;
+  }
+}
 
 UdpTransport::~UdpTransport() {
+  flush_sends();
   for (auto& [process, socket] : sockets_) ::close(socket.fd);
 }
 
@@ -56,6 +71,11 @@ Endpoint& UdpTransport::attach(ProcessId process, DomainId domain) {
   Endpoint& endpoint = Transport::attach(process, domain);
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   UGRPC_ASSERT(fd >= 0 && "socket() failed");
+  // Room for a burst: a peer's batched sends arrive back to back.
+  int rcvbuf = kRecvBufferBytes;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  socklen_t rcvbuf_len = sizeof(rcvbuf);
+  ::getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, &rcvbuf_len);
   // Ephemeral port: parallel runs on one host cannot collide, and the
   // example/CI publish the chosen port out of band.
   sockaddr_in addr = make_addr(options_.bind_host, 0);
@@ -69,14 +89,15 @@ Endpoint& UdpTransport::attach(ProcessId process, DomainId domain) {
       Socket{fd, ntohs(addr.sin_port), ++attach_counts_[process]};
   peers_[process] = addr;  // local processes are reachable like any peer
   rebuild_poll_set();
-  UGRPC_LOG(kDebug, "udp: attach %u on %s:%u (incarnation %u)", process.value(),
-            options_.bind_host.c_str(), socket.port, socket.incarnation);
+  UGRPC_LOG(kDebug, "udp: attach %u on %s:%u (incarnation %u, receive buffer %d bytes)",
+            process.value(), options_.bind_host.c_str(), socket.port, socket.incarnation, rcvbuf);
   return endpoint;
 }
 
 void UdpTransport::detach(ProcessId process) {
   auto it = sockets_.find(process);
   if (it == sockets_.end()) return;
+  flush_sends();  // nothing queued may leave on a closed, or reused, fd
   ::close(it->second.fd);
   peers_.erase(process);
   sockets_.erase(it);
@@ -107,56 +128,98 @@ void UdpTransport::transmit(const Endpoint& from, ProcessId to, ProtocolId proto
                             const Buffer& payload, obs::SpanCtx parent) {
   // kMsgSent opens the send span; its id travels in the frame (wire v2) and
   // parents the receiving process's delivery span -- the cross-process tree
-  // edge.  A send that fails below is counted as dropped and flagged at the
-  // close.
+  // edge.  The span stays open until the datagram leaves; a send that fails
+  // is counted as dropped and flagged at the close.
   obs::SiteTrace* trace = from.trace();
   obs::SpanCtx ctx;
   if (trace != nullptr) {
     ctx = trace->open(now(), obs::Kind::kMsgSent, parent, 0, to.value(), proto.value());
   }
-  const auto close_send = [&](bool failed) {
-    if (failed) ++stats_.dropped;
-    if (trace != nullptr) trace->close(now(), ctx.parent, obs::Kind::kSpanEnd, 0, 0, 0, failed);
-  };
   if (send_fault_ && send_fault_(from.process(), to, proto)) {
     // Deterministic loss injected by a test/example (real UDP on loopback
     // almost never drops, so forcing a retransmission needs a hook).
     if (trace != nullptr) {
       trace->record(now(), obs::Kind::kMsgDropped, 0, to.value(), proto.value());
     }
-    close_send(true);
+    close_send(trace, ctx.parent, /*failed=*/true);
     return;
   }
   const Socket& socket = sockets_.at(from.process());
   const WireFrame frame{from.process(), to, proto, socket.incarnation,
                         ctx.trace, ctx.parent, payload};
-  // The datagram is frame.encode()'s bytes, gathered from the stack (the
-  // header) and the payload's own storage: no framing copy of the payload.
+  // The datagram is frame.encode()'s bytes, gathered from the queued header
+  // and the payload's own storage: no framing copy of the payload.
   const WireFrame::Head head = frame.head();
   if (head.size() + payload.size() > kMaxDatagram) {
     UGRPC_LOG(kWarn, "udp: frame %u->%u proto=%u exceeds %zu bytes, dropped",
               from.process().value(), to.value(), proto.value(), kMaxDatagram);
-    close_send(true);
+    close_send(trace, ctx.parent, /*failed=*/true);
     return;
   }
-  sockaddr_in addr = peers_.at(to);
-  iovec iov[2] = {
-      {const_cast<std::byte*>(head.data()), head.size()},
-      {const_cast<std::byte*>(payload.bytes().data()), payload.size()},
-  };
-  msghdr msg{};
-  msg.msg_name = &addr;
-  msg.msg_namelen = sizeof(addr);
-  msg.msg_iov = iov;
-  msg.msg_iovlen = payload.empty() ? 1 : 2;
-  const ssize_t n = ::sendmsg(socket.fd, &msg, 0);
-  if (n < 0) {
-    // A full socket buffer or a vanished peer (ECONNREFUSED from a previous
-    // ICMP) is datagram loss; the reliable-communication layer retransmits.
-    UGRPC_LOG(kDebug, "udp: sendmsg %u->%u failed: %s", from.process().value(), to.value(),
-              std::strerror(errno));
+  outbox_.push_back(
+      Outgoing{socket.fd, peers_.at(to), head, payload, from.process(), to, trace, ctx.parent});
+  if (!draining_) flush_sends();
+}
+
+void UdpTransport::close_send(obs::SiteTrace* trace, std::uint64_t span, bool failed) {
+  if (failed) ++stats_.dropped;
+  if (trace != nullptr) trace->close(now(), span, obs::Kind::kSpanEnd, 0, 0, 0, failed);
+}
+
+void UdpTransport::flush_sends() {
+  const std::size_t n = outbox_.size();
+  if (n == 0) return;
+  send_msgs_.resize(n);
+  send_iovs_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Outgoing& out = outbox_[i];
+    send_iovs_[i] = {iovec{out.head.data(), out.head.size()},
+                     iovec{const_cast<std::byte*>(out.payload.bytes().data()), out.payload.size()}};
+    msghdr& msg = send_msgs_[i].msg_hdr;
+    msg = msghdr{};
+    msg.msg_name = &out.addr;
+    msg.msg_namelen = sizeof(out.addr);
+    msg.msg_iov = send_iovs_[i].data();
+    msg.msg_iovlen = out.payload.empty() ? 1 : 2;
   }
-  close_send(n < 0);
+  // sendmmsg() stops at the first datagram the kernel refuses and reports
+  // how many went before it (an error only when none did).  That datagram
+  // is lost, as a failed sendmsg() would lose it -- a full socket buffer or
+  // a vanished peer is loss the reliable-communication layer repairs -- and
+  // the rest of the run goes in a further call.
+  for (std::size_t i = 0; i < n;) {
+    const int fd = outbox_[i].fd;
+    std::size_t end = i + 1;
+    while (end < n && outbox_[end].fd == fd && end - i < kMaxSendBatch) ++end;
+    while (i < end) {
+      const int rc = ::sendmmsg(fd, &send_msgs_[i], static_cast<unsigned>(end - i), 0);
+      const std::size_t sent = rc > 0 ? static_cast<std::size_t>(rc) : 0;
+      for (const std::size_t stop = i + sent; i < stop; ++i) {
+        close_send(outbox_[i].trace, outbox_[i].span, /*failed=*/false);
+      }
+      if (i == end) break;
+      UGRPC_LOG(kDebug, "udp: sendmmsg %u->%u failed: %s", outbox_[i].from.value(),
+                outbox_[i].to.value(), rc < 0 ? std::strerror(errno) : "after a partial batch");
+      close_send(outbox_[i].trace, outbox_[i].span, /*failed=*/true);
+      ++i;
+    }
+  }
+  outbox_.clear();
+}
+
+void UdpTransport::sync_executor() {
+  // Sends made while the executor runs queue up and leave together when it
+  // stops, also when a fiber's exception ends the drain.
+  struct Flush {
+    UdpTransport& t;
+    ~Flush() {
+      t.draining_ = false;
+      t.flush_sends();
+    }
+  };
+  draining_ = true;
+  const Flush flush{*this};
+  exec_.run_until(now());
 }
 
 void UdpTransport::dispatch_datagram(ProcessId owner, std::span<const std::byte> datagram) {
@@ -184,6 +247,26 @@ void UdpTransport::dispatch_datagram(ProcessId owner, std::span<const std::byte>
                  obs::SpanCtx{frame->trace, frame->span}});
 }
 
+void UdpTransport::receive(int fd, ProcessId owner) {
+  // A call that fills fewer than every slot has drained the socket, so no
+  // call is spent on learning that it is empty.
+  for (;;) {
+    const int n = ::recvmmsg(fd, recv_msgs_.data(), kRecvBatch, MSG_DONTWAIT, nullptr);
+    for (int i = 0; i < n; ++i) {
+      const std::size_t len = recv_msgs_[i].msg_len;
+      if (len > kMaxDatagram) {
+        // It filled its slot's spare byte: longer than any frame (and
+        // truncated to the slot when longer still).
+        ++stats_.dropped;
+        UGRPC_LOG(kDebug, "udp: dropping datagram of more than %zu bytes", kMaxDatagram);
+        continue;
+      }
+      dispatch_datagram(owner, std::span<const std::byte>(recv_slots_.get() + i * kRecvSlot, len));
+    }
+    if (n < static_cast<int>(kRecvBatch)) return;
+  }
+}
+
 sim::Duration UdpTransport::poll_wait(sim::Duration max_wait) {
   if (exec_.has_ready()) return 0;
   const sim::Time t = now();
@@ -199,16 +282,10 @@ void UdpTransport::poll_once(sim::Duration max_wait) {
   const timespec timeout{static_cast<time_t>(wait / 1'000'000),
                          static_cast<long>(wait % 1'000'000 * 1000)};
   if (::ppoll(pollfds_.data(), pollfds_.size(), &timeout, nullptr) > 0) {
-    std::byte buf[kMaxDatagram + 1];
     for (std::size_t i = 0; i < pollfds_.size(); ++i) {
       if ((pollfds_[i].revents & POLLIN) == 0) continue;
       if (!sockets_.contains(poll_owners_[i])) continue;  // detached by a callback
-      for (;;) {
-        const ssize_t n = ::recv(pollfds_[i].fd, buf, sizeof(buf), 0);
-        if (n < 0) break;  // EWOULDBLOCK: socket drained
-        dispatch_datagram(poll_owners_[i],
-                          std::span<const std::byte>(buf, static_cast<std::size_t>(n)));
-      }
+      receive(pollfds_[i].fd, poll_owners_[i]);
     }
   }
 

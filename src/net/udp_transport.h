@@ -16,11 +16,11 @@
 // accounting, delivery fibers, timers, Stats, the tracer (set_tracer) -- is
 // the net::Transport base (transport.h), exactly as under the simulator.
 // This file is the wire: framing (wire.h, which carries the trace context),
-// the injectable send fault, the datagram size cap, sendmsg() (a send that
-// fails there closes its kMsgSent span flagged), and on the receive side
-// recv(), decode and two filters -- frames addressed to another process, and
-// frames from a superseded incarnation of their sender, are counted as
-// dropped without a record.
+// the injectable send fault, the datagram size cap, the outbox and
+// sendmmsg() (a datagram that fails there closes its kMsgSent span flagged),
+// and on the receive side recvmmsg(), decode and two filters -- frames
+// addressed to another process, and frames from a superseded incarnation of
+// their sender, are counted as dropped without a record.
 //
 // Topology is explicit: each locally attached process binds its own
 // ephemeral-port socket (no fixed ports, so parallel CI runs cannot
@@ -31,7 +31,17 @@
 //
 //   poll_once:  advance the executor to `elapsed()`, then ppoll every socket
 //               (timeout sized to the microsecond by the earliest timer),
-//               then decode + demux received frames into delivery fibers.
+//               then drain each ready socket with recvmmsg() into 16 slots,
+//               and decode + demux the frames into delivery fibers.
+//
+// Datagram I/O is batched by the loop turn.  A send made while the executor
+// drains (protocol fibers and timers run) joins one outbox in order; when
+// the drain ends, each run of consecutive datagrams from one socket leaves
+// in one sendmmsg().  A send made outside a drain is flushed at once.  A
+// send's kMsgSent span stays open until its datagram has left, and detach()
+// flushes before it closes the socket.  Every socket asks for a 2 MiB
+// receive buffer (the kernel caps it at rmem_max), so a batch sent to one
+// peer back to back fits in its queue.
 //
 // Crash modelling reaches only locally attached processes:
 // set_process_up(p, false) silences a local p (its sends are dropped and
@@ -42,13 +52,17 @@
 
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/socket.h>
 
+#include <array>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "net/transport.h"
+#include "net/wire.h"
 #include "obs/trace.h"
 
 namespace ugrpc::net {
@@ -99,7 +113,7 @@ class UdpTransport final : public Transport {
   bool run_until_fiber_done(FiberId fiber, sim::Duration timeout);
 
   /// Deterministic loss injection: when set, each outgoing datagram is
-  /// offered to `fault` (src, dst, proto) and dropped before sendto() on
+  /// offered to `fault` (src, dst, proto) and dropped before it is queued on
   /// true.  Loopback UDP essentially never loses datagrams, so tests and the
   /// udp_group_call example use this to force real retransmissions.  nullptr
   /// removes the hook.
@@ -114,13 +128,39 @@ class UdpTransport final : public Transport {
     std::uint32_t incarnation = 1;
   };
 
+  /// A datagram transmit() queued: sent from `fd` to `addr` as the frame
+  /// head followed by the payload's own bytes.
+  struct Outgoing {
+    int fd;
+    sockaddr_in addr;
+    WireFrame::Head head;
+    Buffer payload;
+    ProcessId from;
+    ProcessId to;
+    /// Ring holding the open kMsgSent span `span`; nullptr when untraced.
+    obs::SiteTrace* trace;
+    std::uint64_t span;
+  };
+
+  /// Datagrams recvmmsg() reads per call, into slots of kMaxDatagram + 1
+  /// bytes: a datagram that fills its slot is longer than any frame.
+  static constexpr std::size_t kRecvBatch = 16;
+
   [[nodiscard]] bool routable(ProcessId to) const override { return peers_.contains(to); }
   void transmit(const Endpoint& from, ProcessId to, ProtocolId proto, const Buffer& payload,
                 obs::SpanCtx parent) override;
+  /// Sends the outbox in queue order, one sendmmsg() per run of datagrams
+  /// from one socket, and closes their send spans.
+  void flush_sends();
+  /// Closes a send's kMsgSent span `span` on `trace` (if traced); a failed
+  /// send counts as dropped.
+  void close_send(obs::SiteTrace* trace, std::uint64_t span, bool failed);
+  /// Reads every datagram waiting on `owner`'s socket `fd`.
+  void receive(int fd, ProcessId owner);
   void dispatch_datagram(ProcessId owner, std::span<const std::byte> datagram);
   /// Advances the executor's virtual clock to real elapsed time, draining
-  /// every ready fiber and due timer.
-  void sync_executor() { exec_.run_until(now()); }
+  /// every ready fiber and due timer, then flushes the sends they queued.
+  void sync_executor();
   [[nodiscard]] sim::Duration poll_wait(sim::Duration max_wait);
   /// Refills pollfds_/poll_owners_ from sockets_ (on attach and detach).
   void rebuild_poll_set();
@@ -139,6 +179,17 @@ class UdpTransport final : public Transport {
   /// detach tags frames as a fresh incarnation.
   std::unordered_map<ProcessId, std::uint32_t> attach_counts_;
   SendFault send_fault_;
+
+  /// Sends queued during the current drain; empty outside one.
+  std::vector<Outgoing> outbox_;
+  bool draining_ = false;
+  /// flush_sends()'s sendmmsg() arguments, kept for their capacity.
+  std::vector<mmsghdr> send_msgs_;
+  std::vector<std::array<iovec, 2>> send_iovs_;
+  /// recvmmsg()'s slots, allocated once and never zeroed.
+  std::unique_ptr<std::byte[]> recv_slots_;
+  std::array<mmsghdr, kRecvBatch> recv_msgs_{};
+  std::array<iovec, kRecvBatch> recv_iovs_{};
 };
 
 }  // namespace ugrpc::net

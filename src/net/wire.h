@@ -49,7 +49,7 @@ inline constexpr std::uint8_t kWireVersion = 2;  // v2: +trace/span context
 inline constexpr std::size_t kWireHeaderSize = 4 + 1 + 4 + 4 + 2 + 4 + 8 + 8;
 
 /// Largest datagram the transport sends or accepts.  Loopback MTU is ~64k;
-/// staying under it keeps sendto() from failing with EMSGSIZE.
+/// staying under it keeps sendmmsg() from refusing a datagram with EMSGSIZE.
 inline constexpr std::size_t kMaxDatagram = 60 * 1024;
 
 struct WireFrame {

@@ -11,9 +11,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -512,14 +515,19 @@ struct RawPeer {
   RawPeer(const RawPeer&) = delete;
   RawPeer& operator=(const RawPeer&) = delete;
 
-  /// The next datagram, or nullopt if none arrives within ~2 s.
-  std::optional<std::vector<std::byte>> receive() const {
+  /// The next datagram, or nullopt if none arrives within ~2 s.  `from`,
+  /// when given, receives the port it was sent from.
+  std::optional<std::vector<std::byte>> receive(std::uint16_t* from = nullptr) const {
     std::vector<std::byte> buf(kMaxDatagram + 1);
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
     while (std::chrono::steady_clock::now() < deadline) {
-      const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+      sockaddr_in src{};
+      socklen_t len = sizeof(src);
+      const ssize_t n =
+          ::recvfrom(fd, buf.data(), buf.size(), 0, reinterpret_cast<sockaddr*>(&src), &len);
       if (n >= 0) {
         buf.resize(static_cast<std::size_t>(n));
+        if (from != nullptr) *from = ntohs(src.sin_port);
         return buf;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -586,6 +594,211 @@ TEST(UdpTransport, OversizedFrameIsDroppedUnsent) {
   EXPECT_EQ(t.stats().dropped, 1u);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_TRUE(peer.idle()) << "an oversized frame must not be sent";
+}
+
+/// Runs `body` in a fiber on `t`'s executor: it starts, and its sends
+/// leave, on `t`'s next poll.
+void in_one_drain(UdpTransport& t, std::function<void()> body) {
+  t.spawn([](std::function<void()> f) -> sim::Task<> {
+    f();
+    co_return;
+  }(std::move(body)));
+}
+
+/// The tag make_payload() put in a datagram `got` carries.
+std::uint32_t tag_of(const std::vector<std::byte>& got) {
+  const auto frame = WireFrame::decode(got);
+  return frame.has_value() ? Reader(frame->payload).u32() : ~0u;
+}
+
+// A drain's sends leave together, more than one receive batch of them, and
+// in the order they were made.
+TEST(UdpTransport, SendsQueuedInOneDrainArriveInOrder) {
+  constexpr std::uint32_t kSends = 40;
+  const RawPeer peer;
+  ASSERT_NE(peer.port, 0);
+  UdpTransport t;
+  Endpoint& a = t.attach(kA, DomainId{1});
+  t.add_peer(kC, "127.0.0.1", peer.port);
+  in_one_drain(t, [&] {
+    for (std::uint32_t i = 0; i < kSends; ++i) a.send(kC, kProto, make_payload(i));
+  });
+  t.poll_once(0);
+  for (std::uint32_t i = 0; i < kSends; ++i) {
+    const auto got = peer.receive();
+    ASSERT_TRUE(got.has_value()) << "datagram " << i;
+    EXPECT_EQ(tag_of(*got), i);
+  }
+  EXPECT_TRUE(peer.idle());
+  EXPECT_EQ(t.stats().sent, kSends);
+  EXPECT_EQ(t.stats().dropped, 0u);
+}
+
+// The kernel refuses a datagram in the middle of a batch (a peer at port 0:
+// EINVAL).  It alone is lost: one drop, its send span flagged, and the
+// datagrams after it in the batch still leave.
+TEST(UdpTransport, ARefusedDatagramInABatchIsTheOnlyOneLost) {
+  constexpr ProcessId kNowhere{4};
+  const RawPeer peer;
+  ASSERT_NE(peer.port, 0);
+  obs::Tracer tracer;
+  UdpTransport t;
+  t.set_tracer(&tracer);
+  Endpoint& a = t.attach(kA, DomainId{1});
+  t.add_peer(kC, "127.0.0.1", peer.port);
+  t.add_peer(kNowhere, "127.0.0.1", 0);
+  in_one_drain(t, [&] {
+    a.send(kC, kProto, make_payload(1));
+    a.send(kC, kProto, make_payload(2));
+    a.send(kNowhere, kProto, make_payload(3));
+    a.send(kC, kProto, make_payload(4));
+    a.send(kC, kProto, make_payload(5));
+  });
+  t.poll_once(0);
+  for (std::uint32_t tag : {1u, 2u, 4u, 5u}) {
+    const auto got = peer.receive();
+    ASSERT_TRUE(got.has_value()) << "datagram " << tag;
+    EXPECT_EQ(tag_of(*got), tag);
+  }
+  EXPECT_TRUE(peer.idle());
+  EXPECT_EQ(t.stats().sent, 5u);
+  EXPECT_EQ(t.stats().dropped, 1u);
+
+  std::vector<obs::Span> sends;
+  for (const obs::Span& span : tracer.spans()) {
+    if (span.kind == obs::Kind::kMsgSent) sends.push_back(span);
+  }
+  ASSERT_EQ(sends.size(), 5u);
+  for (const obs::Span& span : sends) {
+    EXPECT_FALSE(span.open()) << "every send span ends when its datagram leaves";
+    EXPECT_EQ(span.flagged, span.a == kNowhere.value()) << "send to " << span.a;
+  }
+}
+
+// A process detached in the drain that queued its send: the datagram leaves
+// once, from the process's own socket, before the socket closes -- not on
+// the closed fd, nor on the fd number a process attached next reuses.
+TEST(UdpTransport, DetachSendsWhatItsProcessQueuedFirst) {
+  const RawPeer peer;
+  ASSERT_NE(peer.port, 0);
+  UdpTransport t;
+  Endpoint& a = t.attach(kA, DomainId{1});
+  const std::uint16_t a_port = t.local_port(kA);
+  t.add_peer(kC, "127.0.0.1", peer.port);
+  in_one_drain(t, [&] {
+    a.send(kC, kProto, make_payload(42));
+    t.detach(kA);
+    t.attach(kB, DomainId{2});
+    t.add_peer(kC, "127.0.0.1", peer.port);
+  });
+  t.poll_once(0);
+  std::uint16_t from = 0;
+  const auto got = peer.receive(&from);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(tag_of(*got), 42u);
+  EXPECT_EQ(from, a_port) << "the datagram left from another socket";
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(peer.idle()) << "the datagram left twice";
+  EXPECT_EQ(t.stats().dropped, 0u);
+}
+
+/// net.core.rmem_max, or 0 when it cannot be read.
+long rmem_max() {
+  long v = 0;
+  std::ifstream("/proc/sys/net/core/rmem_max") >> v;
+  return v;
+}
+
+// A drain that sends 64 datagrams of 8 KiB to one peer puts them in its
+// socket's queue back to back, about 1 MiB of kernel memory before the peer
+// reads any.  A default-sized receive buffer (rmem_default, often 208 KiB)
+// overflows and the kernel drops the rest unseen; the transport's 2 MiB
+// request holds the burst.
+TEST(UdpTransport, ABurstOfLargeDatagramsIsNotDroppedByTheKernel) {
+  constexpr std::uint32_t kSends = 64;
+  // The kernel grants twice min(request, rmem_max).
+  if (rmem_max() < (1 << 20)) GTEST_SKIP() << "net.core.rmem_max below 1 MiB: " << rmem_max();
+  Pair p;
+  std::vector<Packet> received;
+  p.b.set_handler(kProto, record_into(received));
+  Buffer payload = Buffer::copy_of(std::vector<std::byte>(8192, std::byte{0x5a}));
+  in_one_drain(p.ta, [&] {
+    for (std::uint32_t i = 0; i < kSends; ++i) {
+      Buffer b = payload;
+      Writer(b).u32(i);
+      p.a.send(kB, kProto, b);
+    }
+  });
+  p.ta.poll_once(0);
+  EXPECT_EQ(p.ta.stats().dropped, 0u);
+  // Loopback has queued the whole burst once the sends return; wait briefly
+  // anyway, then read what the kernel kept.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (received.size() < kSends && std::chrono::steady_clock::now() < deadline) {
+    p.tb.poll_once(sim::msec(10));
+  }
+  EXPECT_EQ(received.size(), kSends) << "the kernel dropped part of the burst";
+  EXPECT_EQ(p.tb.stats().dropped, 0u);
+}
+
+// A socket holding more datagrams than one recvmmsg() call takes is read
+// again until a call comes back short, all in one poll.
+TEST(UdpTransport, OnePollDrainsMoreThanOneReceiveBatch) {
+  constexpr std::uint32_t kSends = 40;
+  UdpTransport t;
+  Endpoint& b = t.attach(kB, DomainId{2});
+  std::vector<Packet> received;
+  b.set_handler(kProto, record_into(received));
+  for (std::uint32_t i = 0; i < kSends; ++i) {
+    send_raw(t.local_port(kB), WireFrame{kA, kB, kProto, 1, 0, 0, make_payload(i)});
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // all queued
+
+  t.poll_once(sim::msec(200));
+  ASSERT_EQ(received.size(), kSends);
+  for (std::uint32_t i = 0; i < kSends; ++i) EXPECT_EQ(Reader(received[i].payload).u32(), i);
+  EXPECT_EQ(t.stats().dropped, 0u);
+}
+
+// One poll drains a socket holding a stray datagram, one longer than
+// kMaxDatagram and a valid frame: the two bad ones are dropped and counted,
+// and the frame behind them is delivered.  The long one is told by its
+// length reaching the receive slot's spare byte (kMaxDatagram + 1), not by
+// MSG_TRUNC, which a datagram of exactly that length does not raise.
+TEST(UdpTransport, OneReceiveBatchDropsBadDatagramsAndDeliversTheRest) {
+  UdpTransport t;
+  Endpoint& b = t.attach(kB, DomainId{2});
+  std::vector<Packet> received;
+  b.set_handler(kProto, record_into(received));
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(t.local_port(kB));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const auto send_bytes = [&](std::span<const std::byte> bytes) {
+    return ::sendto(fd, bytes.data(), bytes.size(), 0, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)) == static_cast<ssize_t>(bytes.size());
+  };
+  const char junk[] = "not a uGRP frame";
+  EXPECT_TRUE(send_bytes(std::as_bytes(std::span(junk))));
+  // A well-formed frame one byte longer than the cap: it fits its receive
+  // slot whole, so only its length gives it away.
+  const std::size_t too_long = kMaxDatagram + 1 - sizeof(WireFrame::Head);
+  const WireFrame oversized{kA, kB, kProto, 1, 0, 0,
+                            Buffer::copy_of(std::vector<std::byte>(too_long, std::byte{1}))};
+  ASSERT_EQ(oversized.encode().size(), kMaxDatagram + 1);
+  EXPECT_TRUE(send_bytes(oversized.encode().bytes()));
+  const WireFrame valid{kA, kB, kProto, 1, 0, 0, make_payload(9)};
+  EXPECT_TRUE(send_bytes(valid.encode().bytes()));
+  ::close(fd);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // all three queued
+
+  t.poll_once(sim::msec(200));
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(Reader(received[0].payload).u32(), 9u);
+  EXPECT_EQ(t.stats().delivered, 1u);
+  EXPECT_EQ(t.stats().dropped, 2u);
 }
 
 TEST(UdpTransport, StrayDatagramsAreRejected) {
