@@ -5,7 +5,7 @@
 // in a results file that cannot be traced back to a seed is not evidence.
 // Benches with a JSON artifact also take `--out PATH`.
 //
-// Numeric options are parsed with checked strtol/strtoull rather than atoi:
+// Numeric options are parsed with the checked parse_u64 rather than atoi:
 // atoi returns 0 for garbage ("--calls abc" silently ran zero calls) and
 // accepts negatives that later index arrays.  A malformed value is a usage
 // error, not a silent zero.  try_parse_args() is the non-exiting core that
@@ -13,14 +13,14 @@
 // behaviour the binaries want.
 #pragma once
 
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
+
+#include "common/decimal.h"
 
 #if defined(__unix__)
 #include <sys/utsname.h>
@@ -107,17 +107,9 @@ inline void warn_if_debug(const char* prog) {
   return out;
 }
 
-/// Parses a full unsigned decimal string.  Rejects empty strings, signs,
-/// whitespace, trailing garbage and out-of-range values.
-inline bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0' || !std::isdigit(static_cast<unsigned char>(*s))) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno == ERANGE || end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
+/// Parses a full unsigned decimal string (common/decimal.h; perfbench calls
+/// it by this name).
+using ugrpc::parse_u64;
 
 /// Parses a non-negative count that fits in int.
 inline bool parse_count(const char* s, int& out) {

@@ -3,16 +3,19 @@
 //   config_explorer                  summary: space size and usage
 //   config_explorer list             all 198 valid configurations
 //   config_explorer graph            the Figure 2 property graph
-//   config_explorer check <flags>    validate a configuration and, if valid,
+//   config_explorer check TEXT       validate a configuration and, if valid,
 //                                    build it and show its composite
 //
-// Flags for `check`: --async --orphan=avoid|terminate --exec=serial|atomic
-//                    --unique --reliable --bounded --ordering=fifo|total
+// TEXT is a Config::describe() line, as `list` prints, or any of its
+// '|'-separated tokens: a field left out keeps its default.  `check` exits
+// 0 when the configuration is valid and its smoke call succeeds, 1 when it
+// violates a rule (each Rule is listed) and 2 when TEXT does not parse (the
+// offending token is named).
 //
 // Example:
-//   config_explorer check --ordering=total --reliable --unique
+//   config_explorer check 'reliable=50ms|unique|total'
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,9 +34,8 @@ void print_summary() {
               "comm/order combos)\n",
               space.total, space.call_variants, space.orphan_variants, space.execution_variants,
               space.comm_combinations);
-  std::printf("\nusage: config_explorer [list | graph | check <flags>]\n");
-  std::printf("check flags: --async --orphan=avoid|terminate --exec=serial|atomic\n");
-  std::printf("             --unique --reliable --bounded --ordering=fifo|total\n");
+  std::printf("\nusage: config_explorer [list | graph | check TEXT]\n"
+              "TEXT: a line of `list`, or some of its '|'-separated tokens\n");
 }
 
 void print_list() {
@@ -51,38 +53,17 @@ void print_graph() {
   }
 }
 
-int check(int argc, char** argv) {
-  // The flags set the Config aggregate directly: an invalid combination is
+int check(const char* text) {
+  // The text sets the Config aggregate directly: an invalid combination is
   // described and its violated rules listed, which a ConfigBuilder (whose
   // build() throws) would not hand out.
-  Config config;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--async") {
-      config.call = CallSemantics::kAsynchronous;
-    } else if (arg == "--orphan=avoid") {
-      config.orphan = OrphanHandling::kInterferenceAvoidance;
-    } else if (arg == "--orphan=terminate") {
-      config.orphan = OrphanHandling::kTerminateOrphans;
-    } else if (arg == "--exec=serial") {
-      config.execution = ExecutionMode::kSerial;
-    } else if (arg == "--exec=atomic") {
-      config.execution = ExecutionMode::kSerialAtomic;
-    } else if (arg == "--unique") {
-      config.unique_execution = true;
-    } else if (arg == "--reliable") {
-      config.reliable_communication = true;
-    } else if (arg == "--bounded") {
-      config.termination_bound = sim::seconds(1);
-    } else if (arg == "--ordering=fifo") {
-      config.ordering = Ordering::kFifo;
-    } else if (arg == "--ordering=total") {
-      config.ordering = Ordering::kTotal;
-    } else {
-      std::printf("unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
+  std::string bad_token;
+  const std::optional<Config> parsed = Config::parse(text, &bad_token);
+  if (!parsed) {
+    std::fprintf(stderr, "config_explorer: bad token '%s' in '%s'\n", bad_token.c_str(), text);
+    return 2;
   }
+  const Config& config = *parsed;
   std::printf("configuration: %s\n", config.describe().c_str());
   if (const std::vector<ValidationError> errors = validate(config); !errors.empty()) {
     std::printf("INVALID -- violated dependencies (paper Figure 4):\n");
@@ -142,7 +123,7 @@ int main(int argc, char** argv) {
     print_graph();
     return 0;
   }
-  if (cmd == "check") return check(argc, argv);
+  if (cmd == "check" && argc == 3) return check(argv[2]);
   print_summary();
   return 2;
 }

@@ -19,8 +19,9 @@
 //
 // --trace-dir DIR enables span tracing in every process, and every process,
 // the parent included, writes its own trace file DIR/trace-site<id>.bin
-// (obs/trace_file.h): its site's records, configuration line and checker
-// expectations.  `ugrpcstat --check-flight` replays any one of them, and
+// (obs/trace_file.h): its site's records under its configuration line.
+// `ugrpcstat --check-flight` replays any one of them against what that line
+// promises, and
 // `ugrpcstat --perfetto DIR/*` renders them into one Chrome/Perfetto
 // document whose span tree crosses the real process boundary (see README
 // "Profiling a call").
@@ -59,10 +60,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "common/decimal.h"
 #include "core/config_builder.h"
 #include "core/grpc_state.h"
-#include "core/observe.h"
 #include "core/service.h"
 #include "core/site.h"
 #include "core/telemetry.h"
@@ -119,7 +119,7 @@ std::set<ProcessId> known_to(const Cli& cli) {
 std::uint64_t number(const std::string& flag, const char* v, std::uint64_t min,
                      std::uint64_t max) {
   std::uint64_t n = 0;
-  if (bench::parse_u64(v, n) && n >= min && n <= max) return n;
+  if (parse_u64(v, n) && n >= min && n <= max) return n;
   std::fprintf(stderr, "udp_group_call: invalid value for %s: '%s' (expected %llu..%llu)\n",
                flag.c_str(), v == nullptr ? "" : v, static_cast<unsigned long long>(min),
                static_cast<unsigned long long>(max));
@@ -165,14 +165,13 @@ bool write_file(const std::string& path, std::string_view content) {
 }
 
 /// Writes `site`'s trace file into the --trace-dir: `tracer`'s records under
-/// a header naming the site's configuration and what it promises.
+/// a header naming the site's configuration.
 bool write_trace(const Cli& cli, const core::Site& site, const obs::Tracer& tracer) {
   std::error_code ec;
   std::filesystem::create_directories(cli.trace_dir, ec);  // a failure shows when writing
   const std::string path =
       cli.trace_dir + "/trace-site" + std::to_string(site.id().value()) + ".bin";
-  const Buffer trace = obs::encode_trace(
-      tracer, {"", site.config().describe(), core::expectations_from(site.config())});
+  const Buffer trace = obs::encode_trace(tracer, {"", site.config().describe()});
   if (write_file(path, {reinterpret_cast<const char*>(trace.bytes().data()), trace.size()})) {
     return true;
   }

@@ -1,43 +1,121 @@
 #include "core/config.h"
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
+#include <utility>
+
+#include "common/decimal.h"
+#include "core/micro/acceptance.h"
+#include "obs/checker.h"
 
 namespace ugrpc::core {
 
-std::string_view to_string(CallSemantics v) {
-  switch (v) {
-    case CallSemantics::kSynchronous: return "sync";
-    case CallSemantics::kAsynchronous: return "async";
-  }
-  return "<invalid>";
+namespace {
+
+// Each enumerator's text, indexed by its value: to_string(), describe() and
+// Config::parse() read the same table.
+constexpr std::string_view kCallNames[] = {"sync", "async"};
+constexpr std::string_view kOrphanNames[] = {"ignore-orphans", "interference-avoidance",
+                                             "terminate-orphans"};
+constexpr std::string_view kExecutionNames[] = {"plain", "serial", "serial+atomic"};
+constexpr std::string_view kOrderingNames[] = {"no-order", "fifo", "total"};
+constexpr std::string_view kUniqueNames[] = {"non-unique", "unique"};
+constexpr std::string_view kRuleNames[] = {
+    "UniqueExecution->ReliableCommunication", "FifoOrder->ReliableCommunication",
+    "TotalOrder->ReliableCommunication",      "TotalOrder->UniqueExecution",
+    "TotalOrder-x-BoundedTermination",        "Acceptance.limit",
+    "ReliableCommunication.timeout",          "BoundedTermination.bound",
+    "Membership.timeouts"};
+
+template <class E, std::size_t N>
+std::string_view name_of(const std::string_view (&names)[N], E v) {
+  const auto i = static_cast<std::size_t>(v);
+  return i < N ? names[i] : "<invalid>";
 }
 
-std::string_view to_string(OrphanHandling v) {
-  switch (v) {
-    case OrphanHandling::kIgnore: return "ignore-orphans";
-    case OrphanHandling::kInterferenceAvoidance: return "interference-avoidance";
-    case OrphanHandling::kTerminateOrphans: return "terminate-orphans";
+/// Sets `out` to the enumerator `token` names; false if it names none.
+template <class E, std::size_t N>
+bool named(const std::string_view (&names)[N], std::string_view token, E& out) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (names[i] == token) {
+      out = static_cast<E>(i);
+      return true;
+    }
   }
-  return "<invalid>";
+  return false;
 }
 
-std::string_view to_string(ExecutionMode v) {
-  switch (v) {
-    case ExecutionMode::kPlain: return "plain";
-    case ExecutionMode::kSerial: return "serial";
-    case ExecutionMode::kSerialAtomic: return "serial+atomic";
-  }
-  return "<invalid>";
+/// `d` in the largest of s, ms and us that divides it.
+std::string duration_text(sim::Duration d) {
+  if (d != 0 && d % sim::seconds(1) == 0) return std::to_string(d / sim::seconds(1)) + "s";
+  if (d != 0 && d % sim::msec(1) == 0) return std::to_string(d / sim::msec(1)) + "ms";
+  return std::to_string(d) + "us";
 }
 
-std::string_view to_string(Ordering v) {
-  switch (v) {
-    case Ordering::kNone: return "no-order";
-    case Ordering::kFifo: return "fifo";
-    case Ordering::kTotal: return "total";
+/// A decimal count with a unit of us, ms or s, in (0, obs::kTimeLimit) us.
+bool parse_duration(std::string_view text, sim::Duration& out) {
+  constexpr std::pair<std::string_view, sim::Duration> kUnits[] = {
+      {"us", 1}, {"ms", sim::msec(1)}, {"s", sim::seconds(1)}};
+  for (const auto& [suffix, unit] : kUnits) {
+    if (!text.ends_with(suffix)) continue;
+    std::uint64_t n = 0;
+    if (!parse_u64(text.substr(0, text.size() - suffix.size()), n) || n == 0 ||
+        n > static_cast<std::uint64_t>((obs::kTimeLimit - 1) / unit)) {
+      return false;
+    }
+    out = static_cast<sim::Duration>(n) * unit;
+    return true;
   }
-  return "<invalid>";
+  return false;
 }
+
+/// Sets the field `token` gives; the field's index (in describe()'s order),
+/// or -1 if the token names no field or holds a malformed value.
+int set_field(Config& c, std::string_view token) {
+  const std::size_t eq = token.find('=');
+  const std::string_view key = token.substr(0, eq);
+  const std::string_view value = eq == std::string_view::npos ? "" : token.substr(eq + 1);
+  std::uint64_t n = 0;
+  if (eq == std::string_view::npos) {
+    if (named(kCallNames, token, c.call)) return 0;
+    if (named(kOrphanNames, token, c.orphan)) return 1;
+    if (named(kExecutionNames, token, c.execution)) return 2;
+    if (named(kUniqueNames, token, c.unique_execution)) return 3;
+    if (token == "unreliable") return 4;
+    if (named(kOrderingNames, token, c.ordering)) return 5;
+    if (token == "unbounded") return 6;
+    if (token == "no-membership") return 8;
+  } else if (key == "reliable" && parse_duration(value, c.retrans_timeout)) {
+    c.reliable_communication = true;
+    return 4;
+  } else if (key == "bounded" && parse_duration(value, c.termination_bound.emplace())) {
+    return 6;
+  } else if (key == "acceptance" && value == "all") {
+    c.acceptance_limit = kAll;
+    return 7;
+  } else if (key == "acceptance" && parse_u64(value, n) && n <= std::uint64_t{kAll}) {
+    c.acceptance_limit = static_cast<int>(n);
+    return 7;
+  } else if (const std::size_t slash = value.find('/');
+             key == "membership" && slash != std::string_view::npos &&
+             parse_duration(value.substr(0, slash), c.membership_params.heartbeat_interval) &&
+             parse_duration(value.substr(slash + 1), c.membership_params.failure_timeout)) {
+    c.use_membership = true;
+    return 8;
+  } else if (key == "group" && parse_u64(value, n) && n <= UINT32_MAX) {
+    c.group = GroupId{static_cast<std::uint32_t>(n)};
+    return 9;
+  }
+  return -1;
+}
+
+}  // namespace
+
+std::string_view to_string(CallSemantics v) { return name_of(kCallNames, v); }
+std::string_view to_string(OrphanHandling v) { return name_of(kOrphanNames, v); }
+std::string_view to_string(ExecutionMode v) { return name_of(kExecutionNames, v); }
+std::string_view to_string(Ordering v) { return name_of(kOrderingNames, v); }
 
 std::string Config::describe() const {
   std::string s;
@@ -47,29 +125,38 @@ std::string Config::describe() const {
   s += '|';
   s += to_string(execution);
   s += '|';
-  s += unique_execution ? "unique" : "non-unique";
-  s += '|';
-  s += reliable_communication ? "reliable" : "unreliable";
+  s += name_of(kUniqueNames, unique_execution);
+  s += reliable_communication ? "|reliable=" + duration_text(retrans_timeout) : "|unreliable";
   s += '|';
   s += to_string(ordering);
-  s += '|';
-  s += termination_bound.has_value() ? "bounded" : "unbounded";
+  s += termination_bound ? "|bounded=" + duration_text(*termination_bound) : "|unbounded";
+  s += "|acceptance=";
+  s += acceptance_limit == kAll ? "all" : std::to_string(acceptance_limit);
+  s += use_membership ? "|membership=" + duration_text(membership_params.heartbeat_interval) +
+                            '/' + duration_text(membership_params.failure_timeout)
+                      : "|no-membership";
+  s += "|group=" + std::to_string(group.value());
   return s;
 }
 
-std::string_view to_string(Rule r) {
-  switch (r) {
-    case Rule::kUniqueRequiresReliable: return "UniqueExecution->ReliableCommunication";
-    case Rule::kFifoRequiresReliable: return "FifoOrder->ReliableCommunication";
-    case Rule::kTotalRequiresReliable: return "TotalOrder->ReliableCommunication";
-    case Rule::kTotalRequiresUnique: return "TotalOrder->UniqueExecution";
-    case Rule::kTotalExcludesBounded: return "TotalOrder-x-BoundedTermination";
-    case Rule::kAcceptanceLimitPositive: return "Acceptance.limit";
-    case Rule::kRetransTimeoutPositive: return "ReliableCommunication.timeout";
-    case Rule::kTerminationBoundPositive: return "BoundedTermination.bound";
+std::optional<Config> Config::parse(std::string_view line, std::string* bad_token) {
+  Config c;
+  unsigned seen = 0;
+  for (std::size_t at = 0; at <= line.size();) {
+    const std::size_t bar = std::min(line.find('|', at), line.size());
+    const std::string_view token = line.substr(at, bar - at);
+    const int field = set_field(c, token);
+    if (field < 0 || (seen & (1u << field)) != 0) {
+      if (bad_token != nullptr) *bad_token = token.empty() ? "(empty)" : std::string(token);
+      return std::nullopt;
+    }
+    seen |= 1u << field;
+    at = bar + 1;
   }
-  return "<invalid>";
+  return c;
 }
+
+std::string_view to_string(Rule r) { return name_of(kRuleNames, r); }
 
 std::vector<ValidationError> validate(const Config& config) {
   std::vector<ValidationError> errors;
@@ -111,6 +198,12 @@ std::vector<ValidationError> validate(const Config& config) {
   }
   if (config.termination_bound.has_value() && *config.termination_bound <= 0) {
     fail(Rule::kTerminationBoundPositive, "the termination bound must be positive");
+  }
+  if (const membership::Params& m = config.membership_params;
+      config.use_membership &&
+      (m.heartbeat_interval <= 0 || m.failure_timeout <= m.heartbeat_interval)) {
+    fail(Rule::kMembershipTimeouts,
+         "membership needs a positive heartbeat interval and a longer failure timeout");
   }
   return errors;
 }

@@ -15,6 +15,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/buffer.h"
@@ -61,7 +62,7 @@ struct Config {
   bool use_membership = false;
   membership::Params membership_params;
   /// The server group this configuration serves (Total Order's leader logic
-  /// is anchored to it; Scenario uses group 1).
+  /// is anchored to it; a Scenario's servers form it).
   GroupId group{1};
   /// EXPERIMENTS ONLY: build the composite even when validate() rejects the
   /// configuration.  Exists so the Figure 2 harness can demonstrate
@@ -69,8 +70,21 @@ struct Config {
   /// set this in real use.
   bool unsafe_skip_validation = false;
 
-  /// One-line summary, e.g. "sync|ignore|serial|unique|reliable|total|unbounded".
+  /// The configuration as one line of '|'-separated tokens, one per field
+  /// that changes behaviour; the default's is "sync|ignore-orphans|plain|
+  /// non-unique|unreliable|no-order|unbounded|acceptance=1|no-membership|
+  /// group=1", and reliable=50ms, bounded=1s, acceptance=all and
+  /// membership=20ms/100ms (heartbeat/failure timeout) spell the others.
   [[nodiscard]] std::string describe() const;
+
+  /// Reads a describe() line back; a field left out keeps its default.
+  /// nullopt, with the offending token in `bad_token` when non-null, for an
+  /// unknown token, a repeated field, a malformed number or a duration
+  /// outside (0, 2^60) us.  Syntax only: validate() judges the result.  The
+  /// collation function and its initial value are code, and
+  /// unsafe_skip_validation is for experiments only, so no text sets them.
+  [[nodiscard]] static std::optional<Config> parse(std::string_view line,
+                                                   std::string* bad_token = nullptr);
 };
 
 /// Stable machine-readable identifiers for the dependency rules of paper
@@ -86,6 +100,7 @@ enum class Rule : unsigned char {
   kAcceptanceLimitPositive,  ///< acceptance_limit >= 1
   kRetransTimeoutPositive,   ///< retrans_timeout > 0 when reliable
   kTerminationBoundPositive, ///< termination_bound > 0 when set
+  kMembershipTimeouts,       ///< 0 < heartbeat_interval < failure_timeout with membership
 };
 
 /// Canonical edge notation, e.g. "TotalOrder->UniqueExecution".

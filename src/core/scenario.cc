@@ -27,7 +27,7 @@ Scenario::Scenario(ScenarioParams params)
     known.insert(planned_client_id(i));
     all_procs.push_back(planned_client_id(i));
   }
-  net_.define_group(kGroup, group_members);
+  net_.define_group(params_.config.group, group_members);
 
   // Construct (attach) every site before booting any: a booting site may
   // send at once (membership heartbeats), and every peer must be reachable.

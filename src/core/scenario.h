@@ -39,8 +39,8 @@ class Scenario {
  public:
   explicit Scenario(ScenarioParams params);
 
-  /// The server group every client calls.
-  [[nodiscard]] GroupId group() const { return kGroup; }
+  /// The server group every client calls: the configuration's group.
+  [[nodiscard]] GroupId group() const { return params_.config.group; }
 
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] net::Network& network() { return net_; }
@@ -72,8 +72,6 @@ class Scenario {
   }
 
  private:
-  static constexpr GroupId kGroup{1};
-
   ScenarioParams params_;
   sim::Scheduler sched_;
   net::Network net_;

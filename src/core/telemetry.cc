@@ -12,7 +12,6 @@
 #include "common/assert.h"
 #include "common/log.h"
 #include "core/http.h"
-#include "core/observe.h"
 #include "obs/json.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -392,8 +391,8 @@ std::optional<std::string> SiteTelemetry::trip(std::string_view reason, std::str
     return std::nullopt;
   }
 
-  const Buffer trace = obs::encode_trace(
-      tracer_, {std::string(reason), site_.config().describe(), expectations_from(site_.config())});
+  const Buffer trace =
+      obs::encode_trace(tracer_, {std::string(reason), site_.config().describe()});
   const std::string_view trace_bytes(reinterpret_cast<const char*>(trace.bytes().data()),
                                      trace.size());
   if (!write_file(tmp / obs::kTraceFileName, trace_bytes, error) ||

@@ -31,12 +31,12 @@
 //   * flight recorder -- trip() persists the in-memory evidence into one
 //     fresh directory `<flight_dir>/flight-<UTCstamp>-site<id>-pid<pid>-<seq>`:
 //
-//       trace.bin       obs::encode_trace(): a header with the reason, the
-//                       site's config line and the checker Expect derived
-//                       from it (core::expectations_from), then the rings'
+//       trace.bin       obs::encode_trace(): a header with the reason and
+//                       the site's Config::describe() line, then the rings'
 //                       records, names and dropped count (obs/trace_file.h),
 //                       so the dump is checkable standalone: ugrpcstat
-//                       replays it (--check-flight) and renders it
+//                       parses the line, replays the records against what
+//                       it promises (--check-flight) and renders them
 //                       (--perfetto)
 //       metrics.prom    metrics_text()
 //       introspect.json introspection_json()

@@ -228,7 +228,7 @@ Report check(const std::vector<Event>& trace, const Expect& expect) {
 
   // Bounded termination: judged at end of trace, when completions are known.
   if (expect.termination_bound.has_value()) {
-    const sim::Duration bound = *expect.termination_bound + expect.termination_slack;
+    const sim::Duration bound = *expect.termination_bound + kTerminationSlack;
     for (const auto& [id, info] : calls) {
       if (info.issued < 0) continue;  // completion without issue record
       const sim::Time deadline = info.issued + bound;

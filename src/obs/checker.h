@@ -44,16 +44,21 @@
 
 namespace ugrpc::obs {
 
+/// A completion may trail its deadline by this much (the completion record
+/// is stamped when the waiting fiber resumes, one scheduling step after the
+/// deadline timer fires).
+inline constexpr sim::Duration kTerminationSlack = sim::msec(1);
+/// Trace times and termination bounds lie in [0, this) us, so check()'s
+/// sums of three of them cannot overflow and its -1 "never issued"
+/// sentinel cannot meet a real time.
+inline constexpr sim::Duration kTimeLimit = sim::Duration{1} << 60;
+
 /// Which invariants a trace is expected to satisfy.
 struct Expect {
   bool unique_execution = false;
   bool atomic_execution = false;
   /// Bounded Termination's time bound; checking is off when unset.
   std::optional<sim::Duration> termination_bound;
-  /// Completion may trail the deadline by this much (the completion record
-  /// is stamped when the waiting fiber resumes, one scheduling step after
-  /// the deadline timer fires).
-  sim::Duration termination_slack = sim::msec(1);
   bool fifo_order = false;
   bool total_order = false;
   bool terminate_orphans = false;

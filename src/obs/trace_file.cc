@@ -1,26 +1,10 @@
 #include "obs/trace_file.h"
 
-#include <iterator>
 #include <utility>
 
+#include "obs/checker.h"
+
 namespace ugrpc::obs {
-
-namespace {
-
-/// The header's expect flags: bit i is kExpectFlags[i]; kExpectBound says a
-/// termination bound follows.
-constexpr bool Expect::*kExpectFlags[] = {&Expect::unique_execution, &Expect::atomic_execution,
-                                          &Expect::fifo_order, &Expect::total_order,
-                                          &Expect::terminate_orphans};
-constexpr std::uint8_t kExpectBound = 1 << std::size(kExpectFlags);
-/// Header durations and record times must lie in [0, this) microseconds, so
-/// the checker's sums of three of them cannot overflow and its -1 "never
-/// issued" sentinel cannot meet a real time.
-constexpr std::int64_t kTimeLimit = std::int64_t{1} << 60;
-
-bool in_range(std::int64_t us) { return us >= 0 && us < kTimeLimit; }
-
-}  // namespace
 
 Buffer encode_trace(const Tracer& t, const TraceHeader& header) {
   const std::vector<Event> history = t.merged();
@@ -31,14 +15,6 @@ Buffer encode_trace(const Tracer& t, const TraceHeader& header) {
   w.u32(kTraceFileVersion);
   w.str(header.reason);
   w.str(header.config);
-  const Expect& x = header.expect;
-  std::uint8_t flags = x.termination_bound.has_value() ? kExpectBound : 0;
-  for (std::size_t i = 0; i < std::size(kExpectFlags); ++i) {
-    if (x.*kExpectFlags[i]) flags |= static_cast<std::uint8_t>(1 << i);
-  }
-  w.u8(flags);
-  if (x.termination_bound.has_value()) w.i64(*x.termination_bound);
-  w.i64(x.termination_slack);
   w.u64(t.total_dropped());
   w.u32(static_cast<std::uint32_t>(names.size() - 1));
   for (std::size_t id = 1; id < names.size(); ++id) w.str(names[id]);
@@ -75,17 +51,6 @@ std::optional<TraceFile> decode_trace(std::span<const std::byte> bytes, std::str
     TraceFile out;
     out.header.reason = r.str();
     out.header.config = r.str();
-    const std::uint8_t flags = r.u8();
-    if (flags >= 2 * kExpectBound) {
-      return fail("expect flags " + std::to_string(flags) + " carry bits this build does not know");
-    }
-    Expect& x = out.header.expect;
-    for (std::size_t i = 0; i < std::size(kExpectFlags); ++i) x.*kExpectFlags[i] = (flags >> i) & 1;
-    if ((flags & kExpectBound) != 0) x.termination_bound = r.i64();
-    x.termination_slack = r.i64();
-    if (!in_range(x.termination_bound.value_or(0)) || !in_range(x.termination_slack)) {
-      return fail("termination bound or slack outside [0, 2^60) us");
-    }
     out.dropped = r.u64();
     // Every name takes at least its 4-byte length prefix.
     const std::uint32_t name_count = r.u32();
@@ -116,7 +81,7 @@ std::optional<TraceFile> decode_trace(std::span<const std::byte> bytes, std::str
       e.flags = r.u8() & (kSpanOpen | kSpanClose | kSpanFlagged);
       if (e.seq <= last_seq) return fail("record " + std::to_string(i) + " is out of order");
       last_seq = e.seq;
-      if (!in_range(e.time)) {
+      if (e.time < 0 || e.time >= kTimeLimit) {
         return fail("record " + std::to_string(i) + " has time outside [0, 2^60) us");
       }
       if (e.name >= out.names.size()) {

@@ -1,17 +1,16 @@
 // The trace file: the one form in which a trace leaves a process (a flight
 // dump's trace.bin, core/telemetry.h, or each process's file of a traced
-// `udp_group_call --trace-dir` run).  Its header says what the trace
-// promised, the site's config line and the checker Expect derived from it,
-// so `ugrpcstat --check-flight FILE` replays it through obs::check() with
-// nothing beside it; `ugrpcstat --perfetto FILE...` renders it offline.
-// Layout, every integer little-endian at fixed width (common/buffer.h's
-// Writer, read back with its bounds-checked Reader):
+// `udp_group_call --trace-dir` run).  Its header names the site's
+// configuration by its Config::describe() line, so `ugrpcstat
+// --check-flight FILE` reads the line back (core::Config::parse), derives
+// what it promises (core::expectations_from) and replays the records
+// through obs::check() with nothing beside the file; `ugrpcstat --perfetto
+// FILE...` renders it offline.  Layout, every integer little-endian at
+// fixed width (common/buffer.h's Writer, read back with its bounds-checked
+// Reader):
 //
 //   u32 magic "UGTR"   u32 version (kTraceFileVersion)
-//   header: str reason ("" for a run's trace), str config line,
-//           u8 expect flags (bits 0-4: unique, atomic, FIFO, total,
-//           orphans; bit 5: a bound follows), i64 termination bound in us
-//           when bit 5 is set, i64 termination slack in us
+//   header: str reason ("" for a run's trace), str config line
 //   u64 records overwritten by ring wraps before the dump (total_dropped)
 //   u32 name count N, then N length-prefixed strings: interned ids 1..N
 //   u32 record count M, then M records of kTraceRecordBytes each:
@@ -23,12 +22,12 @@
 // which is why trace.h's enum is append-only.  The decoder trusts nothing:
 // lengths and counts are checked against the bytes left before anything
 // is reserved, a name id must index the table, records must come in
-// increasing sequence order, the bound, the slack and every record's time
-// must lie in [0, 2^60) us (so obs::check's sums cannot overflow), and a
-// kind this build does not know is skipped and counted, so a newer build's
-// dump still loads.  An expect flag this build does not know is rejected
-// instead: checking a trace against less than it promised would call it
-// clean.
+// increasing sequence order, every record's time must lie in [0,
+// kTimeLimit) us (so obs::check's sums cannot overflow), and a kind this
+// build does not know is skipped and counted, so a newer build's dump
+// still loads.  The config line is kept as text: a line this build cannot
+// parse fails --check-flight instead, since checking a trace against less
+// than it promised would call it clean.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +38,6 @@
 #include <vector>
 
 #include "common/buffer.h"
-#include "obs/checker.h"
 #include "obs/trace.h"
 
 namespace ugrpc::obs {
@@ -47,15 +45,13 @@ namespace ugrpc::obs {
 /// The trace file's name inside a flight dump directory.
 inline constexpr const char* kTraceFileName = "trace.bin";
 inline constexpr std::uint32_t kTraceFileMagic = 0x52544755;  // "UGTR" on disk
-inline constexpr std::uint32_t kTraceFileVersion = 2;
+inline constexpr std::uint32_t kTraceFileVersion = 3;
 inline constexpr std::size_t kTraceRecordBytes = 8 * 8 + 4 + 4 + 1 + 1;
 
-/// What a trace promised: why it was written, the configuration of the
-/// site that wrote it, and the invariants that configuration commits to.
+/// Why a trace was written and by which configuration.
 struct TraceHeader {
   std::string reason;  ///< why the trace was written; "" for a run's trace
   std::string config;  ///< the site's Config::describe() line
-  Expect expect;
 };
 
 /// A decoded trace file.

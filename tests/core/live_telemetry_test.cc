@@ -443,21 +443,21 @@ TEST(LiveTelemetry, FlightDumpRoundTripsThroughLoaderAndChecker) {
   EXPECT_EQ(present,
             (std::set<std::string>{obs::kTraceFileName, "metrics.prom", "introspect.json"}));
 
-  // The trace file's header carries the reason, the site's config line and
-  // its checker expectations, and its events are checker-ready: the healthy
-  // workload must replay clean under the expectations the file records.
+  // The trace file's header carries the reason and the site's config line,
+  // which parses back to the site's configuration, and its events are
+  // checker-ready: the healthy workload must replay clean under what the
+  // line promises.
   const auto loaded = load_trace(fs::path(*dump));
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->header.reason, "test-reason");
   EXPECT_EQ(loaded->header.config, config.describe());
-  const obs::Expect want = expectations_from(config);
-  EXPECT_EQ(loaded->header.expect.unique_execution, want.unique_execution);
-  EXPECT_EQ(loaded->header.expect.atomic_execution, want.atomic_execution);
-  EXPECT_EQ(loaded->header.expect.termination_bound, want.termination_bound);
+  const std::optional<Config> parsed = Config::parse(loaded->header.config);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->describe(), config.describe());
   EXPECT_EQ(loaded->unknown_kinds, 0u);
   EXPECT_EQ(loaded->dropped, 0u);
   ASSERT_FALSE(loaded->events.empty());
-  const obs::Report report = obs::check(loaded->events, loaded->header.expect);
+  const obs::Report report = obs::check(loaded->events, expectations_from(*parsed));
   EXPECT_TRUE(report.ok()) << report.brief();
   EXPECT_EQ(report.summary.calls_issued, 3u);
   EXPECT_EQ(report.summary.calls_ok, 3u);

@@ -301,7 +301,7 @@ sim::Duration timer_fire_lateness(const std::vector<obs::Event>& trace) {
 
 // The checker's verdict on the same scenario, driven by 10 ms polls as
 // run_for drives it: the poll wakes at the deadline to the microsecond, so a
-// run ends within the bound plus Expect::termination_slack (1 ms) whenever
+// run ends within the bound plus obs::kTerminationSlack (1 ms) whenever
 // the host wakes the loop on time.  A shared host sometimes wakes a timed
 // wait milliseconds late whatever the wait asked for; a run whose deadline
 // timer fired more than half the slack late is such a run, says nothing
@@ -319,7 +319,7 @@ TEST(UdpTransport, BoundedTerminationPassesTheCheckerOnEveryRun) {
     obs::Tracer tracer;
     ASSERT_EQ(run_bounded_call(config, sim::msec(10), tracer).status, Status::kTimeout);
     const std::vector<obs::Event> trace = tracer.merged();
-    if (timer_fire_lateness(trace) > expect.termination_slack / 2) {
+    if (timer_fire_lateness(trace) > obs::kTerminationSlack / 2) {
       ASSERT_LT(++host_late, 20) << "the host woke the poll loop late on 20 runs";
       continue;
     }

@@ -3,10 +3,11 @@
 // its header, merged() field by field, the same names, the same checker
 // verdict and a Perfetto rendering of every closed span.  A dump is bytes
 // from disk, so a seeded mutation campaign over a real dump -- truncation at
-// every length, byte flips, lying lengths and counts, unknown expect flags,
+// every length, byte flips, lying lengths and counts, mutated config lines,
 // bad name ids, bad magic or version, unknown kinds -- must see each input
-// rejected with a reason or loaded into a history spans_of() accepts and the
-// renderer draws, never a crash (ASan/UBSan in CI).
+// rejected with a reason or loaded into a history spans_of() accepts, the
+// renderer draws and, when its config line parses, the checker replays,
+// never a crash (ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,15 +26,14 @@
 namespace ugrpc::obs {
 namespace {
 
-/// Offsets into a file with an empty header (no reason, no config line, no
-/// termination bound) and no names: magic, version, header, dropped, counts.
+/// Offsets into a file with an empty header (no reason, no config line) and
+/// no names: magic, version, header, dropped, counts.
 constexpr std::size_t kVersionAt = 4;
 constexpr std::size_t kReasonAt = 8;
 constexpr std::size_t kConfigAt = 12;
-constexpr std::size_t kFlagsAt = 16;
-constexpr std::size_t kNameCountAt = 33;
-constexpr std::size_t kRecordCountAt = 37;  // with no names
-constexpr std::size_t kFirstRecordAt = 41;  // with no names
+constexpr std::size_t kNameCountAt = 24;
+constexpr std::size_t kRecordCountAt = 28;  // with no names
+constexpr std::size_t kFirstRecordAt = 32;  // with no names
 /// Offsets within a record.
 constexpr std::size_t kNameIdAt = 68;
 constexpr std::size_t kKindAt = 72;
@@ -59,13 +59,12 @@ void lossy_run(Tracer& tracer) {
 /// Where the name count of a file with header `h` sits: after the magic, the
 /// version, the header and the dropped count.
 std::size_t name_count_at(const TraceHeader& h) {
-  return 8 + 4 + h.reason.size() + 4 + h.config.size() + 1 +
-         (h.expect.termination_bound.has_value() ? 8 : 0) + 8 + 8;
+  return 8 + 4 + h.reason.size() + 4 + h.config.size() + 8;
 }
 
 /// The header a site running `config` writes.
 TraceHeader header_of(const core::Config& config, std::string reason) {
-  return {std::move(reason), config.describe(), core::expectations_from(config)};
+  return {std::move(reason), config.describe()};
 }
 
 /// A real dump: one exactly-once call to two servers over a duplicating link.
@@ -97,8 +96,8 @@ void put_i64(std::vector<std::byte>& bytes, std::size_t at, std::int64_t v) {
 }
 
 /// Decodes `bytes` and checks the decoder's contract, and replays what
-/// loads through the checker against its header's Expect; returns whether
-/// it loaded.
+/// loads through the checker against what its config line promises, when
+/// the line parses; returns whether it loaded.
 bool decode_checked(const std::vector<std::byte>& bytes) {
   std::string error;
   const auto file = decode_trace(bytes, &error);
@@ -115,7 +114,12 @@ bool decode_checked(const std::vector<std::byte>& bytes) {
   }
   (void)spans_of(file->events);  // deriving spans from any loaded history is safe
   (void)tools::render_perfetto(std::span(&*file, 1));
-  (void)check(file->events, file->header.expect);  // and so is checking it
+  std::string bad_token;
+  if (const auto config = core::Config::parse(file->header.config, &bad_token)) {
+    (void)check(file->events, core::expectations_from(*config));  // and so is checking it
+  } else {
+    EXPECT_FALSE(bad_token.empty()) << "a line that does not parse names its token";
+  }
   return true;
 }
 
@@ -138,7 +142,10 @@ TEST(TraceFile, RoundTripEqualsMergedHistoryCheckerAndPerfetto) {
   ASSERT_TRUE(file.has_value()) << error;
   EXPECT_EQ(file->header.reason, "");
   EXPECT_EQ(file->header.config, config.describe());
-  EXPECT_FALSE(file->header.expect.unique_execution) << "at-least-once promises no uniqueness";
+  const auto parsed = core::Config::parse(file->header.config);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_FALSE(core::expectations_from(*parsed).unique_execution)
+      << "at-least-once promises no uniqueness";
   EXPECT_EQ(file->dropped, 0u);
   EXPECT_EQ(file->unknown_kinds, 0u);
   const std::vector<Event> want = tracer.merged();
@@ -190,29 +197,6 @@ TEST(TraceFile, RoundTripEqualsMergedHistoryCheckerAndPerfetto) {
   EXPECT_EQ(drawn, closed);
 }
 
-TEST(TraceFile, HeaderRoundTripsEveryExpectation) {
-  Tracer tracer;
-  tracer.site(ProcessId{1}).record(sim::usec(1), Kind::kCheckpoint, 7);
-  TraceHeader every{"signal:SIGABRT", "a config line", {}};
-  every.expect = {true, true, sim::msec(250), sim::usec(1500), true, true, true};
-  for (const TraceHeader& want : {TraceHeader{}, every}) {
-    std::string error;
-    const auto file = decode_trace(bytes_of(encode_trace(tracer, want)), &error);
-    ASSERT_TRUE(file.has_value()) << error;
-    const Expect& got = file->header.expect;
-    EXPECT_EQ(file->header.reason, want.reason);
-    EXPECT_EQ(file->header.config, want.config);
-    EXPECT_EQ(got.unique_execution, want.expect.unique_execution);
-    EXPECT_EQ(got.atomic_execution, want.expect.atomic_execution);
-    EXPECT_EQ(got.termination_bound, want.expect.termination_bound);
-    EXPECT_EQ(got.termination_slack, want.expect.termination_slack);
-    EXPECT_EQ(got.fifo_order, want.expect.fifo_order);
-    EXPECT_EQ(got.total_order, want.expect.total_order);
-    EXPECT_EQ(got.terminate_orphans, want.expect.terminate_orphans);
-    EXPECT_EQ(file->events.size(), 1u);
-  }
-}
-
 TEST(TraceFile, MalformedHeaderIsRejected) {
   const std::vector<std::byte> base = one_record(Kind::kCheckpoint);
   std::string error;
@@ -224,41 +208,35 @@ TEST(TraceFile, MalformedHeaderIsRejected) {
       EXPECT_NE(error.find("truncated"), std::string::npos) << error;
     }
   }
-  for (const int bit : {6, 7}) {
-    std::vector<std::byte> flags = base;
-    flags[kFlagsAt] |= static_cast<std::byte>(1 << bit);
-    EXPECT_FALSE(decode_trace(flags, &error).has_value()) << bit;
-    EXPECT_NE(error.find("expect flags"), std::string::npos) << error;
-  }
-  // A bound flagged present in a file cut off inside it.
+  // A record time that obs::check's sums could overflow (INT64_MAX stopped
+  // the checker under UBSan), or a negative one, which its -1 "never
+  // issued" sentinel could meet, is rejected.  The same values as the
+  // config line's termination bound load, but the line does not parse.
   Tracer tracer;
   tracer.site(ProcessId{1}).record(sim::usec(1), Kind::kCallIssued, 7);
-  TraceHeader bounded;
-  bounded.expect.termination_bound = sim::msec(100);
-  const std::vector<std::byte> whole = bytes_of(encode_trace(tracer, bounded));
-  ASSERT_TRUE(decode_trace(whole).has_value());
-  const std::vector<std::byte> cut(whole.begin(), whole.begin() + kFlagsAt + 1 + 4);
-  EXPECT_FALSE(decode_trace(cut, &error).has_value());
-  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
-
-  // A bound, a slack or a record time that obs::check's sums could overflow
-  // (INT64_MAX stopped the checker under UBSan), or a negative one, which
-  // its -1 "never issued" sentinel could meet.  The bound sits right after
-  // the flags, the slack after it, and a record's time after its seq.
+  const std::vector<std::byte> whole = bytes_of(encode_trace(tracer, {}));
   const std::size_t time_at = whole.size() - kTraceRecordBytes + 8;
   for (const std::int64_t lie : {INT64_MAX, std::int64_t{1} << 60, std::int64_t{-1}, INT64_MIN}) {
-    for (const std::size_t at : {kFlagsAt + 1, kFlagsAt + 1 + 8, time_at}) {
-      std::vector<std::byte> bytes = whole;
-      put_i64(bytes, at, lie);
-      EXPECT_FALSE(decode_trace(bytes, &error).has_value()) << at << " " << lie;
-      EXPECT_NE(error.find("outside [0, 2^60) us"), std::string::npos) << error;
-    }
-  }
-  for (const std::size_t at : {kFlagsAt + 1, kFlagsAt + 1 + 8, time_at}) {
     std::vector<std::byte> bytes = whole;
-    put_i64(bytes, at, (std::int64_t{1} << 60) - 1);
-    EXPECT_TRUE(decode_checked(bytes)) << "the largest legal value loads and checks, at " << at;
+    put_i64(bytes, time_at, lie);
+    EXPECT_FALSE(decode_trace(bytes, &error).has_value()) << lie;
+    EXPECT_NE(error.find("outside [0, 2^60) us"), std::string::npos) << error;
+
+    core::Config config;
+    config.termination_bound = lie;
+    const auto file = decode_trace(bytes_of(encode_trace(tracer, header_of(config, ""))));
+    ASSERT_TRUE(file.has_value());
+    std::string bad_token;
+    EXPECT_FALSE(core::Config::parse(file->header.config, &bad_token).has_value()) << lie;
+    EXPECT_EQ(bad_token, "bounded=" + std::to_string(lie) + "us");
   }
+  // The largest legal value loads, parses and checks, as a time and a bound.
+  core::Config config;
+  config.termination_bound = (std::int64_t{1} << 60) - 1;
+  std::vector<std::byte> largest = bytes_of(encode_trace(tracer, header_of(config, "")));
+  put_i64(largest, largest.size() - kTraceRecordBytes + 8, (std::int64_t{1} << 60) - 1);
+  ASSERT_TRUE(core::Config::parse(config.describe()).has_value());
+  EXPECT_TRUE(decode_checked(largest));
 }
 
 TEST(TraceFile, HeaderCarriesTheDroppedCount) {
@@ -308,10 +286,13 @@ TEST(TraceFile, BadMagicVersionOrNameIdIsRejected) {
   put_u32(version, kVersionAt, kTraceFileVersion + 1);
   EXPECT_FALSE(decode_trace(version, &error).has_value());
   EXPECT_NE(error.find("version"), std::string::npos) << error;
-  // A version-1 file, which has no header, is named as such.
-  put_u32(version, kVersionAt, 1);
-  EXPECT_FALSE(decode_trace(version, &error).has_value());
-  EXPECT_NE(error.find("version 1;"), std::string::npos) << error;
+  // A version-1 file (no header) and a version-2 file (an Expect beside the
+  // config line) are named as such.
+  for (const std::uint32_t old : {1u, 2u}) {
+    put_u32(version, kVersionAt, old);
+    EXPECT_FALSE(decode_trace(version, &error).has_value());
+    EXPECT_NE(error.find("version " + std::to_string(old) + ";"), std::string::npos) << error;
+  }
 
   std::vector<std::byte> name = base;
   put_u32(name, kFirstRecordAt + kNameIdAt, 1);  // the table holds only id 0
@@ -355,7 +336,7 @@ TEST(TraceLoadFuzz, MutatedDumpsAreRejectedOrLoadedNeverCrash) {
   // Where the records start: after the header and the name table.
   const auto file = decode_trace(base);
   ASSERT_TRUE(file.has_value());
-  ASSERT_FALSE(file->header.expect.termination_bound.has_value()) << "case 6 finds the flags";
+  const std::size_t config_at = kReasonAt + 4 + file->header.reason.size() + 4;
   const std::size_t names_at = name_count_at(file->header);
   const std::size_t records_at = base.size() - file->events.size() * kTraceRecordBytes;
   const std::size_t record_count = file->events.size();
@@ -398,8 +379,10 @@ TEST(TraceLoadFuzz, MutatedDumpsAreRejectedOrLoadedNeverCrash) {
         put_u32(bytes, pick(2) == 0 ? kReasonAt : kReasonAt + 4 + file->header.reason.size(),
                 hostile[pick(hostile.size())]);
         break;
-      case 6:  // any expect flags byte: unknown bits, or a bound that is not there
-        bytes[names_at - 8 - 8 - 1] = static_cast<std::byte>(pick(256));
+      case 6:  // the config line's bytes: unknown tokens, repeats, bad numbers
+        for (int i = 0; i < 1 + static_cast<int>(pick(3)); ++i) {
+          bytes[config_at + pick(file->header.config.size())] = static_cast<std::byte>(pick(256));
+        }
         break;
       default:  // flips inside one record's fields, span flags included
         for (int i = 0; i < 1 + static_cast<int>(pick(4)); ++i) {

@@ -11,15 +11,16 @@
 //                                       the samples that changed, keyed by name
 //                                       plus labels (--count N polls)
 //   ugrpcstat --check-flight FILE       replay the trace file through
-//                                       obs::check() against the Expect its
-//                                       header records
+//                                       obs::check() against what its
+//                                       header's config line promises
 //   ugrpcstat --perfetto FILE...        print the spans of the trace files as
 //                                       one Perfetto trace_event document
 //
-// Exit status: 0 on success, 1 on violations / unreadable trace file, 2 on
-// usage or connection errors; a numeric flag out of range or with trailing
-// garbage is a usage error, found before connecting.  The HTTP client is deliberately tiny -- blocking connect,
-// one GET, read to EOF (the server closes after each response).
+// Exit status: 0 on success, 1 on violations / an unreadable trace file or
+// config line, 2 on usage or connection errors; a numeric flag out of range
+// or with trailing garbage is a usage error, found before connecting.  The
+// HTTP client is deliberately tiny -- blocking connect, one GET, read to
+// EOF (the server closes after each response).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -41,9 +42,9 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.h"
+#include "common/decimal.h"
+#include "core/observe.h"
 #include "json_value.h"
-#include "obs/checker.h"
 #include "obs/trace_file.h"
 #include "perfetto.h"
 #include "sim/time.h"
@@ -75,7 +76,7 @@ void usage(std::FILE* out) {
 /// A whole decimal number no larger than `max`; false (after saying why)
 /// for trailing garbage, a sign or a value out of range.
 bool parse_number(const std::string& flag, const char* v, std::uint64_t max, std::uint64_t& out) {
-  if (ugrpc::bench::parse_u64(v, out) && out <= max) return true;
+  if (ugrpc::parse_u64(v, out) && out <= max) return true;
   std::fprintf(stderr, "ugrpcstat: invalid value for %s: '%s' (expected 0..%llu)\n", flag.c_str(),
                v, static_cast<unsigned long long>(max));
   return false;
@@ -369,11 +370,18 @@ int print_perfetto(const std::vector<std::string>& paths) {
   return 0;
 }
 
-/// Replays the trace file at `path` against the Expect its header records
-/// for the site that wrote it.
+/// Replays the trace file at `path` against what the configuration line in
+/// its header promises; a line this build cannot parse fails the check.
 int check_flight(const std::string& path) {
   const auto loaded = load_trace(path);
   if (!loaded) return 1;
+  std::string bad_token;
+  const auto config = ugrpc::core::Config::parse(loaded->header.config, &bad_token);
+  if (!config) {
+    std::fprintf(stderr, "ugrpcstat: bad %s: config line token '%s' does not parse\n",
+                 path.c_str(), bad_token.c_str());
+    return 1;
+  }
   std::printf("trace file %s\n", path.c_str());
   if (!loaded->header.reason.empty()) {
     std::printf("  reason: %s\n", loaded->header.reason.c_str());
@@ -388,7 +396,8 @@ int check_flight(const std::string& path) {
                 static_cast<unsigned long long>(loaded->unknown_kinds));
   }
 
-  const ugrpc::obs::Report report = ugrpc::obs::check(loaded->events, loaded->header.expect);
+  const ugrpc::obs::Report report =
+      ugrpc::obs::check(loaded->events, ugrpc::core::expectations_from(*config));
   const ugrpc::obs::Summary& s = report.summary;
   std::printf("  trace: %zu event(s); %llu issued, %llu completed (%llu ok / %llu timeout), "
               "%llu exec(s) committed, %llu retransmission(s)\n",
